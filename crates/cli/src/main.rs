@@ -824,9 +824,11 @@ fn cmd_stream_find(a: &Args) -> Result<(), String> {
             vec![load_series(&queries, a.opt_parse("query", 0usize)?)?.clone()]
         }
     };
+    // one engine for every query, so the matchers share its extractor
+    let engine = SDtw::new(config.sdtw.clone()).map_err(|e| e.to_string())?;
     let matchers: Vec<SubseqMatcher> = query_list
         .iter()
-        .map(|q| SubseqMatcher::new(q, config.clone()))
+        .map(|q| SubseqMatcher::for_engine(&engine, q, config.clone()))
         .collect::<Result<_, _>>()
         .map_err(|e| e.to_string())?;
 

@@ -11,9 +11,10 @@ use crate::policy::{BandSymmetry, ConstraintPolicy};
 use sdtw_align::{match_features, IntervalPartition, MatchConfig, MatchResult};
 use sdtw_dtw::engine::{DtwOptions, DtwScratch};
 use sdtw_dtw::{Band, WarpPath};
-use sdtw_salient::{SalientConfig, SalientFeature};
+use sdtw_salient::{SalientConfig, SalientExtractor, SalientFeature};
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Full configuration of an [`SDtw`] engine.
@@ -144,9 +145,14 @@ pub struct SDtwOutcome {
 /// pair — features (extract vs cached), band override, warp path,
 /// early-abandon cutoff, scratch reuse and kernel choice are orthogonal
 /// builder options (see [`crate::query::Query`]).
+///
+/// The engine prepares its [`SalientExtractor`] once; clones share it, so
+/// every matcher or index built on one engine extracts through the same
+/// kernels and tables.
 #[derive(Debug, Clone)]
 pub struct SDtw {
     config: SDtwConfig,
+    extractor: Arc<SalientExtractor>,
 }
 
 impl SDtw {
@@ -157,12 +163,19 @@ impl SDtw {
     /// Any nested configuration validation error.
     pub fn new(config: SDtwConfig) -> Result<Self, TsError> {
         config.validate()?;
-        Ok(Self { config })
+        let extractor = Arc::new(SalientExtractor::new(config.salient.clone())?);
+        Ok(Self { config, extractor })
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &SDtwConfig {
         &self.config
+    }
+
+    /// The salient-feature extractor for `config().salient`, shared by
+    /// every clone of this engine.
+    pub fn extractor(&self) -> &SalientExtractor {
+        &self.extractor
     }
 
     /// Computes the constrained distance between two series, extracting

@@ -25,7 +25,7 @@ use crate::store::FeatureStore;
 use sdtw_dtw::engine::{dtw_run_options_values_pinned, DtwEngine, DtwScratch};
 use sdtw_dtw::{Band, KernelChoice, SimdMode};
 use sdtw_obs::{Recorder, SpanRecord, TracePhase};
-use sdtw_salient::{extract_features, SalientFeature};
+use sdtw_salient::SalientFeature;
 use sdtw_tseries::{TimeSeries, TsError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -302,10 +302,8 @@ impl<'a> Query<'a> {
                 (FeatureSource::Supplied { fx, fy }, _) => (fx, fy),
                 (FeatureSource::Extract, PairInput::Series { x, y }) => {
                     let t0 = Instant::now();
-                    extracted = (
-                        extract_features(x, &config.salient)?,
-                        extract_features(y, &config.salient)?,
-                    );
+                    let extractor = engine.extractor();
+                    extracted = (extractor.extract(x), extractor.extract(y));
                     extraction = Some(t0.elapsed());
                     (&extracted.0, &extracted.1)
                 }
@@ -315,10 +313,8 @@ impl<'a> Query<'a> {
                     let t0 = Instant::now();
                     let xs = TimeSeries::new(xv.to_vec())?;
                     let ys = TimeSeries::new(yv.to_vec())?;
-                    extracted = (
-                        extract_features(&xs, &config.salient)?,
-                        extract_features(&ys, &config.salient)?,
-                    );
+                    let extractor = engine.extractor();
+                    extracted = (extractor.extract(&xs), extractor.extract(&ys));
                     extraction = Some(t0.elapsed());
                     (&extracted.0, &extracted.1)
                 }

@@ -8,7 +8,7 @@
 //! matching + DP cost per pair.
 
 use parking_lot::RwLock;
-use sdtw_salient::{extract_features, SalientConfig, SalientFeature};
+use sdtw_salient::{SalientConfig, SalientExtractor, SalientFeature};
 use sdtw_tseries::{TimeSeries, TsError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 /// corpus.
 #[derive(Debug)]
 pub struct FeatureStore {
-    config: SalientConfig,
+    extractor: SalientExtractor,
     cache: RwLock<HashMap<u64, Arc<Vec<SalientFeature>>>>,
 }
 
@@ -32,16 +32,15 @@ impl FeatureStore {
     ///
     /// Configuration validation errors.
     pub fn new(config: SalientConfig) -> Result<Self, TsError> {
-        config.validate()?;
         Ok(Self {
-            config,
+            extractor: SalientExtractor::new(config)?,
             cache: RwLock::new(HashMap::new()),
         })
     }
 
     /// The extraction configuration.
     pub fn config(&self) -> &SalientConfig {
-        &self.config
+        self.extractor.config()
     }
 
     /// Features of a series, from cache when possible.
@@ -73,13 +72,13 @@ impl FeatureStore {
                 return Ok((Arc::clone(cached), None));
             }
             let t0 = Instant::now();
-            let features = Arc::new(extract_features(ts, &self.config)?);
+            let features = Arc::new(self.extractor.extract(ts));
             let elapsed = t0.elapsed();
             self.cache.write().insert(id, Arc::clone(&features));
             Ok((features, Some(elapsed)))
         } else {
             let t0 = Instant::now();
-            let features = Arc::new(extract_features(ts, &self.config)?);
+            let features = Arc::new(self.extractor.extract(ts));
             Ok((features, Some(t0.elapsed())))
         }
     }

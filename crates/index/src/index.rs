@@ -13,7 +13,7 @@ use sdtw_dtw::engine::DtwEngine;
 use sdtw_dtw::engine::Normalization;
 use sdtw_dtw::lower_bound::{lb_keogh_batch, lb_kim_batch, Envelope, SeriesSummary, LB_LANES};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
-use sdtw_salient::{extract_features, SalientFeature};
+use sdtw_salient::SalientFeature;
 use sdtw_tseries::transform::z_normalize;
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
@@ -238,7 +238,7 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// Configuration validation and feature-extraction errors.
+    /// Configuration validation errors.
     pub fn build(corpus: &[TimeSeries], config: IndexConfig) -> Result<Self, TsError> {
         config.validate()?;
         let engine = SDtw::new(config.sdtw.clone())?;
@@ -254,21 +254,21 @@ impl SdtwIndex {
                 let envelope = Envelope::build(&series, config.radius_for(series.len()));
                 let summary = SeriesSummary::of(&series);
                 let features = if needs_features {
-                    extract_features(&series, &config.sdtw.salient)?
+                    engine.extractor().extract(&series)
                 } else {
                     Vec::new()
                 };
                 let coarse = (config.paa_width >= 2)
                     .then(|| CoarseEnvelope::build(&envelope, config.paa_width));
-                Ok(IndexEntry {
+                IndexEntry {
                     series,
                     envelope,
                     summary,
                     features,
                     coarse,
-                })
+                }
             })
-            .collect::<Result<Vec<_>, TsError>>()?;
+            .collect();
         Ok(Self {
             config,
             engine,
@@ -279,6 +279,14 @@ impl SdtwIndex {
     /// The index configuration.
     pub fn config(&self) -> &IndexConfig {
         &self.config
+    }
+
+    /// The engine queries are answered under (configured as
+    /// `config().sdtw`). Clones share its salient extractor, so
+    /// components built on it, such as a serve engine's per-pattern
+    /// matchers, extract through the index's own kernels and tables.
+    pub fn engine(&self) -> &SDtw {
+        &self.engine
     }
 
     /// Number of indexed entries.
@@ -507,8 +515,8 @@ impl SdtwIndex {
         };
         let fq = if self.config.sdtw.policy.needs_alignment() {
             rec.time(TracePhase::Extraction, || {
-                extract_features(&q, &self.config.sdtw.salient)
-            })?
+                self.engine.extractor().extract(&q)
+            })
         } else {
             Vec::new()
         };

@@ -8,13 +8,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DescriptorConfig {
     /// Total descriptor length (`2a × 2` in the paper's notation). Must be
-    /// even and at least 4. The paper's experiments default to 64 and
-    /// sweep 4…128 in Figure 18.
+    /// even and in `4..=MAX_BINS`. The paper's experiments default to 64
+    /// and sweep 4…128 in Figure 18.
     pub bins: usize,
     /// Samples per histogram cell, measured at the keypoint's octave
     /// resolution (the analogue of SIFT's 4-pixel cells). Longer
     /// descriptors therefore cover wider temporal context — exactly the
-    /// trade-off Figure 18 studies.
+    /// trade-off Figure 18 studies. Must be in
+    /// `1..=MAX_SAMPLES_PER_CELL`.
     pub samples_per_cell: usize,
     /// Normalise descriptors to unit L2 norm, making them invariant to
     /// amplitude scaling. One of the paper's independently controllable
@@ -25,6 +26,12 @@ pub struct DescriptorConfig {
     /// gradients). Ignored when `amplitude_invariant` is false.
     pub clamp: Option<f64>,
 }
+
+/// Largest accepted [`DescriptorConfig::bins`]. The paper sweeps 4–128.
+pub const MAX_BINS: usize = 1024;
+
+/// Largest accepted [`DescriptorConfig::samples_per_cell`].
+pub const MAX_SAMPLES_PER_CELL: usize = 64;
 
 impl Default for DescriptorConfig {
     fn default() -> Self {
@@ -47,19 +54,23 @@ impl DescriptorConfig {
     ///
     /// # Errors
     ///
-    /// [`TsError::InvalidParameter`] for odd or too-small bin counts, zero
-    /// cell width, or a non-positive clamp.
+    /// [`TsError::InvalidParameter`] for odd bin counts or ones outside
+    /// `4..=MAX_BINS`, a cell width outside `1..=MAX_SAMPLES_PER_CELL`,
+    /// or a non-positive clamp.
     pub fn validate(&self) -> Result<(), TsError> {
-        if self.bins < 4 || !self.bins.is_multiple_of(2) {
+        if !(4..=MAX_BINS).contains(&self.bins) || !self.bins.is_multiple_of(2) {
             return Err(TsError::InvalidParameter {
                 name: "bins",
-                reason: format!("must be even and >= 4, got {}", self.bins),
+                reason: format!("must be even and in 4..={MAX_BINS}, got {}", self.bins),
             });
         }
-        if self.samples_per_cell == 0 {
+        if !(1..=MAX_SAMPLES_PER_CELL).contains(&self.samples_per_cell) {
             return Err(TsError::InvalidParameter {
                 name: "samples_per_cell",
-                reason: "must be at least 1".into(),
+                reason: format!(
+                    "must be in 1..={MAX_SAMPLES_PER_CELL}, got {}",
+                    self.samples_per_cell
+                ),
             });
         }
         if let Some(c) = self.clamp {
@@ -196,6 +207,34 @@ mod tests {
             ..Default::default()
         };
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn descriptor_caps_name_the_field() {
+        let cases = [
+            ("bins", MAX_BINS + 2, 4),
+            ("bins", 1 << 40, 4),
+            ("samples_per_cell", 64, MAX_SAMPLES_PER_CELL + 1),
+            ("samples_per_cell", 64, 1 << 32),
+        ];
+        for (field, bins, samples_per_cell) in cases {
+            let cfg = DescriptorConfig {
+                bins,
+                samples_per_cell,
+                ..Default::default()
+            };
+            match cfg.validate() {
+                Err(TsError::InvalidParameter { name, .. }) => assert_eq!(name, field),
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+        DescriptorConfig {
+            bins: MAX_BINS,
+            samples_per_cell: MAX_SAMPLES_PER_CELL,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]

@@ -22,6 +22,10 @@ use sdtw_scalespace::Pyramid;
 /// in the keypoint's octave — so a fixed `bins` covers wider original-time
 /// ranges for coarser keypoints, which is exactly the multi-scale context
 /// behaviour Figure 6 of the paper illustrates.
+///
+/// This prepares the sample layout and the gradient for one keypoint;
+/// [`crate::SalientExtractor`] prepares the layout once per configuration
+/// and each gradient once per call.
 pub fn build_descriptor(
     pyramid: &Pyramid,
     keypoint: &Keypoint,
@@ -31,40 +35,80 @@ pub fn build_descriptor(
     // The DoG level l was computed from gaussians[l] and gaussians[l+1];
     // sample gradients on the lower one (σ matching the reported scale).
     let smoothed = &octave.gaussians[keypoint.level.min(octave.gaussians.len() - 1)].values;
-    let grad = central_gradient(smoothed);
-    let n = grad.len();
+    DescriptorSampler::new(config).describe(&central_gradient(smoothed), keypoint.octave_position)
+}
 
-    let cells = config.cells();
-    let width = config.samples_per_cell;
-    let half_span = (cells * width) as f64 / 2.0;
-    // Gaussian weighting window: σ_w = half the descriptor span (SIFT uses
-    // one half of the descriptor window width).
-    let weight_sigma = half_span.max(1.0) / 2.0;
+/// The configuration-only part of descriptor building: where each sample
+/// sits relative to the keypoint and its Gaussian weight.
+///
+/// `2a` cells of `samples_per_cell` samples each, `T` samples in all, are
+/// laid out around the keypoint's octave position `c`; sample `k` sits at
+/// `c − T/2 + k + 1/2`, is read from the gradient at that position
+/// rounded half away from zero (clamped to the series), and is weighted
+/// by `exp(−x² / 2σ_w²)` with `x = k + 1/2 − T/2` and `σ_w` half the
+/// descriptor's half-span (SIFT's choice). Positions and offsets are
+/// exact multiples of `1/2`, so the weight of sample `k` does not depend
+/// on `c`, and the rounded position is the integer `c + k + 1 − ⌈T/2⌉`
+/// wherever it is not negative (negative positions clamp to index 0
+/// either way).
+#[derive(Debug, Clone)]
+pub(crate) struct DescriptorSampler {
+    config: DescriptorConfig,
+    /// Weight of each of the `T` samples, in sampling order.
+    weights: Vec<f64>,
+    /// Index of sample 0 relative to the keypoint, before clamping.
+    first_offset: isize,
+}
 
-    let centre = keypoint.octave_position as f64;
-    let mut desc = vec![0.0; config.bins];
-    for c in 0..cells {
-        // cell c spans [centre - half_span + c*width, ... + width)
-        let cell_start = centre - half_span + (c * width) as f64;
-        for s in 0..width {
-            let pos = cell_start + s as f64 + 0.5;
-            // clamp sampling to the series (boundary cells re-read edges)
-            let idx = pos.round().clamp(0.0, (n.max(1) - 1) as f64) as usize;
-            let g = if n == 0 { 0.0 } else { grad[idx] };
-            let w = GaussianKernel::continuous_weight(weight_sigma, pos - centre);
-            let mag = g.abs() * w;
-            if g >= 0.0 {
-                desc[2 * c] += mag;
-            } else {
-                desc[2 * c + 1] += mag;
-            }
+impl DescriptorSampler {
+    /// Prepares the sample layout of `config` (assumed validated).
+    pub(crate) fn new(config: &DescriptorConfig) -> Self {
+        let samples = config.cells() * config.samples_per_cell;
+        let half_span = samples as f64 / 2.0;
+        // Gaussian weighting window: σ_w = half the descriptor span (SIFT
+        // uses one half of the descriptor window width).
+        let weight_sigma = half_span.max(1.0) / 2.0;
+        let weights = (0..samples)
+            .map(|k| GaussianKernel::continuous_weight(weight_sigma, (k as f64 + 0.5) - half_span))
+            .collect();
+        Self {
+            config: config.clone(),
+            weights,
+            first_offset: 1 - samples.div_ceil(2) as isize,
         }
     }
 
-    if config.amplitude_invariant {
-        normalize(&mut desc, config.clamp);
+    /// The descriptor of the keypoint at octave position `centre`, read
+    /// from `gradient`: the central-difference gradient of the keypoint's
+    /// Gaussian level.
+    pub(crate) fn describe(&self, gradient: &[f64], centre: usize) -> Vec<f64> {
+        let mut desc = vec![0.0; self.config.bins];
+        if let Some(last) = gradient.len().checked_sub(1) {
+            let width = self.config.samples_per_cell;
+            let first = centre as isize + self.first_offset;
+            let cells = self
+                .weights
+                .chunks_exact(width)
+                .zip(desc.chunks_exact_mut(2));
+            for (c, (weights, histogram)) in cells.enumerate() {
+                for (s, &w) in weights.iter().enumerate() {
+                    // boundary cells re-read the edge samples
+                    let idx = (first + (c * width + s) as isize).clamp(0, last as isize);
+                    let g = gradient[idx as usize];
+                    let mag = g.abs() * w;
+                    if g >= 0.0 {
+                        histogram[0] += mag;
+                    } else {
+                        histogram[1] += mag;
+                    }
+                }
+            }
+        }
+        if self.config.amplitude_invariant {
+            normalize(&mut desc, self.config.clamp);
+        }
+        desc
     }
-    desc
 }
 
 /// L2-normalises in place; optionally clamps components and renormalises

@@ -59,7 +59,8 @@ pub fn detect_keypoints(
         // (Strict SIFT skips boundary levels; the paper's whole point is
         // to under-prune keypoints, and skipping them would blind the
         // matcher to half the computed scale range at s = 2.)
-        let mut neighbours: Vec<f64> = Vec::with_capacity(8);
+        // up to 2 same-level and 2 × 3 adjacent-level neighbours
+        let mut buf = [0.0f64; 8];
         for l in 0..dog.len() {
             let below = l.checked_sub(1).map(|b| &dog[b].values);
             let here = &dog[l].values;
@@ -69,16 +70,19 @@ pub fn detect_keypoints(
                 if v.abs() < min_response {
                     continue;
                 }
-                neighbours.clear();
-                neighbours.extend_from_slice(&[here[i - 1], here[i + 1]]);
+                buf[0] = here[i - 1];
+                buf[1] = here[i + 1];
+                let mut count = 2;
                 for stack in [below, above].into_iter().flatten() {
-                    neighbours.extend_from_slice(&[stack[i - 1], stack[i], stack[i + 1]]);
+                    buf[count..count + 3].copy_from_slice(&stack[i - 1..=i + 1]);
+                    count += 3;
                 }
+                let neighbours = &buf[..count];
                 // DoG maxima mark locally depressed series regions (Dip),
                 // DoG minima mark elevated ones (Peak) — see `Polarity`.
-                let polarity = if v > 0.0 && dominates_max(v, &neighbours, config.epsilon) {
+                let polarity = if v > 0.0 && dominates_max(v, neighbours, config.epsilon) {
                     Some(Polarity::Dip)
-                } else if v < 0.0 && dominates_min(v, &neighbours, config.epsilon) {
+                } else if v < 0.0 && dominates_min(v, neighbours, config.epsilon) {
                     Some(Polarity::Peak)
                 } else {
                     None

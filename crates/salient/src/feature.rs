@@ -2,10 +2,11 @@
 //! top-level extraction entry point.
 
 use crate::config::SalientConfig;
-use crate::descriptor::build_descriptor;
+use crate::descriptor::DescriptorSampler;
 use crate::detect::detect_keypoints;
 use crate::keypoint::{Keypoint, ScaleClass};
-use sdtw_scalespace::Pyramid;
+use sdtw_scalespace::gradient::central_gradient;
+use sdtw_scalespace::ScaleSpace;
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 
@@ -75,9 +76,81 @@ impl FeatureSet {
     }
 }
 
-/// Extracts the salient features of a series (paper §3.1.2 end-to-end:
-/// pyramid → ε-relaxed detection → contrast filter → descriptors → scopes
-/// and amplitudes).
+/// Salient-feature extraction prepared for one [`SalientConfig`] (paper
+/// §3.1.2 end-to-end: pyramid → ε-relaxed detection → contrast filter →
+/// descriptors → scopes and amplitudes).
+///
+/// Construction validates the configuration and computes everything that
+/// depends on it alone: the base and level Gaussian kernels of the
+/// pyramid ([`ScaleSpace`]) and the descriptor's per-sample weights.
+/// [`SalientExtractor::extract`] then pays only for the series. It is
+/// immutable, so one extractor serves any number of threads; an engine
+/// builds one and shares it.
+#[derive(Debug, Clone)]
+pub struct SalientExtractor {
+    config: SalientConfig,
+    scale_space: ScaleSpace,
+    sampler: DescriptorSampler,
+}
+
+impl SalientExtractor {
+    /// Validates `config` and prepares its kernels and tables.
+    ///
+    /// # Errors
+    ///
+    /// Configuration validation failures.
+    pub fn new(config: SalientConfig) -> Result<Self, TsError> {
+        config.validate()?;
+        Ok(Self {
+            scale_space: ScaleSpace::new(&config.pyramid)?,
+            sampler: DescriptorSampler::new(&config.descriptor),
+            config,
+        })
+    }
+
+    /// The configuration the extractor was prepared for.
+    pub fn config(&self) -> &SalientConfig {
+        &self.config
+    }
+
+    /// Extracts the salient features of a series, sorted by position.
+    pub fn extract(&self, ts: &TimeSeries) -> Vec<SalientFeature> {
+        let pyramid = self.scale_space.build(ts);
+        let keypoints = detect_keypoints(&pyramid, &self.config, ts.max() - ts.min());
+        let n = ts.len();
+        // one gradient per (octave, Gaussian level), computed on first use
+        let levels = self.config.pyramid.levels_per_octave + 3;
+        let mut gradients: Vec<Option<Vec<f64>>> = vec![None; pyramid.octaves().len() * levels];
+        keypoints
+            .into_iter()
+            .map(|kp| {
+                let (scope_start, scope_end) = kp.scope_bounds(self.config.scope_sigmas, n);
+                let scope_len = kp.scope_len(self.config.scope_sigmas);
+                let amplitude = ts.window_mean(scope_start, scope_end + 1);
+                // The DoG level l was computed from gaussians[l] and
+                // gaussians[l+1]; sample gradients on the lower one (σ
+                // matching the reported scale).
+                let octave = &pyramid.octaves()[kp.octave];
+                let level = kp.level.min(octave.gaussians.len() - 1);
+                let gradient = gradients[kp.octave * levels + level]
+                    .get_or_insert_with(|| central_gradient(&octave.gaussians[level].values));
+                let descriptor = self.sampler.describe(gradient, kp.octave_position);
+                SalientFeature {
+                    keypoint: kp,
+                    scope_start,
+                    scope_end,
+                    scope_len,
+                    amplitude,
+                    descriptor,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Extracts the salient features of a series: [`SalientExtractor::new`]
+/// followed by [`SalientExtractor::extract`]. Extracting many series
+/// under one configuration, build the extractor once instead.
 ///
 /// # Errors
 ///
@@ -86,28 +159,7 @@ pub fn extract_features(
     ts: &TimeSeries,
     config: &SalientConfig,
 ) -> Result<Vec<SalientFeature>, TsError> {
-    config.validate()?;
-    let pyramid = Pyramid::build(ts, &config.pyramid)?;
-    let keypoints = detect_keypoints(&pyramid, config, ts.max() - ts.min());
-    let n = ts.len();
-    let features = keypoints
-        .into_iter()
-        .map(|kp| {
-            let (scope_start, scope_end) = kp.scope_bounds(config.scope_sigmas, n);
-            let scope_len = kp.scope_len(config.scope_sigmas);
-            let amplitude = ts.window_mean(scope_start, scope_end + 1);
-            let descriptor = build_descriptor(&pyramid, &kp, &config.descriptor);
-            SalientFeature {
-                keypoint: kp,
-                scope_start,
-                scope_end,
-                scope_len,
-                amplitude,
-                descriptor,
-            }
-        })
-        .collect();
-    Ok(features)
+    Ok(SalientExtractor::new(config.clone())?.extract(ts))
 }
 
 /// Extracts features and wraps them in a [`FeatureSet`].

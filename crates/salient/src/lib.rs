@@ -20,8 +20,10 @@
 //!    magnitude), Gaussian-weighted by distance from the keypoint. This is
 //!    the 1D reduction of SIFT's `2a × 2b × c` layout (paper Figure 5(b));
 //! 4. [`feature`] — bundle keypoint + descriptor + scope + amplitude into
-//!    [`feature::SalientFeature`] and expose the top-level
-//!    [`feature::extract_features`].
+//!    [`feature::SalientFeature`]. [`SalientExtractor`] runs the pipeline
+//!    with everything that depends only on the configuration (kernels,
+//!    descriptor weights) prepared once; [`feature::extract_features`]
+//!    is one extractor used once.
 //!
 //! Every invariance can be "independently controlled" (paper §3.1.2):
 //! amplitude normalisation of descriptors is a config switch, and the
@@ -52,5 +54,5 @@ pub mod feature;
 pub mod keypoint;
 
 pub use config::{DescriptorConfig, SalientConfig};
-pub use feature::{extract_features, FeatureSet, SalientFeature};
+pub use feature::{extract_features, FeatureSet, SalientExtractor, SalientFeature};
 pub use keypoint::{Keypoint, Polarity, ScaleClass};

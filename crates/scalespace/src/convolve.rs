@@ -23,33 +23,71 @@ fn reflect(mut idx: isize, n: usize) -> usize {
     }
 }
 
+/// Outputs computed together by [`convolve_reflect_into`]: one pass over
+/// the kernel taps feeds this many independent accumulators.
+const BLOCK: usize = 8;
+
 /// Convolves raw samples with a Gaussian kernel under reflective padding.
 pub fn convolve_reflect(values: &[f64], kernel: &GaussianKernel) -> Vec<f64> {
+    let mut out = Vec::with_capacity(values.len());
+    convolve_reflect_into(values, kernel, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`convolve_reflect`] into caller-owned buffers: `padded` is scratch
+/// for the reflect-padded input, `out` is overwritten with the result.
+///
+/// Output `i` is `Σ_j padded[i + j] · w[j]`, summed in tap order `j`,
+/// where `padded[t] = values[reflect(t − r)]`. Blocks of [`BLOCK`]
+/// outputs share each tap's pass, so their additions run as independent
+/// chains, yet every output keeps its own multiply-then-add order. The
+/// seed differs by output: an output whose window fits inside the
+/// series starts from the additive identity of `Iterator::sum` (`-0.0`),
+/// one whose window is reflected starts from `+0.0`. The two differ only
+/// on an all-`-0.0` window, and both are kept so the result is the same
+/// bit for bit as a per-output `sum` on the interior and a `+0.0`-seeded
+/// loop at the boundaries.
+pub(crate) fn convolve_reflect_into(
+    values: &[f64],
+    kernel: &GaussianKernel,
+    padded: &mut Vec<f64>,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
     let n = values.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
-    let r = kernel.radius() as isize;
+    let r = kernel.radius();
     let w = kernel.weights();
-    let mut out = Vec::with_capacity(n);
-    // Fast interior path: no reflection needed when the window fits.
-    for i in 0..n {
-        let i_isize = i as isize;
-        let acc = if i_isize - r >= 0 && i_isize + r < n as isize {
-            let base = (i_isize - r) as usize;
-            let window = &values[base..base + w.len()];
-            window.iter().zip(w.iter()).map(|(v, k)| v * k).sum()
+    padded.clear();
+    padded.extend((0..n + 2 * r).map(|t| values[reflect(t as isize - r as isize, n)]));
+    let interior_seed: f64 = std::iter::empty::<f64>().sum();
+    let seed = |i: usize| {
+        if i >= r && i + r < n {
+            interior_seed
         } else {
-            let mut acc = 0.0;
-            for (j, &k) in w.iter().enumerate() {
-                let src = reflect(i_isize - r + j as isize, n);
-                acc += values[src] * k;
+            0.0
+        }
+    };
+    let mut start = 0;
+    while start + BLOCK <= n {
+        let mut acc: [f64; BLOCK] = std::array::from_fn(|l| seed(start + l));
+        for (taps, &k) in padded[start..].windows(BLOCK).zip(w) {
+            for (a, &v) in acc.iter_mut().zip(taps) {
+                *a += v * k;
             }
-            acc
-        };
+        }
+        out.extend_from_slice(&acc);
+        start += BLOCK;
+    }
+    for i in start..n {
+        let mut acc = seed(i);
+        for (&v, &k) in padded[i..].iter().zip(w) {
+            acc += v * k;
+        }
         out.push(acc);
     }
-    out
 }
 
 /// Gaussian-smooths a [`TimeSeries`], returning the smoothed series

@@ -11,7 +11,9 @@
 //!   reduced into `o` octaves (each a doubling of the smoothing rate), each
 //!   octave divided into `s` levels by repeated convolution with parameter
 //!   `κ` where `κ^s = 2`, and adjacent levels subtracted to obtain
-//!   difference-of-Gaussian (DoG) series `D(i, σ) = L(i, κσ) − L(i, σ)`;
+//!   difference-of-Gaussian (DoG) series `D(i, σ) = L(i, κσ) − L(i, σ)`.
+//!   [`ScaleSpace`] builds a configuration's kernels once, for any number
+//!   of pyramids;
 //! * [`gradient`] — central-difference gradients of smoothed series, used by
 //!   descriptor extraction.
 //!
@@ -42,4 +44,4 @@ pub mod kernel;
 pub mod pyramid;
 
 pub use kernel::GaussianKernel;
-pub use pyramid::{Pyramid, PyramidConfig};
+pub use pyramid::{Pyramid, PyramidConfig, ScaleSpace};

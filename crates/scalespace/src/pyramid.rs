@@ -16,7 +16,7 @@
 //! levels with a full up-scale and down-scale neighbour — the standard SIFT
 //! arrangement.
 
-use crate::convolve::{convolve_reflect, downsample_half};
+use crate::convolve::{convolve_reflect_into, downsample_half};
 use crate::kernel::GaussianKernel;
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
@@ -38,6 +38,18 @@ pub struct PyramidConfig {
     pub min_octave_len: usize,
 }
 
+/// Largest accepted [`PyramidConfig::octaves`]: a series would need more
+/// than `2^64` samples to fill more octaves.
+pub const MAX_OCTAVES: usize = 64;
+
+/// Largest accepted [`PyramidConfig::levels_per_octave`]. Every octave
+/// convolves `s + 2` times, so `s` bounds the work per sample.
+pub const MAX_LEVELS_PER_OCTAVE: usize = 16;
+
+/// Largest accepted [`PyramidConfig::base_sigma`], in samples. The kernel
+/// radii grow with it, and the kernels are allocated up front.
+pub const MAX_BASE_SIGMA: f64 = 64.0;
+
 impl Default for PyramidConfig {
     fn default() -> Self {
         Self {
@@ -54,20 +66,24 @@ impl PyramidConfig {
     ///
     /// # Errors
     ///
-    /// [`TsError::InvalidParameter`] for a zero level count, non-positive
-    /// base sigma, or a `min_octave_len` smaller than 3 (extrema need two
-    /// neighbours).
+    /// [`TsError::InvalidParameter`] for a level count outside
+    /// `1..=MAX_LEVELS_PER_OCTAVE`, a base sigma outside
+    /// `(0, MAX_BASE_SIGMA]`, a `min_octave_len` smaller than 3 (extrema
+    /// need two neighbours), or an octave count outside `1..=MAX_OCTAVES`.
     pub fn validate(&self) -> Result<(), TsError> {
-        if self.levels_per_octave == 0 {
+        if !(1..=MAX_LEVELS_PER_OCTAVE).contains(&self.levels_per_octave) {
             return Err(TsError::InvalidParameter {
                 name: "levels_per_octave",
-                reason: "must be at least 1".into(),
+                reason: format!(
+                    "must be in 1..={MAX_LEVELS_PER_OCTAVE}, got {}",
+                    self.levels_per_octave
+                ),
             });
         }
-        if !self.base_sigma.is_finite() || self.base_sigma <= 0.0 {
+        if !(self.base_sigma > 0.0 && self.base_sigma <= MAX_BASE_SIGMA) {
             return Err(TsError::InvalidParameter {
                 name: "base_sigma",
-                reason: format!("must be finite and > 0, got {}", self.base_sigma),
+                reason: format!("must be in (0, {MAX_BASE_SIGMA}], got {}", self.base_sigma),
             });
         }
         if self.min_octave_len < 3 {
@@ -76,11 +92,13 @@ impl PyramidConfig {
                 reason: "must be at least 3".into(),
             });
         }
-        if let Some(0) = self.octaves {
-            return Err(TsError::InvalidParameter {
-                name: "octaves",
-                reason: "must be at least 1 when given".into(),
-            });
+        if let Some(octaves) = self.octaves {
+            if !(1..=MAX_OCTAVES).contains(&octaves) {
+                return Err(TsError::InvalidParameter {
+                    name: "octaves",
+                    reason: format!("must be in 1..={MAX_OCTAVES} when given, got {octaves}"),
+                });
+            }
         }
         Ok(())
     }
@@ -165,49 +183,82 @@ pub struct Pyramid {
     input_len: usize,
 }
 
-impl Pyramid {
-    /// Builds the pyramid for a series.
+/// A [`PyramidConfig`] validated once, with every Gaussian kernel its
+/// pyramids convolve with: the base kernel and the `s + 2` incremental
+/// level kernels. Those depend on the configuration alone, not on the
+/// octave or the series, so one `ScaleSpace` builds any number of
+/// pyramids.
+#[derive(Debug, Clone)]
+pub struct ScaleSpace {
+    config: PyramidConfig,
+    base_kernel: GaussianKernel,
+    /// For each level `l ≥ 1` of an octave, at `levels[l - 1]`: its σ in
+    /// the octave's own resolution, and the kernel that smooths level
+    /// `l − 1` into it.
+    levels: Vec<(f64, GaussianKernel)>,
+}
+
+impl ScaleSpace {
+    /// Validates `config` and builds its kernels.
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation errors.
-    pub fn build(ts: &TimeSeries, config: &PyramidConfig) -> Result<Self, TsError> {
+    /// Configuration validation errors.
+    pub fn new(config: &PyramidConfig) -> Result<Self, TsError> {
         config.validate()?;
+        let kappa = config.kappa();
+        // Gaussian levels: level l has sigma base_sigma * kappa^l in
+        // octave resolution. Level 0 is the octave's base; level l>0 is
+        // obtained by incrementally smoothing level l-1 with the sigma
+        // difference (Gaussian semigroup: σ_inc² = σ_l² − σ_{l-1}²).
+        let levels = (1..(config.levels_per_octave + 3))
+            .map(|l| {
+                let sigma_prev = config.base_sigma * kappa.powi(l as i32 - 1);
+                let sigma_this = config.base_sigma * kappa.powi(l as i32);
+                let sigma_inc = (sigma_this * sigma_this - sigma_prev * sigma_prev).sqrt();
+                Ok((sigma_this, GaussianKernel::new(sigma_inc)?))
+            })
+            .collect::<Result<_, TsError>>()?;
+        Ok(Self {
+            config: config.clone(),
+            base_kernel: GaussianKernel::new(config.base_sigma)?,
+            levels,
+        })
+    }
+
+    /// Builds the pyramid for a series.
+    pub fn build(&self, ts: &TimeSeries) -> Pyramid {
+        let config = &self.config;
         let n = ts.len();
         let requested = config
             .octaves
             .unwrap_or_else(|| PyramidConfig::auto_octaves(n));
         let s = config.levels_per_octave;
-        let kappa = config.kappa();
 
         let mut octaves = Vec::with_capacity(requested);
+        let mut padded = Vec::new();
         // base of octave 0: the input smoothed to base_sigma
-        let base_kernel = GaussianKernel::new(config.base_sigma)?;
-        let mut base = convolve_reflect(ts.values(), &base_kernel);
+        let mut base = Vec::with_capacity(n);
+        convolve_reflect_into(ts.values(), &self.base_kernel, &mut padded, &mut base);
         let mut factor = 1usize;
 
         for index in 0..requested {
             if base.len() < config.min_octave_len {
                 break;
             }
-            // Gaussian levels: level l has sigma base_sigma * kappa^l in
-            // octave resolution. Level 0 is `base` itself; level l>0 is
-            // obtained by incrementally smoothing level l-1 with the sigma
-            // difference (Gaussian semigroup: σ_inc² = σ_l² − σ_{l-1}²).
+            let len = base.len();
             let mut gaussians: Vec<Level> = Vec::with_capacity(s + 3);
             gaussians.push(Level {
                 sigma_octave: config.base_sigma,
                 sigma_absolute: config.base_sigma * factor as f64,
-                values: base.clone(),
+                values: base,
             });
             for l in 1..(s + 3) {
-                let sigma_prev = config.base_sigma * kappa.powi(l as i32 - 1);
-                let sigma_this = config.base_sigma * kappa.powi(l as i32);
-                let sigma_inc = (sigma_this * sigma_this - sigma_prev * sigma_prev).sqrt();
-                let kernel = GaussianKernel::new(sigma_inc)?;
-                let values = convolve_reflect(&gaussians[l - 1].values, &kernel);
+                let (sigma_this, kernel) = &self.levels[l - 1];
+                let mut values = Vec::with_capacity(len);
+                convolve_reflect_into(&gaussians[l - 1].values, kernel, &mut padded, &mut values);
                 gaussians.push(Level {
-                    sigma_octave: sigma_this,
+                    sigma_octave: *sigma_this,
                     sigma_absolute: sigma_this * factor as f64,
                     values,
                 });
@@ -240,11 +291,24 @@ impl Pyramid {
             factor *= 2;
         }
 
-        Ok(Self {
+        Pyramid {
             octaves,
             config: config.clone(),
             input_len: n,
-        })
+        }
+    }
+}
+
+impl Pyramid {
+    /// Builds the pyramid for a series: [`ScaleSpace::new`] followed by
+    /// [`ScaleSpace::build`]. Build a [`ScaleSpace`] once to make many
+    /// pyramids under one configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration validation errors.
+    pub fn build(ts: &TimeSeries, config: &PyramidConfig) -> Result<Self, TsError> {
+        Ok(ScaleSpace::new(config)?.build(ts))
     }
 
     /// The octaves, finest first.
@@ -339,6 +403,61 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_caps_name_the_field() {
+        let cases = [
+            (
+                "octaves",
+                PyramidConfig {
+                    octaves: Some(MAX_OCTAVES + 1),
+                    ..Default::default()
+                },
+            ),
+            (
+                "octaves",
+                PyramidConfig {
+                    octaves: Some(1 << 40),
+                    ..Default::default()
+                },
+            ),
+            (
+                "levels_per_octave",
+                PyramidConfig {
+                    levels_per_octave: 50_000_000,
+                    ..Default::default()
+                },
+            ),
+            (
+                "base_sigma",
+                PyramidConfig {
+                    base_sigma: 1e12,
+                    ..Default::default()
+                },
+            ),
+            (
+                "base_sigma",
+                PyramidConfig {
+                    base_sigma: f64::INFINITY,
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (field, cfg) in cases {
+            match cfg.validate() {
+                Err(TsError::InvalidParameter { name, .. }) => assert_eq!(name, field),
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+        let widest = PyramidConfig {
+            octaves: Some(MAX_OCTAVES),
+            levels_per_octave: MAX_LEVELS_PER_OCTAVE,
+            base_sigma: MAX_BASE_SIGMA,
+            ..Default::default()
+        };
+        let pyr = Pyramid::build(&sine(64, 16.0), &widest).unwrap();
+        assert_eq!(pyr.octaves().len(), 4, "64, 32, 16 and 8 samples");
     }
 
     #[test]

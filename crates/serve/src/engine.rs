@@ -166,7 +166,12 @@ impl ServeEngine {
             return Ok(Arc::clone(m));
         }
         let query = TimeSeries::new(values.to_vec())?;
-        let matcher = Arc::new(SubseqMatcher::new(&query, self.stream_cfg.clone())?);
+        // on the index's engine: every cached matcher shares its extractor
+        let matcher = Arc::new(SubseqMatcher::for_engine(
+            self.index.engine(),
+            &query,
+            self.stream_cfg.clone(),
+        )?);
         let mut cache = self.matchers.lock();
         if cache.len() >= MATCHER_CACHE_CAP {
             cache.clear();
@@ -403,5 +408,36 @@ impl ServeEngine {
                 self.answer_with_scratch(&req, scratch)
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdtw_index::IndexConfig;
+
+    fn wave(n: usize, phase: f64) -> TimeSeries {
+        TimeSeries::new((0..n).map(|i| (i as f64 / 6.0 + phase).sin()).collect()).unwrap()
+    }
+
+    #[test]
+    fn cached_matchers_share_the_index_extractor_across_a_cache_clear() {
+        let corpus = vec![wave(60, 0.0), wave(70, 1.0)];
+        let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
+        let engine = ServeEngine::new(index, ServeConfig::default()).unwrap();
+        let shared = engine.index().engine().extractor();
+        let first = engine.matcher_for(wave(24, 5.0).values()).unwrap();
+        // one more distinct pattern than the cache holds clears it once
+        for p in 0..=MATCHER_CACHE_CAP {
+            let m = engine
+                .matcher_for(wave(24, p as f64 * 0.01).values())
+                .unwrap();
+            assert!(std::ptr::eq(m.engine().extractor(), shared), "pattern {p}");
+        }
+        assert!(
+            engine.matchers.lock().len() < MATCHER_CACHE_CAP,
+            "the cache was cleared"
+        );
+        assert!(std::ptr::eq(first.engine().extractor(), shared));
     }
 }

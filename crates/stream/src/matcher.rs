@@ -12,7 +12,7 @@ use sdtw_dtw::engine::{DtwEngine, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
-use sdtw_salient::{extract_features, SalientFeature};
+use sdtw_salient::SalientFeature;
 use sdtw_tseries::stats::WindowedStats;
 use sdtw_tseries::transform::{z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};
@@ -158,14 +158,42 @@ pub struct SubseqMatcher {
 }
 
 impl SubseqMatcher {
-    /// Prepares a query for subsequence search.
+    /// Prepares a query for subsequence search on an engine of its own.
     ///
     /// # Errors
     ///
-    /// Configuration validation and feature-extraction errors.
+    /// Configuration validation errors.
     pub fn new(query: &TimeSeries, config: StreamConfig) -> Result<Self, TsError> {
         config.validate()?;
         let engine = SDtw::new(config.sdtw.clone())?;
+        Self::for_engine(&engine, query, config)
+    }
+
+    /// Prepares a query for subsequence search on an existing engine,
+    /// whose configuration must be `config.sdtw`. The matcher keeps a
+    /// clone of the engine, which shares its salient extractor: matchers
+    /// prepared on one engine extract every window through one set of
+    /// kernels and tables.
+    ///
+    /// # Errors
+    ///
+    /// Configuration validation errors, and an engine configured other
+    /// than `config.sdtw`.
+    pub fn for_engine(
+        engine: &SDtw,
+        query: &TimeSeries,
+        config: StreamConfig,
+    ) -> Result<Self, TsError> {
+        config.validate()?;
+        if engine.config() != &config.sdtw {
+            return Err(TsError::InvalidParameter {
+                name: "engine",
+                reason: "the engine's configuration differs from the stream configuration's \
+                         `sdtw`"
+                    .to_string(),
+            });
+        }
+        let engine = engine.clone();
         let prepared = if config.z_normalize {
             z_normalize(query)
         } else {
@@ -173,7 +201,7 @@ impl SubseqMatcher {
         };
         let needs_features = config.sdtw.policy.needs_alignment();
         let query_features = if needs_features {
-            extract_features(&prepared, &config.sdtw.salient)?
+            engine.extractor().extract(&prepared)
         } else {
             Vec::new()
         };
@@ -232,6 +260,11 @@ impl SubseqMatcher {
     /// The matcher configuration.
     pub fn config(&self) -> &StreamConfig {
         &self.config
+    }
+
+    /// The engine windows are compared under.
+    pub fn engine(&self) -> &SDtw {
+        &self.engine
     }
 
     /// Length of the (prepared) query — the window size.
@@ -704,7 +737,7 @@ impl SubseqMatcher {
             return Ok(None);
         }
         let wts = TimeSeries::new(wv.to_vec())?;
-        let wf = extract_features(&wts, &self.config.sdtw.salient)?;
+        let wf = self.engine.extractor().extract(&wts);
         let (b, _) = self
             .engine
             .plan_band(&self.query_features, &wf, self.m, self.m);

@@ -34,17 +34,42 @@ fn pattern_from(ds: &sdtw_suite::datasets::Dataset, len: usize) -> TimeSeries {
     TimeSeries::new(ds.series[0].values()[..len].to_vec()).expect("prefix of a valid series")
 }
 
-/// Asserts serve == corpus oracle on one seeded corpus, both
-/// normalisation modes, k ∈ {1, 5}, and audits every pruned entry's
+/// Asserts that serve hits equal the corpus oracle's: same ids, same
+/// distance bits, same order.
+fn assert_hits_exact(hits: &[ServeHit], expected: &[sdtw_suite::eval::CorpusMatch], what: &str) {
+    assert_eq!(hits.len(), expected.len(), "{what}: hit count");
+    for (h, e) in hits.iter().zip(expected) {
+        assert_eq!(
+            (h.entry, h.offset),
+            (e.entry, e.offset),
+            "{what}: ids diverge"
+        );
+        assert_eq!(
+            h.distance.to_bits(),
+            e.distance.to_bits(),
+            "{what}: distance bits diverge at entry {} offset {}",
+            e.entry,
+            e.offset,
+        );
+    }
+}
+
+/// Asserts serve == corpus oracle on one seeded corpus, under Sakoe and
+/// the paper's sDTW bands (per-window extraction and band planning),
+/// both normalisation modes, k ∈ {1, 5}, and audits every pruned entry's
 /// admissible floor against the k-th reported distance.
 fn assert_serve_exact(analog: UcrAnalog, seed: u64, entries: usize, rows: usize) {
     let ds = analog.generate(seed);
     let query = pattern_from(&ds, 40);
     let corpus = corpus_from(&ds, entries, rows);
-    for z_norm in [true, false] {
+    let modes = [
+        ("sakoe", IndexConfig::exact_banded(0.2)),
+        ("sdtw", IndexConfig::sdtw_bands()),
+    ];
+    for ((mode, base), z_norm) in modes.iter().flat_map(|m| [(m, true), (m, false)]) {
         let config = IndexConfig {
             z_normalize: z_norm,
-            ..IndexConfig::exact_banded(0.2)
+            ..base.clone()
         };
         let index = SdtwIndex::build(&corpus, config).unwrap();
         let engine = ServeEngine::new(index, ServeConfig::default()).unwrap();
@@ -56,41 +81,24 @@ fn assert_serve_exact(analog: UcrAnalog, seed: u64, entries: usize, rows: usize)
             .collect();
         let oracle_engine = SDtw::new(engine.stream_config().sdtw.clone()).unwrap();
         let exclusion = engine.stream_config().exclusion_for(query.len());
+        // the oracle picks greedily, so its top-1 is the first of its top-5
+        let top5 = corpus_brute_force(
+            &oracle_engine,
+            &query,
+            &oracle_corpus,
+            z_norm,
+            5,
+            exclusion,
+            f64::INFINITY,
+        )
+        .unwrap();
         for k in [1usize, 5] {
+            let what = format!("{analog:?} {mode} znorm={z_norm} k={k}");
             let req = ServeRequest::query(format!("{analog:?}-k{k}"), query.values().to_vec(), k);
             let answer = engine
                 .answer_detailed(&req, &mut DtwScratch::new())
                 .unwrap();
-            let expected = corpus_brute_force(
-                &oracle_engine,
-                &query,
-                &oracle_corpus,
-                z_norm,
-                k,
-                exclusion,
-                f64::INFINITY,
-            )
-            .unwrap();
-            assert_eq!(
-                answer.hits.len(),
-                expected.len(),
-                "{analog:?} znorm={z_norm} k={k}: hit count"
-            );
-            for (h, e) in answer.hits.iter().zip(&expected) {
-                assert_eq!(
-                    (h.entry, h.offset),
-                    (e.entry, e.offset),
-                    "{analog:?} znorm={z_norm} k={k}: ids diverge"
-                );
-                assert_eq!(
-                    h.distance.to_bits(),
-                    e.distance.to_bits(),
-                    "{analog:?} znorm={z_norm} k={k}: distance bits diverge at \
-                     entry {} offset {}",
-                    e.entry,
-                    e.offset,
-                );
-            }
+            assert_hits_exact(&answer.hits, &top5[..k.min(top5.len())], &what);
             // every corpus entry was screened exactly once, and every
             // pruned entry is provably above the k-th hit: its floor is
             // an admissible lower bound on all its window distances and
@@ -101,8 +109,7 @@ fn assert_serve_exact(analog: UcrAnalog, seed: u64, entries: usize, rows: usize)
                 if !s.swept {
                     assert!(
                         s.floor > kth,
-                        "{analog:?} znorm={z_norm} k={k}: entry {} pruned with \
-                         floor {} <= kth distance {kth}",
+                        "{what}: entry {} pruned with floor {} <= kth distance {kth}",
                         s.entry,
                         s.floor,
                     );
@@ -125,6 +132,61 @@ fn serve_is_exact_versus_the_corpus_oracle_on_trace() {
 #[test]
 fn serve_is_exact_versus_the_corpus_oracle_on_50words() {
     assert_serve_exact(UcrAnalog::Words50, 7, 4, 2);
+}
+
+/// More distinct patterns than the matcher cache holds, through one
+/// engine under the paper's sDTW bands: the cache clears mid-run while
+/// its matchers share the index's extractor, and every answer, including
+/// re-asked patterns whose matchers were dropped, stays bit-identical to
+/// the corpus oracle.
+#[test]
+fn serve_stays_exact_while_the_matcher_cache_churns() {
+    const PATTERNS: usize = 260; // the cache holds 256
+    const LEN: usize = 20;
+    let ds = UcrAnalog::Gun.generate(31);
+    let corpus: Vec<TimeSeries> = (0..2)
+        .map(|e| TimeSeries::new(ds.series[1 + e].values()[40..72].to_vec()).unwrap())
+        .collect();
+    let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
+    let engine = ServeEngine::new(index, ServeConfig::default()).unwrap();
+    let oracle_corpus: Vec<TimeSeries> = (0..engine.index().len())
+        .map(|i| engine.index().entry_series(i).clone())
+        .collect();
+    let oracle_engine = SDtw::new(engine.stream_config().sdtw.clone()).unwrap();
+    let z_norm = engine.stream_config().z_normalize;
+    let exclusion = engine.stream_config().exclusion_for(LEN);
+    // pattern p: a window of row 3 + p at offset 7p, cycling over rows
+    let rows = ds.series.len() - 3;
+    let patterns: Vec<Vec<f64>> = (0..PATTERNS)
+        .map(|p| {
+            let row = ds.series[3 + p % rows].values();
+            let at = (7 * p) % (row.len() - LEN);
+            row[at..at + LEN].to_vec()
+        })
+        .collect();
+    let distinct: std::collections::HashSet<Vec<u64>> = patterns
+        .iter()
+        .map(|p| p.iter().map(|v| v.to_bits()).collect())
+        .collect();
+    assert_eq!(distinct.len(), PATTERNS, "patterns must be distinct");
+    let mut scratch = DtwScratch::new();
+    // the first patterns come back after the clear dropped their matchers
+    for (i, p) in patterns.iter().chain(&patterns[..4]).enumerate() {
+        let req = ServeRequest::query(format!("p{i}"), p.clone(), 2);
+        let answer = engine.answer_detailed(&req, &mut scratch).unwrap();
+        let query = TimeSeries::new(p.clone()).unwrap();
+        let expected = corpus_brute_force(
+            &oracle_engine,
+            &query,
+            &oracle_corpus,
+            z_norm,
+            2,
+            exclusion,
+            f64::INFINITY,
+        )
+        .unwrap();
+        assert_hits_exact(&answer.hits, &expected, &format!("request {i}"));
+    }
 }
 
 #[test]

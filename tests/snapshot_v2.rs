@@ -95,6 +95,84 @@ fn corrupted_fixture_bytes_are_rejected() {
     assert!(SnapshotCodec::decode(&corrupt).is_err());
 }
 
+/// Replaces the configuration blob (section 0) of a binary v2 snapshot,
+/// moving the later sections' absolute offsets and re-sealing the table
+/// checksum, so the result is well-formed apart from its configuration.
+fn with_config_blob(bytes: &[u8], config_json: &str) -> Vec<u8> {
+    const TABLE: std::ops::Range<usize> = 36..36 + 15 * 16;
+    let read = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (offset, len) = (read(TABLE.start) as usize, read(TABLE.start + 8) as usize);
+    let grown = config_json.len() as u64;
+    let mut out = bytes[..offset].to_vec();
+    out[TABLE.start + 8..TABLE.start + 16].copy_from_slice(&grown.to_le_bytes());
+    for at in TABLE.step_by(16).skip(1) {
+        let moved = read(at) - len as u64 + grown;
+        out[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+    }
+    let checksum = sdtw_suite::tseries::io::binio::fnv1a64(&out[TABLE]);
+    out[28..36].copy_from_slice(&checksum.to_le_bytes());
+    out.extend_from_slice(config_json.as_bytes());
+    out.extend_from_slice(&bytes[offset + len..]);
+    out
+}
+
+#[test]
+fn oversized_extraction_configs_are_refused_at_load() {
+    let index = golden_index();
+    let config_json = serde_json::to_string(index.config()).unwrap();
+    let json =
+        String::from_utf8(SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap()).unwrap();
+    let binary = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
+    // the blob swap itself is sound: a longer, valid blob loads
+    let wider = config_json.replace("\"samples_per_cell\":4", "\"samples_per_cell\":16");
+    let loaded = SnapshotCodec::decode(&with_config_blob(&binary, &wider)).unwrap();
+    assert_eq!(loaded.config().sdtw.salient.descriptor.samples_per_cell, 16);
+    assert_eq!(loaded.entries(), index.entries());
+    // each value used to abort on allocation or hang the first extraction
+    for (field, from, to) in [
+        ("octaves", "\"octaves\":null", "\"octaves\":1099511627776"),
+        (
+            "levels_per_octave",
+            "\"levels_per_octave\":2",
+            "\"levels_per_octave\":50000000",
+        ),
+        (
+            "base_sigma",
+            "\"base_sigma\":1.6",
+            "\"base_sigma\":1000000000000",
+        ),
+        ("bins", "\"bins\":64", "\"bins\":1099511627776"),
+        (
+            "samples_per_cell",
+            "\"samples_per_cell\":4",
+            "\"samples_per_cell\":4294967296",
+        ),
+    ] {
+        assert_eq!(
+            config_json.matches(from).count(),
+            1,
+            "{field}: {config_json}"
+        );
+        assert_eq!(json.matches(from).count(), 1, "{field}");
+        let snapshots = [
+            ("json", json.replace(from, to).into_bytes()),
+            (
+                "binary",
+                with_config_blob(&binary, &config_json.replace(from, to)),
+            ),
+        ];
+        for (format, bytes) in snapshots {
+            match SnapshotCodec::decode_reader(bytes.as_slice()) {
+                Err(TsError::InvalidParameter { name, .. }) => {
+                    assert_eq!(name, field, "{format} snapshot")
+                }
+                Err(other) => panic!("{format} snapshot with {field}: {other}"),
+                Ok(_) => panic!("{format} snapshot with {field} was accepted"),
+            }
+        }
+    }
+}
+
 /// Regenerates the committed fixture. Run explicitly (see module docs);
 /// `golden_snapshot_encodes_byte_for_byte` then proves it is current.
 #[test]
