@@ -8,7 +8,10 @@
 //!    are screened by an amplitude bound `τ_a` and a scale-ratio bound
 //!    `τ_s`; the best-descriptor-distance candidate is kept only when it
 //!    dominates every other candidate by the ratio `τ_d` (the 1D analogue
-//!    of Lowe's ratio test).
+//!    of Lowe's ratio test). One side is prepared once
+//!    ([`PreparedFeatures`]: sorted by σ, descriptors transposed) and
+//!    scored against each candidate eight rows per pass, bit-identical
+//!    to comparing pair by pair.
 //! 2. [`scores`] — each surviving pair gets an **alignment score**
 //!    `µ_align` (prefers large features close in time), a **similarity
 //!    score** `µ_sim` (prefers similar descriptors and similar scope
@@ -57,4 +60,6 @@ pub mod scores;
 
 pub use config::MatchConfig;
 pub use interval::IntervalPartition;
-pub use matcher::{match_features, MatchResult, MatchedPair};
+pub use matcher::{
+    match_features, match_onto_prepared, match_prepared, MatchResult, MatchedPair, PreparedFeatures,
+};

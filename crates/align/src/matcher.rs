@@ -1,13 +1,25 @@
 //! Dominant pair identification (paper §3.2.1) and the top-level matching
-//! entry point.
+//! entry points.
+//!
+//! The search compares every screened pair of the two feature sets: the
+//! `|S_X| × |S_Y|` descriptor term of the paper's cost analysis (§3.4).
+//! One side, the *fixed* side (series 1), is prepared once
+//! ([`PreparedFeatures`]): its features are sorted by σ and its
+//! descriptors transposed, so one pass over a candidate's descriptor
+//! scores eight consecutive rows at once. Under the `τ_s` screen a
+//! candidate's admissible rows form one contiguous run of the σ order, so
+//! only that run is scored. See DESIGN.md §17 for why the result is
+//! bit-identical to comparing pair by pair.
 
 use crate::config::MatchConfig;
 use crate::interval::IntervalPartition;
 use crate::prune::prune_inconsistent;
-use crate::scores::{combined_scores, mu_align, mu_sim};
+use crate::scores::{combined_scores, descriptor_similarity, mu_align, mu_sim};
 use sdtw_salient::SalientFeature;
-use sdtw_tseries::metric::euclidean;
 use serde::{Deserialize, Serialize};
+
+/// Rows of the fixed side scored per pass over a candidate descriptor.
+const LANES: usize = 8;
 
 /// A matched pair of salient features (indices into the two feature
 /// slices) plus its scores.
@@ -43,64 +55,376 @@ pub struct MatchResult {
     pub descriptor_comparisons: usize,
 }
 
-/// Checks the `τ_a` / `τ_s` screens for a candidate pair.
-fn passes_screens(f1: &SalientFeature, f2: &SalientFeature, cfg: &MatchConfig) -> bool {
-    if let Some(tau_a) = cfg.tau_a {
-        if (f1.amplitude - f2.amplitude).abs() >= tau_a {
-            return false;
-        }
-    }
-    if let Some(tau_s) = cfg.tau_s {
-        let (a, b) = (f1.keypoint.sigma, f2.keypoint.sigma);
-        let ratio = if a > b { a / b } else { b / a };
-        if ratio >= tau_s {
-            return false;
-        }
-    }
-    true
+/// What the screens, the scores and the partition read of one feature:
+/// everything but its descriptor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Anchor {
+    sigma: f64,
+    amplitude: f64,
+    scope: (usize, usize),
+    scope_len: f64,
+    center: f64,
 }
 
-/// Dominant-pair search: for each feature of series 1, the nearest
-/// (descriptor-Euclidean) screened candidate of series 2 is returned iff it
-/// `τ_d`-dominates every other screened candidate.
-fn dominant_pairs(
-    feats1: &[SalientFeature],
-    feats2: &[SalientFeature],
-    cfg: &MatchConfig,
-) -> (Vec<MatchedPair>, usize) {
-    let mut out = Vec::new();
-    let mut comparisons = 0usize;
-    for (i, f1) in feats1.iter().enumerate() {
-        let mut best: Option<(usize, f64)> = None;
-        let mut second_best = f64::INFINITY;
-        for (j, f2) in feats2.iter().enumerate() {
-            if !passes_screens(f1, f2, cfg) {
-                continue;
-            }
-            comparisons += 1;
-            let d = euclidean(&f1.descriptor, &f2.descriptor);
-            match best {
-                None => best = Some((j, d)),
-                Some((_, bd)) if d < bd => {
-                    second_best = bd;
-                    best = Some((j, d));
-                }
-                _ => second_best = second_best.min(d),
+impl Anchor {
+    fn of(f: &SalientFeature) -> Self {
+        Self {
+            sigma: f.keypoint.sigma,
+            amplitude: f.amplitude,
+            scope: (f.scope_start, f.scope_end),
+            scope_len: f.scope_len,
+            center: f.center(),
+        }
+    }
+}
+
+/// The `τ_s` screen's rejection test for scales `a` (fixed side) and `b`.
+fn scale_fails(a: f64, b: f64, tau_s: f64) -> bool {
+    let ratio = if a > b { a / b } else { b / a };
+    ratio >= tau_s
+}
+
+/// One side of feature matching prepared once, to be matched against any
+/// number of candidate feature sets ([`match_prepared`]).
+///
+/// Rows are the features sorted by σ (stable). The descriptors are stored
+/// transposed: value `k` of every row in turn, then value `k + 1`, so the
+/// `k`-th values of any eight consecutive rows sit side by side and one
+/// pass over a candidate's descriptor scores eight rows. Fewer than eight
+/// rows are padded with zero rows, which never pass a screen. The
+/// prepared form is the only copy of the descriptors it needs; the
+/// features themselves can be dropped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedFeatures {
+    /// Descriptor length shared by every feature (0 without features).
+    bins: usize,
+    /// Rows per descriptor value in `lanes`: the row count, at least
+    /// eight.
+    stride: usize,
+    /// Feature (caller's order) → its row.
+    rank: Vec<usize>,
+    /// The rows, σ ascending.
+    rows: Vec<Anchor>,
+    /// The transposed descriptors: value `k` of row `r` at
+    /// `k * stride + r`.
+    lanes: Vec<f64>,
+    /// Every σ is finite and positive, so a candidate's `τ_s`-admissible
+    /// rows form one contiguous run.
+    sigma_runs: bool,
+}
+
+impl PreparedFeatures {
+    /// Prepares `features` as the fixed side of matching.
+    ///
+    /// # Panics
+    ///
+    /// When the descriptors differ in length; the message names both
+    /// lengths.
+    pub fn new(features: &[SalientFeature]) -> Self {
+        let bins = features.first().map_or(0, |f| f.descriptor.len());
+        for (i, f) in features.iter().enumerate() {
+            assert!(
+                f.descriptor.len() == bins,
+                "descriptor lengths differ: feature 0 has {bins} values, feature {i} has {}",
+                f.descriptor.len()
+            );
+        }
+        let mut order: Vec<usize> = (0..features.len()).collect();
+        order.sort_by(|&a, &b| {
+            features[a]
+                .keypoint
+                .sigma
+                .total_cmp(&features[b].keypoint.sigma)
+        });
+        let stride = order.len().max(LANES);
+        let mut rank = vec![0; order.len()];
+        let mut rows = Vec::with_capacity(order.len());
+        let mut lanes = vec![0.0; bins * stride];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
+            rows.push(Anchor::of(&features[i]));
+            for (column, &x) in lanes.chunks_exact_mut(stride).zip(&features[i].descriptor) {
+                column[r] = x;
             }
         }
-        if let Some((j, d)) = best {
+        Self {
+            bins,
+            stride,
+            sigma_runs: rows.iter().all(|r| r.sigma.is_finite() && r.sigma > 0.0),
+            rank,
+            rows,
+            lanes,
+        }
+    }
+
+    /// Number of prepared features.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when there are no features.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Feature `i` (caller's order) as the screens and scores read it.
+    fn anchor(&self, i: usize) -> Anchor {
+        self.rows[self.rank[i]]
+    }
+
+    /// The rows `[lo, hi)` outside which every row fails the `τ_s` screen
+    /// against scale `b`, and whether every row inside passes it. With
+    /// positive finite scales on both sides the ratio test is monotone in
+    /// the row's σ: the rows too small to pass come first, those too large
+    /// last, and the screen's own predicate finds both ends. Otherwise the
+    /// run is every row, screened one by one.
+    fn scale_run(&self, b: f64, tau_s: Option<f64>) -> (usize, usize, bool) {
+        let n = self.rows.len();
+        match tau_s {
+            None => (0, n, true),
+            Some(t) if self.sigma_runs && b.is_finite() && b > 0.0 => {
+                let lo = self
+                    .rows
+                    .iter()
+                    .position(|r| r.sigma > b || !scale_fails(r.sigma, b, t))
+                    .unwrap_or(n);
+                let hi = self.rows[lo..]
+                    .iter()
+                    .position(|r| r.sigma > b && scale_fails(r.sigma, b, t))
+                    .map_or(n, |k| lo + k);
+                (lo, hi, true)
+            }
+            Some(_) => (0, n, false),
+        }
+    }
+
+    /// The Euclidean distances from `y` to rows `start..start + LANES`,
+    /// or only to the first half of them when `half`; the lanes not
+    /// computed read as zeros.
+    #[inline]
+    fn window_distances(&self, start: usize, half: bool, y: &[f64]) -> [f64; LANES] {
+        const HALF: usize = LANES / 2;
+        let mut out = [0.0; LANES];
+        if half {
+            out[..HALF].copy_from_slice(&lane_distances::<HALF>(
+                &self.lanes,
+                self.stride,
+                start,
+                y,
+            ));
+        } else {
+            out = lane_distances::<LANES>(&self.lanes, self.stride, start, y);
+        }
+        out
+    }
+
+    /// The descriptors in the caller's order, one after another.
+    fn descriptors(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.len() * self.bins];
+        for (i, &r) in self.rank.iter().enumerate() {
+            for (x, column) in out[i * self.bins..][..self.bins]
+                .iter_mut()
+                .zip(self.lanes.chunks_exact(self.stride))
+            {
+                *x = column[r];
+            }
+        }
+        out
+    }
+}
+
+impl Default for PreparedFeatures {
+    /// No features.
+    fn default() -> Self {
+        Self::new(&[])
+    }
+}
+
+/// Rows `start..start + W` of a transposed descriptor matrix against
+/// `y`: lane `l` sums `(x_k − y_k)²` over `k` ascending from
+/// `Iterator::sum`'s seed `-0.0`, then takes the root — the operations,
+/// in the order, of `sdtw_tseries::metric::euclidean`. The lanes are
+/// independent chains, which the compiler keeps in vector registers.
+#[inline]
+fn lane_distances<const W: usize>(
+    lanes: &[f64],
+    stride: usize,
+    start: usize,
+    y: &[f64],
+) -> [f64; W] {
+    let mut acc = [-0.0f64; W];
+    let mut at = start;
+    for &v in y {
+        let window: &[f64; W] = lanes[at..at + W].try_into().expect("W lanes");
+        for (a, &x) in acc.iter_mut().zip(window) {
+            let d = x - v;
+            *a += d * d;
+        }
+        at += stride;
+    }
+    acc.map(f64::sqrt)
+}
+
+/// The candidate side of the dominant-pair search, read in index order.
+trait Candidates {
+    fn len(&self) -> usize;
+    fn anchor(&self, j: usize) -> Anchor;
+    fn descriptor(&self, j: usize) -> &[f64];
+}
+
+impl Candidates for [SalientFeature] {
+    fn len(&self) -> usize {
+        <[SalientFeature]>::len(self)
+    }
+
+    fn anchor(&self, j: usize) -> Anchor {
+        Anchor::of(&self[j])
+    }
+
+    fn descriptor(&self, j: usize) -> &[f64] {
+        &self[j].descriptor
+    }
+}
+
+/// A prepared side read back as candidates.
+struct Unprepared<'a> {
+    prepared: &'a PreparedFeatures,
+    descriptors: Vec<f64>,
+}
+
+impl Candidates for Unprepared<'_> {
+    fn len(&self) -> usize {
+        self.prepared.len()
+    }
+
+    fn anchor(&self, j: usize) -> Anchor {
+        self.prepared.anchor(j)
+    }
+
+    fn descriptor(&self, j: usize) -> &[f64] {
+        let bins = self.prepared.bins;
+        &self.descriptors[j * bins..][..bins]
+    }
+}
+
+/// Best and second-best candidate of one fixed-side feature.
+#[derive(Clone, Copy)]
+struct RowBest {
+    best: Option<(usize, f64)>,
+    second_best: f64,
+}
+
+impl RowBest {
+    const NONE: Self = Self {
+        best: None,
+        second_best: f64::INFINITY,
+    };
+
+    /// Offers candidate `j` at distance `d`; candidates arrive in
+    /// ascending `j`, so the lowest index wins a tie.
+    fn offer(&mut self, j: usize, d: f64) {
+        match self.best {
+            None => self.best = Some((j, d)),
+            Some((_, bd)) if d < bd => {
+                self.second_best = bd;
+                self.best = Some((j, d));
+            }
+            _ => self.second_best = self.second_best.min(d),
+        }
+    }
+}
+
+/// Dominant-pair search: for each fixed-side feature, the nearest
+/// (descriptor-Euclidean) screened candidate is returned iff it
+/// `τ_d`-dominates every other screened candidate. Pairs come out in
+/// fixed-side order; the count is the number of screened comparisons.
+fn dominant_pairs<C: Candidates + ?Sized>(
+    fixed: &PreparedFeatures,
+    candidates: &C,
+    cfg: &MatchConfig,
+) -> (Vec<MatchedPair>, usize) {
+    // indexed by row
+    let mut best = vec![RowBest::NONE; fixed.len()];
+    let mut comparisons = 0usize;
+    // scale runs found so far, by candidate σ: candidates share few scales
+    let mut runs = [(0u64, (0usize, 0usize, false)); 16];
+    let mut known = 0;
+    if !fixed.is_empty() {
+        for j in 0..candidates.len() {
+            let c = candidates.anchor(j);
+            let y = candidates.descriptor(j);
+            assert!(
+                y.len() == fixed.bins,
+                "descriptor lengths differ: series 1 has {} values, feature {j} of series 2 has {}",
+                fixed.bins,
+                y.len()
+            );
+            let bits = c.sigma.to_bits();
+            let (lo, hi, scale_checked) = match runs[..known].iter().find(|run| run.0 == bits) {
+                Some(&(_, run)) => run,
+                None => {
+                    let run = fixed.scale_run(c.sigma, cfg.tau_s);
+                    if known < runs.len() {
+                        runs[known] = (bits, run);
+                        known += 1;
+                    }
+                    run
+                }
+            };
+            let passes = |r: usize| {
+                let row = &fixed.rows[r];
+                let amplitude_ok = cfg
+                    .tau_a
+                    .is_none_or(|tau_a| (row.amplitude - c.amplitude).abs() < tau_a);
+                let scale_ok = scale_checked
+                    || cfg
+                        .tau_s
+                        .is_none_or(|t| !scale_fails(row.sigma, c.sigma, t));
+                amplitude_ok && scale_ok
+            };
+            // windows of up to LANES rows, each starting at the next
+            // passing row; rows are independent, so any grouping keeps
+            // every row's updates in ascending `j`
+            let mut next = lo;
+            while let Some(first) = (next..hi).find(|&r| passes(r)) {
+                let end = (first + LANES).min(hi);
+                let mut mask = 0u32;
+                for r in first..end {
+                    if passes(r) {
+                        mask |= 1 << (r - first);
+                    }
+                }
+                let half = mask < 1 << (LANES / 2);
+                let width = if half { LANES / 2 } else { LANES };
+                // a window near the last row slides back to stay inside
+                // the stride
+                let start = first.min(fixed.stride - width);
+                let d = fixed.window_distances(start, half, y);
+                comparisons += mask.count_ones() as usize;
+                while mask != 0 {
+                    let r = first + mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    best[r].offer(j, d[r - start]);
+                }
+                next = end;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (i, &r) in fixed.rank.iter().enumerate() {
+        if let Some((j, d)) = best[r].best {
             // absolute "small distance" ceiling, then the dominance test:
             // best * tau_d must not exceed every other candidate's
             // distance (vacuously true with no second)
             let small_enough = cfg.max_desc_distance.is_none_or(|max| d <= max);
-            if small_enough && d * cfg.tau_d <= second_best {
+            if small_enough && d * cfg.tau_d <= best[r].second_best {
                 out.push(MatchedPair {
                     idx1: i,
                     idx2: j,
                     desc_distance: d,
                     combined_score: 0.0,
-                    scope1: (feats1[i].scope_start, feats1[i].scope_end),
-                    scope2: (feats2[j].scope_start, feats2[j].scope_end),
+                    scope1: fixed.rows[r].scope,
+                    scope2: candidates.anchor(j).scope,
                 });
             }
         }
@@ -109,21 +433,28 @@ fn dominant_pairs(
 }
 
 /// Scores raw pairs in place (fills `combined_score`).
-fn score_pairs(pairs: &mut [MatchedPair], feats1: &[SalientFeature], feats2: &[SalientFeature]) {
+fn score_pairs<C: Candidates + ?Sized>(
+    pairs: &mut [MatchedPair],
+    fixed: &PreparedFeatures,
+    candidates: &C,
+) {
     if pairs.is_empty() {
         return;
     }
     // µ_desc,min over the matched pairs
     let mu_desc_min = pairs
         .iter()
-        .map(|p| 1.0 / (1.0 + p.desc_distance))
+        .map(|p| descriptor_similarity(p.desc_distance))
         .fold(f64::INFINITY, f64::min);
     let raw: Vec<(f64, f64)> = pairs
         .iter()
         .map(|p| {
-            let f1 = &feats1[p.idx1];
-            let f2 = &feats2[p.idx2];
-            (mu_align(f1, f2), mu_sim(f1, f2, mu_desc_min))
+            let a1 = fixed.anchor(p.idx1);
+            let a2 = candidates.anchor(p.idx2);
+            (
+                mu_align(a1.scope_len, a1.center, a2.scope_len, a2.center),
+                mu_sim(p.desc_distance, a1.amplitude, a2.amplitude, mu_desc_min),
+            )
         })
         .collect();
     for (pair, score) in pairs.iter_mut().zip(combined_scores(&raw)) {
@@ -131,18 +462,16 @@ fn score_pairs(pairs: &mut [MatchedPair], feats1: &[SalientFeature], feats2: &[S
     }
 }
 
-/// The complete matching pipeline of paper §3.2: dominant pairs → scoring →
-/// inconsistency pruning → interval partition. `n` and `m` are the lengths
-/// of the two series (needed to close the partition at the series ends).
-pub fn match_features(
-    feats1: &[SalientFeature],
-    feats2: &[SalientFeature],
+/// Dominant pairs → scoring → inconsistency pruning → interval partition.
+fn run_matching<C: Candidates + ?Sized>(
+    fixed: &PreparedFeatures,
+    candidates: &C,
     n: usize,
     m: usize,
     cfg: &MatchConfig,
 ) -> MatchResult {
-    let (mut raw_pairs, descriptor_comparisons) = dominant_pairs(feats1, feats2, cfg);
-    score_pairs(&mut raw_pairs, feats1, feats2);
+    let (mut raw_pairs, descriptor_comparisons) = dominant_pairs(fixed, candidates, cfg);
+    score_pairs(&mut raw_pairs, fixed, candidates);
     let consistent_pairs = prune_inconsistent(&raw_pairs);
     let partition = IntervalPartition::from_pairs(&consistent_pairs, n, m);
     MatchResult {
@@ -151,6 +480,65 @@ pub fn match_features(
         partition,
         descriptor_comparisons,
     }
+}
+
+/// The complete matching pipeline of paper §3.2: dominant pairs → scoring →
+/// inconsistency pruning → interval partition. `n` and `m` are the lengths
+/// of the two series (needed to close the partition at the series ends).
+///
+/// Prepares `feats1` and runs [`match_prepared`]; prepare once instead
+/// when one side is matched against many.
+///
+/// # Panics
+///
+/// When the descriptors differ in length (within `feats1`, or between
+/// `feats1` and `feats2`); the message names both lengths.
+pub fn match_features(
+    feats1: &[SalientFeature],
+    feats2: &[SalientFeature],
+    n: usize,
+    m: usize,
+    cfg: &MatchConfig,
+) -> MatchResult {
+    match_prepared(&PreparedFeatures::new(feats1), feats2, n, m, cfg)
+}
+
+/// [`match_features`] with series 1's features prepared.
+///
+/// # Panics
+///
+/// When a descriptor of `feats2` differs in length from the prepared
+/// ones; the message names both lengths.
+pub fn match_prepared(
+    feats1: &PreparedFeatures,
+    feats2: &[SalientFeature],
+    n: usize,
+    m: usize,
+    cfg: &MatchConfig,
+) -> MatchResult {
+    run_matching(feats1, feats2, n, m, cfg)
+}
+
+/// [`match_features`] with series 2's features prepared: the backward
+/// direction of a symmetric band against a side prepared as series 1.
+/// Prepares `feats1`.
+///
+/// # Panics
+///
+/// When the descriptors differ in length; the message names both
+/// lengths.
+pub fn match_onto_prepared(
+    feats1: &[SalientFeature],
+    feats2: &PreparedFeatures,
+    n: usize,
+    m: usize,
+    cfg: &MatchConfig,
+) -> MatchResult {
+    let candidates = Unprepared {
+        prepared: feats2,
+        descriptors: feats2.descriptors(),
+    };
+    run_matching(&PreparedFeatures::new(feats1), &candidates, n, m, cfg)
 }
 
 #[cfg(test)]
@@ -286,6 +674,67 @@ mod tests {
         let r = match_features(&f1, &f2, 50, 50, &cfg);
         // only amplitude-compatible combinations are compared: (0,0), (1,1)
         assert_eq!(r.descriptor_comparisons, 2);
+    }
+
+    #[test]
+    fn prepared_sides_match_like_the_wrapper() {
+        // ten rows: one full window of eight plus a tail that slides back
+        let f1: Vec<SalientFeature> = (0..10)
+            .map(|k| {
+                let sigma = [1.0, 1.5, 2.0, 3.0][k % 4];
+                feat(10 + 8 * k, sigma, 0.1 * k as f64, vec![k as f64, 1.0, -0.5])
+            })
+            .collect();
+        let f2: Vec<SalientFeature> = (0..6)
+            .map(|k| {
+                feat(
+                    12 + 13 * k,
+                    [1.0, 3.0][k % 2],
+                    0.2,
+                    vec![k as f64 * 1.5, 1.0, -0.4],
+                )
+            })
+            .collect();
+        let cfg = MatchConfig {
+            max_desc_distance: None,
+            ..Default::default()
+        };
+        let want = match_features(&f1, &f2, 100, 100, &cfg);
+        assert!(want.descriptor_comparisons > 0);
+        assert!(!want.raw_pairs.is_empty());
+        let p1 = PreparedFeatures::new(&f1);
+        assert_eq!(p1.len(), 10);
+        assert_eq!(match_prepared(&p1, &f2, 100, 100, &cfg), want);
+        let p2 = PreparedFeatures::new(&f2);
+        assert_eq!(match_onto_prepared(&f1, &p2, 100, 100, &cfg), want);
+        let empty = PreparedFeatures::default();
+        assert!(empty.is_empty());
+        let none = match_prepared(&empty, &f2, 100, 100, &cfg);
+        assert_eq!(none.descriptor_comparisons, 0);
+        assert_eq!(match_onto_prepared(&f1, &empty, 100, 100, &cfg), none);
+    }
+
+    #[test]
+    #[should_panic(expected = "descriptor lengths differ: feature 0 has 2 values, feature 1 has 3")]
+    fn descriptor_lengths_must_agree_within_a_side() {
+        let f1 = vec![
+            feat(10, 2.0, 1.0, vec![1.0, 0.0]),
+            feat(30, 2.0, 1.0, vec![1.0, 0.0, 0.0]),
+        ];
+        match_features(&f1, &[], 50, 50, &MatchConfig::default());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "descriptor lengths differ: series 1 has 2 values, feature 1 of series 2 has 1"
+    )]
+    fn descriptor_lengths_must_agree_across_sides() {
+        let f1 = vec![feat(10, 2.0, 1.0, vec![1.0, 0.0])];
+        let f2 = vec![
+            feat(10, 2.0, 1.0, vec![1.0, 0.0]),
+            feat(20, 2.0, 1.0, vec![1.0]),
+        ];
+        match_features(&f1, &f2, 50, 50, &MatchConfig::default());
     }
 
     #[test]

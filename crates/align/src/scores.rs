@@ -1,41 +1,44 @@
 //! Pair scoring: `µ_align`, `µ_sim`, `µ_comb` (paper §3.2.2, step 1).
-
-use sdtw_salient::SalientFeature;
+//!
+//! The scores read scalar feature quantities (scope lengths, centres,
+//! amplitudes) and the pair's descriptor distance as the dominant-pair
+//! search computed it, so a side prepared for matching needs no copy of
+//! its descriptors here.
 
 /// Alignment score: prefers pairs of *large* features whose centres sit
 /// *close* in time —
 /// `µ_align = ((scope(f_i) + scope(f_j)) / 2) / (1 + |center(f_i) − center(f_j)|)`.
-pub fn mu_align(fi: &SalientFeature, fj: &SalientFeature) -> f64 {
-    let scopes = (fi.scope_len + fj.scope_len) / 2.0;
-    scopes / (1.0 + (fi.center() - fj.center()).abs())
+pub fn mu_align(scope_i: f64, center_i: f64, scope_j: f64, center_j: f64) -> f64 {
+    let scopes = (scope_i + scope_j) / 2.0;
+    scopes / (1.0 + (center_i - center_j).abs())
 }
 
 /// Descriptor similarity: the paper speaks of a descriptor "matching
 /// score"; we define it as `1 / (1 + ‖d_i − d_j‖₂)` so that *higher is more
 /// similar* and the score is bounded in `(0, 1]` (see DESIGN.md §5).
-pub fn descriptor_similarity(fi: &SalientFeature, fj: &SalientFeature) -> f64 {
-    let dist = sdtw_tseries::metric::euclidean(&fi.descriptor, &fj.descriptor);
-    1.0 / (1.0 + dist)
+/// `desc_distance` is the pair's `‖d_i − d_j‖₂`.
+pub fn descriptor_similarity(desc_distance: f64) -> f64 {
+    1.0 / (1.0 + desc_distance)
 }
 
 /// Percentage amplitude difference of the two features' scope means,
 /// clamped to `[0, 1]`:
 /// `Δ_amp = |a_i − a_j| / max(|a_i|, |a_j|)` (0 when both are ~zero).
-pub fn delta_amp(fi: &SalientFeature, fj: &SalientFeature) -> f64 {
-    let denom = fi.amplitude.abs().max(fj.amplitude.abs());
+pub fn delta_amp(amplitude_i: f64, amplitude_j: f64) -> f64 {
+    let denom = amplitude_i.abs().max(amplitude_j.abs());
     if denom < 1e-12 {
         return 0.0;
     }
-    ((fi.amplitude - fj.amplitude).abs() / denom).min(1.0)
+    ((amplitude_i - amplitude_j).abs() / denom).min(1.0)
 }
 
-/// Similarity score of a pair, given the minimum descriptor similarity
-/// among all matched pairs:
+/// Similarity score of a pair with descriptor distance `desc_distance`,
+/// given the minimum descriptor similarity among all matched pairs:
 /// `µ_sim = (µ_desc / µ_desc,min) × (1 − Δ_amp)`.
-pub fn mu_sim(fi: &SalientFeature, fj: &SalientFeature, mu_desc_min: f64) -> f64 {
-    let mu_desc = descriptor_similarity(fi, fj);
+pub fn mu_sim(desc_distance: f64, amplitude_i: f64, amplitude_j: f64, mu_desc_min: f64) -> f64 {
+    let mu_desc = descriptor_similarity(desc_distance);
     let denom = if mu_desc_min > 0.0 { mu_desc_min } else { 1.0 };
-    (mu_desc / denom) * (1.0 - delta_amp(fi, fj))
+    (mu_desc / denom) * (1.0 - delta_amp(amplitude_i, amplitude_j))
 }
 
 /// F-measure combination of two already-normalised scores (both in
@@ -68,85 +71,45 @@ pub fn combined_scores(pairs: &[(f64, f64)]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdtw_salient::{Keypoint, Polarity};
-
-    fn feat(
-        position: usize,
-        scope_len: f64,
-        amplitude: f64,
-        descriptor: Vec<f64>,
-    ) -> SalientFeature {
-        SalientFeature {
-            keypoint: Keypoint {
-                position,
-                octave_position: position,
-                octave: 0,
-                level: 1,
-                sigma: scope_len / 6.0,
-                response: 0.5,
-                polarity: Polarity::Peak,
-            },
-            scope_start: position.saturating_sub(scope_len as usize / 2),
-            scope_end: position + scope_len as usize / 2,
-            scope_len,
-            amplitude,
-            descriptor,
-        }
-    }
 
     #[test]
     fn mu_align_prefers_close_large_pairs() {
-        let big_close_a = feat(100, 20.0, 1.0, vec![1.0]);
-        let big_close_b = feat(102, 20.0, 1.0, vec![1.0]);
-        let small_far_a = feat(100, 4.0, 1.0, vec![1.0]);
-        let small_far_b = feat(160, 4.0, 1.0, vec![1.0]);
-        assert!(mu_align(&big_close_a, &big_close_b) > mu_align(&small_far_a, &small_far_b));
+        let big_close = mu_align(20.0, 100.0, 20.0, 102.0);
+        let small_far = mu_align(4.0, 100.0, 4.0, 160.0);
+        assert!(big_close > small_far);
     }
 
     #[test]
     fn mu_align_exact_value() {
-        let a = feat(10, 8.0, 1.0, vec![1.0]);
-        let b = feat(14, 12.0, 1.0, vec![1.0]);
         // ((8+12)/2) / (1 + 4) = 10 / 5 = 2
-        assert!((mu_align(&a, &b) - 2.0).abs() < 1e-12);
+        assert!((mu_align(8.0, 10.0, 12.0, 14.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn descriptor_similarity_bounds() {
-        let a = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
-        let same = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
-        let far = feat(0, 6.0, 1.0, vec![0.0, 9.0]);
-        assert_eq!(descriptor_similarity(&a, &same), 1.0);
-        let s = descriptor_similarity(&a, &far);
+        assert_eq!(descriptor_similarity(0.0), 1.0);
+        // ‖(1, 0) − (0, 9)‖₂ = √82
+        let s = descriptor_similarity(82f64.sqrt());
         assert!(s > 0.0 && s < 0.2);
     }
 
     #[test]
     fn delta_amp_behaviour() {
-        let a = feat(0, 6.0, 1.0, vec![1.0]);
-        let b = feat(0, 6.0, 1.0, vec![1.0]);
-        assert_eq!(delta_amp(&a, &b), 0.0);
-        let c = feat(0, 6.0, 2.0, vec![1.0]);
-        assert!((delta_amp(&a, &c) - 0.5).abs() < 1e-12);
-        let z1 = feat(0, 6.0, 0.0, vec![1.0]);
-        let z2 = feat(0, 6.0, 0.0, vec![1.0]);
-        assert_eq!(delta_amp(&z1, &z2), 0.0);
+        assert_eq!(delta_amp(1.0, 1.0), 0.0);
+        assert!((delta_amp(1.0, 2.0) - 0.5).abs() < 1e-12);
+        assert_eq!(delta_amp(0.0, 0.0), 0.0);
         // opposite signs saturate at 1
-        let n = feat(0, 6.0, -3.0, vec![1.0]);
-        assert_eq!(delta_amp(&c, &n), 1.0);
+        assert_eq!(delta_amp(2.0, -3.0), 1.0);
     }
 
     #[test]
     fn mu_sim_scales_by_minimum_and_amp() {
-        let a = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
-        let b = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
         // identical descriptors, identical amplitude, min = own similarity
-        assert!((mu_sim(&a, &b, 1.0) - 1.0).abs() < 1e-12);
+        assert!((mu_sim(0.0, 1.0, 1.0, 1.0) - 1.0).abs() < 1e-12);
         // halved amplitude ratio halves the score
-        let c = feat(0, 6.0, 2.0, vec![1.0, 0.0]);
-        assert!((mu_sim(&a, &c, 1.0) - 0.5).abs() < 1e-12);
+        assert!((mu_sim(0.0, 1.0, 2.0, 1.0) - 0.5).abs() < 1e-12);
         // degenerate min falls back to 1.0 divisor
-        assert!(mu_sim(&a, &b, 0.0).is_finite());
+        assert!(mu_sim(0.0, 1.0, 1.0, 0.0).is_finite());
     }
 
     #[test]

@@ -8,7 +8,10 @@
 
 use crate::constraint::build_band;
 use crate::policy::{BandSymmetry, ConstraintPolicy};
-use sdtw_align::{match_features, IntervalPartition, MatchConfig, MatchResult};
+use sdtw_align::{
+    match_onto_prepared, match_prepared, IntervalPartition, MatchConfig, MatchResult,
+    PreparedFeatures,
+};
 use sdtw_dtw::engine::{DtwOptions, DtwScratch};
 use sdtw_dtw::{Band, WarpPath};
 use sdtw_salient::{SalientConfig, SalientExtractor, SalientFeature};
@@ -298,9 +301,31 @@ impl SDtw {
     /// cascades that screen the band with lower bounds before paying for
     /// the DP — pass the result back via [`crate::query::Query::band`]).
     /// Returns the matching result when the policy required alignment.
+    ///
+    /// Prepares `fx` and runs [`SDtw::plan_band_prepared`]; prepare once
+    /// instead when one series is planned against many.
+    ///
+    /// # Panics
+    ///
+    /// When descriptor lengths differ (see [`sdtw_align::match_features`]).
     pub fn plan_band(
         &self,
         fx: &[SalientFeature],
+        fy: &[SalientFeature],
+        n: usize,
+        m: usize,
+    ) -> (Band, Option<MatchResult>) {
+        self.plan_band_prepared(&PreparedFeatures::new(fx), fy, n, m)
+    }
+
+    /// [`SDtw::plan_band`] with the first series' features prepared.
+    ///
+    /// # Panics
+    ///
+    /// When descriptor lengths differ (see [`sdtw_align::match_features`]).
+    pub fn plan_band_prepared(
+        &self,
+        fx: &PreparedFeatures,
         fy: &[SalientFeature],
         n: usize,
         m: usize,
@@ -309,12 +334,12 @@ impl SDtw {
             let trivial = IntervalPartition::from_cuts(vec![], vec![], n, m);
             return (build_band(&self.config.policy, &trivial, n, m), None);
         }
-        let forward = match_features(fx, fy, n, m, &self.config.matching);
+        let forward = match_prepared(fx, fy, n, m, &self.config.matching);
         let band = build_band(&self.config.policy, &forward.partition, n, m);
         let band = match self.config.symmetry {
             BandSymmetry::Asymmetric => band,
             BandSymmetry::Union => {
-                let backward = match_features(fy, fx, m, n, &self.config.matching);
+                let backward = match_onto_prepared(fy, fx, m, n, &self.config.matching);
                 let back_band = build_band(&self.config.policy, &backward.partition, m, n);
                 band.union(&back_band.transpose()).sanitize()
             }

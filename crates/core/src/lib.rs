@@ -64,8 +64,9 @@ pub use policy::{BandSymmetry, ConstraintPolicy};
 pub use query::Query;
 pub use store::FeatureStore;
 
-// Re-export the commonly needed config types so `sdtw` is usable alone.
-pub use sdtw_align::MatchConfig;
+// Re-export the commonly needed config and input types so `sdtw` is
+// usable alone.
+pub use sdtw_align::{MatchConfig, PreparedFeatures};
 pub use sdtw_dtw::{
     AmercedKernel, Band, DtwEngine, DtwKernel, DtwOptions, DtwScratch, F64Lanes, KernelChoice,
     SimdMode, StandardKernel, WarpPath,

@@ -4,7 +4,7 @@ use crate::config::IndexConfig;
 use crate::knn::{Neighbor, TopK};
 use crate::stats::CascadeStats;
 use rayon::prelude::*;
-use sdtw::{DtwScratch, SDtw};
+use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::band::Band;
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
@@ -513,12 +513,14 @@ impl SdtwIndex {
         } else {
             query.clone()
         };
+        // the query is the fixed side of every candidate's band plan:
+        // extract and prepare it once
         let fq = if self.config.sdtw.policy.needs_alignment() {
             rec.time(TracePhase::Extraction, || {
-                self.engine.extractor().extract(&q)
+                PreparedFeatures::new(&self.engine.extractor().extract(&q))
             })
         } else {
-            Vec::new()
+            PreparedFeatures::default()
         };
         let q_radius = self.config.radius_for(q.len());
         // LB_Kim/LB_Keogh bound the *standard symmetric1* accumulation;
@@ -583,7 +585,7 @@ impl SdtwIndex {
             }
             let (n, m) = (q.len(), entry.series.len());
             let (band, _) = rec.time(TracePhase::BandPlan, || {
-                self.engine.plan_band(&fq, &entry.features, n, m)
+                self.engine.plan_band_prepared(&fq, &entry.features, n, m)
             });
             // The DP kernel sanitises infeasible bands internally (for the
             // oracle path too — deterministically, so distances cannot
@@ -815,14 +817,17 @@ impl SdtwIndex {
     /// revalidates the configuration, rebuilds the engine, checks the
     /// per-entry structural invariants — envelope length/radius and
     /// summary length must match the stored series and configuration,
-    /// cached features must lie within their series, alignment-free
-    /// policies must carry no features, and any stored coarse envelope
-    /// must agree with the configured PAA width — then backfills coarse
-    /// envelopes missing from pre-PAA snapshots (deterministically, from
-    /// the stored envelope, so a migrated index answers bit-identically
-    /// to a freshly built one). Artefact *content* (descriptor values,
-    /// tube values) is trusted, like any database file — rebuild from
-    /// the raw corpus if the snapshot's provenance is in doubt.
+    /// cached features must lie within their series and be usable by the
+    /// matcher (descriptors of the configured `bins` length, finite
+    /// values, positive finite σ, finite scope length and amplitude),
+    /// alignment-free policies must carry no features, and any stored
+    /// coarse envelope must agree with the configured PAA width — then
+    /// backfills coarse envelopes missing from pre-PAA snapshots
+    /// (deterministically, from the stored envelope, so a migrated index
+    /// answers bit-identically to a freshly built one). Other artefact
+    /// *content* (descriptor and tube values that are finite) is trusted,
+    /// like any database file — rebuild from the raw corpus if the
+    /// snapshot's provenance is in doubt.
     pub(crate) fn from_snapshot_parts(
         config: IndexConfig,
         mut entries: Vec<IndexEntry>,
@@ -831,6 +836,7 @@ impl SdtwIndex {
         config.validate()?;
         let engine = SDtw::new(config.sdtw.clone())?;
         let needs_features = config.sdtw.policy.needs_alignment();
+        let bins = config.sdtw.salient.descriptor.bins;
         let corrupt = |i: usize, what: String| TsError::SnapshotDecode {
             format,
             offset: None,
@@ -858,16 +864,19 @@ impl SdtwIndex {
                     "cached features present under an alignment-free policy".to_string(),
                 ));
             }
-            for f in &e.features {
+            for (k, f) in e.features.iter().enumerate() {
                 if f.keypoint.position >= len || f.scope_start > f.scope_end || f.scope_end >= len {
                     return Err(corrupt(
                         i,
                         format!(
-                            "cached feature outside its series (pos {}, scope \
+                            "cached feature {k} outside its series (pos {}, scope \
                              [{}, {}], len {len})",
                             f.keypoint.position, f.scope_start, f.scope_end
                         ),
                     ));
+                }
+                if let Some(what) = unusable_feature(f, bins) {
+                    return Err(corrupt(i, format!("cached feature {k}: {what}")));
                 }
             }
             if let Some(c) = &e.coarse {
@@ -944,6 +953,33 @@ impl SdtwIndex {
     )]
     pub fn from_json(json: &str) -> Result<Self, TsError> {
         Self::decode_json(json)
+    }
+}
+
+/// Why the matcher cannot use a cached feature, if it cannot: its
+/// descriptor length differs from the configured `bins`, its σ is not
+/// positive and finite, or its scope length, amplitude or a descriptor
+/// value is not finite.
+fn unusable_feature(f: &SalientFeature, bins: usize) -> Option<String> {
+    let sigma = f.keypoint.sigma;
+    if f.descriptor.len() != bins {
+        Some(format!(
+            "descriptor has {} values, the configuration has {bins} bins",
+            f.descriptor.len()
+        ))
+    } else if !(sigma.is_finite() && sigma > 0.0) {
+        Some(format!("sigma {sigma} is not positive and finite"))
+    } else if !f.scope_len.is_finite() {
+        Some(format!("scope_len {} is not finite", f.scope_len))
+    } else if !f.amplitude.is_finite() {
+        Some(format!("amplitude {} is not finite", f.amplitude))
+    } else {
+        let (at, x) = f
+            .descriptor
+            .iter()
+            .enumerate()
+            .find(|(_, x)| !x.is_finite())?;
+        Some(format!("descriptor value {at} is {x}, not finite"))
     }
 }
 

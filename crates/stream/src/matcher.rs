@@ -4,7 +4,7 @@ use crate::config::StreamConfig;
 use crate::rolling::RollingExtrema;
 use crate::stats::StreamStats;
 use rayon::prelude::*;
-use sdtw::{DtwScratch, SDtw};
+use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
@@ -12,7 +12,6 @@ use sdtw_dtw::engine::{DtwEngine, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
-use sdtw_salient::SalientFeature;
 use sdtw_tseries::stats::WindowedStats;
 use sdtw_tseries::transform::{z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};
@@ -137,8 +136,9 @@ pub struct SubseqMatcher {
     engine: SDtw,
     /// The (possibly z-normalised) query samples.
     query: Vec<f64>,
-    /// Cached salient descriptors (empty for alignment-free policies).
-    query_features: Vec<SalientFeature>,
+    /// The query's salient features, prepared once as the fixed side of
+    /// every window's band plan (empty for alignment-free policies).
+    query_features: PreparedFeatures,
     query_envelope: Envelope,
     query_summary: SeriesSummary,
     /// Coarse (PAA) compression of the query envelope, feeding the
@@ -201,9 +201,9 @@ impl SubseqMatcher {
         };
         let needs_features = config.sdtw.policy.needs_alignment();
         let query_features = if needs_features {
-            engine.extractor().extract(&prepared)
+            PreparedFeatures::new(&engine.extractor().extract(&prepared))
         } else {
-            Vec::new()
+            PreparedFeatures::default()
         };
         let m = prepared.len();
         let radius = config.radius_for(m);
@@ -740,7 +740,7 @@ impl SubseqMatcher {
         let wf = self.engine.extractor().extract(&wts);
         let (b, _) = self
             .engine
-            .plan_band(&self.query_features, &wf, self.m, self.m);
+            .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
         Ok(Some(if b.is_feasible() { b } else { b.sanitize() }))
     }
 

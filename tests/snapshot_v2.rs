@@ -95,23 +95,38 @@ fn corrupted_fixture_bytes_are_rejected() {
     assert!(SnapshotCodec::decode(&corrupt).is_err());
 }
 
-/// Replaces the configuration blob (section 0) of a binary v2 snapshot,
-/// moving the later sections' absolute offsets and re-sealing the table
-/// checksum, so the result is well-formed apart from its configuration.
-fn with_config_blob(bytes: &[u8], config_json: &str) -> Vec<u8> {
-    const TABLE: std::ops::Range<usize> = 36..36 + 15 * 16;
+/// The section table of a binary v2 snapshot: 15 × (offset, len).
+const TABLE: std::ops::Range<usize> = 36..36 + 15 * 16;
+
+/// The sections holding the configuration and the cached features (JSON
+/// blobs), the first and the last.
+const CONFIG_SECTION: usize = 0;
+const FEATURES_SECTION: usize = 14;
+
+/// Section `section`'s payload within a binary v2 snapshot.
+fn section(bytes: &[u8], section: usize) -> &[u8] {
+    let read = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let at = TABLE.start + 16 * section;
+    &bytes[read(at)..][..read(at + 8)]
+}
+
+/// Replaces section `section`'s payload of a binary v2 snapshot, moving
+/// the later sections' absolute offsets and re-sealing the table
+/// checksum, so the result is well-formed apart from that payload.
+fn with_section(bytes: &[u8], section: usize, payload: &[u8]) -> Vec<u8> {
     let read = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let (offset, len) = (read(TABLE.start) as usize, read(TABLE.start + 8) as usize);
-    let grown = config_json.len() as u64;
+    let at = TABLE.start + 16 * section;
+    let (offset, len) = (read(at) as usize, read(at + 8) as usize);
+    let grown = payload.len() as u64;
     let mut out = bytes[..offset].to_vec();
-    out[TABLE.start + 8..TABLE.start + 16].copy_from_slice(&grown.to_le_bytes());
-    for at in TABLE.step_by(16).skip(1) {
-        let moved = read(at) - len as u64 + grown;
-        out[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+    out[at + 8..at + 16].copy_from_slice(&grown.to_le_bytes());
+    for later in TABLE.step_by(16).skip(section + 1) {
+        let moved = read(later) - len as u64 + grown;
+        out[later..later + 8].copy_from_slice(&moved.to_le_bytes());
     }
     let checksum = sdtw_suite::tseries::io::binio::fnv1a64(&out[TABLE]);
     out[28..36].copy_from_slice(&checksum.to_le_bytes());
-    out.extend_from_slice(config_json.as_bytes());
+    out.extend_from_slice(payload);
     out.extend_from_slice(&bytes[offset + len..]);
     out
 }
@@ -125,7 +140,8 @@ fn oversized_extraction_configs_are_refused_at_load() {
     let binary = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
     // the blob swap itself is sound: a longer, valid blob loads
     let wider = config_json.replace("\"samples_per_cell\":4", "\"samples_per_cell\":16");
-    let loaded = SnapshotCodec::decode(&with_config_blob(&binary, &wider)).unwrap();
+    let loaded =
+        SnapshotCodec::decode(&with_section(&binary, CONFIG_SECTION, wider.as_bytes())).unwrap();
     assert_eq!(loaded.config().sdtw.salient.descriptor.samples_per_cell, 16);
     assert_eq!(loaded.entries(), index.entries());
     // each value used to abort on allocation or hang the first extraction
@@ -158,7 +174,11 @@ fn oversized_extraction_configs_are_refused_at_load() {
             ("json", json.replace(from, to).into_bytes()),
             (
                 "binary",
-                with_config_blob(&binary, &config_json.replace(from, to)),
+                with_section(
+                    &binary,
+                    CONFIG_SECTION,
+                    config_json.replace(from, to).as_bytes(),
+                ),
             ),
         ];
         for (format, bytes) in snapshots {
@@ -168,6 +188,96 @@ fn oversized_extraction_configs_are_refused_at_load() {
                 }
                 Err(other) => panic!("{format} snapshot with {field}: {other}"),
                 Ok(_) => panic!("{format} snapshot with {field} was accepted"),
+            }
+        }
+    }
+}
+
+/// Replaces the value of the first `"key":` at or after `from` in a JSON
+/// text (the value ends at the next `,`, `}` or `]` outside brackets).
+fn replace_value(json: &str, from: usize, key: &str, value: &str) -> String {
+    let start = from + json[from..].find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let mut depth = 0;
+    let end = start
+        + json[start..]
+            .find(|c: char| {
+                match c {
+                    '[' | '{' => depth += 1,
+                    ']' | '}' if depth > 0 => depth -= 1,
+                    ',' | '}' | ']' if depth == 0 => return true,
+                    _ => {}
+                }
+                false
+            })
+            .expect("value ends");
+    format!("{}{value}{}", &json[..start], &json[end..])
+}
+
+#[test]
+fn malformed_cached_features_are_refused_at_load() {
+    let corpus: Vec<TimeSeries> = UcrAnalog::Gun
+        .generate(5)
+        .series
+        .into_iter()
+        .take(4)
+        .collect();
+    let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
+    assert!(index.entries().iter().all(|e| !e.features.is_empty()));
+    let json =
+        String::from_utf8(SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap()).unwrap();
+    let binary = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
+    let features = std::str::from_utf8(section(&binary, FEATURES_SECTION))
+        .unwrap()
+        .to_string();
+    // the payload swap itself is sound: the same features load and answer
+    let same = SnapshotCodec::decode(&with_section(
+        &binary,
+        FEATURES_SECTION,
+        features.as_bytes(),
+    ))
+    .unwrap();
+    assert_eq!(same.entries(), index.entries());
+    assert_eq!(
+        same.query(&corpus[0], 2).unwrap().neighbors,
+        index.query(&corpus[0], 2).unwrap().neighbors
+    );
+    // (key, replacement, words the error must name); the first of these
+    // used to decode and then panic the first query
+    let poisoned = format!("[0.5,1e999{}]", ",0.5".repeat(62));
+    let cases = [
+        ("scope_len", "1e999", "scope_len"),
+        ("amplitude", "-1e999", "amplitude"),
+        ("sigma", "0.0", "sigma"),
+        ("sigma", "-1.5", "sigma"),
+        ("sigma", "1e999", "sigma"),
+        ("descriptor", "[0.5]", "64 bins"),
+        ("descriptor", "[]", "64 bins"),
+        ("descriptor", &poisoned, "descriptor value 1 is inf"),
+    ];
+    let first_feature = |text: &str| text.find("\"keypoint\":").expect("a cached feature");
+    for (key, value, named) in cases {
+        let snapshots = [
+            (
+                "json",
+                replace_value(&json, first_feature(&json), key, value).into_bytes(),
+            ),
+            (
+                "binary",
+                with_section(
+                    &binary,
+                    FEATURES_SECTION,
+                    replace_value(&features, first_feature(&features), key, value).as_bytes(),
+                ),
+            ),
+        ];
+        for (format, bytes) in snapshots {
+            match SnapshotCodec::decode(&bytes) {
+                Err(TsError::SnapshotDecode { context, .. }) => assert!(
+                    context.contains("entry 0: cached feature 0") && context.contains(named),
+                    "{format} snapshot with {key} = {value}: {context}"
+                ),
+                Err(other) => panic!("{format} snapshot with {key} = {value}: {other}"),
+                Ok(_) => panic!("{format} snapshot with {key} = {value} was accepted"),
             }
         }
     }
