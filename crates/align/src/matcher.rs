@@ -78,6 +78,12 @@ impl Anchor {
     }
 }
 
+/// The `τ_a` screen's rejection test for amplitudes `a` (fixed side) and
+/// `b`; a NaN difference passes.
+fn amplitude_fails(a: f64, b: f64, tau_a: f64) -> bool {
+    (a - b).abs() >= tau_a
+}
+
 /// The `τ_s` screen's rejection test for scales `a` (fixed side) and `b`.
 fn scale_fails(a: f64, b: f64, tau_s: f64) -> bool {
     let ratio = if a > b { a / b } else { b / a };
@@ -108,9 +114,10 @@ pub struct PreparedFeatures {
     /// The transposed descriptors: value `k` of row `r` at
     /// `k * stride + r`.
     lanes: Vec<f64>,
-    /// Every σ is finite and positive, so a candidate's `τ_s`-admissible
-    /// rows form one contiguous run.
-    sigma_runs: bool,
+    /// The rows of each distinct σ, as (σ, first row), σ ascending; empty
+    /// unless every σ is finite and positive, which makes a candidate's
+    /// `τ_s`-admissible rows one contiguous run.
+    scales: Vec<(f64, usize)>,
 }
 
 impl PreparedFeatures {
@@ -147,13 +154,21 @@ impl PreparedFeatures {
                 column[r] = x;
             }
         }
+        let mut scales: Vec<(f64, usize)> = Vec::new();
+        if rows.iter().all(|r| r.sigma.is_finite() && r.sigma > 0.0) {
+            for (r, row) in rows.iter().enumerate() {
+                if scales.last().is_none_or(|&(sigma, _)| sigma != row.sigma) {
+                    scales.push((row.sigma, r));
+                }
+            }
+        }
         Self {
             bins,
             stride,
-            sigma_runs: rows.iter().all(|r| r.sigma.is_finite() && r.sigma > 0.0),
             rank,
             rows,
             lanes,
+            scales,
         }
     }
 
@@ -175,47 +190,29 @@ impl PreparedFeatures {
     /// The rows `[lo, hi)` outside which every row fails the `τ_s` screen
     /// against scale `b`, and whether every row inside passes it. With
     /// positive finite scales on both sides the ratio test is monotone in
-    /// the row's σ: the rows too small to pass come first, those too large
-    /// last, and the screen's own predicate finds both ends. Otherwise the
-    /// run is every row, screened one by one.
+    /// the row's σ: the scales too small to pass come first, those too
+    /// large last, and the screen's own predicate, tested once per
+    /// distinct σ, finds both ends. Otherwise the run is every row,
+    /// screened one by one.
     fn scale_run(&self, b: f64, tau_s: Option<f64>) -> (usize, usize, bool) {
         let n = self.rows.len();
         match tau_s {
             None => (0, n, true),
-            Some(t) if self.sigma_runs && b.is_finite() && b > 0.0 => {
+            Some(t) if !self.scales.is_empty() && b.is_finite() && b > 0.0 => {
+                let first_row = |g: usize| self.scales.get(g).map_or(n, |s| s.1);
                 let lo = self
-                    .rows
+                    .scales
                     .iter()
-                    .position(|r| r.sigma > b || !scale_fails(r.sigma, b, t))
-                    .unwrap_or(n);
-                let hi = self.rows[lo..]
+                    .position(|&(a, _)| a > b || !scale_fails(a, b, t))
+                    .unwrap_or(self.scales.len());
+                let hi = self.scales[lo..]
                     .iter()
-                    .position(|r| r.sigma > b && scale_fails(r.sigma, b, t))
-                    .map_or(n, |k| lo + k);
-                (lo, hi, true)
+                    .position(|&(a, _)| a > b && scale_fails(a, b, t))
+                    .map_or(self.scales.len(), |k| lo + k);
+                (first_row(lo), first_row(hi), true)
             }
             Some(_) => (0, n, false),
         }
-    }
-
-    /// The Euclidean distances from `y` to rows `start..start + LANES`,
-    /// or only to the first half of them when `half`; the lanes not
-    /// computed read as zeros.
-    #[inline]
-    fn window_distances(&self, start: usize, half: bool, y: &[f64]) -> [f64; LANES] {
-        const HALF: usize = LANES / 2;
-        let mut out = [0.0; LANES];
-        if half {
-            out[..HALF].copy_from_slice(&lane_distances::<HALF>(
-                &self.lanes,
-                self.stride,
-                start,
-                y,
-            ));
-        } else {
-            out = lane_distances::<LANES>(&self.lanes, self.stride, start, y);
-        }
-        out
     }
 
     /// The descriptors in the caller's order, one after another.
@@ -240,22 +237,17 @@ impl Default for PreparedFeatures {
     }
 }
 
-/// Rows `start..start + W` of a transposed descriptor matrix against
+/// Rows `start..start + LANES` of a transposed descriptor matrix against
 /// `y`: lane `l` sums `(x_k − y_k)²` over `k` ascending from
 /// `Iterator::sum`'s seed `-0.0`, then takes the root — the operations,
 /// in the order, of `sdtw_tseries::metric::euclidean`. The lanes are
 /// independent chains, which the compiler keeps in vector registers.
 #[inline]
-fn lane_distances<const W: usize>(
-    lanes: &[f64],
-    stride: usize,
-    start: usize,
-    y: &[f64],
-) -> [f64; W] {
-    let mut acc = [-0.0f64; W];
+fn lane_distances(lanes: &[f64], stride: usize, start: usize, y: &[f64]) -> [f64; LANES] {
+    let mut acc = [-0.0f64; LANES];
     let mut at = start;
     for &v in y {
-        let window: &[f64; W] = lanes[at..at + W].try_into().expect("W lanes");
+        let window: &[f64; LANES] = lanes[at..at + LANES].try_into().expect("LANES lanes");
         for (a, &x) in acc.iter_mut().zip(window) {
             let d = x - v;
             *a += d * d;
@@ -346,9 +338,6 @@ fn dominant_pairs<C: Candidates + ?Sized>(
     // indexed by row
     let mut best = vec![RowBest::NONE; fixed.len()];
     let mut comparisons = 0usize;
-    // scale runs found so far, by candidate σ: candidates share few scales
-    let mut runs = [(0u64, (0usize, 0usize, false)); 16];
-    let mut known = 0;
     if !fixed.is_empty() {
         for j in 0..candidates.len() {
             let c = candidates.anchor(j);
@@ -359,23 +348,12 @@ fn dominant_pairs<C: Candidates + ?Sized>(
                 fixed.bins,
                 y.len()
             );
-            let bits = c.sigma.to_bits();
-            let (lo, hi, scale_checked) = match runs[..known].iter().find(|run| run.0 == bits) {
-                Some(&(_, run)) => run,
-                None => {
-                    let run = fixed.scale_run(c.sigma, cfg.tau_s);
-                    if known < runs.len() {
-                        runs[known] = (bits, run);
-                        known += 1;
-                    }
-                    run
-                }
-            };
+            let (lo, hi, scale_checked) = fixed.scale_run(c.sigma, cfg.tau_s);
             let passes = |r: usize| {
                 let row = &fixed.rows[r];
                 let amplitude_ok = cfg
                     .tau_a
-                    .is_none_or(|tau_a| (row.amplitude - c.amplitude).abs() < tau_a);
+                    .is_none_or(|tau_a| !amplitude_fails(row.amplitude, c.amplitude, tau_a));
                 let scale_ok = scale_checked
                     || cfg
                         .tau_s
@@ -394,12 +372,10 @@ fn dominant_pairs<C: Candidates + ?Sized>(
                         mask |= 1 << (r - first);
                     }
                 }
-                let half = mask < 1 << (LANES / 2);
-                let width = if half { LANES / 2 } else { LANES };
                 // a window near the last row slides back to stay inside
                 // the stride
-                let start = first.min(fixed.stride - width);
-                let d = fixed.window_distances(start, half, y);
+                let start = first.min(fixed.stride - LANES);
+                let d = lane_distances(&fixed.lanes, fixed.stride, start, y);
                 comparisons += mask.count_ones() as usize;
                 while mask != 0 {
                     let r = first + mask.trailing_zeros() as usize;

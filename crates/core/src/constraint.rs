@@ -19,7 +19,11 @@ use sdtw_dtw::sakoe::{diagonal_column, sakoe_chiba_band};
 ///   the sanitiser (the paper: "we need to bridge the gap by filling in the
 ///   missing grid positions").
 pub fn adaptive_candidate(i: usize, partition: &IntervalPartition) -> usize {
-    let e = partition.interval_of_x(i);
+    candidate_in(partition.interval_of_x(i), i, partition)
+}
+
+/// [`adaptive_candidate`] of `i`, which lies in interval `e` of `X`.
+fn candidate_in(e: usize, i: usize, partition: &IntervalPartition) -> usize {
     let (stx, endx) = partition.bounds_x(e);
     let (sty, endy) = partition.bounds_y(e);
     if endy == sty {
@@ -32,6 +36,23 @@ pub fn adaptive_candidate(i: usize, partition: &IntervalPartition) -> usize {
     (sty as f64 + frac * (endy - sty) as f64).round() as usize
 }
 
+/// [`adaptive_candidate`] of every row `0..n`, in order. Rows ascend, so
+/// their `X` intervals do too: one walk over the cuts finds them all.
+fn adaptive_candidates(
+    partition: &IntervalPartition,
+    n: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let cuts = partition.cuts_x();
+    let mut e = 0;
+    (0..n).map(move |i| {
+        // `interval_of_x`: the number of cuts at or before `i`
+        while e < cuts.len() && cuts[e] <= i {
+            e += 1;
+        }
+        candidate_in(e, i, partition)
+    })
+}
+
 /// Width (in columns of `Y`) around a candidate point under the **adaptive
 /// width** rule: the width of the `Y` interval containing the candidate,
 /// optionally averaged over `±neighbor_radius` intervals, bounded below by
@@ -42,13 +63,39 @@ pub fn adaptive_width(
     neighbor_radius: usize,
     min_width_frac: f64,
 ) -> f64 {
-    let e = partition.interval_of_y(candidate_j);
+    interval_width(
+        partition.interval_of_y(candidate_j),
+        partition,
+        neighbor_radius,
+        min_width_frac,
+    )
+}
+
+/// [`adaptive_width`] of a candidate in interval `e` of `Y`.
+fn interval_width(
+    e: usize,
+    partition: &IntervalPartition,
+    neighbor_radius: usize,
+    min_width_frac: f64,
+) -> f64 {
     let w = if neighbor_radius == 0 {
         partition.width_y(e) as f64
     } else {
         partition.avg_width_y(e, neighbor_radius)
     };
     w.max(min_width_frac * partition.m() as f64)
+}
+
+/// [`interval_width`] of every `Y` interval, computed once per band: a
+/// band asks for one per row, and rows far outnumber intervals.
+fn interval_widths(
+    partition: &IntervalPartition,
+    neighbor_radius: usize,
+    min_width_frac: f64,
+) -> Vec<f64> {
+    (0..partition.interval_count())
+        .map(|e| interval_width(e, partition, neighbor_radius, min_width_frac))
+        .collect()
 }
 
 /// Builds the band for a policy. Adaptive policies require the interval
@@ -80,20 +127,20 @@ pub fn build_band(
             min_width_frac,
             neighbor_radius,
         } => {
+            let widths = interval_widths(partition, neighbor_radius, min_width_frac);
             let ranges = (0..n)
                 .map(|i| {
                     let c = diagonal_column(i, n, m);
-                    let w = adaptive_width(c, partition, neighbor_radius, min_width_frac);
-                    range_around(c, w, m)
+                    range_around(c, widths[partition.interval_of_y(c)], m)
                 })
                 .collect();
             Band::from_ranges(n, m, ranges).sanitize()
         }
         ConstraintPolicy::AdaptiveCoreFixedWidth { width_frac } => {
             let half = ((width_frac * m as f64) / 2.0).round().max(1.0) as usize;
-            let ranges = (0..n)
-                .map(|i| {
-                    let c = adaptive_candidate(i, partition).min(m - 1);
+            let ranges = adaptive_candidates(partition, n)
+                .map(|c| {
+                    let c = c.min(m - 1);
                     ColRange::new(c.saturating_sub(half), (c + half).min(m - 1))
                 })
                 .collect();
@@ -103,11 +150,11 @@ pub fn build_band(
             min_width_frac,
             neighbor_radius,
         } => {
-            let ranges = (0..n)
-                .map(|i| {
-                    let c = adaptive_candidate(i, partition).min(m - 1);
-                    let w = adaptive_width(c, partition, neighbor_radius, min_width_frac);
-                    range_around(c, w, m)
+            let widths = interval_widths(partition, neighbor_radius, min_width_frac);
+            let ranges = adaptive_candidates(partition, n)
+                .map(|c| {
+                    let c = c.min(m - 1);
+                    range_around(c, widths[partition.interval_of_y(c)], m)
                 })
                 .collect();
             Band::from_ranges(n, m, ranges).sanitize()

@@ -154,7 +154,9 @@ impl SDtw {
 
 impl<'a> Query<'a> {
     /// Uses pre-extracted salient features for both series (the cached
-    /// path: extraction is reported as absent).
+    /// path: extraction is reported as absent). When it plans the band
+    /// from them, `run()` rejects features whose descriptors differ in
+    /// length, which matching cannot compare.
     pub fn features(mut self, fx: &'a [SalientFeature], fy: &'a [SalientFeature]) -> Self {
         self.features = FeatureSource::Supplied { fx, fy };
         self
@@ -255,7 +257,8 @@ impl<'a> Query<'a> {
     /// # Errors
     ///
     /// Feature-extraction failures (only possible on the extract/store
-    /// paths) and invalid kernel overrides.
+    /// paths), supplied features whose descriptors differ in length, and
+    /// invalid kernel overrides.
     pub fn run(self) -> Result<Option<SDtwOutcome>, TsError> {
         let Query {
             engine,
@@ -299,7 +302,10 @@ impl<'a> Query<'a> {
             (empty, empty)
         } else {
             match (features, &input) {
-                (FeatureSource::Supplied { fx, fy }, _) => (fx, fy),
+                (FeatureSource::Supplied { fx, fy }, _) => {
+                    check_descriptor_lengths(fx, fy)?;
+                    (fx, fy)
+                }
                 (FeatureSource::Extract, PairInput::Series { x, y }) => {
                     let t0 = Instant::now();
                     let extractor = engine.extractor();
@@ -425,6 +431,22 @@ impl<'a> Query<'a> {
     }
 }
 
+/// Rejects supplied features whose descriptors differ in length: the
+/// matcher compares descriptors value by value and panics on a mismatch.
+fn check_descriptor_lengths(fx: &[SalientFeature], fy: &[SalientFeature]) -> Result<(), TsError> {
+    let mut lengths = fx.iter().chain(fy).map(|f| f.descriptor.len());
+    let Some(first) = lengths.next() else {
+        return Ok(());
+    };
+    match lengths.find(|&len| len != first) {
+        Some(other) => Err(TsError::InvalidParameter {
+            name: "features",
+            reason: format!("descriptor lengths differ: {first} and {other} values"),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A run-local span for the three-phase view: offsets model the strictly
 /// sequential execution of one call (extraction → matching → DP); the
 /// thread slot is unused because these spans are projected into
@@ -484,6 +506,35 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(out2.timing.extraction, None, "absent, not zero");
+    }
+
+    #[test]
+    fn supplied_features_with_unequal_descriptors_are_rejected() {
+        let engine = SDtw::new(SDtwConfig::default()).unwrap();
+        let (x, y) = (series(96, 0.0), series(96, 0.4));
+        let fx = engine.extractor().extract(&x);
+        let mut fy = engine.extractor().extract(&y);
+        assert!(!fx.is_empty() && !fy.is_empty());
+        fy[0].descriptor.pop();
+        let err = engine.query(&x, &y).features(&fx, &fy).run().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TsError::InvalidParameter {
+                    name: "features",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // a band override plans nothing, so the features are not read
+        let band = Band::full(96, 96);
+        assert!(engine
+            .query(&x, &y)
+            .features(&fx, &fy)
+            .band(&band)
+            .run()
+            .is_ok());
     }
 
     #[test]

@@ -6,21 +6,24 @@
 //!
 //! The bar is bit identity: every `MatchResult` field, distances and
 //! scores compared via `to_bits`, the comparison count included, and the
-//! planned band under both `BandSymmetry` modes. Inputs cover features
+//! planned band under both `BandSymmetry` modes. The reference plans its
+//! bands with a verbatim copy of the per-row band builder too, which
+//! `build_band` replaced with one walk over the cuts. Inputs cover features
 //! extracted from every UCR analogue (raw and z-normalised), feature
 //! counts around the lane width (0, 1, 7, 8, 9) and past 70, descriptor
 //! lengths 4, 64 and 128, every screen switched on and off, duplicated
 //! descriptors (the lowest candidate index must win the tie), scale
-//! ratios exactly at `τ_s`, and scales for which the `τ_s` screen is not
-//! monotone.
+//! ratios exactly at `τ_s`, scales for which the `τ_s` screen is not
+//! monotone, and NaN and infinite amplitudes under the `τ_a` screen.
 
 mod common;
 
 use common::TestRng;
 use sdtw_suite::align::{
-    match_features, match_onto_prepared, match_prepared, MatchConfig, MatchResult, MatchedPair,
-    PreparedFeatures,
+    match_features, match_onto_prepared, match_prepared, IntervalPartition, MatchConfig,
+    MatchResult, MatchedPair, PreparedFeatures,
 };
+use sdtw_suite::core::constraint::build_band;
 use sdtw_suite::core::{BandSymmetry, ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::datasets::UcrAnalog;
 use sdtw_suite::dtw::Band;
@@ -35,8 +38,10 @@ mod reference {
     use sdtw_suite::align::prune::prune_inconsistent;
     use sdtw_suite::align::scores::combined_scores;
     use sdtw_suite::align::{IntervalPartition, MatchConfig, MatchResult, MatchedPair};
-    use sdtw_suite::core::constraint::build_band;
-    use sdtw_suite::core::{BandSymmetry, SDtw};
+    use sdtw_suite::core::{BandSymmetry, ConstraintPolicy, SDtw};
+    use sdtw_suite::dtw::band::ColRange;
+    use sdtw_suite::dtw::itakura::itakura_band;
+    use sdtw_suite::dtw::sakoe::{diagonal_column, sakoe_chiba_band};
     use sdtw_suite::dtw::Band;
     use sdtw_suite::salient::SalientFeature;
     use sdtw_suite::tseries::metric::euclidean;
@@ -165,6 +170,99 @@ mod reference {
             partition,
             descriptor_comparisons,
         }
+    }
+
+    fn adaptive_candidate(i: usize, partition: &IntervalPartition) -> usize {
+        let e = partition.interval_of_x(i);
+        let (stx, endx) = partition.bounds_x(e);
+        let (sty, endy) = partition.bounds_y(e);
+        if endy == sty {
+            return sty;
+        }
+        if endx == stx {
+            return sty;
+        }
+        let frac = (i - stx) as f64 / (endx - stx) as f64;
+        (sty as f64 + frac * (endy - sty) as f64).round() as usize
+    }
+
+    fn adaptive_width(
+        candidate_j: usize,
+        partition: &IntervalPartition,
+        neighbor_radius: usize,
+        min_width_frac: f64,
+    ) -> f64 {
+        let e = partition.interval_of_y(candidate_j);
+        let w = if neighbor_radius == 0 {
+            partition.width_y(e) as f64
+        } else {
+            partition.avg_width_y(e, neighbor_radius)
+        };
+        w.max(min_width_frac * partition.m() as f64)
+    }
+
+    /// The band builder, one interval search per row.
+    pub fn build_band(
+        policy: &ConstraintPolicy,
+        partition: &IntervalPartition,
+        n: usize,
+        m: usize,
+    ) -> Band {
+        if policy.needs_alignment() {
+            assert_eq!(partition.n(), n, "partition built for a different |X|");
+            assert_eq!(partition.m(), m, "partition built for a different |Y|");
+        }
+        match *policy {
+            ConstraintPolicy::FullGrid => Band::full(n, m),
+            ConstraintPolicy::FixedCoreFixedWidth { width_frac } => {
+                sakoe_chiba_band(n, m, width_frac)
+            }
+            ConstraintPolicy::Itakura { slope } => itakura_band(n, m, slope),
+            ConstraintPolicy::FixedCoreAdaptiveWidth {
+                min_width_frac,
+                neighbor_radius,
+            } => {
+                let ranges = (0..n)
+                    .map(|i| {
+                        let c = diagonal_column(i, n, m);
+                        let w = adaptive_width(c, partition, neighbor_radius, min_width_frac);
+                        range_around(c, w, m)
+                    })
+                    .collect();
+                Band::from_ranges(n, m, ranges).sanitize()
+            }
+            ConstraintPolicy::AdaptiveCoreFixedWidth { width_frac } => {
+                let half = ((width_frac * m as f64) / 2.0).round().max(1.0) as usize;
+                let ranges = (0..n)
+                    .map(|i| {
+                        let c = adaptive_candidate(i, partition).min(m - 1);
+                        ColRange::new(c.saturating_sub(half), (c + half).min(m - 1))
+                    })
+                    .collect();
+                Band::from_ranges(n, m, ranges).sanitize()
+            }
+            ConstraintPolicy::AdaptiveCoreAdaptiveWidth {
+                min_width_frac,
+                neighbor_radius,
+            } => {
+                let ranges = (0..n)
+                    .map(|i| {
+                        let c = adaptive_candidate(i, partition).min(m - 1);
+                        let w = adaptive_width(c, partition, neighbor_radius, min_width_frac);
+                        range_around(c, w, m)
+                    })
+                    .collect();
+                Band::from_ranges(n, m, ranges).sanitize()
+            }
+        }
+    }
+
+    fn range_around(candidate: usize, width: f64, m: usize) -> ColRange {
+        let half = (width / 2.0).ceil().max(1.0) as usize;
+        ColRange::new(
+            candidate.saturating_sub(half),
+            (candidate + half).min(m - 1),
+        )
     }
 
     /// `SDtw::plan_band` over the reference matcher (adaptive policies).
@@ -500,8 +598,8 @@ fn duplicated_descriptors_resolve_to_the_lowest_candidate() {
 
 #[test]
 fn non_positive_and_non_finite_scales_match_the_reference() {
-    // non-positive and non-finite scales, and non-finite descriptor
-    // values: the search screens every row one by one and the
+    // non-positive and non-finite scales, non-finite descriptor values
+    // and amplitudes: the search screens every row one by one and the
     // comparisons keep the scalar semantics (NaN distances included)
     let mut rng = TestRng::new(0xbad5);
     let odd = [0.0, -1.0, -0.0, f64::INFINITY, f64::NAN, 1.0, 2.0];
@@ -516,6 +614,13 @@ fn non_positive_and_non_finite_scales_match_the_reference() {
         }
         if round % 5 == 0 {
             f2[0].descriptor[bins - 1] = f64::INFINITY;
+        }
+        // amplitudes whose difference is NaN (the τ_a screen lets the
+        // pair through) or infinite (it turns the pair away)
+        let amplitudes = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        if round % 2 == 0 {
+            f1[round % k1].amplitude = amplitudes[round % 3];
+            f2[round % k2].amplitude = amplitudes[(round / 2) % 3];
         }
         for (label, cfg) in match_configs() {
             check_pair(
@@ -560,6 +665,55 @@ fn planned_bands_match_the_reference_under_both_symmetries() {
                     assert_identical(&got.expect("adaptive policy"), &want, &ctx);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn band_builders_match_the_reference_on_random_partitions() {
+    let policies = [
+        ConstraintPolicy::fixed_core_adaptive_width(),
+        ConstraintPolicy::FixedCoreAdaptiveWidth {
+            min_width_frac: 0.0,
+            neighbor_radius: 2,
+        },
+        ConstraintPolicy::adaptive_core_fixed_width(0.1),
+        ConstraintPolicy::adaptive_core_adaptive_width(),
+        ConstraintPolicy::adaptive_core_adaptive_width_averaged(),
+        ConstraintPolicy::AdaptiveCoreAdaptiveWidth {
+            min_width_frac: 0.0,
+            neighbor_radius: 3,
+        },
+        ConstraintPolicy::FullGrid,
+        ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.1 },
+        ConstraintPolicy::Itakura { slope: 2.0 },
+    ];
+    let mut rng = TestRng::new(0xba4d);
+    for round in 0..300 {
+        let (n, m) = (rng.usize_in(1, 160), rng.usize_in(1, 160));
+        let cuts = rng.usize_in(0, 14);
+        // sorted cuts with repeats (empty intervals), the series ends
+        // included now and then
+        let mut draw = |len: usize| -> Vec<usize> {
+            let mut c: Vec<usize> = (0..cuts)
+                .map(|_| match rng.usize_in(0, 8) {
+                    0 => 0,
+                    1 => len - 1,
+                    _ => rng.usize_in(0, len),
+                })
+                .collect();
+            c.sort_unstable();
+            c
+        };
+        let (cuts_x, cuts_y) = (draw(n), draw(m));
+        let partition = IntervalPartition::from_cuts(cuts_x, cuts_y, n, m);
+        for policy in &policies {
+            let ctx = format!("round {round} {n}x{m} {} cuts {}", cuts, policy.label());
+            assert_band(
+                &build_band(policy, &partition, n, m),
+                &reference::build_band(policy, &partition, n, m),
+                &ctx,
+            );
         }
     }
 }
