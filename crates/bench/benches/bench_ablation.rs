@@ -91,7 +91,7 @@ fn bench_multires_combination(c: &mut Criterion) {
             let mut scratch = DtwScratch::new();
             b.iter(|| {
                 black_box(
-                    dtw_run_options(&x, &y, band, &opts, None, &mut scratch)
+                    dtw_run_options(x.values(), y.values(), band, &opts, None, &mut scratch)
                         .expect("no cutoff")
                         .distance,
                 )

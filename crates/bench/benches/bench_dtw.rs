@@ -2,24 +2,20 @@
 //! Itakura at several series lengths (the `O(band area)` scaling claim),
 //! the scratch-reuse saving, the serial vs parallel batch distance-matrix
 //! path on a 200-series corpus (`BENCH_baseline.json`), and the
-//! API-redesign overhead checks tracked in `BENCH_api.json`:
+//! API overhead checks tracked in `BENCH_api.json`:
 //!
-//! * `api_pairwise` — the deprecated shims vs `dtw_run_options` vs the
-//!   `SDtw::query` builder on the same pair (the builder must add zero
-//!   measurable overhead — it *is* the shims' implementation);
+//! * `api_pairwise` — `dtw_run_options` vs the `SDtw::query` builder on
+//!   the same pair (the builder must add no measurable overhead);
 //! * `api_kernel` — the amerced (ADTW) kernel inside the same band
 //!   machinery as the standard kernel;
 //! * `api_knn` — index kNN batches under the standard and amerced
 //!   kernels (same cascade, kernel swapped via configuration).
 //!
-//! Plus the engine-parity records: `engine_parity_<N>core` pins the
-//! wavefront fill against the row fill on identical inputs (the core
-//! count in the group name qualifies the ratio — see DESIGN §11), and
-//! `lb_batch` pins the 8-lane LB_Keogh pass against eight scalar calls.
-//! `simd_lanes_<N>core` pins the explicit-lane diagonal sweep against
-//! the scalar cell loop on the same wavefront engine (DESIGN §15) and
-//! *asserts* the lane fill wins on full grids; the measured speedup and
-//! lane width land in the `simd_lanes_guard/...` record id.
+//! Plus `lb_batch`, which pins the 8-lane LB_Keogh pass against eight
+//! scalar calls, and `simd_lanes_<N>core`, which records the lane
+//! wavefront fill and the lane LB batch (DESIGN §15) and *asserts* that
+//! the lane fill beats the path-mode fill (the row fill plus traceback)
+//! on a full grid by at least 2.2×; the measured ratio is printed.
 //!
 //! The `trace_overhead_<N>core` group is the telemetry zero-cost guard
 //! (DESIGN §12): a disabled [`Recorder`] threaded through the hot paths
@@ -32,16 +28,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdtw::{ConstraintPolicy, FeatureStore, KernelChoice, SDtw, SDtwConfig};
-use sdtw_dtw::engine::{
-    dtw_full, dtw_run_options, dtw_run_options_values_pinned, dtw_run_options_values_with,
-    DtwEngine, DtwOptions, DtwScratch,
-};
+use sdtw_dtw::engine::{dtw_full, dtw_run_options, DtwOptions, DtwScratch};
 use sdtw_dtw::itakura::itakura_band;
-use sdtw_dtw::lower_bound::{
-    lb_keogh_batch, lb_keogh_batch_with, lb_keogh_values, Envelope, LB_LANES,
-};
+use sdtw_dtw::lower_bound::{lb_keogh_batch, lb_keogh_values, Envelope, LB_LANES};
 use sdtw_dtw::sakoe::sakoe_chiba_band;
-use sdtw_dtw::simd::{SimdMode, LANE_WIDTH};
+use sdtw_dtw::simd::LANE_WIDTH;
 use sdtw_dtw::Band;
 use sdtw_eval::compute_matrix;
 use sdtw_index::{IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat};
@@ -64,11 +55,19 @@ fn series(n: usize, phase: f64) -> TimeSeries {
     .unwrap()
 }
 
-/// Unified-path shorthand used throughout this file.
+/// One banded run with a fresh scratch (shorthand used throughout this
+/// file).
 fn run(x: &TimeSeries, y: &TimeSeries, band: &sdtw_dtw::Band, opts: &DtwOptions) -> f64 {
-    dtw_run_options(x, y, band, opts, None, &mut DtwScratch::new())
-        .expect("no cutoff configured")
-        .distance
+    dtw_run_options(
+        x.values(),
+        y.values(),
+        band,
+        opts,
+        None,
+        &mut DtwScratch::new(),
+    )
+    .expect("no cutoff configured")
+    .distance
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -116,7 +115,7 @@ fn bench_scratch_reuse(c: &mut Criterion) {
     group.bench_function("reused_scratch", |b| {
         b.iter(|| {
             black_box(
-                dtw_run_options(&x, &y, &band, &opts, None, &mut scratch)
+                dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
                     .expect("no cutoff")
                     .distance,
             )
@@ -125,9 +124,8 @@ fn bench_scratch_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Builder-vs-legacy on one pair: the shims delegate to the builder, so
-/// any measurable gap is dispatch overhead the redesign must not add.
-#[allow(deprecated)] // benchmarking the deprecated shims is the point
+/// The options-driven DP call vs the query builder on one pair: any
+/// measurable gap is dispatch overhead the builder must not add.
 fn bench_api_pairwise(c: &mut Criterion) {
     let n = 256;
     let x = series(n, 0.0);
@@ -137,18 +135,10 @@ fn bench_api_pairwise(c: &mut Criterion) {
     let mut group = c.benchmark_group("api_pairwise");
 
     let mut scratch = DtwScratch::new();
-    group.bench_function("legacy_dtw_banded_with_scratch", |b| {
-        b.iter(|| {
-            black_box(
-                sdtw_dtw::engine::dtw_banded_with_scratch(&x, &y, &band, &opts, &mut scratch)
-                    .distance,
-            )
-        })
-    });
     group.bench_function("unified_dtw_run_options", |b| {
         b.iter(|| {
             black_box(
-                dtw_run_options(&x, &y, &band, &opts, None, &mut scratch)
+                dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
                     .expect("no cutoff")
                     .distance,
             )
@@ -162,15 +152,6 @@ fn bench_api_pairwise(c: &mut Criterion) {
     .unwrap();
     let fx = extract_features(&x, &engine.config().salient).unwrap();
     let fy = extract_features(&y, &engine.config().salient).unwrap();
-    group.bench_function("legacy_distance_with_features_scratch", |b| {
-        b.iter(|| {
-            black_box(
-                engine
-                    .distance_with_features_scratch(&x, &fx, &y, &fy, &mut scratch)
-                    .distance,
-            )
-        })
-    });
     group.bench_function("builder_query", |b| {
         b.iter(|| {
             black_box(
@@ -203,61 +184,12 @@ fn bench_api_kernel(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 black_box(
-                    dtw_run_options(&x, &y, &band, &opts, None, &mut scratch)
+                    dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
                         .expect("no cutoff")
                         .distance,
                 )
             })
         });
-    }
-    group.finish();
-}
-
-/// Wavefront vs row fill on the same pair and band — the parity record
-/// the tracked baseline carries. The group name notes the core count the
-/// run saw: the anti-diagonal layout exists for lane-parallel hardware,
-/// so a 1-core runner is expected to show parity (ratio ≈ 1) rather than
-/// a speedup, and the record documents that ratio either way.
-fn bench_engine_parity(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let group_name = format!("engine_parity_{cores}core");
-    let mut group = c.benchmark_group(&group_name);
-    let opts = DtwOptions::default();
-    let mut scratch = DtwScratch::new();
-    for &n in &[256usize, 512] {
-        let x = series(n, 0.0);
-        let y = series(n, 1.3);
-        for (bname, band) in [
-            ("full", Band::full(n, n)),
-            ("sakoe10", sakoe_chiba_band(n, n, 0.10)),
-        ] {
-            for (ename, engine) in [
-                ("wavefront", DtwEngine::Wavefront),
-                ("rows", DtwEngine::Rows),
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{ename}_{bname}"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| {
-                            black_box(
-                                dtw_run_options_values_with(
-                                    engine,
-                                    x.values(),
-                                    y.values(),
-                                    &band,
-                                    &opts,
-                                    None,
-                                    &mut scratch,
-                                )
-                                .expect("no cutoff")
-                                .distance,
-                            )
-                        })
-                    },
-                );
-            }
-        }
     }
     group.finish();
 }
@@ -294,16 +226,14 @@ fn bench_lb_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The explicit-SIMD lane sweep against the scalar cell loop on the
-/// wavefront engine's own turf — identical inputs, identical (bitwise)
-/// outputs, only the per-diagonal interior loop differs — plus the
-/// pinned lane-vs-scalar batched LB_Keogh pass. The group name carries
-/// the core count (the lanes are *instruction-level* parallelism, so a
-/// 1-core runner is exactly where the speedup must show), and the guard
-/// record id carries the measured fill speedup and the lane width. The
-/// body *asserts* the lane fill beats the scalar fill on full grids —
-/// that assertion is the perf-regression tripwire the tracked baseline
-/// backs up with numbers.
+/// The explicit-SIMD lane wavefront on full grids and the lane LB_Keogh
+/// batch. The group name carries the core count (the lanes are
+/// *instruction-level* parallelism, so a 1-core runner is exactly where
+/// the speedup must show). The guard after the group *asserts* that the
+/// lane fill beats the path-mode fill (the row fill plus traceback, the
+/// other fill the library ships) by at least 2.2× on the 512-point full
+/// grid, and prints the measured ratio — the perf-regression tripwire the
+/// tracked baseline backs up with numbers.
 fn bench_simd_lanes(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let group_name = format!("simd_lanes_{cores}core");
@@ -314,88 +244,66 @@ fn bench_simd_lanes(c: &mut Criterion) {
         let x = series(n, 0.0);
         let y = series(n, 1.3);
         let band = Band::full(n, n);
-        for (mname, mode) in [("lanes", SimdMode::Lanes), ("scalar", SimdMode::Scalar)] {
-            group.bench_with_input(BenchmarkId::new(format!("fill_{mname}"), n), &n, |b, _| {
-                b.iter(|| {
-                    black_box(
-                        dtw_run_options_values_pinned(
-                            DtwEngine::Wavefront,
-                            mode,
-                            x.values(),
-                            y.values(),
-                            &band,
-                            &opts,
-                            None,
-                            &mut scratch,
-                        )
+        group.bench_with_input(BenchmarkId::new("fill_lanes", n), &n, |b, _| {
+            b.iter(|| {
+                black_box(
+                    dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
                         .expect("no cutoff")
                         .distance,
-                    )
-                })
-            });
-        }
+                )
+            })
+        });
     }
 
-    // the batched LB pass, pinned per mode over one ragged batch
-    // (3 lanes + a 5-envelope tail — the cascade's typical shape)
+    // the batched LB pass over one ragged batch (3 lanes + a 5-envelope
+    // tail — the cascade's typical shape)
     let n = 256;
     let x = series(n, 0.0);
     let envelopes: Vec<Envelope> = (0..3 * LB_LANES + 5)
         .map(|k| Envelope::build(&series(n, 0.7 + 0.1 * k as f64), n / 20))
         .collect();
     let env_refs: Vec<&Envelope> = envelopes.iter().collect();
-    let metric = DtwOptions::default().metric;
+    let metric = opts.metric;
     let mut out = Vec::with_capacity(env_refs.len());
-    for (mname, mode) in [("lanes", SimdMode::Lanes), ("scalar", SimdMode::Scalar)] {
-        group.bench_function(&format!("lb_batch_{mname}"), |b| {
-            b.iter(|| {
-                lb_keogh_batch_with(mode, x.values(), &env_refs, metric, &mut out);
-                black_box(out.iter().sum::<f64>())
-            })
-        });
-    }
+    group.bench_function("lb_batch_lanes", |b| {
+        b.iter(|| {
+            lb_keogh_batch(x.values(), &env_refs, metric, &mut out);
+            black_box(out.iter().sum::<f64>())
+        })
+    });
     group.finish();
 
     // the guard proper, measured outside the shim: the lane fill must
-    // beat the scalar fill on the 512-point full grid
+    // beat the path-mode fill on the 512-point full grid
     let n = 512;
     let x = series(n, 0.0);
     let y = series(n, 1.3);
     let band = Band::full(n, n);
-    let fill_ns = |mode: SimdMode| {
+    let fill_ns = |opts: DtwOptions| {
         let mut scratch = DtwScratch::new();
         min_ns_per_call(
             &mut || {
                 black_box(
-                    dtw_run_options_values_pinned(
-                        DtwEngine::Wavefront,
-                        mode,
-                        x.values(),
-                        y.values(),
-                        &band,
-                        &opts,
-                        None,
-                        &mut scratch,
-                    )
-                    .expect("no cutoff")
-                    .distance,
+                    dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
+                        .expect("no cutoff")
+                        .distance,
                 );
             },
             20,
             8,
         )
     };
-    let scalar_ns = fill_ns(SimdMode::Scalar);
-    let lanes_ns = fill_ns(SimdMode::Lanes);
-    let speedup = scalar_ns / lanes_ns;
-    assert!(
-        speedup >= 1.2,
-        "lane fill ({lanes_ns:.0} ns) must beat the scalar fill ({scalar_ns:.0} ns) by ≥ 1.2× \
-         on a full grid (measured {speedup:.2}x; the tracked baseline records ~3.8x)"
+    let path_ns = fill_ns(DtwOptions::with_path());
+    let lanes_ns = fill_ns(DtwOptions::default());
+    let ratio = path_ns / lanes_ns;
+    println!(
+        "simd_lanes guard: path-mode fill {path_ns:.0} ns / lane fill {lanes_ns:.0} ns = \
+         {ratio:.2}x (floor 2.2x; {LANE_WIDTH} lanes, {cores} cores)"
     );
-    c.bench_function(
-        &format!("simd_lanes_guard/fill_speedup_{speedup:.2}x_w{LANE_WIDTH}_cores_{cores}"),
-        |b| b.iter(|| black_box(speedup)),
+    assert!(
+        ratio >= 2.2,
+        "lane fill ({lanes_ns:.0} ns) must beat the path-mode fill ({path_ns:.0} ns) by ≥ 2.2× \
+         on a full grid (measured {ratio:.2}x)"
     );
 }
 
@@ -581,7 +489,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let band = sakoe_chiba_band(64, 64, 0.2);
     let opts = DtwOptions::default();
     let window_dp = |scratch: &mut DtwScratch| {
-        dtw_run_options(&wx, &wy, &band, &opts, None, scratch)
+        dtw_run_options(wx.values(), wy.values(), &band, &opts, None, scratch)
             .unwrap()
             .distance
     };
@@ -711,7 +619,6 @@ criterion_group!(
     bench_kernels,
     bench_traceback,
     bench_scratch_reuse,
-    bench_engine_parity,
     bench_simd_lanes,
     bench_lb_batch,
     bench_api_pairwise,

@@ -70,7 +70,7 @@ fn bench_index_vs_scan(c: &mut Criterion) {
 /// legacy JSON tree, a cold streamed decode of the binary columnar v2
 /// image, and the resident serve engine answering a request with no
 /// load at all (the asymptote loading converges to). The group name
-/// carries the core count, like `engine_parity_<N>core`.
+/// carries the core count, like `simd_lanes_<N>core`.
 fn bench_snapshot_load(c: &mut Criterion) {
     let corpus = corpus();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();

@@ -31,8 +31,7 @@ mod args;
 use args::Args;
 use rayon::prelude::*;
 use sdtw::{
-    ConstraintPolicy, DtwEngine, FeatureStore, KernelChoice, SDtw, SDtwConfig, SalientConfig,
-    SimdMode,
+    engine_label, ConstraintPolicy, FeatureStore, KernelChoice, SDtw, SDtwConfig, SalientConfig,
 };
 use sdtw_datasets::UcrAnalog;
 use sdtw_index::{
@@ -339,7 +338,7 @@ fn cmd_dist(a: &Args) -> Result<(), String> {
             k: 1,
             policy: engine.config().policy.label(),
             kernel: engine.config().dtw.kernel_label(),
-            engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+            engine: engine_label(engine.config().dtw.compute_path).into(),
         };
         trace.counters.passes = 1;
         trace.counters.cascade.candidates = 1;
@@ -1180,12 +1179,6 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    // Validate the execution-shape environment overrides before any work:
-    // a misspelt SDTW_ENGINE/SDTW_SIMD surfaces as a proper error here
-    // instead of a panic (or a silently benchmarked default) deep inside
-    // the first query.
-    DtwEngine::from_env().map_err(|e| e.to_string())?;
-    SimdMode::from_env().map_err(|e| e.to_string())?;
     let args = Args::parse(std::env::args().skip(1))?;
     match args.command.as_str() {
         "dist" => cmd_dist(&args),

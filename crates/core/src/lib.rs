@@ -64,11 +64,12 @@ pub use policy::{BandSymmetry, ConstraintPolicy};
 pub use query::Query;
 pub use store::FeatureStore;
 
-// Re-export the commonly needed config and input types so `sdtw` is
-// usable alone.
+// Re-export the commonly needed config and input types, and the name
+// traces give the DP fill, so `sdtw` is usable alone.
 pub use sdtw_align::{MatchConfig, PreparedFeatures};
+pub use sdtw_dtw::engine::engine_label;
 pub use sdtw_dtw::{
-    AmercedKernel, Band, DtwEngine, DtwKernel, DtwOptions, DtwScratch, F64Lanes, KernelChoice,
-    SimdMode, StandardKernel, WarpPath,
+    AmercedKernel, Band, DtwKernel, DtwOptions, DtwScratch, F64Lanes, KernelChoice, StandardKernel,
+    WarpPath,
 };
 pub use sdtw_salient::SalientConfig;

@@ -1,119 +1,39 @@
 //! Banded dynamic-programming engine and warp-path traceback.
 //!
 //! One kernel-generic recurrence executes every pruning policy **and**
-//! every cost model, under either of two interchangeable fill orders:
+//! every cost model, through one function, [`dtw_run`]:
 //!
-//! * the **wavefront engine** (default) sweeps anti-diagonals `d = i + j`
-//!   of the banded lattice: every cell on a diagonal depends only on the
-//!   two previous diagonals, so the inner loop carries no serial
-//!   dependency and only three flat diagonal buffers stay alive;
-//! * the **row engine** fills row-by-row into the band-sparse
-//!   accumulation matrix `D` (CSR-style row offsets into a flat buffer)
-//!   and is the executor for path mode, whose backward traceback walk
-//!   needs the whole matrix.
+//! * without a warp path it runs the **lane wavefront**: it sweeps
+//!   anti-diagonals `d = i + j` of the banded lattice, where every cell
+//!   depends only on the two previous diagonals, so the inner loop carries
+//!   no serial dependency, runs [`LANE_WIDTH`] cells at a time on
+//!   [`F64Lanes`], and only three flat diagonal buffers stay alive;
+//! * with a warp path it fills row by row into the band-sparse
+//!   accumulation matrix `D` (CSR-style row offsets into a flat buffer),
+//!   because the backward traceback walk needs the whole matrix.
 //!
-//! Both engines evaluate the identical per-cell kernel expression in
+//! Both fills evaluate the identical per-cell kernel expression in
 //! `O(band area)`, so their distances and abandon decisions are
-//! bit-identical (`tests/differential_engine.rs` is the harness that
-//! keeps this checkable); [`DtwEngine::selected`] picks the process-wide
-//! engine from `SDTW_ENGINE`, and [`SimdMode::selected`] independently
-//! picks whether the wavefront's diagonal sweep runs in explicit
-//! [`F64Lanes`] vectors or one scalar cell at a time (`SDTW_SIMD`,
-//! bit-identical either way). Out-of-band parents are treated as `+∞`;
-//! the band sanitiser guarantees the corner cell stays reachable.
+//! bit-identical; `tests/differential_engine.rs` and
+//! `tests/properties_simd.rs` hold both to a textbook dense DP. Out-of-band
+//! parents are treated as `+∞`; the band sanitiser guarantees the corner
+//! cell stays reachable.
 //!
-//! The execution surface is **one** function pair:
+//! The execution surface is three functions:
 //!
 //! * [`dtw_run`] — generic over any [`DtwKernel`] (static dispatch, the
-//!   fill loop monomorphises per kernel), with warp-path tracing and the
-//!   early-abandon cutoff as orthogonal options;
-//! * [`dtw_run_options`] — the same path driven by a serialisable
-//!   [`DtwOptions`] (its [`KernelChoice`] is dispatched once per call).
-//!
-//! The historical `dtw_banded*` entry points survive as `#[deprecated]`
-//! shims over [`dtw_run_options`] and are bit-identical to it.
+//!   fill loop monomorphises per kernel), over sample slices, with
+//!   warp-path tracing and the early-abandon cutoff as orthogonal options;
+//! * [`dtw_run_options`] — the same call driven by a serialisable
+//!   [`DtwOptions`] (its [`KernelChoice`] is dispatched once per call);
+//! * [`dtw_full`] — the unconstrained distance of two series.
 
 use crate::band::Band;
 use crate::kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
 use crate::path::WarpPath;
-use crate::simd::{F64Lanes, LaneMask, SimdMode, LANE_WIDTH};
+use crate::simd::{F64Lanes, LaneMask, LANE_WIDTH};
 use sdtw_tseries::{ElementMetric, TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
-
-/// Which fill order executes the banded DP recurrence.
-///
-/// Both engines compute the same per-cell expression over the same band,
-/// so results are bit-identical; the choice is purely an execution-shape
-/// decision (the wavefront layout is the one that admits data-parallel
-/// sweeps). Path mode always executes on the row engine regardless of the
-/// selection — the traceback walk needs the full accumulation matrix,
-/// which the wavefront never materialises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DtwEngine {
-    /// Anti-diagonal sweep over three rotating diagonal buffers (the
-    /// default).
-    #[default]
-    Wavefront,
-    /// Row-sequential fill of the band-sparse matrix; also the executor
-    /// behind path reconstruction.
-    Rows,
-}
-
-impl DtwEngine {
-    /// Parses an engine name (`"wavefront"` / `"rows"`, case-insensitive;
-    /// the empty string selects the default). Returns `None` for anything
-    /// else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "wavefront" => Some(Self::Wavefront),
-            "rows" | "row" => Some(Self::Rows),
-            _ => None,
-        }
-    }
-
-    /// Resolves an optional `SDTW_ENGINE` value to an engine: `None`
-    /// (unset) is the default; an unparsable value is a proper
-    /// [`TsError::InvalidParameter`], never a panic. This is the pure core
-    /// of [`DtwEngine::from_env`], split out so tests can exercise the
-    /// error path without mutating the process environment.
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::InvalidParameter`] on an unrecognised value.
-    pub fn from_env_value(value: Option<&str>) -> Result<Self, TsError> {
-        match value {
-            None => Ok(Self::default()),
-            Some(v) => Self::parse(v).ok_or_else(|| TsError::InvalidParameter {
-                name: "SDTW_ENGINE",
-                reason: format!("must be 'wavefront' or 'rows', got '{v}'"),
-            }),
-        }
-    }
-
-    /// Reads and validates the `SDTW_ENGINE` environment variable.
-    /// Front-ends (the CLI) call this once at startup so a misspelt forced
-    /// engine surfaces as an error message instead of a panic or a
-    /// silently benchmarked default.
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::InvalidParameter`] on an unrecognised value.
-    pub fn from_env() -> Result<Self, TsError> {
-        Self::from_env_value(std::env::var("SDTW_ENGINE").ok().as_deref())
-    }
-
-    /// The process-wide engine selection: the `SDTW_ENGINE` environment
-    /// variable, read once and cached (the CI matrix forces each value in
-    /// turn); unset defaults to [`DtwEngine::Wavefront`]. An invalid value
-    /// falls back to the default here — validation lives in
-    /// [`DtwEngine::from_env`], which front-ends invoke at startup to fail
-    /// fast with a proper error.
-    pub fn selected() -> Self {
-        static SELECTED: OnceLock<DtwEngine> = OnceLock::new();
-        *SELECTED.get_or_init(|| Self::from_env().unwrap_or_default())
-    }
-}
 
 /// Local-transition weighting of the DTW recurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -265,10 +185,10 @@ pub struct DtwResult {
 }
 
 /// Reusable DP buffers: the band-sparse accumulation matrix's row offsets
-/// and cell storage (row engine), plus the three rotating anti-diagonal
-/// buffers of the wavefront engine (which the explicit-SIMD lane sweep
-/// loads [`LANE_WIDTH`] cells at a time — plain contiguous `Vec<f64>`
-/// storage is exactly the layout the lanes want).
+/// and cell storage (the path-mode row fill), plus the three rotating
+/// anti-diagonal buffers of the wavefront (which its lane sweep loads
+/// [`LANE_WIDTH`] cells at a time — plain contiguous `Vec<f64>` storage is
+/// exactly the layout the lanes want).
 ///
 /// A [`dtw_run`] call without caller scratch allocates one internally;
 /// batch workloads (distance matrices, nearest-neighbour loops) instead
@@ -280,13 +200,13 @@ pub struct DtwResult {
 pub struct DtwScratch {
     offsets: Vec<usize>,
     data: Vec<f64>,
-    // wavefront engine: diagonals d-2, d-1 and d of the sweep, rotated by
+    // wavefront: diagonals d-2, d-1 and d of the sweep, rotated by
     // pointer swap; each holds at most min(n, m) cells
     diag_a: Vec<f64>,
     diag_b: Vec<f64>,
     diag_c: Vec<f64>,
-    // wavefront engine, non-staircase bands: suffix minimum of the row
-    // start diagonals `i + lo_i`, rebuilt per call
+    // wavefront, non-staircase bands: suffix minimum of the row start
+    // diagonals `i + lo_i`, rebuilt per call
     start_min: Vec<usize>,
 }
 
@@ -343,7 +263,8 @@ impl<'a> BandMatrix<'a> {
     }
 }
 
-/// Fills the band-sparse matrix under a kernel. With `ABANDON`, returns
+/// Path-mode row fill: fills the band-sparse matrix under a kernel, so
+/// [`traceback`] can walk it afterwards. With `ABANDON`, returns
 /// `None` as soon as a completed row's minimum (converted into reported
 /// units, which is monotone) exceeds `cutoff` — kernels guarantee costs
 /// never decrease along a path, so no path through that row can come back
@@ -427,9 +348,9 @@ fn span_read(buf: &[f64], span: (usize, usize), i: usize) -> f64 {
 }
 
 /// One scalar pass over rows `lo..hi` of diagonal `d` (span origin `a`) —
-/// the per-cell reference expression of the wavefront sweep. The lane
-/// path delegates its head/ragged-tail cells (and any span narrower than
-/// one vector) here, so scalar and lane fills share one cell definition.
+/// the per-cell expression of the wavefront sweep. The lane sweep
+/// delegates its head/ragged-tail cells (and any span narrower than one
+/// vector) here, so every cell of a diagonal has one definition.
 #[allow(clippy::too_many_arguments)]
 // private kernel of fill_wavefront
 // the index loop addresses the band rows and both sample buffers at once
@@ -460,7 +381,7 @@ fn wavefront_cells_scalar<K: DtwKernel, const ABANDON: bool>(
             continue;
         }
         let local = metric.eval(xv[i], yv[j]);
-        // the same three-way kernel expression as the row engine; arms
+        // the same three-way kernel expression as the row fill; arms
         // whose parent cannot exist (i == 0 or j == 0) drop out exactly
         // as min(x, +inf) would
         let v = if i == 0 {
@@ -493,9 +414,9 @@ fn wavefront_cells_scalar<K: DtwKernel, const ABANDON: bool>(
 /// from `d - 2`, so only three flat buffers stay alive and the inner loop
 /// over a diagonal carries no serial dependency (the shape the explicit
 /// SIMD lanes map onto directly). The per-cell expression is the row
-/// engine's verbatim, hence bit-identical values by induction over `d`.
+/// fill's verbatim, hence bit-identical values by induction over `d`.
 ///
-/// With `LANES`, the interior of each diagonal span — the rows whose
+/// The interior of each diagonal span — the rows whose
 /// three parent reads are proven inside the recorded spans of the two
 /// live diagonals, so no per-cell span check is needed — is swept
 /// [`LANE_WIDTH`] cells at a time on [`F64Lanes`] through the kernel's
@@ -504,7 +425,7 @@ fn wavefront_cells_scalar<K: DtwKernel, const ABANDON: bool>(
 /// scalar per-cell code above. Non-staircase membership is applied by
 /// mask-select (`+∞` into excluded lanes — the value the scalar path
 /// writes). Every lane executes the scalar op sequence bit-for-bit, so
-/// `LANES` never changes a single stored cell.
+/// the lanes never change a single stored cell.
 ///
 /// With `ABANDON`, abandons when neither of the two live diagonals holds
 /// a cell at or under `cutoff`: a warp path advances `i + j` by 1 or 2
@@ -519,7 +440,7 @@ fn wavefront_cells_scalar<K: DtwKernel, const ABANDON: bool>(
 /// For staircase bands (both edges non-decreasing — every classic policy)
 /// the interval is exact; otherwise a conservative interval is scanned
 /// with per-cell membership tests and out-of-band slots pinned to `+∞`.
-fn fill_wavefront<K: DtwKernel, const ABANDON: bool, const LANES: bool>(
+fn fill_wavefront<K: DtwKernel, const ABANDON: bool>(
     xv: &[f64],
     yv: &[f64],
     band: &Band,
@@ -600,7 +521,7 @@ fn fill_wavefront<K: DtwKernel, const ABANDON: bool, const LANES: bool>(
                     .min(d.saturating_sub(1))
                     .min(prev_span.1)
                     .min(prev2_span.1 + 1);
-                if LANES && lane_lo <= lane_hi && lane_hi - lane_lo + 1 >= LANE_WIDTH {
+                if lane_lo <= lane_hi && lane_hi - lane_lo + 1 >= LANE_WIDTH {
                     wavefront_cells_scalar::<K, ABANDON>(
                         xv,
                         yv,
@@ -716,142 +637,50 @@ fn fill_wavefront<K: DtwKernel, const ABANDON: bool, const LANES: bool>(
     raw
 }
 
-/// The unified banded DTW execution path, generic over the cost kernel.
+/// Name of the fill [`dtw_run`] executes, as traces record it in their
+/// `engine` field: `"rows"` when a warp path is requested (the traceback
+/// walks the row fill's matrix), `"wavefront"` otherwise.
+pub fn engine_label(compute_path: bool) -> &'static str {
+    if compute_path {
+        "rows"
+    } else {
+        "wavefront"
+    }
+}
+
+/// The banded DTW execution path, generic over the cost kernel, over raw
+/// sample slices (windows of a larger buffer need no copy).
 ///
 /// Orthogonal options, all in one call:
 ///
 /// * **kernel** — any [`DtwKernel`]; the fill loop monomorphises (no
 ///   per-cell dispatch). Config-driven callers use [`dtw_run_options`].
 /// * **`compute_path`** — trace the optimal warp path back from the
-///   corner (one extra `O(N+M)` walk).
+///   corner. Without it the lane wavefront runs; with it the row fill
+///   runs, because the traceback walk needs the whole matrix. Both fills
+///   return the same distance bits and abandon decisions.
 /// * **`cutoff`** — early abandoning: `Some(t)` returns `None` as soon as
-///   a completed row's minimum accumulated cost (in reported-distance
-///   units — conversion is monotone, so ties survive exactly) exceeds
-///   `t`, or when the final distance does. `None` never abandons.
+///   no path through the band can come in at or under `t` (in
+///   reported-distance units — conversion is monotone, so ties survive
+///   exactly), or when the final distance exceeds it. `None` never
+///   abandons.
 /// * **`scratch`** — caller-owned DP buffers; keep one per worker thread
 ///   in batch loops. Results are bit-identical regardless of reuse.
 ///
-/// The band must match the series dimensions; it is sanitised internally
-/// when infeasible, so callers may pass raw constraint-builder output.
-/// `cells_filled` counts the sanitised band's area.
+/// The slices must be non-empty and finite (a [`TimeSeries`] guarantees
+/// this by construction, and window-slicing callers inherit the guarantee
+/// from the series they slice). The band must match their lengths; it is
+/// sanitised internally when infeasible, so callers may pass raw
+/// constraint-builder output. `cells_filled` counts the sanitised band's
+/// area.
 ///
 /// # Panics
 ///
-/// Panics on dimension mismatch (programmer error).
+/// Panics on dimension mismatch or an empty slice (programmer errors).
 // The argument list IS the option set, each orthogonal by design; a config
 // struct would just re-wrap DtwOptions (see dtw_run_options for that form).
 #[allow(clippy::too_many_arguments)]
 pub fn dtw_run<K: DtwKernel>(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    metric: ElementMetric,
-    kernel: &K,
-    compute_path: bool,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_values(
-        x.values(),
-        y.values(),
-        band,
-        metric,
-        kernel,
-        compute_path,
-        cutoff,
-        scratch,
-    )
-}
-
-/// [`dtw_run`] over raw sample slices — the zero-copy entry point for
-/// callers whose inputs are windows of a larger buffer (subsequence
-/// search, streaming monitors). Semantics are identical to [`dtw_run`];
-/// the slices must be non-empty and finite (a [`TimeSeries`] guarantees
-/// this by construction — window-slicing callers inherit the guarantee
-/// from the series they slice).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or an empty slice (programmer errors).
-#[allow(clippy::too_many_arguments)] // mirror of dtw_run, see there
-pub fn dtw_run_values<K: DtwKernel>(
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    metric: ElementMetric,
-    kernel: &K,
-    compute_path: bool,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_values_with(
-        DtwEngine::selected(),
-        xv,
-        yv,
-        band,
-        metric,
-        kernel,
-        compute_path,
-        cutoff,
-        scratch,
-    )
-}
-
-/// [`dtw_run_values`] with the fill engine forced explicitly instead of
-/// resolved from [`DtwEngine::selected`] (the SIMD mode still resolves
-/// from [`SimdMode::selected`]; [`dtw_run_values_pinned`] forces both).
-///
-/// Requesting [`DtwEngine::Wavefront`] with `compute_path` set falls back
-/// to the row engine — the traceback walk needs the full accumulation
-/// matrix, which the wavefront sweep never materialises. The fallback is
-/// part of the contract (and covered by tests), not an accident.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or an empty slice (programmer errors).
-#[allow(clippy::too_many_arguments)] // mirror of dtw_run, see there
-pub fn dtw_run_values_with<K: DtwKernel>(
-    engine: DtwEngine,
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    metric: ElementMetric,
-    kernel: &K,
-    compute_path: bool,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_values_pinned(
-        engine,
-        SimdMode::selected(),
-        xv,
-        yv,
-        band,
-        metric,
-        kernel,
-        compute_path,
-        cutoff,
-        scratch,
-    )
-}
-
-/// [`dtw_run_values`] with **both** execution-shape knobs forced
-/// explicitly: the fill engine and the SIMD mode. This is the dispatch
-/// point the cross-engine/cross-mode differential harness drives — it
-/// pins `scalar` and `lanes` inside one process to prove them
-/// bit-identical; production callers go through [`dtw_run_values`] (env
-/// selection) or the core `Query` builder (per-query override).
-///
-/// The SIMD mode only affects the wavefront fill; the row engine (and the
-/// path-mode fallback onto it) has a serial inner loop and ignores it.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or an empty slice (programmer errors).
-#[allow(clippy::too_many_arguments)] // mirror of dtw_run, see there
-pub fn dtw_run_values_pinned<K: DtwKernel>(
-    engine: DtwEngine,
-    simd: SimdMode,
     xv: &[f64],
     yv: &[f64],
     band: &Band,
@@ -872,162 +701,50 @@ pub fn dtw_run_values_pinned<K: DtwKernel>(
         &sanitized
     };
 
-    if engine == DtwEngine::Wavefront && !compute_path {
-        let raw = match (cutoff, simd) {
-            (Some(t), SimdMode::Lanes) => {
-                fill_wavefront::<K, true, true>(xv, yv, band, metric, kernel, t, scratch)?
-            }
-            (Some(t), SimdMode::Scalar) => {
-                fill_wavefront::<K, true, false>(xv, yv, band, metric, kernel, t, scratch)?
-            }
-            (None, SimdMode::Lanes) => fill_wavefront::<K, false, true>(
-                xv,
-                yv,
-                band,
-                metric,
-                kernel,
-                f64::INFINITY,
-                scratch,
-            )
-            .expect("a sweep without a cutoff never abandons"),
-            (None, SimdMode::Scalar) => fill_wavefront::<K, false, false>(
-                xv,
-                yv,
-                band,
-                metric,
-                kernel,
-                f64::INFINITY,
-                scratch,
-            )
-            .expect("a sweep without a cutoff never abandons"),
-        };
-        debug_assert!(raw.is_finite(), "sanitised band must reach the corner cell");
-        let distance = kernel.normalize(raw, xv.len(), yv.len());
-        // a completed sweep can still land over the cutoff
-        if let Some(t) = cutoff {
-            if distance > t {
-                return None;
+    let mut matrix = None;
+    let raw = if compute_path {
+        let d = matrix.insert(match cutoff {
+            Some(t) => fill::<K, true>(xv, yv, band, metric, kernel, t, scratch)?,
+            None => fill::<K, false>(xv, yv, band, metric, kernel, f64::INFINITY, scratch)
+                .expect("a fill without a cutoff never abandons"),
+        });
+        d.get(band.n() - 1, band.m() - 1)
+    } else {
+        match cutoff {
+            Some(t) => fill_wavefront::<K, true>(xv, yv, band, metric, kernel, t, scratch)?,
+            None => {
+                fill_wavefront::<K, false>(xv, yv, band, metric, kernel, f64::INFINITY, scratch)
+                    .expect("a sweep without a cutoff never abandons")
             }
         }
-        return Some(DtwResult {
-            distance,
-            path: None,
-            cells_filled: band.area(),
-        });
-    }
-
-    let d = match cutoff {
-        Some(t) => fill::<K, true>(xv, yv, band, metric, kernel, t, scratch)?,
-        None => fill::<K, false>(xv, yv, band, metric, kernel, f64::INFINITY, scratch)
-            .expect("a fill without a cutoff never abandons"),
     };
-
-    let raw = d.get(band.n() - 1, band.m() - 1);
     debug_assert!(raw.is_finite(), "sanitised band must reach the corner cell");
     let distance = kernel.normalize(raw, xv.len(), yv.len());
-    // reject against the cutoff before paying for the traceback walk
-    if let Some(t) = cutoff {
-        if distance > t {
-            return None;
-        }
+    // a completed fill can still land over the cutoff; reject it before
+    // paying for the traceback walk
+    if cutoff.is_some_and(|t| distance > t) {
+        return None;
     }
-    let path = if compute_path {
-        Some(traceback(&d, xv, yv, metric, kernel))
-    } else {
-        None
-    };
     Some(DtwResult {
         distance,
-        path,
+        path: matrix.map(|d| traceback(&d, xv, yv, metric, kernel)),
         cells_filled: band.area(),
     })
 }
 
 /// [`dtw_run`] driven by serialisable [`DtwOptions`]: dispatches the
 /// options' [`KernelChoice`] to a concrete kernel once, then runs the
-/// monomorphic fill. This is the single execution path every legacy
-/// `dtw_banded*` entry point (and the `SDtw` query builder above it)
-/// resolves to.
+/// monomorphic fill. The `SDtw` query builder and every batch driver
+/// resolve to this call.
 ///
 /// Returns `None` only when `cutoff` is `Some` and the run abandoned.
 ///
 /// # Panics
 ///
-/// Panics on dimension mismatch, or on an invalid amerced penalty
-/// (negative/non-finite — both programmer errors; config-driven callers
-/// reject bad penalties earlier via [`DtwOptions::validate`]).
+/// Panics on dimension mismatch, an empty slice, or an invalid amerced
+/// penalty (negative/non-finite — all programmer errors; config-driven
+/// callers reject bad penalties earlier via [`DtwOptions::validate`]).
 pub fn dtw_run_options(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    opts: &DtwOptions,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_options_values(x.values(), y.values(), band, opts, cutoff, scratch)
-}
-
-/// [`dtw_run_options`] over raw sample slices (see [`dtw_run_values`] for
-/// the slice-input contract).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch, an empty slice, or an invalid amerced
-/// penalty (programmer errors).
-pub fn dtw_run_options_values(
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    opts: &DtwOptions,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_options_values_with(DtwEngine::selected(), xv, yv, band, opts, cutoff, scratch)
-}
-
-/// [`dtw_run_options_values`] with the fill engine forced explicitly (see
-/// [`dtw_run_values_with`] for the engine contract and the path-mode
-/// fallback). The SIMD mode still resolves from [`SimdMode::selected`];
-/// [`dtw_run_options_values_pinned`] forces both.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch, an empty slice, or an invalid amerced
-/// penalty (programmer errors).
-pub fn dtw_run_options_values_with(
-    engine: DtwEngine,
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    opts: &DtwOptions,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_options_values_pinned(
-        engine,
-        SimdMode::selected(),
-        xv,
-        yv,
-        band,
-        opts,
-        cutoff,
-        scratch,
-    )
-}
-
-/// [`dtw_run_options_values`] with both the fill engine and the SIMD mode
-/// forced explicitly (see [`dtw_run_values_pinned`] for the contract).
-/// This is the options-driven leg of the differential harness and the
-/// dispatch target of the core `Query::simd` builder knob.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch, an empty slice, or an invalid amerced
-/// penalty (programmer errors).
-#[allow(clippy::too_many_arguments)] // mirror of dtw_run, see there
-pub fn dtw_run_options_values_pinned(
-    engine: DtwEngine,
-    simd: SimdMode,
     xv: &[f64],
     yv: &[f64],
     band: &Band,
@@ -1036,9 +753,7 @@ pub fn dtw_run_options_values_pinned(
     scratch: &mut DtwScratch,
 ) -> Option<DtwResult> {
     match opts.kernel {
-        KernelChoice::Standard => dtw_run_values_pinned(
-            engine,
-            simd,
+        KernelChoice::Standard => dtw_run(
             xv,
             yv,
             band,
@@ -1048,9 +763,7 @@ pub fn dtw_run_options_values_pinned(
             cutoff,
             scratch,
         ),
-        KernelChoice::Amerced { penalty } => dtw_run_values_pinned(
-            engine,
-            simd,
+        KernelChoice::Amerced { penalty } => dtw_run(
             xv,
             yv,
             band,
@@ -1066,93 +779,15 @@ pub fn dtw_run_options_values_pinned(
 /// Computes the unconstrained (optimal-under-the-kernel) DTW distance.
 pub fn dtw_full(x: &TimeSeries, y: &TimeSeries, opts: &DtwOptions) -> DtwResult {
     let band = Band::full(x.len(), y.len());
-    let mut scratch = DtwScratch::new();
-    dtw_run_options(x, y, &band, opts, None, &mut scratch)
-        .expect("a run without a cutoff never abandons")
-}
-
-/// Computes the DTW distance restricted to a band.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` (or the `SDtw::query` builder) — the one execution path"
-)]
-pub fn dtw_banded(x: &TimeSeries, y: &TimeSeries, band: &Band, opts: &DtwOptions) -> DtwResult {
-    let mut scratch = DtwScratch::new();
-    dtw_run_options(x, y, band, opts, None, &mut scratch)
-        .expect("a run without a cutoff never abandons")
-}
-
-/// Banded DTW with caller-provided scratch buffers.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` (or the `SDtw::query` builder) — the one execution path"
-)]
-pub fn dtw_banded_with_scratch(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    opts: &DtwOptions,
-    scratch: &mut DtwScratch,
-) -> DtwResult {
-    dtw_run_options(x, y, band, opts, None, scratch).expect("a run without a cutoff never abandons")
-}
-
-/// Early-abandoning banded DTW: returns `None` as soon as no path can
-/// come in at or under `threshold`. Never produces warp paths.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` with a cutoff (or the `SDtw::query` builder)"
-)]
-pub fn dtw_banded_early_abandon(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    opts: &DtwOptions,
-    threshold: f64,
-) -> Option<DtwResult> {
-    let mut scratch = DtwScratch::new();
-    let opts = DtwOptions {
-        compute_path: false,
-        ..*opts
-    };
-    dtw_run_options(x, y, band, &opts, Some(threshold), &mut scratch)
-}
-
-/// Early-abandoning banded DTW with caller-provided scratch buffers.
-/// Never produces warp paths.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` with a cutoff (or the `SDtw::query` builder)"
-)]
-pub fn dtw_banded_early_abandon_with_scratch(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    opts: &DtwOptions,
-    threshold: f64,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    let opts = DtwOptions {
-        compute_path: false,
-        ..*opts
-    };
-    dtw_run_options(x, y, band, &opts, Some(threshold), scratch)
+    dtw_run_options(
+        x.values(),
+        y.values(),
+        &band,
+        opts,
+        None,
+        &mut DtwScratch::new(),
+    )
+    .expect("a run without a cutoff never abandons")
 }
 
 /// Walks the filled matrix from the top-right corner back to the origin,
@@ -1213,12 +848,12 @@ mod tests {
         TimeSeries::new(v.to_vec()).unwrap()
     }
 
-    /// The unified path with a fresh scratch (test shorthand).
+    /// One run with a fresh scratch (test shorthand).
     fn run(x: &TimeSeries, y: &TimeSeries, band: &Band, opts: &DtwOptions) -> DtwResult {
-        dtw_run_options(x, y, band, opts, None, &mut DtwScratch::new()).unwrap()
+        run_opt(x, y, band, opts, None).unwrap()
     }
 
-    /// The unified path with a cutoff and a fresh scratch (test shorthand).
+    /// One run with a cutoff and a fresh scratch (test shorthand).
     fn run_cutoff(
         x: &TimeSeries,
         y: &TimeSeries,
@@ -1226,7 +861,25 @@ mod tests {
         opts: &DtwOptions,
         cutoff: f64,
     ) -> Option<DtwResult> {
-        dtw_run_options(x, y, band, opts, Some(cutoff), &mut DtwScratch::new())
+        run_opt(x, y, band, opts, Some(cutoff))
+    }
+
+    /// One run with an optional cutoff and a fresh scratch.
+    fn run_opt(
+        x: &TimeSeries,
+        y: &TimeSeries,
+        band: &Band,
+        opts: &DtwOptions,
+        cutoff: Option<f64>,
+    ) -> Option<DtwResult> {
+        dtw_run_options(
+            x.values(),
+            y.values(),
+            band,
+            opts,
+            cutoff,
+            &mut DtwScratch::new(),
+        )
     }
 
     #[test]
@@ -1479,20 +1132,16 @@ mod tests {
 
     #[test]
     fn cutoff_and_path_compose() {
-        // the unified path may trace the warp path of a run that survived
-        // its cutoff — an ability no legacy entry point had
+        // a run that survived its cutoff can still trace its warp path
         let x = ts(&[0.1, 0.9, 0.4, 1.7, 1.1, 0.2]);
         let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
         let band = Band::full(6, 5);
         let opts = DtwOptions::with_path();
-        let r = dtw_run_options(&x, &y, &band, &opts, None, &mut DtwScratch::new());
-        let d = r.as_ref().unwrap().distance;
-        let kept = dtw_run_options(&x, &y, &band, &opts, Some(d), &mut DtwScratch::new())
-            .expect("threshold == distance must not abandon");
+        let d = run(&x, &y, &band, &opts).distance;
+        let kept =
+            run_cutoff(&x, &y, &band, &opts, d).expect("threshold == distance must not abandon");
         kept.path.expect("path requested").validate(6, 5).unwrap();
-        assert!(
-            dtw_run_options(&x, &y, &band, &opts, Some(d * 0.5), &mut DtwScratch::new()).is_none()
-        );
+        assert!(run_cutoff(&x, &y, &band, &opts, d * 0.5).is_none());
     }
 
     #[test]
@@ -1548,8 +1197,15 @@ mod tests {
                         DtwOptions::amerced(0.2),
                     ] {
                         let fresh = run(a, b, &band, &opts);
-                        let reused = dtw_run_options(a, b, &band, &opts, None, &mut scratch)
-                            .expect("no cutoff");
+                        let reused = dtw_run_options(
+                            a.values(),
+                            b.values(),
+                            &band,
+                            &opts,
+                            None,
+                            &mut scratch,
+                        )
+                        .expect("no cutoff");
                         assert_eq!(fresh.distance.to_bits(), reused.distance.to_bits());
                         assert_eq!(fresh.cells_filled, reused.cells_filled);
                     }
@@ -1581,8 +1237,14 @@ mod tests {
                         DtwOptions::amerced(0.1),
                     ] {
                         let fresh = run_cutoff(a, b, &band, &opts, threshold);
-                        let reused =
-                            dtw_run_options(a, b, &band, &opts, Some(threshold), &mut scratch);
+                        let reused = dtw_run_options(
+                            a.values(),
+                            b.values(),
+                            &band,
+                            &opts,
+                            Some(threshold),
+                            &mut scratch,
+                        );
                         match (fresh, reused) {
                             (None, None) => {}
                             (Some(f), Some(r)) => {
@@ -1603,65 +1265,19 @@ mod tests {
         let x = ts(&[0.1, 0.9, 0.4, 1.7, 1.1, 0.2]);
         let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
         let band = Band::full(6, 5);
-        let r = dtw_run_options(&x, &y, &band, &DtwOptions::with_path(), None, &mut scratch)
-            .expect("no cutoff");
+        let r = dtw_run_options(
+            x.values(),
+            y.values(),
+            &band,
+            &DtwOptions::with_path(),
+            None,
+            &mut scratch,
+        )
+        .expect("no cutoff");
         let p = r.path.unwrap();
         p.validate(6, 5).unwrap();
         // buffers were retained for reuse
         assert!(scratch.capacity() >= 30);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_are_bit_identical_to_the_unified_path() {
-        let series: Vec<TimeSeries> = (0..4)
-            .map(|k| {
-                ts(&(0..(24 + 11 * k))
-                    .map(|i| ((i + 5 * k) as f64 / (6 + k) as f64).sin())
-                    .collect::<Vec<_>>())
-            })
-            .collect();
-        let mut scratch = DtwScratch::new();
-        for a in &series {
-            for b in &series {
-                let band = crate::sakoe::sakoe_chiba_band(a.len(), b.len(), 0.4);
-                for opts in [DtwOptions::with_path(), DtwOptions::normalized_symmetric2()] {
-                    let new = run(a, b, &band, &opts);
-                    let old = dtw_banded(a, b, &band, &opts);
-                    assert_eq!(old.distance.to_bits(), new.distance.to_bits());
-                    assert_eq!(old.path, new.path);
-                    assert_eq!(old.cells_filled, new.cells_filled);
-                    let old_s = dtw_banded_with_scratch(a, b, &band, &opts, &mut scratch);
-                    assert_eq!(old_s.distance.to_bits(), new.distance.to_bits());
-                    for threshold in [0.2, f64::INFINITY] {
-                        // legacy abandoning variants never produce paths
-                        let plain = DtwOptions {
-                            compute_path: false,
-                            ..opts
-                        };
-                        let new_ea = run_cutoff(a, b, &band, &plain, threshold);
-                        let old_ea = dtw_banded_early_abandon(a, b, &band, &opts, threshold);
-                        let old_eas = dtw_banded_early_abandon_with_scratch(
-                            a,
-                            b,
-                            &band,
-                            &opts,
-                            threshold,
-                            &mut scratch,
-                        );
-                        assert_eq!(
-                            old_ea.as_ref().map(|r| r.distance.to_bits()),
-                            new_ea.as_ref().map(|r| r.distance.to_bits())
-                        );
-                        assert_eq!(
-                            old_eas.as_ref().map(|r| r.distance.to_bits()),
-                            new_ea.as_ref().map(|r| r.distance.to_bits())
-                        );
-                        assert!(old_ea.as_ref().is_none_or(|r| r.path.is_none()));
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1846,8 +1462,8 @@ mod tests {
         let band = Band::full(4, 3);
         let mut scratch = DtwScratch::new();
         let r = dtw_run(
-            &x,
-            &y,
+            x.values(),
+            y.values(),
             &band,
             ElementMetric::Squared,
             &Stiff,
@@ -1860,37 +1476,45 @@ mod tests {
         r.path.unwrap().validate(4, 3).unwrap();
     }
 
-    /// Engine-forced run with a fresh scratch (test shorthand).
-    fn run_with(
-        engine: DtwEngine,
+    /// Runs one configuration without and with a warp path — the lane
+    /// wavefront and the row fill — and asserts they agree bit for bit in
+    /// the abandon outcome, the distance and the cells filled; the path
+    /// must be valid. Returns the no-path outcome.
+    fn assert_fills_agree(
         x: &TimeSeries,
         y: &TimeSeries,
         band: &Band,
         opts: &DtwOptions,
         cutoff: Option<f64>,
+        scratch: &mut DtwScratch,
     ) -> Option<DtwResult> {
-        dtw_run_options_values_with(
-            engine,
-            x.values(),
-            y.values(),
-            band,
-            opts,
-            cutoff,
-            &mut DtwScratch::new(),
-        )
+        let (xv, yv) = (x.values(), y.values());
+        let plain = DtwOptions {
+            compute_path: false,
+            ..*opts
+        };
+        let traced = DtwOptions {
+            compute_path: true,
+            ..*opts
+        };
+        let wave = dtw_run_options(xv, yv, band, &plain, cutoff, scratch);
+        let rows = dtw_run_options(xv, yv, band, &traced, cutoff, scratch);
+        match (&wave, &rows) {
+            (None, None) => {}
+            (Some(w), Some(r)) => {
+                assert_eq!(w.distance.to_bits(), r.distance.to_bits());
+                assert_eq!(w.cells_filled, r.cells_filled);
+                assert!(w.path.is_none());
+                let path = r.path.as_ref().expect("path requested");
+                path.validate(xv.len(), yv.len()).unwrap();
+            }
+            (w, r) => panic!("fills disagree on abandon: {w:?} vs {r:?}"),
+        }
+        wave
     }
 
     #[test]
-    fn engine_names_parse_and_default_to_wavefront() {
-        assert_eq!(DtwEngine::parse("wavefront"), Some(DtwEngine::Wavefront));
-        assert_eq!(DtwEngine::parse(" Rows "), Some(DtwEngine::Rows));
-        assert_eq!(DtwEngine::parse(""), Some(DtwEngine::Wavefront));
-        assert_eq!(DtwEngine::parse("simd"), None);
-        assert_eq!(DtwEngine::default(), DtwEngine::Wavefront);
-    }
-
-    #[test]
-    fn wavefront_is_bit_identical_to_rows_across_mixed_shapes() {
+    fn no_path_run_is_bit_identical_to_path_mode_across_mixed_shapes() {
         let series: Vec<TimeSeries> = (0..6)
             .map(|k| {
                 ts(&(0..(15 + 8 * k))
@@ -1898,8 +1522,7 @@ mod tests {
                     .collect::<Vec<_>>())
             })
             .collect();
-        let mut wave_scratch = DtwScratch::new();
-        let mut rows_scratch = DtwScratch::new();
+        let mut scratch = DtwScratch::new();
         for a in &series {
             for b in &series {
                 for band in [
@@ -1913,32 +1536,7 @@ mod tests {
                         DtwOptions::amerced(0.15),
                     ] {
                         for cutoff in [None, Some(0.5), Some(f64::INFINITY)] {
-                            let w = dtw_run_options_values_with(
-                                DtwEngine::Wavefront,
-                                a.values(),
-                                b.values(),
-                                &band,
-                                &opts,
-                                cutoff,
-                                &mut wave_scratch,
-                            );
-                            let r = dtw_run_options_values_with(
-                                DtwEngine::Rows,
-                                a.values(),
-                                b.values(),
-                                &band,
-                                &opts,
-                                cutoff,
-                                &mut rows_scratch,
-                            );
-                            match (w, r) {
-                                (None, None) => {}
-                                (Some(w), Some(r)) => {
-                                    assert_eq!(w.distance.to_bits(), r.distance.to_bits());
-                                    assert_eq!(w.cells_filled, r.cells_filled);
-                                }
-                                (w, r) => panic!("engines disagree on abandon: {w:?} vs {r:?}"),
-                            }
+                            assert_fills_agree(a, b, &band, &opts, cutoff, &mut scratch);
                         }
                     }
                 }
@@ -1963,25 +1561,16 @@ mod tests {
         assert!(band.is_feasible() && !band.is_staircase());
         let x = ts(&[0.1, 0.9, 0.4, 1.7]);
         let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
-        let opts = DtwOptions::default();
-        let w = run_with(DtwEngine::Wavefront, &x, &y, &band, &opts, None).unwrap();
-        let r = run_with(DtwEngine::Rows, &x, &y, &band, &opts, None).unwrap();
-        assert_eq!(w.distance.to_bits(), r.distance.to_bits());
+        let mut scratch = DtwScratch::new();
+        for cutoff in [None, Some(1.0)] {
+            assert_fills_agree(&x, &y, &band, &DtwOptions::default(), cutoff, &mut scratch);
+        }
     }
 
     #[test]
-    fn wavefront_path_mode_falls_back_to_the_row_engine() {
-        // the fallback is part of the engine contract: a path request on
-        // the wavefront engine must produce the row engine's exact result
-        let x = ts(&[0.1, 0.9, 0.4, 1.7, 1.1, 0.2]);
-        let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
-        let band = crate::sakoe::sakoe_chiba_band(6, 5, 0.5);
-        let opts = DtwOptions::with_path();
-        let w = run_with(DtwEngine::Wavefront, &x, &y, &band, &opts, None).unwrap();
-        let r = run_with(DtwEngine::Rows, &x, &y, &band, &opts, None).unwrap();
-        assert_eq!(w.distance.to_bits(), r.distance.to_bits());
-        assert_eq!(w.path, r.path);
-        w.path.unwrap().validate(6, 5).unwrap();
+    fn engine_label_names_the_fill_that_runs() {
+        assert_eq!(engine_label(true), "rows");
+        assert_eq!(engine_label(false), "wavefront");
     }
 
     #[test]
@@ -1999,24 +1588,11 @@ mod tests {
         for a in &series {
             for b in &series {
                 let band = crate::sakoe::sakoe_chiba_band(a.len(), b.len(), 0.3);
+                let opts = DtwOptions::default();
                 for cutoff in [None, Some(0.8)] {
-                    let fresh = run_with(
-                        DtwEngine::Wavefront,
-                        a,
-                        b,
-                        &band,
-                        &DtwOptions::default(),
-                        cutoff,
-                    );
-                    let reused = dtw_run_options_values_with(
-                        DtwEngine::Wavefront,
-                        a.values(),
-                        b.values(),
-                        &band,
-                        &DtwOptions::default(),
-                        cutoff,
-                        &mut scratch,
-                    );
+                    let fresh = run_opt(a, b, &band, &opts, cutoff);
+                    let reused =
+                        dtw_run_options(a.values(), b.values(), &band, &opts, cutoff, &mut scratch);
                     assert_eq!(
                         fresh.as_ref().map(|r| r.distance.to_bits()),
                         reused.as_ref().map(|r| r.distance.to_bits())

@@ -57,8 +57,8 @@ use serde::{Deserialize, Serialize};
 ///   lane, the *bit-identical* result of the corresponding scalar method
 ///   on that lane's inputs. The defaults guarantee this by delegating
 ///   per-lane; an override may only reorder *across* lanes (which is what
-///   makes it vectorisable), never alter the per-lane op sequence —
-///   `SDTW_SIMD=lanes` vs `=scalar` bit-identity rests on it, and the
+///   makes it vectorisable), never alter the per-lane op sequence — the
+///   lane wavefront's bit-identity with the row fill rests on it, and the
 ///   differential harness asserts it per kernel.
 pub trait DtwKernel {
     /// Cost of the origin cell of a warp path (no parent).

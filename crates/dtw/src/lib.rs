@@ -15,8 +15,9 @@
 //!   variant of sDTW), and the **sanitiser** that makes an arbitrary raw
 //!   band feasible for the DP recurrence (bridging the gaps the paper
 //!   describes in §3.3.2) while only ever *adding* cells;
-//! * [`engine`] — banded DP fill (`O(band area)` time and memory) and warp
-//!   path traceback;
+//! * [`engine`] — the banded DP (`O(band area)` time and memory): the lane
+//!   wavefront, and the row fill plus warp-path traceback when a path is
+//!   requested;
 //! * [`path`] — warp-path representation and validity checking (the
 //!   §2.1.1 conditions);
 //! * [`sakoe`] — Sakoe-Chiba fixed core & fixed width bands;
@@ -37,15 +38,14 @@
 //!   reduced-representation family the paper calls orthogonal to sDTW;
 //! * [`simd`] — the portable explicit-SIMD lane layer: the aligned
 //!   [`simd::F64Lanes`] vector type the wavefront fill and the batched
-//!   bounds sweep with, and the [`simd::SimdMode`] selector
-//!   (`SDTW_SIMD=scalar|lanes`, bit-identical by differential test).
+//!   bounds sweep with (bit-identical to scalar references by
+//!   differential test).
 //!
-//! The execution surface is the unified [`engine::dtw_run`] /
-//! [`engine::dtw_run_options`] pair; the historical `dtw_banded*` entry
-//! points are `#[deprecated]` shims over it. (The former `search` module's
-//! pruned 1-NN scan was superseded by the `sdtw-index` cascade and has
-//! been removed; `sdtw_eval::compute_query_matrix` is the brute-force
-//! oracle the test suites compare against.)
+//! The execution surface is [`engine::dtw_run`] (generic over the
+//! kernel) and [`engine::dtw_run_options`] (driven by serialisable
+//! options), both over sample slices, plus [`engine::dtw_full`].
+//! (`sdtw_eval::compute_query_matrix` is the brute-force oracle the test
+//! suites compare retrieval against.)
 //!
 //! # Example
 //!
@@ -59,7 +59,8 @@
 //! let full = dtw_full(&x, &y, &DtwOptions::default());
 //! let band = sakoe_chiba_band(x.len(), y.len(), 0.5);
 //! let mut scratch = DtwScratch::new();
-//! let banded = dtw_run_options(&x, &y, &band, &DtwOptions::default(), None, &mut scratch)
+//! let opts = DtwOptions::default();
+//! let banded = dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
 //!     .expect("no cutoff configured");
 //! assert!(banded.distance >= full.distance); // constrained search can only do worse
 //! ```
@@ -82,22 +83,15 @@ pub use band::Band;
 pub use cascade::{
     Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-#[allow(deprecated)] // the legacy entry points stay reachable during migration
 pub use engine::{
-    dtw_banded, dtw_banded_early_abandon, dtw_banded_early_abandon_with_scratch,
-    dtw_banded_with_scratch,
-};
-pub use engine::{
-    dtw_full, dtw_run, dtw_run_options, dtw_run_options_values, dtw_run_options_values_pinned,
-    dtw_run_options_values_with, dtw_run_values, dtw_run_values_pinned, dtw_run_values_with,
-    DtwEngine, DtwOptions, DtwResult, DtwScratch, Normalization, StepPattern,
+    dtw_full, dtw_run, dtw_run_options, DtwOptions, DtwResult, DtwScratch, Normalization,
+    StepPattern,
 };
 pub use kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
 pub use lower_bound::{
-    lb_keogh, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_batch_windows_with,
-    lb_keogh_batch_with, lb_keogh_values, lb_kim, lb_kim_batch, lb_kim_batch_with, Envelope,
-    SeriesSummary, LB_LANES,
+    lb_keogh, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch,
+    Envelope, SeriesSummary, LB_LANES,
 };
 pub use multires::{dtw_multires, dtw_multires_with_scratch, MultiresScratch};
 pub use path::WarpPath;
-pub use simd::{F64Lanes, LaneMask, SimdMode, LANE_WIDTH};
+pub use simd::{F64Lanes, LaneMask, LANE_WIDTH};

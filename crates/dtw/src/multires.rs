@@ -66,7 +66,7 @@ pub fn dtw_multires_with_scratch(
     scratch: &mut MultiresScratch,
 ) -> DtwResult {
     let band = multires_band_with_scratch(x, y, radius, opts, scratch);
-    dtw_run_options(x, y, &band, opts, None, &mut scratch.dtw)
+    dtw_run_options(x.values(), y.values(), &band, opts, None, &mut scratch.dtw)
         .expect("a run without a cutoff never abandons")
 }
 
@@ -119,8 +119,8 @@ pub fn multires_band_with_scratch(
     for k in (0..levels.len()).rev() {
         let (cx, cy) = &levels[k];
         let coarse = dtw_run_options(
-            cx,
-            cy,
+            cx.values(),
+            cy.values(),
             &band,
             &DtwOptions {
                 metric: opts.metric,
@@ -321,8 +321,8 @@ mod tests {
         let yc = shrink_half(y);
         let coarse_band = reference_band(&xc, &yc, radius, opts);
         let coarse = dtw_run_options(
-            &xc,
-            &yc,
+            xc.values(),
+            yc.values(),
             &coarse_band,
             &DtwOptions {
                 metric: opts.metric,
@@ -346,9 +346,16 @@ mod tests {
             let reference = reference_band(&x, &y, radius, &opts);
             let walked = multires_band(&x, &y, radius, &opts);
             assert_eq!(reference, walked, "corridor diverged at {n}x{m} r{radius}");
-            let d_ref = dtw_run_options(&x, &y, &reference, &opts, None, &mut DtwScratch::new())
-                .unwrap()
-                .distance;
+            let d_ref = dtw_run_options(
+                x.values(),
+                y.values(),
+                &reference,
+                &opts,
+                None,
+                &mut DtwScratch::new(),
+            )
+            .unwrap()
+            .distance;
             let d_new = dtw_multires(&x, &y, radius, &opts).distance;
             assert_eq!(d_ref.to_bits(), d_new.to_bits());
         }

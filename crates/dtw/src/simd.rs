@@ -1,5 +1,4 @@
-//! Portable explicit-SIMD lane layer: a fixed-width `f64` vector type and
-//! the process-wide lane-mode selector.
+//! Portable explicit-SIMD lane layer: a fixed-width `f64` vector type.
 //!
 //! The wavefront DP fill ([`crate::engine`]) and the batched lower bounds
 //! ([`crate::lower_bound`]) restructure their hot loops around
@@ -33,13 +32,11 @@
 //!   untaken branch's expression lanewise is harmless because its result
 //!   is discarded by the select.
 //!
-//! [`SimdMode`] mirrors [`crate::engine::DtwEngine`]: `SDTW_SIMD=scalar`
-//! forces the scalar loops, `=lanes` (or unset) the explicit lanes, and
-//! the differential harness pins both modes inside one process to prove
-//! them bit-identical.
+//! The differential tests hold the lane consumers to scalar references
+//! kept outside the shipped code: a textbook dense DP for the wavefront,
+//! and the per-item bounds for the batched lower bounds.
 
-use sdtw_tseries::{ElementMetric, TsError};
-use std::sync::OnceLock;
+use sdtw_tseries::ElementMetric;
 
 /// Number of `f64` lanes in one [`F64Lanes`] vector.
 ///
@@ -250,79 +247,6 @@ pub fn lanes_eval(metric: ElementMetric, x: F64Lanes, y: F64Lanes) -> F64Lanes {
     }
 }
 
-/// Whether the hot loops run their explicit-lane or scalar form.
-///
-/// Mirrors [`crate::engine::DtwEngine`]: process-wide default from the
-/// `SDTW_SIMD` environment variable ([`SimdMode::selected`]), overridable
-/// per call via the engine's `*_pinned` entry points or the core
-/// `Query::simd` builder knob. The two modes are **bit-identical** in
-/// distances, abandon decisions and cascade counters — the differential
-/// harness pins both inside one process to prove it — so the choice is
-/// purely an execution-shape decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimdMode {
-    /// One cell / one candidate at a time (the PR 6 loops; also the
-    /// reference the lanes mode is differentially tested against).
-    Scalar,
-    /// Explicit [`F64Lanes`] sweeps with scalar tails (the default).
-    #[default]
-    Lanes,
-}
-
-impl SimdMode {
-    /// Parses a mode name (`"scalar"` / `"lanes"`, case-insensitive; the
-    /// empty string selects the default). Returns `None` for anything
-    /// else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "lanes" => Some(Self::Lanes),
-            "scalar" => Some(Self::Scalar),
-            _ => None,
-        }
-    }
-
-    /// Resolves an optional `SDTW_SIMD` value to a mode: `None` (unset)
-    /// is the default; an unparsable value is a proper
-    /// [`TsError::InvalidParameter`], never a panic. This is the pure
-    /// core of [`SimdMode::from_env`], split out so tests can exercise
-    /// the error path without mutating the process environment.
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::InvalidParameter`] on an unrecognised value.
-    pub fn from_env_value(value: Option<&str>) -> Result<Self, TsError> {
-        match value {
-            None => Ok(Self::default()),
-            Some(v) => Self::parse(v).ok_or_else(|| TsError::InvalidParameter {
-                name: "SDTW_SIMD",
-                reason: format!("must be 'scalar' or 'lanes', got '{v}'"),
-            }),
-        }
-    }
-
-    /// Reads and validates the `SDTW_SIMD` environment variable.
-    /// Front-ends (the CLI) call this once at startup so a misspelt
-    /// override surfaces as an error message instead of a panic or a
-    /// silently benchmarked default.
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::InvalidParameter`] on an unrecognised value.
-    pub fn from_env() -> Result<Self, TsError> {
-        Self::from_env_value(std::env::var("SDTW_SIMD").ok().as_deref())
-    }
-
-    /// The process-wide mode selection: `SDTW_SIMD`, read once and cached
-    /// (the CI matrix forces each value in turn); unset defaults to
-    /// [`SimdMode::Lanes`]. An invalid value also falls back to the
-    /// default here — validation lives in [`SimdMode::from_env`], which
-    /// front-ends invoke at startup to fail fast with a proper error.
-    pub fn selected() -> Self {
-        static SELECTED: OnceLock<SimdMode> = OnceLock::new();
-        *SELECTED.get_or_init(|| Self::from_env().unwrap_or_default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,32 +360,6 @@ mod tests {
                     metric.eval(x.lane(l), y.lane(l)).to_bits()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn mode_names_parse_and_default_to_lanes() {
-        assert_eq!(SimdMode::parse("lanes"), Some(SimdMode::Lanes));
-        assert_eq!(SimdMode::parse(" Scalar "), Some(SimdMode::Scalar));
-        assert_eq!(SimdMode::parse(""), Some(SimdMode::Lanes));
-        assert_eq!(SimdMode::parse("avx512"), None);
-        assert_eq!(SimdMode::default(), SimdMode::Lanes);
-    }
-
-    #[test]
-    fn from_env_value_errors_instead_of_panicking() {
-        assert_eq!(SimdMode::from_env_value(None).unwrap(), SimdMode::Lanes);
-        assert_eq!(
-            SimdMode::from_env_value(Some("scalar")).unwrap(),
-            SimdMode::Scalar
-        );
-        let err = SimdMode::from_env_value(Some("gpu")).unwrap_err();
-        match err {
-            TsError::InvalidParameter { name, reason } => {
-                assert_eq!(name, "SDTW_SIMD");
-                assert!(reason.contains("gpu"), "reason names the bad value");
-            }
-            other => panic!("wrong error kind: {other:?}"),
         }
     }
 }

@@ -11,7 +11,7 @@
 //! the worker count).
 
 use rayon::prelude::*;
-use sdtw::{DtwScratch, FeatureStore, PhaseTiming, SDtw};
+use sdtw::{engine_label, DtwScratch, FeatureStore, PhaseTiming, SDtw};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
 use sdtw_salient::SalientFeature;
 use sdtw_tseries::{TimeSeries, TsError};
@@ -343,7 +343,7 @@ fn matrix_trace(
         k,
         policy: config.policy.label(),
         kernel: config.dtw.kernel_label(),
-        engine: format!("{:?}", sdtw::DtwEngine::selected()).to_lowercase(),
+        engine: engine_label(config.dtw.compute_path).into(),
     };
     trace
 }
@@ -452,7 +452,7 @@ pub fn compute_query_matrix_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdtw::{ConstraintPolicy, SDtwConfig};
+    use sdtw::{ConstraintPolicy, DtwOptions, SDtwConfig};
     use sdtw_datasets::econ;
 
     fn small_corpus() -> Vec<TimeSeries> {
@@ -635,6 +635,30 @@ mod tests {
         // the NDJSON line round-trips
         let back = QueryTrace::from_json_line(&trace.to_json_line()).unwrap();
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn traced_matrix_names_the_fill_that_ran() {
+        // a path-mode run executes the row fill, a run without paths the
+        // lane wavefront; the trace must say which
+        let corpus = small_corpus();
+        for (compute_path, fill) in [(true, "rows"), (false, "wavefront")] {
+            let eng = SDtw::new(SDtwConfig {
+                policy: ConstraintPolicy::FullGrid,
+                dtw: DtwOptions {
+                    compute_path,
+                    ..DtwOptions::default()
+                },
+                ..SDtwConfig::default()
+            })
+            .unwrap();
+            let store = FeatureStore::new(eng.config().salient.clone()).unwrap();
+            let (_, trace) = compute_matrix_traced(&corpus, &eng, &store, false).unwrap();
+            assert_eq!(trace.shape.engine, fill, "compute_path {compute_path}");
+            let (_, trace) =
+                compute_query_matrix_traced(&corpus[..1], &corpus, &eng, &store, false).unwrap();
+            assert_eq!(trace.shape.engine, fill, "compute_path {compute_path}");
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@ use sdtw_dtw::band::Band;
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::DtwEngine;
-use sdtw_dtw::engine::Normalization;
+use sdtw_dtw::engine::{engine_label, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch, lb_kim_batch, Envelope, SeriesSummary, LB_LANES};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
 use sdtw_salient::SalientFeature;
@@ -394,7 +393,8 @@ impl SdtwIndex {
             k: k as u64,
             policy: self.config.sdtw.policy.label(),
             kernel: self.config.sdtw.dtw.kernel_label(),
-            engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+            // candidates run without a warp path
+            engine: engine_label(false).into(),
         };
         trace.counters.cascade = result.stats;
         trace.counters.passes = 1;
@@ -923,36 +923,6 @@ impl SdtwIndex {
             engine,
             entries,
         })
-    }
-
-    /// Serialises the index to JSON (configuration + entries; the engine
-    /// is rebuilt on load).
-    ///
-    /// # Errors
-    ///
-    /// Serialisation failures (propagated from the serde layer).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SnapshotCodec::encode` (JSON or the binary columnar v2 format)"
-    )]
-    pub fn to_json(&self) -> Result<String, TsError> {
-        self.encode_json()
-    }
-
-    /// Loads an index from a JSON snapshot, revalidating the
-    /// configuration and the per-entry structural invariants (see
-    /// [`crate::SnapshotCodec`] for the shared validation contract).
-    ///
-    /// # Errors
-    ///
-    /// Parse failures, configuration validation failures, or corrupted
-    /// entries.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SnapshotCodec::decode`, which auto-detects JSON and binary snapshots"
-    )]
-    pub fn from_json(json: &str) -> Result<Self, TsError> {
-        Self::decode_json(json)
     }
 }
 

@@ -9,7 +9,7 @@ use sdtw_datasets::{econ, UcrAnalog};
 use sdtw_eval::compute_query_matrix;
 use sdtw_index::{IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat};
 use sdtw_tseries::transform::z_normalize;
-use sdtw_tseries::TimeSeries;
+use sdtw_tseries::{TimeSeries, TsError};
 
 /// Three seeded corpora with held-out queries: (name, corpus, queries).
 fn seeded_datasets() -> Vec<(&'static str, Vec<TimeSeries>, Vec<TimeSeries>)> {
@@ -243,13 +243,23 @@ fn batch_queries_are_bit_identical_serial_and_parallel() {
     }
 }
 
+/// The index's JSON snapshot, as text.
+fn json_snapshot(index: &SdtwIndex) -> String {
+    let bytes = SnapshotCodec::encode(index, SnapshotFormat::Json).unwrap();
+    String::from_utf8(bytes).expect("JSON snapshots are UTF-8")
+}
+
+/// Loads a JSON snapshot from its text.
+fn load_json(json: &str) -> Result<SdtwIndex, TsError> {
+    SnapshotCodec::decode(json.as_bytes())
+}
+
 #[test]
-#[allow(deprecated)] // the JSON shims must keep working until removed
 fn json_snapshot_roundtrips_to_identical_results() {
     let (_, corpus, queries) = seeded_datasets().remove(0);
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let json = index.to_json().unwrap();
-    let loaded = SdtwIndex::from_json(&json).unwrap();
+    let json = json_snapshot(&index);
+    let loaded = load_json(&json).unwrap();
     assert_eq!(index.len(), loaded.len());
     for query in &queries {
         let a = index.query(query, 4).unwrap();
@@ -329,27 +339,25 @@ fn corrupted_binary_snapshot_is_rejected() {
 }
 
 #[test]
-#[allow(deprecated)] // the JSON shims must keep working until removed
 fn corrupted_snapshot_is_rejected() {
     let corpus = econ::generate(3, 2, 2).series;
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let json = index.to_json().unwrap();
-    assert!(SdtwIndex::from_json("not json").is_err());
+    let json = json_snapshot(&index);
+    assert!(load_json("not json").is_err());
     // tamper with the envelope radius so the dimension check trips
     let tampered = json.replace("\"radius\":", "\"radius\": 9");
     if tampered != json {
-        assert!(SdtwIndex::from_json(&tampered).is_err());
+        assert!(load_json(&tampered).is_err());
     }
 }
 
 #[test]
-#[allow(deprecated)] // the JSON shims must keep working until removed
 fn snapshot_with_out_of_range_features_is_rejected() {
     // adaptive mode caches salient features; a feature whose scope
     // escapes its series must fail the load-time structural check
     let corpus = UcrAnalog::Gun.generate(5).series[..6].to_vec();
     let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
-    let json = index.to_json().unwrap();
+    let json = json_snapshot(&index);
     let key = "\"scope_end\":";
     let pos = json.find(key).expect("adaptive snapshot stores features");
     let digits_start = pos + key.len();
@@ -361,9 +369,9 @@ fn snapshot_with_out_of_range_features_is_rejected() {
         &json[..pos],
         &json[digits_start + digits_len..]
     );
-    assert!(SdtwIndex::from_json(&tampered).is_err());
+    assert!(load_json(&tampered).is_err());
     // untampered snapshot still loads
-    assert!(SdtwIndex::from_json(&json).is_ok());
+    assert!(load_json(&json).is_ok());
 }
 
 #[test]

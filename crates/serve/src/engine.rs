@@ -4,7 +4,7 @@
 use crate::protocol::{RequestOp, ServeHit, ServeRequest, ServeResponse};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use sdtw_dtw::engine::{DtwEngine, DtwScratch};
+use sdtw_dtw::engine::{engine_label, DtwScratch};
 use sdtw_index::{SdtwIndex, SnapshotCodec};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
 use sdtw_stream::{StreamConfig, SubseqMatcher};
@@ -272,7 +272,8 @@ impl ServeEngine {
                 k: k as u64,
                 policy: self.stream_cfg.sdtw.policy.label(),
                 kernel: self.stream_cfg.sdtw.dtw.kernel_label(),
-                engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+                // entry sweeps run without a warp path
+                engine: engine_label(false).into(),
             };
             t
         });

@@ -8,7 +8,7 @@ use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::{DtwEngine, Normalization};
+use sdtw_dtw::engine::{engine_label, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
@@ -675,7 +675,8 @@ impl SubseqMatcher {
             k,
             policy: self.config.sdtw.policy.label(),
             kernel: self.config.sdtw.dtw.kernel_label(),
-            engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+            // windows run without a warp path
+            engine: engine_label(false).into(),
         }
     }
 

@@ -45,9 +45,9 @@ pub use sdtw as core;
 /// Most-used types, one import away.
 ///
 /// This is the blessed public surface: distance computation flows through
-/// the [`core::SDtw::query`] builder ([`core::query::Query`]); the
-/// deprecated `distance*` / `dtw_banded*` shims are reachable through
-/// their crates but deliberately kept out of the prelude.
+/// the [`core::SDtw::query`] builder ([`core::query::Query`]), and raw
+/// banded DTW through [`dtw::engine::dtw_run`] /
+/// [`dtw::engine::dtw_run_options`] over sample slices.
 /// `tests/api_surface.rs` snapshots the item list below — extend it
 /// consciously.
 pub mod prelude {
@@ -57,14 +57,14 @@ pub mod prelude {
     };
     pub use sdtw_datasets::{Dataset, UcrAnalog};
     pub use sdtw_dtw::engine::{
-        dtw_full, dtw_run, dtw_run_options, DtwEngine, DtwOptions, Normalization, StepPattern,
+        dtw_full, dtw_run, dtw_run_options, DtwOptions, Normalization, StepPattern,
     };
     pub use sdtw_dtw::kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
     pub use sdtw_dtw::lower_bound::{
         lb_keogh, lb_keogh_batch, lb_keogh_batch_windows, lb_kim, lb_kim_batch, Envelope,
         SeriesSummary, LB_LANES,
     };
-    pub use sdtw_dtw::simd::{F64Lanes, SimdMode, LANE_WIDTH};
+    pub use sdtw_dtw::simd::{F64Lanes, LANE_WIDTH};
     pub use sdtw_dtw::{Band, WarpPath};
     pub use sdtw_eval::{
         compute_matrix, compute_matrix_traced, compute_query_matrix, compute_query_matrix_traced,

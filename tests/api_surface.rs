@@ -19,7 +19,6 @@ const EXPECTED: &[&str] = &[
     "ConstraintPolicy",
     "Dataset",
     "DistanceMatrix",
-    "DtwEngine",
     "DtwKernel",
     "DtwOptions",
     "DtwScratch",
@@ -53,7 +52,6 @@ const EXPECTED: &[&str] = &[
     "ServeHit",
     "ServeRequest",
     "ServeResponse",
-    "SimdMode",
     "SnapshotCodec",
     "SnapshotFormat",
     "SpanRecord",
@@ -183,7 +181,6 @@ fn snapshot_items_actually_resolve() {
     let _ = prelude::compute_query_matrix;
     let _ = prelude::compute_matrix_traced;
     let _ = prelude::compute_query_matrix_traced;
-    assert_type::<prelude::DtwEngine>();
     assert_type::<prelude::QueryTrace>();
     assert_type::<prelude::Recorder>();
     assert_type::<prelude::SpanRecord>();
@@ -195,7 +192,6 @@ fn snapshot_items_actually_resolve() {
     let _ = prelude::lb_kim_batch;
     let _: usize = prelude::LB_LANES;
     assert_type::<prelude::F64Lanes>();
-    assert_type::<prelude::SimdMode>();
     let _: usize = prelude::LANE_WIDTH;
     // the DtwKernel trait is usable through the prelude
     fn _takes_kernel<K: prelude::DtwKernel>(_k: &K) {}

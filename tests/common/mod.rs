@@ -9,6 +9,9 @@
 // uses a subset of the helpers.
 #![allow(dead_code)]
 
+use sdtw_suite::dtw::engine::{dtw_run_options, DtwOptions, DtwResult, DtwScratch};
+use sdtw_suite::dtw::{AmercedKernel, Band, DtwKernel, KernelChoice, StandardKernel};
+
 /// Tiny deterministic generator (SplitMix64).
 pub struct TestRng {
     state: u64,
@@ -72,4 +75,144 @@ pub fn structured_series(rng: &mut TestRng) -> sdtw_suite::tseries::TimeSeries {
         }
     }
     sdtw_suite::tseries::TimeSeries::new(values).expect("finite")
+}
+
+/// The kernel `opts` selects, built as `dtw_run_options` builds it.
+fn kernel_of(opts: &DtwOptions) -> Box<dyn DtwKernel> {
+    match opts.kernel {
+        KernelChoice::Standard => {
+            Box::new(StandardKernel::new(opts.step_pattern, opts.normalization))
+        }
+        KernelChoice::Amerced { penalty } => {
+            Box::new(AmercedKernel::new(penalty, opts.normalization))
+        }
+    }
+}
+
+/// Textbook banded DTW under `opts`: a dense `n × m` matrix of `+∞`,
+/// filled row by row over the sanitised band, every cell by the kernel's
+/// three-way expression (out-of-band and out-of-grid parents read `+∞`).
+/// It shares no code with the shipped fills, which the differential tests
+/// hold to it bit for bit. Returns the distance in reported units and the
+/// number of cells filled.
+pub fn textbook_dtw(x: &[f64], y: &[f64], band: &Band, opts: &DtwOptions) -> (f64, usize) {
+    let band = if band.is_feasible() {
+        band.clone()
+    } else {
+        band.sanitize()
+    };
+    let kernel = kernel_of(opts);
+    let (n, m) = (x.len(), y.len());
+    let mut d = vec![f64::INFINITY; n * m];
+    let mut cells = 0;
+    for i in 0..n {
+        let row = band.row(i);
+        for j in row.lo..=row.hi {
+            let local = opts.metric.eval(x[i], y[j]);
+            let parent = |di: usize, dj: usize| {
+                if i >= di && j >= dj {
+                    d[(i - di) * m + j - dj]
+                } else {
+                    f64::INFINITY
+                }
+            };
+            d[i * m + j] = if i == 0 && j == 0 {
+                kernel.start(local)
+            } else {
+                kernel
+                    .up(parent(1, 0), local)
+                    .min(kernel.left(parent(0, 1), local))
+                    .min(kernel.diagonal(parent(1, 1), local))
+            };
+            cells += 1;
+        }
+    }
+    (kernel.normalize(d[n * m - 1], n, m), cells)
+}
+
+/// The cost a warp path pays under `opts`' kernel, replayed step by step
+/// (`start` at the origin, then the transition each step takes) and
+/// reported in distance units. A traceback follows, per cell, the parent
+/// the fill's minimum came from, so the replay reproduces the distance
+/// bit for bit.
+pub fn path_cost(x: &[f64], y: &[f64], steps: &[(usize, usize)], opts: &DtwOptions) -> f64 {
+    let kernel = kernel_of(opts);
+    let (i0, j0) = steps[0];
+    let mut acc = kernel.start(opts.metric.eval(x[i0], y[j0]));
+    for w in steps.windows(2) {
+        let ((pi, pj), (i, j)) = (w[0], w[1]);
+        let local = opts.metric.eval(x[i], y[j]);
+        acc = match (i > pi, j > pj) {
+            (true, true) => kernel.diagonal(acc, local),
+            (true, false) => kernel.up(acc, local),
+            _ => kernel.left(acc, local),
+        };
+    }
+    kernel.normalize(acc, x.len(), y.len())
+}
+
+/// Runs one configuration without and with a warp path and asserts that
+/// both runs agree with the textbook DP bit for bit: abandon outcome,
+/// distance and cells filled. The path must be valid and pay the
+/// distance. Returns the path-mode outcome.
+pub fn assert_runs_agree(
+    xv: &[f64],
+    yv: &[f64],
+    band: &Band,
+    opts: &DtwOptions,
+    cutoff: Option<f64>,
+    label: &str,
+) -> Option<DtwResult> {
+    let (want, want_cells) = textbook_dtw(xv, yv, band, opts);
+    let survives = cutoff.is_none_or(|t| want <= t);
+    let mut scratch = DtwScratch::new();
+    let mut path_run = None;
+    for compute_path in [false, true] {
+        let opts = DtwOptions {
+            compute_path,
+            ..*opts
+        };
+        let got = dtw_run_options(xv, yv, band, &opts, cutoff, &mut scratch);
+        let mode = if compute_path { "path" } else { "no-path" };
+        let Some(r) = got else {
+            assert!(
+                !survives,
+                "{mode} run abandoned [{label}] although the textbook distance {want} \
+                 is within the cutoff {cutoff:?}"
+            );
+            continue;
+        };
+        assert!(
+            survives,
+            "{mode} run survived [{label}] although the textbook distance {want} \
+             exceeds the cutoff {cutoff:?}"
+        );
+        assert_eq!(
+            r.distance.to_bits(),
+            want.to_bits(),
+            "distance diverged [{label}]: {mode} {} vs textbook {want}",
+            r.distance
+        );
+        assert_eq!(
+            r.cells_filled, want_cells,
+            "cell accounting diverged [{label}]: {mode}"
+        );
+        match &r.path {
+            None => assert!(!compute_path, "path requested [{label}]"),
+            Some(path) => {
+                assert!(compute_path, "no path requested [{label}]");
+                path.validate(xv.len(), yv.len())
+                    .unwrap_or_else(|e| panic!("invalid path [{label}]: {e}"));
+                assert_eq!(
+                    path_cost(xv, yv, path.steps(), &opts).to_bits(),
+                    want.to_bits(),
+                    "the path does not pay the distance [{label}]"
+                );
+            }
+        }
+        if compute_path {
+            path_run = Some(r);
+        }
+    }
+    path_run
 }

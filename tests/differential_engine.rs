@@ -1,12 +1,14 @@
-//! Differential harness: the wavefront (anti-diagonal) DP engine against
-//! the row-sequential reference — and, orthogonally, the explicit-SIMD
-//! lane sweep against the scalar cell loop — over a seeded grid of
-//! kernels × band families × path/cutoff modes. Every engine × SIMD-mode
-//! combination must agree **bit for bit** — distances, cells filled,
-//! warp paths, and early-abandon decisions — because every per-cell
-//! expression is shared; any drift here is an indexing bug in the
-//! diagonal sweep (or a lane-interior bound error), never a tolerance
-//! question.
+//! Differential harness: the shipped banded DP against a textbook dense
+//! DP (`common::textbook_dtw`) over a seeded grid of kernels × band
+//! families × cutoffs. Each configuration runs twice — without a warp
+//! path (the lane wavefront) and with one (the row fill plus traceback) —
+//! and both runs must agree with the textbook **bit for bit**: distance,
+//! cells filled, and the early-abandon outcome (`None` exactly when the
+//! textbook distance exceeds the cutoff). Every fill evaluates the same
+//! per-cell kernel expression, so any drift here is an indexing bug in
+//! the diagonal sweep (or a lane-interior bound error), never a tolerance
+//! question. Path runs must also return a valid warp path that pays the
+//! reported distance.
 //!
 //! The same harness drives the edge cases: degenerate lengths, bands
 //! wider than the grid, all-equal series (maximal tie-path ambiguity),
@@ -14,80 +16,15 @@
 
 mod common;
 
-use common::{structured_series, TestRng};
+use common::{assert_runs_agree, structured_series, TestRng};
 use sdtw_suite::core::{ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::dtw::band::ColRange;
-use sdtw_suite::dtw::engine::{
-    dtw_run_options_values_pinned, DtwEngine, DtwOptions, DtwResult, DtwScratch, Normalization,
-    StepPattern,
-};
+use sdtw_suite::dtw::engine::{DtwOptions, Normalization, StepPattern};
 use sdtw_suite::dtw::itakura::itakura_band;
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
-use sdtw_suite::dtw::simd::SimdMode;
 use sdtw_suite::dtw::{Band, KernelChoice};
 use sdtw_suite::salient::extract_features;
 use sdtw_suite::tseries::{TimeSeries, TsError};
-
-/// Every engine × SIMD-mode combination the grid pins. The row engine
-/// ignores the SIMD mode by contract, so running it under both modes
-/// doubles as a regression check of exactly that.
-const COMBOS: [(&str, DtwEngine, SimdMode); 4] = [
-    ("wavefront/lanes", DtwEngine::Wavefront, SimdMode::Lanes),
-    ("wavefront/scalar", DtwEngine::Wavefront, SimdMode::Scalar),
-    ("rows/lanes", DtwEngine::Rows, SimdMode::Lanes),
-    ("rows/scalar", DtwEngine::Rows, SimdMode::Scalar),
-];
-
-/// Runs one configuration under every engine × SIMD-mode combination and
-/// asserts bit-identity of every observable: abandon decision, distance
-/// bits, cells filled, and the warp path (when traced). Returns the
-/// wavefront/lanes outcome.
-fn assert_engines_agree(
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    opts: &DtwOptions,
-    cutoff: Option<f64>,
-    label: &str,
-) -> Option<DtwResult> {
-    let mut scratch = DtwScratch::new();
-    let mut results: Vec<(&str, Option<DtwResult>)> = Vec::with_capacity(COMBOS.len());
-    for (name, engine, simd) in COMBOS {
-        results.push((
-            name,
-            dtw_run_options_values_pinned(engine, simd, xv, yv, band, opts, cutoff, &mut scratch),
-        ));
-    }
-    let (ref_name, reference) = &results[0];
-    for (name, got) in &results[1..] {
-        match (reference, got) {
-            (None, None) => {}
-            (Some(w), Some(r)) => {
-                assert_eq!(
-                    w.distance.to_bits(),
-                    r.distance.to_bits(),
-                    "distance diverged [{label}]: {ref_name} {} vs {name} {}",
-                    w.distance,
-                    r.distance
-                );
-                assert_eq!(
-                    w.cells_filled, r.cells_filled,
-                    "cell accounting diverged [{label}]: {ref_name} vs {name}"
-                );
-                assert_eq!(
-                    w.path, r.path,
-                    "warp path diverged [{label}]: {ref_name} vs {name}"
-                );
-            }
-            _ => panic!(
-                "abandon decisions diverged [{label}]: {ref_name} {:?} vs {name} {:?}",
-                reference.as_ref().map(|r| r.distance),
-                got.as_ref().map(|r| r.distance)
-            ),
-        }
-    }
-    results.swap_remove(0).1
-}
 
 /// The three kernels the grid sweeps: standard symmetric1 (the paper's
 /// recurrence), standard symmetric2 with the conventional normalisation,
@@ -138,37 +75,28 @@ fn wavefront_matches_rows_across_the_seeded_grid() {
         ];
         for (bname, band) in &bands {
             for (kname, opts) in kernel_grid() {
-                for compute_path in [false, true] {
-                    let opts = DtwOptions {
-                        compute_path,
-                        ..opts
-                    };
-                    let label =
-                        format!("pair {pair} band {bname} kernel {kname} path {compute_path}");
-                    // no cutoff first — its distance seeds the cutoff cases
-                    let full = assert_engines_agree(xv, yv, band, &opts, None, &label)
-                        .expect("no cutoff cannot abandon");
-                    // a generous cutoff (survives, including the tie) and a
-                    // tight one (must abandon): both decisions must agree
-                    for (cname, cutoff) in [
-                        ("loose", full.distance * 1.5 + 1.0),
-                        ("tie", full.distance),
-                        ("tight", full.distance * 0.5 - 1e-9),
-                    ] {
-                        let outcome = assert_engines_agree(
-                            xv,
-                            yv,
-                            band,
-                            &opts,
-                            Some(cutoff),
-                            &format!("{label} cutoff {cname}"),
-                        );
-                        match cname {
-                            "tight" => assert!(outcome.is_none(), "tight cutoff must abandon"),
-                            _ => {
-                                assert!(outcome.is_some(), "cutoff at/above the distance survives")
-                            }
-                        }
+                let label = format!("pair {pair} band {bname} kernel {kname}");
+                // no cutoff first — its distance seeds the cutoff cases
+                let full = assert_runs_agree(xv, yv, band, &opts, None, &label)
+                    .expect("no cutoff cannot abandon");
+                // a generous cutoff (survives, including the tie) and a
+                // tight one (must abandon): both decisions must agree
+                for (cname, cutoff) in [
+                    ("loose", full.distance * 1.5 + 1.0),
+                    ("tie", full.distance),
+                    ("tight", full.distance * 0.5 - 1e-9),
+                ] {
+                    let outcome = assert_runs_agree(
+                        xv,
+                        yv,
+                        band,
+                        &opts,
+                        Some(cutoff),
+                        &format!("{label} cutoff {cname}"),
+                    );
+                    match cname {
+                        "tight" => assert!(outcome.is_none(), "tight cutoff must abandon"),
+                        _ => assert!(outcome.is_some(), "cutoff at/above the distance survives"),
                     }
                 }
             }
@@ -190,17 +118,18 @@ fn degenerate_lengths_agree_and_empty_inputs_are_rejected() {
     ] {
         let band = Band::full(xv.len(), yv.len());
         for (kname, opts) in kernel_grid() {
-            assert_engines_agree(&xv, &yv, &band, &opts, None, &format!("degenerate {kname}"));
+            assert_runs_agree(&xv, &yv, &band, &opts, None, &format!("degenerate {kname}"));
         }
     }
-    // empty input never reaches either engine: the series type rejects it
+    // empty input never reaches either fill: the series type rejects it,
+    // and so does the window query, with or without a path
     assert!(matches!(TimeSeries::new(vec![]), Err(TsError::Empty)));
     let engine = SDtw::new(SDtwConfig::default()).unwrap();
-    for dp in [DtwEngine::Wavefront, DtwEngine::Rows] {
-        let err = engine.query_window(&[], &[1.0]).dp_engine(dp).run();
+    for compute_path in [false, true] {
+        let err = engine.query_window(&[], &[1.0]).path(compute_path).run();
         assert!(
             matches!(err, Err(TsError::Empty)),
-            "{dp:?} must reject empty windows"
+            "path {compute_path}: empty windows must be rejected"
         );
     }
 }
@@ -213,13 +142,7 @@ fn bands_wider_than_the_grid_clamp_identically() {
     let band = sakoe_chiba_band(x.len(), y.len(), 5.0);
     assert_eq!(band.area(), Band::full(x.len(), y.len()).area());
     for (kname, opts) in kernel_grid() {
-        for compute_path in [false, true] {
-            let opts = DtwOptions {
-                compute_path,
-                ..opts
-            };
-            assert_engines_agree(&x, &y, &band, &opts, None, &format!("overwide {kname}"));
-        }
+        assert_runs_agree(&x, &y, &band, &opts, None, &format!("overwide {kname}"));
     }
 }
 
@@ -227,22 +150,16 @@ fn bands_wider_than_the_grid_clamp_identically() {
 fn all_equal_series_resolve_ties_identically() {
     // every cell costs 0 (squared metric): the DP is one giant tie and
     // the traceback's deterministic preference order is all that picks
-    // the path — both engines must report the same one (path mode
-    // dispatches to the row engine by design, so this pins the fallback)
+    // the path — it must still be valid and pay the distance
     let x = vec![3.0; 20];
     let y = vec![3.0; 25];
     let band = Band::full(x.len(), y.len());
     for (kname, opts) in kernel_grid() {
-        let opts = DtwOptions {
-            compute_path: true,
-            ..opts
-        };
-        let r = assert_engines_agree(&x, &y, &band, &opts, None, &format!("ties {kname}"))
+        let r = assert_runs_agree(&x, &y, &band, &opts, None, &format!("ties {kname}"))
             .expect("no cutoff");
         let path = r.path.expect("path requested");
         // amerced pays a penalty per off-diagonal step, so only the
-        // standard kernels yield exactly 0 here; ties still resolve the
-        // same way in both engines either way
+        // standard kernels yield exactly 0 here
         if !matches!(opts.kernel, KernelChoice::Amerced { .. }) {
             assert_eq!(r.distance.to_bits(), 0f64.to_bits(), "{kname}");
         }
@@ -256,7 +173,7 @@ fn non_staircase_bands_agree() {
     // a feasible band whose per-row spans regress (row 1 starts after
     // row 2) — the wavefront cannot use tight two-pointer spans and must
     // fall back to its conservative diagonal cover with per-cell
-    // membership checks; results still match the row engine exactly
+    // membership checks; results still match the textbook exactly
     let x: Vec<f64> = (0..4).map(|i| i as f64).collect();
     let y: Vec<f64> = (0..5).map(|i| (i as f64) * 0.5).collect();
     let band = Band::from_ranges(
@@ -272,7 +189,7 @@ fn non_staircase_bands_agree() {
     assert!(band.is_feasible(), "the test band must be DP-feasible");
     for (kname, opts) in kernel_grid() {
         for cutoff in [None, Some(1.0), Some(1e9)] {
-            assert_engines_agree(
+            assert_runs_agree(
                 &x,
                 &y,
                 &band,
@@ -295,36 +212,4 @@ fn non_finite_inputs_never_reach_the_engines() {
             "series construction must reject {bad}"
         );
     }
-}
-
-#[test]
-fn env_selection_and_explicit_override_agree() {
-    // whatever SDTW_ENGINE says for this process, pinning the engine
-    // explicitly must reproduce it bit for bit when it names the same
-    // engine — and the two pins must agree with each other regardless
-    let engine = SDtw::new(SDtwConfig::default()).unwrap();
-    let x = TimeSeries::new((0..60).map(|i| (i as f64 / 6.0).sin()).collect()).unwrap();
-    let y = TimeSeries::new((0..55).map(|i| (i as f64 / 5.0).cos()).collect()).unwrap();
-    let ambient = engine.query(&x, &y).run().unwrap().unwrap();
-    let selected = engine
-        .query(&x, &y)
-        .dp_engine(DtwEngine::selected())
-        .run()
-        .unwrap()
-        .unwrap();
-    assert_eq!(ambient.distance.to_bits(), selected.distance.to_bits());
-    let wave = engine
-        .query(&x, &y)
-        .dp_engine(DtwEngine::Wavefront)
-        .run()
-        .unwrap()
-        .unwrap();
-    let rows = engine
-        .query(&x, &y)
-        .dp_engine(DtwEngine::Rows)
-        .run()
-        .unwrap()
-        .unwrap();
-    assert_eq!(wave.distance.to_bits(), rows.distance.to_bits());
-    assert_eq!(wave.cells_filled, rows.cells_filled);
 }

@@ -68,8 +68,8 @@ fn sdtw_band_intersected_with_corridor_is_cheaper_than_either() {
     // the combined band still completes and upper-bounds the optimum
     let exact = dtw_full(&x, &y, &opts).distance;
     let combined_result = sdtw_suite::dtw::engine::dtw_run_options(
-        &x,
-        &y,
+        x.values(),
+        y.values(),
         &combined,
         &opts,
         None,

@@ -10,11 +10,18 @@ use sdtw_suite::dtw::itakura::itakura_band;
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
 use sdtw_suite::prelude::*;
 
-/// Unified-path shorthand: banded run to completion with a fresh scratch.
-fn dtw_banded_run(x: &TimeSeries, y: &TimeSeries, band: &Band, opts: &DtwOptions) -> f64 {
-    dtw_run_options(x, y, band, opts, None, &mut DtwScratch::new())
-        .expect("no cutoff configured")
-        .distance
+/// Shorthand: banded run to completion with a fresh scratch.
+fn banded_distance(x: &TimeSeries, y: &TimeSeries, band: &Band, opts: &DtwOptions) -> f64 {
+    dtw_run_options(
+        x.values(),
+        y.values(),
+        band,
+        opts,
+        None,
+        &mut DtwScratch::new(),
+    )
+    .expect("no cutoff configured")
+    .distance
 }
 
 /// A random (possibly infeasible) band over an `n × m` grid.
@@ -74,15 +81,15 @@ fn every_band_family_upper_bounds_exact_dtw() {
         let checks: [(&str, f64); 4] = [
             (
                 "sakoe",
-                dtw_banded_run(&x, &y, &sakoe_chiba_band(x.len(), y.len(), 0.2), &opts),
+                banded_distance(&x, &y, &sakoe_chiba_band(x.len(), y.len(), 0.2), &opts),
             ),
             (
                 "itakura",
-                dtw_banded_run(&x, &y, &itakura_band(x.len(), y.len(), 2.0), &opts),
+                banded_distance(&x, &y, &itakura_band(x.len(), y.len(), 2.0), &opts),
             ),
             (
                 "random-band",
-                dtw_banded_run(&x, &y, &random_band(&mut rng, x.len(), y.len()), &opts),
+                banded_distance(&x, &y, &random_band(&mut rng, x.len(), y.len()), &opts),
             ),
             (
                 "sdtw",
@@ -112,7 +119,7 @@ fn full_width_sakoe_equals_full_dtw() {
         let y = random_series(&mut rng);
         let full = dtw_full(&x, &y, &opts).distance;
         let band = sakoe_chiba_band(x.len(), y.len(), 1.0);
-        let banded = dtw_banded_run(&x, &y, &band, &opts);
+        let banded = banded_distance(&x, &y, &band, &opts);
         assert!(
             (full - banded).abs() < 1e-12,
             "case {case}: {banded} vs {full}"

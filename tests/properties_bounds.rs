@@ -12,7 +12,7 @@
 mod common;
 
 use common::{random_series, structured_series, TestRng};
-use sdtw_suite::dtw::engine::{dtw_run_options_values, DtwOptions, DtwScratch};
+use sdtw_suite::dtw::engine::{dtw_run_options, DtwOptions, DtwScratch};
 use sdtw_suite::dtw::lower_bound::{
     lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch, Envelope,
     SeriesSummary, LB_LANES,
@@ -147,7 +147,7 @@ fn bounds_stay_admissible_on_seeded_pairs() {
                 b.sanitize()
             }
         };
-        let dtw = dtw_run_options_values(x.values(), y.values(), &band, &opts, None, &mut scratch)
+        let dtw = dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
             .expect("no cutoff")
             .distance;
 

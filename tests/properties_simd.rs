@@ -1,84 +1,29 @@
-//! Property tests for the explicit-SIMD lane layer: the scalar cell loop
-//! and the lane sweep must be **bit-identical** in every observable —
-//! distances, cells filled, early-abandon decisions, batched lower
-//! bounds, and the index cascade's pruning counters. The sweep here
-//! complements `differential_engine.rs` (which crosses the SIMD axis
-//! with the engine axis over structured pairs) with the shapes that
-//! stress the lane decomposition specifically: series shorter than one
-//! lane, ragged-tail diagonal spans, membership-masked non-staircase
-//! bands, and the batched bounds' remainder handling.
+//! Property tests for the explicit-SIMD lane layer: the lane wavefront
+//! (a run without a warp path), the row fill (a run with one) and the
+//! textbook dense DP must be **bit-identical** in distances, cells filled
+//! and early-abandon decisions, and the batched lower bounds must match
+//! their per-item scalar references bit for bit. The sweep here
+//! complements `differential_engine.rs` (structured pairs over salient,
+//! Sakoe and Itakura bands) with the shapes that stress the lane
+//! decomposition specifically: series shorter than one lane, ragged-tail
+//! diagonal spans, membership-masked non-staircase bands, and the batched
+//! bounds' remainder handling. The lanes only vectorise in optimised
+//! builds, so this file also runs under `--release`.
 
 mod common;
 
-use common::{random_series, structured_series, TestRng};
+use common::{assert_runs_agree, random_series, structured_series, textbook_dtw, TestRng};
 use sdtw_suite::dtw::band::ColRange;
-use sdtw_suite::dtw::engine::{
-    dtw_run_options_values_pinned, DtwEngine, DtwOptions, DtwScratch, Normalization, StepPattern,
-};
+use sdtw_suite::dtw::engine::{DtwOptions, Normalization, StepPattern};
 use sdtw_suite::dtw::lower_bound::{
-    lb_keogh_batch_windows_with, lb_keogh_batch_with, lb_keogh_values, lb_kim, lb_kim_batch_with,
-    Envelope, SeriesSummary, LB_LANES,
+    lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch, Envelope,
+    SeriesSummary, LB_LANES,
 };
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
-use sdtw_suite::dtw::simd::{SimdMode, LANE_WIDTH};
+use sdtw_suite::dtw::simd::LANE_WIDTH;
 use sdtw_suite::dtw::{Band, KernelChoice};
 use sdtw_suite::index::{IndexConfig, SdtwIndex};
-use sdtw_suite::tseries::{ElementMetric, TimeSeries, TsError};
-
-/// Runs one pinned wavefront configuration under both SIMD modes and
-/// asserts bit-identity of the outcome (including the abandon decision).
-fn assert_modes_agree(
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    opts: &DtwOptions,
-    cutoff: Option<f64>,
-    label: &str,
-) {
-    let mut scratch = DtwScratch::new();
-    let lanes = dtw_run_options_values_pinned(
-        DtwEngine::Wavefront,
-        SimdMode::Lanes,
-        xv,
-        yv,
-        band,
-        opts,
-        cutoff,
-        &mut scratch,
-    );
-    let scalar = dtw_run_options_values_pinned(
-        DtwEngine::Wavefront,
-        SimdMode::Scalar,
-        xv,
-        yv,
-        band,
-        opts,
-        cutoff,
-        &mut scratch,
-    );
-    match (&lanes, &scalar) {
-        (None, None) => {}
-        (Some(l), Some(s)) => {
-            assert_eq!(
-                l.distance.to_bits(),
-                s.distance.to_bits(),
-                "distance diverged [{label}]: lanes {} vs scalar {}",
-                l.distance,
-                s.distance
-            );
-            assert_eq!(
-                l.cells_filled, s.cells_filled,
-                "cell accounting diverged [{label}]"
-            );
-            assert_eq!(l.path, s.path, "warp path diverged [{label}]");
-        }
-        _ => panic!(
-            "abandon decisions diverged [{label}]: lanes {:?} vs scalar {:?}",
-            lanes.map(|r| r.distance),
-            scalar.map(|r| r.distance)
-        ),
-    }
-}
+use sdtw_suite::tseries::{ElementMetric, TimeSeries};
 
 /// The kernel grid the sweeps cross with band/length/cutoff axes.
 fn kernel_grid() -> Vec<(&'static str, DtwOptions)> {
@@ -137,20 +82,9 @@ fn degenerate_and_ragged_lengths_are_bit_identical() {
             for (bname, band) in &bands {
                 for (kname, opts) in kernel_grid() {
                     let label = format!("{n}x{m}/{bname}/{kname}");
-                    let mut scratch = DtwScratch::new();
-                    let base = dtw_run_options_values_pinned(
-                        DtwEngine::Wavefront,
-                        SimdMode::Scalar,
-                        &xv,
-                        &yv,
-                        band,
-                        &opts,
-                        None,
-                        &mut scratch,
-                    )
-                    .expect("no cutoff");
-                    for (cname, cutoff) in cutoff_grid(base.distance) {
-                        assert_modes_agree(
+                    let (base, _) = textbook_dtw(&xv, &yv, band, &opts);
+                    for (cname, cutoff) in cutoff_grid(base) {
+                        assert_runs_agree(
                             &xv,
                             &yv,
                             band,
@@ -168,8 +102,11 @@ fn degenerate_and_ragged_lengths_are_bit_identical() {
 /// A non-staircase band wide enough that the lane path runs with the
 /// membership mask active: the band edges jump down every third row, so
 /// the wavefront must cover each diagonal conservatively and mask the
-/// holes — the masked lanes must write the same `+inf` the scalar loop
-/// writes, cell for cell.
+/// holes — the masked lanes must write the same `+inf` the textbook DP
+/// holds outside the band, cell for cell. Then seeded diagonal bands whose
+/// lower edge dips on random rows: where two rows join the sweep on the
+/// same diagonal, the lane interior must stop one row short of the span
+/// of diagonal `d − 2`, whose buffer holds stale cells beyond it.
 #[test]
 fn non_staircase_band_is_bit_identical_under_the_membership_mask() {
     let mut rng = TestRng::new(0xBAD5_7A12);
@@ -189,42 +126,43 @@ fn non_staircase_band_is_bit_identical_under_the_membership_mask() {
         !band.is_staircase(),
         "fixture must exercise the masked (non-staircase) lane path"
     );
-    for (kname, opts) in kernel_grid() {
-        for compute_path in [false, true] {
-            let opts = DtwOptions {
-                compute_path,
-                ..opts
-            };
-            let mut scratch = DtwScratch::new();
-            let base = dtw_run_options_values_pinned(
-                DtwEngine::Wavefront,
-                SimdMode::Scalar,
-                &xv,
-                &yv,
-                &band,
-                &opts,
-                None,
-                &mut scratch,
-            )
-            .expect("no cutoff");
-            for (cname, cutoff) in cutoff_grid(base.distance) {
-                assert_modes_agree(
-                    &xv,
-                    &yv,
-                    &band,
+    let mut cases = vec![("non-staircase".to_string(), xv, yv, band)];
+    for case in 0..150 {
+        let (n, m) = (rng.usize_in(16, 80), rng.usize_in(16, 80));
+        let w = 6 + case % 7;
+        let ranges: Vec<ColRange> = (0..n)
+            .map(|i| {
+                let centre = i * m / n;
+                let dip = if rng.usize_in(0, 5) == 0 { 2 } else { 0 };
+                let hi = (centre + w + rng.usize_in(0, 3)).min(m - 1);
+                ColRange::new(centre.saturating_sub(w + dip).min(hi), hi)
+            })
+            .collect();
+        let xv: Vec<f64> = (0..n).map(|_| rng.f64_in(-5.0, 5.0)).collect();
+        let yv: Vec<f64> = (0..m).map(|_| rng.f64_in(-5.0, 5.0)).collect();
+        let label = format!("dipped {case} {n}x{m}");
+        cases.push((label, xv, yv, Band::from_ranges(n, m, ranges)));
+    }
+    for (label, xv, yv, band) in &cases {
+        for (kname, opts) in kernel_grid() {
+            let (base, _) = textbook_dtw(xv, yv, band, &opts);
+            for (cname, cutoff) in cutoff_grid(base) {
+                assert_runs_agree(
+                    xv,
+                    yv,
+                    band,
                     &opts,
                     cutoff,
-                    &format!("non-staircase/{kname}/path={compute_path}/{cname}"),
+                    &format!("{label}/{kname}/{cname}"),
                 );
             }
         }
     }
 }
 
-/// The batched lower bounds agree with the scalar per-item reference —
-/// and with each other across pinned SIMD modes — bit for bit, at batch
-/// sizes that cover the empty, sub-lane, exact-lane, and ragged-tail
-/// remainder shapes.
+/// The batched lower bounds agree with the scalar per-item reference bit
+/// for bit, at batch sizes that cover the empty, sub-lane, exact-lane, and
+/// ragged-tail remainder shapes.
 #[test]
 fn lb_batches_match_the_scalar_reference_bitwise() {
     let mut rng = TestRng::new(0x1B_BA7C4);
@@ -244,51 +182,25 @@ fn lb_batches_match_the_scalar_reference_bitwise() {
         let x_sum = SeriesSummary::of_values(&x);
         let y_sums: Vec<SeriesSummary> = ys.iter().map(|y| SeriesSummary::of_values(y)).collect();
         for metric in [ElementMetric::Squared, ElementMetric::Absolute] {
-            let (mut scalar, mut lanes) = (Vec::new(), Vec::new());
+            let mut got = Vec::new();
 
-            lb_keogh_batch_with(SimdMode::Scalar, &x, &env_refs, metric, &mut scalar);
-            lb_keogh_batch_with(SimdMode::Lanes, &x, &env_refs, metric, &mut lanes);
+            lb_keogh_batch(&x, &env_refs, metric, &mut got);
             let reference: Vec<f64> = envs
                 .iter()
                 .map(|e| lb_keogh_values(&x, e, metric))
                 .collect();
-            assert_bits_eq(
-                &scalar,
-                &reference,
-                &format!("keogh/{count}/{metric:?}/scalar"),
-            );
-            assert_bits_eq(
-                &lanes,
-                &reference,
-                &format!("keogh/{count}/{metric:?}/lanes"),
-            );
+            assert_bits_eq(&got, &reference, &format!("keogh/{count}/{metric:?}"));
 
-            lb_keogh_batch_windows_with(SimdMode::Scalar, &windows, &x_env, metric, &mut scalar);
-            lb_keogh_batch_windows_with(SimdMode::Lanes, &windows, &x_env, metric, &mut lanes);
+            lb_keogh_batch_windows(&windows, &x_env, metric, &mut got);
             let reference: Vec<f64> = ys
                 .iter()
                 .map(|y| lb_keogh_values(y, &x_env, metric))
                 .collect();
-            assert_bits_eq(
-                &scalar,
-                &reference,
-                &format!("windows/{count}/{metric:?}/scalar"),
-            );
-            assert_bits_eq(
-                &lanes,
-                &reference,
-                &format!("windows/{count}/{metric:?}/lanes"),
-            );
+            assert_bits_eq(&got, &reference, &format!("windows/{count}/{metric:?}"));
 
-            lb_kim_batch_with(SimdMode::Scalar, &x_sum, &y_sums, metric, &mut scalar);
-            lb_kim_batch_with(SimdMode::Lanes, &x_sum, &y_sums, metric, &mut lanes);
+            lb_kim_batch(&x_sum, &y_sums, metric, &mut got);
             let reference: Vec<f64> = y_sums.iter().map(|s| lb_kim(&x_sum, s, metric)).collect();
-            assert_bits_eq(
-                &scalar,
-                &reference,
-                &format!("kim/{count}/{metric:?}/scalar"),
-            );
-            assert_bits_eq(&lanes, &reference, &format!("kim/{count}/{metric:?}/lanes"));
+            assert_bits_eq(&got, &reference, &format!("kim/{count}/{metric:?}"));
         }
     }
 }
@@ -301,52 +213,6 @@ fn assert_bits_eq(got: &[f64], want: &[f64], label: &str) {
             w.to_bits(),
             "bound #{i} diverged [{label}]: {g} vs {w}"
         );
-    }
-}
-
-/// Both environment knobs resolve without panicking: unset and the
-/// documented spellings parse, anything else is a proper
-/// [`TsError::InvalidParameter`] naming the variable — the CLI surfaces
-/// it as an error message at startup instead of a mid-query panic.
-#[test]
-fn env_knobs_resolve_or_error_without_panicking() {
-    assert_eq!(
-        DtwEngine::from_env_value(None).unwrap(),
-        DtwEngine::Wavefront
-    );
-    assert_eq!(
-        DtwEngine::from_env_value(Some(" Rows ")).unwrap(),
-        DtwEngine::Rows
-    );
-    assert_eq!(
-        DtwEngine::from_env_value(Some("")).unwrap(),
-        DtwEngine::Wavefront
-    );
-    match DtwEngine::from_env_value(Some("gpu")).unwrap_err() {
-        TsError::InvalidParameter { name, reason } => {
-            assert_eq!(name, "SDTW_ENGINE");
-            assert!(
-                reason.contains("gpu"),
-                "reason must echo the value: {reason}"
-            );
-        }
-        other => panic!("wrong error variant: {other:?}"),
-    }
-
-    assert_eq!(SimdMode::from_env_value(None).unwrap(), SimdMode::Lanes);
-    assert_eq!(
-        SimdMode::from_env_value(Some("SCALAR")).unwrap(),
-        SimdMode::Scalar
-    );
-    match SimdMode::from_env_value(Some("avx512")).unwrap_err() {
-        TsError::InvalidParameter { name, reason } => {
-            assert_eq!(name, "SDTW_SIMD");
-            assert!(
-                reason.contains("avx512"),
-                "reason must echo the value: {reason}"
-            );
-        }
-        other => panic!("wrong error variant: {other:?}"),
     }
 }
 
@@ -369,14 +235,11 @@ fn fixed_len_series(rng: &mut TestRng, len: usize) -> TimeSeries {
 }
 
 /// Golden cascade counters on a seeded serial index query. The expected
-/// values are hard-coded: the CI matrix runs this test under both
-/// `SDTW_SIMD=scalar` and `=lanes` (and both engines), so one set of
-/// literals passing under every leg proves the cascade's prune/abandon/
-/// cell accounting is invariant across SIMD modes — the process-wide
-/// mode is latched once, so the cross-mode comparison must happen
-/// across processes, which is exactly what the matrix provides.
+/// values are hard-coded literals, so any drift in the cascade's
+/// prune/abandon/cell accounting — in debug or in release — is a
+/// bit-identity regression in the lane layer or the bounds.
 #[test]
-fn cascade_counters_are_identical_across_simd_modes() {
+fn cascade_counters_match_the_golden_record() {
     let mut rng = TestRng::new(0xCA5C_ADE5);
     let corpus: Vec<TimeSeries> = (0..24).map(|_| fixed_len_series(&mut rng, 96)).collect();
     let config = IndexConfig {
@@ -402,9 +265,8 @@ fn cascade_counters_are_identical_across_simd_modes() {
         24,
         "every candidate must be accounted for exactly once"
     );
-    // Golden values — any drift across SDTW_SIMD (or SDTW_ENGINE) CI legs
-    // is a bit-identity regression in the lane layer, not a tolerance
-    // question.
+    // Golden values — any drift is a bit-identity regression in the lane
+    // layer, not a tolerance question.
     assert_eq!(
         (
             s.pruned_kim,
@@ -421,7 +283,7 @@ fn cascade_counters_are_identical_across_simd_modes() {
 }
 
 /// The golden counter record for the seeded query above (captured from
-/// the seed run; identical under every engine × SIMD-mode CI leg).
+/// the seed run).
 const GOLDEN: (u64, u64, u64, u64, u64, u64, u64) = (1, 0, 0, 0, 17, 6, 98050);
 
 /// Sanity: `random_series`/`structured_series` feed the differential
