@@ -224,11 +224,23 @@ impl Band {
     /// enabling their LB_Keogh stages. Callers comparing equal-length
     /// series should additionally require `n == m` (the classic LB_Keogh
     /// formulation); this method checks only the window containment.
+    ///
+    /// It is `self.reach() <= radius`. Callers that test one band against
+    /// several radii compute [`Band::reach`] once instead.
     pub fn within_window(&self, radius: usize) -> bool {
+        self.reach() <= radius
+    }
+
+    /// The smallest radius whose Sakoe-Chiba window contains the band:
+    /// `max_i max(i − lo_i, hi_i − i)`, each difference saturating at 0.
+    /// One O(n) walk; [`Band::within_window`] compares it to a radius.
+    pub fn reach(&self) -> usize {
         self.rows
             .iter()
             .enumerate()
-            .all(|(i, r)| r.lo.saturating_add(radius) >= i && r.hi <= i.saturating_add(radius))
+            .map(|(i, r)| i.saturating_sub(r.lo).max(r.hi.saturating_sub(i)))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Transposes the band: the result constrains the `M × N` grid of
@@ -585,5 +597,35 @@ mod tests {
         assert!(diag.within_window(0));
         // oversized radii saturate instead of overflowing
         assert!(full.within_window(usize::MAX));
+    }
+
+    #[test]
+    fn reach_is_the_tightest_containing_radius() {
+        assert_eq!(band(4, 4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).reach(), 1);
+        assert_eq!(Band::full(5, 5).reach(), 4);
+        assert_eq!(band(3, 3, &[(0, 0), (1, 1), (2, 2)]).reach(), 0);
+        // the worst row decides, on either edge, and n != m is fine
+        assert_eq!(band(3, 9, &[(0, 1), (0, 7), (2, 2)]).reach(), 6);
+        assert_eq!(
+            band(6, 2, &[(0, 0), (0, 1), (0, 1), (1, 1), (1, 1), (1, 1)]).reach(),
+            4
+        );
+        // within_window(r) is reach() <= r, radius by radius
+        for b in [
+            Band::full(7, 4),
+            band(4, 6, &[(0, 2), (3, 5), (1, 4), (2, 5)]),
+            crate::sakoe::sakoe_chiba_band(30, 30, 0.1),
+        ] {
+            let reach = b.reach();
+            for r in 0..10 {
+                let contained = b
+                    .rows()
+                    .iter()
+                    .enumerate()
+                    .all(|(i, c)| c.lo + r >= i && c.hi <= i + r);
+                assert_eq!(b.within_window(r), contained, "radius {r}");
+                assert_eq!(contained, reach <= r, "radius {r}");
+            }
+        }
     }
 }

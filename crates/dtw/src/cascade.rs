@@ -49,7 +49,6 @@
 //! halving idea the multi-resolution pyramid (`crate::multires`) shrinks
 //! by, with the tail kept whole — is what keeps the weights exact.
 
-use crate::band::Band;
 use crate::engine::Normalization;
 use crate::lower_bound::{lb_keogh_values, Envelope};
 use sdtw_tseries::transform::paa_fixed_values;
@@ -402,7 +401,10 @@ impl Cascade {
     }
 
     /// Phase 2 of a candidate: the sample-level stages, in configured
-    /// order, against the pair's (sanitised) band. A stage whose
+    /// order. `band_reach` is the [`crate::Band::reach`] of the pair's
+    /// (sanitised) band: an envelope stage applies only when it is at
+    /// most the envelope's radius. Callers compute it once per band, so
+    /// one band shared by many candidates is walked once. A stage whose
     /// admissibility precondition fails is skipped; if any stage was
     /// skipped that way the candidate is charged one `lb_inapplicable`
     /// (informational — it still proceeds to the DP).
@@ -412,7 +414,7 @@ impl Cascade {
         &self,
         stats: &mut CascadeStats,
         input: &SampleInput,
-        band: &Band,
+        band_reach: usize,
         threshold: f64,
         scratch: &mut CascadeScratch,
     ) -> Option<StageKind> {
@@ -425,14 +427,14 @@ impl Cascade {
             let evaluated: Option<(StageKind, f64)> = match stage {
                 PruneStage::Kim { .. } => continue,
                 PruneStage::Paa => match input.y_coarse {
-                    Some(c) if n == m && c.source_len() == m && band.within_window(c.radius()) => {
+                    Some(c) if n == m && c.source_len() == m && band_reach <= c.radius() => {
                         let raw = c.lower_bound(input.x, self.metric, &mut scratch.paa);
                         Some((StageKind::Paa, self.normalize_bound(raw, n, m)))
                     }
                     _ => None,
                 },
                 PruneStage::Keogh => match input.y_envelope {
-                    Some(env) if n == m && band.within_window(env.radius) => {
+                    Some(env) if n == m && band_reach <= env.radius => {
                         let raw = input
                             .y_keogh_raw
                             .unwrap_or_else(|| lb_keogh_values(input.x, env, self.metric));
@@ -441,7 +443,7 @@ impl Cascade {
                     _ => None,
                 },
                 PruneStage::KeoghRev => match input.x_envelope {
-                    Some(env) if n == m && band.within_window(env.radius) => {
+                    Some(env) if n == m && band_reach <= env.radius => {
                         let raw = lb_keogh_values(input.y, env, self.metric);
                         Some((StageKind::KeoghRev, self.normalize_bound(raw, n, m)))
                     }
@@ -583,7 +585,7 @@ mod tests {
         // Kim abstains; the PAA stage catches it at the sample phase
         let mut stats = CascadeStats::default();
         assert_eq!(cascade.screen_summary(&mut stats, None, 1.0), None);
-        let verdict = cascade.screen_samples(&mut stats, &input, &band, 1.0, &mut scratch);
+        let verdict = cascade.screen_samples(&mut stats, &input, band.reach(), 1.0, &mut scratch);
         assert_eq!(verdict, Some(StageKind::Paa));
         assert_eq!(stats.pruned_paa, 1);
         assert!(stats.is_consistent());
@@ -591,7 +593,7 @@ mod tests {
         // a huge threshold: nothing prunes, the DP must decide
         let mut stats = CascadeStats::default();
         assert_eq!(cascade.screen_summary(&mut stats, Some(5.0), 1e12), None);
-        let verdict = cascade.screen_samples(&mut stats, &input, &band, 1e12, &mut scratch);
+        let verdict = cascade.screen_samples(&mut stats, &input, band.reach(), 1e12, &mut scratch);
         assert_eq!(verdict, None);
         assert_eq!(stats.lb_inapplicable, 0);
         stats.record_completed(64);
@@ -627,8 +629,13 @@ mod tests {
             candidates: 1,
             ..CascadeStats::default()
         };
-        let verdict =
-            cascade.screen_samples(&mut stats, &input, &band, 0.0, &mut CascadeScratch::new());
+        let verdict = cascade.screen_samples(
+            &mut stats,
+            &input,
+            band.reach(),
+            0.0,
+            &mut CascadeScratch::new(),
+        );
         assert_eq!(verdict, None);
         assert_eq!(stats.lb_inapplicable, 1);
     }
@@ -654,8 +661,13 @@ mod tests {
             y_coarse: None,
         };
         let band = sakoe_chiba_band(4, 4, 1.0);
-        let verdict =
-            cascade.screen_samples(&mut stats, &input, &band, 0.0, &mut CascadeScratch::new());
+        let verdict = cascade.screen_samples(
+            &mut stats,
+            &input,
+            band.reach(),
+            0.0,
+            &mut CascadeScratch::new(),
+        );
         assert_eq!(verdict, None);
         assert!(stats.bounds_disabled);
         assert_eq!(stats.pruned_kim + stats.pruned_keogh, 0);

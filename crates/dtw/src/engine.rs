@@ -19,16 +19,26 @@
 //! parents are treated as `+∞`; the band sanitiser guarantees the corner
 //! cell stays reachable.
 //!
-//! The execution surface is three functions:
+//! A third fill serves batches: [`dtw_run_windows`] runs the row
+//! recurrence for up to [`LANE_WIDTH`] windows that share one `X` and one
+//! band, one window per lane. It is what a thin fixed band needs, whose
+//! diagonals hold too few cells for the wavefront's lanes. Every lane
+//! evaluates the same per-cell expression, and the same two test files
+//! hold each lane to the textbook DP.
+//!
+//! The execution surface is four functions:
 //!
 //! * [`dtw_run`] — generic over any [`DtwKernel`] (static dispatch, the
 //!   fill loop monomorphises per kernel), over sample slices, with
 //!   warp-path tracing and the early-abandon cutoff as orthogonal options;
 //! * [`dtw_run_options`] — the same call driven by a serialisable
 //!   [`DtwOptions`] (its [`KernelChoice`] is dispatched once per call);
+//! * [`dtw_run_windows`] — the lock-step fill of up to [`LANE_WIDTH`]
+//!   windows under one shared `X` and band, distances only, each lane
+//!   bit-identical to a [`dtw_run_options`] call;
 //! * [`dtw_full`] — the unconstrained distance of two series.
 
-use crate::band::Band;
+use crate::band::{Band, ColRange};
 use crate::kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
 use crate::path::WarpPath;
 use crate::simd::{F64Lanes, LaneMask, LANE_WIDTH};
@@ -208,6 +218,12 @@ pub struct DtwScratch {
     // wavefront, non-staircase bands: suffix minimum of the row start
     // diagonals `i + lo_i`, rebuilt per call
     start_min: Vec<usize>,
+    // lock-step window fill: the windows transposed lane-major (lane `l`
+    // of `lane_y[j]` is sample `j` of window `l`), and two full-width rows
+    // in the same layout, offset by one sentinel column
+    lane_y: Vec<F64Lanes>,
+    lane_prev: Vec<F64Lanes>,
+    lane_cur: Vec<F64Lanes>,
 }
 
 impl DtwScratch {
@@ -637,6 +653,133 @@ fn fill_wavefront<K: DtwKernel, const ABANDON: bool>(
     raw
 }
 
+/// Lock-step window fill: the row recurrence of [`fill`] for up to
+/// [`LANE_WIDTH`] windows that share one `xv` and one feasible band, one
+/// window per lane of [`F64Lanes`]. Row `i` splats `xv[i]`; the windows
+/// are transposed lane-major once per call, so column `j` of every lane
+/// loads as one vector. Each cell runs the row fill's three-way kernel
+/// expression through the kernel's `*_lanes` seam, so every lane holds
+/// the bits the scalar fill would hold for its window.
+///
+/// Two full-width rows alternate, each with a `+∞` sentinel slot before
+/// column 0 (the `diag` parent of `j = 0`). A buffer must read `+∞`
+/// everywhere outside the row it holds, so before row `i` is written
+/// over row `i − 2`, the cells of row `i − 2` that row `i` does not
+/// overwrite are reset. The `left` parent is carried in a register that
+/// starts every row at `+∞`.
+///
+/// With `ABANDON`, a lane dies once its completed row's minimum,
+/// converted into reported units, exceeds `cutoff`; dead lanes keep
+/// computing (their cells are never read back), and the fill returns
+/// as soon as every lane is dead. A lane that lives to the corner still
+/// returns `None` when its distance exceeds the cutoff. Lanes past
+/// `windows.len()` hold zeros and always return `None`.
+// Index loops are deliberate: `j` addresses the band row, the transposed
+// windows and both row buffers at once.
+#[allow(clippy::needless_range_loop)]
+fn fill_windows<K: DtwKernel, const ABANDON: bool>(
+    xv: &[f64],
+    windows: &[&[f64]],
+    band: &Band,
+    metric: ElementMetric,
+    kernel: &K,
+    cutoff: f64,
+    scratch: &mut DtwScratch,
+) -> [Option<f64>; LANE_WIDTH] {
+    let (n, m) = (band.n(), band.m());
+    let inf = F64Lanes::splat(f64::INFINITY);
+    let ys = &mut scratch.lane_y;
+    ys.clear();
+    ys.extend((0..m).map(|j| F64Lanes::from_fn(|l| windows.get(l).map_or(0.0, |w| w[j]))));
+    let ys = &scratch.lane_y;
+    let mut prev = std::mem::take(&mut scratch.lane_prev);
+    let mut cur = std::mem::take(&mut scratch.lane_cur);
+    for buf in [&mut prev, &mut cur] {
+        buf.clear();
+        buf.resize(m + 1, inf);
+    }
+    let mut live: u32 = (1 << windows.len()) - 1;
+    // the row `cur` still holds from two rows back (none before row 2)
+    let mut stale: Option<ColRange> = None;
+
+    for i in 0..n {
+        let r = band.row(i);
+        if let Some(s) = stale {
+            for j in s.lo..r.lo.min(s.hi + 1) {
+                cur[j + 1] = inf;
+            }
+            for j in s.lo.max(r.hi + 1)..=s.hi {
+                cur[j + 1] = inf;
+            }
+        }
+        let xs = F64Lanes::splat(xv[i]);
+        let mut row_min = inf;
+        if i == 0 {
+            // row 0 is cumulative along the allowed prefix (it starts at
+            // column 0 after sanitisation)
+            let mut acc = inf;
+            for j in r.lo..=r.hi {
+                let local = kernel.local_lanes(metric, xs, ys[j]);
+                acc = if j == r.lo {
+                    F64Lanes::from_fn(|l| kernel.start(local.lane(l)))
+                } else {
+                    kernel.left_lanes(acc, local)
+                };
+                cur[j + 1] = acc;
+                if ABANDON {
+                    row_min = row_min.min(acc);
+                }
+            }
+        } else {
+            let mut left = inf;
+            let mut diag = prev[r.lo];
+            for j in r.lo..=r.hi {
+                let local = kernel.local_lanes(metric, xs, ys[j]);
+                let up = prev[j + 1];
+                let v = kernel
+                    .up_lanes(up, local)
+                    .min(kernel.left_lanes(left, local))
+                    .min(kernel.diagonal_lanes(diag, local));
+                cur[j + 1] = v;
+                if ABANDON {
+                    row_min = row_min.min(v);
+                }
+                left = v;
+                diag = up;
+            }
+        }
+        std::mem::swap(&mut prev, &mut cur);
+        stale = i.checked_sub(1).map(|k| band.row(k));
+        if ABANDON {
+            for l in 0..LANE_WIDTH {
+                if kernel.normalize(row_min.lane(l), n, m) > cutoff {
+                    live &= !(1 << l);
+                }
+            }
+            if live == 0 {
+                break;
+            }
+        }
+    }
+
+    // after the last swap `prev` holds the last row, whose column m - 1
+    // is the corner. It is the last abandon test: a lane that reaches it
+    // alive still dies when its distance exceeds the cutoff
+    let mut out = [None; LANE_WIDTH];
+    for (l, slot) in out.iter_mut().enumerate() {
+        let distance = kernel.normalize(prev[m].lane(l), n, m);
+        if ABANDON && distance > cutoff {
+            live &= !(1 << l);
+        }
+        if live & (1 << l) != 0 {
+            *slot = Some(distance);
+        }
+    }
+    scratch.lane_prev = prev;
+    scratch.lane_cur = cur;
+    out
+}
+
 /// Name of the fill [`dtw_run`] executes, as traces record it in their
 /// `engine` field: `"rows"` when a warp path is requested (the traceback
 /// walks the row fill's matrix), `"wavefront"` otherwise.
@@ -770,6 +913,91 @@ pub fn dtw_run_options(
             opts.metric,
             &AmercedKernel::new(penalty, opts.normalization),
             opts.compute_path,
+            cutoff,
+            scratch,
+        ),
+    }
+}
+
+/// Fills the DPs of up to [`LANE_WIDTH`] windows in lock-step, one window
+/// per lane, when they share one `xv` and one band: the fixed-band
+/// subsequence sweep's batch shape, where a thin band leaves the
+/// per-window wavefront too few cells per diagonal to fill its lanes.
+///
+/// Lane `l` returns what [`dtw_run_options`] would return for
+/// `(xv, windows[l], band)` under `opts` with `Some(cutoff)`: the
+/// distance bit for bit, and `None` exactly when that distance exceeds
+/// `cutoff` (`f64::INFINITY` never abandons). Each lane abandons on its
+/// own row minimum. Lanes past `windows.len()` return `None`. No warp
+/// path is traced, so `opts.compute_path` is ignored; the cells filled
+/// per lane are the sanitised band's area.
+///
+/// The options' [`KernelChoice`] is dispatched once per call. An
+/// infeasible band is sanitised, as [`dtw_run`] does. The lane buffers
+/// live in `scratch`; reuse never changes results.
+///
+/// # Panics
+///
+/// Panics on more than [`LANE_WIDTH`] windows, an empty `xv`, dimension
+/// mismatch, or an invalid amerced penalty (programmer errors).
+pub fn dtw_run_windows(
+    xv: &[f64],
+    windows: &[&[f64]],
+    band: &Band,
+    opts: &DtwOptions,
+    cutoff: f64,
+    scratch: &mut DtwScratch,
+) -> [Option<f64>; LANE_WIDTH] {
+    assert!(
+        windows.len() <= LANE_WIDTH,
+        "at most LANE_WIDTH windows per call"
+    );
+    assert!(!xv.is_empty(), "series must be non-empty");
+    assert_eq!(band.n(), xv.len(), "band rows must match |X|");
+    for w in windows {
+        assert_eq!(band.m(), w.len(), "band cols must match every window");
+    }
+    if windows.is_empty() {
+        return [None; LANE_WIDTH];
+    }
+    let sanitized;
+    let band = if band.is_feasible() {
+        band
+    } else {
+        sanitized = band.sanitize();
+        &sanitized
+    };
+    fn run<K: DtwKernel>(
+        xv: &[f64],
+        windows: &[&[f64]],
+        band: &Band,
+        metric: ElementMetric,
+        kernel: &K,
+        cutoff: f64,
+        scratch: &mut DtwScratch,
+    ) -> [Option<f64>; LANE_WIDTH] {
+        if cutoff == f64::INFINITY {
+            fill_windows::<K, false>(xv, windows, band, metric, kernel, cutoff, scratch)
+        } else {
+            fill_windows::<K, true>(xv, windows, band, metric, kernel, cutoff, scratch)
+        }
+    }
+    match opts.kernel {
+        KernelChoice::Standard => run(
+            xv,
+            windows,
+            band,
+            opts.metric,
+            &StandardKernel::new(opts.step_pattern, opts.normalization),
+            cutoff,
+            scratch,
+        ),
+        KernelChoice::Amerced { penalty } => run(
+            xv,
+            windows,
+            band,
+            opts.metric,
+            &AmercedKernel::new(penalty, opts.normalization),
             cutoff,
             scratch,
         ),
@@ -1571,6 +1799,73 @@ mod tests {
     fn engine_label_names_the_fill_that_runs() {
         assert_eq!(engine_label(true), "rows");
         assert_eq!(engine_label(false), "wavefront");
+    }
+
+    #[test]
+    fn lock_step_lanes_match_single_runs() {
+        // every lane equals its own dtw_run_options call, in distance
+        // bits and in the abandon outcome; padding lanes stay None and
+        // one scratch serves every shape
+        let mut scratch = DtwScratch::new();
+        let mut single = DtwScratch::new();
+        let x: Vec<f64> = (0..37).map(|i| (i as f64 / 4.0).sin()).collect();
+        let windows: Vec<Vec<f64>> = (0..LANE_WIDTH)
+            .map(|k| {
+                (0..29)
+                    .map(|i| ((i + 3 * k) as f64 / (3 + k) as f64).cos())
+                    .collect()
+            })
+            .collect();
+        let views: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
+        for band in [
+            Band::full(37, 29),
+            crate::sakoe::sakoe_chiba_band(37, 29, 0.1),
+            crate::itakura::itakura_band(37, 29, 2.0),
+        ] {
+            for opts in [
+                DtwOptions::default(),
+                DtwOptions::normalized_symmetric2(),
+                DtwOptions::amerced(0.25),
+            ] {
+                for count in [1, 3, LANE_WIDTH] {
+                    for cutoff in [f64::INFINITY, 2.0, 0.1] {
+                        let got = dtw_run_windows(
+                            &x,
+                            &views[..count],
+                            &band,
+                            &opts,
+                            cutoff,
+                            &mut scratch,
+                        );
+                        for (l, lane) in got.iter().enumerate() {
+                            let want = (l < count)
+                                .then(|| {
+                                    dtw_run_options(
+                                        &x,
+                                        views[l],
+                                        &band,
+                                        &opts,
+                                        Some(cutoff),
+                                        &mut single,
+                                    )
+                                })
+                                .flatten()
+                                .map(|r| r.distance.to_bits());
+                            assert_eq!(lane.map(f64::to_bits), want, "lane {l} of {count}");
+                        }
+                    }
+                }
+            }
+        }
+        let none = dtw_run_windows(
+            &x,
+            &[],
+            &Band::full(37, 29),
+            &DtwOptions::default(),
+            1.0,
+            &mut scratch,
+        );
+        assert_eq!(none, [None; LANE_WIDTH]);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   band feasible for the DP recurrence (bridging the gaps the paper
 //!   describes in §3.3.2) while only ever *adding* cells;
 //! * [`engine`] — the banded DP (`O(band area)` time and memory): the lane
-//!   wavefront, and the row fill plus warp-path traceback when a path is
-//!   requested;
+//!   wavefront, the row fill plus warp-path traceback when a path is
+//!   requested, and the lock-step fill of up to eight windows that share
+//!   one query and one band;
 //! * [`path`] — warp-path representation and validity checking (the
 //!   §2.1.1 conditions);
 //! * [`sakoe`] — Sakoe-Chiba fixed core & fixed width bands;
@@ -43,7 +44,10 @@
 //!
 //! The execution surface is [`engine::dtw_run`] (generic over the
 //! kernel) and [`engine::dtw_run_options`] (driven by serialisable
-//! options), both over sample slices, plus [`engine::dtw_full`].
+//! options), both over sample slices, plus [`engine::dtw_full`] and the
+//! batch entry [`engine::dtw_run_windows`] (up to
+//! [`simd::LANE_WIDTH`] windows against one shared series and band, one
+//! window per lane — what fixed-band subsequence sweeps call).
 //! (`sdtw_eval::compute_query_matrix` is the brute-force oracle the test
 //! suites compare retrieval against.)
 //!

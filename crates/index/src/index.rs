@@ -147,6 +147,9 @@ struct IndexSnapshot {
 struct PendingCandidate {
     idx: usize,
     band: Band,
+    /// The band's [`Band::reach`], walked once for both the batch
+    /// predicate and the cascade's applicability checks.
+    reach: usize,
     /// The stage-1 bound that ordered the visit (kept for dispositions).
     kim: f64,
 }
@@ -597,7 +600,13 @@ impl SdtwIndex {
             } else {
                 band.sanitize()
             };
-            pending.push(PendingCandidate { idx, band, kim });
+            let reach = band.reach();
+            pending.push(PendingCandidate {
+                idx,
+                band,
+                reach,
+                kim,
+            });
             if pending.len() == LB_LANES {
                 self.flush_pending(
                     &mut pending,
@@ -667,9 +676,7 @@ impl SdtwIndex {
                 let mut envs: Vec<&Envelope> = Vec::with_capacity(pending.len());
                 for (p, cand) in pending.iter().enumerate() {
                     let entry = &self.entries[cand.idx];
-                    if q.len() == entry.series.len()
-                        && cand.band.within_window(entry.envelope.radius)
-                    {
+                    if q.len() == entry.series.len() && cand.reach <= entry.envelope.radius {
                         lanes.push(p);
                         envs.push(&entry.envelope);
                     }
@@ -695,7 +702,7 @@ impl SdtwIndex {
             // the sample-phase screen covers LB_Keogh and its reversed
             // second chance; both are attributed to the LbKeogh span
             if let Some(kind) = rec.time(TracePhase::LbKeogh, || {
-                cascade.screen_samples(stats, &input, &cand.band, threshold, cascade_scratch)
+                cascade.screen_samples(stats, &input, cand.reach, threshold, cascade_scratch)
             }) {
                 if let Some(d) = dispositions.as_deref_mut() {
                     d.push(EntryDisposition {

@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// One parsed pipe-mode input line.
 enum Item {
     Req(ServeRequest),
-    Bad(String),
+    Bad(ServeResponse),
     Stop(String),
 }
 
@@ -58,8 +58,8 @@ pub fn run_pipe<R: BufRead, W: Write>(
             if line.trim().is_empty() {
                 continue;
             }
-            match ServeRequest::from_json_line(&line) {
-                Err(e) => items.push(Item::Bad(e)),
+            match ServeRequest::decode_line(&line) {
+                Err(resp) => items.push(Item::Bad(resp)),
                 Ok(req) if req.op == RequestOp::Shutdown => {
                     items.push(Item::Stop(req.id));
                     done = true;
@@ -85,7 +85,7 @@ pub fn run_pipe<R: BufRead, W: Write>(
                     }
                     resp
                 }
-                Item::Bad(e) => ServeResponse::error("", format!("bad request line: {e}")),
+                Item::Bad(resp) => resp,
                 Item::Stop(id) => ServeResponse {
                     id,
                     ok: true,
@@ -181,8 +181,8 @@ fn serve_connection(
         if line.trim().is_empty() {
             continue;
         }
-        let resp = match ServeRequest::from_json_line(&line) {
-            Err(e) => ServeResponse::error("", format!("bad request line: {e}")),
+        let resp = match ServeRequest::decode_line(&line) {
+            Err(resp) => resp,
             Ok(req) if req.op == RequestOp::Shutdown => {
                 let ack = ServeResponse {
                     id: req.id,
@@ -317,6 +317,89 @@ mod tests {
         assert!(resps[6].ok);
         assert_eq!(traces.len(), 5, "one trace per answered query");
         assert!(traces[0].contains("ServePattern"));
+    }
+
+    /// Request lines no client should send, each followed by a valid
+    /// query: nesting far past the JSON depth limit (it used to overflow
+    /// the stack and abort the process), valid JSON of the wrong shape
+    /// (its id must be echoed), and text that is not JSON.
+    fn hostile_lines() -> Vec<(String, &'static str)> {
+        vec![
+            ("[".repeat(100_000) + &"]".repeat(100_000), ""),
+            (
+                r#"{"id":"q7","op":"Query","k":2,"tau":null,"trace":false,"values":"x"}"#.into(),
+                "q7",
+            ),
+            ("this is not json".into(), ""),
+        ]
+    }
+
+    #[test]
+    fn pipe_mode_answers_hostile_lines_and_keeps_going() {
+        let engine = demo_engine(false);
+        let valid = ServeRequest::query("after", demo_query(), 2);
+        let mut expected = Vec::new();
+        run_pipe(
+            &engine,
+            format!("{}\n", valid.to_json_line()).as_bytes(),
+            &mut expected,
+            4,
+        )
+        .unwrap();
+        let expected =
+            ServeResponse::from_json_line(std::str::from_utf8(&expected).unwrap().trim_end())
+                .unwrap();
+        assert!(expected.ok && !expected.hits.is_empty());
+        for (line, id) in hostile_lines() {
+            let input = format!("{line}\n{}\n", valid.to_json_line());
+            let mut out = Vec::new();
+            run_pipe(&engine, input.as_bytes(), &mut out, 4).unwrap();
+            let resps: Vec<ServeResponse> = String::from_utf8(out)
+                .unwrap()
+                .lines()
+                .map(|l| ServeResponse::from_json_line(l).unwrap())
+                .collect();
+            assert_eq!(resps.len(), 2);
+            assert!(!resps[0].ok);
+            assert_eq!(resps[0].id, id);
+            assert!(
+                resps[0].error.starts_with("bad request line"),
+                "{}",
+                resps[0].error
+            );
+            assert_eq!(resps[1], expected, "the next line is answered as usual");
+        }
+    }
+
+    #[test]
+    fn socket_connections_answer_hostile_lines_and_keep_going() {
+        let dir = std::env::temp_dir().join(format!("sdtw-serve-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("daemon.sock");
+        let server = SocketServer::bind(&sock).unwrap();
+        let engine = Arc::new(demo_engine(false));
+        let handle = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || server.serve(engine))
+        };
+        let valid = ServeRequest::query("after", demo_query(), 2);
+        let stream = UnixStream::connect(&sock).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        for (line, id) in hostile_lines() {
+            writeln!(writer, "{line}\n{}", valid.to_json_line()).unwrap();
+            for want_ok in [false, true] {
+                let mut text = String::new();
+                reader.read_line(&mut text).unwrap();
+                let resp = ServeResponse::from_json_line(text.trim_end()).unwrap();
+                assert_eq!(resp.ok, want_ok, "{}", resp.error);
+                assert_eq!(resp.id, if want_ok { "after" } else { id });
+            }
+        }
+        drop((reader, writer));
+        client_roundtrip(&sock, &[ServeRequest::shutdown("stop")]).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

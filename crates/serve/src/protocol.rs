@@ -73,6 +73,24 @@ impl ServeRequest {
     pub fn from_json_line(line: &str) -> Result<ServeRequest, String> {
         serde_json::from_str(line).map_err(|e| e.to_string())
     }
+
+    /// Decodes one request line for a daemon transport, or builds the
+    /// `ok = false` response that answers it. The line is parsed once;
+    /// when it is JSON but not a valid request, the response still
+    /// echoes its string `id`, so the client can pair the error with its
+    /// request. Text that is not JSON is answered with an empty `id`.
+    ///
+    /// # Errors
+    ///
+    /// The error response for a malformed line.
+    pub fn decode_line(line: &str) -> Result<ServeRequest, ServeResponse> {
+        let bad = |id: &str, e: serde_json::Error| {
+            ServeResponse::error(id, format!("bad request line: {e}"))
+        };
+        let value = serde_json::parse(line).map_err(|e| bad("", e))?;
+        <ServeRequest as Deserialize>::from_json(&value)
+            .map_err(|e| bad(value.get("id").and_then(|v| v.as_str()).unwrap_or(""), e))
+    }
 }
 
 /// One subsequence hit of a pattern search.
@@ -177,5 +195,23 @@ mod tests {
         assert!(!err.ok);
         assert_eq!(err.error, "boom");
         assert!(ServeRequest::from_json_line("not json").is_err());
+    }
+
+    #[test]
+    fn malformed_lines_keep_their_id_when_they_have_one() {
+        let req = ServeRequest::query("q1", vec![1.0, 2.0], 3);
+        assert_eq!(ServeRequest::decode_line(&req.to_json_line()), Ok(req));
+        // valid JSON, wrong shape: the error echoes the request's id
+        let line = r#"{"id":"q7","op":"Query","k":1,"tau":null,"trace":false,"values":"oops"}"#;
+        let resp = ServeRequest::decode_line(line).unwrap_err();
+        assert_eq!(resp.id, "q7");
+        assert!(!resp.ok);
+        assert!(resp.error.starts_with("bad request line"), "{}", resp.error);
+        // no JSON at all, or an id that is not a string: nothing to echo
+        for line in ["not json", r#"{"id":7,"values":[]}"#] {
+            let resp = ServeRequest::decode_line(line).unwrap_err();
+            assert_eq!(resp.id, "", "{line}");
+            assert!(!resp.ok);
+        }
     }
 }

@@ -8,7 +8,7 @@ use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::{engine_label, Normalization};
+use sdtw_dtw::engine::{dtw_run_windows, engine_label, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
@@ -111,18 +111,28 @@ pub(crate) enum WindowVerdict {
 ///    the same conditions as LB_Keogh — see DESIGN.md §10);
 /// 3. **LB_Keogh** — the exactly-normalised window against the query
 ///    envelope (when the band sits inside the envelope window);
-/// 4. **early-abandoned banded DP** — the zero-copy
-///    [`SDtw::query_window`] builder path, cut off at the best-so-far.
+/// 4. **early-abandoned banded DP** — cut off at the best-so-far.
 ///
 /// All stages execute through the workspace-shared
 /// [`sdtw_dtw::cascade::Cascade`] pipeline — the same runner
 /// `sdtw_index` queries use. The batch sweeps additionally park Kim
 /// survivors in a deferred queue of up to [`LB_LANES`] windows so their
 /// forward LB_Keogh bounds compute as one [`lb_keogh_batch_windows`]
-/// lane pass; every pruning *decision* still happens sequentially in
-/// sweep order against a fresh best-so-far threshold, which keeps
-/// matches bit-identical to the fully serial sweep (the streaming
-/// monitor path never defers).
+/// lane pass. What happens at a flush depends on the band:
+///
+/// * **adaptive bands** — each window is decided sequentially in sweep
+///   order against a fresh best-so-far threshold, and its DP runs
+///   through the zero-copy [`SDtw::query_window`] builder path;
+/// * **a fixed band** — every queued window shares the query and the
+///   band, so the flush screens them all against the threshold current
+///   at its start and fills the survivors' DPs in lock-step, one window
+///   per lane ([`dtw_run_windows`]). Thresholds only tighten within a
+///   pass, so no window that could win the pass is disposed of, and the
+///   completed lanes carry exact distances (DESIGN.md §11).
+///
+/// Either way matches are bit-identical to the fully serial sweep; under
+/// a fixed band, per-stage counters and the completed-distance cache may
+/// differ from it. The streaming monitor path never defers.
 ///
 /// Results are **exact**: offsets and bit-identical distances to
 /// brute-forcing the same engine over every window and greedily picking
@@ -722,18 +732,27 @@ impl SubseqMatcher {
         } = eval;
         let wv = self.normalize_window(raw, window);
         let planned = rec.time(TracePhase::BandPlan, || self.plan_window_band(wv))?;
-        let band = planned
-            .as_ref()
-            .or(self.fixed_band.as_ref())
-            .expect("alignment-free policies carry a fixed band");
-        self.finish_window(wv, band, None, threshold, dtw, cascade, stats, rec, areas)
+        let (band, reach) = match &planned {
+            Some((band, reach)) => (band, *reach),
+            None => {
+                let band = self
+                    .fixed_band
+                    .as_ref()
+                    .expect("alignment-free policies carry a fixed band");
+                (band, band.reach())
+            }
+        };
+        self.finish_window(
+            wv, band, reach, None, threshold, dtw, cascade, stats, rec, areas,
+        )
     }
 
     /// Plans the adaptive band for one prepared (normalised) window —
     /// extract its descriptors, plan against the cached query
-    /// descriptors, sanitise. `None` under an alignment-free policy,
-    /// where every window shares the matcher's `fixed_band`.
-    fn plan_window_band(&self, wv: &[f64]) -> Result<Option<Band>, TsError> {
+    /// descriptors, sanitise — and walks its [`Band::reach`] once for
+    /// every later applicability check. `None` under an alignment-free
+    /// policy, where every window shares the matcher's `fixed_band`.
+    fn plan_window_band(&self, wv: &[f64]) -> Result<Option<(Band, usize)>, TsError> {
         if self.fixed_band.is_some() {
             return Ok(None);
         }
@@ -742,20 +761,35 @@ impl SubseqMatcher {
         let (b, _) = self
             .engine
             .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
-        Ok(Some(if b.is_feasible() { b } else { b.sanitize() }))
+        let band = if b.is_feasible() { b } else { b.sanitize() };
+        let reach = band.reach();
+        Ok(Some((band, reach)))
+    }
+
+    /// The sample-phase inputs of one prepared window against the query.
+    fn sample_input<'a>(&'a self, wv: &'a [f64], y_keogh_raw: Option<f64>) -> SampleInput<'a> {
+        SampleInput {
+            x: wv,
+            y: &self.query,
+            y_envelope: Some(&self.query_envelope),
+            y_keogh_raw,
+            x_envelope: None,
+            y_coarse: self.query_coarse.as_ref(),
+        }
     }
 
     /// The sample-phase stages and the early-abandoned DP for one
-    /// prepared (normalised, band-planned) window. `y_keogh_raw`
-    /// optionally carries the batched forward LB_Keogh bound — by
-    /// construction bit-identical to the scalar value the cascade would
-    /// otherwise compute itself, so passing it changes cost, never
-    /// decisions.
+    /// prepared (normalised, band-planned) window; `band_reach` is the
+    /// band's [`Band::reach`]. `y_keogh_raw` optionally carries the
+    /// batched forward LB_Keogh bound — by construction bit-identical to
+    /// the scalar value the cascade would otherwise compute itself, so
+    /// passing it changes cost, never decisions.
     #[allow(clippy::too_many_arguments)]
     fn finish_window(
         &self,
         wv: &[f64],
         band: &Band,
+        band_reach: usize,
         y_keogh_raw: Option<f64>,
         threshold: f64,
         dtw: &mut DtwScratch,
@@ -764,19 +798,12 @@ impl SubseqMatcher {
         rec: &mut Recorder,
         areas: &mut (u64, u64),
     ) -> Result<WindowVerdict, TsError> {
-        let input = SampleInput {
-            x: wv,
-            y: &self.query,
-            y_envelope: Some(&self.query_envelope),
-            y_keogh_raw,
-            x_envelope: None,
-            y_coarse: self.query_coarse.as_ref(),
-        };
+        let input = self.sample_input(wv, y_keogh_raw);
         // the sample-phase screen covers the coarse PAA pre-filter and
         // both LB_Keogh directions; all attributed to the LbKeogh span
         if let Some(kind) = rec.time(TracePhase::LbKeogh, || {
             self.cascade
-                .screen_samples(stats, &input, band, threshold, cascade_scratch)
+                .screen_samples(stats, &input, band_reach, threshold, cascade_scratch)
         }) {
             return Ok(WindowVerdict::Pruned(kind));
         }
@@ -932,7 +959,8 @@ impl SubseqMatcher {
 /// defines, so no chunk-width assumption lives in this crate).
 /// Normalisation and band planning happen at enqueue time — in serial
 /// sweep order — so deferral changes *when* the sample-phase stages run,
-/// never what they see.
+/// never what they see; only the threshold they are decided against may
+/// be looser (see `ShardScan::flush_pending`).
 #[derive(Debug)]
 struct PendingWindow {
     /// Global window offset.
@@ -940,9 +968,20 @@ struct PendingWindow {
     /// Lane buffer holding the z-normalised samples (`None` in raw mode,
     /// where the haystack is re-sliced at flush time).
     lane: Option<usize>,
-    /// The planned adaptive band (`None` under alignment-free policies —
-    /// every window shares the matcher's `fixed_band`).
-    band: Option<Band>,
+    /// The planned adaptive band and its [`Band::reach`] (`None` under
+    /// alignment-free policies — every window shares the matcher's
+    /// `fixed_band`).
+    band: Option<(Band, usize)>,
+}
+
+impl PendingWindow {
+    /// The window's band and reach: its own when planned, else `fixed`.
+    fn band_or<'a>(&'a self, fixed: Option<(&'a Band, usize)>) -> (&'a Band, usize) {
+        match &self.band {
+            Some((band, reach)) => (band, *reach),
+            None => fixed.expect("alignment-free policies carry a fixed band"),
+        }
+    }
 }
 
 /// One worker's share of a (possibly sharded) scan: the window range
@@ -1053,12 +1092,9 @@ impl ShardScan {
             // most LB_LANES - 1) queued survivors ahead of this window;
             // staleness only ever *loosens* it, so deferral may admit an
             // extra window into the queue but never drops one the serial
-            // sweep would keep. The flush re-reads a fresh threshold
-            // before every decision that can complete, so the pass winner
-            // and the completed-distance cache stay bit-identical to the
-            // serial sweep — an admitted-by-staleness window necessarily
-            // exceeds its fresh flush threshold and falls to a later
-            // stage (shifting pruning *credit* between stages only).
+            // sweep would keep. Every later decision reads a threshold
+            // at or above the pass winner's distance, so the pass winner
+            // stays the serial sweep's; only per-stage credit can shift.
             let threshold = best.map_or(tau, |(d, _)| d.min(tau));
             if rec
                 .time(TracePhase::LbKim, || {
@@ -1119,14 +1155,27 @@ impl ShardScan {
         Ok(best)
     }
 
-    /// Drains the deferred window queue: one batched forward LB_Keogh
-    /// pass over the lanes whose stage applies (same predicate the
-    /// cascade uses — the band inside the query-envelope window), then
-    /// each window is decided strictly in FIFO (= serial sweep) order
-    /// against a fresh pass-best threshold. The cascade re-derives
-    /// applicability itself and falls back to the scalar bound when no
-    /// precomputed value is present, so the predicate here is a
-    /// performance filter, not a correctness gate.
+    /// Drains the deferred window queue. One batched forward LB_Keogh
+    /// pass first covers the lanes whose stage applies (same predicate
+    /// the cascade uses — the band inside the query-envelope window).
+    /// The cascade re-derives applicability itself and falls back to the
+    /// scalar bound when no precomputed value is present, so the
+    /// predicate here is a performance filter, not a correctness gate.
+    ///
+    /// The windows are then decided by band shape:
+    ///
+    /// * **fixed band** — every window shares the query and the band, so
+    ///   their DPs fill in lock-step ([`dtw_run_windows`]). Each window
+    ///   is screened against the threshold `T₀` current at the start of
+    ///   the flush, the survivors fill together at `T₀`, and their
+    ///   completions reach the cache and the pass best in FIFO order.
+    ///   Thresholds only tighten within a pass, so a window pruned or
+    ///   abandoned at `T₀` lies above every later threshold and could
+    ///   not win the pass, while a lane that completes returns its exact
+    ///   distance. Pass winners, hence matches, are the serial sweep's;
+    ///   per-stage counters and later cache hits may differ (DESIGN §11).
+    /// * **adaptive bands** — each window is decided strictly in FIFO
+    ///   (= serial sweep) order against a fresh pass-best threshold.
     #[allow(clippy::too_many_arguments)]
     fn flush_pending(
         matcher: &SubseqMatcher,
@@ -1152,14 +1201,16 @@ impl ShardScan {
                 None => &xv[cand.w..cand.w + matcher.m],
             }
         };
+        // the fixed band is walked once per flush, adaptive bands once
+        // each when they were planned
+        let fixed = matcher.fixed_band.as_ref().map(|b| (b, b.reach()));
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
         if matcher.bounds_ok {
             rec.time(TracePhase::LbKeogh, || {
                 let mut slots: Vec<usize> = Vec::with_capacity(pending.len());
                 let mut views: Vec<&[f64]> = Vec::with_capacity(pending.len());
                 for (p, cand) in pending.iter().enumerate() {
-                    let band = cand.band.as_ref().or(matcher.fixed_band.as_ref());
-                    if band.is_some_and(|b| b.within_window(matcher.radius)) {
+                    if cand.band_or(fixed).1 <= matcher.radius {
                         slots.push(p);
                         views.push(window_of(cand));
                     }
@@ -1176,35 +1227,85 @@ impl ShardScan {
                 }
             });
         }
-        for (p, cand) in pending.drain(..).enumerate() {
-            let wv: &[f64] = match cand.lane {
-                Some(l) => &lanes[l],
-                None => &xv[cand.w..cand.w + matcher.m],
-            };
-            let band = cand
-                .band
-                .as_ref()
-                .or(matcher.fixed_band.as_ref())
-                .expect("adaptive windows carry a planned band");
-            let threshold = best.map_or(tau, |(d, _)| d.min(tau));
-            let verdict = matcher.finish_window(
-                wv,
-                band,
-                pre[p],
-                threshold,
-                dtw,
-                cascade_scratch,
-                stats,
-                rec,
-                areas,
-            )?;
-            if let WindowVerdict::Completed(d) = verdict {
-                computed.insert(cand.w, d);
-                if d <= tau && SubseqMatcher::better(d, cand.w, best) {
-                    *best = Some((d, cand.w));
+
+        let Some((band, reach)) = fixed else {
+            for (p, cand) in pending.drain(..).enumerate() {
+                let wv = window_of(&cand);
+                let (band, reach) = cand.band_or(fixed);
+                let threshold = best.map_or(tau, |(d, _)| d.min(tau));
+                let verdict = matcher.finish_window(
+                    wv,
+                    band,
+                    reach,
+                    pre[p],
+                    threshold,
+                    dtw,
+                    cascade_scratch,
+                    stats,
+                    rec,
+                    areas,
+                )?;
+                if let WindowVerdict::Completed(d) = verdict {
+                    computed.insert(cand.w, d);
+                    if d <= tau && SubseqMatcher::better(d, cand.w, best) {
+                        *best = Some((d, cand.w));
+                    }
+                }
+            }
+            return Ok(());
+        };
+
+        let threshold = best.map_or(tau, |(d, _)| d.min(tau));
+        let mut slots = [0usize; LB_LANES];
+        let mut views: [&[f64]; LB_LANES] = [&[]; LB_LANES];
+        let mut filling = 0;
+        rec.time(TracePhase::LbKeogh, || {
+            for (p, cand) in pending.iter().enumerate() {
+                let wv = window_of(cand);
+                let input = matcher.sample_input(wv, pre[p]);
+                if matcher
+                    .cascade
+                    .screen_samples(stats, &input, reach, threshold, cascade_scratch)
+                    .is_none()
+                {
+                    slots[filling] = p;
+                    views[filling] = wv;
+                    filling += 1;
+                }
+            }
+        });
+        if filling > 0 {
+            let area = band.area();
+            areas.0 += (filling * area) as u64;
+            areas.1 += (filling * matcher.m * matcher.m) as u64;
+            let filled = rec.time(TracePhase::DpFill, || {
+                dtw_run_windows(
+                    &matcher.query,
+                    &views[..filling],
+                    band,
+                    &matcher.config.sdtw.dtw,
+                    threshold,
+                    dtw,
+                )
+            });
+            for (&p, outcome) in slots[..filling].iter().zip(filled) {
+                let w = pending[p].w;
+                match outcome {
+                    // an abandoning lane still paid for part of the grid;
+                    // charge the full band conservatively (as the index
+                    // does)
+                    None => stats.record_abandoned(area),
+                    Some(d) => {
+                        stats.record_completed(area);
+                        computed.insert(w, d);
+                        if d <= tau && SubseqMatcher::better(d, w, best) {
+                            *best = Some((d, w));
+                        }
+                    }
                 }
             }
         }
+        pending.clear();
         Ok(())
     }
 }

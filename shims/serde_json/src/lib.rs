@@ -156,16 +156,30 @@ fn write_string(out: &mut String, s: &str) {
 
 // ------------------------------------------------------------------ parser
 
+/// Deepest nesting of arrays and objects the parser accepts — the limit
+/// real serde_json uses. The parser recurses once per level, so without
+/// a limit one line of nested `[` can exhaust the thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parses JSON text into a [`Value`].
+///
+/// # Errors
+///
+/// Malformed text, and arrays or objects nested deeper than 128 levels
+/// (the error names the byte offset of the first bracket past the
+/// limit).
 pub fn parse(text: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -218,8 +232,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error(format!(
                 "unexpected `{}` at byte {}",
@@ -227,6 +241,21 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error("unexpected end of input".into())),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -479,6 +508,31 @@ mod tests {
         let n = 3usize;
         let obj = json!({"n": n, "name": "x"});
         assert_eq!(obj.get("n").unwrap(), &Value::Number(Number::U(3)));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_depth_limit() {
+        let nested =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + &close.repeat(depth);
+        // a line this deep used to overflow the stack and abort
+        let err = parse(&nested("[", "]", 100_000)).unwrap_err();
+        assert!(err.to_string().contains("at byte 128"), "{err}");
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("[", "]", MAX_DEPTH + 1)).is_err());
+        // objects count towards the same limit as arrays
+        let mut mixed = String::new();
+        for _ in 0..MAX_DEPTH / 2 {
+            mixed.push_str("{\"a\":[");
+        }
+        for _ in 0..MAX_DEPTH / 2 {
+            mixed.push_str("]}");
+        }
+        assert!(parse(&mixed).is_ok());
+        let deeper = format!("[{mixed}]");
+        assert!(parse(&deeper).is_err());
+        // siblings do not accumulate depth
+        let wide = format!("[{}]", vec![nested("[", "]", MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 // uses a subset of the helpers.
 #![allow(dead_code)]
 
-use sdtw_suite::dtw::engine::{dtw_run_options, DtwOptions, DtwResult, DtwScratch};
+use sdtw_suite::dtw::engine::{
+    dtw_run_options, dtw_run_windows, DtwOptions, DtwResult, DtwScratch,
+};
 use sdtw_suite::dtw::{AmercedKernel, Band, DtwKernel, KernelChoice, StandardKernel};
 
 /// Tiny deterministic generator (SplitMix64).
@@ -215,4 +217,66 @@ pub fn assert_runs_agree(
         }
     }
     path_run
+}
+
+/// `count` windows of `base.len()` samples for one lock-step call:
+/// smooth seeded perturbations of `base`, one of which is an exact
+/// duplicate of another (two lanes that must come out bit-equal), and
+/// `base` itself in lane 0.
+pub fn lane_windows(rng: &mut TestRng, base: &[f64], count: usize) -> Vec<Vec<f64>> {
+    let mut windows: Vec<Vec<f64>> = (0..count)
+        .map(|k| {
+            if k == 0 {
+                return base.to_vec();
+            }
+            let (amp, freq, phase) = (
+                rng.f64_in(0.05, 1.5),
+                rng.f64_in(0.05, 0.9),
+                rng.f64_in(0.0, 6.3),
+            );
+            base.iter()
+                .enumerate()
+                .map(|(j, v)| v + amp * (j as f64 * freq + phase).sin())
+                .collect()
+        })
+        .collect();
+    if count >= 2 {
+        let (from, to) = (rng.usize_in(0, count), rng.usize_in(0, count));
+        windows[to] = windows[from].clone();
+    }
+    windows
+}
+
+/// Runs one lock-step call ([`dtw_run_windows`]) and asserts every lane
+/// against the textbook distances `want` (one per window): the distance
+/// bits, and `None` exactly when the textbook distance exceeds `cutoff`.
+/// Lanes past the windows must be `None`.
+#[allow(clippy::too_many_arguments)]
+pub fn assert_lanes_agree(
+    xv: &[f64],
+    windows: &[&[f64]],
+    want: &[f64],
+    band: &Band,
+    opts: &DtwOptions,
+    cutoff: f64,
+    scratch: &mut DtwScratch,
+    label: &str,
+) {
+    assert_eq!(
+        windows.len(),
+        want.len(),
+        "one textbook distance per window"
+    );
+    let got = dtw_run_windows(xv, windows, band, opts, cutoff, scratch);
+    for (l, lane) in got.iter().enumerate() {
+        let expected = want.get(l).copied().filter(|&d| d <= cutoff);
+        assert_eq!(
+            lane.map(f64::to_bits),
+            expected.map(f64::to_bits),
+            "lane {l} of {} diverged [{label}]: lock-step {lane:?} vs textbook {:?} under \
+             cutoff {cutoff}",
+            windows.len(),
+            want.get(l)
+        );
+    }
 }

@@ -10,16 +10,23 @@
 //! question. Path runs must also return a valid warp path that pays the
 //! reported distance.
 //!
+//! The lock-step fill (`dtw_run_windows`) runs the same grid with one
+//! to eight windows per call, one of them an exact duplicate: every lane
+//! must carry its textbook distance bit for bit, and return `None`
+//! exactly when that distance exceeds the cutoff.
+//!
 //! The same harness drives the edge cases: degenerate lengths, bands
 //! wider than the grid, all-equal series (maximal tie-path ambiguity),
 //! non-staircase bands, and non-finite-input rejection.
 
 mod common;
 
-use common::{assert_runs_agree, structured_series, TestRng};
+use common::{
+    assert_lanes_agree, assert_runs_agree, lane_windows, structured_series, textbook_dtw, TestRng,
+};
 use sdtw_suite::core::{ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::dtw::band::ColRange;
-use sdtw_suite::dtw::engine::{DtwOptions, Normalization, StepPattern};
+use sdtw_suite::dtw::engine::{DtwOptions, DtwScratch, Normalization, StepPattern};
 use sdtw_suite::dtw::itakura::itakura_band;
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
 use sdtw_suite::dtw::{Band, KernelChoice};
@@ -97,6 +104,55 @@ fn wavefront_matches_rows_across_the_seeded_grid() {
                     match cname {
                         "tight" => assert!(outcome.is_none(), "tight cutoff must abandon"),
                         _ => assert!(outcome.is_some(), "cutoff at/above the distance survives"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lock_step_lanes_match_the_textbook_across_the_seeded_grid() {
+    let mut rng = TestRng::new(0xD1FF_EE02);
+    let mut scratch = DtwScratch::new();
+    for pair in 0..4 {
+        let x = structured_series(&mut rng);
+        let y = structured_series(&mut rng);
+        let windows = lane_windows(&mut rng, y.values(), 8);
+        let views: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
+        let bands: Vec<(&str, Band)> = vec![
+            ("sakoe", sakoe_chiba_band(x.len(), y.len(), 0.2)),
+            ("itakura", itakura_band(x.len(), y.len(), 2.0)),
+            ("salient", salient_band(&x, &y)),
+        ];
+        for (bname, band) in &bands {
+            for (kname, opts) in kernel_grid() {
+                let want: Vec<f64> = views
+                    .iter()
+                    .map(|w| textbook_dtw(x.values(), w, band, &opts).0)
+                    .collect();
+                let (lo, hi) = want.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &d| {
+                    (lo.min(d), hi.max(d))
+                });
+                for count in 1..=views.len() {
+                    // "one" sits exactly on one lane's distance: that lane
+                    // (and its duplicate) survive the tie, lanes above abandon
+                    for (cname, cutoff) in [
+                        ("none", f64::INFINITY),
+                        ("loose", hi * 1.5 + 1.0),
+                        ("one", want[count / 2]),
+                        ("tight", lo * 0.5 - 1e-9),
+                    ] {
+                        assert_lanes_agree(
+                            x.values(),
+                            &views[..count],
+                            &want[..count],
+                            band,
+                            &opts,
+                            cutoff,
+                            &mut scratch,
+                            &format!("pair {pair} band {bname} kernel {kname} lanes {count} cutoff {cname}"),
+                        );
                     }
                 }
             }

@@ -4,7 +4,11 @@
 //!
 //! The acceptance bar is *bit-identical*: same offsets, same distance
 //! bits, ties included, on three seeded datasets, for k ∈ {1, 5}, with
-//! and without per-window z-normalisation.
+//! and without per-window z-normalisation, under every kernel. Fixed-band
+//! sweeps fill their DPs in lock-step batches, so a periodic haystack
+//! puts windows with bit-equal distances into one batch to hold the
+//! tie-break as well. The batched fill only vectorises in optimised
+//! builds, so this file also runs under `--release`.
 
 use sdtw_suite::eval::{select_matches, subsequence_profile};
 use sdtw_suite::prelude::*;
@@ -18,43 +22,74 @@ fn haystack(series: &[TimeSeries]) -> TimeSeries {
     TimeSeries::new(v).expect("concatenation of valid series is valid")
 }
 
-/// Asserts matcher == oracle on one seeded dataset, both normalisation
-/// modes, k ∈ {1, 5}.
+/// The kernels the sweeps must stay exact under: the paper's
+/// symmetric1, symmetric2 with the `/(N+M)` normalisation, and amerced
+/// with a penalty of 0.25.
+fn kernel_grid() -> Vec<(&'static str, DtwOptions)> {
+    vec![
+        ("sym1", DtwOptions::default()),
+        ("sym2", DtwOptions::normalized_symmetric2()),
+        ("amerced", DtwOptions::amerced(0.25)),
+    ]
+}
+
+/// A Sakoe 0.2 search under the given kernel and normalisation mode.
+fn banded_config(dtw: DtwOptions, z_normalize: bool) -> StreamConfig {
+    let base = StreamConfig::exact_banded(0.2);
+    StreamConfig {
+        sdtw: SDtwConfig { dtw, ..base.sdtw },
+        z_normalize,
+        ..base
+    }
+}
+
+/// Asserts matcher == oracle on one seeded dataset, under every kernel,
+/// both normalisation modes, k ∈ {1, 5}.
 fn assert_exact(analog: UcrAnalog, seed: u64, hay_rows: usize) {
     let ds = analog.generate(seed);
     let query = ds.series[0].clone();
     let hay = haystack(&ds.series[1..1 + hay_rows]);
-    for z_norm in [true, false] {
-        let config = StreamConfig {
-            z_normalize: z_norm,
-            ..StreamConfig::exact_banded(0.2)
-        };
-        let matcher = SubseqMatcher::new(&query, config).unwrap();
-        let engine = SDtw::new(matcher.config().sdtw.clone()).unwrap();
-        let profile = subsequence_profile(&engine, &query, &hay, z_norm).unwrap();
-        assert_eq!(profile.len(), hay.len() - query.len() + 1);
-        for k in [1usize, 5] {
-            let expected = select_matches(&profile, k, matcher.exclusion(), f64::INFINITY);
-            let got = matcher.find(&hay, k).unwrap();
-            assert_eq!(
-                got.matches.len(),
-                expected.len(),
-                "{analog:?} znorm={z_norm} k={k}: match count"
-            );
-            for (m, (w, d)) in got.matches.iter().zip(&expected) {
-                assert_eq!(
-                    m.offset, *w,
-                    "{analog:?} znorm={z_norm} k={k}: offsets diverge"
-                );
-                assert_eq!(
-                    m.distance.to_bits(),
-                    d.to_bits(),
-                    "{analog:?} znorm={z_norm} k={k}: distance bits diverge at {w}"
-                );
-            }
-            assert!(got.stats.is_consistent());
-            assert_eq!(got.stats.windows as usize, profile.len());
+    for (kname, dtw) in kernel_grid() {
+        for z_norm in [true, false] {
+            let matcher = SubseqMatcher::new(&query, banded_config(dtw, z_norm)).unwrap();
+            assert_matches_the_oracle(&matcher, &query, &hay, &format!("{analog:?} {kname}"));
         }
+    }
+}
+
+/// Asserts one matcher against the brute-force oracle for k ∈ {1, 5}:
+/// same offsets, same distance bits, ties broken toward the lower offset.
+fn assert_matches_the_oracle(
+    matcher: &SubseqMatcher,
+    query: &TimeSeries,
+    hay: &TimeSeries,
+    label: &str,
+) {
+    let z_norm = matcher.config().z_normalize;
+    let engine = SDtw::new(matcher.config().sdtw.clone()).unwrap();
+    let profile = subsequence_profile(&engine, query, hay, z_norm).unwrap();
+    assert_eq!(profile.len(), hay.len() - query.len() + 1);
+    for k in [1usize, 5] {
+        let expected = select_matches(&profile, k, matcher.exclusion(), f64::INFINITY);
+        let got = matcher.find(hay, k).unwrap();
+        assert_eq!(
+            got.matches.len(),
+            expected.len(),
+            "{label} znorm={z_norm} k={k}: match count"
+        );
+        for (m, (w, d)) in got.matches.iter().zip(&expected) {
+            assert_eq!(
+                m.offset, *w,
+                "{label} znorm={z_norm} k={k}: offsets diverge"
+            );
+            assert_eq!(
+                m.distance.to_bits(),
+                d.to_bits(),
+                "{label} znorm={z_norm} k={k}: distance bits diverge at {w}"
+            );
+        }
+        assert!(got.stats.is_consistent());
+        assert_eq!(got.stats.windows as usize, profile.len());
     }
 }
 
@@ -71,6 +106,34 @@ fn matcher_is_exact_versus_the_oracle_on_trace() {
 #[test]
 fn matcher_is_exact_versus_the_oracle_on_50words() {
     assert_exact(UcrAnalog::Words50, 7, 3);
+}
+
+/// A haystack of period 5: every window recurs bit for bit five samples
+/// later, so windows with bit-equal distances share one lock-step batch
+/// (the deferred queue holds eight). Exactness then rests on the
+/// tie-break toward the lower offset, for every kernel, both
+/// normalisation modes and every shard count.
+#[test]
+fn periodic_haystacks_break_ties_exactly_inside_one_batch() {
+    const PERIOD: [f64; 5] = [0.3, 1.7, -0.4, 2.2, 0.9];
+    let hay = TimeSeries::new((0..240).map(|i| PERIOD[i % PERIOD.len()]).collect()).unwrap();
+    // the query follows the period loosely, so distances are ties but
+    // not zero
+    let query = TimeSeries::new(
+        (0..36)
+            .map(|i| PERIOD[(i + 2) % 5] + 0.3 * (i as f64 / 4.0).sin())
+            .collect(),
+    )
+    .unwrap();
+    for (kname, dtw) in kernel_grid() {
+        for z_norm in [true, false] {
+            let matcher = SubseqMatcher::new(&query, banded_config(dtw, z_norm)).unwrap();
+            assert_matches_the_oracle(&matcher, &query, &hay, &format!("periodic {kname}"));
+            for k in [1usize, 5] {
+                assert_sharded_equals_serial(&matcher, &hay, k, f64::INFINITY);
+            }
+        }
+    }
 }
 
 #[test]

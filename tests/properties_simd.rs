@@ -7,14 +7,19 @@
 //! Sakoe and Itakura bands) with the shapes that stress the lane
 //! decomposition specifically: series shorter than one lane, ragged-tail
 //! diagonal spans, membership-masked non-staircase bands, and the batched
-//! bounds' remainder handling. The lanes only vectorise in optimised
-//! builds, so this file also runs under `--release`.
+//! bounds' remainder handling. The lock-step window fill gets its own
+//! sweep over lengths 1–97, unequal lengths, and non-staircase and
+//! infeasible bands. The lanes only vectorise in optimised builds, so
+//! this file also runs under `--release`.
 
 mod common;
 
-use common::{assert_runs_agree, random_series, structured_series, textbook_dtw, TestRng};
+use common::{
+    assert_lanes_agree, assert_runs_agree, lane_windows, random_series, structured_series,
+    textbook_dtw, TestRng,
+};
 use sdtw_suite::dtw::band::ColRange;
-use sdtw_suite::dtw::engine::{DtwOptions, Normalization, StepPattern};
+use sdtw_suite::dtw::engine::{DtwOptions, DtwScratch, Normalization, StepPattern};
 use sdtw_suite::dtw::lower_bound::{
     lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch, Envelope,
     SeriesSummary, LB_LANES,
@@ -158,6 +163,85 @@ fn non_staircase_band_is_bit_identical_under_the_membership_mask() {
             }
         }
     }
+}
+
+/// The lock-step fill over the shapes that stress its row buffers: every
+/// length from 1 to 97 on either side, `n ≠ m`, one to eight windows with
+/// a duplicate among them, and bands of every shape — full, Sakoe,
+/// non-staircase (row edges that move back, so the stale-row reset works
+/// on both sides), and infeasible (sanitised inside the call). One
+/// scratch serves every case, so a buffer left over from a larger call
+/// must never leak into a smaller one.
+#[test]
+fn lock_step_lanes_are_bit_identical_across_lane_shapes() {
+    let mut rng = TestRng::new(0x10C5_7E95);
+    let mut scratch = DtwScratch::new();
+    let mut shapes: Vec<(usize, usize)> = vec![(1, 1), (1, 97), (97, 1), (2, 3), (8, 8), (9, 7)];
+    for _ in 0..120 {
+        let n = rng.usize_in(1, 98);
+        let m = rng.usize_in(1, 98);
+        shapes.push((n, m));
+    }
+    let (mut non_staircase, mut infeasible) = (0, 0);
+    for (case, &(n, m)) in shapes.iter().enumerate() {
+        let xv: Vec<f64> = (0..n).map(|_| rng.f64_in(-5.0, 5.0)).collect();
+        let base: Vec<f64> = (0..m).map(|_| rng.f64_in(-5.0, 5.0)).collect();
+        let count = rng.usize_in(1, LANE_WIDTH + 1);
+        let windows = lane_windows(&mut rng, &base, count);
+        let views: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
+        let (bname, band) = match case % 4 {
+            0 => ("full", Band::full(n, m)),
+            1 => ("sakoe", sakoe_chiba_band(n, m, rng.f64_in(0.0, 0.3))),
+            2 => {
+                // a diagonal corridor whose edges jump back on random rows
+                let ranges = (0..n)
+                    .map(|i| {
+                        let centre = i * m / n;
+                        let w = rng.usize_in(0, 6);
+                        let back = if rng.usize_in(0, 4) == 0 { 3 } else { 0 };
+                        ColRange::new(
+                            centre.saturating_sub(w + back),
+                            (centre + w).saturating_sub(back).min(m - 1),
+                        )
+                    })
+                    .collect();
+                ("corridor", Band::from_ranges(n, m, ranges))
+            }
+            _ => {
+                // independent random rows: gaps and missing corners
+                let ranges = (0..n)
+                    .map(|_| ColRange::new(rng.usize_in(0, m), rng.usize_in(0, m)))
+                    .collect();
+                ("random", Band::from_ranges(n, m, ranges))
+            }
+        };
+        non_staircase += usize::from(!band.is_staircase());
+        infeasible += usize::from(!band.is_feasible());
+        for (kname, opts) in kernel_grid() {
+            let want: Vec<f64> = views
+                .iter()
+                .map(|w| textbook_dtw(&xv, w, &band, &opts).0)
+                .collect();
+            let pick = want[rng.usize_in(0, count)];
+            for (cname, cutoff) in cutoff_grid(pick) {
+                assert_lanes_agree(
+                    &xv,
+                    &views,
+                    &want,
+                    &band,
+                    &opts,
+                    cutoff.unwrap_or(f64::INFINITY),
+                    &mut scratch,
+                    &format!("case {case} {n}x{m}/{bname}/{kname}/{count} lanes/{cname}"),
+                );
+            }
+        }
+    }
+    assert!(
+        non_staircase >= 20,
+        "only {non_staircase} non-staircase bands"
+    );
+    assert!(infeasible >= 20, "only {infeasible} infeasible bands");
 }
 
 /// The batched lower bounds agree with the scalar per-item reference bit
