@@ -19,11 +19,112 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// The longest request line either transport reads: 4 MiB, newline
+/// excluded. A pattern is the only long field a request carries, and
+/// 4 MiB holds more than 150,000 samples printed at full `f64`
+/// precision (at most 25 bytes each). The cap bounds what one line can
+/// make a connection buffer; a longer line is answered with `ok = false`
+/// and its remaining bytes are discarded as they arrive, unbuffered.
+pub const MAX_REQUEST_LINE_BYTES: usize = 4 << 20;
+
 /// One parsed pipe-mode input line.
 enum Item {
     Req(ServeRequest),
     Bad(ServeResponse),
     Stop(String),
+}
+
+/// Reads request lines as bytes, at most [`MAX_REQUEST_LINE_BYTES`]
+/// each, and decodes them: a line that is too long, not UTF-8 or not a
+/// request becomes the `ok = false` response that answers it, so one bad
+/// line never ends the stream.
+struct RequestLines<R> {
+    reader: R,
+    /// The current line's bytes (its storage is reused line to line).
+    line: Vec<u8>,
+}
+
+impl<R: BufRead> RequestLines<R> {
+    fn new(reader: R) -> Self {
+        RequestLines {
+            reader,
+            line: Vec::new(),
+        }
+    }
+
+    /// The next non-blank line, decoded; `None` at end of input.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the reader.
+    fn next_request(&mut self) -> io::Result<Option<Result<ServeRequest, ServeResponse>>> {
+        loop {
+            let Some(fits) = self.read_line()? else {
+                return Ok(None);
+            };
+            if !fits {
+                return Ok(Some(Err(ServeResponse::error(
+                    "",
+                    format!("bad request line: longer than {MAX_REQUEST_LINE_BYTES} bytes"),
+                ))));
+            }
+            let bytes = self.line.strip_suffix(b"\r").unwrap_or(&self.line);
+            let text = match std::str::from_utf8(bytes) {
+                Ok(text) => text,
+                Err(e) => {
+                    return Ok(Some(Err(ServeResponse::error(
+                        "",
+                        format!("bad request line: not UTF-8 ({e})"),
+                    ))))
+                }
+            };
+            if !text.trim().is_empty() {
+                return Ok(Some(ServeRequest::decode_line(text)));
+            }
+        }
+    }
+
+    /// Reads one line into `self.line`, newline excluded. Returns
+    /// `None` at end of input, `Some(false)` when the line was longer
+    /// than the cap (the line is then consumed but not kept).
+    fn read_line(&mut self) -> io::Result<Option<bool>> {
+        self.line.clear();
+        let mut fits = true;
+        let mut read_any = false;
+        loop {
+            let available = match self.reader.fill_buf() {
+                Ok(available) => available,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                // end of input: a last line without a newline still counts
+                return Ok(read_any.then_some(fits));
+            }
+            read_any = true;
+            let newline = available.iter().position(|&b| b == b'\n');
+            let chunk = &available[..newline.unwrap_or(available.len())];
+            if fits && self.line.len() + chunk.len() <= MAX_REQUEST_LINE_BYTES {
+                self.line.extend_from_slice(chunk);
+            } else {
+                fits = false;
+                self.line.clear();
+            }
+            let used = newline.map_or(available.len(), |at| at + 1);
+            self.reader.consume(used);
+            if newline.is_some() {
+                return Ok(Some(fits));
+            }
+        }
+    }
+}
+
+/// Writes one response line: the body and its newline in one call, so a
+/// client blocked on the line wakes once.
+fn write_response<W: Write>(writer: &mut W, resp: &ServeResponse) -> io::Result<()> {
+    let mut line = resp.to_json_line();
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Runs the daemon over an in-process reader/writer pair (the `--pipe`
@@ -36,7 +137,9 @@ enum Item {
 /// # Errors
 ///
 /// Propagates I/O errors from the reader/writer; malformed request
-/// lines are *answered* (with an `ok = false` response), not fatal.
+/// lines — including lines longer than [`MAX_REQUEST_LINE_BYTES`] and
+/// lines that are not UTF-8 — are *answered* (with an `ok = false`
+/// response), not fatal.
 pub fn run_pipe<R: BufRead, W: Write>(
     engine: &ServeEngine,
     reader: R,
@@ -45,20 +148,16 @@ pub fn run_pipe<R: BufRead, W: Write>(
 ) -> io::Result<Vec<String>> {
     let batch = batch.max(1);
     let mut traces = Vec::new();
-    let mut lines = reader.lines();
+    let mut requests = RequestLines::new(reader);
     let mut done = false;
     while !done {
         let mut items: Vec<Item> = Vec::with_capacity(batch);
         while items.len() < batch {
-            let Some(line) = lines.next() else {
+            let Some(decoded) = requests.next_request()? else {
                 done = true;
                 break;
             };
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match ServeRequest::decode_line(&line) {
+            match decoded {
                 Err(resp) => items.push(Item::Bad(resp)),
                 Ok(req) if req.op == RequestOp::Shutdown => {
                     items.push(Item::Stop(req.id));
@@ -92,8 +191,7 @@ pub fn run_pipe<R: BufRead, W: Write>(
                     ..ServeResponse::default()
                 },
             };
-            writer.write_all(resp.to_json_line().as_bytes())?;
-            writer.write_all(b"\n")?;
+            write_response(writer, &resp)?;
         }
         writer.flush()?;
     }
@@ -173,15 +271,11 @@ fn serve_connection(
     wake_path: &Path,
     traces: &Mutex<Vec<String>>,
 ) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut requests = RequestLines::new(BufReader::new(stream.try_clone()?));
     let mut writer = stream;
     let mut scratch = DtwScratch::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = match ServeRequest::decode_line(&line) {
+    while let Some(decoded) = requests.next_request()? {
+        let resp = match decoded {
             Err(resp) => resp,
             Ok(req) if req.op == RequestOp::Shutdown => {
                 let ack = ServeResponse {
@@ -189,8 +283,7 @@ fn serve_connection(
                     ok: true,
                     ..ServeResponse::default()
                 };
-                writer.write_all(ack.to_json_line().as_bytes())?;
-                writer.write_all(b"\n")?;
+                write_response(&mut writer, &ack)?;
                 writer.flush()?;
                 stop.store(true, Ordering::SeqCst);
                 // self-wake: the accept loop is blocked in `accept`; a
@@ -206,8 +299,7 @@ fn serve_connection(
                 resp
             }
         };
-        writer.write_all(resp.to_json_line().as_bytes())?;
-        writer.write_all(b"\n")?;
+        write_response(&mut writer, &resp)?;
         writer.flush()?;
     }
     Ok(())
@@ -320,18 +412,38 @@ mod tests {
     }
 
     /// Request lines no client should send, each followed by a valid
-    /// query: nesting far past the JSON depth limit (it used to overflow
-    /// the stack and abort the process), valid JSON of the wrong shape
-    /// (its id must be echoed), and text that is not JSON.
-    fn hostile_lines() -> Vec<(String, &'static str)> {
+    /// query, with the id and an error fragment their answer must carry:
+    /// nesting far past the JSON depth limit (it used to overflow the
+    /// stack and abort the process), valid JSON of the wrong shape (its
+    /// id must be echoed), text that is not JSON, bytes that are not
+    /// UTF-8 (they used to end the connection), and lines at and just
+    /// past the length cap (only the longer one is refused unread).
+    fn hostile_lines() -> Vec<(Vec<u8>, &'static str, &'static str)> {
         vec![
-            ("[".repeat(100_000) + &"]".repeat(100_000), ""),
             (
-                r#"{"id":"q7","op":"Query","k":2,"tau":null,"trace":false,"values":"x"}"#.into(),
-                "q7",
+                ("[".repeat(100_000) + &"]".repeat(100_000)).into_bytes(),
+                "",
+                "nesting",
             ),
-            ("this is not json".into(), ""),
+            (
+                br#"{"id":"q7","op":"Query","k":2,"tau":null,"trace":false,"values":"x"}"#.to_vec(),
+                "q7",
+                "expected array",
+            ),
+            (b"this is not json".to_vec(), "", "expected"),
+            (vec![b'{', 0xff, 0xfe, b'}'], "", "not UTF-8"),
+            (vec![b'x'; MAX_REQUEST_LINE_BYTES], "", "expected"),
+            (vec![b'x'; MAX_REQUEST_LINE_BYTES + 1], "", "longer than"),
         ]
+    }
+
+    /// `line`, then `valid` ending in CRLF, as one transport input.
+    fn hostile_input(line: &[u8], valid: &ServeRequest) -> Vec<u8> {
+        let mut input = line.to_vec();
+        input.push(b'\n');
+        input.extend_from_slice(valid.to_json_line().as_bytes());
+        input.extend_from_slice(b"\r\n");
+        input
     }
 
     #[test]
@@ -350,10 +462,9 @@ mod tests {
             ServeResponse::from_json_line(std::str::from_utf8(&expected).unwrap().trim_end())
                 .unwrap();
         assert!(expected.ok && !expected.hits.is_empty());
-        for (line, id) in hostile_lines() {
-            let input = format!("{line}\n{}\n", valid.to_json_line());
+        for (line, id, why) in hostile_lines() {
             let mut out = Vec::new();
-            run_pipe(&engine, input.as_bytes(), &mut out, 4).unwrap();
+            run_pipe(&engine, &hostile_input(&line, &valid)[..], &mut out, 4).unwrap();
             let resps: Vec<ServeResponse> = String::from_utf8(out)
                 .unwrap()
                 .lines()
@@ -363,7 +474,7 @@ mod tests {
             assert!(!resps[0].ok);
             assert_eq!(resps[0].id, id);
             assert!(
-                resps[0].error.starts_with("bad request line"),
+                resps[0].error.starts_with("bad request line") && resps[0].error.contains(why),
                 "{}",
                 resps[0].error
             );
@@ -386,14 +497,15 @@ mod tests {
         let stream = UnixStream::connect(&sock).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        for (line, id) in hostile_lines() {
-            writeln!(writer, "{line}\n{}", valid.to_json_line()).unwrap();
+        for (line, id, why) in hostile_lines() {
+            writer.write_all(&hostile_input(&line, &valid)).unwrap();
             for want_ok in [false, true] {
                 let mut text = String::new();
                 reader.read_line(&mut text).unwrap();
                 let resp = ServeResponse::from_json_line(text.trim_end()).unwrap();
                 assert_eq!(resp.ok, want_ok, "{}", resp.error);
                 assert_eq!(resp.id, if want_ok { "after" } else { id });
+                assert!(want_ok || resp.error.contains(why), "{}", resp.error);
             }
         }
         drop((reader, writer));

@@ -7,7 +7,7 @@ use rayon::prelude::*;
 use sdtw_dtw::engine::{engine_label, DtwScratch};
 use sdtw_index::{SdtwIndex, SnapshotCodec};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
-use sdtw_stream::{StreamConfig, SubseqMatcher};
+use sdtw_stream::{PreparedHaystack, StreamConfig, SubseqMatcher};
 use sdtw_tseries::{TimeSeries, TsError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,9 +54,8 @@ pub struct EntryScreenRecord {
     /// The index's whole-recording coarse bound (visit order only —
     /// *not* admissible for subsequence hits).
     pub coarse_bound: f64,
-    /// The admissible window floor
-    /// ([`SubseqMatcher::window_bound_floor`]): no hit inside the entry
-    /// can score below this.
+    /// The admissible window floor ([`PreparedHaystack::floor`]): no hit
+    /// inside the entry can score below this.
     pub floor: f64,
     /// The threshold the floor was compared against when this entry was
     /// visited (`f64::INFINITY` until k hits have accumulated).
@@ -291,6 +290,9 @@ impl ServeEngine {
         let mut hits: Vec<ServeHit> = Vec::new();
         let mut dists: Vec<f64> = Vec::new();
         let mut screens: Vec<EntryScreenRecord> = Vec::with_capacity(screen.order.len());
+        // each entry's window bounds, computed once: the floor reads
+        // them, then the entry's sweep screens with them
+        let mut haystack = PreparedHaystack::new(&matcher);
 
         for eb in &screen.order {
             let series = self.index.entry_series(eb.index);
@@ -306,9 +308,11 @@ impl ServeEngine {
             // Level 1b: the admissible per-entry floor. Strict
             // comparison — an entry whose floor *ties* the threshold
             // could still win the (distance, entry, offset) tie-break
-            // and must be swept.
+            // and must be swept. The bound pass is screen time: the
+            // sweep's spans cover only what it does itself.
             let floor = rec.time(TracePhase::EntryScreen, || {
-                matcher.window_bound_floor(series)
+                haystack.load(series);
+                haystack.floor()
             });
             if floor > threshold {
                 screens.push(EntryScreenRecord {
@@ -333,10 +337,10 @@ impl ServeEngine {
                 if traced {
                     let sweep_id = format!("{}#{}", req.id, eb.index);
                     let (result, sub) = if self.cfg.shards == 1 {
-                        matcher.find_under_traced(series, k, threshold, &sweep_id)?
+                        matcher.find_under_traced(&haystack, k, threshold, &sweep_id)?
                     } else {
                         matcher.find_k_parallel_traced(
-                            series,
+                            &haystack,
                             k,
                             threshold,
                             self.cfg.shards,
@@ -348,9 +352,9 @@ impl ServeEngine {
                     }
                     Ok::<_, TsError>(result)
                 } else if self.cfg.shards == 1 {
-                    matcher.find_under_with_scratch(series, k, threshold, scratch)
+                    matcher.find_under_with_scratch(&haystack, k, threshold, scratch)
                 } else {
-                    matcher.find_k_parallel(series, k, threshold, self.cfg.shards)
+                    matcher.find_k_parallel(&haystack, k, threshold, self.cfg.shards)
                 }
             })?;
             for m in &result.matches {

@@ -12,15 +12,17 @@
 //!    ranks every corpus entry by its whole-recording LB_Kim bound
 //!    (bucketed ascending, O(1) per entry), deciding the *visit order*.
 //!    Pruning is decided by an admissible per-entry *floor*: the minimum
-//!    rolling LB_Kim bound over the entry's windows
-//!    ([`SubseqMatcher::window_bound_floor`](sdtw_stream::SubseqMatcher::window_bound_floor)).
+//!    rolling LB_Kim bound over the entry's windows, from one bound pass
+//!    per entry
+//!    ([`PreparedHaystack::floor`](sdtw_stream::PreparedHaystack::floor)).
 //!    An entry whose floor strictly exceeds the running k-th best hit
 //!    cannot contain a reportable match and is skipped whole.
 //! 2. **Level 2 — subsequence localisation.** Each surviving entry is
 //!    swept by the `sdtw_stream` matcher (serial with a per-worker
-//!    reused scratch, or `find_k_parallel` when sharding is configured),
-//!    seeded with the running threshold; per-entry hits merge into the
-//!    global top-k by ascending `(distance, entry, offset)`.
+//!    reused scratch, or `find_k_parallel` when sharding is configured)
+//!    from the same prepared bounds, seeded with the running threshold;
+//!    per-entry hits merge into the global top-k by ascending
+//!    `(distance, entry, offset)`.
 //!
 //! Results are **exact**: identical ids and bit-identical distances
 //! (ties included) to the brute-force every-entry / every-window oracle
@@ -41,6 +43,6 @@ pub mod daemon;
 pub mod engine;
 pub mod protocol;
 
-pub use daemon::{client_roundtrip, run_pipe, SocketServer};
+pub use daemon::{client_roundtrip, run_pipe, SocketServer, MAX_REQUEST_LINE_BYTES};
 pub use engine::{EntryScreenRecord, ServeAnswer, ServeConfig, ServeEngine};
 pub use protocol::{RequestOp, ServeHit, ServeRequest, ServeResponse};

@@ -17,7 +17,10 @@
 //! * **batch** — [`SubseqMatcher::find`] slides over a whole series,
 //!   running up to `k` pruned greedy sweeps with a completed-distance
 //!   cache (exact top-k non-overlapping matches, ties included, against
-//!   the brute-force every-window oracle in `sdtw_eval`);
+//!   the brute-force every-window oracle in `sdtw_eval`); every window's
+//!   rolling LB_Kim bound comes from one pass over the series, which a
+//!   caller that needs the bounds twice prepares once
+//!   ([`PreparedHaystack`]);
 //! * **batch, sharded** — [`SubseqMatcher::find_k_parallel`] splits one
 //!   long haystack into per-worker window shards (each reading its
 //!   sample range plus an `m − 1` halo) and merges per-pass winners and
@@ -82,7 +85,7 @@ pub mod stats;
 
 pub use bank::{BankEvent, BankQuery, MonitorBank};
 pub use config::StreamConfig;
-pub use matcher::{SubseqMatch, SubseqMatcher, SubseqResult};
+pub use matcher::{Haystack, PreparedHaystack, SubseqMatch, SubseqMatcher, SubseqResult};
 pub use monitor::StreamMonitor;
 pub use rolling::RollingExtrema;
 pub use stats::StreamStats;

@@ -1,7 +1,6 @@
 //! The batch subsequence matcher and the shared per-window cascade.
 
 use crate::config::StreamConfig;
-use crate::rolling::RollingExtrema;
 use crate::stats::StreamStats;
 use rayon::prelude::*;
 use sdtw::{DtwScratch, PreparedFeatures, SDtw};
@@ -12,15 +11,16 @@ use sdtw_dtw::engine::{dtw_run_windows, engine_label, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
-use sdtw_tseries::stats::WindowedStats;
+use sdtw_tseries::stats::SlidingMoments;
 use sdtw_tseries::transform::{z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Relative slack applied to the rolling LB_Kim before it may prune.
 ///
-/// The rolling window moments ([`WindowedStats`]) track the exact batch
+/// The rolling window moments ([`SlidingMoments`]) track the exact batch
 /// statistics to within ~`100·m·ε` relative (≲ 1e-9 for any realistic
 /// window) *whenever they report themselves well-conditioned* — the
 /// only regime [`SubseqMatcher::kim_bound`] uses them in — so a bound
@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 /// to the *exact* LB_Keogh and DP stages (which re-derive the window
 /// statistics batch-style). See DESIGN.md §9 for the admissibility
 /// argument.
-const KIM_GUARD: f64 = 1e-7;
+pub const KIM_GUARD: f64 = 1e-7;
 
 /// A serial scan's payload: the result, the spans its recorder kept,
 /// and the summed (band, full-grid) areas of the DP-entering windows.
@@ -93,6 +93,233 @@ pub(crate) enum WindowVerdict {
     Completed(f64),
 }
 
+/// What the `find*` entry points search: a bare series, whose window
+/// bounds each call computes itself, or a [`PreparedHaystack`] whose
+/// bounds were computed once. Both convert from a reference, so callers
+/// pass `&series` or `&prepared`.
+#[derive(Debug, Clone, Copy)]
+pub enum Haystack<'a> {
+    /// A series to prepare on entry.
+    Series(&'a TimeSeries),
+    /// A series the searching matcher already prepared.
+    Prepared(&'a PreparedHaystack<'a>),
+}
+
+impl<'a> From<&'a TimeSeries> for Haystack<'a> {
+    fn from(series: &'a TimeSeries) -> Self {
+        Haystack::Series(series)
+    }
+}
+
+impl<'a> From<&'a PreparedHaystack<'a>> for Haystack<'a> {
+    fn from(prepared: &'a PreparedHaystack<'a>) -> Self {
+        Haystack::Prepared(prepared)
+    }
+}
+
+impl<'a> Haystack<'a> {
+    /// The searched samples.
+    fn values(self) -> &'a [f64] {
+        match self {
+            Haystack::Series(series) => series.values(),
+            Haystack::Prepared(prepared) => prepared.values,
+        }
+    }
+
+    /// The window bounds `matcher` searches with: borrowed when it
+    /// prepared them, computed now for a bare series.
+    fn prepared_for(
+        self,
+        matcher: &'a SubseqMatcher,
+    ) -> Result<Cow<'a, PreparedHaystack<'a>>, TsError> {
+        match self {
+            Haystack::Series(series) => {
+                let mut prepared = PreparedHaystack::new(matcher);
+                prepared.load(series);
+                Ok(Cow::Owned(prepared))
+            }
+            Haystack::Prepared(prepared) if std::ptr::eq(prepared.matcher, matcher) => {
+                Ok(Cow::Borrowed(prepared))
+            }
+            Haystack::Prepared(_) => Err(TsError::InvalidParameter {
+                name: "haystack",
+                reason: "prepared by another matcher (window bounds depend on the query)"
+                    .to_string(),
+            }),
+        }
+    }
+}
+
+/// A haystack prepared for one matcher: its samples plus the rolling
+/// LB_Kim bound of every window, computed in one O(samples) pass.
+///
+/// The pass drives the same arithmetic as the streaming monitors' push
+/// accumulators — [`SlidingMoments`] for the window moments (evicted
+/// samples read back from the haystack instead of a ring buffer) and
+/// [`SubseqMatcher::kim_bound`] for the bound — and takes each window's
+/// exact extrema from block-wise running extrema, so every bound is
+/// bit-identical to the one a monitor fed the same samples computes
+/// (DESIGN.md §9).
+///
+/// The bounds depend on the query, so a prepared haystack belongs to the
+/// matcher that made it, and the `find*` entry points refuse one made by
+/// another matcher. They prepare a bare `&TimeSeries` themselves;
+/// prepare it yourself when one set of bounds serves twice — the serve
+/// daemon reads [`PreparedHaystack::floor`] to decide whether to sweep
+/// an entry at all, then sweeps it from the same bounds.
+/// [`PreparedHaystack::load`] reuses the buffers for the next series.
+#[derive(Debug, Clone)]
+pub struct PreparedHaystack<'a> {
+    matcher: &'a SubseqMatcher,
+    values: &'a [f64],
+    /// Rolling LB_Kim per window, in reported-distance units (`None`:
+    /// the stage abstains).
+    bounds: Vec<Option<f64>>,
+    floor: f64,
+    /// Suffix maxima and minima of the last complete block of `m`
+    /// samples (`[k]` covers the block from offset `k` to its end), plus
+    /// an identity sentinel at `[m]`; kept between loads so their
+    /// storage is reused.
+    tail_max: Vec<f64>,
+    tail_min: Vec<f64>,
+}
+
+impl<'a> PreparedHaystack<'a> {
+    /// An empty haystack for `matcher`: no samples, no windows, floor
+    /// `f64::INFINITY`. [`PreparedHaystack::load`] prepares a series.
+    pub fn new(matcher: &'a SubseqMatcher) -> Self {
+        PreparedHaystack {
+            matcher,
+            values: &[],
+            bounds: Vec::new(),
+            floor: f64::INFINITY,
+            tail_max: Vec::new(),
+            tail_min: Vec::new(),
+        }
+    }
+
+    /// Prepares `series`, replacing whatever was loaded before: one pass
+    /// over its samples computes every window's rolling LB_Kim bound and
+    /// the floor, reusing this value's buffers.
+    pub fn load(&mut self, series: &'a TimeSeries) {
+        let xv = series.values();
+        let matcher = self.matcher;
+        let m = matcher.m;
+        self.values = xv;
+        self.bounds.clear();
+        if xv.len() < m {
+            self.floor = f64::INFINITY;
+            return;
+        }
+        if !matcher.bounds_ok {
+            self.bounds.resize(xv.len() - m + 1, None);
+            self.floor = 0.0;
+            return;
+        }
+        self.bounds.reserve(xv.len() - m + 1);
+        // Window extrema without a data-dependent branch: cut the
+        // haystack into blocks of m samples. A window is the tail of one
+        // block plus the head of the next, so its maximum is the larger
+        // of that tail's suffix maximum and the running maximum of the
+        // head (likewise the minimum). Max and min return one of their
+        // operands, so the extrema are exact.
+        let (tail_max, tail_min) = (&mut self.tail_max, &mut self.tail_min);
+        tail_max.clear();
+        tail_max.resize(m + 1, f64::NEG_INFINITY);
+        tail_min.clear();
+        tail_min.resize(m + 1, f64::INFINITY);
+        let (mut head_max, mut head_min) = (f64::NEG_INFINITY, f64::INFINITY);
+        // samples of the current block seen so far, including `t`
+        let mut in_block = m;
+        let mut moments = SlidingMoments::default();
+        let mut lowest = f64::INFINITY;
+        let mut abstained = false;
+        for (t, &v) in xv.iter().enumerate() {
+            if in_block == m {
+                if t >= m {
+                    let (mut hi, mut lo) = (f64::NEG_INFINITY, f64::INFINITY);
+                    for (k, &u) in xv[t - m..t].iter().enumerate().rev() {
+                        hi = hi.max(u);
+                        lo = lo.min(u);
+                        tail_max[k] = hi;
+                        tail_min[k] = lo;
+                    }
+                }
+                in_block = 0;
+                (head_max, head_min) = (v, v);
+            } else {
+                head_max = head_max.max(v);
+                head_min = head_min.min(v);
+            }
+            in_block += 1;
+            if t < m {
+                moments.grow(v);
+            } else if moments.slide(v, xv[t - m]) {
+                moments.recentre(xv[t + 1 - m..=t].iter().copied());
+            }
+            if t + 1 >= m {
+                // the window starts `in_block` samples into the previous
+                // block: at `[m]`, the sentinel, it is the current block
+                let (min, max) = (
+                    tail_min[in_block].min(head_min),
+                    tail_max[in_block].max(head_max),
+                );
+                let bound = matcher.kim_bound(xv[t + 1 - m], v, min, max, &moments);
+                match bound {
+                    Some(b) => lowest = lowest.min(b),
+                    None => abstained = true,
+                }
+                self.bounds.push(bound);
+            }
+        }
+        self.floor = if abstained {
+            0.0
+        } else {
+            // thresholds are >= 0, so for t >= 0 the guarded prune
+            // `kim > t + g·(1 + |t| + kim)` is `t < deflated(kim)`; the
+            // deflation is monotone, so deflating the lowest bound gives
+            // the lowest deflated bound
+            let guard = if matcher.config.z_normalize {
+                KIM_GUARD
+            } else {
+                0.0
+            };
+            ((lowest * (1.0 - guard) - guard) / (1.0 + guard)).max(0.0)
+        };
+    }
+
+    /// The rolling LB_Kim bound of every window, by offset, in
+    /// reported-distance units; `None` where the stage abstains.
+    pub fn window_bounds(&self) -> &[Option<f64>] {
+        &self.bounds
+    }
+
+    /// An admissible lower bound on the distance of the *best* window —
+    /// the minimum of the rolling bounds, in reported-distance units. No
+    /// DP work: it falls out of the bound pass.
+    ///
+    /// This is the per-entry floor the serve daemon's two-level cascade
+    /// prunes whole recordings with: no subsequence hit inside the
+    /// haystack can score below it, so an entry whose floor strictly
+    /// exceeds the running k-th best hit can be skipped without sweeping
+    /// it (ties must still be swept — the global tie-break may prefer
+    /// them). Conservative by construction:
+    ///
+    /// * a window whose bound abstains (ill-conditioned σ, or bounds
+    ///   disabled by the kernel) collapses the floor to the trivial
+    ///   bound `0.0` — the entry is always swept;
+    /// * under z-normalisation the bound is deflated by the same
+    ///   [`KIM_GUARD`] relative slack the in-sweep Kim stage applies
+    ///   (`kim > t + g·(1 + |t| + kim)` solved for `t`), so "floor
+    ///   strictly above the threshold" is *exactly* the per-window
+    ///   guarded prune decision DESIGN §9 proves admissible;
+    /// * a haystack shorter than the query has no windows and returns
+    ///   `f64::INFINITY` — nothing to find, always prunable.
+    pub fn floor(&self) -> f64 {
+        self.floor
+    }
+}
+
 /// A prepared subsequence query: the UCR-style search engine.
 ///
 /// Construction pays the per-query costs exactly once — z-normalising
@@ -102,9 +329,10 @@ pub(crate) enum WindowVerdict {
 /// window shares it). [`SubseqMatcher::find`] then slides over a long
 /// series running the cascade per window:
 ///
-/// 1. **rolling LB_Kim** — O(1) from the incremental window statistics
-///    ([`WindowedStats`] + [`RollingExtrema`]), conservatively guarded
-///    under z-normalisation (see `KIM_GUARD` in the source);
+/// 1. **rolling LB_Kim** — O(1) per window from the incremental window
+///    moments ([`SlidingMoments`]) and exact extrema, all computed in
+///    one pass over the haystack ([`PreparedHaystack`]) and
+///    conservatively guarded under z-normalisation ([`KIM_GUARD`]);
 /// 2. **coarse PAA pre-filter** — the exactly-normalised window's
 ///    segment means against the PAA-compressed query envelope
 ///    ([`CoarseEnvelope`]; `O(m/w)` metric evaluations, admissible under
@@ -297,13 +525,20 @@ impl SubseqMatcher {
         self.radius
     }
 
-    /// Finds the `k` best non-overlapping matches in `series`.
+    /// Finds the `k` best non-overlapping matches in `haystack` — a
+    /// `&TimeSeries`, or a `&PreparedHaystack` this matcher prepared
+    /// (every `find*` entry point takes either; see [`Haystack`]).
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature-extraction failures (adaptive policies).
-    pub fn find(&self, series: &TimeSeries, k: usize) -> Result<SubseqResult, TsError> {
-        self.find_under_with_scratch(series, k, f64::INFINITY, &mut DtwScratch::new())
+    /// `k == 0`, a haystack prepared by another matcher, or
+    /// feature-extraction failures (adaptive policies).
+    pub fn find<'h>(
+        &self,
+        haystack: impl Into<Haystack<'h>>,
+        k: usize,
+    ) -> Result<SubseqResult, TsError> {
+        self.find_under_with_scratch(haystack, k, f64::INFINITY, &mut DtwScratch::new())
     }
 
     /// [`SubseqMatcher::find`] restricted to matches with distance `<=
@@ -313,14 +548,15 @@ impl SubseqMatcher {
     ///
     /// # Errors
     ///
-    /// `k == 0`, a negative/NaN `tau`, or feature-extraction failures.
-    pub fn find_under(
+    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
+    /// matcher, or feature-extraction failures.
+    pub fn find_under<'h>(
         &self,
-        series: &TimeSeries,
+        haystack: impl Into<Haystack<'h>>,
         k: usize,
         tau: f64,
     ) -> Result<SubseqResult, TsError> {
-        self.find_under_with_scratch(series, k, tau, &mut DtwScratch::new())
+        self.find_under_with_scratch(haystack, k, tau, &mut DtwScratch::new())
     }
 
     /// [`SubseqMatcher::find_under`] with caller-owned DP buffers (the
@@ -328,15 +564,16 @@ impl SubseqMatcher {
     ///
     /// # Errors
     ///
-    /// `k == 0`, a negative/NaN `tau`, or feature-extraction failures.
-    pub fn find_under_with_scratch(
+    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
+    /// matcher, or feature-extraction failures.
+    pub fn find_under_with_scratch<'h>(
         &self,
-        series: &TimeSeries,
+        haystack: impl Into<Haystack<'h>>,
         k: usize,
         tau: f64,
         scratch: &mut DtwScratch,
     ) -> Result<SubseqResult, TsError> {
-        Ok(self.find_core(series, k, tau, scratch, false)?.0)
+        Ok(self.find_core(haystack.into(), k, tau, scratch, false)?.0)
     }
 
     /// [`SubseqMatcher::find`] with full telemetry: the result plus a
@@ -350,14 +587,15 @@ impl SubseqMatcher {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature-extraction failures (adaptive policies).
-    pub fn find_traced(
+    /// `k == 0`, a haystack prepared by another matcher, or
+    /// feature-extraction failures (adaptive policies).
+    pub fn find_traced<'h>(
         &self,
-        series: &TimeSeries,
+        haystack: impl Into<Haystack<'h>>,
         k: usize,
         query_id: &str,
     ) -> Result<(SubseqResult, QueryTrace), TsError> {
-        self.find_under_traced(series, k, f64::INFINITY, query_id)
+        self.find_under_traced(haystack, k, f64::INFINITY, query_id)
     }
 
     /// [`SubseqMatcher::find_under`] with full telemetry — the traced
@@ -366,19 +604,21 @@ impl SubseqMatcher {
     ///
     /// # Errors
     ///
-    /// `k == 0`, a negative/NaN `tau`, or feature-extraction failures.
-    pub fn find_under_traced(
+    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
+    /// matcher, or feature-extraction failures.
+    pub fn find_under_traced<'h>(
         &self,
-        series: &TimeSeries,
+        haystack: impl Into<Haystack<'h>>,
         k: usize,
         tau: f64,
         query_id: &str,
     ) -> Result<(SubseqResult, QueryTrace), TsError> {
         let t0 = std::time::Instant::now();
+        let haystack = haystack.into();
         let (result, spans, areas) =
-            self.find_core(series, k, tau, &mut DtwScratch::new(), true)?;
+            self.find_core(haystack, k, tau, &mut DtwScratch::new(), true)?;
         let mut trace = QueryTrace::new(query_id, WorkloadKind::SubseqFind);
-        trace.shape = self.trace_shape(series.len() as u64, k as u64);
+        trace.shape = self.trace_shape(haystack.values().len() as u64, k as u64);
         trace.counters = result.stats;
         trace.band_area = areas.0;
         trace.full_grid = areas.1;
@@ -394,25 +634,15 @@ impl SubseqMatcher {
     /// (band, full-grid) areas of the DP-entering windows.
     fn find_core(
         &self,
-        series: &TimeSeries,
+        haystack: Haystack<'_>,
         k: usize,
         tau: f64,
         scratch: &mut DtwScratch,
         traced: bool,
     ) -> Result<CoreScan, TsError> {
-        if k == 0 {
-            return Err(TsError::InvalidParameter {
-                name: "k",
-                reason: "subsequence search needs k >= 1".to_string(),
-            });
-        }
-        if tau.is_nan() || tau < 0.0 {
-            return Err(TsError::InvalidParameter {
-                name: "tau",
-                reason: format!("distance threshold must be >= 0, got {tau}"),
-            });
-        }
-        let xv = series.values();
+        Self::check_search(k, tau)?;
+        let hay = haystack.prepared_for(self)?;
+        let xv = hay.values;
         if xv.len() < self.m {
             return Ok((
                 SubseqResult {
@@ -431,7 +661,7 @@ impl SubseqMatcher {
         let mut passes = 0u32;
         for _ in 0..k {
             passes += 1;
-            match shard.sweep(self, xv, tau, &selected)? {
+            match shard.sweep(self, &hay, tau, &selected)? {
                 None => break,
                 Some((distance, offset)) => selected.push(SubseqMatch { offset, distance }),
             }
@@ -474,16 +704,18 @@ impl SubseqMatcher {
     ///
     /// # Errors
     ///
-    /// `k == 0`, a negative/NaN `tau`, or feature-extraction failures
-    /// (adaptive policies).
-    pub fn find_k_parallel(
+    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
+    /// matcher, or feature-extraction failures (adaptive policies).
+    pub fn find_k_parallel<'h>(
         &self,
-        series: &TimeSeries,
+        haystack: impl Into<Haystack<'h>>,
         k: usize,
         tau: f64,
         shards: usize,
     ) -> Result<SubseqResult, TsError> {
-        Ok(self.find_k_parallel_core(series, k, tau, shards, false)?.0)
+        Ok(self
+            .find_k_parallel_core(haystack.into(), k, tau, shards, false)?
+            .0)
     }
 
     /// [`SubseqMatcher::find_k_parallel`] with full telemetry: each shard
@@ -497,20 +729,21 @@ impl SubseqMatcher {
     ///
     /// # Errors
     ///
-    /// `k == 0`, a negative/NaN `tau`, or feature-extraction failures
-    /// (adaptive policies).
-    pub fn find_k_parallel_traced(
+    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
+    /// matcher, or feature-extraction failures (adaptive policies).
+    pub fn find_k_parallel_traced<'h>(
         &self,
-        series: &TimeSeries,
+        haystack: impl Into<Haystack<'h>>,
         k: usize,
         tau: f64,
         shards: usize,
         query_id: &str,
     ) -> Result<(SubseqResult, QueryTrace), TsError> {
         let t0 = std::time::Instant::now();
-        let (result, shard_traces) = self.find_k_parallel_core(series, k, tau, shards, true)?;
+        let haystack = haystack.into();
+        let (result, shard_traces) = self.find_k_parallel_core(haystack, k, tau, shards, true)?;
         let mut trace = QueryTrace::new(query_id, WorkloadKind::SubseqFind);
-        trace.shape = self.trace_shape(series.len() as u64, k as u64);
+        trace.shape = self.trace_shape(haystack.values().len() as u64, k as u64);
         for st in &shard_traces {
             trace.merge(st);
         }
@@ -528,25 +761,15 @@ impl SubseqMatcher {
     /// otherwise.
     fn find_k_parallel_core(
         &self,
-        series: &TimeSeries,
+        haystack: Haystack<'_>,
         k: usize,
         tau: f64,
         shards: usize,
         traced: bool,
     ) -> Result<(SubseqResult, Vec<QueryTrace>), TsError> {
-        if k == 0 {
-            return Err(TsError::InvalidParameter {
-                name: "k",
-                reason: "subsequence search needs k >= 1".to_string(),
-            });
-        }
-        if tau.is_nan() || tau < 0.0 {
-            return Err(TsError::InvalidParameter {
-                name: "tau",
-                reason: format!("distance threshold must be >= 0, got {tau}"),
-            });
-        }
-        let xv = series.values();
+        Self::check_search(k, tau)?;
+        let hay = haystack.prepared_for(self)?;
+        let xv = hay.values;
         if xv.len() < self.m {
             return Ok((
                 SubseqResult {
@@ -564,8 +787,8 @@ impl SubseqMatcher {
         }
         .clamp(1, w_count);
 
-        // Shard construction (the rolling LB_Kim precompute is O(samples)
-        // per shard) runs on the pool too.
+        // every shard reads its slice of the haystack-wide bounds; the
+        // scans are built on the pool only for their recorders' sake
         let mut scans: Vec<ShardScan> = (0..shard_count)
             .into_par_iter()
             .map(|s| {
@@ -584,7 +807,7 @@ impl SubseqMatcher {
             let outcomes: Vec<(ShardScan, SweepOutcome)> = scans
                 .into_par_iter()
                 .map(|mut scan| {
-                    let won = scan.sweep(self, xv, tau, &selected);
+                    let won = scan.sweep(self, &hay, tau, &selected);
                     (scan, won)
                 })
                 .collect();
@@ -633,47 +856,21 @@ impl SubseqMatcher {
         ))
     }
 
-    /// An admissible lower bound on the distance of the *best* window of
-    /// `series` — the minimum of the rolling LB_Kim bounds over every
-    /// window, in reported-distance units. O(samples), no DP work.
-    ///
-    /// This is the per-entry floor the serve daemon's two-level cascade
-    /// prunes whole recordings with: no subsequence hit inside `series`
-    /// can score below the returned value, so an entry whose floor
-    /// strictly exceeds the running k-th best hit can be skipped without
-    /// sweeping it (ties must still be swept — the global tie-break may
-    /// prefer them). Conservative by construction:
-    ///
-    /// * a window whose rolling bound abstains (ill-conditioned σ, or
-    ///   bounds disabled by the kernel) contributes `0.0`, collapsing
-    ///   the floor to the trivial bound — the entry is always swept;
-    /// * under z-normalisation each rolling bound is deflated by the
-    ///   same `KIM_GUARD` relative slack the in-sweep Kim stage applies
-    ///   (`kim > t + g·(1 + |t| + kim)` solved for `t`), so "floor
-    ///   strictly above the threshold" is *exactly* the per-window
-    ///   guarded prune decision DESIGN §9 proves admissible;
-    /// * a series shorter than the query has no windows and returns
-    ///   `f64::INFINITY` — nothing to find, always prunable.
-    pub fn window_bound_floor(&self, series: &TimeSeries) -> f64 {
-        let xv = series.values();
-        if xv.len() < self.m {
-            return f64::INFINITY;
+    /// Validates the `k` and `tau` every search takes.
+    fn check_search(k: usize, tau: f64) -> Result<(), TsError> {
+        if k == 0 {
+            return Err(TsError::InvalidParameter {
+                name: "k",
+                reason: "subsequence search needs k >= 1".to_string(),
+            });
         }
-        let guard = if self.config.z_normalize {
-            KIM_GUARD
-        } else {
-            0.0
-        };
-        let w_count = xv.len() - self.m + 1;
-        self.rolling_kims(xv, 0, w_count)
-            .into_iter()
-            .map(|kim| match kim {
-                // thresholds are >= 0, so for t >= 0 the guarded prune
-                // `kim > t + g·(1 + |t| + kim)` is `t < deflated(kim)`
-                Some(kim) => ((kim * (1.0 - guard) - guard) / (1.0 + guard)).max(0.0),
-                None => 0.0,
-            })
-            .fold(f64::INFINITY, f64::min)
+        if tau.is_nan() || tau < 0.0 {
+            return Err(TsError::InvalidParameter {
+                name: "tau",
+                reason: format!("distance threshold must be >= 0, got {tau}"),
+            });
+        }
+        Ok(())
     }
 
     /// The [`InputShape`] block of this matcher's traces: query length,
@@ -715,9 +912,8 @@ impl SubseqMatcher {
         areas: &mut (u64, u64),
     ) -> Result<WindowVerdict, TsError> {
         debug_assert_eq!(raw.len(), self.m, "window must match the query length");
-        if let Some(kind) = rec.time(TracePhase::LbKim, || {
-            self.cascade.screen_summary(stats, kim, threshold)
-        }) {
+        // one compare per window: timing it would cost more than it does
+        if let Some(kind) = self.cascade.screen_summary(stats, kim, threshold) {
             return Ok(WindowVerdict::Pruned(kind));
         }
         // From here on the window statistics are exact: the batch-style
@@ -832,24 +1028,27 @@ impl SubseqMatcher {
     }
 
     /// The rolling LB_Kim bound of a window, in reported-distance units,
-    /// from the O(1) accumulators. `None` when the stage abstains: σ too
-    /// close to the constant-window convention switch, or the sliding
-    /// moments numerically ill-conditioned (stale centring offset after
-    /// a level shift in the stream — see
-    /// [`WindowedStats::moments_well_conditioned`]); abstaining windows
-    /// fall through to the exact LB_Keogh/DP stages, so results never
-    /// depend on an untrustworthy σ.
-    pub(crate) fn kim_bound(
+    /// from its raw first/last samples, its exact extrema and its O(1)
+    /// sliding moments — the one bound step both the batch pass
+    /// ([`PreparedHaystack`]) and the streaming monitors run. `None` when
+    /// the stage abstains: σ too close to the constant-window convention
+    /// switch, or the sliding moments numerically ill-conditioned (stale
+    /// centring offset after a level shift in the stream — see
+    /// [`SlidingMoments::well_conditioned`]); abstaining windows fall
+    /// through to the exact LB_Keogh/DP stages, so results never depend
+    /// on an untrustworthy σ. Raw (non-normalised) matchers read only
+    /// the samples.
+    pub fn kim_bound(
         &self,
         first: f64,
         last: f64,
         min: f64,
         max: f64,
-        moments: &WindowedStats,
+        moments: &SlidingMoments,
     ) -> Option<f64> {
         let metric = self.config.sdtw.dtw.metric;
         let summary = if self.config.z_normalize {
-            if !moments.moments_well_conditioned() {
+            if !moments.well_conditioned() {
                 return None;
             }
             let sd = moments.std_dev();
@@ -895,33 +1094,6 @@ impl SubseqMatcher {
             Normalization::None => raw,
             Normalization::LengthSum => raw / (2 * self.m) as f64,
         }
-    }
-
-    /// Precomputes the rolling LB_Kim bound of every window in
-    /// `[ws, we)` from one incremental sweep over the sample range the
-    /// shard owns (`[ws, we − 1 + m)` — its windows plus the `m − 1`
-    /// halo). The accumulators are the very ones the streaming monitor
-    /// feeds push by push; a shard starting at `ws == 0` reproduces the
-    /// serial sweep bit for bit. Later shards seed their moments at
-    /// their own first sample, which can flip borderline guarded prunes
-    /// — admissible either way, so matches never change.
-    fn rolling_kims(&self, xv: &[f64], ws: usize, we: usize) -> Vec<Option<f64>> {
-        let mut out = Vec::with_capacity(we - ws);
-        if !self.bounds_ok {
-            out.resize(we - ws, None);
-            return out;
-        }
-        let mut moments = WindowedStats::new(self.m);
-        let mut extrema = RollingExtrema::new(self.m);
-        for (t, &v) in xv[ws..we - 1 + self.m].iter().enumerate() {
-            moments.push(v);
-            extrema.push(v);
-            if t + 1 >= self.m {
-                let w = ws + t + 1 - self.m;
-                out.push(self.kim_bound(xv[w], v, extrema.min(), extrema.max(), &moments));
-            }
-        }
-        out
     }
 
     /// Greedy non-overlapping selection over scored candidates: ascending
@@ -985,9 +1157,10 @@ impl PendingWindow {
 }
 
 /// One worker's share of a (possibly sharded) scan: the window range
-/// `[ws, we)`, its precomputed rolling bounds, and every piece of
-/// per-worker state the sweep mutates — the completed-distance cache,
-/// the DP/cascade scratch buffers, and the shard's own [`StreamStats`].
+/// `[ws, we)` and every piece of per-worker state the sweep mutates —
+/// the completed-distance cache, the DP/cascade scratch buffers, and the
+/// shard's own [`StreamStats`]. The rolling bounds it screens with are
+/// its slice of the haystack-wide [`PreparedHaystack`] vector.
 ///
 /// The serial scan runs exactly one of these over the whole window
 /// range; [`SubseqMatcher::find_k_parallel`] runs one per shard and
@@ -998,8 +1171,6 @@ struct ShardScan {
     ws: usize,
     /// One past the last window this shard owns.
     we: usize,
-    /// Rolling LB_Kim per owned window (`kims[w - ws]`).
-    kims: Vec<Option<f64>>,
     /// Completed DP distances, keyed by global window offset.
     computed: BTreeMap<usize, f64>,
     eval: EvalScratch,
@@ -1019,7 +1190,6 @@ impl ShardScan {
         Self {
             ws,
             we,
-            kims: matcher.rolling_kims(xv, ws, we),
             computed: BTreeMap::new(),
             eval: EvalScratch::default(),
             stats: StreamStats {
@@ -1043,7 +1213,7 @@ impl ShardScan {
     fn sweep(
         &mut self,
         matcher: &SubseqMatcher,
-        xv: &[f64],
+        hay: &PreparedHaystack<'_>,
         tau: f64,
         selected: &[SubseqMatch],
     ) -> SweepOutcome {
@@ -1052,10 +1222,10 @@ impl ShardScan {
                 .iter()
                 .any(|s| w.abs_diff(s.offset) < matcher.exclusion)
         };
-        let (ws, we) = (self.ws, self.we);
+        let (xv, kims) = (hay.values, &hay.bounds[self.ws..self.we]);
+        let ws = self.ws;
         self.eval.lanes.resize(LB_LANES, Vec::new());
         let Self {
-            kims,
             computed,
             eval,
             stats,
@@ -1079,7 +1249,7 @@ impl ShardScan {
             }
         }
         let mut pending: Vec<PendingWindow> = Vec::with_capacity(LB_LANES);
-        for w in ws..we {
+        for (w, &kim) in (ws..).zip(kims) {
             if excluded(w) {
                 stats.skipped_excluded += 1;
                 continue;
@@ -1096,12 +1266,11 @@ impl ShardScan {
             // at or above the pass winner's distance, so the pass winner
             // stays the serial sweep's; only per-stage credit can shift.
             let threshold = best.map_or(tau, |(d, _)| d.min(tau));
-            if rec
-                .time(TracePhase::LbKim, || {
-                    matcher
-                        .cascade
-                        .screen_summary(&mut stats.cascade, kims[w - ws], threshold)
-                })
+            // one compare per window, counted in the WindowSweep self
+            // time: a span of its own would cost more than the compare
+            if matcher
+                .cascade
+                .screen_summary(&mut stats.cascade, kim, threshold)
                 .is_some()
             {
                 continue;
@@ -1341,25 +1510,82 @@ mod tests {
     }
 
     #[test]
-    fn window_bound_floor_is_admissible_and_conservative() {
+    fn prepared_floor_is_admissible_and_conservative() {
         let (query, hay) = planted();
         for z in [true, false] {
             let mut cfg = StreamConfig::exact_banded(0.2);
             cfg.z_normalize = z;
             let matcher = SubseqMatcher::new(&query, cfg).unwrap();
-            let floor = matcher.window_bound_floor(&hay);
+            let mut prepared = PreparedHaystack::new(&matcher);
+            prepared.load(&hay);
+            let floor = prepared.floor();
             assert!(floor >= 0.0 && floor.is_finite());
             // admissible: no window's exact distance lies below the floor
-            let best = matcher.find(&hay, 1).unwrap().matches[0].distance;
+            let best = matcher.find(&prepared, 1).unwrap().matches[0].distance;
             assert!(
                 floor <= best,
                 "z={z}: floor {floor} above best window {best}"
             );
+            // a reload reuses the buffers and forgets the old series
+            let short = ts(vec![0.0; 8]);
+            prepared.load(&short);
+            assert_eq!(prepared.floor(), f64::INFINITY, "no windows at all");
+            assert!(prepared.window_bounds().is_empty());
         }
-        // a haystack shorter than the query has no windows at all
-        let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let short = ts(vec![0.0; 8]);
-        assert_eq!(matcher.window_bound_floor(&short), f64::INFINITY);
+    }
+
+    #[test]
+    fn a_haystack_prepared_by_another_matcher_is_refused() {
+        let (query, hay) = planted();
+        let cfg = StreamConfig::exact_banded(0.2);
+        let mine = SubseqMatcher::new(&query, cfg.clone()).unwrap();
+        let other = SubseqMatcher::new(&query, cfg).unwrap();
+        let mut prepared = PreparedHaystack::new(&other);
+        prepared.load(&hay);
+        assert!(mine.find(&prepared, 1).is_err());
+        assert!(mine
+            .find_k_parallel(&prepared, 1, f64::INFINITY, 2)
+            .is_err());
+        assert_eq!(
+            other.find(&prepared, 2).unwrap(),
+            other.find(&hay, 2).unwrap(),
+            "its own matcher searches it like the bare series"
+        );
+    }
+
+    #[test]
+    fn inadmissible_bounds_abstain_everywhere_and_stay_exact() {
+        // no built-in kernel disables the bounds, so switch them off
+        // here: every window abstains, the floor collapses to 0, and the
+        // serial and sharded scans still agree
+        let (query, hay) = planted();
+        for z in [true, false] {
+            let mut cfg = StreamConfig::exact_banded(0.2);
+            cfg.z_normalize = z;
+            let mut matcher = SubseqMatcher::new(&query, cfg).unwrap();
+            let reference = matcher.find(&hay, 3).unwrap();
+            matcher.bounds_ok = false;
+            matcher.cascade = Cascade::new(
+                vec![PruneStage::Kim { guard: 0.0 }, PruneStage::Keogh],
+                matcher.config.sdtw.dtw.metric,
+                matcher.config.sdtw.dtw.normalization,
+                false,
+            );
+            let mut prepared = PreparedHaystack::new(&matcher);
+            prepared.load(&hay);
+            assert_eq!(prepared.window_bounds().len(), 400 - 48 + 1);
+            assert!(prepared.window_bounds().iter().all(Option::is_none));
+            assert_eq!(prepared.floor().to_bits(), 0f64.to_bits());
+            let serial = matcher.find(&prepared, 3).unwrap();
+            assert_eq!(serial.matches, reference.matches, "z={z}");
+            assert!(serial.stats.cascade.bounds_disabled);
+            for shards in [1, 2, 3, 7] {
+                let sharded = matcher
+                    .find_k_parallel(&prepared, 3, f64::INFINITY, shards)
+                    .unwrap();
+                assert_eq!(sharded.matches, serial.matches, "z={z} shards={shards}");
+            }
+        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl QueryRuntime {
             moments.back(),
             ingest.extrema().min(),
             ingest.extrema().max(),
-            moments,
+            moments.moments(),
         );
         let verdict = self.matcher.evaluate_window(
             ingest.raw_window(),

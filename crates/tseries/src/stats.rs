@@ -85,14 +85,162 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// The running moments of one sliding window: offset-centred sums
+/// `Σ (v − offset)` and `Σ (v − offset)²` over the window's samples,
+/// the offset tracking the window mean so the squared terms never
+/// catastrophically cancel.
+///
+/// This is the arithmetic core of [`WindowedStats`], public so a pass
+/// over a contiguous slice (the batch rolling LB_Kim of `sdtw-stream`)
+/// drives the very same updates — and so reports bit-identical moments
+/// — without a ring buffer. A window fills through
+/// [`SlidingMoments::grow`] (the first sample seeds the offset), then
+/// moves through [`SlidingMoments::slide`], which asks for an exact
+/// [`SlidingMoments::recentre`] once every window length of slides.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SlidingMoments {
+    /// Samples in the window.
+    len: usize,
+    /// Centring offset: sums accumulate `v - offset`, re-centred to the
+    /// window mean at every refresh.
+    offset: f64,
+    /// Running `Σ (v - offset)` over the window.
+    sum: f64,
+    /// Running `Σ (v - offset)²` over the window.
+    sum_sq: f64,
+    /// Slides since the last exact recomputation of the sums.
+    slides: usize,
+}
+
+impl SlidingMoments {
+    /// Adds a sample to a window that is still filling. The first
+    /// sample seeds the centring offset near the data's scale.
+    #[inline]
+    pub fn grow(&mut self, v: f64) {
+        if self.len == 0 {
+            self.offset = v;
+        }
+        self.len += 1;
+        let c = v - self.offset;
+        self.sum += c;
+        self.sum_sq += c * c;
+    }
+
+    /// Slides a window by one sample: `new` enters, `old` (its oldest
+    /// sample) leaves. Returns `true` once every window length of
+    /// slides: the sums have drifted long enough, and the caller must
+    /// now [`SlidingMoments::recentre`] them over the window as it
+    /// stands after this slide.
+    #[inline]
+    #[must_use = "a due refresh must be performed with `recentre`"]
+    pub fn slide(&mut self, new: f64, old: f64) -> bool {
+        let c_new = new - self.offset;
+        let c_old = old - self.offset;
+        self.sum += c_new - c_old;
+        self.sum_sq += c_new * c_new - c_old * c_old;
+        self.slides += 1;
+        self.slides >= self.len
+    }
+
+    /// Recomputes both sums exactly from `window` — the window's `len`
+    /// samples, oldest first — and re-centres the offset on its mean
+    /// (the drift flush, O(len)).
+    pub fn recentre<I: Iterator<Item = f64> + Clone>(&mut self, window: I) {
+        self.slides = 0;
+        if self.len == 0 {
+            self.sum = 0.0;
+            self.sum_sq = 0.0;
+            return;
+        }
+        let mut raw_sum = 0.0;
+        for v in window.clone() {
+            raw_sum += v;
+        }
+        self.offset = raw_sum / self.len as f64;
+        let mut sum = 0.0;
+        let mut sum_sq = 0.0;
+        for v in window {
+            let c = v - self.offset;
+            sum += c;
+            sum_sq += c * c;
+        }
+        self.sum = sum;
+        self.sum_sq = sum_sq;
+    }
+
+    /// Samples in the window.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the window holds no samples.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Mean of the window; 0 when empty.
+    #[inline]
+    pub fn mean(&self) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            self.offset + self.sum / self.len as f64
+        }
+    }
+
+    /// Population variance of the window (clamped at 0 against
+    /// rounding); 0 for fewer than two samples.
+    #[inline]
+    pub fn variance(&self) -> f64 {
+        if self.len < 2 {
+            return 0.0;
+        }
+        let n = self.len as f64;
+        let var = self.sum_sq / n - (self.sum / n) * (self.sum / n);
+        var.max(0.0)
+    }
+
+    /// Population standard deviation of the window.
+    #[inline]
+    pub fn std_dev(&self) -> f64 {
+        self.variance().sqrt()
+    }
+
+    /// Whether the moments are numerically trustworthy right now.
+    ///
+    /// The sliding variance is `Σc²/n − (Σc/n)²` over offset-centred
+    /// samples; when the window sits far from the centring offset —
+    /// e.g. just after a level shift in the stream, before the next
+    /// scheduled re-centring — the two terms nearly cancel and the
+    /// difference can be dominated by accumulated rounding. This
+    /// reports `true` when the spread is at least 1% of the centred
+    /// second moment, which bounds the relative error of
+    /// [`SlidingMoments::std_dev`] by roughly `100·m·ε` (~1e-9 for
+    /// windows up to ~10⁴ samples); consumers that prune on the moments
+    /// (the rolling LB_Kim) abstain when it reports `false` and fall
+    /// back to exact recomputation. Windows whose true deviation is
+    /// genuinely tiny relative to their offset distance also report
+    /// `false` — for those, batch-exact statistics are the only safe
+    /// source.
+    #[inline]
+    pub fn well_conditioned(&self) -> bool {
+        if self.len < 2 {
+            return true;
+        }
+        let ms = self.sum_sq / self.len as f64;
+        ms <= 0.0 || self.variance() >= 1e-2 * ms
+    }
+}
+
 /// Incremental sliding-window moments: mean and (population) variance of
 /// the last `capacity` pushed samples, maintained in O(1) amortised time
 /// per push.
 ///
-/// The accumulator keeps a ring buffer of the window contents plus the
-/// running sum and sum of squares of *offset-centred* samples (`v -
-/// offset`, the offset tracking the window mean so the squared terms
-/// never catastrophically cancel); each push adds the incoming sample and
+/// The accumulator keeps a ring buffer of the window contents plus its
+/// [`SlidingMoments`]: the running sum and sum of squares of
+/// *offset-centred* samples; each push adds the incoming sample and
 /// subtracts the evicted one. Floating-point drift from the sliding
 /// subtraction is bounded by recomputing both sums exactly from the
 /// buffer — and re-centring the offset — once every `capacity` evictions
@@ -112,16 +260,9 @@ pub struct WindowedStats {
     buf: Vec<f64>,
     capacity: usize,
     head: usize,
-    len: usize,
-    /// Centring offset: sums accumulate `v - offset`, re-centred to the
-    /// window mean at every refresh.
-    offset: f64,
-    /// Running `Σ (v - offset)` over the window.
-    sum: f64,
-    /// Running `Σ (v - offset)²` over the window.
-    sum_sq: f64,
-    /// Evictions since the last exact recomputation of the sums.
-    evictions: usize,
+    /// The window's moments; their `len` is the number of retained
+    /// samples.
+    moments: SlidingMoments,
     /// Total samples ever pushed (stream position).
     pushed: u64,
 }
@@ -138,11 +279,7 @@ impl WindowedStats {
             buf: vec![0.0; capacity],
             capacity,
             head: 0,
-            len: 0,
-            offset: 0.0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            evictions: 0,
+            moments: SlidingMoments::default(),
             pushed: 0,
         }
     }
@@ -151,55 +288,21 @@ impl WindowedStats {
     /// window is full.
     pub fn push(&mut self, v: f64) -> Option<f64> {
         self.pushed += 1;
-        if self.len == 0 {
-            // seed the centring offset near the data's scale
-            self.offset = v;
-        }
-        if self.len < self.capacity {
-            self.buf[(self.head + self.len) % self.capacity] = v;
-            self.len += 1;
-            let c = v - self.offset;
-            self.sum += c;
-            self.sum_sq += c * c;
+        let len = self.moments.len();
+        if len < self.capacity {
+            self.buf[(self.head + len) % self.capacity] = v;
+            self.moments.grow(v);
             return None;
         }
         let old = self.buf[self.head];
         self.buf[self.head] = v;
         self.head = (self.head + 1) % self.capacity;
-        let c_new = v - self.offset;
-        let c_old = old - self.offset;
-        self.sum += c_new - c_old;
-        self.sum_sq += c_new * c_new - c_old * c_old;
-        self.evictions += 1;
-        if self.evictions >= self.capacity {
-            self.refresh();
+        if self.moments.slide(v, old) {
+            // a full ring holds the window oldest first from `head`
+            let (newer, older) = self.buf.split_at(self.head);
+            self.moments.recentre(older.iter().chain(newer).copied());
         }
         Some(old)
-    }
-
-    /// Recomputes the sums exactly from the buffer and re-centres the
-    /// offset on the current window mean (drift flush).
-    fn refresh(&mut self) {
-        self.evictions = 0;
-        if self.len == 0 {
-            self.sum = 0.0;
-            self.sum_sq = 0.0;
-            return;
-        }
-        let mut raw_sum = 0.0;
-        for k in 0..self.len {
-            raw_sum += self.buf[(self.head + k) % self.capacity];
-        }
-        self.offset = raw_sum / self.len as f64;
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        for k in 0..self.len {
-            let c = self.buf[(self.head + k) % self.capacity] - self.offset;
-            sum += c;
-            sum_sq += c * c;
-        }
-        self.sum = sum;
-        self.sum_sq = sum_sq;
     }
 
     /// Window capacity.
@@ -209,17 +312,17 @@ impl WindowedStats {
 
     /// Samples currently in the window (`<= capacity`).
     pub fn len(&self) -> usize {
-        self.len
+        self.moments.len()
     }
 
     /// Whether the window holds no samples yet.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.moments.is_empty()
     }
 
     /// Whether the window is at capacity.
     pub fn is_full(&self) -> bool {
-        self.len == self.capacity
+        self.moments.len() == self.capacity
     }
 
     /// Total samples ever pushed (the stream position; the current window
@@ -234,7 +337,7 @@ impl WindowedStats {
     ///
     /// Panics on an empty window.
     pub fn front(&self) -> f64 {
-        assert!(self.len > 0, "window is empty");
+        assert!(!self.is_empty(), "window is empty");
         self.buf[self.head]
     }
 
@@ -244,57 +347,35 @@ impl WindowedStats {
     ///
     /// Panics on an empty window.
     pub fn back(&self) -> f64 {
-        assert!(self.len > 0, "window is empty");
-        self.buf[(self.head + self.len - 1) % self.capacity]
+        assert!(!self.is_empty(), "window is empty");
+        self.buf[(self.head + self.len() - 1) % self.capacity]
+    }
+
+    /// The window's running moments.
+    pub fn moments(&self) -> &SlidingMoments {
+        &self.moments
     }
 
     /// Mean of the window; 0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.offset + self.sum / self.len as f64
-        }
+        self.moments.mean()
     }
 
     /// Population variance of the window (clamped at 0 against rounding);
     /// 0 for fewer than two samples.
     pub fn variance(&self) -> f64 {
-        if self.len < 2 {
-            return 0.0;
-        }
-        let n = self.len as f64;
-        let var = self.sum_sq / n - (self.sum / n) * (self.sum / n);
-        var.max(0.0)
+        self.moments.variance()
     }
 
     /// Population standard deviation of the window.
     pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
+        self.moments.std_dev()
     }
 
-    /// Whether the O(1) moments are numerically trustworthy right now.
-    ///
-    /// The sliding variance is `Σc²/n − (Σc/n)²` over offset-centred
-    /// samples; when the window sits far from the centring offset —
-    /// e.g. just after a level shift in the stream, before the next
-    /// scheduled re-centring — the two terms nearly cancel and the
-    /// difference can be dominated by accumulated rounding. This
-    /// reports `true` when the spread is at least 1% of the centred
-    /// second moment, which bounds the relative error of
-    /// [`WindowedStats::std_dev`] by roughly `100·m·ε` (~1e-9 for
-    /// windows up to ~10⁴ samples); consumers that prune on the moments
-    /// (the rolling LB_Kim) abstain when it reports `false` and fall
-    /// back to exact recomputation. Windows whose true deviation is
-    /// genuinely tiny relative to their offset distance also report
-    /// `false` — for those, batch-exact statistics are the only safe
-    /// source.
+    /// Whether the O(1) moments are numerically trustworthy right now
+    /// (see [`SlidingMoments::well_conditioned`]).
     pub fn moments_well_conditioned(&self) -> bool {
-        if self.len < 2 {
-            return true;
-        }
-        let ms = self.sum_sq / self.len as f64;
-        ms <= 0.0 || self.variance() >= 1e-2 * ms
+        self.moments.well_conditioned()
     }
 
     /// Copies the window contents, oldest first, into `out` (cleared
@@ -302,8 +383,8 @@ impl WindowedStats {
     /// recomputation or running the DP on the window.
     pub fn copy_window_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(self.len);
-        for k in 0..self.len {
+        out.reserve(self.len());
+        for k in 0..self.len() {
             out.push(self.buf[(self.head + k) % self.capacity]);
         }
     }
@@ -311,11 +392,7 @@ impl WindowedStats {
     /// Empties the window (capacity is retained).
     pub fn clear(&mut self) {
         self.head = 0;
-        self.len = 0;
-        self.offset = 0.0;
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        self.evictions = 0;
+        self.moments = SlidingMoments::default();
         self.pushed = 0;
     }
 }
