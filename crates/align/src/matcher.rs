@@ -1,15 +1,17 @@
 //! Dominant pair identification (paper §3.2.1) and the top-level matching
 //! entry points.
 //!
-//! The search compares every screened pair of the two feature sets: the
+//! The search screens every pair of the two feature sets: the
 //! `|S_X| × |S_Y|` descriptor term of the paper's cost analysis (§3.4).
 //! One side, the *fixed* side (series 1), is prepared once
-//! ([`PreparedFeatures`]): its features are sorted by σ and its
-//! descriptors transposed, so one pass over a candidate's descriptor
-//! scores eight consecutive rows at once. Under the `τ_s` screen a
-//! candidate's admissible rows form one contiguous run of the σ order, so
-//! only that run is scored. See DESIGN.md §17 for why the result is
-//! bit-identical to comparing pair by pair.
+//! ([`PreparedFeatures`]): its features are sorted by σ, and its
+//! descriptors and their group norms transposed. Under the `τ_s` screen
+//! a candidate's admissible rows form one contiguous run of the σ order,
+//! so only that run is screened, eight rows at a time, first on a
+//! lower bound from eight group norms. Pairs the bound proves too far to
+//! matter are dropped; the rest are gathered eight at a time, across
+//! candidates, for the full descriptor distance. See DESIGN.md §17 for
+//! why the result is bit-identical to comparing pair by pair.
 
 use crate::config::MatchConfig;
 use crate::interval::IntervalPartition;
@@ -18,8 +20,18 @@ use crate::scores::{combined_scores, descriptor_similarity, mu_align, mu_sim};
 use sdtw_salient::SalientFeature;
 use serde::{Deserialize, Serialize};
 
-/// Rows of the fixed side scored per pass over a candidate descriptor.
+/// Rows of the fixed side screened per pass, and pairs scored per
+/// gathered pass.
 const LANES: usize = 8;
+
+/// Coordinate groups of the norm screen: four contiguous quarters of a
+/// descriptor, each split into its even bins (positive slopes) and its
+/// odd bins (negative slopes).
+const GROUPS: usize = 8;
+
+/// Absolute slack of the norm screen on squared values, for subnormal
+/// rounding (DESIGN.md §17, "Group-norm screen").
+const SCREEN_FLOOR: f64 = 1e-300;
 
 /// A matched pair of salient features (indices into the two feature
 /// slices) plus its scores.
@@ -50,8 +62,11 @@ pub struct MatchResult {
     /// The interval partition induced by the committed scope boundaries —
     /// Figure 9.
     pub partition: IntervalPartition,
-    /// Number of descriptor comparisons performed (`|S_X| × |S_Y|` work
-    /// term of the paper's complexity analysis, §3.4).
+    /// Number of feature pairs that passed the `τ_a` and `τ_s` screens
+    /// (the `|S_X| × |S_Y|` work term of the paper's complexity analysis,
+    /// §3.4). Every such pair is compared; a pair whose group-norm bound
+    /// proves it too far to matter is counted without its full descriptor
+    /// distance being summed.
     pub descriptor_comparisons: usize,
 }
 
@@ -95,17 +110,18 @@ fn scale_fails(a: f64, b: f64, tau_s: f64) -> bool {
 ///
 /// Rows are the features sorted by σ (stable). The descriptors are stored
 /// transposed: value `k` of every row in turn, then value `k + 1`, so the
-/// `k`-th values of any eight consecutive rows sit side by side and one
-/// pass over a candidate's descriptor scores eight rows. Fewer than eight
-/// rows are padded with zero rows, which never pass a screen. The
-/// prepared form is the only copy of the descriptors it needs; the
+/// `k`-th values of any eight consecutive rows sit side by side. The
+/// norms of each row's eight coordinate groups are stored the same way,
+/// so one pass over a candidate's group norms bounds eight rows. Fewer
+/// than eight rows are padded with zero rows, which never pass a screen.
+/// The prepared form is the only copy of the descriptors it needs; the
 /// features themselves can be dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedFeatures {
     /// Descriptor length shared by every feature (0 without features).
     bins: usize,
-    /// Rows per descriptor value in `lanes`: the row count, at least
-    /// eight.
+    /// Rows per descriptor value in `lanes` and per group in `norms`: the
+    /// row count, at least eight.
     stride: usize,
     /// Feature (caller's order) → its row.
     rank: Vec<usize>,
@@ -114,6 +130,11 @@ pub struct PreparedFeatures {
     /// The transposed descriptors: value `k` of row `r` at
     /// `k * stride + r`.
     lanes: Vec<f64>,
+    /// The transposed group norms ([`group_norms`]): group `g` of row `r`
+    /// at `g * stride + r`.
+    norms: Vec<f64>,
+    /// Per row, the sum of its squared group norms.
+    norm_sq: Vec<f64>,
     /// The rows of each distinct σ, as (σ, first row), σ ascending; empty
     /// unless every σ is finite and positive, which makes a candidate's
     /// `τ_s`-admissible rows one contiguous run.
@@ -147,12 +168,20 @@ impl PreparedFeatures {
         let mut rank = vec![0; order.len()];
         let mut rows = Vec::with_capacity(order.len());
         let mut lanes = vec![0.0; bins * stride];
+        let mut norms = vec![0.0; GROUPS * stride];
+        let mut norm_sq = Vec::with_capacity(order.len());
         for (r, &i) in order.iter().enumerate() {
             rank[i] = r;
             rows.push(Anchor::of(&features[i]));
-            for (column, &x) in lanes.chunks_exact_mut(stride).zip(&features[i].descriptor) {
+            let descriptor = &features[i].descriptor;
+            for (column, &x) in lanes.chunks_exact_mut(stride).zip(descriptor) {
                 column[r] = x;
             }
+            let (groups, sq) = group_norms(descriptor);
+            for (column, a) in norms.chunks_exact_mut(stride).zip(groups) {
+                column[r] = a;
+            }
+            norm_sq.push(sq);
         }
         let mut scales: Vec<(f64, usize)> = Vec::new();
         if rows.iter().all(|r| r.sigma.is_finite() && r.sigma > 0.0) {
@@ -168,6 +197,8 @@ impl PreparedFeatures {
             rank,
             rows,
             lanes,
+            norms,
+            norm_sq,
             scales,
         }
     }
@@ -237,22 +268,100 @@ impl Default for PreparedFeatures {
     }
 }
 
-/// Rows `start..start + LANES` of a transposed descriptor matrix against
-/// `y`: lane `l` sums `(x_k − y_k)²` over `k` ascending from
-/// `Iterator::sum`'s seed `-0.0`, then takes the root — the operations,
-/// in the order, of `sdtw_tseries::metric::euclidean`. The lanes are
-/// independent chains, which the compiler keeps in vector registers.
+/// The norms of `x`'s [`GROUPS`] coordinate groups, and the sum of their
+/// squares. Of `n` bins, quarter `q` holds bins `q·n/4 .. (q + 1)·n/4`;
+/// group `2q` takes its even bins and group `2q + 1` its odd ones. Any
+/// partition of the bins gives a valid bound; this one follows the
+/// descriptor's (positive, negative) slope pair per cell.
+fn group_norms(x: &[f64]) -> ([f64; GROUPS], f64) {
+    let n = x.len();
+    let from: [usize; 4] = std::array::from_fn(|q| q * n / 4);
+    // each quarter's sums over the bins at even and at odd offsets from
+    // its start, the four quarters in step over the pairs they all have
+    let pairs = n / 8;
+    let heads: [&[f64]; 4] = from.map(|f| &x[f..f + 2 * pairs]);
+    let (mut lead, mut other) = ([0.0f64; 4], [0.0f64; 4]);
+    for i in 0..pairs {
+        for q in 0..4 {
+            let (a, b) = (heads[q][2 * i], heads[q][2 * i + 1]);
+            lead[q] += a * a;
+            other[q] += b * b;
+        }
+    }
+    let mut sums = [0.0f64; GROUPS];
+    for q in 0..4 {
+        let tail = &x[from[q] + 2 * pairs..(q + 1) * n / 4];
+        for (k, &v) in tail.iter().enumerate() {
+            let s = if k % 2 == 0 {
+                &mut lead[q]
+            } else {
+                &mut other[q]
+            };
+            *s += v * v;
+        }
+        // bin `from + k` is even when `k` has the parity of `from`
+        let g = 2 * q + from[q] % 2;
+        sums[g] = lead[q];
+        sums[g ^ 1] = other[q];
+    }
+    let norms = sums.map(f64::sqrt);
+    (norms, norms.iter().map(|a| a * a).sum())
+}
+
+/// The norm screen's margin for descriptors of `bins` values: a lane is
+/// dropped when its squared bound exceeds
+/// `lim² · (1 + margin) + margin · (‖x‖² + ‖y‖²) + SCREEN_FLOOR`, which
+/// covers the rounding of the bound and of the distance (DESIGN.md §17,
+/// "Group-norm screen").
+fn screen_margin(bins: usize) -> f64 {
+    (4.0 * bins as f64 * f64::EPSILON).max(1e-9)
+}
+
+/// The fixed-side part of a row's screen threshold: limit `lim`, the row's
+/// squared group norms summing to `norm_sq`.
+fn row_threshold(lim: f64, norm_sq: f64, margin: f64) -> f64 {
+    lim * lim * (1.0 + margin) + margin * norm_sq + SCREEN_FLOOR
+}
+
+/// Rows `start..start + LANES` of a transposed group-norm matrix against
+/// a candidate's group norms `y`: lane `l` is `Σ_g (‖x_g‖ − ‖y_g‖)²`,
+/// which never exceeds the squared descriptor distance save for rounding.
 #[inline]
-fn lane_distances(lanes: &[f64], stride: usize, start: usize, y: &[f64]) -> [f64; LANES] {
-    let mut acc = [-0.0f64; LANES];
-    let mut at = start;
-    for &v in y {
-        let window: &[f64; LANES] = lanes[at..at + LANES].try_into().expect("LANES lanes");
+fn lane_bounds(norms: &[f64], stride: usize, start: usize, y: &[f64; GROUPS]) -> [f64; LANES] {
+    let mut acc = [0.0f64; LANES];
+    for (column, &b) in norms.chunks_exact(stride).zip(y) {
+        let window: &[f64; LANES] = column[start..start + LANES]
+            .try_into()
+            .expect("LANES lanes");
         for (a, &x) in acc.iter_mut().zip(window) {
-            let d = x - v;
+            let d = x - b;
             *a += d * d;
         }
-        at += stride;
+    }
+    acc
+}
+
+/// Rows `rows` of a transposed descriptor matrix against descriptors `ys`,
+/// lane by lane: lane `l` sums `(x_k − y_k)²` over `k` ascending from
+/// `Iterator::sum`'s seed `-0.0`, then takes the root — the operations,
+/// in the order, of `sdtw_tseries::metric::euclidean`. The lanes are
+/// independent chains.
+fn gathered_distances(
+    lanes: &[f64],
+    stride: usize,
+    rows: &[usize; LANES],
+    ys: &[&[f64]; LANES],
+) -> [f64; LANES] {
+    let bins = lanes.len() / stride;
+    let ys = ys.map(|y| &y[..bins]);
+    assert!(rows.iter().all(|&r| r < stride), "rows inside the stride");
+    let mut acc = [-0.0f64; LANES];
+    for k in 0..bins {
+        let column = &lanes[k * stride..][..stride];
+        for l in 0..LANES {
+            let d = column[rows[l]] - ys[l][k];
+            acc[l] += d * d;
+        }
     }
     acc.map(f64::sqrt)
 }
@@ -326,10 +435,73 @@ impl RowBest {
     }
 }
 
+/// Screened pairs waiting for their descriptor distance, in push order:
+/// the row, the candidate and its descriptor of each.
+#[derive(Default)]
+struct Gathered<'a> {
+    rows: [usize; LANES],
+    candidates: [usize; LANES],
+    descriptors: [&'a [f64]; LANES],
+    len: usize,
+}
+
+impl<'a> Gathered<'a> {
+    /// Queues row `r` against candidate `j`; true when the batch is full.
+    fn push(&mut self, r: usize, j: usize, y: &'a [f64]) -> bool {
+        self.rows[self.len] = r;
+        self.candidates[self.len] = j;
+        self.descriptors[self.len] = y;
+        self.len += 1;
+        self.len == LANES
+    }
+
+    /// Scores the waiting pairs and offers them to their rows in push
+    /// order, then refreshes each offered row's screen threshold from its
+    /// limit `min(cap, second best)`.
+    fn flush(
+        &mut self,
+        fixed: &PreparedFeatures,
+        best: &mut [RowBest],
+        thresholds: &mut [f64],
+        cap: f64,
+        margin: f64,
+    ) {
+        if self.len == 0 {
+            return;
+        }
+        // idle lanes repeat lane 0; their sums are discarded
+        for l in self.len..LANES {
+            self.rows[l] = self.rows[0];
+            self.descriptors[l] = self.descriptors[0];
+        }
+        let d = gathered_distances(&fixed.lanes, fixed.stride, &self.rows, &self.descriptors);
+        for ((&r, &j), &d) in self
+            .rows
+            .iter()
+            .zip(&self.candidates)
+            .zip(&d)
+            .take(self.len)
+        {
+            best[r].offer(j, d);
+            let lim = cap.min(best[r].second_best);
+            thresholds[r] = row_threshold(lim, fixed.norm_sq[r], margin);
+        }
+        self.len = 0;
+    }
+}
+
 /// Dominant-pair search: for each fixed-side feature, the nearest
 /// (descriptor-Euclidean) screened candidate is returned iff it
 /// `τ_d`-dominates every other screened candidate. Pairs come out in
 /// fixed-side order; the count is the number of screened comparisons.
+///
+/// A screened pair whose group-norm bound proves its distance above its
+/// row's limit is dropped without its distance. The limit is the lower
+/// of the cap `max(max_desc_distance, max_desc_distance · τ_d)`, beyond
+/// which a candidate can neither be emitted nor block the pair emitted,
+/// and the row's second best so far, beyond which a candidate changes
+/// nothing. The others are queued and scored eight at a time across
+/// candidates.
 fn dominant_pairs<C: Candidates + ?Sized>(
     fixed: &PreparedFeatures,
     candidates: &C,
@@ -339,52 +511,96 @@ fn dominant_pairs<C: Candidates + ?Sized>(
     let mut best = vec![RowBest::NONE; fixed.len()];
     let mut comparisons = 0usize;
     if !fixed.is_empty() {
-        for j in 0..candidates.len() {
+        let margin = screen_margin(fixed.bins);
+        // each candidate's group norms, and its part of the threshold
+        let screens: Vec<([f64; GROUPS], f64)> = (0..candidates.len())
+            .map(|j| {
+                let y = candidates.descriptor(j);
+                assert!(
+                    y.len() == fixed.bins,
+                    "descriptor lengths differ: series 1 has {} values, feature {j} of series 2 has {}",
+                    fixed.bins,
+                    y.len()
+                );
+                let (norms, norm_sq) = group_norms(y);
+                (norms, margin * norm_sq)
+            })
+            .collect();
+        // A NaN distance becomes a row's best only as its first
+        // candidate, so dropping a far candidate ahead of it would change
+        // the row. Only a non-finite value makes a NaN distance, and it
+        // makes its norms non-finite: then the cap is off, and lanes are
+        // dropped above the second best alone.
+        let finite = fixed.norm_sq.iter().all(|s| s.is_finite())
+            && screens.iter().all(|(_, slack)| slack.is_finite());
+        let cap = match cfg.max_desc_distance {
+            Some(max) if finite => max.max(max * cfg.tau_d),
+            _ => f64::INFINITY,
+        };
+        // indexed by row, padded to the stride
+        let mut thresholds = vec![f64::INFINITY; fixed.stride];
+        for (t, &norm_sq) in thresholds.iter_mut().zip(&fixed.norm_sq) {
+            *t = row_threshold(cap, norm_sq, margin);
+        }
+        let mut pending = Gathered::default();
+        for (j, (y_norms, y_slack)) in screens.iter().enumerate() {
             let c = candidates.anchor(j);
-            let y = candidates.descriptor(j);
-            assert!(
-                y.len() == fixed.bins,
-                "descriptor lengths differ: series 1 has {} values, feature {j} of series 2 has {}",
-                fixed.bins,
-                y.len()
-            );
             let (lo, hi, scale_checked) = fixed.scale_run(c.sigma, cfg.tau_s);
+            // with the `τ_s` run exact and `τ_a` off, every row of the run
+            // passes
+            let every_row = scale_checked && cfg.tau_a.is_none();
             let passes = |r: usize| {
-                let row = &fixed.rows[r];
-                let amplitude_ok = cfg
-                    .tau_a
-                    .is_none_or(|tau_a| !amplitude_fails(row.amplitude, c.amplitude, tau_a));
-                let scale_ok = scale_checked
-                    || cfg
-                        .tau_s
-                        .is_none_or(|t| !scale_fails(row.sigma, c.sigma, t));
-                amplitude_ok && scale_ok
+                every_row || {
+                    let row = &fixed.rows[r];
+                    let amplitude_ok = cfg
+                        .tau_a
+                        .is_none_or(|tau_a| !amplitude_fails(row.amplitude, c.amplitude, tau_a));
+                    let scale_ok = scale_checked
+                        || cfg
+                            .tau_s
+                            .is_none_or(|t| !scale_fails(row.sigma, c.sigma, t));
+                    amplitude_ok && scale_ok
+                }
             };
             // windows of up to LANES rows, each starting at the next
-            // passing row; rows are independent, so any grouping keeps
-            // every row's updates in ascending `j`
+            // passing row; queued pairs reach their rows in push order,
+            // so every row's updates stay in ascending `j`
             let mut next = lo;
             while let Some(first) = (next..hi).find(|&r| passes(r)) {
                 let end = (first + LANES).min(hi);
-                let mut mask = 0u32;
-                for r in first..end {
-                    if passes(r) {
-                        mask |= 1 << (r - first);
-                    }
-                }
+                let mask = if every_row {
+                    (1u32 << (end - first)) - 1
+                } else {
+                    (first..end)
+                        .filter(|&r| passes(r))
+                        .fold(0u32, |mask, r| mask | 1 << (r - first))
+                };
+                comparisons += mask.count_ones() as usize;
                 // a window near the last row slides back to stay inside
                 // the stride
                 let start = first.min(fixed.stride - LANES);
-                let d = lane_distances(&fixed.lanes, fixed.stride, start, y);
-                comparisons += mask.count_ones() as usize;
-                while mask != 0 {
-                    let r = first + mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    best[r].offer(j, d[r - start]);
+                // a threshold not yet lowered by queued pairs is only
+                // looser
+                let bounds = lane_bounds(&fixed.norms, fixed.stride, start, y_norms);
+                let limits: &[f64; LANES] = thresholds[start..start + LANES]
+                    .try_into()
+                    .expect("LANES lanes");
+                let mut far = 0u32;
+                for l in 0..LANES {
+                    far |= u32::from(bounds[l] > limits[l] + y_slack) << l;
+                }
+                let mut keep = mask & !(far >> (first - start));
+                while keep != 0 {
+                    let r = first + keep.trailing_zeros() as usize;
+                    keep &= keep - 1;
+                    if pending.push(r, j, candidates.descriptor(j)) {
+                        pending.flush(fixed, &mut best, &mut thresholds, cap, margin);
+                    }
                 }
                 next = end;
             }
         }
+        pending.flush(fixed, &mut best, &mut thresholds, cap, margin);
     }
     let mut out = Vec::new();
     for (i, &r) in fixed.rank.iter().enumerate() {

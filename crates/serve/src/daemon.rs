@@ -323,9 +323,11 @@ pub fn client_roundtrip(
     let mut writer = stream;
     let mut out = Vec::with_capacity(requests.len());
     for req in requests {
-        writer.write_all(req.to_json_line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        // one write per line, newline included, as the daemon answers;
+        // the stream is unbuffered, so there is nothing to flush
+        let mut request = req.to_json_line();
+        request.push('\n');
+        writer.write_all(request.as_bytes())?;
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
             return Err(io::Error::new(

@@ -927,7 +927,7 @@ impl SubseqMatcher {
             ..
         } = eval;
         let wv = self.normalize_window(raw, window);
-        let planned = rec.time(TracePhase::BandPlan, || self.plan_window_band(wv))?;
+        let planned = self.plan_window_band(wv, rec)?;
         let (band, reach) = match &planned {
             Some((band, reach)) => (band, *reach),
             None => {
@@ -946,20 +946,27 @@ impl SubseqMatcher {
     /// Plans the adaptive band for one prepared (normalised) window —
     /// extract its descriptors, plan against the cached query
     /// descriptors, sanitise — and walks its [`Band::reach`] once for
-    /// every later applicability check. `None` under an alignment-free
-    /// policy, where every window shares the matcher's `fixed_band`.
-    fn plan_window_band(&self, wv: &[f64]) -> Result<Option<(Band, usize)>, TsError> {
+    /// every later applicability check, all inside one `BandPlan` span.
+    /// `None` under an alignment-free policy, where every window shares
+    /// the matcher's `fixed_band` and no span is recorded.
+    fn plan_window_band(
+        &self,
+        wv: &[f64],
+        rec: &mut Recorder,
+    ) -> Result<Option<(Band, usize)>, TsError> {
         if self.fixed_band.is_some() {
             return Ok(None);
         }
-        let wts = TimeSeries::new(wv.to_vec())?;
-        let wf = self.engine.extractor().extract(&wts);
-        let (b, _) = self
-            .engine
-            .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
-        let band = if b.is_feasible() { b } else { b.sanitize() };
-        let reach = band.reach();
-        Ok(Some((band, reach)))
+        rec.time(TracePhase::BandPlan, || {
+            let wts = TimeSeries::new(wv.to_vec())?;
+            let wf = self.engine.extractor().extract(&wts);
+            let (b, _) = self
+                .engine
+                .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
+            let band = if b.is_feasible() { b } else { b.sanitize() };
+            let reach = band.reach();
+            Ok(Some((band, reach)))
+        })
     }
 
     /// The sample-phase inputs of one prepared window against the query.
@@ -1285,7 +1292,7 @@ impl ShardScan {
                 Some(l) => &lanes[l],
                 None => raw,
             };
-            let band = rec.time(TracePhase::BandPlan, || matcher.plan_window_band(wv))?;
+            let band = matcher.plan_window_band(wv, rec)?;
             pending.push(PendingWindow { w, lane, band });
             if pending.len() == LB_LANES {
                 Self::flush_pending(

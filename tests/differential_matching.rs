@@ -15,6 +15,16 @@
 //! descriptors (the lowest candidate index must win the tie), scale
 //! ratios exactly at `τ_s`, scales for which the `τ_s` screen is not
 //! monotone, and NaN and infinite amplitudes under the `τ_a` screen.
+//!
+//! The group-norm screen drops pairs it proves too far to matter, so the
+//! grid also holds its edges: distances a few ulps either side of
+//! `max_desc_distance × τ_d` and of a row's running second best, on
+//! descriptors for which the bound meets the distance; no ceiling;
+//! configurations built without validation (`τ_d` at and below 1,
+//! ceilings of zero, below zero or NaN); descriptors that are not
+//! unit-norm, are signed, have odd lengths or tiny magnitudes; NaN and
+//! infinite descriptor values behind far candidates; and one row scored
+//! twice in one gathered batch.
 
 mod common;
 
@@ -28,6 +38,7 @@ use sdtw_suite::core::{BandSymmetry, ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::datasets::UcrAnalog;
 use sdtw_suite::dtw::Band;
 use sdtw_suite::salient::{Keypoint, Polarity, SalientConfig, SalientExtractor, SalientFeature};
+use sdtw_suite::tseries::metric::euclidean;
 use sdtw_suite::tseries::transform::z_normalize;
 use sdtw_suite::tseries::TimeSeries;
 
@@ -720,4 +731,339 @@ fn band_builders_match_the_reference_on_random_partitions() {
 
 fn assert_band(got: &Band, want: &Band, ctx: &str) {
     assert!(got == want, "{ctx}: bands differ");
+}
+
+/// `x` moved `ulps` representable values up (or down, when negative);
+/// `x` positive and finite.
+fn ulps_from(x: f64, ulps: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+}
+
+/// A `τ_d` for which `best · τ_d` rounds to exactly `target`, if a few
+/// steps around `target / best` find one.
+fn tau_d_hitting(best: f64, target: f64) -> Option<f64> {
+    let mut t = target / best;
+    for _ in 0..64 {
+        let product = best * t;
+        if product == target {
+            return Some(t);
+        }
+        t = ulps_from(t, if product < target { 1 } else { -1 });
+    }
+    None
+}
+
+/// A non-negative descriptor of `bins` values, unit-norm or scaled by
+/// `scale`.
+fn random_descriptor(rng: &mut TestRng, bins: usize, scale: f64) -> Vec<f64> {
+    let raw: Vec<f64> = (0..bins).map(|_| rng.f64_in(0.0, 1.0)).collect();
+    let norm = euclidean(&raw, &vec![0.0; bins]);
+    raw.iter().map(|v| v / norm * scale).collect()
+}
+
+/// `x` scaled by `c`: every coordinate group of `y` is parallel to `x`'s,
+/// so a lower bound from group norms meets the distance, for any
+/// grouping.
+fn scaled(x: &[f64], c: f64) -> Vec<f64> {
+    x.iter().map(|v| v * c).collect()
+}
+
+/// One σ for every synthetic feature below, so `τ_s` passes every pair.
+const SIGMA: f64 = 2.0;
+
+fn features(descriptors: Vec<Vec<f64>>) -> Vec<SalientFeature> {
+    descriptors
+        .into_iter()
+        .enumerate()
+        .map(|(k, d)| feature(10 + 5 * k, SIGMA, 0.0, d))
+        .collect()
+}
+
+#[test]
+fn distances_ulps_around_the_ceiling_times_tau_d_match_the_reference() {
+    let mut rng = TestRng::new(0xce11);
+    let mut flips = 0;
+    for round in 0..200 {
+        let bins = [64, 63, 4, 128, 1, 7][round % 6];
+        let scale = [1.0, 1e-3, 1e3, 1e-160][round % 4];
+        let x = random_descriptor(&mut rng, bins, scale);
+        let c = rng.f64_in(0.2, 0.9);
+        let y = scaled(&x, c);
+        let d = euclidean(&x, &y);
+        let f1 = features(vec![x.clone()]);
+        let f2 = features(vec![y]);
+        for k in -3..=3 {
+            // the ceiling k ulps from the only candidate's distance, with
+            // `τ_d` of 1 and, built without validation, below 1: the cap
+            // is the ceiling either way
+            let max = ulps_from(d, k);
+            for tau_d in [1.0, 0.5] {
+                let cfg = MatchConfig {
+                    tau_a: None,
+                    tau_s: Some(2.0),
+                    tau_d,
+                    max_desc_distance: Some(max),
+                };
+                let want = check_pair(&f1, &f2, 400, 400, &cfg, &format!("round {round} k={k}"));
+                assert_eq!(
+                    want.raw_pairs.len(),
+                    usize::from(k >= 0),
+                    "round {round} k={k}"
+                );
+            }
+        }
+        // the best candidate exactly at the ceiling, a blocker whose
+        // distance lies k ulps either side of ceiling × τ_d: the pair is
+        // emitted only when the blocker is no nearer than that product
+        let best = scaled(&x, c);
+        let blocker = scaled(&x, 1.0 - 1.2 * (1.0 - c));
+        let (d0, d1) = (d, euclidean(&x, &blocker));
+        let f2 = features(vec![best, blocker]);
+        for k in -3..=3 {
+            let Some(tau_d) = tau_d_hitting(d0, ulps_from(d1, k)) else {
+                continue;
+            };
+            let cfg = MatchConfig {
+                tau_a: None,
+                tau_s: Some(2.0),
+                tau_d,
+                max_desc_distance: Some(d0),
+            };
+            let want = check_pair(
+                &f1,
+                &f2,
+                400,
+                400,
+                &cfg,
+                &format!("round {round} blocker k={k}"),
+            );
+            assert_eq!(
+                want.raw_pairs.len(),
+                usize::from(k <= 0),
+                "round {round} blocker k={k}"
+            );
+            flips += 1;
+        }
+    }
+    assert!(flips > 500, "only {flips} blocker cases found a τ_d");
+}
+
+#[test]
+fn distances_ulps_around_a_running_second_best_match_the_reference() {
+    let mut rng = TestRng::new(0x5ec0);
+    let mut cases = 0;
+    for round in 0..120 {
+        let bins = [64, 65, 5, 128][round % 4];
+        let scale = [1.0, 7.5, 0.01][round % 3];
+        let x = random_descriptor(&mut rng, bins, scale);
+        let (c0, c1) = (rng.f64_in(0.8, 0.95), rng.f64_in(0.5, 0.7));
+        let (best, second) = (scaled(&x, c0), scaled(&x, c1));
+        let (d0, s) = (euclidean(&x, &best), euclidean(&x, &second));
+        // τ_d putting best × τ_d exactly on the second best
+        let Some(tau_d) = tau_d_hitting(d0, s) else {
+            continue;
+        };
+        // far candidates with x's group norms (its negation), which no
+        // norm bound can drop: they fill the gathered batches, so the
+        // probe is screened against a second best already in place
+        let fillers = std::iter::repeat_n(scaled(&x, -1.0), 15);
+        let mut descriptors = vec![best, second];
+        descriptors.extend(fillers);
+        for step in -12i64..=12 {
+            let probe = scaled(&x, ulps_from(c1, step));
+            let dp = euclidean(&x, &probe);
+            let mut with_probe = descriptors.clone();
+            with_probe.push(probe);
+            let (f1, f2) = (features(vec![x.clone()]), features(with_probe));
+            for max_desc_distance in [None, Some(2.0 * s)] {
+                let cfg = MatchConfig {
+                    tau_a: None,
+                    tau_s: Some(2.0),
+                    tau_d,
+                    max_desc_distance,
+                };
+                let ctx = format!("round {round} step {step} {max_desc_distance:?}");
+                let want = check_pair(&f1, &f2, 400, 400, &cfg, &ctx);
+                assert_eq!(want.raw_pairs.len(), usize::from(dp >= s), "{ctx}");
+            }
+            cases += 1;
+        }
+    }
+    assert!(cases > 1500, "only {cases} cases");
+}
+
+/// Configurations a caller can build without `MatchConfig::validate`:
+/// `τ_d` at and below 1, ceilings of zero or below.
+fn unvalidated_configs() -> Vec<(&'static str, MatchConfig)> {
+    let base = MatchConfig::default();
+    let with = |tau_d: f64, max_desc_distance: Option<f64>| MatchConfig {
+        tau_d,
+        max_desc_distance,
+        ..base.clone()
+    };
+    vec![
+        ("tau_d_1", with(1.0, Some(0.5))),
+        ("tau_d_0.5", with(0.5, Some(0.5))),
+        ("tau_d_0", with(0.0, Some(0.3))),
+        ("tau_d_negative", with(-1.0, Some(0.5))),
+        ("ceiling_0", with(1.2, Some(0.0))),
+        ("ceiling_negative", with(0.5, Some(-0.5))),
+        ("ceiling_nan", with(1.2, Some(f64::NAN))),
+        ("tau_d_nan", with(f64::NAN, Some(0.5))),
+    ]
+}
+
+#[test]
+fn unnormalised_negative_and_odd_length_descriptors_match_the_reference() {
+    let mut rng = TestRng::new(0x0dd5);
+    for round in 0..60 {
+        let bins = [1, 3, 5, 63, 65, 127, 64][round % 7];
+        let scale = [1.0, 1e-3, 1e3, 0.7][round % 4];
+        let (k1, k2) = (rng.usize_in(1, 24), rng.usize_in(1, 40));
+        // half the sets are signed; the rest mix unit-norm descriptors
+        // with near copies of series 1's, so some pairs are close
+        let draw = |rng: &mut TestRng| -> Vec<f64> {
+            if round % 2 == 0 {
+                (0..bins).map(|_| rng.f64_in(-scale, scale)).collect()
+            } else {
+                random_descriptor(rng, bins, scale)
+            }
+        };
+        let d1: Vec<Vec<f64>> = (0..k1).map(|_| draw(&mut rng)).collect();
+        let d2: Vec<Vec<f64>> = (0..k2)
+            .map(|k| {
+                if k % 3 == 0 {
+                    let c = rng.f64_in(0.6, 1.4);
+                    scaled(&d1[k % k1], c)
+                } else {
+                    draw(&mut rng)
+                }
+            })
+            .collect();
+        let (f1, f2) = (features(d1), features(d2));
+        let mut configs = match_configs();
+        configs.extend(unvalidated_configs());
+        configs.push((
+            "scaled_ceiling",
+            MatchConfig {
+                max_desc_distance: Some(0.5 * scale),
+                ..MatchConfig::default()
+            },
+        ));
+        for (label, cfg) in configs {
+            check_pair(
+                &f1,
+                &f2,
+                400,
+                400,
+                &cfg,
+                &format!("round {round} bins={bins} [{label}]"),
+            );
+        }
+    }
+}
+
+#[test]
+fn nan_and_infinite_descriptor_values_match_the_reference() {
+    let mut rng = TestRng::new(0x7a7);
+    for bins in [64, 7] {
+        let x = random_descriptor(&mut rng, bins, 1.0);
+        let far = scaled(&x, 3.0);
+        let near = scaled(&x, 0.9);
+        let mut nan = x.clone();
+        nan[bins / 2] = f64::NAN;
+        let mut inf = x.clone();
+        inf[0] = f64::INFINITY;
+        let mut neg_inf = x.clone();
+        neg_inf[bins - 1] = f64::NEG_INFINITY;
+        let rows = [x.clone(), inf.clone(), neg_inf.clone(), nan.clone()];
+        // a NaN distance is a row's best only as its first candidate:
+        // far candidates ahead of it keep the near one emitted
+        let orders = [
+            vec![far.clone(), far.clone(), nan.clone(), near.clone()],
+            vec![nan.clone(), far.clone(), near.clone()],
+            vec![far.clone(), inf.clone(), near.clone(), neg_inf.clone()],
+            vec![
+                inf.clone(),
+                neg_inf.clone(),
+                far.clone(),
+                near.clone(),
+                nan.clone(),
+            ],
+        ];
+        for (o, candidates) in orders.iter().enumerate() {
+            for r in 0..rows.len() {
+                let f1 = features(rows[..=r].to_vec());
+                let f2 = features(candidates.clone());
+                let mut configs = match_configs();
+                configs.extend(unvalidated_configs());
+                for (label, cfg) in configs {
+                    check_pair(
+                        &f1,
+                        &f2,
+                        400,
+                        400,
+                        &cfg,
+                        &format!("bins={bins} order {o} rows {r} [{label}]"),
+                    );
+                }
+            }
+        }
+        let want = reference::match_features(
+            &features(vec![x.clone()]),
+            &features(orders[0].clone()),
+            400,
+            400,
+            &MatchConfig::default(),
+        );
+        assert_eq!(
+            want.raw_pairs.len(),
+            1,
+            "bins={bins}: the near candidate is emitted"
+        );
+    }
+}
+
+#[test]
+fn one_row_scored_twice_in_one_gathered_batch_matches_the_reference() {
+    let mut rng = TestRng::new(0xba7c);
+    for bins in [64, 4, 9] {
+        let x = random_descriptor(&mut rng, bins, 1.0);
+        let y = scaled(&x, 0.9);
+        let mut nan = y.clone();
+        nan[0] = f64::NAN;
+        // consecutive candidates at equal distance: the lower index wins;
+        // a NaN ahead of a finite distance blocks the row
+        for pair in [
+            [y.clone(), y.clone()],
+            [nan.clone(), y.clone()],
+            [y.clone(), nan],
+        ] {
+            let f1 = features(vec![x.clone(), scaled(&x, 0.5)]);
+            let f2 = features(pair.to_vec());
+            let open = MatchConfig {
+                tau_a: None,
+                tau_s: None,
+                tau_d: 1.0,
+                max_desc_distance: None,
+            };
+            for (label, cfg) in [("open", open), ("default", MatchConfig::default())] {
+                check_pair(&f1, &f2, 400, 400, &cfg, &format!("bins={bins} [{label}]"));
+            }
+        }
+        let tie = reference::match_features(
+            &features(vec![x.clone()]),
+            &features(vec![y.clone(), y]),
+            400,
+            400,
+            &MatchConfig {
+                tau_d: 1.0,
+                ..MatchConfig::default()
+            },
+        );
+        assert_eq!(
+            tie.raw_pairs[0].idx2, 0,
+            "bins={bins}: the first of a tie wins"
+        );
+    }
 }

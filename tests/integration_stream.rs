@@ -525,3 +525,33 @@ fn monitor_and_bank_traces_snapshot_the_stream() {
     let back = QueryTrace::from_json_line(&line).unwrap();
     assert_eq!(back.to_json_line(), line);
 }
+
+/// A `BandPlan` span times band planning: fixed-band scans plan no band,
+/// so neither the batch sweeps nor the monitors record one, while
+/// adaptive (`sdtw_bands`) scans still do on both paths.
+#[test]
+fn band_plan_spans_appear_only_when_bands_are_planned() {
+    let ds = UcrAnalog::Gun.generate(31);
+    let query = ds.series[0].clone();
+    let hay = haystack(&ds.series[1..3]);
+    for (config, plans) in [
+        (StreamConfig::exact_banded(0.2), false),
+        (StreamConfig::sdtw_bands(), true),
+    ] {
+        let matcher = SubseqMatcher::new(&query, config).unwrap();
+        let has_plan = |spans: &[SpanRecord]| spans.iter().any(|s| s.phase == TracePhase::BandPlan);
+        let (_, trace) = matcher.find_traced(&hay, 2, "sweep").unwrap();
+        assert!(trace.counters.cascade.candidates > 0);
+        assert_eq!(has_plan(&trace.spans), plans, "sweep: {:?}", trace.spans);
+        let (_, trace) = matcher
+            .find_k_parallel_traced(&hay, 2, f64::INFINITY, 2, "sharded")
+            .unwrap();
+        assert_eq!(has_plan(&trace.spans), plans, "sharded: {:?}", trace.spans);
+        let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
+        monitor.set_tracing(true);
+        monitor.process(hay.values()).unwrap();
+        let trace = monitor.trace("monitor");
+        assert!(trace.spans.iter().any(|s| s.phase == TracePhase::DpFill));
+        assert_eq!(has_plan(&trace.spans), plans, "monitor: {:?}", trace.spans);
+    }
+}
