@@ -550,7 +550,7 @@ impl SdtwIndex {
         // helpful) visit-order heuristic — it just never prunes.
         let order = rec.time(TracePhase::LbKim, || self.coarse_order(&q));
 
-        let mut topk = TopK::new(k);
+        let mut topk = TopK::new(k, self.entries.len());
         let mut stats = CascadeStats::default();
         // (band area, unconstrained grid area) summed over DP candidates —
         // the pruning-power denominators of a trace

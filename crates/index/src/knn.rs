@@ -52,12 +52,15 @@ pub(crate) struct TopK {
 }
 
 impl TopK {
-    /// Creates an accumulator for the `k` best candidates (`k ≥ 1`).
-    pub fn new(k: usize) -> Self {
+    /// Creates an accumulator for the `k` best of `candidates` offers
+    /// (`k ≥ 1`). The heap never holds more than `min(k, candidates)`
+    /// items, so that is all it reserves: a `k` past the candidate count
+    /// costs nothing up front.
+    pub fn new(k: usize, candidates: usize) -> Self {
         assert!(k >= 1, "top-k needs k >= 1");
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(candidates)),
         }
     }
 
@@ -106,7 +109,7 @@ mod tests {
 
     #[test]
     fn keeps_the_k_smallest_in_order() {
-        let mut t = TopK::new(3);
+        let mut t = TopK::new(3, 6);
         for (i, d) in [5.0, 1.0, 4.0, 0.5, 3.0, 2.0].iter().enumerate() {
             t.offer(i, *d);
         }
@@ -117,7 +120,7 @@ mod tests {
 
     #[test]
     fn threshold_is_infinite_until_full_then_tracks_the_worst() {
-        let mut t = TopK::new(2);
+        let mut t = TopK::new(2, 3);
         assert_eq!(t.threshold(), f64::INFINITY);
         t.offer(0, 3.0);
         assert_eq!(t.threshold(), f64::INFINITY);
@@ -129,7 +132,7 @@ mod tests {
 
     #[test]
     fn ties_break_toward_the_lower_index() {
-        let mut t = TopK::new(2);
+        let mut t = TopK::new(2, 3);
         // equal distances: indices 7 and 2 offered out of order, then 5
         t.offer(7, 1.0);
         t.offer(2, 1.0);
@@ -141,7 +144,7 @@ mod tests {
 
     #[test]
     fn fewer_offers_than_k_returns_them_all() {
-        let mut t = TopK::new(10);
+        let mut t = TopK::new(10, 2);
         t.offer(1, 2.0);
         t.offer(0, 2.0);
         let out = t.into_sorted();
@@ -150,8 +153,20 @@ mod tests {
     }
 
     #[test]
+    fn a_k_past_the_candidates_reserves_only_the_candidates() {
+        let mut t = TopK::new(usize::MAX, 3);
+        assert!(t.heap.capacity() < 16);
+        for (i, d) in [2.0, 1.0, 3.0].into_iter().enumerate() {
+            t.offer(i, d);
+        }
+        assert_eq!(t.threshold(), f64::INFINITY, "never full");
+        let idx: Vec<usize> = t.into_sorted().iter().map(|n| n.index).collect();
+        assert_eq!(idx, vec![1, 0, 2]);
+    }
+
+    #[test]
     #[should_panic(expected = "k >= 1")]
     fn zero_k_panics() {
-        let _ = TopK::new(0);
+        let _ = TopK::new(0, 1);
     }
 }

@@ -40,12 +40,18 @@ pub struct CascadeStats {
     /// only.
     pub lb_inapplicable: u64,
     /// DP runs cut short by early abandoning against the best-so-far.
+    /// Adaptive-band stream sweeps also count here the windows their
+    /// full-grid screen disposes of before extraction: lanes that
+    /// abandon, and windows whose full-grid distance (or a floor an
+    /// earlier pass recorded) exceeds the threshold by the time they
+    /// are decided.
     pub abandoned: u64,
     /// DP runs carried to completion (the only candidates that could enter
     /// the top-k).
     pub dp_completed: u64,
     /// DP cells filled across all runs (abandoned runs are charged their
-    /// full band conservatively).
+    /// full band conservatively), the full-grid screens of adaptive
+    /// stream sweeps included.
     pub cells_filled: u64,
     /// True when the engine's cost kernel reported that the standard
     /// lower bounds are **not** admissible for it
@@ -118,7 +124,7 @@ impl CascadeStats {
 /// What one subsequence search (or one monitor session) did: the shared
 /// per-stage [`CascadeStats`] plus the window-level counters the
 /// subsequence workload adds on top (multi-pass sweeps, exclusion-zone
-/// skips, distance-cache hits).
+/// skips, visits answered from the per-window records).
 ///
 /// `cascade.candidates` counts *cascade entries* — window visits that ran
 /// the LB_Kim → LB_Keogh → DP pipeline — so the [`CascadeStats`]
@@ -140,8 +146,11 @@ pub struct StreamStats {
     /// Window visits skipped because the offset lies inside the exclusion
     /// zone of an already-selected match.
     pub skipped_excluded: u64,
-    /// Window visits answered from the completed-distance cache (later
-    /// passes revisit windows the earlier passes already scored).
+    /// Window visits answered from the search's per-window records
+    /// without entering the cascade: later passes revisit windows the
+    /// earlier passes already scored, or already showed to lie above
+    /// the pass's threshold (a floor from a prune, an abandon or a
+    /// full-grid screen).
     pub cache_hits: u64,
     /// The shared cascade accounting (LB_Kim / LB_Keogh prunes, early
     /// abandons, completed DPs, cells filled).

@@ -15,9 +15,11 @@
 //! searches either way:
 //!
 //! * **batch** — [`SubseqMatcher::find`] slides over a whole series,
-//!   running up to `k` pruned greedy sweeps with a completed-distance
-//!   cache (exact top-k non-overlapping matches, ties included, against
-//!   the brute-force every-window oracle in `sdtw_eval`); every window's
+//!   running up to `k` pruned greedy sweeps that share one record per
+//!   window — its completed distance, or its planned band and a floor
+//!   under its distance — so no window is extracted or planned twice
+//!   (exact top-k non-overlapping matches, ties included, against the
+//!   brute-force every-window oracle in `sdtw_eval`); every window's
 //!   rolling LB_Kim bound comes from one pass over the series, which a
 //!   caller that needs the bounds twice prepares once
 //!   ([`PreparedHaystack`]);

@@ -16,7 +16,6 @@ use sdtw_tseries::transform::{z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 /// Relative slack applied to the rolling LB_Kim before it may prune.
 ///
@@ -344,30 +343,38 @@ impl<'a> PreparedHaystack<'a> {
 /// All stages execute through the workspace-shared
 /// [`sdtw_dtw::cascade::Cascade`] pipeline — the same runner
 /// `sdtw_index` queries use. The batch sweeps additionally park Kim
-/// survivors in a deferred queue of up to [`LB_LANES`] windows so their
-/// forward LB_Keogh bounds compute as one [`lb_keogh_batch_windows`]
-/// lane pass. What happens at a flush depends on the band:
+/// survivors in a deferred queue of up to [`LB_LANES`] windows and
+/// decide them at a flush, which starts from the threshold current when
+/// it begins. What happens there depends on the band:
 ///
-/// * **adaptive bands** — each window is decided sequentially in sweep
-///   order against a fresh best-so-far threshold, and its DP runs
-///   through the zero-copy [`SDtw::query_window`] builder path;
 /// * **a fixed band** — every queued window shares the query and the
-///   band, so the flush screens them all against the threshold current
-///   at its start and fills the survivors' DPs in lock-step, one window
-///   per lane ([`dtw_run_windows`]). Thresholds only tighten within a
-///   pass, so no window that could win the pass is disposed of, and the
-///   completed lanes carry exact distances (DESIGN.md §11).
+///   band, so their forward LB_Keogh bounds compute as one
+///   [`lb_keogh_batch_windows`] lane pass, and the survivors' DPs fill in
+///   lock-step, one window per lane ([`dtw_run_windows`]);
+/// * **adaptive bands** — queued windows without a planned band first
+///   fill their full `m × m` grids in lock-step (the screen: every
+///   planned band lies inside the full grid, so a window whose full-grid
+///   DP exceeds the threshold is dropped unextracted). The rest are
+///   extracted, planned and decided one by one in sweep order against a
+///   fresh best-so-far threshold, their DPs running through the
+///   zero-copy [`SDtw::query_window`] builder path.
 ///
-/// Either way matches are bit-identical to the fully serial sweep; under
-/// a fixed band, per-stage counters and the completed-distance cache may
-/// differ from it. The streaming monitor path never defers.
+/// Thresholds only tighten within a pass, so no window that could win
+/// the pass is disposed of, and completed DPs carry exact distances
+/// (DESIGN.md §11): matches are bit-identical to the fully serial
+/// sweep, while per-stage counters may differ from it. The streaming
+/// monitor path never defers.
 ///
 /// Results are **exact**: offsets and bit-identical distances to
 /// brute-forcing the same engine over every window and greedily picking
 /// the `k` best non-overlapping ones ascending by `(distance, offset)`
 /// (the `sdtw_eval` subsequence oracle; ties break toward the lower
-/// offset). Top-k selection runs as up to `k` sweeps with a completed-
-/// distance cache, so each sweep prunes against a sound best-so-far.
+/// offset). Top-k selection runs as up to `k` sweeps, each pruning
+/// against a sound best-so-far. One record per window lasts for all of
+/// them: a completed window keeps its distance, any other its planned
+/// band and a floor its distance cannot lie below, so a later sweep
+/// answers what it can from the record and no window is extracted or
+/// planned twice (DESIGN.md §9).
 #[derive(Debug, Clone)]
 pub struct SubseqMatcher {
     config: StreamConfig,
@@ -382,10 +389,8 @@ pub struct SubseqMatcher {
     /// Coarse (PAA) compression of the query envelope, feeding the
     /// pre-filter stage (`None` when `paa_width < 2` disabled it).
     query_coarse: Option<CoarseEnvelope>,
-    /// The shared band of every window under alignment-free policies
-    /// (`None` means adaptive: plan per window against the cached query
-    /// descriptors).
-    fixed_band: Option<Band>,
+    /// Where each window's band comes from.
+    bands: WindowBands,
     /// The configured pruning pipeline every window runs (shared with
     /// `sdtw_index` via `sdtw_dtw::cascade`).
     cascade: Cascade,
@@ -449,11 +454,13 @@ impl SubseqMatcher {
         let query = prepared.into_values();
         let query_envelope = Envelope::build_from_values(&query, radius);
         let query_summary = SeriesSummary::of_values(&query);
-        let fixed_band = if needs_features {
-            None
+        let bands = if needs_features {
+            WindowBands::Planned {
+                grid: Band::full(m, m),
+            }
         } else {
             let (band, _) = engine.plan_band(&[], &[], m, m);
-            Some(if band.is_feasible() {
+            WindowBands::Fixed(if band.is_feasible() {
                 band
             } else {
                 band.sanitize()
@@ -486,7 +493,7 @@ impl SubseqMatcher {
             query_envelope,
             query_summary,
             query_coarse,
-            fixed_band,
+            bands,
             cascade,
             m,
             radius,
@@ -927,15 +934,12 @@ impl SubseqMatcher {
             ..
         } = eval;
         let wv = self.normalize_window(raw, window);
-        let planned = self.plan_window_band(wv, rec)?;
-        let (band, reach) = match &planned {
-            Some((band, reach)) => (band, *reach),
-            None => {
-                let band = self
-                    .fixed_band
-                    .as_ref()
-                    .expect("alignment-free policies carry a fixed band");
-                (band, band.reach())
+        let planned;
+        let (band, reach) = match &self.bands {
+            WindowBands::Fixed(band) => (band, band.reach()),
+            WindowBands::Planned { .. } => {
+                planned = self.plan_window_band(wv, rec)?;
+                (&planned.0, planned.1)
             }
         };
         self.finish_window(
@@ -947,16 +951,9 @@ impl SubseqMatcher {
     /// extract its descriptors, plan against the cached query
     /// descriptors, sanitise — and walks its [`Band::reach`] once for
     /// every later applicability check, all inside one `BandPlan` span.
-    /// `None` under an alignment-free policy, where every window shares
-    /// the matcher's `fixed_band` and no span is recorded.
-    fn plan_window_band(
-        &self,
-        wv: &[f64],
-        rec: &mut Recorder,
-    ) -> Result<Option<(Band, usize)>, TsError> {
-        if self.fixed_band.is_some() {
-            return Ok(None);
-        }
+    /// Only adaptive policies plan; alignment-free ones share the
+    /// matcher's [`WindowBands::Fixed`] band.
+    fn plan_window_band(&self, wv: &[f64], rec: &mut Recorder) -> Result<(Band, usize), TsError> {
         rec.time(TracePhase::BandPlan, || {
             let wts = TimeSeries::new(wv.to_vec())?;
             let wf = self.engine.extractor().extract(&wts);
@@ -965,7 +962,7 @@ impl SubseqMatcher {
                 .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
             let band = if b.is_feasible() { b } else { b.sanitize() };
             let reach = band.reach();
-            Ok(Some((band, reach)))
+            Ok((band, reach))
         })
     }
 
@@ -1130,16 +1127,26 @@ impl SubseqMatcher {
     }
 }
 
-/// A Kim-surviving window parked in the deferred queue until enough
-/// accumulate to batch their forward LB_Keogh bounds (one
-/// [`lb_keogh_batch_windows`] lane pass over up to [`LB_LANES`] windows —
-/// the queue capacity and the normalised-window staging buffers are both
-/// sized from that one const, which the `sdtw_dtw::simd` lane layer
-/// defines, so no chunk-width assumption lives in this crate).
-/// Normalisation and band planning happen at enqueue time — in serial
-/// sweep order — so deferral changes *when* the sample-phase stages run,
-/// never what they see; only the threshold they are decided against may
-/// be looser (see `ShardScan::flush_pending`).
+/// Where a matcher's windows get their bands.
+#[derive(Debug, Clone)]
+enum WindowBands {
+    /// Alignment-free policies: every window shares this band.
+    Fixed(Band),
+    /// Adaptive policies plan a band per window against the cached query
+    /// descriptors. Every planned band lies inside the full `m × m`
+    /// `grid`, which batch sweeps screen windows on before extracting
+    /// them.
+    Planned { grid: Band },
+}
+
+/// A Kim-surviving window parked in the deferred queue until the queue
+/// holds [`LB_LANES`] windows or the pass ends (the queue capacity and
+/// the normalised-window staging buffers are both sized from that one
+/// const, which the `sdtw_dtw::simd` lane layer defines, so no
+/// chunk-width assumption lives in this crate). The window is normalised
+/// at enqueue time, in serial sweep order; everything else happens at the
+/// flush, where only the threshold a window is decided against may be
+/// looser than the serial sweep's (see `ShardScan::flush`).
 #[derive(Debug)]
 struct PendingWindow {
     /// Global window offset.
@@ -1147,27 +1154,65 @@ struct PendingWindow {
     /// Lane buffer holding the z-normalised samples (`None` in raw mode,
     /// where the haystack is re-sliced at flush time).
     lane: Option<usize>,
-    /// The planned adaptive band and its [`Band::reach`] (`None` under
-    /// alignment-free policies — every window shares the matcher's
-    /// `fixed_band`).
-    band: Option<(Band, usize)>,
 }
 
 impl PendingWindow {
-    /// The window's band and reach: its own when planned, else `fixed`.
-    fn band_or<'a>(&'a self, fixed: Option<(&'a Band, usize)>) -> (&'a Band, usize) {
-        match &self.band {
-            Some((band, reach)) => (band, *reach),
-            None => fixed.expect("alignment-free policies carry a fixed band"),
+    /// The window's (normalised) samples.
+    fn samples<'a>(&self, lanes: &'a [Vec<f64>], xv: &'a [f64], m: usize) -> &'a [f64] {
+        match self.lane {
+            Some(l) => &lanes[l],
+            None => &xv[self.w..self.w + m],
         }
+    }
+}
+
+/// What one search has learned about a window, kept for all of its `k`
+/// passes. A later pass answers the window from here when it can, and
+/// otherwise resumes from what was done, so no window is extracted or
+/// planned twice in one search.
+#[derive(Debug, Clone)]
+enum WindowRecord {
+    /// The DP completed with this exact distance.
+    Exact(f64),
+    /// The window's distance lies at or above `floor`: the threshold it
+    /// was pruned or abandoned at, or its full-grid distance (every
+    /// planned band lies inside the full grid); `-∞` while nothing is
+    /// known. A window whose floor is above a pass's threshold can
+    /// neither win nor tie the pass. `band` is the window's planned band
+    /// and its [`Band::reach`], once planned (adaptive policies).
+    Bounded {
+        floor: f64,
+        band: Option<(Band, usize)>,
+    },
+}
+
+impl Default for WindowRecord {
+    fn default() -> Self {
+        WindowRecord::Bounded {
+            floor: f64::NEG_INFINITY,
+            band: None,
+        }
+    }
+}
+
+/// The threshold a pass decides windows against: its running best, capped
+/// at `tau`.
+fn pass_threshold(best: &Option<(f64, usize)>, tau: f64) -> f64 {
+    best.map_or(tau, |(d, _)| d.min(tau))
+}
+
+/// Folds a completed window into the pass best when it is within `tau`.
+fn offer(best: &mut Option<(f64, usize)>, d: f64, w: usize, tau: f64) {
+    if d <= tau && SubseqMatcher::better(d, w, best) {
+        *best = Some((d, w));
     }
 }
 
 /// One worker's share of a (possibly sharded) scan: the window range
 /// `[ws, we)` and every piece of per-worker state the sweep mutates —
-/// the completed-distance cache, the DP/cascade scratch buffers, and the
-/// shard's own [`StreamStats`]. The rolling bounds it screens with are
-/// its slice of the haystack-wide [`PreparedHaystack`] vector.
+/// one [`WindowRecord`] per window, the DP/cascade scratch buffers, and
+/// the shard's own [`StreamStats`]. The rolling bounds it screens with
+/// are its slice of the haystack-wide [`PreparedHaystack`] vector.
 ///
 /// The serial scan runs exactly one of these over the whole window
 /// range; [`SubseqMatcher::find_k_parallel`] runs one per shard and
@@ -1178,15 +1223,15 @@ struct ShardScan {
     ws: usize,
     /// One past the last window this shard owns.
     we: usize,
-    /// Completed DP distances, keyed by global window offset.
-    computed: BTreeMap<usize, f64>,
+    /// What the search knows about window `ws + i`, kept across passes.
+    records: Vec<WindowRecord>,
     eval: EvalScratch,
     stats: StreamStats,
     /// Shard-local phase spans — disabled (≈free) outside the traced
     /// entry points.
     rec: Recorder,
-    /// (band area, full grid area) summed over DP-entering windows —
-    /// the pruning-power denominators of a trace.
+    /// (band area, full grid area) summed over DP runs — the
+    /// pruning-power denominators of a trace.
     areas: (u64, u64),
 }
 
@@ -1197,7 +1242,7 @@ impl ShardScan {
         Self {
             ws,
             we,
-            computed: BTreeMap::new(),
+            records: vec![WindowRecord::default(); we - ws],
             eval: EvalScratch::default(),
             stats: StreamStats {
                 windows: (we - ws) as u64,
@@ -1215,7 +1260,7 @@ impl ShardScan {
     /// One greedy best-match pass over the shard's windows: finds the
     /// minimal `(distance, offset)` among non-excluded windows at or
     /// under `tau`, pruning against the pass's running best (seeded from
-    /// the completed-distance cache) — the serial sweep restricted to
+    /// the completed windows' records) — the serial sweep restricted to
     /// `[ws, we)`.
     fn sweep(
         &mut self,
@@ -1230,258 +1275,347 @@ impl ShardScan {
                 .any(|s| w.abs_diff(s.offset) < matcher.exclusion)
         };
         let (xv, kims) = (hay.values, &hay.bounds[self.ws..self.we]);
-        let ws = self.ws;
+        let m = matcher.m;
         self.eval.lanes.resize(LB_LANES, Vec::new());
+        // WindowSweep is the enclosing span: its duration covers the
+        // whole pass, the per-stage spans nest inside it
+        let sweep_t0 = self.rec.is_enabled().then(std::time::Instant::now);
+        let mut best: Option<(f64, usize)> = None;
+        for (w, record) in (self.ws..).zip(&self.records) {
+            if let WindowRecord::Exact(d) = *record {
+                if !excluded(w) {
+                    offer(&mut best, d, w, tau);
+                }
+            }
+        }
+        let mut pending: Vec<PendingWindow> = Vec::with_capacity(LB_LANES);
+        for (w, &kim) in (self.ws..).zip(kims) {
+            if excluded(w) {
+                self.stats.skipped_excluded += 1;
+                continue;
+            }
+            // The threshold read here can be stale by the (at most
+            // LB_LANES - 1) queued survivors ahead of this window;
+            // staleness only ever *loosens* it, so deferral may admit an
+            // extra window into the queue but never drops one the serial
+            // sweep would keep. Every later decision reads a threshold
+            // at or above the pass winner's distance, so the pass winner
+            // stays the serial sweep's; only per-stage credit can shift.
+            let threshold = pass_threshold(&best, tau);
+            // a completed window already took part in the pass best, and
+            // one whose floor lies above the threshold cannot win or tie
+            // the pass
+            match self.records[w - self.ws] {
+                WindowRecord::Bounded { floor, .. } if floor <= threshold => {}
+                _ => {
+                    self.stats.cache_hits += 1;
+                    continue;
+                }
+            }
+            // one compare per window, counted in the WindowSweep self
+            // time: a span of its own would cost more than the compare
+            if matcher
+                .cascade
+                .screen_summary(&mut self.stats.cascade, kim, threshold)
+                .is_some()
+            {
+                continue;
+            }
+            let lane = matcher.config.z_normalize.then(|| {
+                let l = pending.len();
+                z_normalize_values(&xv[w..w + m], &mut self.eval.lanes[l]);
+                l
+            });
+            pending.push(PendingWindow { w, lane });
+            if pending.len() == LB_LANES {
+                self.flush(matcher, xv, &mut pending, tau, &mut best)?;
+            }
+        }
+        self.flush(matcher, xv, &mut pending, tau, &mut best)?;
+        if let Some(t0) = sweep_t0 {
+            self.rec.add(TracePhase::WindowSweep, t0.elapsed());
+        }
+        Ok(best)
+    }
+
+    /// Drains the deferred window queue. Both band shapes start from the
+    /// threshold `T₀` current at the start of the flush. Thresholds only
+    /// tighten within a pass, so a window whose distance is shown to
+    /// exceed `T₀` lies above every later threshold of the pass and
+    /// cannot win or tie it; pass winners, hence matches, are the serial
+    /// sweep's, while per-stage counters may differ (DESIGN §11).
+    ///
+    /// * **fixed band** — every window shares the query and the band:
+    ///   the queue is screened (PAA, LB_Keogh) at `T₀` and the survivors'
+    ///   DPs fill in lock-step at `T₀` ([`dtw_run_windows`]).
+    /// * **adaptive bands** — windows without a planned band first fill
+    ///   their full `m × m` grids in lock-step at `T₀`, before any
+    ///   extraction (the screen). Then, in FIFO (= serial sweep) order,
+    ///   each window is dropped if its full-grid distance exceeds the
+    ///   current threshold, and otherwise planned (once per search) and
+    ///   decided against that threshold.
+    fn flush(
+        &mut self,
+        matcher: &SubseqMatcher,
+        xv: &[f64],
+        pending: &mut Vec<PendingWindow>,
+        tau: f64,
+        best: &mut Option<(f64, usize)>,
+    ) -> Result<(), TsError> {
+        if pending.is_empty() {
+            return Ok(());
+        }
+        debug_assert!(pending.len() <= LB_LANES, "queue flushes at the lane width");
+        let flushed = match &matcher.bands {
+            WindowBands::Fixed(band) => {
+                self.flush_fixed(matcher, xv, pending, band, tau, best);
+                Ok(())
+            }
+            WindowBands::Planned { grid } => {
+                self.flush_adaptive(matcher, xv, pending, grid, tau, best)
+            }
+        };
+        pending.clear();
+        flushed
+    }
+
+    /// The fixed-band flush: one batched forward LB_Keogh pass when the
+    /// stage applies (the band inside the query-envelope window; the
+    /// cascade re-derives applicability itself, so this is a performance
+    /// filter, not a correctness gate), the sample-phase screen at `T₀`,
+    /// and the survivors' lock-step fill at `T₀`. Completions reach the
+    /// records and the pass best in FIFO order; a window pruned or
+    /// abandoned at `T₀` keeps `T₀` as its floor.
+    fn flush_fixed(
+        &mut self,
+        matcher: &SubseqMatcher,
+        xv: &[f64],
+        pending: &[PendingWindow],
+        band: &Band,
+        tau: f64,
+        best: &mut Option<(f64, usize)>,
+    ) {
         let Self {
-            computed,
+            ws,
+            records,
             eval,
             stats,
             rec,
             areas,
             ..
         } = self;
-        // WindowSweep is the enclosing span: its duration covers the
-        // whole pass, the per-stage spans nest inside it
-        let sweep_t0 = rec.is_enabled().then(std::time::Instant::now);
         let EvalScratch {
             dtw,
             cascade: cascade_scratch,
             lanes,
             ..
         } = eval;
-        let mut best: Option<(f64, usize)> = None;
-        for (&w, &d) in computed.iter() {
-            if d <= tau && !excluded(w) && SubseqMatcher::better(d, w, &best) {
-                best = Some((d, w));
-            }
-        }
-        let mut pending: Vec<PendingWindow> = Vec::with_capacity(LB_LANES);
-        for (w, &kim) in (ws..).zip(kims) {
-            if excluded(w) {
-                stats.skipped_excluded += 1;
-                continue;
-            }
-            if computed.contains_key(&w) {
-                stats.cache_hits += 1;
-                continue;
-            }
-            // The threshold this Kim screen reads can be stale by the (at
-            // most LB_LANES - 1) queued survivors ahead of this window;
-            // staleness only ever *loosens* it, so deferral may admit an
-            // extra window into the queue but never drops one the serial
-            // sweep would keep. Every later decision reads a threshold
-            // at or above the pass winner's distance, so the pass winner
-            // stays the serial sweep's; only per-stage credit can shift.
-            let threshold = best.map_or(tau, |(d, _)| d.min(tau));
-            // one compare per window, counted in the WindowSweep self
-            // time: a span of its own would cost more than the compare
-            if matcher
-                .cascade
-                .screen_summary(&mut stats.cascade, kim, threshold)
-                .is_some()
-            {
-                continue;
-            }
-            let raw = &xv[w..w + matcher.m];
-            let lane = matcher.config.z_normalize.then(|| {
-                let l = pending.len();
-                z_normalize_values(raw, &mut lanes[l]);
-                l
-            });
-            let wv: &[f64] = match lane {
-                Some(l) => &lanes[l],
-                None => raw,
-            };
-            let band = matcher.plan_window_band(wv, rec)?;
-            pending.push(PendingWindow { w, lane, band });
-            if pending.len() == LB_LANES {
-                Self::flush_pending(
-                    matcher,
-                    xv,
-                    &mut pending,
-                    lanes,
-                    dtw,
-                    cascade_scratch,
-                    &mut stats.cascade,
-                    computed,
-                    tau,
-                    &mut best,
-                    rec,
-                    areas,
-                )?;
-            }
-        }
-        Self::flush_pending(
-            matcher,
-            xv,
-            &mut pending,
-            lanes,
-            dtw,
-            cascade_scratch,
-            &mut stats.cascade,
-            computed,
-            tau,
-            &mut best,
-            rec,
-            areas,
-        )?;
-        if let Some(t0) = sweep_t0 {
-            rec.add(TracePhase::WindowSweep, t0.elapsed());
-        }
-        Ok(best)
-    }
-
-    /// Drains the deferred window queue. One batched forward LB_Keogh
-    /// pass first covers the lanes whose stage applies (same predicate
-    /// the cascade uses — the band inside the query-envelope window).
-    /// The cascade re-derives applicability itself and falls back to the
-    /// scalar bound when no precomputed value is present, so the
-    /// predicate here is a performance filter, not a correctness gate.
-    ///
-    /// The windows are then decided by band shape:
-    ///
-    /// * **fixed band** — every window shares the query and the band, so
-    ///   their DPs fill in lock-step ([`dtw_run_windows`]). Each window
-    ///   is screened against the threshold `T₀` current at the start of
-    ///   the flush, the survivors fill together at `T₀`, and their
-    ///   completions reach the cache and the pass best in FIFO order.
-    ///   Thresholds only tighten within a pass, so a window pruned or
-    ///   abandoned at `T₀` lies above every later threshold and could
-    ///   not win the pass, while a lane that completes returns its exact
-    ///   distance. Pass winners, hence matches, are the serial sweep's;
-    ///   per-stage counters and later cache hits may differ (DESIGN §11).
-    /// * **adaptive bands** — each window is decided strictly in FIFO
-    ///   (= serial sweep) order against a fresh pass-best threshold.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_pending(
-        matcher: &SubseqMatcher,
-        xv: &[f64],
-        pending: &mut Vec<PendingWindow>,
-        lanes: &[Vec<f64>],
-        dtw: &mut DtwScratch,
-        cascade_scratch: &mut CascadeScratch,
-        stats: &mut CascadeStats,
-        computed: &mut BTreeMap<usize, f64>,
-        tau: f64,
-        best: &mut Option<(f64, usize)>,
-        rec: &mut Recorder,
-        areas: &mut (u64, u64),
-    ) -> Result<(), TsError> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        debug_assert!(pending.len() <= LB_LANES, "queue flushes at the lane width");
-        let window_of = |cand: &PendingWindow| -> &[f64] {
-            match cand.lane {
-                Some(l) => &lanes[l],
-                None => &xv[cand.w..cand.w + matcher.m],
-            }
-        };
-        // the fixed band is walked once per flush, adaptive bands once
-        // each when they were planned
-        let fixed = matcher.fixed_band.as_ref().map(|b| (b, b.reach()));
+        let lanes: &[Vec<f64>] = lanes;
+        let (m, reach) = (matcher.m, band.reach());
+        let threshold = pass_threshold(best, tau);
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
-        if matcher.bounds_ok {
+        if matcher.bounds_ok && reach <= matcher.radius {
             rec.time(TracePhase::LbKeogh, || {
-                let mut slots: Vec<usize> = Vec::with_capacity(pending.len());
-                let mut views: Vec<&[f64]> = Vec::with_capacity(pending.len());
-                for (p, cand) in pending.iter().enumerate() {
-                    if cand.band_or(fixed).1 <= matcher.radius {
-                        slots.push(p);
-                        views.push(window_of(cand));
-                    }
-                }
-                let mut bounds = Vec::with_capacity(slots.len());
+                let views: Vec<&[f64]> = pending.iter().map(|c| c.samples(lanes, xv, m)).collect();
+                let mut bounds = Vec::with_capacity(views.len());
                 lb_keogh_batch_windows(
                     &views,
                     &matcher.query_envelope,
                     matcher.config.sdtw.dtw.metric,
                     &mut bounds,
                 );
-                for (&p, &raw) in slots.iter().zip(&bounds) {
-                    pre[p] = Some(raw);
+                for (slot, raw) in pre.iter_mut().zip(bounds) {
+                    *slot = Some(raw);
                 }
             });
         }
-
-        let Some((band, reach)) = fixed else {
-            for (p, cand) in pending.drain(..).enumerate() {
-                let wv = window_of(&cand);
-                let (band, reach) = cand.band_or(fixed);
-                let threshold = best.map_or(tau, |(d, _)| d.min(tau));
-                let verdict = matcher.finish_window(
-                    wv,
-                    band,
-                    reach,
-                    pre[p],
-                    threshold,
-                    dtw,
-                    cascade_scratch,
-                    stats,
-                    rec,
-                    areas,
-                )?;
-                if let WindowVerdict::Completed(d) = verdict {
-                    computed.insert(cand.w, d);
-                    if d <= tau && SubseqMatcher::better(d, cand.w, best) {
-                        *best = Some((d, cand.w));
-                    }
-                }
-            }
-            return Ok(());
-        };
-
-        let threshold = best.map_or(tau, |(d, _)| d.min(tau));
         let mut slots = [0usize; LB_LANES];
         let mut views: [&[f64]; LB_LANES] = [&[]; LB_LANES];
         let mut filling = 0;
         rec.time(TracePhase::LbKeogh, || {
             for (p, cand) in pending.iter().enumerate() {
-                let wv = window_of(cand);
+                let wv = cand.samples(lanes, xv, m);
                 let input = matcher.sample_input(wv, pre[p]);
                 if matcher
                     .cascade
-                    .screen_samples(stats, &input, reach, threshold, cascade_scratch)
-                    .is_none()
+                    .screen_samples(
+                        &mut stats.cascade,
+                        &input,
+                        reach,
+                        threshold,
+                        cascade_scratch,
+                    )
+                    .is_some()
                 {
+                    records[cand.w - *ws] = WindowRecord::Bounded {
+                        floor: threshold,
+                        band: None,
+                    };
+                } else {
                     slots[filling] = p;
                     views[filling] = wv;
                     filling += 1;
                 }
             }
         });
+        if filling == 0 {
+            return;
+        }
+        let area = band.area();
+        areas.0 += (filling * area) as u64;
+        areas.1 += (filling * m * m) as u64;
+        let filled = rec.time(TracePhase::DpFill, || {
+            dtw_run_windows(
+                &matcher.query,
+                &views[..filling],
+                band,
+                &matcher.config.sdtw.dtw,
+                threshold,
+                dtw,
+            )
+        });
+        for (&p, outcome) in slots[..filling].iter().zip(filled) {
+            let w = pending[p].w;
+            records[w - *ws] = match outcome {
+                // an abandoning lane still paid for part of the grid;
+                // charge the full band conservatively (as the index does)
+                None => {
+                    stats.cascade.record_abandoned(area);
+                    WindowRecord::Bounded {
+                        floor: threshold,
+                        band: None,
+                    }
+                }
+                Some(d) => {
+                    stats.cascade.record_completed(area);
+                    offer(best, d, w, tau);
+                    WindowRecord::Exact(d)
+                }
+            };
+        }
+    }
+
+    /// The adaptive flush: the full-grid screen at `T₀`, then FIFO
+    /// decisions. A lane that dies in the screen keeps `T₀` as its floor.
+    /// In FIFO order, a window whose floor (its full-grid distance, or
+    /// what an earlier pass recorded) exceeds the current threshold is
+    /// dropped; the rest are planned, once per search, and decided. Both
+    /// kinds of drop count as abandoned DPs, and every screened lane is
+    /// charged the full grid. A planned window that is pruned or
+    /// abandoned keeps its band, and the threshold, for later passes.
+    fn flush_adaptive(
+        &mut self,
+        matcher: &SubseqMatcher,
+        xv: &[f64],
+        pending: &[PendingWindow],
+        grid: &Band,
+        tau: f64,
+        best: &mut Option<(f64, usize)>,
+    ) -> Result<(), TsError> {
+        let Self {
+            ws,
+            records,
+            eval,
+            stats,
+            rec,
+            areas,
+            ..
+        } = self;
+        let EvalScratch {
+            dtw,
+            cascade: cascade_scratch,
+            lanes,
+            ..
+        } = eval;
+        let lanes: &[Vec<f64>] = lanes;
+        let m = matcher.m;
+        let mut slots = [0usize; LB_LANES];
+        let mut views: [&[f64]; LB_LANES] = [&[]; LB_LANES];
+        let mut filling = 0;
+        for (p, cand) in pending.iter().enumerate() {
+            if let WindowRecord::Bounded { band: None, .. } = records[cand.w - *ws] {
+                slots[filling] = p;
+                views[filling] = cand.samples(lanes, xv, m);
+                filling += 1;
+            }
+        }
+        // per queued window: its full-grid distance from this screen, or
+        // whether the screen disposed of it
+        let mut full: [Option<f64>; LB_LANES] = [None; LB_LANES];
+        let mut dead = [false; LB_LANES];
         if filling > 0 {
-            let area = band.area();
-            areas.0 += (filling * area) as u64;
-            areas.1 += (filling * matcher.m * matcher.m) as u64;
-            let filled = rec.time(TracePhase::DpFill, || {
+            let t0 = pass_threshold(best, tau);
+            let cells = (filling * m * m) as u64;
+            areas.0 += cells;
+            areas.1 += cells;
+            stats.cascade.cells_filled += cells;
+            let screened = rec.time(TracePhase::DpFill, || {
                 dtw_run_windows(
                     &matcher.query,
                     &views[..filling],
-                    band,
+                    grid,
                     &matcher.config.sdtw.dtw,
-                    threshold,
+                    t0,
                     dtw,
                 )
             });
-            for (&p, outcome) in slots[..filling].iter().zip(filled) {
-                let w = pending[p].w;
-                match outcome {
-                    // an abandoning lane still paid for part of the grid;
-                    // charge the full band conservatively (as the index
-                    // does)
-                    None => stats.record_abandoned(area),
-                    Some(d) => {
-                        stats.record_completed(area);
-                        computed.insert(w, d);
-                        if d <= tau && SubseqMatcher::better(d, w, best) {
-                            *best = Some((d, w));
-                        }
-                    }
+            for (&p, outcome) in slots[..filling].iter().zip(screened) {
+                full[p] = outcome;
+                if outcome.is_none() {
+                    dead[p] = true;
+                    stats.cascade.abandoned += 1;
+                    records[pending[p].w - *ws] = WindowRecord::Bounded {
+                        floor: t0,
+                        band: None,
+                    };
                 }
             }
         }
-        pending.clear();
+        for (p, cand) in pending.iter().enumerate() {
+            if dead[p] {
+                continue;
+            }
+            let i = cand.w - *ws;
+            let threshold = pass_threshold(best, tau);
+            let WindowRecord::Bounded { floor, band } = std::mem::take(&mut records[i]) else {
+                unreachable!("completed windows are answered before the queue")
+            };
+            // the screen's full-grid distance bounds every banded one
+            let floor = full[p].map_or(floor, |d| d.max(floor));
+            if floor > threshold {
+                stats.cascade.abandoned += 1;
+                records[i] = WindowRecord::Bounded { floor, band };
+                continue;
+            }
+            let wv = cand.samples(lanes, xv, m);
+            let (band, reach) = match band {
+                Some(planned) => planned,
+                None => matcher.plan_window_band(wv, rec)?,
+            };
+            let verdict = matcher.finish_window(
+                wv,
+                &band,
+                reach,
+                None,
+                threshold,
+                dtw,
+                cascade_scratch,
+                &mut stats.cascade,
+                rec,
+                areas,
+            )?;
+            records[i] = match verdict {
+                WindowVerdict::Completed(d) => {
+                    offer(best, d, cand.w, tau);
+                    WindowRecord::Exact(d)
+                }
+                // pruned or abandoned: the distance exceeds `threshold`
+                _ => WindowRecord::Bounded {
+                    floor: threshold,
+                    band: Some((band, reach)),
+                },
+            };
+        }
         Ok(())
     }
 }

@@ -15,6 +15,12 @@
 //! must carry its textbook distance bit for bit, and return `None`
 //! exactly when that distance exceeds the cutoff.
 //!
+//! The full-grid screen that adaptive stream sweeps run before
+//! extracting a window rests on one property, checked here over the same
+//! grid: a lock-step fill of `Band::full` never exceeds the textbook
+//! distance on the window's planned salient band, and abandons at a
+//! cutoff only when that banded distance exceeds the cutoff too.
+//!
 //! The same harness drives the edge cases: degenerate lengths, bands
 //! wider than the grid, all-equal series (maximal tie-path ambiguity),
 //! non-staircase bands, and non-finite-input rejection.
@@ -26,7 +32,9 @@ use common::{
 };
 use sdtw_suite::core::{ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::dtw::band::ColRange;
-use sdtw_suite::dtw::engine::{DtwOptions, DtwScratch, Normalization, StepPattern};
+use sdtw_suite::dtw::engine::{
+    dtw_run_windows, DtwOptions, DtwScratch, Normalization, StepPattern,
+};
 use sdtw_suite::dtw::itakura::itakura_band;
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
 use sdtw_suite::dtw::{Band, KernelChoice};
@@ -153,6 +161,73 @@ fn lock_step_lanes_match_the_textbook_across_the_seeded_grid() {
                             &mut scratch,
                             &format!("pair {pair} band {bname} kernel {kname} lanes {count} cutoff {cname}"),
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The screen's admissibility: every planned band lies inside the full
+/// grid, a superset of cells can only lower each DP cell, and rounding is
+/// monotone, so the full-grid lane distance is at most the textbook
+/// distance on the window's salient band, and a lane dies at a cutoff
+/// only when the banded distance exceeds it as well.
+#[test]
+fn full_grid_lanes_lower_bound_the_salient_band() {
+    let mut rng = TestRng::new(0xD1FF_EE03);
+    let mut scratch = DtwScratch::new();
+    for pair in 0..4 {
+        let x = structured_series(&mut rng);
+        let y = structured_series(&mut rng);
+        let windows = lane_windows(&mut rng, y.values(), 8);
+        let views: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
+        let bands: Vec<Band> = windows
+            .iter()
+            .map(|w| salient_band(&x, &TimeSeries::new(w.clone()).expect("finite")))
+            .collect();
+        let grid = Band::full(x.len(), y.len());
+        for (kname, opts) in kernel_grid() {
+            let label = format!("pair {pair} kernel {kname}");
+            let banded: Vec<f64> = views
+                .iter()
+                .zip(&bands)
+                .map(|(w, band)| textbook_dtw(x.values(), w, band, &opts).0)
+                .collect();
+            let full = dtw_run_windows(
+                x.values(),
+                &views,
+                &grid,
+                &opts,
+                f64::INFINITY,
+                &mut scratch,
+            );
+            let full: Vec<f64> = full[..views.len()]
+                .iter()
+                .map(|d| d.expect("no cutoff never abandons"))
+                .collect();
+            for (l, (f, b)) in full.iter().zip(&banded).enumerate() {
+                assert!(
+                    f <= b,
+                    "[{label}] lane {l}: full grid {f} above its band's {b}"
+                );
+            }
+            // cutoffs on and between every lane's two distances, and
+            // below all of them
+            let mut cutoffs = vec![full.iter().fold(f64::INFINITY, |a, &d| a.min(d)) * 0.5];
+            for (f, b) in full.iter().zip(&banded) {
+                cutoffs.extend([*f, *b, 0.5 * (f + b)]);
+            }
+            for cutoff in cutoffs {
+                let got = dtw_run_windows(x.values(), &views, &grid, &opts, cutoff, &mut scratch);
+                for (l, lane) in got[..views.len()].iter().enumerate() {
+                    match lane {
+                        Some(d) => assert_eq!(d.to_bits(), full[l].to_bits(), "[{label}] lane {l}"),
+                        None => assert!(
+                            banded[l] > cutoff,
+                            "[{label}] lane {l} died at {cutoff}, its band's distance {} is not above",
+                            banded[l]
+                        ),
                     }
                 }
             }

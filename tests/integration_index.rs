@@ -141,3 +141,24 @@ fn cascade_stats_are_reproducible_across_execution_modes() {
         }
     }
 }
+
+/// A `k` far past the corpus size returns every entry, ascending, with
+/// the same stats as `k` = the corpus size: reserving `k` heap slots up
+/// front would abort the process at `k = 10¹²`, and `k + 1` overflows at
+/// `usize::MAX`.
+#[test]
+fn a_huge_k_returns_every_entry() {
+    let ds = UcrAnalog::Gun.generate(12);
+    let corpus = ds.series[..9].to_vec();
+    let query = &ds.series[20];
+    for config in [IndexConfig::exact_banded(0.2), IndexConfig::sdtw_bands()] {
+        let index = SdtwIndex::build(&corpus, config).unwrap();
+        let all = index.query(query, corpus.len()).unwrap();
+        assert_eq!(all.neighbors.len(), corpus.len());
+        for k in [1_000_000_000_000usize, usize::MAX] {
+            let got = index.query(query, k).unwrap();
+            assert_eq!(got.neighbors, all.neighbors, "k = {k}");
+            assert_eq!(got.stats, all.stats, "k = {k}");
+        }
+    }
+}

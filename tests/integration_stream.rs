@@ -43,6 +43,18 @@ fn banded_config(dtw: DtwOptions, z_normalize: bool) -> StreamConfig {
     }
 }
 
+/// An sDTW-band search (the paper's `ac2,aw` constraints, planned per
+/// window) under the given kernel and normalisation mode.
+fn sdtw_band_config(dtw: DtwOptions, z_normalize: bool) -> StreamConfig {
+    let base = StreamConfig::sdtw_bands();
+    StreamConfig {
+        sdtw: SDtwConfig { dtw, ..base.sdtw },
+        z_normalize,
+        lb_radius_frac: 0.2,
+        ..base
+    }
+}
+
 /// Asserts matcher == oracle on one seeded dataset, under every kernel,
 /// both normalisation modes, k ∈ {1, 5}.
 fn assert_exact(analog: UcrAnalog, seed: u64, hay_rows: usize) {
@@ -59,12 +71,13 @@ fn assert_exact(analog: UcrAnalog, seed: u64, hay_rows: usize) {
 
 /// Asserts one matcher against the brute-force oracle for k ∈ {1, 5}:
 /// same offsets, same distance bits, ties broken toward the lower offset.
+/// Returns the oracle's distance profile.
 fn assert_matches_the_oracle(
     matcher: &SubseqMatcher,
     query: &TimeSeries,
     hay: &TimeSeries,
     label: &str,
-) {
+) -> Vec<(usize, f64)> {
     let z_norm = matcher.config().z_normalize;
     let engine = SDtw::new(matcher.config().sdtw.clone()).unwrap();
     let profile = subsequence_profile(&engine, query, hay, z_norm).unwrap();
@@ -91,6 +104,7 @@ fn assert_matches_the_oracle(
         assert!(got.stats.is_consistent());
         assert_eq!(got.stats.windows as usize, profile.len());
     }
+    profile
 }
 
 #[test]
@@ -136,28 +150,49 @@ fn periodic_haystacks_break_ties_exactly_inside_one_batch() {
     }
 }
 
+/// Adaptive per-window bands planned from the query's cached salient
+/// descriptors, behind the full-grid screen and the per-window records
+/// the k passes share. The oracle extracts every window from scratch, so
+/// this also pins the descriptor-cache path. A whole series as the query
+/// under the default configuration, then a 70-sample cut under every
+/// kernel, both normalisation modes, a finite τ equal to a match's
+/// distance, and shard counts {1, 2, 3, 7}.
 #[test]
 fn matcher_is_exact_with_sdtw_bands() {
-    // adaptive per-window bands planned from the query's cached salient
-    // descriptors — the oracle extracts everything from scratch, so this
-    // also pins the descriptor-cache path
     let ds = UcrAnalog::Gun.generate(5);
-    let query = ds.series[0].clone();
-    let hay = haystack(&ds.series[1..4]);
+    let whole = ds.series[0].clone();
     let config = StreamConfig {
         lb_radius_frac: 0.2,
         ..StreamConfig::sdtw_bands()
     };
-    let matcher = SubseqMatcher::new(&query, config).unwrap();
-    let engine = SDtw::new(matcher.config().sdtw.clone()).unwrap();
-    let profile = subsequence_profile(&engine, &query, &hay, true).unwrap();
-    for k in [1usize, 5] {
-        let expected = select_matches(&profile, k, matcher.exclusion(), f64::INFINITY);
-        let got = matcher.find(&hay, k).unwrap();
-        assert_eq!(got.matches.len(), expected.len());
-        for (m, (w, d)) in got.matches.iter().zip(&expected) {
-            assert_eq!(m.offset, *w, "sdtw-band offsets diverge (k={k})");
-            assert_eq!(m.distance.to_bits(), d.to_bits());
+    let matcher = SubseqMatcher::new(&whole, config).unwrap();
+    let hay = haystack(&ds.series[1..4]);
+    assert_matches_the_oracle(&matcher, &whole, &hay, "sdtw bands, whole query");
+
+    let query = TimeSeries::new(ds.series[0].values()[30..100].to_vec()).unwrap();
+    let hay = haystack(&ds.series[1..3]);
+    for (kname, dtw) in kernel_grid() {
+        for z_norm in [true, false] {
+            let matcher = SubseqMatcher::new(&query, sdtw_band_config(dtw, z_norm)).unwrap();
+            let label = format!("sdtw bands {kname} znorm={z_norm}");
+            let profile = assert_matches_the_oracle(&matcher, &query, &hay, &label);
+            // τ exactly at the second selected distance: the boundary
+            // tie must survive
+            let all = select_matches(&profile, 5, matcher.exclusion(), f64::INFINITY);
+            assert!(all.len() >= 2, "{label}: the haystack holds two matches");
+            let tau = all[1].1;
+            let expected = select_matches(&profile, 5, matcher.exclusion(), tau);
+            let got = matcher.find_under(&hay, 5, tau).unwrap();
+            assert_eq!(got.matches.len(), expected.len(), "{label}: τ match count");
+            for (m, (w, d)) in got.matches.iter().zip(&expected) {
+                assert_eq!(m.offset, *w, "{label}: τ offsets diverge");
+                assert_eq!(m.distance.to_bits(), d.to_bits(), "{label}: τ bits");
+            }
+            assert!(got.matches.iter().any(|m| m.distance == tau), "{label}");
+            for k in [1usize, 5] {
+                assert_sharded_equals_serial(&matcher, &hay, k, f64::INFINITY);
+            }
+            assert_sharded_equals_serial(&matcher, &hay, 5, tau);
         }
     }
 }
@@ -553,5 +588,48 @@ fn band_plan_spans_appear_only_when_bands_are_planned() {
         let trace = monitor.trace("monitor");
         assert!(trace.spans.iter().any(|s| s.phase == TracePhase::DpFill));
         assert_eq!(has_plan(&trace.spans), plans, "monitor: {:?}", trace.spans);
+    }
+}
+
+/// Adaptive sweeps keep one record per window across their k passes, so
+/// no window is extracted and planned twice: a traced search records at
+/// most one `BandPlan` execution per window, serial or sharded. The
+/// query is a 60-sample cut and k = 5, so a search that re-planned every
+/// LB_Kim survivor in each pass would plan more often than there are
+/// windows.
+#[test]
+fn adaptive_searches_plan_each_window_at_most_once() {
+    let ds = UcrAnalog::Gun.generate(31);
+    let query = TimeSeries::new(ds.series[0].values()[40..100].to_vec()).unwrap();
+    let hay = haystack(&ds.series[1..5]);
+    let matcher = SubseqMatcher::new(&query, StreamConfig::sdtw_bands()).unwrap();
+    let plans = |spans: &[SpanRecord]| -> u64 {
+        spans
+            .iter()
+            .filter(|s| s.phase == TracePhase::BandPlan)
+            .map(|s| s.count)
+            .sum()
+    };
+    let (result, trace) = matcher.find_traced(&hay, 5, "serial").unwrap();
+    assert_eq!(result.matches.len(), 5);
+    let planned = plans(&trace.spans);
+    assert!(planned > 0, "an adaptive search plans bands");
+    assert!(
+        planned <= result.stats.windows,
+        "{planned} band plans for {} windows: {:?}",
+        result.stats.windows,
+        result.stats
+    );
+    for shards in [2usize, 3, 7] {
+        let (sharded, trace) = matcher
+            .find_k_parallel_traced(&hay, 5, f64::INFINITY, shards, "sharded")
+            .unwrap();
+        assert_eq!(sharded.matches, result.matches, "shards={shards}");
+        let planned = plans(&trace.spans);
+        assert!(
+            planned <= sharded.stats.windows,
+            "shards={shards}: {planned} band plans for {} windows",
+            sharded.stats.windows
+        );
     }
 }
