@@ -542,8 +542,9 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// The resident-service payoff (`BENCH_serve.json`): a warm
 /// [`ServeEngine`] answering a pattern request (snapshot resident,
 /// matcher cached, scratch reused) versus the cold one-shot path a CLI
-/// invocation pays every time (parse the snapshot JSON, rebuild the
-/// engine, prepare the matcher, answer once). Same request, bit-identical
+/// invocation pays every time (decode the binary snapshot, which
+/// rebuilds the index's derived data, build the engine, prepare the
+/// matcher, answer once). Same request, bit-identical
 /// answer — the group *asserts* warm beats cold, and the measured ratio
 /// lands in the `serve_warm_vs_cold/...` record id (the shim's record
 /// schema has no free-form fields). The core count in the group name
@@ -554,7 +555,7 @@ fn bench_serve(c: &mut Criterion) {
     // archive: 24 entries × 512 samples; query: one 64-sample pattern
     let corpus: Vec<TimeSeries> = (0..24).map(|k| series(512, 0.17 * k as f64)).collect();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let snapshot = SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap();
+    let snapshot = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
     let req = ServeRequest::query("bench", series(64, 0.4).values().to_vec(), 5);
 
     let warm = ServeEngine::new(index, ServeConfig::default()).unwrap();

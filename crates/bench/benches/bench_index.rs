@@ -67,37 +67,18 @@ fn bench_index_vs_scan(c: &mut Criterion) {
 }
 
 /// Snapshot load paths on the 200-series corpus: a cold decode of the
-/// legacy JSON tree, a cold streamed decode of the binary columnar v2
-/// image, and the resident serve engine answering a request with no
+/// binary snapshot (which rebuilds the derived data from the stored
+/// series), and the resident serve engine answering a request with no
 /// load at all (the asymptote loading converges to). The group name
 /// carries the core count, like `simd_lanes_<N>core`.
 fn bench_snapshot_load(c: &mut Criterion) {
     let corpus = corpus();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let json = SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap();
     let bin = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
-    // the columnar image is also the smaller artifact; decoding it must
-    // beat re-parsing the JSON tree or the format has no reason to exist
-    // (asserted here so a regression fails the bench run, not review)
-    assert!(
-        bin.len() < json.len(),
-        "binary snapshot ({} B) not smaller than JSON ({} B)",
-        bin.len(),
-        json.len()
-    );
-    let t_json = time_per_iter(|| SnapshotCodec::decode(&json).unwrap().len());
-    let t_bin = time_per_iter(|| SnapshotCodec::decode(&bin).unwrap().len());
-    assert!(
-        t_bin < t_json,
-        "cold binary decode ({t_bin:?}) not faster than cold JSON ({t_json:?})"
-    );
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let group_name = format!("snapshot_load_{cores}core");
     let mut group = c.benchmark_group(&group_name);
-    group.bench_function("cold_json", |b| {
-        b.iter(|| black_box(SnapshotCodec::decode(&json).unwrap().len()))
-    });
     group.bench_function("cold_binary", |b| {
         b.iter(|| black_box(SnapshotCodec::decode(&bin).unwrap().len()))
     });
@@ -111,19 +92,6 @@ fn bench_snapshot_load(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-/// Best-of-20 wall time of one invocation (enough resolution for the
-/// millisecond-scale decode comparison the assertion above needs).
-fn time_per_iter<R>(mut f: impl FnMut() -> R) -> std::time::Duration {
-    (0..20)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            black_box(f());
-            t0.elapsed()
-        })
-        .min()
-        .unwrap()
 }
 
 criterion_group!(benches, bench_index_vs_scan, bench_snapshot_load);

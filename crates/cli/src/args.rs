@@ -69,13 +69,8 @@ pub fn spec_for(key: &str) -> Option<OptionSpec> {
         },
         "index build" => OptionSpec {
             engine: true,
-            value: &["radius", "format", "paa"],
+            value: &["radius", "paa"],
             flag: &["znorm"],
-        },
-        "index convert" => OptionSpec {
-            engine: false,
-            value: &["format"],
-            flag: &[],
         },
         "index query" => OptionSpec {
             engine: false,

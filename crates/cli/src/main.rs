@@ -5,11 +5,10 @@
 //! sdtw features <corpus.txt> <i> [--bins B] [--json]
 //! sdtw retrieve <corpus.txt> <query-index> [--k K] [--policy P] [--width W]
 //! sdtw distmat <corpus.txt> [--policy P] [--width W] [--serial] [--queries q.txt] [--out m.json]
-//! sdtw index build <corpus.txt> <out> [--policy P] [--width W] [--radius F] [--znorm] [--format bin|json] [--paa W]
-//! sdtw index convert <in> <out> [--format bin|json]
+//! sdtw index build <corpus.txt> <out.idx> [--policy P] [--width W] [--radius F] [--znorm] [--paa W]
 //! sdtw index query <index> <queries.txt> [--k K] [--serial] [--json]
 //! sdtw stream find <haystack.txt> <query.txt> [--k K] [--tau T] [--monitor] [--raw]
-//! sdtw serve --index <index.json> (--pipe | --socket <path>) [--k K] [--trace t.ndjson]
+//! sdtw serve --index <index.idx> (--pipe | --socket <path>) [--k K] [--trace t.ndjson]
 //! sdtw client emit <queries.txt> [--k K] [--tau T] [--trace]
 //! sdtw client print [responses.ndjson|-]
 //! sdtw client send <socket> <queries.txt> [--k K] [--tau T] [--shutdown]
@@ -75,23 +74,21 @@ commands:
                                       --trace <file> / --trace-stdout
                                                         (one NDJSON trace for
                                                          the whole batch)
-  index build <corpus> <out> prebuild a kNN index (envelopes, summaries,
-                             coarse PAA envelopes, cached salient descriptors)
+  index build <corpus> <out> prebuild a kNN index and write its snapshot
+                             (binary, format version 3: the configuration
+                             and the stored series; loading derives the
+                             envelopes, summaries, coarse PAA envelopes and
+                             salient descriptors again, bit for bit)
                              options: --policy, --width, --kernel, --penalty
                                       --radius <frac> (envelope window, default 0.1)
                                       --znorm         (z-normalise entries+queries)
-                                      --format <bin|json> (snapshot codec;
-                                               default json, bin is the binary
-                                               columnar v2 layout)
                                       --paa <w> (coarse stage segment width,
                                              default 8; below 2 disables it)
-  index convert <in> <out>   re-encode an index snapshot between formats
-                             (reads either, auto-detected by magic)
-                             options: --format <bin|json> (default bin)
-  index query <idx> <q>      answer top-k queries from a prebuilt index
-                             (JSON or binary snapshot) via the LB_Kim ->
-                             PAA -> LB_Keogh -> reversed LB_Keogh ->
-                             early-abandon cascade (parallel by default)
+  index query <idx> <q>      answer top-k queries from a prebuilt index via
+                             the LB_Kim -> PAA -> LB_Keogh -> reversed
+                             LB_Keogh -> early-abandon cascade (parallel
+                             by default); snapshots of older formats are
+                             refused: rebuild them with `index build`
                              options: --k <n> (default 5)
                                       --serial (disable parallelism)
                                       --json   (machine-readable output)
@@ -133,7 +130,7 @@ commands:
                                       --trace <file> / --trace-stdout
                                                       (one NDJSON trace per
                                                        query)
-  serve --index <idx.json>   resident pattern service: load one immutable
+  serve --index <idx>        resident pattern service: load one immutable
                              index snapshot, then answer NDJSON pattern
                              requests through the two-level cascade
                              (coarse entry screen -> subsequence sweep);
@@ -539,21 +536,8 @@ fn cmd_distmat(a: &Args) -> Result<(), String> {
 fn cmd_index(a: &Args) -> Result<(), String> {
     match a.positional.first().map(String::as_str) {
         Some("build") => cmd_index_build(a),
-        Some("convert") => cmd_index_convert(a),
         Some("query") => cmd_index_query(a),
-        _ => {
-            Err("index needs a subcommand: `index build`, `index convert` or `index query`".into())
-        }
-    }
-}
-
-/// Parses the `--format` option into a snapshot codec choice.
-fn snapshot_format_from(a: &Args, default: SnapshotFormat) -> Result<SnapshotFormat, String> {
-    match a.options.get("format").map(String::as_str) {
-        None => Ok(default),
-        Some("bin" | "binary") => Ok(SnapshotFormat::BinaryV2),
-        Some("json") => Ok(SnapshotFormat::Json),
-        Some(other) => Err(format!("--format {other}: expected `bin` or `json`")),
+        _ => Err("index needs a subcommand: `index build` or `index query`".into()),
     }
 }
 
@@ -565,7 +549,6 @@ fn cmd_index_build(a: &Args) -> Result<(), String> {
     if corpus.is_empty() {
         return Err("corpus is empty".into());
     }
-    let format = snapshot_format_from(a, SnapshotFormat::Json)?;
     let sdtw_config = config_from(a)?;
     let policy = sdtw_config.policy;
     let config = IndexConfig {
@@ -577,7 +560,8 @@ fn cmd_index_build(a: &Args) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let index = SdtwIndex::build(&corpus, config).map_err(|e| e.to_string())?;
     let built = t0.elapsed();
-    let bytes = SnapshotCodec::encode(&index, format).map_err(|e| e.to_string())?;
+    let bytes =
+        SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).map_err(|e| e.to_string())?;
     std::fs::write(out_path, &bytes).map_err(|e| e.to_string())?;
     println!(
         "indexed {} series  policy {}  kernel {}  radius {:.0}%  paa {}  znorm {}  build {built:?}",
@@ -588,28 +572,7 @@ fn cmd_index_build(a: &Args) -> Result<(), String> {
         index.config().paa_width,
         index.config().z_normalize,
     );
-    println!(
-        "wrote {out_path} ({} bytes, {} snapshot)",
-        bytes.len(),
-        format.label()
-    );
-    Ok(())
-}
-
-fn cmd_index_convert(a: &Args) -> Result<(), String> {
-    let [_, in_path, out_path] = a.positional.as_slice() else {
-        return Err("index convert needs <in> <out>".into());
-    };
-    let format = snapshot_format_from(a, SnapshotFormat::BinaryV2)?;
-    let index = SnapshotCodec::read_file(in_path).map_err(|e| e.to_string())?;
-    let bytes = SnapshotCodec::encode(&index, format).map_err(|e| e.to_string())?;
-    std::fs::write(out_path, &bytes).map_err(|e| e.to_string())?;
-    println!(
-        "converted {in_path} -> {out_path} ({} entries, {} bytes, {} snapshot)",
-        index.len(),
-        bytes.len(),
-        format.label()
-    );
+    println!("wrote {out_path} ({} bytes)", bytes.len());
     Ok(())
 }
 
@@ -1309,7 +1272,7 @@ mod tests {
         let dir = std::env::temp_dir().join("sdtw_cli_index_test");
         std::fs::create_dir_all(&dir).unwrap();
         let corpus_path = dir.join("corpus.txt");
-        let index_path = dir.join("index.json");
+        let index_path = dir.join("index.idx");
         let ds = UcrAnalog::Gun.generate(9);
         write_ucr_file(&corpus_path, &ds.series[..8]).unwrap();
 
@@ -1326,7 +1289,7 @@ mod tests {
             "0.2",
         ];
         cmd_index(&Args::parse(build.iter().map(|s| s.to_string())).unwrap()).unwrap();
-        assert!(index_path.exists(), "index JSON written");
+        assert!(index_path.exists(), "index snapshot written");
 
         for extra in [&["--serial"][..], &["--json"][..], &[][..]] {
             let mut query = vec![
@@ -1342,7 +1305,7 @@ mod tests {
         }
 
         // amerced kernel end-to-end through build + query
-        let amerced_path = dir.join("index_amerced.json");
+        let amerced_path = dir.join("index_amerced.idx");
         let build_am = [
             "index",
             "build",
@@ -1370,71 +1333,55 @@ mod tests {
         cmd_index(&Args::parse(query_am.iter().map(|s| s.to_string())).unwrap()).unwrap();
         std::fs::remove_file(&amerced_path).ok();
 
-        // binary snapshot end-to-end: build --format bin, query it,
-        // convert in both directions, query the converted artifacts
-        let bin_path = dir.join("index.bin");
-        let build_bin = [
+        // the PAA width travels in the snapshot; the encoding is a pure
+        // function of the configuration and the series
+        let paa_path = dir.join("index_paa4.idx");
+        let build_paa = [
             "index",
             "build",
             corpus_path.to_str().unwrap(),
-            bin_path.to_str().unwrap(),
+            paa_path.to_str().unwrap(),
             "--policy",
             "sakoe",
             "--width",
             "0.2",
-            "--format",
-            "bin",
             "--paa",
             "4",
         ];
-        cmd_index(&Args::parse(build_bin.iter().map(|s| s.to_string())).unwrap()).unwrap();
-        let head = std::fs::read(&bin_path).unwrap();
-        assert_eq!(&head[..8], b"SDTWIDX2", "binary magic on disk");
-        let conv_json = dir.join("converted.json");
-        let conv_bin = dir.join("converted.bin");
-        let convert_down = [
-            "index",
-            "convert",
-            bin_path.to_str().unwrap(),
-            conv_json.to_str().unwrap(),
-            "--format",
-            "json",
-        ];
-        cmd_index(&Args::parse(convert_down.iter().map(|s| s.to_string())).unwrap()).unwrap();
-        let convert_up = [
-            "index",
-            "convert",
-            index_path.to_str().unwrap(),
-            conv_bin.to_str().unwrap(),
-        ];
-        cmd_index(&Args::parse(convert_up.iter().map(|s| s.to_string())).unwrap()).unwrap();
-        for idx in [&bin_path, &conv_json, &conv_bin] {
-            let query_bin = [
-                "index",
-                "query",
-                idx.to_str().unwrap(),
-                corpus_path.to_str().unwrap(),
-                "--k",
-                "2",
-                "--serial",
-            ];
-            cmd_index(&Args::parse(query_bin.iter().map(|s| s.to_string())).unwrap()).unwrap();
-        }
-        // unknown codec names are reported, not panicked
-        let bad_format = [
-            "index",
-            "convert",
-            bin_path.to_str().unwrap(),
-            conv_json.to_str().unwrap(),
-            "--format",
-            "tar",
-        ];
-        assert!(
-            cmd_index(&Args::parse(bad_format.iter().map(|s| s.to_string())).unwrap()).is_err()
+        cmd_index(&Args::parse(build_paa.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        let first = std::fs::read(&paa_path).unwrap();
+        assert_eq!(&first[..8], b"SDTWIDX3", "binary magic on disk");
+        cmd_index(&Args::parse(build_paa.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        assert_eq!(
+            std::fs::read(&paa_path).unwrap(),
+            first,
+            "rebuilds are identical"
         );
-        std::fs::remove_file(&bin_path).ok();
-        std::fs::remove_file(&conv_json).ok();
-        std::fs::remove_file(&conv_bin).ok();
+        let loaded = SnapshotCodec::read_file(&paa_path).unwrap();
+        assert_eq!(loaded.config().paa_width, 4);
+        std::fs::remove_file(&paa_path).ok();
+
+        // a JSON-tree snapshot and the removed codec options are refused
+        let legacy = dir.join("legacy.json");
+        std::fs::write(&legacy, r#"{"config":{},"entries":[]}"#).unwrap();
+        let query_legacy = [
+            "index",
+            "query",
+            legacy.to_str().unwrap(),
+            corpus_path.to_str().unwrap(),
+        ];
+        let err = cmd_index(&Args::parse(query_legacy.iter().map(|s| s.to_string())).unwrap())
+            .unwrap_err();
+        assert!(
+            err.contains("JSON-tree") && err.contains("sdtw index build"),
+            "{err}"
+        );
+        std::fs::remove_file(&legacy).ok();
+        let mut with_format = build_paa.map(String::from).to_vec();
+        with_format.extend(["--format".to_string(), "json".to_string()]);
+        assert!(Args::parse(with_format).is_err(), "--format is gone");
+        let convert = ["index", "convert", "a.idx", "b.idx"].map(String::from);
+        assert!(cmd_index(&Args::parse(convert).unwrap()).is_err());
 
         // bad invocations are reported, not panicked
         assert!(cmd_index(&Args::parse(["index".to_string()]).unwrap()).is_err());
@@ -1636,7 +1583,7 @@ mod tests {
         let dir = std::env::temp_dir().join("sdtw_cli_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
         let corpus_path = dir.join("corpus.txt");
-        let index_path = dir.join("index.json");
+        let index_path = dir.join("index.idx");
         let trace_path = dir.join("trace.ndjson");
         let ds = UcrAnalog::Gun.generate(33);
         write_ucr_file(&corpus_path, &ds.series[..8]).unwrap();
@@ -1781,7 +1728,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let corpus_path = dir.join("corpus.txt");
         let queries_path = dir.join("queries.txt");
-        let index_path = dir.join("index.json");
+        let index_path = dir.join("index.idx");
         let sock_path = dir.join("daemon.sock");
         let argv = |tokens: &[&str]| Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
 

@@ -148,7 +148,7 @@ impl CascadeScratch {
 /// the loosest tube any sample of the segment lives in, which is what
 /// makes [`CoarseEnvelope::lower_bound`] a lower bound of the fine
 /// LB_Keogh (see the module docs for the argument).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoarseEnvelope {
     /// `upper[j] = max(env.upper[j·width .. (j+1)·width])`.
     upper: Vec<f64>,
@@ -190,52 +190,6 @@ impl CoarseEnvelope {
             source_len: n,
             radius: env.radius,
         }
-    }
-
-    /// Reassembles a coarse envelope from parts a codec decoded,
-    /// re-validating the structural invariants [`CoarseEnvelope::build`]
-    /// guarantees: width ≥ 2, a non-empty source, matching column
-    /// lengths, and exactly `ceil(source_len / width)` segments. The
-    /// tube *values* are trusted (like any snapshot payload — rebuild
-    /// from the envelope if provenance is in doubt).
-    ///
-    /// # Errors
-    ///
-    /// [`sdtw_tseries::TsError::InvalidParameter`] naming the violated
-    /// invariant.
-    pub fn from_parts(
-        upper: Vec<f64>,
-        lower: Vec<f64>,
-        width: usize,
-        source_len: usize,
-        radius: usize,
-    ) -> Result<Self, sdtw_tseries::TsError> {
-        let invalid = |reason: String| sdtw_tseries::TsError::InvalidParameter {
-            name: "coarse_envelope",
-            reason,
-        };
-        if width < 2 {
-            return Err(invalid(format!("segment width must be >= 2, got {width}")));
-        }
-        if source_len == 0 {
-            return Err(invalid("source length must be non-zero".to_string()));
-        }
-        let segments = source_len.div_ceil(width);
-        if upper.len() != segments || lower.len() != segments {
-            return Err(invalid(format!(
-                "expected {segments} segments for source_len {source_len} / width {width}, \
-                 got upper {} / lower {}",
-                upper.len(),
-                lower.len()
-            )));
-        }
-        Ok(Self {
-            upper,
-            lower,
-            width,
-            source_len,
-            radius,
-        })
     }
 
     /// Segment width the envelope was compressed with.
@@ -705,32 +659,5 @@ mod tests {
     fn coarse_envelope_rejects_fine_widths() {
         let env = Envelope::build_from_values(&[0.0, 1.0], 1);
         let _ = CoarseEnvelope::build(&env, 1);
-    }
-
-    #[test]
-    fn from_parts_round_trips_and_validates() {
-        let env = Envelope {
-            upper: vec![1.0, 3.0, 2.0, 5.0, 4.0],
-            lower: vec![-1.0, 0.0, -2.0, 1.0, 0.5],
-            radius: 2,
-        };
-        let built = CoarseEnvelope::build(&env, 2);
-        let re = CoarseEnvelope::from_parts(
-            built.upper().to_vec(),
-            built.lower().to_vec(),
-            built.width(),
-            built.source_len(),
-            built.radius(),
-        )
-        .unwrap();
-        assert_eq!(re, built, "accessors + from_parts are a round trip");
-        // violated invariants are rejected, not silently accepted
-        assert!(CoarseEnvelope::from_parts(vec![0.0], vec![0.0], 1, 2, 0).is_err());
-        assert!(CoarseEnvelope::from_parts(vec![0.0], vec![0.0], 2, 0, 0).is_err());
-        assert!(
-            CoarseEnvelope::from_parts(vec![0.0; 2], vec![0.0; 3], 2, 5, 0).is_err(),
-            "column lengths must agree with the segmentation"
-        );
-        assert!(CoarseEnvelope::from_parts(vec![0.0; 4], vec![0.0; 4], 2, 5, 0).is_err());
     }
 }

@@ -2,7 +2,7 @@
 
 use sdtw::{ConstraintPolicy, SDtwConfig};
 use sdtw_tseries::TsError;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::SdtwIndex`].
 ///
@@ -13,7 +13,7 @@ use serde::Serialize;
 /// descriptors cached in the index at build time). Whatever the mode,
 /// query results are identical — ids and distances — to brute-forcing the
 /// same engine over the corpus.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IndexConfig {
     /// The engine configuration queries are answered under.
     pub sdtw: SDtwConfig,
@@ -48,24 +48,6 @@ impl Default for IndexConfig {
             lb_radius_frac: 0.1,
             paa_width: DEFAULT_PAA_WIDTH,
         }
-    }
-}
-
-// Hand-written (the derive has no field defaults): pre-PAA snapshots
-// carry no `paa_width` member, and they must keep loading — absent means
-// the default width, exactly what `SdtwIndex`'s snapshot loader then
-// backfills coarse envelopes for.
-impl serde::Deserialize for IndexConfig {
-    fn from_json(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            sdtw: serde::Deserialize::from_json(serde::obj_get(v, "sdtw")?)?,
-            z_normalize: serde::Deserialize::from_json(serde::obj_get(v, "z_normalize")?)?,
-            lb_radius_frac: serde::Deserialize::from_json(serde::obj_get(v, "lb_radius_frac")?)?,
-            paa_width: match v.get("paa_width") {
-                Some(w) => serde::Deserialize::from_json(w)?,
-                None => DEFAULT_PAA_WIDTH,
-            },
-        })
     }
 }
 
@@ -183,19 +165,5 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: IndexConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
-    }
-
-    #[test]
-    fn pre_paa_snapshots_default_the_width() {
-        // a config serialised before the coarse stage existed has no
-        // `paa_width` member; it must load with the default, not error
-        let c = IndexConfig::default();
-        let json = serde_json::to_string(&c).unwrap();
-        assert!(json.contains("paa_width"));
-        let legacy = json.replace(&format!(",\"paa_width\":{DEFAULT_PAA_WIDTH}"), "");
-        assert!(!legacy.contains("paa_width"), "member stripped: {legacy}");
-        let back: IndexConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.paa_width, DEFAULT_PAA_WIDTH);
-        assert_eq!(back, c);
     }
 }

@@ -1,4 +1,4 @@
-//! The corpus index: build, cascade query, batch queries, JSON snapshots.
+//! The corpus index: build, cascade query, batch queries.
 
 use crate::config::IndexConfig;
 use crate::knn::{Neighbor, TopK};
@@ -21,8 +21,9 @@ use serde::{Deserialize, Serialize};
 /// precomputed artefact the cascade consumes — the LB_Kim summary, the
 /// LB_Keogh envelope, and the salient descriptors the sDTW band planner
 /// reuses across all queries (paper §3.4: extraction is a one-time,
-/// indexable cost).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// indexable cost). Every artefact derives from the stored series and
+/// the configuration; snapshots store only those two.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
     /// The stored series (post-normalisation when the index z-normalises).
     pub series: TimeSeries,
@@ -35,25 +36,6 @@ pub struct IndexEntry {
     /// Coarse PAA compression of `envelope` for the pre-filter stage
     /// (`None` when [`IndexConfig::paa_width`] disables the stage).
     pub coarse: Option<CoarseEnvelope>,
-}
-
-// Hand-written for schema evolution: entries serialised before the PAA
-// stage existed have no `coarse` member — they decode to `None` and the
-// snapshot loader backfills the artefact deterministically from the
-// stored envelope.
-impl serde::Deserialize for IndexEntry {
-    fn from_json(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            series: serde::Deserialize::from_json(serde::obj_get(v, "series")?)?,
-            envelope: serde::Deserialize::from_json(serde::obj_get(v, "envelope")?)?,
-            summary: serde::Deserialize::from_json(serde::obj_get(v, "summary")?)?,
-            features: serde::Deserialize::from_json(serde::obj_get(v, "features")?)?,
-            coarse: match v.get("coarse") {
-                Some(c) => serde::Deserialize::from_json(c)?,
-                None => None,
-            },
-        })
-    }
 }
 
 /// Answer to one kNN query: neighbours ascending by `(distance, index)`,
@@ -128,13 +110,6 @@ pub struct EntryDisposition {
     pub outcome: EntryOutcome,
 }
 
-/// Serialisable image of an index (the engine is rebuilt on load).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct IndexSnapshot {
-    config: IndexConfig,
-    entries: Vec<IndexEntry>,
-}
-
 /// A Kim-surviving candidate parked in the deferred queue until enough
 /// accumulate to batch their forward LB_Keogh bounds ([`LB_LANES`] at a
 /// time — the queue capacity is never assumed to be a literal `8`; the
@@ -161,29 +136,36 @@ struct PendingCandidate {
 /// (every candidate is still screened) while taking the recurring
 /// per-query sort off the serve hot path. Within a bucket the input
 /// (entry-index) order is preserved, so the order is deterministic.
+///
+/// The buckets span the finite bounds only. A bound that is not finite
+/// (finite samples near `f64::MAX` square to `+inf`) goes to one extra
+/// bucket after them.
 fn bucketed_ascending(scored: Vec<(f64, usize)>) -> Vec<(f64, usize)> {
     if scored.len() <= 1 {
         return scored;
     }
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &(b, _) in &scored {
-        debug_assert!(b.is_finite(), "lower bounds are finite");
+    for &(b, _) in scored.iter().filter(|(b, _)| b.is_finite()) {
         lo = lo.min(b);
         hi = hi.max(b);
     }
     let span = hi - lo;
-    if span <= 0.0 || span.is_nan() {
-        // all bounds equal (or degenerate): input order is already the
-        // stable ascending order
-        return scored;
-    }
     let nb = scored.len().min(64);
-    let bucket_of = |b: f64| (((b - lo) / span) * nb as f64).min((nb - 1) as f64) as usize;
-    let mut counts = vec![0usize; nb];
+    let bucket_of = |b: f64| {
+        if !b.is_finite() {
+            nb
+        } else if span > 0.0 {
+            (((b - lo) / span) * nb as f64).min((nb - 1) as f64) as usize
+        } else {
+            // all finite bounds equal: one bucket keeps the input order
+            0
+        }
+    };
+    let mut counts = vec![0usize; nb + 1];
     for &(b, _) in &scored {
         counts[bucket_of(b)] += 1;
     }
-    let mut next = vec![0usize; nb];
+    let mut next = vec![0usize; nb + 1];
     let mut acc = 0usize;
     for (n, c) in next.iter_mut().zip(&counts) {
         *n = acc;
@@ -242,17 +224,33 @@ impl SdtwIndex {
     ///
     /// Configuration validation errors.
     pub fn build(corpus: &[TimeSeries], config: IndexConfig) -> Result<Self, TsError> {
-        config.validate()?;
-        let engine = SDtw::new(config.sdtw.clone())?;
-        let needs_features = config.sdtw.policy.needs_alignment();
-        let entries = corpus
+        let stored = corpus
             .iter()
             .map(|ts| {
-                let series = if config.z_normalize {
+                if config.z_normalize {
                     z_normalize(ts)
                 } else {
                     ts.clone()
-                };
+                }
+            })
+            .collect();
+        Self::from_stored(config, stored)
+    }
+
+    /// The build path after normalisation, shared with the snapshot
+    /// loader: validates the configuration, then derives every entry's
+    /// artefacts from its stored series. Never normalises — `stored` is
+    /// what the index keeps.
+    pub(crate) fn from_stored(
+        config: IndexConfig,
+        stored: Vec<TimeSeries>,
+    ) -> Result<Self, TsError> {
+        config.validate()?;
+        let engine = SDtw::new(config.sdtw.clone())?;
+        let needs_features = config.sdtw.policy.needs_alignment();
+        let entries = stored
+            .into_iter()
+            .map(|series| {
                 let envelope = Envelope::build(&series, config.radius_for(series.len()));
                 let summary = SeriesSummary::of(&series);
                 let features = if needs_features {
@@ -793,171 +791,6 @@ impl SdtwIndex {
         };
         results.into_iter().collect()
     }
-
-    /// Serialises the index to the JSON snapshot text (the codec's
-    /// [`crate::SnapshotFormat::Json`] payload).
-    pub(crate) fn encode_json(&self) -> Result<String, TsError> {
-        let snapshot = IndexSnapshot {
-            config: self.config.clone(),
-            entries: self.entries.clone(),
-        };
-        serde_json::to_string(&snapshot).map_err(|e| TsError::SnapshotDecode {
-            format: "json",
-            offset: None,
-            context: e.to_string(),
-        })
-    }
-
-    /// Decodes the JSON snapshot text and assembles the index through
-    /// the shared validation path.
-    pub(crate) fn decode_json(json: &str) -> Result<Self, TsError> {
-        let snapshot: IndexSnapshot =
-            serde_json::from_str(json).map_err(|e| TsError::SnapshotDecode {
-                format: "json",
-                offset: None,
-                context: e.to_string(),
-            })?;
-        Self::from_snapshot_parts(snapshot.config, snapshot.entries, "json")
-    }
-
-    /// The one assembly path every snapshot codec funnels into:
-    /// revalidates the configuration, rebuilds the engine, checks the
-    /// per-entry structural invariants — envelope length/radius and
-    /// summary length must match the stored series and configuration,
-    /// cached features must lie within their series and be usable by the
-    /// matcher (descriptors of the configured `bins` length, finite
-    /// values, positive finite σ, finite scope length and amplitude),
-    /// alignment-free policies must carry no features, and any stored
-    /// coarse envelope must agree with the configured PAA width — then
-    /// backfills coarse envelopes missing from pre-PAA snapshots
-    /// (deterministically, from the stored envelope, so a migrated index
-    /// answers bit-identically to a freshly built one). Other artefact
-    /// *content* (descriptor and tube values that are finite) is trusted,
-    /// like any database file — rebuild from the raw corpus if the
-    /// snapshot's provenance is in doubt.
-    pub(crate) fn from_snapshot_parts(
-        config: IndexConfig,
-        mut entries: Vec<IndexEntry>,
-        format: &'static str,
-    ) -> Result<Self, TsError> {
-        config.validate()?;
-        let engine = SDtw::new(config.sdtw.clone())?;
-        let needs_features = config.sdtw.policy.needs_alignment();
-        let bins = config.sdtw.salient.descriptor.bins;
-        let corrupt = |i: usize, what: String| TsError::SnapshotDecode {
-            format,
-            offset: None,
-            context: format!("entry {i}: {what}"),
-        };
-        for (i, e) in entries.iter().enumerate() {
-            let len = e.series.len();
-            let expected_radius = config.radius_for(len);
-            if e.envelope.upper.len() != len
-                || e.envelope.lower.len() != len
-                || e.envelope.radius != expected_radius
-                || e.summary.len != len
-            {
-                return Err(corrupt(
-                    i,
-                    format!(
-                        "envelope/summary inconsistent with series \
-                         (len {len}, expected radius {expected_radius})"
-                    ),
-                ));
-            }
-            if !needs_features && !e.features.is_empty() {
-                return Err(corrupt(
-                    i,
-                    "cached features present under an alignment-free policy".to_string(),
-                ));
-            }
-            for (k, f) in e.features.iter().enumerate() {
-                if f.keypoint.position >= len || f.scope_start > f.scope_end || f.scope_end >= len {
-                    return Err(corrupt(
-                        i,
-                        format!(
-                            "cached feature {k} outside its series (pos {}, scope \
-                             [{}, {}], len {len})",
-                            f.keypoint.position, f.scope_start, f.scope_end
-                        ),
-                    ));
-                }
-                if let Some(what) = unusable_feature(f, bins) {
-                    return Err(corrupt(i, format!("cached feature {k}: {what}")));
-                }
-            }
-            if let Some(c) = &e.coarse {
-                if config.paa_width < 2 {
-                    return Err(corrupt(
-                        i,
-                        "coarse envelope present but the PAA stage is disabled".to_string(),
-                    ));
-                }
-                let segments = len.div_ceil(config.paa_width);
-                if c.width() != config.paa_width
-                    || c.source_len() != len
-                    || c.radius() != expected_radius
-                    || c.upper().len() != segments
-                    || c.lower().len() != segments
-                {
-                    return Err(corrupt(
-                        i,
-                        format!(
-                            "coarse envelope inconsistent with series/config \
-                             (width {}, source_len {}, radius {}, segments {}/{}; \
-                             expected width {}, len {len}, radius {expected_radius}, \
-                             segments {segments})",
-                            c.width(),
-                            c.source_len(),
-                            c.radius(),
-                            c.upper().len(),
-                            c.lower().len(),
-                            config.paa_width,
-                        ),
-                    ));
-                }
-            }
-        }
-        if config.paa_width >= 2 {
-            for e in &mut entries {
-                if e.coarse.is_none() {
-                    e.coarse = Some(CoarseEnvelope::build(&e.envelope, config.paa_width));
-                }
-            }
-        }
-        Ok(Self {
-            config,
-            engine,
-            entries,
-        })
-    }
-}
-
-/// Why the matcher cannot use a cached feature, if it cannot: its
-/// descriptor length differs from the configured `bins`, its σ is not
-/// positive and finite, or its scope length, amplitude or a descriptor
-/// value is not finite.
-fn unusable_feature(f: &SalientFeature, bins: usize) -> Option<String> {
-    let sigma = f.keypoint.sigma;
-    if f.descriptor.len() != bins {
-        Some(format!(
-            "descriptor has {} values, the configuration has {bins} bins",
-            f.descriptor.len()
-        ))
-    } else if !(sigma.is_finite() && sigma > 0.0) {
-        Some(format!("sigma {sigma} is not positive and finite"))
-    } else if !f.scope_len.is_finite() {
-        Some(format!("scope_len {} is not finite", f.scope_len))
-    } else if !f.amplitude.is_finite() {
-        Some(format!("amplitude {} is not finite", f.amplitude))
-    } else {
-        let (at, x) = f
-            .descriptor
-            .iter()
-            .enumerate()
-            .find(|(_, x)| !x.is_finite())?;
-        Some(format!("descriptor value {at} is {x}, not finite"))
-    }
 }
 
 #[cfg(test)]
@@ -1010,6 +843,25 @@ mod tests {
         // all-equal bounds keep stable input (index) order
         let flat: Vec<(f64, usize)> = (0..5).map(|i| (2.5, i)).collect();
         assert_eq!(bucketed_ascending(flat.clone()), flat);
+    }
+
+    #[test]
+    fn infinite_bounds_are_ordered_last() {
+        // squared LB_Kim terms of samples near f64::MAX are +inf
+        let scored: Vec<(f64, usize)> = [3.0, f64::INFINITY, 1.0, 2.0, f64::INFINITY, 0.5]
+            .into_iter()
+            .zip(0..)
+            .collect();
+        let order: Vec<usize> = bucketed_ascending(scored).iter().map(|&(_, i)| i).collect();
+        assert_eq!(order, vec![5, 2, 3, 0, 1, 4]);
+        let all_inf = vec![(f64::INFINITY, 0), (f64::INFINITY, 1)];
+        assert_eq!(bucketed_ascending(all_inf.clone()), all_inf);
+        let one_finite = vec![(f64::INFINITY, 0), (7.0, 1), (7.0, 2)];
+        let order: Vec<usize> = bucketed_ascending(one_finite)
+            .iter()
+            .map(|&(_, i)| i)
+            .collect();
+        assert_eq!(order, vec![1, 2, 0]);
     }
 
     #[test]

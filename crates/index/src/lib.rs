@@ -22,9 +22,14 @@
 //! [`SeriesSummary`](sdtw_dtw::SeriesSummary), the LB_Keogh
 //! [`Envelope`](sdtw_dtw::Envelope), and cached salient descriptors so
 //! the sDTW band planner never re-extracts (paper §3.4). Queries reuse
-//! one DP scratch each, batch queries run rayon-parallel, and the whole
-//! index round-trips through [`SnapshotCodec`] — the binary columnar v2
-//! snapshot format or the legacy JSON tree, auto-detected on load.
+//! one DP scratch each, and batch queries run rayon-parallel.
+//!
+//! The whole index round-trips through [`SnapshotCodec`]. A snapshot
+//! (binary, format version 3) stores the configuration and the stored
+//! series only; loading derives every other artefact through the same
+//! code [`SdtwIndex::build`] runs, so a loaded index equals the built
+//! one bit for bit. Older snapshots (version 2, JSON trees) are refused
+//! with a hint to rebuild them with `sdtw index build`.
 //!
 //! # Example
 //!

@@ -1,64 +1,70 @@
-//! Snapshot codecs: the version-tagged binary columnar `SnapshotV2`
-//! format and the legacy JSON tree, behind one auto-detecting seam.
+//! The index snapshot codec: a version-tagged binary layout that stores
+//! the configuration and the corpus, nothing derived from them.
 //!
-//! # The binary columnar layout (format version 2)
+//! # The binary layout (format version 3)
 //!
-//! A v2 snapshot is a fixed header, a checksummed section table, and the
+//! A snapshot is a fixed header, a checksummed section table, and the
 //! section payloads laid out contiguously in table order:
 //!
 //! ```text
-//! bytes 0..8    magic  "SDTWIDX2"
-//! bytes 8..12   format version, u32 LE (= 2)
-//! bytes 12..20  entry count, u64 LE
-//! bytes 20..28  section count, u64 LE (= SECTION_COUNT)
-//! bytes 28..36  header checksum, u64 LE — FNV-1a-64 of the table bytes
-//! bytes 36..    section table: SECTION_COUNT × (offset u64, len u64) LE
-//! then          the payloads, ascending and gap-free
+//! bytes 0..8     magic  "SDTWIDX3"
+//! bytes 8..12    format version, u32 LE (= 3)
+//! bytes 12..20   entry count, u64 LE
+//! bytes 20..28   section count, u64 LE (= 5)
+//! bytes 28..36   header checksum, u64 LE — FNV-1a-64 of the table bytes
+//! bytes 36..116  section table: 5 × (offset u64, len u64) LE
+//! then           the payloads, ascending and gap-free:
+//!                config_json  the IndexConfig as JSON text
+//!                entry_lens   u64 per entry
+//!                labels       u64 per entry (u64::MAX = no label)
+//!                ids          (flag, value) u64 pair per entry
+//!                samples      every stored series concatenated, f64 bits
 //! ```
 //!
-//! Per-entry artefacts are stored as *columns* — every envelope upper
-//! side concatenated, every summary `first` concatenated, … — so loading
-//! is a straight sequential pass: each column is read directly into one
-//! typed `Vec` (`f64` columns bit-preserving, little-endian) with no
-//! intermediate DOM, and the per-entry splits are recovered from the
-//! `entry_lens` column. The two irreducibly tree-shaped payloads (the
-//! configuration and the cached salient features) travel as embedded
-//! JSON blobs in their own sections.
+//! The samples are the *stored* series, already z-normalised when the
+//! index normalises. Loading decodes them and hands them to the same
+//! per-entry derivation [`SdtwIndex::build`] runs after its optional
+//! normalisation, so the envelopes, LB_Kim summaries, coarse PAA
+//! envelopes and salient features of a loaded index are bit-identical
+//! to a fresh build's by construction. A hostile file reaches only the
+//! configuration blob (validated like any configuration) and the series
+//! columns (every sample must be finite).
 //!
-//! The header checksum covers the section table, so corruption anywhere
-//! in the *structure* (offsets, lengths) is caught before any column is
-//! trusted; column payloads are validated semantically by the shared
-//! assembly path (`SdtwIndex` revalidates every structural invariant on
-//! load, whichever codec produced the parts). Column lengths must agree
-//! exactly with the entry count and the `entry_lens` column — a snapshot
-//! whose columns disagree is rejected with the offending section named.
+//! The header checksum covers the section table, so corruption of the
+//! structure (offsets, lengths) is caught before any column is read.
+//! Each column's byte length must agree exactly with the entry count
+//! and the `entry_lens` column, computed with checked arithmetic, and
+//! columns are read incrementally, so a length field cannot make the
+//! decoder reserve memory the payload does not back.
 //!
-//! # Format negotiation
-//!
-//! The first byte decides: `'S'` (the magic) is the binary family, `'{'`
-//! (or leading whitespace) is the JSON tree. A binary snapshot whose
-//! version field is not 2 is rejected with a clear
-//! [`TsError::SnapshotDecode`] naming both versions — mirroring the
-//! trace wire schema's ratchet discipline.
+//! Version 2 snapshots (which also stored the derived data) and JSON
+//! trees are refused with an error naming their format; rebuild them
+//! from the corpus with `sdtw index build`.
 
 use crate::config::IndexConfig;
-use crate::index::{IndexEntry, SdtwIndex};
-use sdtw_dtw::cascade::CoarseEnvelope;
-use sdtw_dtw::lower_bound::{Envelope, SeriesSummary};
-use sdtw_salient::SalientFeature;
+use crate::index::SdtwIndex;
 use sdtw_tseries::io::binio;
 use sdtw_tseries::{TimeSeries, TsError};
 use std::io::Read;
 use std::path::Path;
 
-/// The 8-byte magic opening every binary v2 snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SDTWIDX2";
+/// The 8-byte magic opening every binary snapshot.
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SDTWIDX3";
 
 /// The binary snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Number of sections in a v2 snapshot, in table order.
-const SECTION_COUNT: usize = 15;
+/// The label decode errors carry.
+const FORMAT: &str = "binary-v3";
+
+/// What a refused snapshot should be replaced with.
+const REBUILD: &str = "rebuild it from its corpus with `sdtw index build`";
+
+/// Number of sections, in table order.
+const SECTION_COUNT: usize = 5;
+
+/// Bytes before the first payload: the fixed header plus the table.
+const HEADER_LEN: u64 = 36 + 16 * SECTION_COUNT as u64;
 
 /// Section indices (table order = payload order).
 const SEC_CONFIG_JSON: usize = 0;
@@ -66,77 +72,28 @@ const SEC_ENTRY_LENS: usize = 1;
 const SEC_LABELS: usize = 2;
 const SEC_IDS: usize = 3;
 const SEC_SAMPLES: usize = 4;
-const SEC_ENV_RADII: usize = 5;
-const SEC_ENV_UPPER: usize = 6;
-const SEC_ENV_LOWER: usize = 7;
-const SEC_SUM_FIRST: usize = 8;
-const SEC_SUM_LAST: usize = 9;
-const SEC_SUM_MIN: usize = 10;
-const SEC_SUM_MAX: usize = 11;
-const SEC_COARSE_UPPER: usize = 12;
-const SEC_COARSE_LOWER: usize = 13;
-const SEC_FEATURES_JSON: usize = 14;
 
 /// Human-readable section names for decode errors.
-const SECTION_NAMES: [&str; SECTION_COUNT] = [
-    "config_json",
-    "entry_lens",
-    "labels",
-    "ids",
-    "samples",
-    "env_radii",
-    "env_upper",
-    "env_lower",
-    "sum_first",
-    "sum_last",
-    "sum_min",
-    "sum_max",
-    "coarse_upper",
-    "coarse_lower",
-    "features_json",
-];
+const SECTION_NAMES: [&str; SECTION_COUNT] =
+    ["config_json", "entry_lens", "labels", "ids", "samples"];
 
 /// Sentinel in the `labels` column for a series without a label
 /// (labels are `u32`, so `u64::MAX` is unambiguous).
 const NO_LABEL: u64 = u64::MAX;
 
-/// The on-disk representation of an index snapshot.
+/// The on-disk representation of an index snapshot: the binary family,
+/// of which this build reads and writes version [`SNAPSHOT_VERSION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotFormat {
-    /// The legacy JSON tree (still fully supported; the default of
-    /// early `sdtw index build` releases).
-    Json,
-    /// The binary columnar v2 layout described in the module docs.
+    /// The binary layout described in the module docs (the variant keeps
+    /// its name from version 2; it writes the current version).
     BinaryV2,
 }
 
-impl SnapshotFormat {
-    /// Sniffs the format from the payload's first bytes: the binary
-    /// magic's `SDTWIDX` family prefix, or a JSON object opener
-    /// (optionally behind whitespace). `None` means neither.
-    pub fn detect(bytes: &[u8]) -> Option<SnapshotFormat> {
-        if bytes.len() >= 7 && bytes[..7] == SNAPSHOT_MAGIC[..7] {
-            return Some(SnapshotFormat::BinaryV2);
-        }
-        match bytes.iter().find(|b| !b.is_ascii_whitespace()) {
-            Some(b'{') => Some(SnapshotFormat::Json),
-            _ => None,
-        }
-    }
-
-    /// The label decode errors and CLI summaries use.
-    pub fn label(self) -> &'static str {
-        match self {
-            SnapshotFormat::Json => "json",
-            SnapshotFormat::BinaryV2 => "binary-v2",
-        }
-    }
-}
-
-/// Convenience for binary decode errors carrying a byte offset.
+/// Convenience for decode errors carrying a byte offset.
 fn bin_err(offset: u64, context: impl Into<String>) -> TsError {
     TsError::SnapshotDecode {
-        format: "binary-v2",
+        format: FORMAT,
         offset: Some(offset),
         context: context.into(),
     }
@@ -154,22 +111,6 @@ impl<R: Read> CountingReader<R> {
         Self { inner, pos: 0 }
     }
 
-    fn read_u32(&mut self, what: &str) -> Result<u32, TsError> {
-        let at = self.pos;
-        let v = binio::read_u32(&mut self.inner)
-            .map_err(|e| bin_err(at, format!("reading {what}: {e}")))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn read_u64(&mut self, what: &str) -> Result<u64, TsError> {
-        let at = self.pos;
-        let v = binio::read_u64(&mut self.inner)
-            .map_err(|e| bin_err(at, format!("reading {what}: {e}")))?;
-        self.pos += 8;
-        Ok(v)
-    }
-
     fn read_exact(&mut self, buf: &mut [u8], what: &str) -> Result<(), TsError> {
         let at = self.pos;
         self.inner
@@ -179,105 +120,79 @@ impl<R: Read> CountingReader<R> {
         Ok(())
     }
 
-    fn read_u64_column(&mut self, len: usize, what: &str) -> Result<Vec<u64>, TsError> {
-        let at = self.pos;
-        let col = binio::read_u64_column(&mut self.inner, len)
-            .map_err(|e| bin_err(at, format!("reading {what}: {e}")))?;
-        self.pos += 8 * len as u64;
-        Ok(col)
+    fn read_u32(&mut self, what: &str) -> Result<u32, TsError> {
+        let mut buf = [0u8; 4];
+        self.read_exact(&mut buf, what)?;
+        Ok(u32::from_le_bytes(buf))
     }
 
-    fn read_f64_column(&mut self, len: usize, what: &str) -> Result<Vec<f64>, TsError> {
-        let at = self.pos;
-        let col = binio::read_f64_column(&mut self.inner, len)
-            .map_err(|e| bin_err(at, format!("reading {what}: {e}")))?;
-        self.pos += 8 * len as u64;
-        Ok(col)
+    fn read_u64(&mut self, what: &str) -> Result<u64, TsError> {
+        let mut buf = [0u8; 8];
+        self.read_exact(&mut buf, what)?;
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    /// Reads `len` little-endian words, growing the column as the bytes
+    /// arrive instead of reserving `len` up front.
+    fn read_words(&mut self, len: usize, what: &str) -> Result<Vec<u64>, TsError> {
+        const CHUNK: usize = 1024;
+        let mut out = Vec::new();
+        let mut buf = [0u8; 8 * CHUNK];
+        let mut left = len;
+        while left > 0 {
+            let take = left.min(CHUNK);
+            self.read_exact(&mut buf[..8 * take], what)?;
+            out.extend(
+                buf[..8 * take]
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))),
+            );
+            left -= take;
+        }
+        Ok(out)
     }
 }
 
 /// The snapshot codec seam: every consumer (CLI, serve daemon, tests)
-/// encodes and decodes indexes through these associated functions, and
-/// decoding auto-detects the format, so JSON and binary snapshots are
-/// interchangeable everywhere one is accepted.
+/// encodes and decodes indexes through these associated functions.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotCodec;
 
 impl SnapshotCodec {
-    /// Serialises an index in the requested format.
+    /// Serialises an index: its configuration and stored series.
     ///
     /// # Errors
     ///
-    /// Serialisation failures from the JSON layer.
+    /// Serialisation failures of the configuration blob.
     pub fn encode(index: &SdtwIndex, format: SnapshotFormat) -> Result<Vec<u8>, TsError> {
-        match format {
-            SnapshotFormat::Json => Ok(index.encode_json()?.into_bytes()),
-            SnapshotFormat::BinaryV2 => encode_binary(index),
-        }
+        let SnapshotFormat::BinaryV2 = format;
+        encode_binary(index)
     }
 
-    /// Decodes a snapshot of either format (auto-detected by magic).
+    /// Decodes a snapshot and rebuilds the index's derived data from the
+    /// stored series.
     ///
     /// # Errors
     ///
-    /// [`TsError::SnapshotDecode`] naming the codec, the byte offset
-    /// (binary) and the failing field; configuration/structural
-    /// validation errors from the shared assembly path.
+    /// [`TsError::SnapshotDecode`] naming the byte offset and the failing
+    /// field (a version 2 or JSON-tree snapshot among them), and the
+    /// configuration's validation errors.
     pub fn decode(bytes: &[u8]) -> Result<SdtwIndex, TsError> {
-        match SnapshotFormat::detect(bytes) {
-            Some(SnapshotFormat::BinaryV2) => decode_binary(CountingReader::new(bytes)),
-            Some(SnapshotFormat::Json) => {
-                let text = std::str::from_utf8(bytes).map_err(|e| TsError::SnapshotDecode {
-                    format: "json",
-                    offset: Some(e.valid_up_to() as u64),
-                    context: "snapshot is not valid UTF-8".to_string(),
-                })?;
-                SdtwIndex::decode_json(text)
-            }
-            None => Err(TsError::SnapshotDecode {
-                format: "auto-detect",
-                offset: Some(0),
-                context: "neither the binary magic nor a JSON object opener".to_string(),
-            }),
-        }
+        decode_binary(CountingReader::new(bytes))
     }
 
-    /// Decodes a snapshot from a reader, streaming the binary format:
-    /// the header, table and columns are consumed sequentially straight
-    /// into typed vectors — no intermediate byte buffer or DOM for the
-    /// columnar payload. (JSON payloads are necessarily buffered whole.)
+    /// Decodes a snapshot from a reader, consuming the header, table and
+    /// columns sequentially.
     ///
     /// # Errors
     ///
-    /// As [`SnapshotCodec::decode`], plus I/O errors surfaced as decode
-    /// errors with the failing byte offset.
-    pub fn decode_reader<R: Read>(mut reader: R) -> Result<SdtwIndex, TsError> {
-        // sniff just enough for format negotiation (short payloads are
-        // invalid in both formats and fall through to the error paths)
-        let mut head = Vec::with_capacity(8);
-        let mut byte = [0u8; 1];
-        while head.len() < 8 {
-            match reader.read(&mut byte) {
-                Ok(0) => break,
-                Ok(_) => head.push(byte[0]),
-                Err(e) => return Err(bin_err(head.len() as u64, format!("reading magic: {e}"))),
-            }
-        }
-        match SnapshotFormat::detect(&head) {
-            Some(SnapshotFormat::BinaryV2) => {
-                decode_binary(CountingReader::new(head.as_slice().chain(reader)))
-            }
-            _ => {
-                // JSON (or garbage — the JSON parser reports it): buffer
-                // the rest; the tree format cannot stream through the shim
-                let mut text = head;
-                reader.read_to_end(&mut text).map_err(TsError::Io)?;
-                Self::decode(&text)
-            }
-        }
+    /// As [`SnapshotCodec::decode`], with I/O errors surfaced as decode
+    /// errors at the failing byte offset.
+    pub fn decode_reader<R: Read>(reader: R) -> Result<SdtwIndex, TsError> {
+        decode_binary(CountingReader::new(reader))
     }
 
-    /// Writes an index snapshot to a file in the requested format.
+    /// Writes an index snapshot to a file.
     ///
     /// # Errors
     ///
@@ -292,8 +207,7 @@ impl SnapshotCodec {
         Ok(())
     }
 
-    /// Loads an index snapshot from a file, auto-detecting the format
-    /// and streaming the binary layout.
+    /// Loads an index snapshot from a file.
     ///
     /// # Errors
     ///
@@ -304,116 +218,47 @@ impl SnapshotCodec {
     }
 }
 
-/// Assembles the binary v2 byte image of an index.
+/// Assembles the binary byte image of an index.
 fn encode_binary(index: &SdtwIndex) -> Result<Vec<u8>, TsError> {
     let entries = index.entries();
-    let n = entries.len();
-
-    // ---- column assembly -------------------------------------------------
-    let config_json = serde_json::to_string(index.config())
-        .map_err(|e| TsError::SnapshotDecode {
-            format: "binary-v2",
+    let config_json =
+        serde_json::to_string(index.config()).map_err(|e| TsError::SnapshotDecode {
+            format: FORMAT,
             offset: None,
             context: format!("serialising config: {e}"),
-        })?
-        .into_bytes();
-    let mut entry_lens = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
-    let mut ids = Vec::with_capacity(2 * n);
-    let mut samples = Vec::new();
-    let mut env_radii = Vec::with_capacity(n);
-    let mut env_upper = Vec::new();
-    let mut env_lower = Vec::new();
-    let mut sum_first = Vec::with_capacity(n);
-    let mut sum_last = Vec::with_capacity(n);
-    let mut sum_min = Vec::with_capacity(n);
-    let mut sum_max = Vec::with_capacity(n);
-    let mut coarse_upper = Vec::new();
-    let mut coarse_lower = Vec::new();
-    let mut features: Vec<&[SalientFeature]> = Vec::with_capacity(n);
-    for e in entries {
-        entry_lens.push(e.series.len() as u64);
-        labels.push(e.series.label().map_or(NO_LABEL, u64::from));
-        match e.series.id() {
-            Some(id) => {
-                ids.push(1);
-                ids.push(id);
-            }
-            None => {
-                ids.push(0);
-                ids.push(0);
-            }
-        }
-        samples.extend_from_slice(e.series.values());
-        env_radii.push(e.envelope.radius as u64);
-        env_upper.extend_from_slice(&e.envelope.upper);
-        env_lower.extend_from_slice(&e.envelope.lower);
-        sum_first.push(e.summary.first);
-        sum_last.push(e.summary.last);
-        sum_min.push(e.summary.min);
-        sum_max.push(e.summary.max);
-        if let Some(c) = &e.coarse {
-            coarse_upper.extend_from_slice(c.upper());
-            coarse_lower.extend_from_slice(c.lower());
-        }
-        features.push(&e.features);
-    }
-    let features_json = serde_json::to_string(&features)
-        .map_err(|e| TsError::SnapshotDecode {
-            format: "binary-v2",
-            offset: None,
-            context: format!("serialising features: {e}"),
-        })?
-        .into_bytes();
-
-    // ---- payload serialisation (table order) -----------------------------
+        })?;
     let mut payloads: [Vec<u8>; SECTION_COUNT] = Default::default();
-    payloads[SEC_CONFIG_JSON] = config_json;
-    payloads[SEC_FEATURES_JSON] = features_json;
-    let io_bug = |e: std::io::Error| TsError::SnapshotDecode {
-        format: "binary-v2",
-        offset: None,
-        context: format!("encoding column: {e}"),
-    };
-    for (sec, col) in [
-        (SEC_ENTRY_LENS, &entry_lens),
-        (SEC_LABELS, &labels),
-        (SEC_IDS, &ids),
-        (SEC_ENV_RADII, &env_radii),
-    ] {
-        binio::write_u64_column(&mut payloads[sec], col).map_err(io_bug)?;
-    }
-    for (sec, col) in [
-        (SEC_SAMPLES, &samples),
-        (SEC_ENV_UPPER, &env_upper),
-        (SEC_ENV_LOWER, &env_lower),
-        (SEC_SUM_FIRST, &sum_first),
-        (SEC_SUM_LAST, &sum_last),
-        (SEC_SUM_MIN, &sum_min),
-        (SEC_SUM_MAX, &sum_max),
-        (SEC_COARSE_UPPER, &coarse_upper),
-        (SEC_COARSE_LOWER, &coarse_lower),
-    ] {
-        binio::write_f64_column(&mut payloads[sec], col).map_err(io_bug)?;
+    payloads[SEC_CONFIG_JSON] = config_json.into_bytes();
+    for e in entries {
+        let s = &e.series;
+        let (flag, id) = s.id().map_or((0, 0), |id| (1, id));
+        let words = [
+            (SEC_ENTRY_LENS, s.len() as u64),
+            (SEC_LABELS, s.label().map_or(NO_LABEL, u64::from)),
+            (SEC_IDS, flag),
+            (SEC_IDS, id),
+        ];
+        for (sec, word) in words {
+            payloads[sec].extend_from_slice(&word.to_le_bytes());
+        }
+        for v in s.values() {
+            payloads[SEC_SAMPLES].extend_from_slice(&v.to_bits().to_le_bytes());
+        }
     }
 
-    // ---- header + table --------------------------------------------------
-    let header_len = 36u64 + (SECTION_COUNT as u64) * 16;
     let mut table = Vec::with_capacity(SECTION_COUNT * 16);
-    let mut offset = header_len;
+    let mut offset = HEADER_LEN;
     for payload in &payloads {
-        binio::write_u64(&mut table, offset).map_err(io_bug)?;
-        binio::write_u64(&mut table, payload.len() as u64).map_err(io_bug)?;
+        table.extend_from_slice(&offset.to_le_bytes());
+        table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         offset += payload.len() as u64;
     }
-    let checksum = binio::fnv1a64(&table);
-
     let mut out = Vec::with_capacity(offset as usize);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
-    binio::write_u32(&mut out, SNAPSHOT_VERSION).map_err(io_bug)?;
-    binio::write_u64(&mut out, n as u64).map_err(io_bug)?;
-    binio::write_u64(&mut out, SECTION_COUNT as u64).map_err(io_bug)?;
-    binio::write_u64(&mut out, checksum).map_err(io_bug)?;
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(SECTION_COUNT as u64).to_le_bytes());
+    out.extend_from_slice(&binio::fnv1a64(&table).to_le_bytes());
     out.extend_from_slice(&table);
     for payload in &payloads {
         out.extend_from_slice(payload);
@@ -421,12 +266,18 @@ fn encode_binary(index: &SdtwIndex) -> Result<Vec<u8>, TsError> {
     Ok(out)
 }
 
-/// Streams the binary v2 layout from a reader into an assembled index.
-fn decode_binary<R: Read>(mut r: CountingReader<R>) -> Result<SdtwIndex, TsError> {
-    // ---- header ----------------------------------------------------------
+/// Refuses anything but a version-3 header: a JSON tree, an older or
+/// newer binary version, or bytes of no snapshot format at all.
+fn check_magic<R: Read>(r: &mut CountingReader<R>) -> Result<(), TsError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic, "magic")?;
-    if magic != SNAPSHOT_MAGIC {
+    if magic.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{') {
+        return Err(bin_err(
+            0,
+            format!("a JSON-tree index snapshot, a format this build no longer reads; {REBUILD}"),
+        ));
+    }
+    if magic[..7] != SNAPSHOT_MAGIC[..7] {
         return Err(bin_err(
             0,
             format!(
@@ -441,17 +292,30 @@ fn decode_binary<R: Read>(mut r: CountingReader<R>) -> Result<SdtwIndex, TsError
             8,
             format!(
                 "unsupported index snapshot format version {version} \
-                 (this build reads version {SNAPSHOT_VERSION})"
+                 (this build reads version {SNAPSHOT_VERSION}); {REBUILD}"
             ),
         ));
     }
+    if magic != SNAPSHOT_MAGIC {
+        return Err(bin_err(
+            0,
+            format!(
+                "bad magic {:?} for format version {SNAPSHOT_VERSION}",
+                String::from_utf8_lossy(&magic)
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// Reads the header and the section table: each section's
+/// `(offset, len)`, checked against the checksum and for a contiguous,
+/// ascending layout.
+fn read_table<R: Read>(
+    r: &mut CountingReader<R>,
+) -> Result<(u64, [(u64, u64); SECTION_COUNT]), TsError> {
+    check_magic(r)?;
     let entry_count = r.read_u64("entry count")?;
-    let n = usize::try_from(entry_count).map_err(|_| {
-        bin_err(
-            12,
-            format!("entry count {entry_count} overflows this target"),
-        )
-    })?;
     let section_count = r.read_u64("section count")?;
     if section_count != SECTION_COUNT as u64 {
         return Err(bin_err(
@@ -460,9 +324,9 @@ fn decode_binary<R: Read>(mut r: CountingReader<R>) -> Result<SdtwIndex, TsError
         ));
     }
     let checksum = r.read_u64("header checksum")?;
-    let mut table_bytes = vec![0u8; SECTION_COUNT * 16];
-    r.read_exact(&mut table_bytes, "section table")?;
-    let actual = binio::fnv1a64(&table_bytes);
+    let mut table = [0u8; SECTION_COUNT * 16];
+    r.read_exact(&mut table, "section table")?;
+    let actual = binio::fnv1a64(&table);
     if actual != checksum {
         return Err(bin_err(
             28,
@@ -472,177 +336,108 @@ fn decode_binary<R: Read>(mut r: CountingReader<R>) -> Result<SdtwIndex, TsError
             ),
         ));
     }
-    let mut sections = Vec::with_capacity(SECTION_COUNT);
-    {
-        let mut t = table_bytes.as_slice();
-        for _ in 0..SECTION_COUNT {
-            let offset = binio::read_u64(&mut t).expect("table sized above");
-            let len = binio::read_u64(&mut t).expect("table sized above");
-            sections.push((offset, len));
-        }
-    }
-    // the layout is gap-free and ascending — required for streamed reads
-    let header_len = 36u64 + (SECTION_COUNT as u64) * 16;
-    let mut expected_offset = header_len;
-    for (i, &(offset, len)) in sections.iter().enumerate() {
+    let word = |at: usize| u64::from_le_bytes(table[at..at + 8].try_into().expect("8 bytes"));
+    let mut sections = [(0u64, 0u64); SECTION_COUNT];
+    let mut expected_offset = HEADER_LEN;
+    for (i, section) in sections.iter_mut().enumerate() {
+        let (offset, len) = (word(16 * i), word(16 * i + 8));
         if offset != expected_offset {
             return Err(bin_err(
                 36,
                 format!(
-                    "section {} ({}) starts at {offset}, expected {expected_offset} \
+                    "section {i} ({}) starts at {offset}, expected {expected_offset} \
                      (sections must be contiguous and ascending)",
-                    i, SECTION_NAMES[i]
+                    SECTION_NAMES[i]
                 ),
             ));
         }
         expected_offset = offset.checked_add(len).ok_or_else(|| {
             bin_err(
                 36,
-                format!("section {} ({}) length overflows", i, SECTION_NAMES[i]),
+                format!("section {i} ({}) length overflows", SECTION_NAMES[i]),
             )
         })?;
+        *section = (offset, len);
     }
+    Ok((entry_count, sections))
+}
 
-    // a column whose byte length disagrees with the entry count (or the
-    // entry_lens totals) is structural corruption — reject it by name
-    let expect_len = |sec: usize, want: u64, r: &CountingReader<R>| -> Result<(), TsError> {
+/// Streams the binary layout from a reader and rebuilds the index from
+/// the stored series.
+fn decode_binary<R: Read>(mut r: CountingReader<R>) -> Result<SdtwIndex, TsError> {
+    let (entry_count, sections) = read_table(&mut r)?;
+    // a column's byte length must be exactly what the entry count (or
+    // the entry_lens total) implies; `None` is an overflowing product.
+    // Returns the column's length in 8-byte words.
+    let column_words = |sec: usize, count: u64, width: u64| -> Result<usize, TsError> {
         let (offset, got) = sections[sec];
-        if got != want {
-            return Err(TsError::SnapshotDecode {
-                format: "binary-v2",
-                offset: Some(offset),
-                context: format!(
-                    "section `{}` holds {got} bytes but the entry count \
-                     ({n}) implies {want} — column lengths disagree",
-                    SECTION_NAMES[sec]
+        match count.checked_mul(width) {
+            Some(want) if want == got => usize::try_from(want / 8)
+                .map_err(|_| bin_err(offset, format!("{count} values overflow this target"))),
+            want => Err(bin_err(
+                offset,
+                format!(
+                    "section `{}` holds {got} bytes but {count} values of {width} bytes \
+                     imply {} — column lengths disagree",
+                    SECTION_NAMES[sec],
+                    want.map_or("more than 2^64".to_string(), |w| w.to_string()),
                 ),
-            });
+            )),
         }
-        let _ = r;
-        Ok(())
     };
 
-    // ---- sections, in table order ---------------------------------------
-    let config_len = usize::try_from(sections[SEC_CONFIG_JSON].1).map_err(|_| {
-        bin_err(
-            sections[SEC_CONFIG_JSON].0,
-            "config blob overflows".to_string(),
-        )
-    })?;
-    let mut config_bytes = vec![0u8; config_len];
-    r.read_exact(&mut config_bytes, "config_json section")?;
+    // ---- configuration ---------------------------------------------------
+    let (config_at, config_len) = sections[SEC_CONFIG_JSON];
+    let mut config_bytes = Vec::new();
+    (&mut r.inner)
+        .take(config_len)
+        .read_to_end(&mut config_bytes)
+        .map_err(|e| bin_err(config_at, format!("reading config_json section: {e}")))?;
+    if config_bytes.len() as u64 != config_len {
+        return Err(bin_err(
+            config_at + config_bytes.len() as u64,
+            "reading config_json section: unexpected end of input",
+        ));
+    }
+    r.pos += config_len;
     let config_text = std::str::from_utf8(&config_bytes).map_err(|e| {
         bin_err(
-            sections[SEC_CONFIG_JSON].0 + e.valid_up_to() as u64,
+            config_at + e.valid_up_to() as u64,
             "config blob is not UTF-8",
         )
     })?;
     let config: IndexConfig = serde_json::from_str(config_text)
-        .map_err(|e| bin_err(sections[SEC_CONFIG_JSON].0, format!("decoding config: {e}")))?;
+        .map_err(|e| bin_err(config_at, format!("decoding config: {e}")))?;
 
-    expect_len(SEC_ENTRY_LENS, 8 * entry_count, &r)?;
-    let entry_lens_raw = r.read_u64_column(n, "entry_lens column")?;
-    let mut entry_lens = Vec::with_capacity(n);
-    let mut total_samples = 0u64;
-    for (i, &len) in entry_lens_raw.iter().enumerate() {
-        let l = usize::try_from(len)
-            .ok()
-            .filter(|&l| l > 0)
-            .ok_or_else(|| {
-                bin_err(
-                    sections[SEC_ENTRY_LENS].0 + 8 * i as u64,
-                    format!("entry {i} has invalid length {len}"),
-                )
-            })?;
-        total_samples = total_samples.checked_add(len).ok_or_else(|| {
-            bin_err(
-                sections[SEC_ENTRY_LENS].0,
-                "total sample count overflows".to_string(),
-            )
-        })?;
-        entry_lens.push(l);
+    // ---- the corpus columns ----------------------------------------------
+    let n = column_words(SEC_ENTRY_LENS, entry_count, 8)?;
+    let lens = r.read_words(n, "entry_lens column")?;
+    let mut total = 0u64;
+    for (i, &len) in lens.iter().enumerate() {
+        let at = sections[SEC_ENTRY_LENS].0 + 8 * i as u64;
+        if len == 0 {
+            return Err(bin_err(at, format!("entry {i} has length 0")));
+        }
+        total = total
+            .checked_add(len)
+            .ok_or_else(|| bin_err(at, "total sample count overflows"))?;
     }
-    let total = usize::try_from(total_samples).map_err(|_| {
-        bin_err(
-            sections[SEC_ENTRY_LENS].0,
-            "total sample count overflows".to_string(),
-        )
-    })?;
-    // coarse columns are present exactly when the config enables the
-    // PAA stage; their per-entry segment counts derive from entry_lens
-    let coarse_segments: usize = if config.paa_width >= 2 {
-        entry_lens
+    let labels = r.read_words(column_words(SEC_LABELS, entry_count, 8)?, "labels column")?;
+    let ids = r.read_words(column_words(SEC_IDS, entry_count, 16)?, "ids column")?;
+    let samples = r.read_words(column_words(SEC_SAMPLES, total, 8)?, "samples column")?;
+
+    let mut corpus = Vec::with_capacity(n);
+    let mut at = 0usize;
+    for (i, &len) in lens.iter().enumerate() {
+        // every length fits: they sum to the column's usize length
+        let len = len as usize;
+        let values = samples[at..at + len]
             .iter()
-            .map(|&l| l.div_ceil(config.paa_width))
-            .sum()
-    } else {
-        0
-    };
-
-    expect_len(SEC_LABELS, 8 * entry_count, &r)?;
-    let labels = r.read_u64_column(n, "labels column")?;
-    expect_len(SEC_IDS, 16 * entry_count, &r)?;
-    let ids = r.read_u64_column(2 * n, "ids column")?;
-    expect_len(SEC_SAMPLES, 8 * total_samples, &r)?;
-    let samples = r.read_f64_column(total, "samples column")?;
-    expect_len(SEC_ENV_RADII, 8 * entry_count, &r)?;
-    let env_radii = r.read_u64_column(n, "env_radii column")?;
-    expect_len(SEC_ENV_UPPER, 8 * total_samples, &r)?;
-    let env_upper = r.read_f64_column(total, "env_upper column")?;
-    expect_len(SEC_ENV_LOWER, 8 * total_samples, &r)?;
-    let env_lower = r.read_f64_column(total, "env_lower column")?;
-    expect_len(SEC_SUM_FIRST, 8 * entry_count, &r)?;
-    let sum_first = r.read_f64_column(n, "sum_first column")?;
-    expect_len(SEC_SUM_LAST, 8 * entry_count, &r)?;
-    let sum_last = r.read_f64_column(n, "sum_last column")?;
-    expect_len(SEC_SUM_MIN, 8 * entry_count, &r)?;
-    let sum_min = r.read_f64_column(n, "sum_min column")?;
-    expect_len(SEC_SUM_MAX, 8 * entry_count, &r)?;
-    let sum_max = r.read_f64_column(n, "sum_max column")?;
-    expect_len(SEC_COARSE_UPPER, 8 * coarse_segments as u64, &r)?;
-    let coarse_upper = r.read_f64_column(coarse_segments, "coarse_upper column")?;
-    expect_len(SEC_COARSE_LOWER, 8 * coarse_segments as u64, &r)?;
-    let coarse_lower = r.read_f64_column(coarse_segments, "coarse_lower column")?;
-
-    let features_len = usize::try_from(sections[SEC_FEATURES_JSON].1).map_err(|_| {
-        bin_err(
-            sections[SEC_FEATURES_JSON].0,
-            "features blob overflows".to_string(),
-        )
-    })?;
-    let mut features_bytes = vec![0u8; features_len];
-    r.read_exact(&mut features_bytes, "features_json section")?;
-    let features_text = std::str::from_utf8(&features_bytes).map_err(|e| {
-        bin_err(
-            sections[SEC_FEATURES_JSON].0 + e.valid_up_to() as u64,
-            "features blob is not UTF-8",
-        )
-    })?;
-    let features: Vec<Vec<SalientFeature>> = serde_json::from_str(features_text).map_err(|e| {
-        bin_err(
-            sections[SEC_FEATURES_JSON].0,
-            format!("decoding features: {e}"),
-        )
-    })?;
-    if features.len() != n {
-        return Err(bin_err(
-            sections[SEC_FEATURES_JSON].0,
-            format!(
-                "features blob holds {} entries but the entry count is {n}",
-                features.len()
-            ),
-        ));
-    }
-
-    // ---- per-entry reassembly from the columns ---------------------------
-    let mut entries = Vec::with_capacity(n);
-    let mut sample_at = 0usize;
-    let mut coarse_at = 0usize;
-    for (i, (len, feats)) in entry_lens.iter().copied().zip(features).enumerate() {
-        let values = samples[sample_at..sample_at + len].to_vec();
+            .map(|&bits| f64::from_bits(bits))
+            .collect();
         let mut series = TimeSeries::new(values).map_err(|e| {
             bin_err(
-                sections[SEC_SAMPLES].0 + 8 * sample_at as u64,
+                sections[SEC_SAMPLES].0 + 8 * at as u64,
                 format!("entry {i}: {e}"),
             )
         })?;
@@ -658,55 +453,10 @@ fn decode_binary<R: Read>(mut r: CountingReader<R>) -> Result<SdtwIndex, TsError
         if ids[2 * i] != 0 {
             series = series.identified(ids[2 * i + 1]);
         }
-        let radius = usize::try_from(env_radii[i]).map_err(|_| {
-            bin_err(
-                sections[SEC_ENV_RADII].0 + 8 * i as u64,
-                format!("entry {i}: envelope radius overflows"),
-            )
-        })?;
-        let envelope = Envelope {
-            upper: env_upper[sample_at..sample_at + len].to_vec(),
-            lower: env_lower[sample_at..sample_at + len].to_vec(),
-            radius,
-        };
-        let summary = SeriesSummary {
-            first: sum_first[i],
-            last: sum_last[i],
-            min: sum_min[i],
-            max: sum_max[i],
-            len,
-        };
-        let coarse = if config.paa_width >= 2 {
-            let segments = len.div_ceil(config.paa_width);
-            let c = CoarseEnvelope::from_parts(
-                coarse_upper[coarse_at..coarse_at + segments].to_vec(),
-                coarse_lower[coarse_at..coarse_at + segments].to_vec(),
-                config.paa_width,
-                len,
-                radius,
-            )
-            .map_err(|e| {
-                bin_err(
-                    sections[SEC_COARSE_UPPER].0 + 8 * coarse_at as u64,
-                    format!("entry {i}: {e}"),
-                )
-            })?;
-            coarse_at += segments;
-            Some(c)
-        } else {
-            None
-        };
-        sample_at += len;
-        entries.push(IndexEntry {
-            series,
-            envelope,
-            summary,
-            features: feats,
-            coarse,
-        });
+        corpus.push(series);
+        at += len;
     }
-
-    SdtwIndex::from_snapshot_parts(config, entries, "binary-v2")
+    SdtwIndex::from_stored(config, corpus)
 }
 
 #[cfg(test)]
@@ -728,46 +478,34 @@ mod tests {
             .collect()
     }
 
+    fn encode(index: &SdtwIndex) -> Vec<u8> {
+        SnapshotCodec::encode(index, SnapshotFormat::BinaryV2).unwrap()
+    }
+
     #[test]
     fn binary_round_trip_preserves_every_artefact() {
         let index = SdtwIndex::build(&corpus(9, 41), IndexConfig::exact_banded(0.2)).unwrap();
-        let bytes = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
+        let bytes = encode(&index);
         assert_eq!(&bytes[..8], &SNAPSHOT_MAGIC);
         let back = SnapshotCodec::decode(&bytes).unwrap();
         assert_eq!(back.entries(), index.entries());
         assert_eq!(back.config(), index.config());
         // and the re-encoding is a byte-for-byte fixed point
-        let again = SnapshotCodec::encode(&back, SnapshotFormat::BinaryV2).unwrap();
-        assert_eq!(bytes, again);
-    }
-
-    #[test]
-    fn json_and_binary_decode_to_identical_indexes() {
-        let index = SdtwIndex::build(&corpus(7, 30), IndexConfig::default()).unwrap();
-        let json = SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap();
-        let bin = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
-        assert_eq!(SnapshotFormat::detect(&json), Some(SnapshotFormat::Json));
-        assert_eq!(SnapshotFormat::detect(&bin), Some(SnapshotFormat::BinaryV2));
-        let from_json = SnapshotCodec::decode(&json).unwrap();
-        let from_bin = SnapshotCodec::decode(&bin).unwrap();
-        assert_eq!(from_json.entries(), from_bin.entries());
-        assert_eq!(from_json.config(), from_bin.config());
+        assert_eq!(bytes, encode(&back));
     }
 
     #[test]
     fn streamed_decode_matches_buffered_decode() {
         let index = SdtwIndex::build(&corpus(5, 27), IndexConfig::exact_banded(0.15)).unwrap();
-        for format in [SnapshotFormat::Json, SnapshotFormat::BinaryV2] {
-            let bytes = SnapshotCodec::encode(&index, format).unwrap();
-            let streamed = SnapshotCodec::decode_reader(bytes.as_slice()).unwrap();
-            assert_eq!(streamed.entries(), index.entries(), "{:?}", format);
-        }
+        let bytes = encode(&index);
+        let streamed = SnapshotCodec::decode_reader(bytes.as_slice()).unwrap();
+        assert_eq!(streamed.entries(), index.entries());
     }
 
     #[test]
     fn corrupted_table_is_caught_by_the_checksum() {
         let index = SdtwIndex::build(&corpus(4, 20), IndexConfig::exact_banded(0.2)).unwrap();
-        let mut bytes = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
+        let mut bytes = encode(&index);
         bytes[40] ^= 0xff; // inside the section table
         let err = SnapshotCodec::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("checksum"), "got: {err}");
@@ -776,36 +514,48 @@ mod tests {
     #[test]
     fn truncated_snapshot_reports_the_failing_offset() {
         let index = SdtwIndex::build(&corpus(4, 20), IndexConfig::exact_banded(0.2)).unwrap();
-        let bytes = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
-        let err = SnapshotCodec::decode(&bytes[..bytes.len() / 2]).unwrap_err();
-        match err {
-            TsError::SnapshotDecode { format, offset, .. } => {
-                assert_eq!(format, "binary-v2");
-                assert!(offset.is_some());
+        let bytes = encode(&index);
+        for cut in [4, 30, bytes.len() / 2, bytes.len() - 1] {
+            let err = SnapshotCodec::decode_reader(&bytes[..cut]).unwrap_err();
+            match err {
+                TsError::SnapshotDecode { format, offset, .. } => {
+                    assert_eq!(format, FORMAT);
+                    assert!(offset.is_some());
+                }
+                other => panic!("expected SnapshotDecode, got {other}"),
             }
-            other => panic!("expected SnapshotDecode, got {other}"),
         }
     }
 
     #[test]
     fn column_length_disagreement_is_rejected_by_name() {
         let index = SdtwIndex::build(&corpus(4, 20), IndexConfig::exact_banded(0.2)).unwrap();
-        let mut bytes = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
+        let mut bytes = encode(&index);
         // lower the entry count without touching the (checksummed) table:
         // columns now hold more bytes than the count implies
         bytes[12] -= 1;
         let err = SnapshotCodec::decode(&bytes).unwrap_err().to_string();
         assert!(
-            err.contains("disagree") || err.contains("entries"),
+            err.contains("`entry_lens`") && err.contains("disagree"),
             "got: {err}"
         );
+        // a count whose byte length overflows is refused the same way
+        bytes[12..20].copy_from_slice(&(u64::MAX / 4).to_le_bytes());
+        let err = SnapshotCodec::decode(&bytes).unwrap_err().to_string();
+        assert!(err.contains("more than 2^64"), "got: {err}");
     }
 
     #[test]
-    fn neither_format_is_a_clear_error() {
+    fn other_formats_are_refused_by_name() {
         let err = SnapshotCodec::decode(b"PK\x03\x04zipfile").unwrap_err();
-        assert!(matches!(err, TsError::SnapshotDecode { .. }), "{err}");
-        assert_eq!(SnapshotFormat::detect(b""), None);
-        assert_eq!(SnapshotFormat::detect(b"   [1,2]"), None);
+        assert!(
+            err.to_string().contains("not an sDTW index snapshot"),
+            "{err}"
+        );
+        let err = SnapshotCodec::decode(b"  {\"config\":{},\"entries\":[]}").unwrap_err();
+        assert!(
+            err.to_string().contains("JSON-tree") && err.to_string().contains("rebuild"),
+            "{err}"
+        );
     }
 }

@@ -9,7 +9,7 @@ use sdtw_datasets::{econ, UcrAnalog};
 use sdtw_eval::compute_query_matrix;
 use sdtw_index::{IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat};
 use sdtw_tseries::transform::z_normalize;
-use sdtw_tseries::{TimeSeries, TsError};
+use sdtw_tseries::TimeSeries;
 
 /// Three seeded corpora with held-out queries: (name, corpus, queries).
 fn seeded_datasets() -> Vec<(&'static str, Vec<TimeSeries>, Vec<TimeSeries>)> {
@@ -243,74 +243,82 @@ fn batch_queries_are_bit_identical_serial_and_parallel() {
     }
 }
 
-/// The index's JSON snapshot, as text.
-fn json_snapshot(index: &SdtwIndex) -> String {
-    let bytes = SnapshotCodec::encode(index, SnapshotFormat::Json).unwrap();
-    String::from_utf8(bytes).expect("JSON snapshots are UTF-8")
-}
-
-/// Loads a JSON snapshot from its text.
-fn load_json(json: &str) -> Result<SdtwIndex, TsError> {
-    SnapshotCodec::decode(json.as_bytes())
+/// Every index configuration the loaded-equals-built check covers: the
+/// exact-banded and sDTW-band modes, each raw and z-normalised, the
+/// amerced kernel, and the coarse PAA stage on (width 8) and off.
+fn snapshot_configs() -> Vec<(&'static str, IndexConfig)> {
+    let mut amerced = IndexConfig::exact_banded(0.2);
+    amerced.sdtw.dtw.kernel = KernelChoice::Amerced { penalty: 0.05 };
+    vec![
+        ("exact_banded(0.2)", IndexConfig::exact_banded(0.2)),
+        (
+            "z-normalised sakoe 0.1",
+            IndexConfig {
+                z_normalize: true,
+                ..IndexConfig::exact_banded(0.1)
+            },
+        ),
+        ("sdtw_bands", IndexConfig::sdtw_bands()),
+        (
+            "z-normalised sdtw_bands",
+            IndexConfig {
+                z_normalize: true,
+                ..IndexConfig::sdtw_bands()
+            },
+        ),
+        ("amerced", amerced),
+        (
+            "paa 0",
+            IndexConfig {
+                paa_width: 0,
+                ..IndexConfig::sdtw_bands()
+            },
+        ),
+        (
+            "paa 8",
+            IndexConfig {
+                paa_width: 8,
+                ..IndexConfig::exact_banded(0.2)
+            },
+        ),
+    ]
 }
 
 #[test]
-fn json_snapshot_roundtrips_to_identical_results() {
-    let (_, corpus, queries) = seeded_datasets().remove(0);
-    let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let json = json_snapshot(&index);
-    let loaded = load_json(&json).unwrap();
-    assert_eq!(index.len(), loaded.len());
-    for query in &queries {
-        let a = index.query(query, 4).unwrap();
-        let b = loaded.query(query, 4).unwrap();
-        assert_eq!(a, b, "loaded index must answer identically");
-    }
-}
-
-#[test]
-fn snapshots_of_both_formats_answer_bit_identically() {
-    // the codec seam: a JSON snapshot and a binary columnar snapshot of
-    // the same index must answer every query with the same ids, the same
-    // distance bits, and the same cascade accounting — in both engine
-    // modes, on every seeded corpus
-    for config in [IndexConfig::exact_banded(0.2), IndexConfig::sdtw_bands()] {
+fn loaded_snapshots_equal_the_build_bit_for_bit() {
+    // a snapshot stores the configuration and the stored series; loading
+    // derives every artefact through the build path, so a loaded index
+    // has the build's entries and answers every query with the same ids,
+    // distance bits and cascade accounting
+    for (label, config) in snapshot_configs() {
         for (name, corpus, queries) in seeded_datasets() {
             let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
-            let json = SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap();
-            let bin = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
-            let from_json = SnapshotCodec::decode(&json).unwrap();
-            let from_bin = SnapshotCodec::decode(&bin).unwrap();
-            assert_eq!(from_json.entries(), from_bin.entries(), "{name}");
-            for (qi, query) in queries.iter().enumerate() {
-                let a = from_json.query(query, 4).unwrap();
-                let b = from_bin.query(query, 4).unwrap();
-                let c = index.query(query, 4).unwrap();
-                assert_eq!(a, b, "{name}/q{qi}: formats must agree");
-                assert_eq!(a, c, "{name}/q{qi}: loads must match the build");
+            let bytes = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
+            let loads = [
+                ("decode", SnapshotCodec::decode(&bytes).unwrap()),
+                (
+                    "decode_reader",
+                    SnapshotCodec::decode_reader(bytes.as_slice()).unwrap(),
+                ),
+            ];
+            for (how, loaded) in loads {
+                assert_eq!(loaded.config(), index.config(), "{label}/{name}/{how}");
+                assert_eq!(loaded.entries(), index.entries(), "{label}/{name}/{how}");
+                for (qi, query) in queries.iter().enumerate() {
+                    let a = index.query(query, 4).unwrap();
+                    let b = loaded.query(query, 4).unwrap();
+                    let bits = |r: &sdtw_index::QueryResult| -> Vec<(usize, u64)> {
+                        r.neighbors
+                            .iter()
+                            .map(|n| (n.index, n.distance.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&a), bits(&b), "{label}/{name}/{how}/q{qi}");
+                    assert_eq!(a.stats, b.stats, "{label}/{name}/{how}/q{qi}");
+                }
             }
         }
     }
-}
-
-#[test]
-fn converting_between_formats_is_lossless() {
-    // the `sdtw index convert` path: JSON -> binary -> JSON round-trips
-    // to an identical index (and the final JSON re-encoding is a fixed
-    // point, so nothing silently drifts per hop)
-    let (_, corpus, _) = seeded_datasets().remove(1);
-    let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
-    let json = SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap();
-    let via_bin = SnapshotCodec::encode(
-        &SnapshotCodec::decode(&json).unwrap(),
-        SnapshotFormat::BinaryV2,
-    )
-    .unwrap();
-    let back = SnapshotCodec::decode(&via_bin).unwrap();
-    assert_eq!(back.entries(), index.entries());
-    assert_eq!(back.config(), index.config());
-    let json_again = SnapshotCodec::encode(&back, SnapshotFormat::Json).unwrap();
-    assert_eq!(json, json_again);
 }
 
 #[test]
@@ -336,42 +344,6 @@ fn corrupted_binary_snapshot_is_rejected() {
             );
         }
     }
-}
-
-#[test]
-fn corrupted_snapshot_is_rejected() {
-    let corpus = econ::generate(3, 2, 2).series;
-    let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let json = json_snapshot(&index);
-    assert!(load_json("not json").is_err());
-    // tamper with the envelope radius so the dimension check trips
-    let tampered = json.replace("\"radius\":", "\"radius\": 9");
-    if tampered != json {
-        assert!(load_json(&tampered).is_err());
-    }
-}
-
-#[test]
-fn snapshot_with_out_of_range_features_is_rejected() {
-    // adaptive mode caches salient features; a feature whose scope
-    // escapes its series must fail the load-time structural check
-    let corpus = UcrAnalog::Gun.generate(5).series[..6].to_vec();
-    let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
-    let json = json_snapshot(&index);
-    let key = "\"scope_end\":";
-    let pos = json.find(key).expect("adaptive snapshot stores features");
-    let digits_start = pos + key.len();
-    let digits_len = json[digits_start..]
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap();
-    let tampered = format!(
-        "{}{key}99999{}",
-        &json[..pos],
-        &json[digits_start + digits_len..]
-    );
-    assert!(load_json(&tampered).is_err());
-    // untampered snapshot still loads
-    assert!(load_json(&json).is_ok());
 }
 
 #[test]

@@ -13,11 +13,14 @@ use crate::engine::ServeEngine;
 use crate::protocol::{RequestOp, ServeRequest, ServeResponse};
 use parking_lot::Mutex;
 use sdtw_dtw::engine::DtwScratch;
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// The longest request line either transport reads: 4 MiB, newline
 /// excluded. A pattern is the only long field a request carries, and
@@ -198,6 +201,10 @@ pub fn run_pipe<R: BufRead, W: Write>(
     Ok(traces)
 }
 
+/// Each live socket connection's stream clone and thread, keyed by
+/// accept order; a connection thread removes its own entry when it ends.
+type LiveConnections = HashMap<u64, (UnixStream, JoinHandle<()>)>;
+
 /// The Unix-socket daemon: binds a path, then accepts connections until
 /// a client sends `Shutdown`.
 #[derive(Debug)]
@@ -229,9 +236,11 @@ impl SocketServer {
     /// each thread answering that client's requests serially with a
     /// reused scratch (concurrency comes from concurrent clients — the
     /// snapshot is shared immutable). A `Shutdown` request from any
-    /// client is acknowledged, stops the accept loop, and drains all
-    /// live connections. Returns every traced request's NDJSON trace
-    /// line.
+    /// client is acknowledged and stops the accept loop; every live
+    /// connection's read side is then shut down, so an idle client
+    /// cannot keep the daemon alive while an in-flight answer still goes
+    /// out, and the connection threads are joined. Returns every traced
+    /// request's NDJSON trace line.
     ///
     /// # Errors
     ///
@@ -240,22 +249,38 @@ impl SocketServer {
     pub fn serve(self, engine: Arc<ServeEngine>) -> io::Result<Vec<String>> {
         let stop = Arc::new(AtomicBool::new(false));
         let traces: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for stream in self.listener.incoming() {
+        let live: Arc<Mutex<LiveConnections>> = Arc::new(Mutex::new(HashMap::new()));
+        for (id, stream) in (0u64..).zip(self.listener.incoming()) {
             let stream = stream?;
             if stop.load(Ordering::SeqCst) {
                 break;
             }
+            // a stream that cannot be cloned (out of descriptors) could not
+            // be shut down at stop: refuse that connection, not the daemon
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
             let traces = Arc::clone(&traces);
             let wake_path = self.path.clone();
-            handles.push(std::thread::spawn(move || {
+            let live_on_exit = Arc::clone(&live);
+            // held across the spawn, so the entry exists before the
+            // thread can remove it
+            let mut registry = live.lock();
+            let handle = std::thread::spawn(move || {
                 let _ = serve_connection(&engine, stream, &stop, &wake_path, &traces);
-            }));
+                live_on_exit.lock().remove(&id);
+            });
+            registry.insert(id, (clone, handle));
         }
-        for h in handles {
-            let _ = h.join();
+        let remaining: Vec<(UnixStream, JoinHandle<()>)> =
+            live.lock().drain().map(|(_, conn)| conn).collect();
+        for (stream, _) in &remaining {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (_, handle) in remaining {
+            let _ = handle.join();
         }
         let _ = std::fs::remove_file(&self.path);
         let out = std::mem::take(&mut *traces.lock());
@@ -354,6 +379,20 @@ mod tests {
     use sdtw_tseries::TimeSeries;
 
     fn demo_engine(trace: bool) -> ServeEngine {
+        engine_over(IndexConfig::default(), trace)
+    }
+
+    /// The demo corpus under a z-normalising index, as the hostile-line
+    /// tests serve it.
+    fn znorm_engine() -> ServeEngine {
+        let config = IndexConfig {
+            z_normalize: true,
+            ..IndexConfig::default()
+        };
+        engine_over(config, false)
+    }
+
+    fn engine_over(config: IndexConfig, trace: bool) -> ServeEngine {
         let mut entries = Vec::new();
         for e in 0..6 {
             let n = 80 + 7 * e;
@@ -362,7 +401,7 @@ mod tests {
                 .collect();
             entries.push(TimeSeries::new(vals).unwrap());
         }
-        let index = SdtwIndex::build(&entries, IndexConfig::default()).unwrap();
+        let index = SdtwIndex::build(&entries, config).unwrap();
         ServeEngine::new(
             index,
             ServeConfig {
@@ -414,28 +453,43 @@ mod tests {
     }
 
     /// Request lines no client should send, each followed by a valid
-    /// query, with the id and an error fragment their answer must carry:
-    /// nesting far past the JSON depth limit (it used to overflow the
-    /// stack and abort the process), valid JSON of the wrong shape (its
-    /// id must be echoed), text that is not JSON, bytes that are not
-    /// UTF-8 (they used to end the connection), and lines at and just
-    /// past the length cap (only the longer one is refused unread).
-    fn hostile_lines() -> Vec<(Vec<u8>, &'static str, &'static str)> {
+    /// query, with the id their answer must carry and, for a line that
+    /// is refused, an error fragment: nesting far past the JSON depth
+    /// limit (it used to overflow the stack and abort the process), valid
+    /// JSON of the wrong shape (its id must be echoed), text that is not
+    /// JSON, bytes that are not UTF-8 (they used to end the connection),
+    /// lines at and just past the length cap (only the longer one is
+    /// refused unread), and a valid pattern of finite samples near
+    /// `f64::MAX`, whose z-normalisation used to panic the daemon.
+    fn hostile_lines() -> Vec<(Vec<u8>, &'static str, Option<&'static str>)> {
+        let mut near_max = vec![1.7e308; 59];
+        near_max.push(-1.7e308);
         vec![
             (
                 ("[".repeat(100_000) + &"]".repeat(100_000)).into_bytes(),
                 "",
-                "nesting",
+                Some("nesting"),
             ),
             (
                 br#"{"id":"q7","op":"Query","k":2,"tau":null,"trace":false,"values":"x"}"#.to_vec(),
                 "q7",
-                "expected array",
+                Some("expected array"),
             ),
-            (b"this is not json".to_vec(), "", "expected"),
-            (vec![b'{', 0xff, 0xfe, b'}'], "", "not UTF-8"),
-            (vec![b'x'; MAX_REQUEST_LINE_BYTES], "", "expected"),
-            (vec![b'x'; MAX_REQUEST_LINE_BYTES + 1], "", "longer than"),
+            (b"this is not json".to_vec(), "", Some("expected")),
+            (vec![b'{', 0xff, 0xfe, b'}'], "", Some("not UTF-8")),
+            (vec![b'x'; MAX_REQUEST_LINE_BYTES], "", Some("expected")),
+            (
+                vec![b'x'; MAX_REQUEST_LINE_BYTES + 1],
+                "",
+                Some("longer than"),
+            ),
+            (
+                ServeRequest::query("near-max", near_max, 2)
+                    .to_json_line()
+                    .into_bytes(),
+                "near-max",
+                None,
+            ),
         ]
     }
 
@@ -450,7 +504,7 @@ mod tests {
 
     #[test]
     fn pipe_mode_answers_hostile_lines_and_keeps_going() {
-        let engine = demo_engine(false);
+        let engine = znorm_engine();
         let valid = ServeRequest::query("after", demo_query(), 2);
         let mut expected = Vec::new();
         run_pipe(
@@ -473,13 +527,17 @@ mod tests {
                 .map(|l| ServeResponse::from_json_line(l).unwrap())
                 .collect();
             assert_eq!(resps.len(), 2);
-            assert!(!resps[0].ok);
             assert_eq!(resps[0].id, id);
-            assert!(
-                resps[0].error.starts_with("bad request line") && resps[0].error.contains(why),
-                "{}",
-                resps[0].error
-            );
+            match why {
+                Some(why) => assert!(
+                    !resps[0].ok
+                        && resps[0].error.starts_with("bad request line")
+                        && resps[0].error.contains(why),
+                    "{}",
+                    resps[0].error
+                ),
+                None => assert!(resps[0].ok, "{}", resps[0].error),
+            }
             assert_eq!(resps[1], expected, "the next line is answered as usual");
         }
     }
@@ -490,7 +548,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let sock = dir.join("daemon.sock");
         let server = SocketServer::bind(&sock).unwrap();
-        let engine = Arc::new(demo_engine(false));
+        let engine = Arc::new(znorm_engine());
         let handle = {
             let engine = Arc::clone(&engine);
             std::thread::spawn(move || server.serve(engine))
@@ -501,18 +559,55 @@ mod tests {
         let mut writer = stream;
         for (line, id, why) in hostile_lines() {
             writer.write_all(&hostile_input(&line, &valid)).unwrap();
-            for want_ok in [false, true] {
+            for (want_id, want_error) in [(id, why), ("after", None)] {
                 let mut text = String::new();
                 reader.read_line(&mut text).unwrap();
                 let resp = ServeResponse::from_json_line(text.trim_end()).unwrap();
-                assert_eq!(resp.ok, want_ok, "{}", resp.error);
-                assert_eq!(resp.id, if want_ok { "after" } else { id });
-                assert!(want_ok || resp.error.contains(why), "{}", resp.error);
+                assert_eq!(resp.id, want_id);
+                assert_eq!(resp.ok, want_error.is_none(), "{}", resp.error);
+                assert!(
+                    want_error.is_none_or(|why| resp.error.contains(why)),
+                    "{}",
+                    resp.error
+                );
             }
         }
         drop((reader, writer));
         client_roundtrip(&sock, &[ServeRequest::shutdown("stop")]).unwrap();
         handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_returns_while_an_idle_client_stays_connected() {
+        let dir = std::env::temp_dir().join(format!("sdtw-serve-idle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("daemon.sock");
+        let server = SocketServer::bind(&sock).unwrap();
+        let engine = Arc::new(demo_engine(false));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(server.serve(engine));
+        });
+        // a client that connects, is answered once, then sends nothing
+        let idle = UnixStream::connect(&sock).unwrap();
+        let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
+        let mut line = ServeRequest::query("idle", demo_query(), 2).to_json_line();
+        line.push('\n');
+        (&idle).write_all(line.as_bytes()).unwrap();
+        let mut answer = String::new();
+        idle_reader.read_line(&mut answer).unwrap();
+        assert!(ServeResponse::from_json_line(answer.trim_end()).unwrap().ok);
+        let ack = client_roundtrip(&sock, &[ServeRequest::shutdown("stop")]).unwrap();
+        assert!(ack[0].ok);
+        let served = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("serve returns although a client is still connected");
+        assert!(served.unwrap().is_empty(), "tracing was off");
+        // the idle client sees the daemon close its connection
+        let mut rest = String::new();
+        assert_eq!(idle_reader.read_line(&mut rest).unwrap(), 0);
+        assert!(!sock.exists(), "socket file cleaned up");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -127,10 +127,9 @@ impl ServeEngine {
         })
     }
 
-    /// Loads an index snapshot from disk — JSON or binary columnar v2,
-    /// auto-detected by [`SnapshotCodec`] — and wraps it as a resident
-    /// engine. The daemon path: binary snapshots stream column-by-column
-    /// straight into the engine without an intermediate JSON tree.
+    /// Loads an index snapshot from disk through [`SnapshotCodec`],
+    /// which rebuilds the index's derived data from the stored series,
+    /// and wraps it as a resident engine.
     ///
     /// # Errors
     ///

@@ -45,11 +45,10 @@ pub enum TsError {
     /// A persisted snapshot (index, trace, …) failed to decode.
     ///
     /// Shared by every snapshot codec so callers see *where* a payload
-    /// went bad: the codec that rejected it, the byte offset for binary
-    /// payloads (`None` for tree-shaped JSON), and the field or entry
-    /// being decoded.
+    /// went bad: the codec that rejected it, the byte offset when one is
+    /// known, and the field or entry being decoded.
     SnapshotDecode {
-        /// The codec that rejected the payload (`"json"`, `"binary-v2"`).
+        /// The codec that rejected the payload (`"binary-v3"`).
         format: &'static str,
         /// Byte offset of the failure within the payload, when known.
         offset: Option<u64>,
@@ -133,19 +132,19 @@ mod tests {
         assert!(e.to_string().contains("line 12"));
 
         let e = TsError::SnapshotDecode {
-            format: "binary-v2",
+            format: "binary-v3",
             offset: Some(36),
             context: "section table truncated".into(),
         };
         let s = e.to_string();
-        assert!(s.contains("binary-v2") && s.contains("byte 36"), "got: {s}");
+        assert!(s.contains("binary-v3") && s.contains("byte 36"), "got: {s}");
         let e = TsError::SnapshotDecode {
-            format: "json",
+            format: "binary-v3",
             offset: None,
-            context: "entry 3: envelope inconsistent".into(),
+            context: "serialising config: entry 3".into(),
         };
         let s = e.to_string();
-        assert!(s.contains("json") && s.contains("entry 3"), "got: {s}");
+        assert!(s.contains("binary-v3") && s.contains("entry 3"), "got: {s}");
         assert!(!s.contains("byte"), "got: {s}");
     }
 

@@ -97,81 +97,8 @@ pub fn write_ucr_file<P: AsRef<Path>>(path: P, corpus: &[TimeSeries]) -> Result<
     write_ucr(std::io::BufWriter::new(file), corpus)
 }
 
-/// Little-endian binary primitives shared by the workspace's columnar
-/// snapshot codecs (the index's `SnapshotV2` format): fixed-width
-/// integers and packed `f64` columns, streamed straight between typed
-/// `Vec`s and any `Read`/`Write` without an intermediate tree.
-///
-/// Every reader tracks its own byte position externally (the codecs
-/// thread an offset through for [`crate::TsError::SnapshotDecode`]
-/// context), so these helpers stay plain `io::Result` functions.
+/// Binary helpers of the index snapshot codec: the header checksum.
 pub mod binio {
-    use std::io::{Read, Write};
-
-    /// Writes one `u64`, little-endian.
-    pub fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<()> {
-        w.write_all(&v.to_le_bytes())
-    }
-
-    /// Writes one `u32`, little-endian.
-    pub fn write_u32<W: Write>(w: &mut W, v: u32) -> std::io::Result<()> {
-        w.write_all(&v.to_le_bytes())
-    }
-
-    /// Writes a packed `u64` column, little-endian.
-    pub fn write_u64_column<W: Write>(w: &mut W, col: &[u64]) -> std::io::Result<()> {
-        for &v in col {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Writes a packed `f64` column (IEEE-754 bits, little-endian).
-    pub fn write_f64_column<W: Write>(w: &mut W, col: &[f64]) -> std::io::Result<()> {
-        for &v in col {
-            w.write_all(&v.to_bits().to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Reads one little-endian `u64`.
-    pub fn read_u64<R: Read>(r: &mut R) -> std::io::Result<u64> {
-        let mut buf = [0u8; 8];
-        r.read_exact(&mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Reads one little-endian `u32`.
-    pub fn read_u32<R: Read>(r: &mut R) -> std::io::Result<u32> {
-        let mut buf = [0u8; 4];
-        r.read_exact(&mut buf)?;
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    /// Reads a packed `u64` column of `len` values into a fresh `Vec`.
-    pub fn read_u64_column<R: Read>(r: &mut R, len: usize) -> std::io::Result<Vec<u64>> {
-        let mut out = Vec::with_capacity(len);
-        let mut buf = [0u8; 8];
-        for _ in 0..len {
-            r.read_exact(&mut buf)?;
-            out.push(u64::from_le_bytes(buf));
-        }
-        Ok(out)
-    }
-
-    /// Reads a packed `f64` column of `len` values into a fresh `Vec`
-    /// (bit-preserving: the column is decoded via `f64::from_bits`, so
-    /// every payload — including NaN bit patterns — round-trips).
-    pub fn read_f64_column<R: Read>(r: &mut R, len: usize) -> std::io::Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(len);
-        let mut buf = [0u8; 8];
-        for _ in 0..len {
-            r.read_exact(&mut buf)?;
-            out.push(f64::from_bits(u64::from_le_bytes(buf)));
-        }
-        Ok(out)
-    }
-
     /// FNV-1a 64-bit hash — the snapshot header checksum. Deterministic,
     /// dependency-free, and adequate for corruption detection (the
     /// snapshot trust model matches any database file: integrity, not
@@ -271,33 +198,6 @@ mod tests {
     fn missing_file_is_io_error() {
         let e = read_ucr_file("/nonexistent/sdtw/corpus.txt").unwrap_err();
         assert!(matches!(e, TsError::Io(_)));
-    }
-
-    #[test]
-    fn binio_columns_round_trip_bit_exactly() {
-        use super::binio::*;
-        let f64s = vec![0.0, -0.0, 1.5, f64::MIN_POSITIVE, -1e300, 42.125];
-        let u64s = vec![0u64, 1, u64::MAX, 0xdead_beef];
-        let mut buf = Vec::new();
-        write_u32(&mut buf, 7).unwrap();
-        write_u64(&mut buf, u64::MAX).unwrap();
-        write_f64_column(&mut buf, &f64s).unwrap();
-        write_u64_column(&mut buf, &u64s).unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(read_u32(&mut r).unwrap(), 7);
-        assert_eq!(read_u64(&mut r).unwrap(), u64::MAX);
-        let back_f = read_f64_column(&mut r, f64s.len()).unwrap();
-        for (a, b) in f64s.iter().zip(&back_f) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(read_u64_column(&mut r, u64s.len()).unwrap(), u64s);
-        assert!(r.is_empty(), "every byte consumed");
-        // truncated reads surface as io errors
-        let mut short = &buf[..3];
-        assert!(read_u32(&mut short).is_err());
-        let mut short = &buf[..6];
-        assert!(read_u32(&mut short).is_ok());
-        assert!(read_u64(&mut short).is_err());
     }
 
     #[test]

@@ -20,6 +20,11 @@ fn rebuild(src: &TimeSeries, values: Vec<f64>) -> TimeSeries {
     out
 }
 
+/// `2^-600`, the exact power of two [`z_normalize_values`] scales samples
+/// by when their moments overflow (biased exponent `1023 - 600`, zero
+/// mantissa).
+const RESCALE: f64 = f64::from_bits((1023 - 600) << 52);
+
 /// Z-normalises a series: subtract the mean, divide by the population
 /// standard deviation. A constant series (σ = 0) maps to all-zeros rather
 /// than dividing by zero — the convention used by the UCR suite.
@@ -36,6 +41,14 @@ pub fn z_normalize(ts: &TimeSeries) -> TimeSeries {
 /// bit-identical to the series path by construction: same left-to-right
 /// summation order for the mean, same population-σ formula, same σ = 0
 /// all-zeros convention.
+///
+/// Finite samples near `f64::MAX` overflow the sum or the squared
+/// deviations. When the mean or the variance is not finite, the samples
+/// are scaled by `2^-600` and normalised again: the scaling is exact and
+/// the normalisation scale-invariant, and every sample below `2^1024`
+/// scales below `2^424`, so neither sum can overflow for any series
+/// shorter than `2^170` samples. Inputs whose moments are finite never
+/// take that path and keep their bits.
 pub fn z_normalize_values(src: &[f64], out: &mut Vec<f64>) {
     out.clear();
     if src.is_empty() {
@@ -51,6 +64,10 @@ pub fn z_normalize_values(src: &[f64], out: &mut Vec<f64>) {
         })
         .sum::<f64>()
         / n;
+    if !(mean.is_finite() && var.is_finite()) && src.iter().all(|v| v.is_finite()) {
+        let scaled: Vec<f64> = src.iter().map(|v| v * RESCALE).collect();
+        return z_normalize_values(&scaled, out);
+    }
     let sd = var.sqrt();
     if sd == 0.0 {
         out.resize(src.len(), 0.0);
@@ -243,6 +260,23 @@ mod tests {
         let z = z_normalize(&ts(&[1.0, 2.0, 3.0, 4.0, 5.0]));
         assert!(z.mean().abs() < 1e-12);
         assert!((z.std_dev() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn z_normalize_rescales_samples_whose_moments_overflow() {
+        assert_eq!(RESCALE, 2f64.powi(-600));
+        // the sum of the samples overflows, then only the squared
+        // deviations: both used to come out NaN or all zeros
+        for (big, tail) in [(1.7e308, -1.7e308), (1e200, -1e200)] {
+            let mut values = vec![big; 59];
+            values.push(tail);
+            let z = z_normalize(&TimeSeries::new(values.clone()).unwrap());
+            // any other exact power-of-two scaling gives the same bits
+            let scaled: Vec<f64> = values.iter().map(|v| v * 2f64.powi(-700)).collect();
+            let expected = z_normalize(&TimeSeries::new(scaled).unwrap());
+            assert_eq!(z.values(), expected.values(), "{big}");
+            assert!(z.values().iter().all(|v| v.is_finite()));
+        }
     }
 
     #[test]

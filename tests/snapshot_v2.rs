@@ -1,12 +1,15 @@
 //! Binary snapshot wire-format ratchet, mirroring `trace_schema.rs`: the
-//! columnar v2 encoding of a deterministic golden index is pinned to a
-//! committed fixture byte-for-byte, and foreign format versions are
-//! rejected with a clear error — the on-disk layout only changes
-//! deliberately, together with this file and the fixture.
+//! encoding of a deterministic golden index is pinned to a committed
+//! fixture byte-for-byte, foreign format versions are rejected with a
+//! clear error, and no single-byte corruption of the fixture panics the
+//! loader — the on-disk layout only changes deliberately, together with
+//! this file and the fixture. (The file keeps the name it had under
+//! format version 2; it pins the current version, 3.)
 //!
-//! The golden index is built from a seeded synthetic corpus with fixed
-//! constants (ragged lengths, labels, ids — every column populated), so
-//! regeneration is exact:
+//! The golden index is a z-normalised sDTW-band index built from a
+//! seeded synthetic corpus with fixed constants (ragged lengths, labels
+//! and ids on some entries — every column populated, and salient
+//! features extracted on load), so regeneration is exact:
 //!
 //! ```text
 //! cargo test --test snapshot_v2 -- --ignored regenerate_fixture
@@ -15,18 +18,21 @@
 use sdtw_suite::prelude::*;
 
 /// The committed golden binary snapshot.
-const FIXTURE: &[u8] = include_bytes!("fixtures/index_v2.bin");
+const FIXTURE: &[u8] = include_bytes!("fixtures/index_v3.bin");
 
-/// A deterministic index exercising every column of the v2 layout:
-/// ragged entry lengths (the `entry_lens`/`samples`/`coarse_*` splits),
-/// labels and ids on some-but-not-all entries (both sentinel encodings),
-/// and the default PAA width (coarse columns populated).
-fn golden_index() -> SdtwIndex {
-    let corpus: Vec<TimeSeries> = (0..7)
+/// The golden corpus: ragged entry lengths (the `entry_lens`/`samples`
+/// splits), labels and ids on some-but-not-all entries (both sentinel
+/// encodings; entry 3 has neither). Kept small so the byte-flip sweep
+/// stays quick in debug builds.
+fn golden_corpus() -> Vec<TimeSeries> {
+    (0..4)
         .map(|k| {
-            let len = 19 + 5 * k; // ragged, never a multiple of the width
+            let len = 25 + 5 * k; // ragged, never a multiple of the PAA width
             let values = (0..len)
-                .map(|i| ((i as f64) / 5.5 + (k as f64) * 1.3).sin() + (k as f64) * 0.01)
+                .map(|i| {
+                    let t = i as f64;
+                    (t / 3.5 + (k as f64) * 1.3).sin() + 2.0 * (-(t - 14.0).powi(2) / 8.0).exp()
+                })
                 .collect();
             let mut s = TimeSeries::new(values).unwrap();
             if k % 2 == 0 {
@@ -37,17 +43,34 @@ fn golden_index() -> SdtwIndex {
             }
             s
         })
-        .collect();
-    SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap()
+        .collect()
+}
+
+/// A z-normalised sDTW-band index with the default PAA width.
+fn golden_index() -> SdtwIndex {
+    let config = IndexConfig {
+        z_normalize: true,
+        ..IndexConfig::sdtw_bands()
+    };
+    SdtwIndex::build(&golden_corpus(), config).unwrap()
+}
+
+fn encode(index: &SdtwIndex) -> Vec<u8> {
+    SnapshotCodec::encode(index, SnapshotFormat::BinaryV2).unwrap()
 }
 
 #[test]
 fn golden_snapshot_encodes_byte_for_byte() {
-    let bytes = SnapshotCodec::encode(&golden_index(), SnapshotFormat::BinaryV2).unwrap();
+    let index = golden_index();
+    assert!(
+        index.entries().iter().all(|e| !e.features.is_empty()),
+        "every golden entry carries salient features"
+    );
     assert_eq!(
-        bytes, FIXTURE,
+        encode(&index),
+        FIXTURE,
         "binary layout drifted; if intentional, regenerate \
-         tests/fixtures/index_v2.bin (see module docs) and bump the \
+         tests/fixtures/index_v3.bin (see module docs) and bump the \
          snapshot format version"
     );
 }
@@ -59,17 +82,16 @@ fn golden_fixture_decodes_back_identically() {
     assert_eq!(parsed.entries(), index.entries());
     assert_eq!(parsed.config(), index.config());
     // and re-encoding the parsed index is a byte-for-byte fixed point
-    let again = SnapshotCodec::encode(&parsed, SnapshotFormat::BinaryV2).unwrap();
-    assert_eq!(again, FIXTURE);
+    assert_eq!(encode(&parsed), FIXTURE);
 }
 
 #[test]
 fn golden_fixture_answers_queries_identically_to_a_fresh_build() {
     let fresh = golden_index();
     let loaded = SnapshotCodec::decode(FIXTURE).unwrap();
-    for (q, entry) in fresh.entries().iter().enumerate() {
-        let a = fresh.query(&entry.series, 3).unwrap();
-        let b = loaded.query(&entry.series, 3).unwrap();
+    for (q, query) in golden_corpus().iter().enumerate() {
+        let a = fresh.query(query, 3).unwrap();
+        let b = loaded.query(query, 3).unwrap();
         assert_eq!(a.neighbors, b.neighbors, "query {q}");
         assert_eq!(a.stats, b.stats, "query {q}");
     }
@@ -77,12 +99,27 @@ fn golden_fixture_answers_queries_identically_to_a_fresh_build() {
 
 #[test]
 fn foreign_format_versions_are_rejected() {
-    // flip the version field (bytes 8..12, u32 LE) to a future version
+    // a future version in the version field (bytes 8..12, u32 LE)
     let mut foreign = FIXTURE.to_vec();
-    foreign[8] = 3;
+    foreign[8] = 4;
     let err = SnapshotCodec::decode(&foreign).unwrap_err().to_string();
     assert!(
-        err.contains("version 3") && err.contains("reads version 2"),
+        err.contains("version 4") && err.contains("reads version 3"),
+        "err was: {err}"
+    );
+    // a version 2 header, which also stored the derived data
+    let mut v2 = b"SDTWIDX2".to_vec();
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&7u64.to_le_bytes());
+    v2.extend_from_slice(&15u64.to_le_bytes());
+    v2.resize(276, 0);
+    let err = SnapshotCodec::decode_reader(v2.as_slice())
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("version 2")
+            && err.contains("reads version 3")
+            && err.contains("sdtw index build"),
         "err was: {err}"
     );
 }
@@ -95,22 +132,37 @@ fn corrupted_fixture_bytes_are_rejected() {
     assert!(SnapshotCodec::decode(&corrupt).is_err());
 }
 
-/// The section table of a binary v2 snapshot: 15 × (offset, len).
-const TABLE: std::ops::Range<usize> = 36..36 + 15 * 16;
-
-/// The sections holding the configuration and the cached features (JSON
-/// blobs), the first and the last.
-const CONFIG_SECTION: usize = 0;
-const FEATURES_SECTION: usize = 14;
-
-/// Section `section`'s payload within a binary v2 snapshot.
-fn section(bytes: &[u8], section: usize) -> &[u8] {
-    let read = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let at = TABLE.start + 16 * section;
-    &bytes[read(at)..][..read(at + 8)]
+#[test]
+fn every_single_byte_flip_is_refused_or_answers() {
+    // a flipped bit anywhere in the file must come back as an error or
+    // as an index that answers a query; it used to panic the decoder
+    // ("capacity overflow") when it hit the entry count or the top byte
+    // of an entry length
+    let query = &golden_corpus()[1];
+    let mut refused = 0;
+    for at in 0..FIXTURE.len() {
+        for mask in [0x01, 0x80] {
+            let mut bytes = FIXTURE.to_vec();
+            bytes[at] ^= mask;
+            match SnapshotCodec::decode(&bytes) {
+                Err(_) => refused += 1,
+                Ok(index) => {
+                    let got = index.query(query, 2);
+                    assert!(got.is_ok(), "byte {at} ^ {mask:#04x}: {got:?}");
+                }
+            }
+        }
+    }
+    assert!(refused > 0);
 }
 
-/// Replaces section `section`'s payload of a binary v2 snapshot, moving
+/// The section table of a binary snapshot: 5 × (offset, len).
+const TABLE: std::ops::Range<usize> = 36..36 + 5 * 16;
+
+/// The section holding the configuration (a JSON blob), the first.
+const CONFIG_SECTION: usize = 0;
+
+/// Replaces section `section`'s payload of a binary snapshot, moving
 /// the later sections' absolute offsets and re-sealing the table
 /// checksum, so the result is well-formed apart from that payload.
 fn with_section(bytes: &[u8], section: usize, payload: &[u8]) -> Vec<u8> {
@@ -135,15 +187,17 @@ fn with_section(bytes: &[u8], section: usize, payload: &[u8]) -> Vec<u8> {
 fn oversized_extraction_configs_are_refused_at_load() {
     let index = golden_index();
     let config_json = serde_json::to_string(index.config()).unwrap();
-    let json =
-        String::from_utf8(SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap()).unwrap();
-    let binary = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
+    let binary = encode(&index);
     // the blob swap itself is sound: a longer, valid blob loads
     let wider = config_json.replace("\"samples_per_cell\":4", "\"samples_per_cell\":16");
     let loaded =
         SnapshotCodec::decode(&with_section(&binary, CONFIG_SECTION, wider.as_bytes())).unwrap();
     assert_eq!(loaded.config().sdtw.salient.descriptor.samples_per_cell, 16);
-    assert_eq!(loaded.entries(), index.entries());
+    assert_eq!(
+        loaded.entries()[0].series,
+        index.entries()[0].series,
+        "the stored series load unchanged"
+    );
     // each value used to abort on allocation or hang the first extraction
     for (field, from, to) in [
         ("octaves", "\"octaves\":null", "\"octaves\":1099511627776"),
@@ -169,116 +223,15 @@ fn oversized_extraction_configs_are_refused_at_load() {
             1,
             "{field}: {config_json}"
         );
-        assert_eq!(json.matches(from).count(), 1, "{field}");
-        let snapshots = [
-            ("json", json.replace(from, to).into_bytes()),
-            (
-                "binary",
-                with_section(
-                    &binary,
-                    CONFIG_SECTION,
-                    config_json.replace(from, to).as_bytes(),
-                ),
-            ),
-        ];
-        for (format, bytes) in snapshots {
-            match SnapshotCodec::decode_reader(bytes.as_slice()) {
-                Err(TsError::InvalidParameter { name, .. }) => {
-                    assert_eq!(name, field, "{format} snapshot")
-                }
-                Err(other) => panic!("{format} snapshot with {field}: {other}"),
-                Ok(_) => panic!("{format} snapshot with {field} was accepted"),
-            }
-        }
-    }
-}
-
-/// Replaces the value of the first `"key":` at or after `from` in a JSON
-/// text (the value ends at the next `,`, `}` or `]` outside brackets).
-fn replace_value(json: &str, from: usize, key: &str, value: &str) -> String {
-    let start = from + json[from..].find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
-    let mut depth = 0;
-    let end = start
-        + json[start..]
-            .find(|c: char| {
-                match c {
-                    '[' | '{' => depth += 1,
-                    ']' | '}' if depth > 0 => depth -= 1,
-                    ',' | '}' | ']' if depth == 0 => return true,
-                    _ => {}
-                }
-                false
-            })
-            .expect("value ends");
-    format!("{}{value}{}", &json[..start], &json[end..])
-}
-
-#[test]
-fn malformed_cached_features_are_refused_at_load() {
-    let corpus: Vec<TimeSeries> = UcrAnalog::Gun
-        .generate(5)
-        .series
-        .into_iter()
-        .take(4)
-        .collect();
-    let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
-    assert!(index.entries().iter().all(|e| !e.features.is_empty()));
-    let json =
-        String::from_utf8(SnapshotCodec::encode(&index, SnapshotFormat::Json).unwrap()).unwrap();
-    let binary = SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).unwrap();
-    let features = std::str::from_utf8(section(&binary, FEATURES_SECTION))
-        .unwrap()
-        .to_string();
-    // the payload swap itself is sound: the same features load and answer
-    let same = SnapshotCodec::decode(&with_section(
-        &binary,
-        FEATURES_SECTION,
-        features.as_bytes(),
-    ))
-    .unwrap();
-    assert_eq!(same.entries(), index.entries());
-    assert_eq!(
-        same.query(&corpus[0], 2).unwrap().neighbors,
-        index.query(&corpus[0], 2).unwrap().neighbors
-    );
-    // (key, replacement, words the error must name); the first of these
-    // used to decode and then panic the first query
-    let poisoned = format!("[0.5,1e999{}]", ",0.5".repeat(62));
-    let cases = [
-        ("scope_len", "1e999", "scope_len"),
-        ("amplitude", "-1e999", "amplitude"),
-        ("sigma", "0.0", "sigma"),
-        ("sigma", "-1.5", "sigma"),
-        ("sigma", "1e999", "sigma"),
-        ("descriptor", "[0.5]", "64 bins"),
-        ("descriptor", "[]", "64 bins"),
-        ("descriptor", &poisoned, "descriptor value 1 is inf"),
-    ];
-    let first_feature = |text: &str| text.find("\"keypoint\":").expect("a cached feature");
-    for (key, value, named) in cases {
-        let snapshots = [
-            (
-                "json",
-                replace_value(&json, first_feature(&json), key, value).into_bytes(),
-            ),
-            (
-                "binary",
-                with_section(
-                    &binary,
-                    FEATURES_SECTION,
-                    replace_value(&features, first_feature(&features), key, value).as_bytes(),
-                ),
-            ),
-        ];
-        for (format, bytes) in snapshots {
-            match SnapshotCodec::decode(&bytes) {
-                Err(TsError::SnapshotDecode { context, .. }) => assert!(
-                    context.contains("entry 0: cached feature 0") && context.contains(named),
-                    "{format} snapshot with {key} = {value}: {context}"
-                ),
-                Err(other) => panic!("{format} snapshot with {key} = {value}: {other}"),
-                Ok(_) => panic!("{format} snapshot with {key} = {value} was accepted"),
-            }
+        let bytes = with_section(
+            &binary,
+            CONFIG_SECTION,
+            config_json.replace(from, to).as_bytes(),
+        );
+        match SnapshotCodec::decode_reader(bytes.as_slice()) {
+            Err(TsError::InvalidParameter { name, .. }) => assert_eq!(name, field),
+            Err(other) => panic!("snapshot with {field}: {other}"),
+            Ok(_) => panic!("snapshot with {field} was accepted"),
         }
     }
 }
@@ -286,9 +239,8 @@ fn malformed_cached_features_are_refused_at_load() {
 /// Regenerates the committed fixture. Run explicitly (see module docs);
 /// `golden_snapshot_encodes_byte_for_byte` then proves it is current.
 #[test]
-#[ignore = "writes tests/fixtures/index_v2.bin"]
+#[ignore = "writes tests/fixtures/index_v3.bin"]
 fn regenerate_fixture() {
-    let bytes = SnapshotCodec::encode(&golden_index(), SnapshotFormat::BinaryV2).unwrap();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/index_v2.bin");
-    std::fs::write(path, bytes).unwrap();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/index_v3.bin");
+    std::fs::write(path, encode(&golden_index())).unwrap();
 }
