@@ -468,17 +468,26 @@ fn bench_trace_overhead(c: &mut Criterion) {
         let mut scratch = DtwScratch::new();
         b.iter(|| {
             let r = matcher
-                .find_under_with_scratch(&hay, 3, f64::INFINITY, &mut scratch)
-                .unwrap();
+                .search(&hay)
+                .k(3)
+                .scratch(&mut scratch)
+                .run()
+                .unwrap()
+                .0;
             black_box(r.matches.len())
         })
     });
     group.bench_function("stream_sweep_traced", |b| {
+        let mut scratch = DtwScratch::new();
         b.iter(|| {
             let (r, t) = matcher
-                .find_under_traced(&hay, 3, f64::INFINITY, "bench")
+                .search(&hay)
+                .k(3)
+                .scratch(&mut scratch)
+                .trace("bench")
+                .run()
                 .unwrap();
-            black_box((r.matches.len(), t.spans.len()))
+            black_box((r.matches.len(), t.map_or(0, |t| t.spans.len())))
         })
     });
 

@@ -51,7 +51,7 @@ fn bench_stream(c: &mut Criterion) {
     let k = 3;
 
     // sanity + prune-rate capture outside the timing loops
-    let reference = matcher.find(&hay, k).unwrap();
+    let reference = matcher.search(&hay).k(k).run().unwrap().0;
     let oracle = brute_force_matches(
         &engine,
         &q,
@@ -82,7 +82,7 @@ fn bench_stream(c: &mut Criterion) {
     );
     // the sharded parallel scan is bit-identical to the serial one
     let cores = rayon::current_num_threads();
-    let sharded = matcher.find_k_parallel(&hay, k, f64::INFINITY, 0).unwrap();
+    let sharded = matcher.search(&hay).k(k).shards(0).run().unwrap().0;
     assert_eq!(sharded.matches.len(), reference.matches.len());
     for (p, s) in sharded.matches.iter().zip(&reference.matches) {
         assert_eq!(p.offset, s.offset);
@@ -94,14 +94,18 @@ fn bench_stream(c: &mut Criterion) {
         let mut scratch = DtwScratch::new();
         b.iter(|| {
             let r = matcher
-                .find_under_with_scratch(&hay, k, f64::INFINITY, &mut scratch)
-                .unwrap();
+                .search(&hay)
+                .k(k)
+                .scratch(&mut scratch)
+                .run()
+                .unwrap()
+                .0;
             black_box(r.matches.len())
         })
     });
     group.bench_function(&format!("cascade_parallel_cores_{cores}"), |b| {
         b.iter(|| {
-            let r = matcher.find_k_parallel(&hay, k, f64::INFINITY, 0).unwrap();
+            let r = matcher.search(&hay).k(k).shards(0).run().unwrap().0;
             black_box(r.matches.len())
         })
     });

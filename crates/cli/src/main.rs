@@ -624,7 +624,7 @@ fn cmd_index_query(a: &Args) -> Result<(), String> {
     }
     let mut total = CascadeStats::default();
     for (q, r) in results.iter().enumerate() {
-        total.absorb(&r.stats);
+        total.merge(&r.stats);
         let hits: Vec<String> = r
             .neighbors
             .iter()
@@ -824,56 +824,36 @@ fn cmd_stream_find(a: &Args) -> Result<(), String> {
                 .collect();
         }
         results
-    } else if a.flag("parallel") && matchers.len() == 1 {
-        // one long haystack: shard it across the rayon pool
-        if tracing {
-            let (result, trace) = matchers[0]
-                .find_k_parallel_traced(series, k, tau, shards, "q0")
-                .map_err(|e| e.to_string())?;
-            traces.push(trace);
-            vec![result]
+    } else {
+        // one search per query, traced when a sink is open
+        let search = |i: usize, shards: usize| {
+            let id = format!("q{i}");
+            matchers[i]
+                .search(series)
+                .k(k)
+                .tau(tau)
+                .shards(shards)
+                .trace(tracing.then_some(id.as_str()))
+                .run()
+                .map_err(|e| e.to_string())
+        };
+        let searched: Vec<_> = if a.flag("parallel") && matchers.len() == 1 {
+            // one long haystack: shard it across the rayon pool
+            vec![search(0, shards)]
+        } else if a.flag("parallel") {
+            // many queries: fan them across the pool, one serial scan each
+            (0..matchers.len())
+                .into_par_iter()
+                .map(|i| search(i, 1))
+                .collect()
         } else {
-            vec![matchers[0]
-                .find_k_parallel(series, k, tau, shards)
-                .map_err(|e| e.to_string())?]
-        }
-    } else if a.flag("parallel") {
-        // many queries: fan them across the pool, one serial scan each
-        let fanned: Vec<Result<(SubseqResult, Option<QueryTrace>), String>> = (0..matchers.len())
-            .into_par_iter()
-            .map(|i| {
-                if tracing {
-                    matchers[i]
-                        .find_under_traced(series, k, tau, &format!("q{i}"))
-                        .map(|(r, t)| (r, Some(t)))
-                        .map_err(|e| e.to_string())
-                } else {
-                    matchers[i]
-                        .find_under(series, k, tau)
-                        .map(|r| (r, None))
-                        .map_err(|e| e.to_string())
-                }
-            })
-            .collect();
-        let mut results = Vec::with_capacity(fanned.len());
-        for item in fanned {
+            (0..matchers.len()).map(|i| search(i, 1)).collect()
+        };
+        let mut results = Vec::with_capacity(searched.len());
+        for item in searched {
             let (result, trace) = item?;
             traces.extend(trace);
             results.push(result);
-        }
-        results
-    } else {
-        let mut results = Vec::with_capacity(matchers.len());
-        for (i, m) in matchers.iter().enumerate() {
-            if tracing {
-                let (result, trace) = m
-                    .find_under_traced(series, k, tau, &format!("q{i}"))
-                    .map_err(|e| e.to_string())?;
-                traces.push(trace);
-                results.push(result);
-            } else {
-                results.push(m.find_under(series, k, tau).map_err(|e| e.to_string())?);
-            }
         }
         results
     };
@@ -966,7 +946,8 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         shards: a.opt_parse("shards", 1usize)?,
         trace: trace_path.is_some(),
     };
-    // JSON or binary columnar snapshot, auto-detected by the codec
+    // the one binary snapshot format; JSON trees and older versions are
+    // refused with a hint to rebuild
     let engine = ServeEngine::load(index_path, cfg).map_err(|e| format!("{index_path}: {e}"))?;
     let entries = engine.index().len();
     let traces = match (a.flag("pipe"), a.options.get("socket")) {

@@ -29,7 +29,7 @@ fn aggregate(index: &SdtwIndex, queries: &[TimeSeries], k: usize) -> CascadeStat
     let results = index.batch_query(queries, k, false).unwrap();
     let mut total = CascadeStats::default();
     for r in &results {
-        total.absorb(&r.stats);
+        total.merge(&r.stats);
     }
     total
 }

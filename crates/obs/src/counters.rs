@@ -81,12 +81,6 @@ impl CascadeStats {
         self.bounds_disabled |= other.bounds_disabled;
     }
 
-    /// Historical name of [`CascadeStats::merge`], kept for callers that
-    /// grew up with it.
-    pub fn absorb(&mut self, other: &CascadeStats) {
-        self.merge(other);
-    }
-
     /// Records a DP run cut short by early abandoning; the abandoning run
     /// still paid for part of the grid, so the full band is charged
     /// conservatively.

@@ -34,8 +34,6 @@ struct Inner {
     thread: u64,
     /// One accumulation slot per [`TracePhase`].
     slots: [Slot; TracePhase::COUNT],
-    /// Finished spans absorbed from shard-local child recorders.
-    done: Vec<SpanRecord>,
 }
 
 impl Inner {
@@ -59,8 +57,9 @@ impl Inner {
 ///
 /// Enabled recorders aggregate per-phase [`SpanRecord`]s relative to a
 /// monotonic epoch. Parallel shards each run their own recorder
-/// (created on the worker thread, so the thread ordinal is honest) and
-/// the driver folds them back with [`Recorder::absorb`].
+/// (created on the worker thread, so the thread ordinal is honest), and
+/// the search concatenates their spans into one trace, as
+/// [`QueryTrace::merge`](crate::QueryTrace::merge) does.
 /// Cloning copies the accumulated state verbatim — epoch and thread
 /// ordinal included — so a clone continues the same logical timeline
 /// (monitors are `Clone`; their recorders must follow).
@@ -83,19 +82,7 @@ impl Recorder {
                 epoch: Instant::now(),
                 thread: thread_ordinal(),
                 slots: [Slot::default(); TracePhase::COUNT],
-                done: Vec::new(),
             })),
-        }
-    }
-
-    /// A recorder matching this one's enablement, for handing to a shard
-    /// worker. Call it *on the worker thread* so the child's epoch and
-    /// thread ordinal describe where the work actually ran.
-    pub fn child(&self) -> Recorder {
-        if self.is_enabled() {
-            Recorder::enabled()
-        } else {
-            Recorder::disabled()
         }
     }
 
@@ -130,25 +117,14 @@ impl Recorder {
         }
     }
 
-    /// Folds a finished child recorder's spans into this one (shard
-    /// drivers call this once per worker). Absorbing into a disabled
-    /// recorder drops the spans, mirroring how disabled paths keep no
-    /// telemetry at all.
-    pub fn absorb(&mut self, other: Recorder) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.done.extend(other.finish());
-        }
-    }
-
     /// Drains everything recorded so far into aggregated spans (one per
-    /// phase that ran, plus any absorbed child spans), resetting the
-    /// accumulation but keeping the epoch. Returns an empty vec when
-    /// disabled.
+    /// phase that ran), resetting the accumulation but keeping the
+    /// epoch. Returns an empty vec when disabled.
     pub fn take_spans(&mut self) -> Vec<SpanRecord> {
         let Some(inner) = self.inner.as_deref_mut() else {
             return Vec::new();
         };
-        let mut spans = std::mem::take(&mut inner.done);
+        let mut spans = Vec::new();
         for (i, slot) in inner.slots.iter_mut().enumerate() {
             if slot.count == 0 {
                 continue;
@@ -203,34 +179,6 @@ mod tests {
             .unwrap();
         assert_eq!(dp.count, 1);
         assert!(dp.duration >= Duration::from_micros(10));
-    }
-
-    #[test]
-    fn absorb_concatenates_child_spans() {
-        let mut parent = Recorder::enabled();
-        let mut child = Recorder::enabled();
-        child.time(TracePhase::WindowSweep, || ());
-        parent.time(TracePhase::TopKMerge, || ());
-        parent.absorb(child);
-        let spans = parent.finish();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().any(|s| s.phase == TracePhase::WindowSweep));
-        assert!(spans.iter().any(|s| s.phase == TracePhase::TopKMerge));
-    }
-
-    #[test]
-    fn absorb_into_disabled_is_a_noop() {
-        let mut parent = Recorder::disabled();
-        let mut child = Recorder::enabled();
-        child.time(TracePhase::DpFill, || ());
-        parent.absorb(child);
-        assert!(parent.finish().is_empty());
-    }
-
-    #[test]
-    fn child_mirrors_enablement() {
-        assert!(Recorder::enabled().child().is_enabled());
-        assert!(!Recorder::disabled().child().is_enabled());
     }
 
     #[test]

@@ -30,9 +30,10 @@ use std::thread::JoinHandle;
 /// and its remaining bytes are discarded as they arrive, unbuffered.
 pub const MAX_REQUEST_LINE_BYTES: usize = 4 << 20;
 
-/// One parsed pipe-mode input line.
+/// One parsed pipe-mode input line. A request itself waits in the
+/// batch's request list, in input order.
 enum Item {
-    Req(ServeRequest),
+    Req,
     Bad(ServeResponse),
     Stop(String),
 }
@@ -155,6 +156,7 @@ pub fn run_pipe<R: BufRead, W: Write>(
     let mut done = false;
     while !done {
         let mut items: Vec<Item> = Vec::with_capacity(batch);
+        let mut queries: Vec<ServeRequest> = Vec::with_capacity(batch);
         while items.len() < batch {
             let Some(decoded) = requests.next_request()? else {
                 done = true;
@@ -167,20 +169,16 @@ pub fn run_pipe<R: BufRead, W: Write>(
                     done = true;
                     break;
                 }
-                Ok(req) => items.push(Item::Req(req)),
+                Ok(req) => {
+                    items.push(Item::Req);
+                    queries.push(req);
+                }
             }
         }
-        let queries: Vec<ServeRequest> = items
-            .iter()
-            .filter_map(|it| match it {
-                Item::Req(r) => Some(r.clone()),
-                _ => None,
-            })
-            .collect();
         let mut answers = engine.answer_batch(&queries).into_iter();
         for item in items {
             let resp = match item {
-                Item::Req(_) => {
+                Item::Req => {
                     let (resp, trace) = answers.next().expect("one answer per request");
                     if let Some(t) = trace {
                         traces.push(t.to_json_line());

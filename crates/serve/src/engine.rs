@@ -22,12 +22,12 @@ const MATCHER_CACHE_CAP: usize = 256;
 pub struct ServeConfig {
     /// Default `k` for requests that leave theirs at `0`.
     pub default_k: usize,
-    /// Level-2 sharding: `1` sweeps each entry serially with the
-    /// worker's reused scratch (concurrency comes from the request
-    /// batch); any other value hands each surviving entry to
-    /// [`SubseqMatcher::find_k_parallel`] with that shard count
-    /// (`0` = one shard per rayon worker). Results are bit-identical
-    /// either way.
+    /// Level-2 sharding: the shard count every surviving entry is
+    /// searched with ([`sdtw_stream::Search::shards`]). `1` sweeps the
+    /// entry on the worker's own thread (concurrency comes from the
+    /// request batch); `0` is one shard per rayon worker. Every sweep
+    /// borrows the worker's scratch, traced or not. Results are
+    /// bit-identical for every count.
     pub shards: usize,
     /// Record a [`QueryTrace`] for every request (individual requests
     /// can also opt in via [`ServeRequest::trace`]).
@@ -331,31 +331,22 @@ impl ServeEngine {
                 }
                 continue;
             }
-            // Level 2: sweep the survivor, seeded with the threshold.
-            let result = rec.time(TracePhase::EntrySweep, || {
-                if traced {
-                    let sweep_id = format!("{}#{}", req.id, eb.index);
-                    let (result, sub) = if self.cfg.shards == 1 {
-                        matcher.find_under_traced(&haystack, k, threshold, &sweep_id)?
-                    } else {
-                        matcher.find_k_parallel_traced(
-                            &haystack,
-                            k,
-                            threshold,
-                            self.cfg.shards,
-                            &sweep_id,
-                        )?
-                    };
-                    if let Some(t) = trace.as_mut() {
-                        t.merge(&sub);
-                    }
-                    Ok::<_, TsError>(result)
-                } else if self.cfg.shards == 1 {
-                    matcher.find_under_with_scratch(&haystack, k, threshold, scratch)
-                } else {
-                    matcher.find_k_parallel(&haystack, k, threshold, self.cfg.shards)
-                }
+            // Level 2: sweep the survivor, seeded with the threshold. The
+            // merge keeps only a trace's measurements, so the sweep's
+            // trace needs no id of its own.
+            let (result, sweep) = rec.time(TracePhase::EntrySweep, || {
+                matcher
+                    .search(&haystack)
+                    .k(k)
+                    .tau(threshold)
+                    .shards(self.cfg.shards)
+                    .scratch(scratch)
+                    .trace(traced.then_some(""))
+                    .run()
             })?;
+            if let (Some(t), Some(sweep)) = (trace.as_mut(), sweep) {
+                t.merge(&sweep);
+            }
             for m in &result.matches {
                 let at = dists.partition_point(|&d| d < m.distance);
                 dists.insert(at, m.distance);
@@ -406,10 +397,10 @@ impl ServeEngine {
     /// order, bit-identical to answering serially (requests are
     /// independent).
     pub fn answer_batch(&self, reqs: &[ServeRequest]) -> Vec<(ServeResponse, Option<QueryTrace>)> {
-        reqs.to_vec()
+        (0..reqs.len())
             .into_par_iter()
-            .map_init(DtwScratch::new, |scratch, req| {
-                self.answer_with_scratch(&req, scratch)
+            .map_init(DtwScratch::new, |scratch, i| {
+                self.answer_with_scratch(&reqs[i], scratch)
             })
             .collect()
     }

@@ -18,9 +18,9 @@
 //!    An entry whose floor strictly exceeds the running k-th best hit
 //!    cannot contain a reportable match and is skipped whole.
 //! 2. **Level 2 — subsequence localisation.** Each surviving entry is
-//!    swept by the `sdtw_stream` matcher (serial with a per-worker
-//!    reused scratch, or `find_k_parallel` when sharding is configured)
-//!    from the same prepared bounds, seeded with the running threshold;
+//!    swept by one `sdtw_stream` search (the worker's reused scratch,
+//!    and the configured shard count) from the same prepared bounds,
+//!    seeded with the running threshold;
 //!    per-entry hits merge into the global top-k by ascending
 //!    `(distance, entry, offset)`.
 //!

@@ -14,7 +14,8 @@
 //! LB_Kim summary, cached salient descriptors, shared band) and then
 //! searches either way:
 //!
-//! * **batch** — [`SubseqMatcher::find`] slides over a whole series,
+//! * **batch** — [`SubseqMatcher::search`] returns a [`Search`] that
+//!   slides over a whole series,
 //!   running up to `k` pruned greedy sweeps that share one record per
 //!   window — its completed distance, or its planned band and a floor
 //!   under its distance — so no window is extracted or planned twice
@@ -23,11 +24,13 @@
 //!   rolling LB_Kim bound comes from one pass over the series, which a
 //!   caller that needs the bounds twice prepares once
 //!   ([`PreparedHaystack`]);
-//! * **batch, sharded** — [`SubseqMatcher::find_k_parallel`] splits one
-//!   long haystack into per-worker window shards (each reading its
-//!   sample range plus an `m − 1` halo) and merges per-pass winners and
-//!   [`StreamStats`] across the rayon pool, bit-identical to the serial
-//!   scan for every shard count;
+//! * **batch, sharded** — the same search with [`Search::shards`] splits
+//!   one long haystack into window shards (each reading its sample range
+//!   plus an `m − 1` halo), sweeps them across the rayon pool and merges
+//!   per-pass winners and [`StreamStats`], bit-identical to the one-shard
+//!   scan for every shard count; k, τ, shards, a lent DP scratch and a
+//!   trace are options of one call, which returns the counters always
+//!   and a `QueryTrace` when one was asked for;
 //! * **streaming** — a [`StreamMonitor`] accepts samples pushed one at a
 //!   time into a query-sized ring buffer, maintaining windowed
 //!   mean/variance and extrema incrementally in O(1) per step and running
@@ -70,9 +73,15 @@
 //! let hay = TimeSeries::new(hay).unwrap();
 //!
 //! let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-//! let found = matcher.find(&hay, 2).unwrap();
+//! let (found, trace) = matcher.search(&hay).k(2).run().unwrap();
 //! assert_eq!(found.matches.len(), 2); // z-normalisation cancels gain/offset
 //! assert!(found.stats.is_consistent());
+//! assert!(trace.is_none(), "no trace was asked for");
+//!
+//! // three shards, traced: the same matches, and the counters in the trace
+//! let (sharded, trace) = matcher.search(&hay).k(2).shards(3).trace("q0").run().unwrap();
+//! assert_eq!(sharded.matches, found.matches);
+//! assert_eq!(trace.unwrap().counters, sharded.stats);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -87,7 +96,7 @@ pub mod stats;
 
 pub use bank::{BankEvent, BankQuery, MonitorBank};
 pub use config::StreamConfig;
-pub use matcher::{Haystack, PreparedHaystack, SubseqMatch, SubseqMatcher, SubseqResult};
+pub use matcher::{Haystack, PreparedHaystack, Search, SubseqMatch, SubseqMatcher, SubseqResult};
 pub use monitor::StreamMonitor;
 pub use rolling::RollingExtrema;
 pub use stats::StreamStats;

@@ -10,7 +10,7 @@ use sdtw_dtw::cascade::{
 use sdtw_dtw::engine::{dtw_run_windows, engine_label, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
-use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
+use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
 use sdtw_tseries::stats::SlidingMoments;
 use sdtw_tseries::transform::{z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};
@@ -30,10 +30,6 @@ use std::borrow::Cow;
 /// statistics batch-style). See DESIGN.md §9 for the admissibility
 /// argument.
 pub const KIM_GUARD: f64 = 1e-7;
-
-/// A serial scan's payload: the result, the spans its recorder kept,
-/// and the summed (band, full-grid) areas of the DP-entering windows.
-type CoreScan = (SubseqResult, Vec<SpanRecord>, (u64, u64));
 
 /// Below this (scale-relative) deviation the rolling σ cannot be
 /// distinguished from the exact σ = 0 of a constant window, where
@@ -92,8 +88,8 @@ pub(crate) enum WindowVerdict {
     Completed(f64),
 }
 
-/// What the `find*` entry points search: a bare series, whose window
-/// bounds each call computes itself, or a [`PreparedHaystack`] whose
+/// What [`SubseqMatcher::search`] searches: a bare series, whose window
+/// bounds each search computes itself, or a [`PreparedHaystack`] whose
 /// bounds were computed once. Both convert from a reference, so callers
 /// pass `&series` or `&prepared`.
 #[derive(Debug, Clone, Copy)]
@@ -117,14 +113,6 @@ impl<'a> From<&'a PreparedHaystack<'a>> for Haystack<'a> {
 }
 
 impl<'a> Haystack<'a> {
-    /// The searched samples.
-    fn values(self) -> &'a [f64] {
-        match self {
-            Haystack::Series(series) => series.values(),
-            Haystack::Prepared(prepared) => prepared.values,
-        }
-    }
-
     /// The window bounds `matcher` searches with: borrowed when it
     /// prepared them, computed now for a bare series.
     fn prepared_for(
@@ -161,9 +149,9 @@ impl<'a> Haystack<'a> {
 /// (DESIGN.md §9).
 ///
 /// The bounds depend on the query, so a prepared haystack belongs to the
-/// matcher that made it, and the `find*` entry points refuse one made by
-/// another matcher. They prepare a bare `&TimeSeries` themselves;
-/// prepare it yourself when one set of bounds serves twice — the serve
+/// matcher that made it, and [`Search::run`] refuses one made by another
+/// matcher. A search prepares a bare `&TimeSeries` itself; prepare it
+/// yourself when one set of bounds serves twice — the serve
 /// daemon reads [`PreparedHaystack::floor`] to decide whether to sweep
 /// an entry at all, then sweeps it from the same bounds.
 /// [`PreparedHaystack::load`] reuses the buffers for the next series.
@@ -325,7 +313,7 @@ impl<'a> PreparedHaystack<'a> {
 /// the query, extracting its salient descriptors (adaptive policies),
 /// building its LB_Keogh [`Envelope`] and LB_Kim [`SeriesSummary`], and
 /// planning the band (alignment-free policies, where every `m × m`
-/// window shares it). [`SubseqMatcher::find`] then slides over a long
+/// window shares it). [`SubseqMatcher::search`] then slides over a long
 /// series running the cascade per window:
 ///
 /// 1. **rolling LB_Kim** — O(1) per window from the incremental window
@@ -532,335 +520,94 @@ impl SubseqMatcher {
         self.radius
     }
 
-    /// Finds the `k` best non-overlapping matches in `haystack` — a
-    /// `&TimeSeries`, or a `&PreparedHaystack` this matcher prepared
-    /// (every `find*` entry point takes either; see [`Haystack`]).
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, a haystack prepared by another matcher, or
-    /// feature-extraction failures (adaptive policies).
-    pub fn find<'h>(
-        &self,
-        haystack: impl Into<Haystack<'h>>,
-        k: usize,
-    ) -> Result<SubseqResult, TsError> {
-        self.find_under_with_scratch(haystack, k, f64::INFINITY, &mut DtwScratch::new())
-    }
-
-    /// [`SubseqMatcher::find`] restricted to matches with distance `<=
-    /// tau` — the monitoring workload ("report occurrences under a
-    /// threshold"), and the form whose streaming counterpart
-    /// ([`crate::StreamMonitor`]) is exact for every `k`.
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
-    /// matcher, or feature-extraction failures.
-    pub fn find_under<'h>(
-        &self,
-        haystack: impl Into<Haystack<'h>>,
-        k: usize,
-        tau: f64,
-    ) -> Result<SubseqResult, TsError> {
-        self.find_under_with_scratch(haystack, k, tau, &mut DtwScratch::new())
-    }
-
-    /// [`SubseqMatcher::find_under`] with caller-owned DP buffers (the
-    /// batch hot path: keep one [`DtwScratch`] per worker).
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
-    /// matcher, or feature-extraction failures.
-    pub fn find_under_with_scratch<'h>(
-        &self,
-        haystack: impl Into<Haystack<'h>>,
-        k: usize,
-        tau: f64,
-        scratch: &mut DtwScratch,
-    ) -> Result<SubseqResult, TsError> {
-        Ok(self.find_core(haystack.into(), k, tau, scratch, false)?.0)
-    }
-
-    /// [`SubseqMatcher::find`] with full telemetry: the result plus a
-    /// canonical [`QueryTrace`] carrying phase spans (per-window LB_Kim
-    /// screening, band planning, batched and scalar LB_Keogh, DP fill,
-    /// whole-sweep wall), the [`StreamStats`] as the trace's counter
-    /// block, and the band/grid denominators of the DP-entering windows.
-    ///
-    /// Matches are bit-identical to [`SubseqMatcher::find`] — recording
-    /// never changes what the cascade sees.
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, a haystack prepared by another matcher, or
-    /// feature-extraction failures (adaptive policies).
-    pub fn find_traced<'h>(
-        &self,
-        haystack: impl Into<Haystack<'h>>,
-        k: usize,
-        query_id: &str,
-    ) -> Result<(SubseqResult, QueryTrace), TsError> {
-        self.find_under_traced(haystack, k, f64::INFINITY, query_id)
-    }
-
-    /// [`SubseqMatcher::find_under`] with full telemetry — the traced
-    /// twin of the thresholded scan, so a `--tau` search can still emit
-    /// its [`QueryTrace`].
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
-    /// matcher, or feature-extraction failures.
-    pub fn find_under_traced<'h>(
-        &self,
-        haystack: impl Into<Haystack<'h>>,
-        k: usize,
-        tau: f64,
-        query_id: &str,
-    ) -> Result<(SubseqResult, QueryTrace), TsError> {
-        let t0 = std::time::Instant::now();
-        let haystack = haystack.into();
-        let (result, spans, areas) =
-            self.find_core(haystack, k, tau, &mut DtwScratch::new(), true)?;
-        let mut trace = QueryTrace::new(query_id, WorkloadKind::SubseqFind);
-        trace.shape = self.trace_shape(haystack.values().len() as u64, k as u64);
-        trace.counters = result.stats;
-        trace.band_area = areas.0;
-        trace.full_grid = areas.1;
-        trace.spans = spans;
-        trace.wall = t0.elapsed();
-        Ok((result, trace))
-    }
-
-    /// The serial scan everybody funnels through: the one-shard
-    /// degenerate of the sharded machinery, with an enabled recorder on
-    /// the traced entry point and a disabled (≈free) one otherwise.
-    /// Returns the result plus the recorded spans and the summed
-    /// (band, full-grid) areas of the DP-entering windows.
-    fn find_core(
-        &self,
-        haystack: Haystack<'_>,
-        k: usize,
-        tau: f64,
-        scratch: &mut DtwScratch,
-        traced: bool,
-    ) -> Result<CoreScan, TsError> {
-        Self::check_search(k, tau)?;
-        let hay = haystack.prepared_for(self)?;
-        let xv = hay.values;
-        if xv.len() < self.m {
-            return Ok((
-                SubseqResult {
-                    matches: Vec::new(),
-                    stats: StreamStats::default(),
-                },
-                Vec::new(),
-                (0, 0),
-            ));
+    /// Starts a search of `haystack`: a `&TimeSeries`, or a
+    /// `&PreparedHaystack` this matcher prepared (see [`Haystack`]). See
+    /// [`Search`] for the options; with none set, [`Search::run`] finds
+    /// the best match with one shard.
+    pub fn search<'a>(&'a self, haystack: impl Into<Haystack<'a>>) -> Search<'a> {
+        Search {
+            matcher: self,
+            haystack: haystack.into(),
+            k: 1,
+            tau: f64::INFINITY,
+            shards: 1,
+            scratch: None,
+            trace: None,
         }
-        let w_count = xv.len() - self.m + 1;
-
-        let mut shard = ShardScan::new(self, xv, 0, w_count, traced);
-        shard.eval.dtw = std::mem::take(scratch);
-        let mut selected: Vec<SubseqMatch> = Vec::new();
-        let mut passes = 0u32;
-        for _ in 0..k {
-            passes += 1;
-            match shard.sweep(self, &hay, tau, &selected)? {
-                None => break,
-                Some((distance, offset)) => selected.push(SubseqMatch { offset, distance }),
-            }
-        }
-        *scratch = std::mem::take(&mut shard.eval.dtw);
-        let mut stats = shard.stats;
-        stats.passes = passes;
-        debug_assert!(stats.is_consistent(), "every cascade entry accounted once");
-        Ok((
-            SubseqResult {
-                matches: selected,
-                stats,
-            },
-            shard.rec.finish(),
-            shard.areas,
-        ))
     }
 
-    /// [`SubseqMatcher::find_under`] executed across the rayon pool: the
-    /// haystack is split into `shards` contiguous window ranges (each
-    /// worker reading its sample range plus an `m − 1` halo, so every
-    /// window is evaluated whole by exactly one shard), each pass sweeps
-    /// all shards concurrently, and the per-pass shard winners merge
-    /// through the same greedy non-overlap selection the serial scan
-    /// uses. `shards == 0` picks one shard per rayon worker.
-    ///
-    /// **Results are bit-identical to the serial scan** — offsets,
-    /// distance bits, and tie order — for every shard count: a shard
-    /// prunes only against thresholds at or above its own running pass
-    /// best, which is itself at or above the global pass winner, so no
-    /// window that could win (or tie) a pass is ever disposed of early.
-    /// With one shard the execution *is* the serial scan, stats
-    /// included. With several, per-stage disposal counts may shift
-    /// between categories (each shard's threshold tightens from its
-    /// local best rather than the whole series' history — a window the
-    /// serial sweep pruned may complete its DP in a shard, and vice
-    /// versa), but the merged [`StreamStats`] still accounts for every
-    /// window visit exactly once and `windows`/`skipped_excluded` totals
-    /// match the serial scan.
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
-    /// matcher, or feature-extraction failures (adaptive policies).
-    pub fn find_k_parallel<'h>(
-        &self,
-        haystack: impl Into<Haystack<'h>>,
-        k: usize,
-        tau: f64,
-        shards: usize,
-    ) -> Result<SubseqResult, TsError> {
-        Ok(self
-            .find_k_parallel_core(haystack.into(), k, tau, shards, false)?
-            .0)
-    }
-
-    /// [`SubseqMatcher::find_k_parallel`] with full telemetry: each shard
-    /// records its own spans on the rayon worker that runs it (honest
-    /// thread ids), and the shard-local traces fold through
-    /// [`QueryTrace::merge`] — counters and areas sum, spans concatenate,
-    /// the merged counter block is exactly the result's [`StreamStats`].
-    ///
-    /// Matches stay bit-identical to the serial scan for every shard
-    /// count, recording or not.
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
-    /// matcher, or feature-extraction failures (adaptive policies).
-    pub fn find_k_parallel_traced<'h>(
-        &self,
-        haystack: impl Into<Haystack<'h>>,
-        k: usize,
-        tau: f64,
-        shards: usize,
-        query_id: &str,
-    ) -> Result<(SubseqResult, QueryTrace), TsError> {
-        let t0 = std::time::Instant::now();
-        let haystack = haystack.into();
-        let (result, shard_traces) = self.find_k_parallel_core(haystack, k, tau, shards, true)?;
-        let mut trace = QueryTrace::new(query_id, WorkloadKind::SubseqFind);
-        trace.shape = self.trace_shape(haystack.values().len() as u64, k as u64);
-        for st in &shard_traces {
-            trace.merge(st);
+    /// The scans of one search of `xv`: none when it has no windows,
+    /// otherwise `shards` contiguous window ranges (`0`: one per rayon
+    /// worker), at most one per window. One scan is built inline; several
+    /// are built on the pool, so a traced shard's recorder carries the
+    /// ordinal of a worker thread.
+    fn shard_scans(&self, xv: &[f64], shards: usize, traced: bool) -> Vec<ShardScan> {
+        let windows = (xv.len() + 1).saturating_sub(self.m);
+        if windows == 0 {
+            return Vec::new();
         }
-        // shard-local counter blocks carry passes = 0 (passes are a
-        // whole-query notion); the canonical merged counters are the
-        // result's, passes included
-        trace.counters = result.stats;
-        trace.wall = t0.elapsed();
-        Ok((result, trace))
-    }
-
-    /// The sharded scan both parallel entry points funnel through.
-    /// Returns the per-shard traces (spans + shard counters + areas;
-    /// identity fields left default) when `traced`, an empty vec
-    /// otherwise.
-    fn find_k_parallel_core(
-        &self,
-        haystack: Haystack<'_>,
-        k: usize,
-        tau: f64,
-        shards: usize,
-        traced: bool,
-    ) -> Result<(SubseqResult, Vec<QueryTrace>), TsError> {
-        Self::check_search(k, tau)?;
-        let hay = haystack.prepared_for(self)?;
-        let xv = hay.values;
-        if xv.len() < self.m {
-            return Ok((
-                SubseqResult {
-                    matches: Vec::new(),
-                    stats: StreamStats::default(),
-                },
-                Vec::new(),
-            ));
+        let count = match shards {
+            0 => rayon::current_num_threads(),
+            s => s,
         }
-        let w_count = xv.len() - self.m + 1;
-        let shard_count = if shards == 0 {
-            rayon::current_num_threads()
+        .clamp(1, windows);
+        let shard = |s: usize| {
+            ShardScan::new(
+                self,
+                xv,
+                s * windows / count,
+                (s + 1) * windows / count,
+                traced,
+            )
+        };
+        if count == 1 {
+            vec![shard(0)]
         } else {
-            shards
+            (0..count).into_par_iter().map(shard).collect()
         }
-        .clamp(1, w_count);
+    }
 
-        // every shard reads its slice of the haystack-wide bounds; the
-        // scans are built on the pool only for their recorders' sake
-        let mut scans: Vec<ShardScan> = (0..shard_count)
-            .into_par_iter()
-            .map(|s| {
-                let ws = s * w_count / shard_count;
-                let we = (s + 1) * w_count / shard_count;
-                // traced shards get their recorder here, on the worker
-                // thread that will run them — honest thread ordinals
-                ShardScan::new(self, xv, ws, we, traced)
-            })
-            .collect();
-
+    /// Runs up to `k` greedy passes over `scans` and returns the selected
+    /// matches and the passes run. One scan sweeps inline; several sweep
+    /// concurrently, and the pass winner is the best shard winner by the
+    /// same `(distance, offset)` order.
+    fn select(
+        &self,
+        hay: &PreparedHaystack<'_>,
+        scans: &mut [ShardScan],
+        k: usize,
+        tau: f64,
+    ) -> Result<(Vec<SubseqMatch>, u32), TsError> {
         let mut selected: Vec<SubseqMatch> = Vec::new();
         let mut passes = 0u32;
+        if scans.is_empty() {
+            return Ok((selected, passes));
+        }
         for _ in 0..k {
             passes += 1;
-            let outcomes: Vec<(ShardScan, SweepOutcome)> = scans
-                .into_par_iter()
-                .map(|mut scan| {
-                    let won = scan.sweep(self, &hay, tau, &selected);
-                    (scan, won)
-                })
-                .collect();
-            scans = Vec::with_capacity(shard_count);
-            let mut best: Option<(f64, usize)> = None;
-            for (scan, won) in outcomes {
-                scans.push(scan);
-                if let Some((d, w)) = won? {
-                    if Self::better(d, w, &best) {
-                        best = Some((d, w));
-                    }
+            let best = match &mut *scans {
+                [scan] => scan.sweep(self, hay, tau, &selected)?,
+                many => {
+                    let won: Vec<SweepOutcome> = many
+                        .iter_mut()
+                        .collect::<Vec<_>>()
+                        .into_par_iter()
+                        .map(|scan| scan.sweep(self, hay, tau, &selected))
+                        .collect();
+                    won.into_iter().try_fold(None, |best, won| {
+                        Ok::<_, TsError>(match won? {
+                            Some((d, w)) if Self::better(d, w, &best) => Some((d, w)),
+                            _ => best,
+                        })
+                    })?
                 }
-            }
+            };
             match best {
                 None => break,
                 Some((distance, offset)) => selected.push(SubseqMatch { offset, distance }),
             }
         }
-
-        let mut stats = StreamStats::default();
-        for scan in &scans {
-            stats.merge(&scan.stats);
-        }
-        stats.passes = passes;
-        debug_assert!(stats.is_consistent(), "every cascade entry accounted once");
-        let shard_traces = if traced {
-            scans
-                .into_iter()
-                .map(|scan| QueryTrace {
-                    counters: scan.stats,
-                    band_area: scan.areas.0,
-                    full_grid: scan.areas.1,
-                    spans: scan.rec.finish(),
-                    ..QueryTrace::default()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok((
-            SubseqResult {
-                matches: selected,
-                stats,
-            },
-            shard_traces,
-        ))
+        Ok((selected, passes))
     }
 
     /// Validates the `k` and `tau` every search takes.
@@ -1127,6 +874,145 @@ impl SubseqMatcher {
     }
 }
 
+/// A configured subsequence search: start one with
+/// [`SubseqMatcher::search`], chain options, then [`Search::run`].
+///
+/// | option | method | default |
+/// |---|---|---|
+/// | matches wanted | [`Search::k`] | 1 |
+/// | distance threshold | [`Search::tau`] | `+∞` |
+/// | window shards | [`Search::shards`] | 1 |
+/// | DP scratch | [`Search::scratch`] | allocated per search |
+/// | telemetry | [`Search::trace`] | none |
+///
+/// Every combination runs through one scan path. It cuts the haystack's
+/// windows into contiguous shards, each reading its sample range plus
+/// an `m − 1` halo, so every window is evaluated whole by exactly one
+/// shard. Each of up to `k` passes sweeps every shard, and the pass
+/// winner is the best shard winner by `(distance, offset)`; its
+/// exclusion zone reaches every shard before the next pass. One shard
+/// is the serial scan, run inline on the calling thread; several sweep
+/// concurrently on the rayon pool.
+///
+/// **Results are bit-identical for every shard count**: offsets,
+/// distance bits and tie order. A shard prunes only against thresholds
+/// at or above its own running pass best, which is itself at or above
+/// the pass winner, so no window that could win or tie a pass is
+/// disposed of early. Per-stage disposal counts may shift between
+/// categories with the shard count, since each shard's threshold
+/// tightens from its own history, but the merged [`StreamStats`] still
+/// account for every window visit exactly once, and `windows`,
+/// `passes`, `skipped_excluded` and `candidates + cache_hits` do not
+/// depend on it (DESIGN.md §10).
+#[must_use = "a Search does nothing until `run()` is called"]
+#[derive(Debug)]
+pub struct Search<'a> {
+    matcher: &'a SubseqMatcher,
+    haystack: Haystack<'a>,
+    k: usize,
+    tau: f64,
+    shards: usize,
+    scratch: Option<&'a mut DtwScratch>,
+    trace: Option<&'a str>,
+}
+
+impl<'a> Search<'a> {
+    /// Finds up to `k` non-overlapping matches (default 1); `run()`
+    /// refuses `k == 0`.
+    pub fn k(mut self, k: usize) -> Self {
+        self.k = k;
+        self
+    }
+
+    /// Reports only matches with distance `<= tau` (default `+∞`): the
+    /// monitoring workload ("report occurrences under a threshold"), and
+    /// the form whose streaming counterpart ([`crate::StreamMonitor`]) is
+    /// exact for every `k`. `run()` refuses a negative or NaN `tau`.
+    pub fn tau(mut self, tau: f64) -> Self {
+        self.tau = tau;
+        self
+    }
+
+    /// Sweeps the windows in `shards` contiguous shards (default 1, the
+    /// serial scan on the calling thread; `0`: one shard per rayon
+    /// worker). Counts above the number of windows are clamped.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards;
+        self
+    }
+
+    /// Lends caller-owned DP buffers to the search (the batch hot path:
+    /// keep one [`DtwScratch`] per worker). The first shard sweeps with
+    /// them, and they come back on every exit, errors included. Results
+    /// are bit-identical with or without.
+    pub fn scratch(mut self, scratch: &'a mut DtwScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
+    }
+
+    /// Records a [`QueryTrace`] under `query_id` (`None`: no trace, the
+    /// default): phase spans (band planning, batched and scalar LB_Keogh,
+    /// DP fill, whole-sweep wall), the result's [`StreamStats`] as its
+    /// counter block, and the band/grid denominators of the DP-entering
+    /// windows. Each shard records on the thread that sweeps it, and the
+    /// spans of the shards concatenate. Recording never changes the
+    /// result.
+    pub fn trace(mut self, query_id: impl Into<Option<&'a str>>) -> Self {
+        self.trace = query_id.into();
+        self
+    }
+
+    /// Executes the search. Returns the result with its counters, and
+    /// the trace when [`Search::trace`] asked for one.
+    ///
+    /// # Errors
+    ///
+    /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
+    /// matcher, or feature-extraction failures (adaptive policies).
+    pub fn run(self) -> Result<(SubseqResult, Option<QueryTrace>), TsError> {
+        let Search {
+            matcher,
+            haystack,
+            k,
+            tau,
+            shards,
+            mut scratch,
+            trace,
+        } = self;
+        let trace = trace.map(|id| (id, std::time::Instant::now()));
+        SubseqMatcher::check_search(k, tau)?;
+        let hay = haystack.prepared_for(matcher)?;
+        let mut scans = matcher.shard_scans(hay.values, shards, trace.is_some());
+        if let (Some(lent), Some(first)) = (scratch.as_deref_mut(), scans.first_mut()) {
+            first.eval.dtw = std::mem::take(lent);
+        }
+        let selection = matcher.select(&hay, &mut scans, k, tau);
+        if let (Some(lent), Some(first)) = (scratch, scans.first_mut()) {
+            *lent = std::mem::take(&mut first.eval.dtw);
+        }
+        let (matches, passes) = selection?;
+        let mut stats = StreamStats::default();
+        for scan in &scans {
+            stats.merge(&scan.stats);
+        }
+        stats.passes = passes;
+        debug_assert!(stats.is_consistent(), "every cascade entry accounted once");
+        let trace = trace.map(|(id, t0)| {
+            let mut trace = QueryTrace::new(id, WorkloadKind::SubseqFind);
+            trace.shape = matcher.trace_shape(hay.values.len() as u64, k as u64);
+            trace.counters = stats;
+            for scan in scans {
+                trace.band_area += scan.areas.0;
+                trace.full_grid += scan.areas.1;
+                trace.spans.extend(scan.rec.finish());
+            }
+            trace.wall = t0.elapsed();
+            trace
+        });
+        Ok((SubseqResult { matches, stats }, trace))
+    }
+}
+
 /// Where a matcher's windows get their bands.
 #[derive(Debug, Clone)]
 enum WindowBands {
@@ -1214,9 +1100,8 @@ fn offer(best: &mut Option<(f64, usize)>, d: f64, w: usize, tau: f64) {
 /// the shard's own [`StreamStats`]. The rolling bounds it screens with
 /// are its slice of the haystack-wide [`PreparedHaystack`] vector.
 ///
-/// The serial scan runs exactly one of these over the whole window
-/// range; [`SubseqMatcher::find_k_parallel`] runs one per shard and
-/// merges.
+/// A one-shard search runs exactly one of these over the whole window
+/// range; a sharded one runs one per shard and merges.
 #[derive(Debug)]
 struct ShardScan {
     /// First window this shard owns.
@@ -1226,9 +1111,12 @@ struct ShardScan {
     /// What the search knows about window `ws + i`, kept across passes.
     records: Vec<WindowRecord>,
     eval: EvalScratch,
+    /// The deferred window queue, kept between passes so no pass
+    /// allocates one.
+    pending: Vec<PendingWindow>,
     stats: StreamStats,
-    /// Shard-local phase spans — disabled (≈free) outside the traced
-    /// entry points.
+    /// Shard-local phase spans — disabled (≈free) unless the search is
+    /// traced.
     rec: Recorder,
     /// (band area, full grid area) summed over DP runs — the
     /// pruning-power denominators of a trace.
@@ -1244,6 +1132,7 @@ impl ShardScan {
             we,
             records: vec![WindowRecord::default(); we - ws],
             eval: EvalScratch::default(),
+            pending: Vec::with_capacity(LB_LANES),
             stats: StreamStats {
                 windows: (we - ws) as u64,
                 ..StreamStats::default()
@@ -1288,7 +1177,7 @@ impl ShardScan {
                 }
             }
         }
-        let mut pending: Vec<PendingWindow> = Vec::with_capacity(LB_LANES);
+        let mut pending = std::mem::take(&mut self.pending);
         for (w, &kim) in (self.ws..).zip(kims) {
             if excluded(w) {
                 self.stats.skipped_excluded += 1;
@@ -1332,6 +1221,7 @@ impl ShardScan {
             }
         }
         self.flush(matcher, xv, &mut pending, tau, &mut best)?;
+        self.pending = pending;
         if let Some(t0) = sweep_t0 {
             self.rec.add(TracePhase::WindowSweep, t0.elapsed());
         }
@@ -1662,7 +1552,7 @@ mod tests {
             let floor = prepared.floor();
             assert!(floor >= 0.0 && floor.is_finite());
             // admissible: no window's exact distance lies below the floor
-            let best = matcher.find(&prepared, 1).unwrap().matches[0].distance;
+            let best = matcher.search(&prepared).k(1).run().unwrap().0.matches[0].distance;
             assert!(
                 floor <= best,
                 "z={z}: floor {floor} above best window {best}"
@@ -1683,13 +1573,11 @@ mod tests {
         let other = SubseqMatcher::new(&query, cfg).unwrap();
         let mut prepared = PreparedHaystack::new(&other);
         prepared.load(&hay);
-        assert!(mine.find(&prepared, 1).is_err());
-        assert!(mine
-            .find_k_parallel(&prepared, 1, f64::INFINITY, 2)
-            .is_err());
+        assert!(mine.search(&prepared).k(1).run().is_err());
+        assert!(mine.search(&prepared).k(1).shards(2).run().is_err());
         assert_eq!(
-            other.find(&prepared, 2).unwrap(),
-            other.find(&hay, 2).unwrap(),
+            other.search(&prepared).k(2).run().unwrap().0,
+            other.search(&hay).k(2).run().unwrap().0,
             "its own matcher searches it like the bare series"
         );
     }
@@ -1704,7 +1592,7 @@ mod tests {
             let mut cfg = StreamConfig::exact_banded(0.2);
             cfg.z_normalize = z;
             let mut matcher = SubseqMatcher::new(&query, cfg).unwrap();
-            let reference = matcher.find(&hay, 3).unwrap();
+            let reference = matcher.search(&hay).k(3).run().unwrap().0;
             matcher.bounds_ok = false;
             matcher.cascade = Cascade::new(
                 vec![PruneStage::Kim { guard: 0.0 }, PruneStage::Keogh],
@@ -1717,13 +1605,17 @@ mod tests {
             assert_eq!(prepared.window_bounds().len(), 400 - 48 + 1);
             assert!(prepared.window_bounds().iter().all(Option::is_none));
             assert_eq!(prepared.floor().to_bits(), 0f64.to_bits());
-            let serial = matcher.find(&prepared, 3).unwrap();
+            let serial = matcher.search(&prepared).k(3).run().unwrap().0;
             assert_eq!(serial.matches, reference.matches, "z={z}");
             assert!(serial.stats.cascade.bounds_disabled);
             for shards in [1, 2, 3, 7] {
                 let sharded = matcher
-                    .find_k_parallel(&prepared, 3, f64::INFINITY, shards)
-                    .unwrap();
+                    .search(&prepared)
+                    .k(3)
+                    .shards(shards)
+                    .run()
+                    .unwrap()
+                    .0;
                 assert_eq!(sharded.matches, serial.matches, "z={z} shards={shards}");
             }
         }
@@ -1733,7 +1625,7 @@ mod tests {
     fn finds_planted_occurrences_under_z_normalization() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let result = matcher.find(&hay, 2).unwrap();
+        let result = matcher.search(&hay).k(2).run().unwrap().0;
         assert_eq!(result.matches.len(), 2);
         // both planted sites found (z-normalisation cancels gain/offset),
         // within a couple of samples of the planting position
@@ -1753,7 +1645,7 @@ mod tests {
             ..StreamConfig::exact_banded(0.2)
         };
         let matcher = SubseqMatcher::new(&query, config).unwrap();
-        let best = matcher.find(&hay, 1).unwrap().matches[0];
+        let best = matcher.search(&hay).k(1).run().unwrap().0.matches[0];
         // raw comparison must prefer the unscaled planting
         assert!((best.offset as i64 - 60).abs() <= 6, "got {}", best.offset);
     }
@@ -1762,7 +1654,7 @@ mod tests {
     fn matches_respect_the_exclusion_zone() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let result = matcher.find(&hay, 5).unwrap();
+        let result = matcher.search(&hay).k(5).run().unwrap().0;
         let excl = matcher.exclusion();
         for (i, a) in result.matches.iter().enumerate() {
             for b in &result.matches[i + 1..] {
@@ -1782,25 +1674,36 @@ mod tests {
     fn tau_restricts_and_short_series_yield_nothing() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let all = matcher.find(&hay, 3).unwrap();
+        let all = matcher.search(&hay).k(3).run().unwrap().0;
         let tau = all.matches[0].distance; // only the best qualifies
-        let under = matcher.find_under(&hay, 3, tau).unwrap();
+        let under = matcher.search(&hay).k(3).tau(tau).run().unwrap().0;
         assert_eq!(under.matches.len(), 1);
         assert_eq!(under.matches[0], all.matches[0]);
         // inclusive: tau exactly at the distance keeps the match
         let short = ts(vec![0.0; 10]);
-        assert!(matcher.find(&short, 1).unwrap().matches.is_empty());
+        assert!(matcher
+            .search(&short)
+            .k(1)
+            .run()
+            .unwrap()
+            .0
+            .matches
+            .is_empty());
     }
 
     #[test]
     fn scratch_reuse_is_bit_identical() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let fresh = matcher.find(&hay, 3).unwrap();
+        let fresh = matcher.search(&hay).k(3).run().unwrap().0;
         let mut scratch = DtwScratch::new();
         let reused = matcher
-            .find_under_with_scratch(&hay, 3, f64::INFINITY, &mut scratch)
-            .unwrap();
+            .search(&hay)
+            .k(3)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap()
+            .0;
         assert_eq!(fresh.matches.len(), reused.matches.len());
         for (a, b) in fresh.matches.iter().zip(&reused.matches) {
             assert_eq!(a.offset, b.offset);
@@ -1810,12 +1713,46 @@ mod tests {
     }
 
     #[test]
+    fn a_lent_scratch_comes_back_on_every_exit() {
+        let (query, hay) = planted();
+        let cfg = StreamConfig::exact_banded(0.2);
+        let matcher = SubseqMatcher::new(&query, cfg.clone()).unwrap();
+        let other = SubseqMatcher::new(&query, cfg).unwrap();
+        let mut foreign = PreparedHaystack::new(&other);
+        foreign.load(&hay);
+        let unused = format!("{:?}", DtwScratch::new());
+        for shards in [1, 3] {
+            let mut scratch = DtwScratch::new();
+            let search = matcher.search(&hay).k(3).shards(shards);
+            search.scratch(&mut scratch).run().unwrap();
+            let used = format!("{scratch:?}");
+            assert_ne!(
+                used, unused,
+                "shards={shards}: the sweep's buffers came back"
+            );
+            assert!(matcher
+                .search(&hay)
+                .k(0)
+                .scratch(&mut scratch)
+                .run()
+                .is_err());
+            let refused = matcher.search(&foreign).shards(shards);
+            assert!(refused.scratch(&mut scratch).run().is_err());
+            assert_eq!(
+                format!("{scratch:?}"),
+                used,
+                "shards={shards}: errors keep it"
+            );
+        }
+    }
+
+    #[test]
     fn bad_parameters_are_rejected() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        assert!(matcher.find(&hay, 0).is_err());
-        assert!(matcher.find_under(&hay, 1, -1.0).is_err());
-        assert!(matcher.find_under(&hay, 1, f64::NAN).is_err());
+        assert!(matcher.search(&hay).k(0).run().is_err());
+        assert!(matcher.search(&hay).k(1).tau(-1.0).run().is_err());
+        assert!(matcher.search(&hay).k(1).tau(f64::NAN).run().is_err());
         let bad = StreamConfig {
             exclusion_frac: -1.0,
             ..StreamConfig::default()
@@ -1830,7 +1767,7 @@ mod tests {
         let query = ts((0..32).map(|i| (i as f64 / 5.0).sin()).collect());
         let hay = ts(vec![3.25; 200]);
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let result = matcher.find(&hay, 1).unwrap();
+        let result = matcher.search(&hay).k(1).run().unwrap().0;
         assert_eq!(result.matches.len(), 1);
         // distance to the zero window = sum of squared query samples
         // under the banded DP; just sanity-check finiteness + stats
@@ -1898,7 +1835,7 @@ mod tests {
                     Some(p) => picked.push(p),
                 }
             }
-            let got = matcher.find(&hay, k).unwrap();
+            let got = matcher.search(&hay).k(k).run().unwrap().0;
             assert_eq!(got.matches.len(), picked.len(), "k={k}");
             for (m, (w, d)) in got.matches.iter().zip(&picked) {
                 assert_eq!(m.offset, *w, "k={k}: the level shift broke exactness");
@@ -1906,7 +1843,7 @@ mod tests {
             }
         }
         // streaming mode sees the same shift sample by sample
-        let batch = matcher.find(&hay, 1).unwrap();
+        let batch = matcher.search(&hay).k(1).run().unwrap().0;
         let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
         monitor.process(hay.values()).unwrap();
         let live = monitor.matches();
@@ -1921,7 +1858,7 @@ mod tests {
     fn cascade_actually_prunes_on_an_easy_stream() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let result = matcher.find(&hay, 1).unwrap();
+        let result = matcher.search(&hay).k(1).run().unwrap().0;
         assert!(
             result.stats.cascade.pruned_before_dp() > 0,
             "lower bounds never fired: {:?}",

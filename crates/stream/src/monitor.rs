@@ -273,8 +273,9 @@ impl QueryRuntime {
 ///
 /// ## Exactness contract
 ///
-/// The monitor reports exactly what [`SubseqMatcher::find_under`] would
-/// report on the concatenation of everything pushed, in two regimes:
+/// The monitor reports exactly what a [`SubseqMatcher::search`] with the
+/// same `k` and `tau` would report on the concatenation of everything
+/// pushed, in two regimes:
 ///
 /// * **`k == 1`** (any `tau`, including ∞): classic UCR best-match
 ///   tracking — the cascade prunes against the best distance so far,
@@ -433,7 +434,7 @@ mod tests {
     fn monitor_top1_equals_batch_top1() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let batch = matcher.find(&hay, 1).unwrap();
+        let batch = matcher.search(&hay).k(1).run().unwrap().0;
         let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
         monitor.process(hay.values()).unwrap();
         let live = monitor.matches();
@@ -455,9 +456,9 @@ mod tests {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
         // a tau loose enough to admit both plantings
-        let probe = matcher.find(&hay, 2).unwrap();
+        let probe = matcher.search(&hay).k(2).run().unwrap().0;
         let tau = probe.matches.last().unwrap().distance * 1.5;
-        let batch = matcher.find_under(&hay, 3, tau).unwrap();
+        let batch = matcher.search(&hay).k(3).tau(tau).run().unwrap().0;
         let mut monitor = StreamMonitor::new(matcher, 3, tau).unwrap();
         monitor.process(hay.values()).unwrap();
         let live = monitor.matches();
@@ -509,7 +510,7 @@ mod tests {
     fn non_finite_samples_are_rejected_without_corrupting_state() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let batch = matcher.find(&hay, 1).unwrap();
+        let batch = matcher.search(&hay).k(1).run().unwrap().0;
         let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
         let mid = hay.len() / 2;
         monitor.process(&hay.values()[..mid]).unwrap();

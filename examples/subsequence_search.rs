@@ -33,10 +33,11 @@ fn main() {
     let hay = TimeSeries::new(hay).expect("finite samples");
 
     // Batch search: prepare the query once, slide the cascade over every
-    // window, keep the 3 best non-overlapping matches.
+    // window, keep the 3 best non-overlapping matches. The second value
+    // is the trace, present only when the search asks for one.
     let matcher =
         SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).expect("valid configuration");
-    let result = matcher.find(&hay, 3).expect("search succeeds");
+    let (result, _) = matcher.search(&hay).k(3).run().expect("search succeeds");
     println!("batch search over {} windows:", result.stats.windows);
     for m in &result.matches {
         println!("  offset {:>5}  distance {:.4}", m.offset, m.distance);
@@ -50,6 +51,23 @@ fn main() {
         c.abandoned,
         c.dp_completed,
         result.stats.prune_rate() * 100.0,
+    );
+
+    // The same search over three window shards, traced: the matches are
+    // the same bit for bit, and the trace carries the counters.
+    let (sharded, trace) = matcher
+        .search(&hay)
+        .k(3)
+        .shards(3)
+        .trace("example")
+        .run()
+        .expect("search succeeds");
+    let trace = trace.expect("the search asked for a trace");
+    assert_eq!(sharded.matches, result.matches);
+    println!(
+        "3 shards, traced: {} spans, {} DP cells filled",
+        trace.spans.len(),
+        trace.counters.cascade.cells_filled
     );
 
     // Streaming: the same query, but samples arrive one at a time into a

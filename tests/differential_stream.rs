@@ -160,12 +160,20 @@ fn one_pass_bounds_equal_the_push_accumulators_and_scans_agree() {
                     }
 
                     let k = 3;
-                    let serial = matcher.find(&prepared, k).unwrap();
-                    assert_eq!(serial, matcher.find(&hay, k).unwrap(), "{ctx}: bare series");
+                    let serial = matcher.search(&prepared).k(k).run().unwrap().0;
+                    assert_eq!(
+                        serial,
+                        matcher.search(&hay).k(k).run().unwrap().0,
+                        "{ctx}: bare series"
+                    );
                     for shards in [1usize, 2, 3, 7] {
                         let sharded = matcher
-                            .find_k_parallel(&prepared, k, f64::INFINITY, shards)
-                            .unwrap();
+                            .search(&prepared)
+                            .k(k)
+                            .shards(shards)
+                            .run()
+                            .unwrap()
+                            .0;
                         assert_eq!(sharded.matches.len(), serial.matches.len(), "{ctx}");
                         for (a, b) in sharded.matches.iter().zip(&serial.matches) {
                             assert_eq!(a.offset, b.offset, "{ctx} shards={shards}");
@@ -207,8 +215,8 @@ fn reloading_a_prepared_haystack_equals_preparing_afresh() {
         );
         assert_eq!(reused.floor().to_bits(), fresh.floor().to_bits(), "{name}");
         assert_eq!(
-            matcher.find(&reused, 2).unwrap(),
-            matcher.find(hay, 2).unwrap(),
+            matcher.search(&reused).k(2).run().unwrap().0,
+            matcher.search(hay).k(2).run().unwrap().0,
             "{name}: the reload searches the new series"
         );
     }

@@ -31,7 +31,7 @@ fn index_reproduces_the_retrieval_pipeline_exactly() {
                 .map(|j| (j, qm.get(q, j).to_bits()))
                 .collect();
             assert_eq!(got, want, "query {q} diverged from the oracle");
-            total.absorb(&r.stats);
+            total.merge(&r.stats);
         }
         assert!(total.is_consistent());
     }
@@ -76,7 +76,7 @@ fn index_prunes_while_staying_exact_on_labelled_data() {
     for (q, r) in results.iter().enumerate() {
         assert_eq!(r.neighbors[0].index, q, "a member is its own 1-NN");
         assert_eq!(r.neighbors[0].distance, 0.0);
-        total.absorb(&r.stats);
+        total.merge(&r.stats);
     }
     assert!(
         total.prune_rate() > 0.3,

@@ -350,15 +350,18 @@ fn concurrent_daemon_answers_match_serial_and_traces_merge_invariantly() {
     );
 }
 
-/// The two DP engines (and shard counts) agree bit-for-bit through the
-/// whole serve path — the per-request trace labels which engine ran.
+/// Shard counts {1, 0, 3}, traced and untraced, agree bit for bit through
+/// the whole serve path: all six runs report the same hits and entry
+/// accounting, and the traces count the same window visits for every
+/// shard count (a visit is a cascade entry or a cache hit; shard-local
+/// thresholds may shift it between the two, never drop it).
 #[test]
 fn serve_results_are_shard_invariant() {
     let ds = UcrAnalog::Trace.generate(3);
     let corpus = corpus_from(&ds, 4, 2);
     let query = pattern_from(&ds, 36);
-    let req = ServeRequest::query("shards", query.values().to_vec(), 5);
-    let mut reference: Option<Vec<(usize, usize, u64)>> = None;
+    let mut answers = Vec::new();
+    let mut visits = Vec::new();
     for shards in [1usize, 0, 3] {
         let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
         let engine = ServeEngine::new(
@@ -369,16 +372,34 @@ fn serve_results_are_shard_invariant() {
             },
         )
         .unwrap();
-        let (resp, _) = engine.answer(&req);
-        assert!(resp.ok, "shards={shards}: {}", resp.error);
-        let got: Vec<(usize, usize, u64)> = resp
-            .hits
-            .iter()
-            .map(|h| (h.entry, h.offset, h.distance.to_bits()))
-            .collect();
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "shards={shards} diverged"),
+        for traced in [false, true] {
+            let ctx = format!("shards={shards} traced={traced}");
+            let mut req = ServeRequest::query("shards", query.values().to_vec(), 5);
+            req.trace = traced;
+            let (resp, trace) = engine.answer(&req);
+            assert!(resp.ok, "{ctx}: {}", resp.error);
+            assert_eq!(trace.is_some(), traced, "{ctx}");
+            if let Some(t) = trace {
+                let c = t.counters;
+                let visited = c.cascade.candidates + c.cache_hits;
+                visits.push((
+                    ctx.clone(),
+                    (c.windows, c.passes, c.skipped_excluded, visited),
+                ));
+            }
+            let hits: Vec<(usize, usize, u64)> = resp
+                .hits
+                .iter()
+                .map(|h| (h.entry, h.offset, h.distance.to_bits()))
+                .collect();
+            answers.push((ctx, (hits, resp.entries_pruned, resp.entries_swept)));
         }
+    }
+    for (ctx, answer) in &answers {
+        assert_eq!(answer, &answers[0].1, "{ctx} diverged");
+    }
+    assert_eq!(visits.len(), 3);
+    for (ctx, counted) in &visits {
+        assert_eq!(counted, &visits[0].1, "{ctx}: trace visits");
     }
 }

@@ -12,6 +12,7 @@
 
 use sdtw_suite::eval::{select_matches, subsequence_profile};
 use sdtw_suite::prelude::*;
+use sdtw_suite::stream::PreparedHaystack;
 
 /// Concatenates corpus rows into one long haystack series.
 fn haystack(series: &[TimeSeries]) -> TimeSeries {
@@ -84,7 +85,7 @@ fn assert_matches_the_oracle(
     assert_eq!(profile.len(), hay.len() - query.len() + 1);
     for k in [1usize, 5] {
         let expected = select_matches(&profile, k, matcher.exclusion(), f64::INFINITY);
-        let got = matcher.find(hay, k).unwrap();
+        let got = matcher.search(hay).k(k).run().unwrap().0;
         assert_eq!(
             got.matches.len(),
             expected.len(),
@@ -182,7 +183,7 @@ fn matcher_is_exact_with_sdtw_bands() {
             assert!(all.len() >= 2, "{label}: the haystack holds two matches");
             let tau = all[1].1;
             let expected = select_matches(&profile, 5, matcher.exclusion(), tau);
-            let got = matcher.find_under(&hay, 5, tau).unwrap();
+            let got = matcher.search(&hay).k(5).tau(tau).run().unwrap().0;
             assert_eq!(got.matches.len(), expected.len(), "{label}: τ match count");
             for (m, (w, d)) in got.matches.iter().zip(&expected) {
                 assert_eq!(m.offset, *w, "{label}: τ offsets diverge");
@@ -210,7 +211,7 @@ fn tau_restricted_search_matches_the_oracle_inclusively() {
     assert!(all.len() >= 2, "dataset provides at least two matches");
     let tau = all[1].1;
     let expected = select_matches(&profile, 5, matcher.exclusion(), tau);
-    let got = matcher.find_under(&hay, 5, tau).unwrap();
+    let got = matcher.search(&hay).k(5).tau(tau).run().unwrap().0;
     assert_eq!(got.matches.len(), expected.len());
     for (m, (w, d)) in got.matches.iter().zip(&expected) {
         assert_eq!(m.offset, *w);
@@ -230,7 +231,7 @@ fn monitor_streaming_equals_batch_on_seeded_data() {
     let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
 
     // k = 1, unbounded tau: UCR best-match tracking
-    let batch1 = matcher.find(&hay, 1).unwrap();
+    let batch1 = matcher.search(&hay).k(1).run().unwrap().0;
     let mut monitor = StreamMonitor::new(matcher.clone(), 1, f64::INFINITY).unwrap();
     monitor.process(hay.values()).unwrap();
     let live = monitor.matches();
@@ -242,9 +243,9 @@ fn monitor_streaming_equals_batch_on_seeded_data() {
     );
 
     // k = 5 under a finite tau: threshold monitoring
-    let probe = matcher.find(&hay, 5).unwrap();
+    let probe = matcher.search(&hay).k(5).run().unwrap().0;
     let tau = probe.matches.last().unwrap().distance;
-    let batchk = matcher.find_under(&hay, 5, tau).unwrap();
+    let batchk = matcher.search(&hay).k(5).tau(tau).run().unwrap().0;
     let mut monitor = StreamMonitor::new(matcher, 5, tau).unwrap();
     monitor.process(hay.values()).unwrap();
     let live = monitor.matches();
@@ -265,7 +266,7 @@ fn cascade_prunes_most_windows_on_seeded_data() {
     let query = ds.series[0].clone();
     let hay = haystack(&ds.series[1..13]);
     let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-    let got = matcher.find(&hay, 1).unwrap();
+    let got = matcher.search(&hay).k(1).run().unwrap().0;
     assert!(
         got.stats.prune_rate() >= 0.5,
         "cascade pruned only {:.1}% of {} window visits: {:?}",
@@ -282,14 +283,21 @@ fn cascade_prunes_most_windows_on_seeded_data() {
     );
 }
 
-/// Asserts `find_k_parallel` ≡ the serial scan on one (matcher, hay, k,
-/// tau) combination across shard counts {1, 2, 3, 7}: bit-identical
-/// matches for every count, full stats equality for one shard, and
-/// shard-invariant visit accounting for the rest.
+/// Asserts a sharded search ≡ the serial (one-shard) search on one
+/// (matcher, hay, k, tau) combination across shard counts {1, 2, 3, 7}:
+/// bit-identical matches for every count, full stats equality for one
+/// shard, and shard-invariant visit accounting for the rest.
 fn assert_sharded_equals_serial(matcher: &SubseqMatcher, hay: &TimeSeries, k: usize, tau: f64) {
-    let serial = matcher.find_under(hay, k, tau).unwrap();
+    let serial = matcher.search(hay).k(k).tau(tau).run().unwrap().0;
     for shards in [1usize, 2, 3, 7] {
-        let parallel = matcher.find_k_parallel(hay, k, tau, shards).unwrap();
+        let parallel = matcher
+            .search(hay)
+            .k(k)
+            .tau(tau)
+            .shards(shards)
+            .run()
+            .unwrap()
+            .0;
         assert_eq!(
             parallel.matches.len(),
             serial.matches.len(),
@@ -343,7 +351,7 @@ fn sharded_parallel_scan_is_bit_identical_to_serial() {
         }
         // a finite tau exactly at a selected distance: the boundary tie
         // must survive sharding too
-        let probe = matcher.find(&hay, 2).unwrap();
+        let probe = matcher.search(&hay).k(2).run().unwrap().0;
         if let Some(last) = probe.matches.last() {
             assert_sharded_equals_serial(&matcher, &hay, 3, last.distance);
         }
@@ -379,26 +387,32 @@ fn sharded_scan_handles_degenerate_inputs() {
     // series shorter than the query: empty result, no panic
     let short = TimeSeries::new(vec![0.0; 10]).unwrap();
     assert!(matcher
-        .find_k_parallel(&short, 1, f64::INFINITY, 4)
+        .search(&short)
+        .k(1)
+        .shards(4)
+        .run()
         .unwrap()
+        .0
         .matches
         .is_empty());
     // more shards than windows: clamped, still exact
     let tight = haystack(&ds.series[1..2]);
-    let serial = matcher.find(&tight, 1).unwrap();
-    let sharded = matcher
-        .find_k_parallel(&tight, 1, f64::INFINITY, 10_000)
-        .unwrap();
+    let serial = matcher.search(&tight).k(1).run().unwrap().0;
+    let sharded = matcher.search(&tight).k(1).shards(10_000).run().unwrap().0;
     assert_eq!(sharded.matches.len(), serial.matches.len());
     for (p, s) in sharded.matches.iter().zip(&serial.matches) {
         assert_eq!(p.offset, s.offset);
         assert_eq!(p.distance.to_bits(), s.distance.to_bits());
     }
     // bad parameters are rejected like the serial path
+    assert!(matcher.search(&tight).k(0).shards(2).run().is_err());
     assert!(matcher
-        .find_k_parallel(&tight, 0, f64::INFINITY, 2)
+        .search(&tight)
+        .k(1)
+        .tau(-1.0)
+        .shards(2)
+        .run()
         .is_err());
-    assert!(matcher.find_k_parallel(&tight, 1, -1.0, 2).is_err());
 }
 
 #[test]
@@ -413,7 +427,7 @@ fn monitor_bank_equals_independent_monitors_on_seeded_data() {
         .map(|q| SubseqMatcher::new(q, StreamConfig::exact_banded(0.2)).unwrap())
         .collect();
     // mixed per-query regimes: UCR best-match, and threshold monitoring
-    let probe = matchers[1].find(&hay, 2).unwrap();
+    let probe = matchers[1].search(&hay).k(2).run().unwrap().0;
     let tau1 = probe.matches.last().unwrap().distance * 1.2;
     let specs: Vec<(usize, f64)> = vec![(1, f64::INFINITY), (3, tau1), (1, tau1)];
 
@@ -463,8 +477,9 @@ fn traced_scans_are_bit_identical_and_shard_invariant() {
     let hay = haystack(&ds.series[1..5]);
     let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
 
-    let plain = matcher.find(&hay, 3).unwrap();
-    let (traced, trace) = matcher.find_traced(&hay, 3, "q-serial").unwrap();
+    let plain = matcher.search(&hay).k(3).run().unwrap().0;
+    let (traced, trace) = matcher.search(&hay).k(3).trace("q-serial").run().unwrap();
+    let trace = trace.expect("a traced search returns its trace");
     assert_eq!(plain.matches.len(), traced.matches.len());
     for (a, b) in plain.matches.iter().zip(&traced.matches) {
         assert_eq!(a.offset, b.offset);
@@ -490,11 +505,17 @@ fn traced_scans_are_bit_identical_and_shard_invariant() {
 
     // the merged shard traces: same matches, invariant visit accounting
     let tau = plain.matches.last().unwrap().distance * 1.1;
-    let serial = matcher.find_under(&hay, 3, tau).unwrap();
+    let serial = matcher.search(&hay).k(3).tau(tau).run().unwrap().0;
     for shards in [1usize, 2, 3, 7] {
         let (result, t) = matcher
-            .find_k_parallel_traced(&hay, 3, tau, shards, "q-sharded")
+            .search(&hay)
+            .k(3)
+            .tau(tau)
+            .shards(shards)
+            .trace("q-sharded")
+            .run()
             .unwrap();
+        let t = t.expect("a traced search returns its trace");
         for (a, b) in serial.matches.iter().zip(&result.matches) {
             assert_eq!(a.offset, b.offset, "shards={shards}");
             assert_eq!(a.distance.to_bits(), b.distance.to_bits());
@@ -521,6 +542,46 @@ fn traced_scans_are_bit_identical_and_shard_invariant() {
             "shards={shards}: {} sweep spans",
             t.spans.len()
         );
+    }
+}
+
+/// One scratch lent to a traced search of a prepared haystack, then to
+/// an untraced one, under a fixed band and under per-window sDTW bands:
+/// both agree bit for bit with a search that lends nothing, matches and
+/// counters alike, and the trace carries those counters.
+#[test]
+fn traced_and_untraced_searches_share_one_scratch() {
+    let ds = UcrAnalog::Gun.generate(31);
+    let query = TimeSeries::new(ds.series[0].values()[30..100].to_vec()).unwrap();
+    let hay = haystack(&ds.series[1..4]);
+    let mut scratch = DtwScratch::new();
+    for (label, config) in [
+        ("fixed band", banded_config(DtwOptions::default(), true)),
+        ("sdtw bands", sdtw_band_config(DtwOptions::default(), true)),
+    ] {
+        let matcher = SubseqMatcher::new(&query, config).unwrap();
+        let mut prepared = PreparedHaystack::new(&matcher);
+        prepared.load(&hay);
+        let fresh = matcher.search(&hay).k(3).run().unwrap().0;
+        let search = matcher.search(&prepared).k(3).scratch(&mut scratch);
+        let (traced, trace) = search.trace("lent").run().unwrap();
+        let trace = trace.expect("a traced search returns its trace");
+        let (plain, none) = matcher
+            .search(&prepared)
+            .k(3)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap();
+        assert!(none.is_none(), "{label}: no trace was asked for");
+        for got in [&traced, &plain] {
+            assert_eq!(got.matches.len(), fresh.matches.len(), "{label}");
+            for (a, b) in got.matches.iter().zip(&fresh.matches) {
+                assert_eq!(a.offset, b.offset, "{label}: offsets");
+                assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{label}");
+            }
+            assert_eq!(got.stats, fresh.stats, "{label}: counters");
+        }
+        assert_eq!(trace.counters, fresh.stats, "{label}: the trace's counters");
     }
 }
 
@@ -575,12 +636,18 @@ fn band_plan_spans_appear_only_when_bands_are_planned() {
     ] {
         let matcher = SubseqMatcher::new(&query, config).unwrap();
         let has_plan = |spans: &[SpanRecord]| spans.iter().any(|s| s.phase == TracePhase::BandPlan);
-        let (_, trace) = matcher.find_traced(&hay, 2, "sweep").unwrap();
+        let (_, trace) = matcher.search(&hay).k(2).trace("sweep").run().unwrap();
+        let trace = trace.expect("a traced search returns its trace");
         assert!(trace.counters.cascade.candidates > 0);
         assert_eq!(has_plan(&trace.spans), plans, "sweep: {:?}", trace.spans);
         let (_, trace) = matcher
-            .find_k_parallel_traced(&hay, 2, f64::INFINITY, 2, "sharded")
+            .search(&hay)
+            .k(2)
+            .shards(2)
+            .trace("sharded")
+            .run()
             .unwrap();
+        let trace = trace.expect("a traced search returns its trace");
         assert_eq!(has_plan(&trace.spans), plans, "sharded: {:?}", trace.spans);
         let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
         monitor.set_tracing(true);
@@ -610,7 +677,8 @@ fn adaptive_searches_plan_each_window_at_most_once() {
             .map(|s| s.count)
             .sum()
     };
-    let (result, trace) = matcher.find_traced(&hay, 5, "serial").unwrap();
+    let (result, trace) = matcher.search(&hay).k(5).trace("serial").run().unwrap();
+    let trace = trace.expect("a traced search returns its trace");
     assert_eq!(result.matches.len(), 5);
     let planned = plans(&trace.spans);
     assert!(planned > 0, "an adaptive search plans bands");
@@ -622,8 +690,13 @@ fn adaptive_searches_plan_each_window_at_most_once() {
     );
     for shards in [2usize, 3, 7] {
         let (sharded, trace) = matcher
-            .find_k_parallel_traced(&hay, 5, f64::INFINITY, shards, "sharded")
+            .search(&hay)
+            .k(5)
+            .shards(shards)
+            .trace("sharded")
+            .run()
             .unwrap();
+        let trace = trace.expect("a traced search returns its trace");
         assert_eq!(sharded.matches, result.matches, "shards={shards}");
         let planned = plans(&trace.spans);
         assert!(
