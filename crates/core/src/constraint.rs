@@ -19,37 +19,42 @@ use sdtw_dtw::sakoe::{diagonal_column, sakoe_chiba_band};
 ///   the sanitiser (the paper: "we need to bridge the gap by filling in the
 ///   missing grid positions").
 pub fn adaptive_candidate(i: usize, partition: &IntervalPartition) -> usize {
-    candidate_in(partition.interval_of_x(i), i, partition)
+    let e = partition.interval_of_x(i);
+    interpolate(i, partition.bounds_x(e), partition.bounds_y(e))
 }
 
-/// [`adaptive_candidate`] of `i`, which lies in interval `e` of `X`.
-fn candidate_in(e: usize, i: usize, partition: &IntervalPartition) -> usize {
-    let (stx, endx) = partition.bounds_x(e);
-    let (sty, endy) = partition.bounds_y(e);
-    if endy == sty {
-        return sty;
-    }
-    if endx == stx {
+/// [`adaptive_candidate`] of row `i` of the `X` interval `(stx, endx)`,
+/// whose corresponding `Y` interval is `(sty, endy)`.
+fn interpolate(i: usize, (stx, endx): (usize, usize), (sty, endy): (usize, usize)) -> usize {
+    if endy == sty || endx == stx {
         return sty;
     }
     let frac = (i - stx) as f64 / (endx - stx) as f64;
-    (sty as f64 + frac * (endy - sty) as f64).round() as usize
+    round_non_negative(sty as f64 + frac * (endy - sty) as f64)
 }
 
-/// [`adaptive_candidate`] of every row `0..n`, in order. Rows ascend, so
-/// their `X` intervals do too: one walk over the cuts finds them all.
-fn adaptive_candidates(
-    partition: &IntervalPartition,
-    n: usize,
-) -> impl Iterator<Item = usize> + '_ {
-    let cuts = partition.cuts_x();
-    let mut e = 0;
-    (0..n).map(move |i| {
-        // `interval_of_x`: the number of cuts at or before `i`
-        while e < cuts.len() && cuts[e] <= i {
-            e += 1;
-        }
-        candidate_in(e, i, partition)
+/// `v.round() as usize` for a finite `v ≥ 0`, in integer arithmetic
+/// (`f64::round` is a library call on targets without SSE4.1). The
+/// truncation `t` is exact, and so is `v − t`: it is `v` itself when
+/// `t = 0`, and Sterbenz's lemma covers `t ≤ v < t + 1 ≤ 2t` otherwise.
+/// Halves round up, as `f64::round` rounds them away from zero.
+fn round_non_negative(v: f64) -> usize {
+    let t = v as usize;
+    t + usize::from(v - t as f64 >= 0.5)
+}
+
+/// [`adaptive_candidate`] of every row of `X`, in order, interval by
+/// interval: the rows of interval `e` run from its start up to the next
+/// interval's (boundary rows open the interval to their right), and the
+/// last interval keeps its end row. The candidates never decrease: each
+/// interval's interpolation is monotone and ends at most at `end(Y,E)`,
+/// where the next one starts.
+fn adaptive_candidates(partition: &IntervalPartition) -> impl Iterator<Item = usize> + '_ {
+    let last = partition.interval_count() - 1;
+    (0..=last).flat_map(move |e| {
+        let (x, y) = (partition.bounds_x(e), partition.bounds_y(e));
+        let end = if e == last { x.1 + 1 } else { x.1 };
+        (x.0..end).map(move |i| interpolate(i, x, y))
     })
 }
 
@@ -86,23 +91,55 @@ fn interval_width(
     w.max(min_width_frac * partition.m() as f64)
 }
 
-/// [`interval_width`] of every `Y` interval, computed once per band: a
-/// band asks for one per row, and rows far outnumber intervals.
-fn interval_widths(
+/// The half-width `⌈w/2⌉` (at least 1) of every `Y` interval's adaptive
+/// width, computed once per band: a band asks for one per row, and rows
+/// far outnumber intervals.
+fn interval_halves(
     partition: &IntervalPartition,
     neighbor_radius: usize,
     min_width_frac: f64,
-) -> Vec<f64> {
+) -> Vec<usize> {
     (0..partition.interval_count())
-        .map(|e| interval_width(e, partition, neighbor_radius, min_width_frac))
+        .map(|e| {
+            let w = interval_width(e, partition, neighbor_radius, min_width_frac);
+            (w / 2.0).ceil().max(1.0) as usize
+        })
         .collect()
+}
+
+/// The sanitised band of `±halves[e]` columns around each row's
+/// candidate, `e` being the candidate's `Y` interval
+/// ([`IntervalPartition::interval_of_y`]). Candidates never decrease,
+/// so one pointer walks the `Y` cuts for all of them.
+fn band_around_y_intervals(
+    partition: &IntervalPartition,
+    halves: &[usize],
+    candidates: impl Iterator<Item = usize>,
+    n: usize,
+    m: usize,
+) -> Band {
+    let cuts = partition.cuts_y();
+    let mut e = 0;
+    let mut rows = Vec::with_capacity(n);
+    rows.extend(candidates.map(|c| {
+        let c = c.min(m - 1);
+        debug_assert!(e == 0 || cuts[e - 1] <= c, "candidates never decrease");
+        while e < cuts.len() && cuts[e] <= c {
+            e += 1;
+        }
+        range_around(c, halves[e], m)
+    }));
+    Band::sanitized(n, m, rows)
 }
 
 /// Builds the band for a policy. Adaptive policies require the interval
 /// `partition` of the pair; the baselines ignore it (pass the trivial
 /// partition or anything else with matching dimensions).
 ///
-/// The returned band is sanitised — feasible for the DP kernel.
+/// The returned band is sanitised — feasible for the DP kernel. Each
+/// row costs O(1): the rows walk the `X` intervals in order, their
+/// candidates walk the `Y` intervals with one pointer, and half-widths
+/// are taken once per interval.
 ///
 /// # Panics
 ///
@@ -126,45 +163,36 @@ pub fn build_band(
         ConstraintPolicy::FixedCoreAdaptiveWidth {
             min_width_frac,
             neighbor_radius,
-        } => {
-            let widths = interval_widths(partition, neighbor_radius, min_width_frac);
-            let ranges = (0..n)
-                .map(|i| {
-                    let c = diagonal_column(i, n, m);
-                    range_around(c, widths[partition.interval_of_y(c)], m)
-                })
-                .collect();
-            Band::from_ranges(n, m, ranges).sanitize()
-        }
+        } => band_around_y_intervals(
+            partition,
+            &interval_halves(partition, neighbor_radius, min_width_frac),
+            (0..n).map(|i| diagonal_column(i, n, m)),
+            n,
+            m,
+        ),
         ConstraintPolicy::AdaptiveCoreFixedWidth { width_frac } => {
             let half = ((width_frac * m as f64) / 2.0).round().max(1.0) as usize;
-            let ranges = adaptive_candidates(partition, n)
-                .map(|c| {
-                    let c = c.min(m - 1);
-                    ColRange::new(c.saturating_sub(half), (c + half).min(m - 1))
-                })
-                .collect();
-            Band::from_ranges(n, m, ranges).sanitize()
+            let mut rows = Vec::with_capacity(n);
+            rows.extend(
+                adaptive_candidates(partition).map(|c| range_around(c.min(m - 1), half, m)),
+            );
+            Band::sanitized(n, m, rows)
         }
         ConstraintPolicy::AdaptiveCoreAdaptiveWidth {
             min_width_frac,
             neighbor_radius,
-        } => {
-            let widths = interval_widths(partition, neighbor_radius, min_width_frac);
-            let ranges = adaptive_candidates(partition, n)
-                .map(|c| {
-                    let c = c.min(m - 1);
-                    range_around(c, widths[partition.interval_of_y(c)], m)
-                })
-                .collect();
-            Band::from_ranges(n, m, ranges).sanitize()
-        }
+        } => band_around_y_intervals(
+            partition,
+            &interval_halves(partition, neighbor_radius, min_width_frac),
+            adaptive_candidates(partition),
+            n,
+            m,
+        ),
     }
 }
 
-/// The `±⌈w/2⌉` column range around a candidate, clamped to the grid.
-fn range_around(candidate: usize, width: f64, m: usize) -> ColRange {
-    let half = (width / 2.0).ceil().max(1.0) as usize;
+/// The `±half` column range around a candidate, clamped to the grid.
+fn range_around(candidate: usize, half: usize, m: usize) -> ColRange {
     ColRange::new(
         candidate.saturating_sub(half),
         (candidate + half).min(m - 1),
@@ -193,6 +221,23 @@ mod tests {
         assert_eq!(adaptive_candidate(2, &p), 5);
         // after the last cut: interval 2 = [8,11] -> [18,23]
         assert_eq!(adaptive_candidate(11, &p), 23);
+    }
+
+    #[test]
+    fn integer_rounding_matches_f64_round() {
+        let mut values = vec![0.0, 0.5, 1.5, 2.5, 7.0];
+        for half in [0.5f64, 1.5, 2.5] {
+            values.extend([half.next_down(), half.next_up()]);
+        }
+        values.extend([2f64.powi(52) - 0.5, 2f64.powi(52), 2f64.powi(53) + 2.0]);
+        let mut v = 0.0;
+        while v < 300.0 {
+            values.push(v);
+            v += 0.0625;
+        }
+        for v in values {
+            assert_eq!(round_non_negative(v), v.round() as usize, "{v}");
+        }
     }
 
     #[test]

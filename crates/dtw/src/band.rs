@@ -321,26 +321,43 @@ impl Band {
     /// [`Band::is_feasible`].
     #[must_use]
     pub fn sanitize(&self) -> Band {
-        let mut rows = self.rows.clone();
-        rows[0].lo = 0;
-        let last = self.n - 1;
-        rows[last].hi = self.m - 1;
-        let mut a = rows[0].lo; // reachable left edge of row 0
-        for i in 1..self.n {
-            if rows[i].lo > rows[i - 1].hi + 1 {
-                rows[i].lo = rows[i - 1].hi + 1;
+        Band::sanitized(self.n, self.m, self.rows.clone())
+    }
+
+    /// [`Band::from_ranges`] followed by [`Band::sanitize`], done in
+    /// place: one pass over `ranges` clamps each row into `[0, m)` and
+    /// widens it as the sanitiser would, so the band builders allocate
+    /// their rows once. Bit-identical to the two calls.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Band::from_ranges`].
+    pub fn sanitized(n: usize, m: usize, mut ranges: Vec<ColRange>) -> Self {
+        assert!(n > 0 && m > 0, "band dimensions must be positive");
+        assert_eq!(ranges.len(), n, "one range per row required");
+        // `a` is the reachable left edge of the previous row; row 0,
+        // which starts at column 0, passes both tests unchanged
+        let (mut a, mut prev_hi) = (0, 0);
+        for (i, r) in ranges.iter_mut().enumerate() {
+            let mut row = ColRange::new(r.lo.min(m - 1), r.hi.min(m - 1));
+            if i == 0 {
+                row.lo = 0;
             }
-            let entry = a.max(rows[i].lo);
-            if entry > rows[i].hi {
-                rows[i].hi = entry;
+            if i == n - 1 {
+                row.hi = m - 1;
+            }
+            if row.lo > prev_hi + 1 {
+                row.lo = prev_hi + 1;
+            }
+            let entry = a.max(row.lo);
+            if entry > row.hi {
+                row.hi = entry;
             }
             a = entry;
+            prev_hi = row.hi;
+            *r = row;
         }
-        let out = Band {
-            n: self.n,
-            m: self.m,
-            rows,
-        };
+        let out = Band { n, m, rows: ranges };
         debug_assert!(out.is_feasible(), "sanitize must produce a feasible band");
         out
     }

@@ -49,8 +49,9 @@
 //! halving idea the multi-resolution pyramid (`crate::multires`) shrinks
 //! by, with the tail kept whole — is what keeps the weights exact.
 
+use crate::band::Band;
 use crate::engine::Normalization;
-use crate::lower_bound::{lb_keogh_values, Envelope};
+use crate::lower_bound::{lb_keogh_band, lb_keogh_values, Envelope, RangeTable};
 use sdtw_tseries::transform::paa_fixed_values;
 use sdtw_tseries::ElementMetric;
 use serde::{Deserialize, Serialize};
@@ -64,7 +65,8 @@ pub enum StageKind {
     Paa,
     /// LB_Keogh: left samples against the right side's envelope.
     Keogh,
-    /// Reversed LB_Keogh: right samples against the left side's envelope.
+    /// Band-exact reversed LB_Keogh: right samples against the left
+    /// side's range over each column's rows.
     KeoghRev,
 }
 
@@ -96,16 +98,22 @@ pub enum PruneStage {
     /// [`Envelope`]. Inapplicable on unequal lengths or when the band
     /// escapes the envelope's `±radius` window.
     Keogh,
-    /// LB_Keogh in the reversed direction (right samples against the
-    /// left side's envelope) — the classic second chance when the first
-    /// direction is too loose.
+    /// LB_Keogh in the reversed direction, band-exact
+    /// ([`crate::lower_bound::lb_keogh_band`]): each right sample against
+    /// the min–max range of the left samples over the rows the band lets
+    /// its column meet, read from the left side's [`RangeTable`]. The
+    /// second chance when the first direction is too loose, and the one
+    /// sample-level stage that applies to every (feasible) band and every
+    /// pair of lengths: inapplicable only when no table or no band was
+    /// supplied. Where the forward stages' window holds it is at least as
+    /// tight as the reversed envelope bound.
     KeoghRev,
 }
 
 /// Per-candidate inputs of the sample-phase stages
-/// ([`Cascade::screen_samples`]). Envelopes that a consumer does not
-/// precompute are simply `None`; the stages needing them then report
-/// themselves inapplicable.
+/// ([`Cascade::screen_samples`]). Envelopes and tables that a consumer
+/// does not precompute are simply `None`; the stages needing them then
+/// report themselves inapplicable.
 #[derive(Debug, Clone, Copy)]
 pub struct SampleInput<'a> {
     /// Left-side samples, normalised exactly as the DP will see them.
@@ -123,17 +131,22 @@ pub struct SampleInput<'a> {
     /// the stage's own applicability check stays authoritative, so a
     /// stray value on an inapplicable candidate is ignored.
     pub y_keogh_raw: Option<f64>,
-    /// Envelope of `x` (drives [`PruneStage::KeoghRev`]).
-    pub x_envelope: Option<&'a Envelope>,
+    /// Range-min/max table over `x` (drives [`PruneStage::KeoghRev`]).
+    pub x_ranges: Option<&'a RangeTable>,
+    /// The pair's band, feasible as the DP will run it (drives
+    /// [`PruneStage::KeoghRev`], which reads each column's rows from it).
+    pub band: Option<&'a Band>,
     /// Coarse envelope of `y` (drives [`PruneStage::Paa`]).
     pub y_coarse: Option<&'a CoarseEnvelope>,
 }
 
-/// Reusable buffers for per-candidate stage work (currently the PAA
-/// segment means). Keep one per worker/monitor, like a DP scratch.
+/// Reusable buffers for per-candidate stage work (the PAA segment means
+/// and the reversed bound's per-column row counts). Keep one per
+/// worker/monitor, like a DP scratch.
 #[derive(Debug, Clone, Default)]
 pub struct CascadeScratch {
     paa: Vec<f64>,
+    counts: Vec<[usize; 2]>,
 }
 
 impl CascadeScratch {
@@ -358,7 +371,9 @@ impl Cascade {
     /// order. `band_reach` is the [`crate::Band::reach`] of the pair's
     /// (sanitised) band: an envelope stage applies only when it is at
     /// most the envelope's radius. Callers compute it once per band, so
-    /// one band shared by many candidates is walked once. A stage whose
+    /// one band shared by many candidates is walked once. The
+    /// band-exact reversed stage reads the band itself
+    /// ([`SampleInput::band`]) and needs no reach. A stage whose
     /// admissibility precondition fails is skipped; if any stage was
     /// skipped that way the candidate is charged one `lb_inapplicable`
     /// (informational — it still proceeds to the DP).
@@ -396,9 +411,12 @@ impl Cascade {
                     }
                     _ => None,
                 },
-                PruneStage::KeoghRev => match input.x_envelope {
-                    Some(env) if n == m && band_reach <= env.radius => {
-                        let raw = lb_keogh_values(input.y, env, self.metric);
+                PruneStage::KeoghRev => match (input.x_ranges, input.band) {
+                    (Some(table), Some(band))
+                        if table.len() == n && band.n() == n && band.m() == m =>
+                    {
+                        let raw =
+                            lb_keogh_band(input.y, table, band, self.metric, &mut scratch.counts);
                         Some((StageKind::KeoghRev, self.normalize_bound(raw, n, m)))
                     }
                     _ => None,
@@ -505,7 +523,7 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let y: Vec<f64> = vec![100.0; n];
         let env = Envelope::build_from_values(&y, 2);
-        let x_env = Envelope::build_from_values(&x, 2);
+        let x_ranges = RangeTable::build(&x);
         let coarse = CoarseEnvelope::build(&env, 4);
         let band = sakoe_chiba_band(n, n, 0.25);
         let cascade = Cascade::new(
@@ -524,7 +542,8 @@ mod tests {
             y: &y,
             y_envelope: Some(&env),
             y_keogh_raw: None,
-            x_envelope: Some(&x_env),
+            x_ranges: Some(&x_ranges),
+            band: Some(&band),
             y_coarse: Some(&coarse),
         };
         let mut scratch = CascadeScratch::new();
@@ -576,7 +595,8 @@ mod tests {
             y: &y,
             y_envelope: Some(&env),
             y_keogh_raw: None,
-            x_envelope: Some(&env),
+            x_ranges: None,
+            band: Some(&band),
             y_coarse: Some(&coarse),
         };
         let mut stats = CascadeStats {
@@ -590,6 +610,53 @@ mod tests {
             0.0,
             &mut CascadeScratch::new(),
         );
+        assert_eq!(verdict, None);
+        assert_eq!(stats.lb_inapplicable, 1);
+    }
+
+    #[test]
+    fn the_reversed_stage_applies_where_the_envelope_stages_do_not() {
+        // unequal lengths and a band far outside the radius-1 window:
+        // only the band-exact reversed bound applies, and it prunes
+        let (n, m) = (12, 20);
+        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let y: Vec<f64> = vec![100.0; m];
+        let env = Envelope::build_from_values(&y, 1);
+        let x_ranges = RangeTable::build(&x);
+        let band = Band::full(n, m);
+        let cascade = Cascade::new(
+            vec![PruneStage::Keogh, PruneStage::KeoghRev],
+            ElementMetric::Squared,
+            Normalization::None,
+            true,
+        );
+        let mut input = SampleInput {
+            x: &x,
+            y: &y,
+            y_envelope: Some(&env),
+            y_keogh_raw: None,
+            x_ranges: Some(&x_ranges),
+            band: Some(&band),
+            y_coarse: None,
+        };
+        let mut scratch = CascadeScratch::new();
+        let mut stats = CascadeStats::default();
+        let verdict = cascade.screen_samples(&mut stats, &input, band.reach(), 1.0, &mut scratch);
+        assert_eq!(verdict, Some(StageKind::KeoghRev));
+        assert_eq!((stats.pruned_keogh_rev, stats.lb_inapplicable), (1, 0));
+        // every column is at least 100 − 11 from the whole of x
+        let raw = lb_keogh_band(
+            &y,
+            &x_ranges,
+            &band,
+            ElementMetric::Squared,
+            &mut Vec::new(),
+        );
+        assert_eq!(raw, m as f64 * 89.0 * 89.0);
+        // without its band the stage is inapplicable too
+        input.band = None;
+        let mut stats = CascadeStats::default();
+        let verdict = cascade.screen_samples(&mut stats, &input, band.reach(), 1.0, &mut scratch);
         assert_eq!(verdict, None);
         assert_eq!(stats.lb_inapplicable, 1);
     }
@@ -611,7 +678,8 @@ mod tests {
             y: &x,
             y_envelope: Some(&env),
             y_keogh_raw: None,
-            x_envelope: None,
+            x_ranges: None,
+            band: None,
             y_coarse: None,
         };
         let band = sakoe_chiba_band(4, 4, 1.0);

@@ -51,7 +51,7 @@ pub fn itakura_band(n: usize, m: usize, slope: f64) -> Band {
             }
         })
         .collect();
-    Band::from_ranges(n, m, ranges).sanitize()
+    Band::sanitized(n, m, ranges)
 }
 
 #[cfg(test)]

@@ -24,8 +24,9 @@
 //! * [`sakoe`] — Sakoe-Chiba fixed core & fixed width bands;
 //! * [`itakura`] — Itakura parallelogram (slope-constrained) bands;
 //! * [`lower_bound`] — the LB_Kim constant-time bound (endpoint/extremum
-//!   summaries) and the LB_Keogh envelope bound (extensions; they power
-//!   the `sdtw-index` retrieval cascade and the pruning ablations);
+//!   summaries), the LB_Keogh envelope bound and its band-exact reversed
+//!   form over a range-min/max table (extensions; they power the
+//!   `sdtw-index` retrieval cascade and the pruning ablations);
 //! * [`cascade`] — the composable pruning pipeline built from those
 //!   bounds: the [`cascade::PruneStage`] abstraction, the
 //!   [`cascade::Cascade`] runner, the coarse PAA pre-filter
@@ -93,8 +94,8 @@ pub use engine::{
 };
 pub use kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
 pub use lower_bound::{
-    lb_keogh, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch,
-    Envelope, SeriesSummary, LB_LANES,
+    lb_keogh, lb_keogh_band, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim,
+    lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
 };
 pub use multires::{dtw_multires, dtw_multires_with_scratch, MultiresScratch};
 pub use path::WarpPath;

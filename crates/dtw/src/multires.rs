@@ -207,7 +207,7 @@ fn project_path(path: &WarpPath, n: usize, m: usize, radius: usize) -> Band {
             }
         })
         .collect();
-    Band::from_ranges(n, m, ranges).sanitize()
+    Band::sanitized(n, m, ranges)
 }
 
 #[cfg(test)]

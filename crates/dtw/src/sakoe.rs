@@ -41,7 +41,7 @@ pub fn sakoe_chiba_band(n: usize, m: usize, width_frac: f64) -> Band {
             ColRange::new(c.saturating_sub(half), (c + half).min(m - 1))
         })
         .collect();
-    Band::from_ranges(n, m, ranges).sanitize()
+    Band::sanitized(n, m, ranges)
 }
 
 #[cfg(test)]

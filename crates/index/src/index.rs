@@ -10,7 +10,9 @@ use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
 use sdtw_dtw::engine::{engine_label, Normalization};
-use sdtw_dtw::lower_bound::{lb_keogh_batch, lb_kim_batch, Envelope, SeriesSummary, LB_LANES};
+use sdtw_dtw::lower_bound::{
+    lb_keogh_batch, lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
+};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
 use sdtw_salient::SalientFeature;
 use sdtw_tseries::transform::z_normalize;
@@ -184,7 +186,8 @@ fn bucketed_ascending(scored: Vec<(f64, usize)>) -> Vec<(f64, usize)> {
 ///
 /// Build time precomputes, per entry: the z-normalised series (optional),
 /// the LB_Kim [`SeriesSummary`], the LB_Keogh [`Envelope`], and the
-/// salient descriptors the sDTW band planner needs. Query time runs the
+/// salient descriptors the sDTW band planner needs. No per-entry range
+/// table is kept: the reversed stage reads the query's. Query time runs the
 /// cascade, visiting candidates in ascending LB_Kim order so the top-k
 /// heap tightens as early as possible:
 ///
@@ -193,8 +196,10 @@ fn bucketed_ascending(scored: Vec<(f64, usize)>) -> Vec<(f64, usize)> {
 /// 2. **LB_Keogh** — query samples against the entry's precomputed
 ///    envelope (admissible when the pair's sanitised band stays inside
 ///    the envelope window);
-/// 3. **reversed LB_Keogh** — entry samples against the query's envelope
-///    (built once per query);
+/// 3. **band-exact reversed LB_Keogh** — each entry sample against the
+///    query's range over the rows the pair's band lets its column meet,
+///    read from a [`RangeTable`] built once per query (admissible for
+///    every feasible band and every pair of lengths);
 /// 4. **early-abandoned banded DP** — seeded with the current k-th best
 ///    distance, reusing one [`DtwScratch`] per query (or per worker in
 ///    batch mode).
@@ -523,7 +528,6 @@ impl SdtwIndex {
         } else {
             PreparedFeatures::default()
         };
-        let q_radius = self.config.radius_for(q.len());
         // LB_Kim/LB_Keogh bound the *standard symmetric1* accumulation;
         // the kernel declares whether its costs dominate that (true for
         // the standard patterns and for amerced with ω ≥ 0). A kernel
@@ -532,12 +536,14 @@ impl SdtwIndex {
         // `CascadeStats::bounds_disabled`. Early abandoning needs only
         // per-kernel monotonicity and stays on.
         let bounds_ok = self.config.sdtw.dtw.lower_bounds_admissible();
-        // the query envelope only feeds the reversed LB_Keogh stage —
-        // skip the O(n·radius) build when the bounds are off
-        let q_env = bounds_ok
-            .then(|| rec.time(TracePhase::EnvelopeBuild, || Envelope::build(&q, q_radius)));
+        // the query's range table only feeds the band-exact reversed
+        // LB_Keogh stage — skip the O(n log n) build when the bounds are
+        // off
+        let q_ranges = bounds_ok
+            .then(|| rec.time(TracePhase::EnvelopeBuild, || RangeTable::build(q.values())));
         let cascade = self.cascade(bounds_ok);
         let mut cascade_scratch = CascadeScratch::new();
+        let mut lb_out = Vec::with_capacity(LB_LANES);
 
         // Stage 1 for everyone up front — batched eight summaries per
         // lane pass (bit-identical to the scalar `lb_kim`): O(1) per
@@ -588,16 +594,10 @@ impl SdtwIndex {
             let (band, _) = rec.time(TracePhase::BandPlan, || {
                 self.engine.plan_band_prepared(&fq, &entry.features, n, m)
             });
-            // The DP kernel sanitises infeasible bands internally (for the
-            // oracle path too — deterministically, so distances cannot
-            // diverge); LB admissibility must be judged on those same
-            // cells. Every current policy already emits feasible bands, so
-            // this is a no-op guard for future band builders.
-            let band = if band.is_feasible() {
-                band
-            } else {
-                band.sanitize()
-            };
+            // LB admissibility is judged on the cells the DP fills; the
+            // DP would sanitise an infeasible band into a wider one, but
+            // every policy's builder already returns it sanitised
+            debug_assert!(band.is_feasible(), "planned bands are sanitised");
             let reach = band.reach();
             pending.push(PendingCandidate {
                 idx,
@@ -608,8 +608,9 @@ impl SdtwIndex {
             if pending.len() == LB_LANES {
                 self.flush_pending(
                     &mut pending,
+                    &mut lb_out,
                     &q,
-                    q_env.as_ref(),
+                    q_ranges.as_ref(),
                     &cascade,
                     &mut cascade_scratch,
                     &mut topk,
@@ -623,8 +624,9 @@ impl SdtwIndex {
         }
         self.flush_pending(
             &mut pending,
+            &mut lb_out,
             &q,
-            q_env.as_ref(),
+            q_ranges.as_ref(),
             &cascade,
             &mut cascade_scratch,
             &mut topk,
@@ -646,13 +648,16 @@ impl SdtwIndex {
     /// visit) order against a *fresh* top-k threshold. The cascade
     /// re-derives applicability itself and falls back to the scalar
     /// bound when no precomputed value is present, so the predicate here
-    /// is a performance filter, not a correctness gate.
+    /// is a performance filter, not a correctness gate. `lb_out` receives
+    /// the batched bounds; kept across flushes, it allocates once a
+    /// query.
     #[allow(clippy::too_many_arguments)]
     fn flush_pending(
         &self,
         pending: &mut Vec<PendingCandidate>,
+        lb_out: &mut Vec<f64>,
         q: &TimeSeries,
-        q_env: Option<&Envelope>,
+        q_ranges: Option<&RangeTable>,
         cascade: &Cascade,
         cascade_scratch: &mut CascadeScratch,
         topk: &mut TopK,
@@ -670,18 +675,21 @@ impl SdtwIndex {
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
         if cascade.bounds_enabled() {
             rec.time(TracePhase::LbKeogh, || {
-                let mut lanes: Vec<usize> = Vec::with_capacity(pending.len());
-                let mut envs: Vec<&Envelope> = Vec::with_capacity(pending.len());
+                // slots past `applicable` hold a placeholder nobody reads
+                let mut lanes = [0usize; LB_LANES];
+                let mut envs: [&Envelope; LB_LANES] =
+                    [&self.entries[pending[0].idx].envelope; LB_LANES];
+                let mut applicable = 0;
                 for (p, cand) in pending.iter().enumerate() {
                     let entry = &self.entries[cand.idx];
                     if q.len() == entry.series.len() && cand.reach <= entry.envelope.radius {
-                        lanes.push(p);
-                        envs.push(&entry.envelope);
+                        lanes[applicable] = p;
+                        envs[applicable] = &entry.envelope;
+                        applicable += 1;
                     }
                 }
-                let mut bounds = Vec::with_capacity(lanes.len());
-                lb_keogh_batch(q.values(), &envs, metric, &mut bounds);
-                for (&p, &raw) in lanes.iter().zip(&bounds) {
+                lb_keogh_batch(q.values(), &envs[..applicable], metric, lb_out);
+                for (&p, &raw) in lanes.iter().zip(lb_out.iter()) {
                     pre[p] = Some(raw);
                 }
             });
@@ -694,7 +702,8 @@ impl SdtwIndex {
                 y: entry.series.values(),
                 y_envelope: Some(&entry.envelope),
                 y_keogh_raw: pre[p],
-                x_envelope: q_env,
+                x_ranges: q_ranges,
+                band: Some(&cand.band),
                 y_coarse: entry.coarse.as_ref(),
             };
             // the sample-phase screen covers LB_Keogh and its reversed

@@ -11,18 +11,23 @@
 //! | LB_Kim | O(1) | endpoint/extremum bound > k-th best |
 //! | coarse PAA | O(n/w) | query PAA vs precomputed coarse envelope > k-th best |
 //! | LB_Keogh | O(n) | query vs precomputed entry envelope > k-th best |
-//! | reversed LB_Keogh | O(n) | entry vs query envelope > k-th best |
+//! | band-exact reversed LB_Keogh | O(n + m) | entry vs the query's range over each column's band rows > k-th best |
 //! | early-abandoned banded DP | ≤ O(band) | a completed DP row's minimum > k-th best |
 //!
 //! Every bound is admissible for the band actually used (see
 //! `DESIGN.md` §7), so results are **exact** — identical ids and
 //! bit-identical distances to brute-forcing the same [`sdtw::SDtw`]
-//! engine, in both exact-banded-DTW and adaptive sDTW-band modes.
-//! Build-time artefacts per entry: optional z-normalisation, the LB_Kim
+//! engine, in both exact-banded-DTW and adaptive sDTW-band modes. The
+//! PAA and LB_Keogh stages apply to equal lengths and bands inside the
+//! envelope window; the reversed stage applies to every planned band
+//! and every pair of lengths. Build-time artefacts per entry: optional
+//! z-normalisation, the LB_Kim
 //! [`SeriesSummary`](sdtw_dtw::SeriesSummary), the LB_Keogh
 //! [`Envelope`](sdtw_dtw::Envelope), and cached salient descriptors so
-//! the sDTW band planner never re-extracts (paper §3.4). Queries reuse
-//! one DP scratch each, and batch queries run rayon-parallel.
+//! the sDTW band planner never re-extracts (paper §3.4). Each query
+//! builds one [`RangeTable`](sdtw_dtw::RangeTable) over itself for the
+//! reversed stage. Queries reuse one DP scratch each, and batch queries
+//! run rayon-parallel.
 //!
 //! The whole index round-trips through [`SnapshotCodec`]. A snapshot
 //! (binary, format version 3) stores the configuration and the stored

@@ -2,7 +2,8 @@
 //! bit-identical distances to the brute-force `compute_query_matrix`
 //! oracle (and the deprecated `NnSearch` 1-NN oracle), on several seeded
 //! datasets, for k ∈ {1, 5}, in both exact-banded-DTW and sDTW-band
-//! modes.
+//! modes, on equal-length corpora and on a corpus whose entries and
+//! queries all differ in length.
 
 use sdtw::{FeatureStore, KernelChoice, SDtw};
 use sdtw_datasets::{econ, UcrAnalog};
@@ -86,6 +87,60 @@ fn exact_banded_mode_matches_the_oracle() {
 #[test]
 fn sdtw_band_mode_matches_the_oracle() {
     assert_matches_oracle(IndexConfig::sdtw_bands(), "sdtw");
+}
+
+/// Gun rows cut to 100–150 samples for the corpus, and queries cut to
+/// lengths no entry has: no (query, entry) pair has equal lengths, so of
+/// the bounds only LB_Kim and the band-exact reversed LB_Keogh apply.
+fn mixed_length_gun() -> (Vec<TimeSeries>, Vec<TimeSeries>) {
+    let gun = UcrAnalog::Gun.generate(5).series;
+    let cut = |s: &TimeSeries, len: usize| TimeSeries::new(s.values()[..len].to_vec()).unwrap();
+    let corpus = (0..24)
+        .map(|i| cut(&gun[i], 100 + 2 * ((i * 7) % 25)))
+        .collect();
+    let queries = [(2, 149), (9, 127), (30, 111), (41, 135), (47, 103)]
+        .iter()
+        .map(|&(i, len)| cut(&gun[i], len))
+        .collect();
+    (corpus, queries)
+}
+
+#[test]
+fn mixed_length_corpora_match_the_oracle() {
+    let (corpus, queries) = mixed_length_gun();
+    for (label, config) in [
+        ("sakoe", IndexConfig::exact_banded(0.2)),
+        ("ac2aw", IndexConfig::sdtw_bands()),
+    ] {
+        let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
+        let mut pruned_keogh_rev = 0;
+        for k in [1usize, 5] {
+            let oracle = oracle_top_k(&queries, &corpus, &config, k);
+            for (q, query) in queries.iter().enumerate() {
+                let got = index.query(query, k).unwrap();
+                let got_pairs: Vec<(usize, u64)> = got
+                    .neighbors
+                    .iter()
+                    .map(|n| (n.index, n.distance.to_bits()))
+                    .collect();
+                assert_eq!(
+                    got_pairs, oracle[q],
+                    "{label}: query {q} k={k} diverged from the oracle"
+                );
+                assert!(got.stats.is_consistent(), "{label}: stats leak");
+                assert_eq!(
+                    (got.stats.pruned_paa, got.stats.pruned_keogh),
+                    (0, 0),
+                    "{label}: an equal-length stage fired on unequal lengths"
+                );
+                pruned_keogh_rev += got.stats.pruned_keogh_rev;
+            }
+        }
+        assert!(
+            pruned_keogh_rev > 0,
+            "{label}: the reversed bound never pruned"
+        );
+    }
 }
 
 #[test]

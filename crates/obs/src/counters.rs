@@ -30,8 +30,9 @@ pub struct CascadeStats {
     /// envelope).
     pub pruned_keogh: u64,
     /// Dropped by the reversed LB_Keogh (the other side's samples vs
-    /// this side's envelope) — the classic second chance when the first
-    /// direction is too loose.
+    /// this side's range over the rows the band lets each column meet)
+    /// — the second chance when the first direction is too loose or
+    /// does not apply.
     pub pruned_keogh_rev: u64,
     /// Candidates for which at least one configured sample-phase stage
     /// didn't satisfy its admissibility conditions (unequal lengths, or

@@ -72,6 +72,9 @@ pub(crate) struct EvalScratch {
     /// Deferred-queue window buffers: one normalised window per LB lane.
     /// Only the batch sweeps fill these — the monitor path never defers.
     pub(crate) lanes: Vec<Vec<f64>>,
+    /// The batched LB_Keogh bounds of one fixed-band flush, kept across
+    /// flushes so a flush allocates nothing.
+    pub(crate) bounds: Vec<f64>,
 }
 
 /// What one shard's sweep produced: its pass winner, or the first error.
@@ -695,19 +698,20 @@ impl SubseqMatcher {
     }
 
     /// Plans the adaptive band for one prepared (normalised) window —
-    /// extract its descriptors, plan against the cached query
-    /// descriptors, sanitise — and walks its [`Band::reach`] once for
-    /// every later applicability check, all inside one `BandPlan` span.
+    /// extract its descriptors and plan against the cached query
+    /// descriptors (the planner returns the band sanitised) — and walks
+    /// its [`Band::reach`] once for every later applicability check, all
+    /// inside one `BandPlan` span.
     /// Only adaptive policies plan; alignment-free ones share the
     /// matcher's [`WindowBands::Fixed`] band.
     fn plan_window_band(&self, wv: &[f64], rec: &mut Recorder) -> Result<(Band, usize), TsError> {
         rec.time(TracePhase::BandPlan, || {
             let wts = TimeSeries::new(wv.to_vec())?;
             let wf = self.engine.extractor().extract(&wts);
-            let (b, _) = self
-                .engine
-                .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
-            let band = if b.is_feasible() { b } else { b.sanitize() };
+            let (band, _) =
+                self.engine
+                    .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
+            debug_assert!(band.is_feasible(), "planned bands are sanitised");
             let reach = band.reach();
             Ok((band, reach))
         })
@@ -720,7 +724,8 @@ impl SubseqMatcher {
             y: &self.query,
             y_envelope: Some(&self.query_envelope),
             y_keogh_raw,
-            x_envelope: None,
+            x_ranges: None,
+            band: None,
             y_coarse: self.query_coarse.as_ref(),
         }
     }
@@ -1298,6 +1303,7 @@ impl ShardScan {
             dtw,
             cascade: cascade_scratch,
             lanes,
+            bounds,
             ..
         } = eval;
         let lanes: &[Vec<f64>] = lanes;
@@ -1306,15 +1312,17 @@ impl ShardScan {
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
         if matcher.bounds_ok && reach <= matcher.radius {
             rec.time(TracePhase::LbKeogh, || {
-                let views: Vec<&[f64]> = pending.iter().map(|c| c.samples(lanes, xv, m)).collect();
-                let mut bounds = Vec::with_capacity(views.len());
+                let mut views: [&[f64]; LB_LANES] = [&[]; LB_LANES];
+                for (view, c) in views.iter_mut().zip(pending) {
+                    *view = c.samples(lanes, xv, m);
+                }
                 lb_keogh_batch_windows(
-                    &views,
+                    &views[..pending.len()],
                     &matcher.query_envelope,
                     matcher.config.sdtw.dtw.metric,
-                    &mut bounds,
+                    bounds,
                 );
-                for (slot, raw) in pre.iter_mut().zip(bounds) {
+                for (slot, &raw) in pre.iter_mut().zip(bounds.iter()) {
                     *slot = Some(raw);
                 }
             });

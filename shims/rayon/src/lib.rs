@@ -14,24 +14,31 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of worker threads a parallel call will use: the
 /// `RAYON_NUM_THREADS` environment variable when set to a positive
 /// integer (the knob real rayon honours, used by CI to exercise the
 /// parallel paths both degenerate and fanned out), otherwise the
 /// machine's available parallelism.
+///
+/// Resolved once per process, on first use, as real rayon sizes its
+/// global pool once: setting the variable after the first parallel call
+/// has no effect. Finding the available parallelism reads cgroup files
+/// on Linux, which every parallel `collect` would otherwise repeat.
 pub fn current_num_threads() -> usize {
-    if let Ok(raw) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|raw| raw.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// The workspace's `use rayon::prelude::*` surface.

@@ -7,8 +7,10 @@
 //! The bar is bit identity: every `MatchResult` field, distances and
 //! scores compared via `to_bits`, the comparison count included, and the
 //! planned band under both `BandSymmetry` modes. The reference plans its
-//! bands with a verbatim copy of the per-row band builder too, which
-//! `build_band` replaced with one walk over the cuts. Inputs cover features
+//! bands with a verbatim copy of the per-row band builder too (one
+//! interval search, `f64::round` and `f64::ceil` per row, then a cloning
+//! sanitiser), which `build_band` replaced with pointer walks over the
+//! cuts, integer rounding and an in-place sanitiser. Inputs cover features
 //! extracted from every UCR analogue (raw and z-normalised), feature
 //! counts around the lane width (0, 1, 7, 8, 9) and past 70, descriptor
 //! lengths 4, 64 and 128, every screen switched on and off, duplicated
@@ -240,7 +242,7 @@ mod reference {
                         range_around(c, w, m)
                     })
                     .collect();
-                Band::from_ranges(n, m, ranges).sanitize()
+                sanitize(&Band::from_ranges(n, m, ranges))
             }
             ConstraintPolicy::AdaptiveCoreFixedWidth { width_frac } => {
                 let half = ((width_frac * m as f64) / 2.0).round().max(1.0) as usize;
@@ -250,7 +252,7 @@ mod reference {
                         ColRange::new(c.saturating_sub(half), (c + half).min(m - 1))
                     })
                     .collect();
-                Band::from_ranges(n, m, ranges).sanitize()
+                sanitize(&Band::from_ranges(n, m, ranges))
             }
             ConstraintPolicy::AdaptiveCoreAdaptiveWidth {
                 min_width_frac,
@@ -263,9 +265,30 @@ mod reference {
                         range_around(c, w, m)
                     })
                     .collect();
-                Band::from_ranges(n, m, ranges).sanitize()
+                sanitize(&Band::from_ranges(n, m, ranges))
             }
         }
+    }
+
+    /// The sanitiser before it worked in place: clone the rows, then
+    /// bridge them.
+    fn sanitize(band: &Band) -> Band {
+        let (n, m) = (band.n(), band.m());
+        let mut rows = band.rows().to_vec();
+        rows[0].lo = 0;
+        rows[n - 1].hi = m - 1;
+        let mut a = rows[0].lo;
+        for i in 1..n {
+            if rows[i].lo > rows[i - 1].hi + 1 {
+                rows[i].lo = rows[i - 1].hi + 1;
+            }
+            let entry = a.max(rows[i].lo);
+            if entry > rows[i].hi {
+                rows[i].hi = entry;
+            }
+            a = entry;
+        }
+        Band::from_ranges(n, m, rows)
     }
 
     fn range_around(candidate: usize, width: f64, m: usize) -> ColRange {
@@ -293,7 +316,7 @@ mod reference {
             BandSymmetry::Union => {
                 let backward = match_features(fy, fx, m, n, &config.matching);
                 let back_band = build_band(&config.policy, &backward.partition, m, n);
-                band.union(&back_band.transpose()).sanitize()
+                sanitize(&band.union(&back_band.transpose()))
             }
         };
         (band, forward)

@@ -8,16 +8,25 @@
 //! the stream sweeps substitute a batched bound for the scalar one
 //! mid-pipeline, and exactness of kNN/subsequence results is argued from
 //! "the cascade cannot tell which implementation produced the number".
+//!
+//! The band-exact reversed LB_Keogh is held bit for bit to a per-column
+//! reference of its definition, and to the DP distance itself, with no
+//! tolerance, on random feasible bands of every shape, every kernel and
+//! both normalisations.
 
 mod common;
 
 use common::{random_series, structured_series, TestRng};
-use sdtw_suite::dtw::engine::{dtw_run_options, DtwOptions, DtwScratch};
-use sdtw_suite::dtw::lower_bound::{
-    lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch, Envelope,
-    SeriesSummary, LB_LANES,
+use sdtw_suite::dtw::band::ColRange;
+use sdtw_suite::dtw::engine::{
+    dtw_run_options, DtwOptions, DtwScratch, Normalization, StepPattern,
 };
-use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
+use sdtw_suite::dtw::lower_bound::{
+    lb_keogh_band, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch,
+    Envelope, RangeTable, SeriesSummary, LB_LANES,
+};
+use sdtw_suite::dtw::sakoe::{diagonal_column, sakoe_chiba_band};
+use sdtw_suite::dtw::{Band, KernelChoice};
 use sdtw_suite::tseries::{ElementMetric, TimeSeries};
 
 /// The batch widths under test: a single lane, one short of a lane, one
@@ -168,6 +177,205 @@ fn bounds_stay_admissible_on_seeded_pairs() {
             let mut batched = Vec::new();
             lb_keogh_batch(x.values(), &[&env_y], opts.metric, &mut batched);
             assert_eq!(batched[0].to_bits(), keogh.to_bits(), "case {case}");
+        }
+    }
+}
+
+/// Every kernel and normalisation the cascade admits bounds for: sym1,
+/// sym2 and amerced, each raw and `/(N+M)`-normalised, on both metrics.
+fn bound_grid() -> Vec<DtwOptions> {
+    let mut grid = Vec::new();
+    for metric in METRICS {
+        for normalization in [Normalization::None, Normalization::LengthSum] {
+            for (step_pattern, kernel) in [
+                (StepPattern::Symmetric1, KernelChoice::Standard),
+                (StepPattern::Symmetric2, KernelChoice::Standard),
+                (
+                    StepPattern::Symmetric1,
+                    KernelChoice::Amerced { penalty: 0.25 },
+                ),
+            ] {
+                grid.push(DtwOptions {
+                    metric,
+                    step_pattern,
+                    normalization,
+                    kernel,
+                    ..DtwOptions::default()
+                });
+            }
+        }
+    }
+    grid
+}
+
+/// The band-exact bound in the units `opts` reports distances in.
+fn band_bound(x: &[f64], y: &[f64], band: &Band, opts: &DtwOptions) -> f64 {
+    let raw = lb_keogh_band(y, &RangeTable::build(x), band, opts.metric, &mut Vec::new());
+    match opts.normalization {
+        Normalization::None => raw,
+        Normalization::LengthSum => raw / (x.len() + y.len()) as f64,
+    }
+}
+
+/// The band-exact bound by its definition, one column at a time: the
+/// rows from the first whose running maximum of `hi` reaches the column
+/// to the last whose suffix minimum of `lo` is at most it, which must
+/// hold every row that meets the column, and a plain min and max over
+/// them.
+fn band_bound_reference(y: &[f64], x: &[f64], band: &Band, metric: ElementMetric) -> f64 {
+    let rows = band.rows();
+    let mut acc = 0.0;
+    for (j, &yj) in y.iter().enumerate() {
+        let first = (0..rows.len())
+            .find(|&i| rows[..=i].iter().any(|r| r.hi >= j))
+            .expect("a feasible band reaches every column");
+        let last = (0..rows.len())
+            .rev()
+            .find(|&i| rows[i..].iter().any(|r| r.lo <= j))
+            .expect("a feasible band starts at column 0");
+        for (i, r) in rows.iter().enumerate() {
+            assert!(!r.contains(j) || (first..=last).contains(&i));
+        }
+        let lower = x[first..=last]
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        let upper = x[first..=last]
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
+        if yj > upper {
+            acc += metric.eval(yj, upper);
+        } else if yj < lower {
+            acc += metric.eval(yj, lower);
+        }
+    }
+    acc
+}
+
+/// A random feasible band over an `n × m` grid: rows of random
+/// half-widths around a jittered diagonal, sanitised (ragged edges make
+/// most of them non-staircase), a Sakoe-Chiba band (staircase), or the
+/// full grid.
+fn random_feasible_band(rng: &mut TestRng, n: usize, m: usize) -> Band {
+    match rng.usize_in(0, 4) {
+        0 => sakoe_chiba_band(n, m, rng.f64_in(0.02, 0.5)),
+        1 => Band::full(n, m),
+        _ => {
+            let rows = (0..n)
+                .map(|i| {
+                    let c = (diagonal_column(i, n, m) + rng.usize_in(0, 7)).saturating_sub(3);
+                    let c = c.min(m - 1);
+                    ColRange::new(c.saturating_sub(rng.usize_in(0, 5)), c + rng.usize_in(0, 5))
+                })
+                .collect();
+            Band::from_ranges(n, m, rows).sanitize()
+        }
+    }
+}
+
+#[test]
+fn band_exact_reversed_keogh_never_exceeds_the_dp_distance() {
+    let mut rng = TestRng::new(0xB0B5_0005);
+    let mut scratch = DtwScratch::new();
+    let (mut staircase, mut ragged, mut unequal) = (0, 0, 0);
+    for case in 0..160 {
+        let n = rng.usize_in(1, 60);
+        let m = if rng.usize_in(0, 3) == 0 {
+            n
+        } else {
+            rng.usize_in(1, 60)
+        };
+        let x: Vec<f64> = (0..n).map(|_| rng.f64_in(-3.0, 3.0)).collect();
+        let y: Vec<f64> = (0..m).map(|_| rng.f64_in(-3.0, 3.0)).collect();
+        let band = random_feasible_band(&mut rng, n, m);
+        assert!(band.is_feasible());
+        if band.is_staircase() {
+            staircase += 1;
+        } else {
+            ragged += 1;
+        }
+        unequal += usize::from(n != m);
+        for metric in METRICS {
+            let got = lb_keogh_band(&y, &RangeTable::build(&x), &band, metric, &mut Vec::new());
+            let want = band_bound_reference(&y, &x, &band, metric);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case} {metric:?}");
+        }
+        for opts in bound_grid() {
+            let dtw = dtw_run_options(&x, &y, &band, &opts, None, &mut scratch)
+                .expect("no cutoff")
+                .distance;
+            let bound = band_bound(&x, &y, &band, &opts);
+            assert!(
+                bound <= dtw,
+                "case {case} {n}x{m} {opts:?}: bound {bound} exceeds the DP distance {dtw}"
+            );
+        }
+        // where the envelope form applies, the band-exact one is at
+        // least as tight
+        if n == m {
+            let reach = band.reach();
+            for radius in [reach, reach + 1, reach + rng.usize_in(0, 9)] {
+                let env = Envelope::build_from_values(&x, radius);
+                for metric in METRICS {
+                    let envelope = lb_keogh_values(&y, &env, metric);
+                    let exact =
+                        lb_keogh_band(&y, &RangeTable::build(&x), &band, metric, &mut Vec::new());
+                    assert!(
+                        envelope <= exact,
+                        "case {case}: envelope bound {envelope} above the band-exact {exact} \
+                         (reach {reach}, radius {radius})"
+                    );
+                }
+            }
+        }
+    }
+    assert!(staircase > 10 && ragged > 10 && unequal > 10);
+}
+
+#[test]
+fn band_exact_reversed_keogh_is_the_distance_on_the_diagonal() {
+    // a one-cell-per-row band has one warp path; where the diagonal step
+    // pays the local cost alone (sym1, amerced) the bound sums exactly
+    // the path's costs in its order, and sym2 pays each twice
+    let mut rng = TestRng::new(0xB0B5_0006);
+    let mut scratch = DtwScratch::new();
+    for _ in 0..20 {
+        let n = rng.usize_in(1, 50);
+        let x: Vec<f64> = (0..n).map(|_| rng.f64_in(-3.0, 3.0)).collect();
+        let y: Vec<f64> = (0..n).map(|_| rng.f64_in(-3.0, 3.0)).collect();
+        let band = Band::from_ranges(n, n, (0..n).map(|i| ColRange::new(i, i)).collect());
+        for opts in bound_grid() {
+            let dtw = dtw_run_options(&x, &y, &band, &opts, None, &mut scratch)
+                .expect("no cutoff")
+                .distance;
+            let bound = band_bound(&x, &y, &band, &opts);
+            if opts.step_pattern == StepPattern::Symmetric2 && opts.kernel == KernelChoice::Standard
+            {
+                assert!(bound <= dtw, "{opts:?}: {bound} above {dtw}");
+            } else {
+                assert_eq!(bound.to_bits(), dtw.to_bits(), "{opts:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn range_table_answers_every_range() {
+    let mut rng = TestRng::new(0xB0B5_0007);
+    for n in [1usize, 2, 3, 7, 8, 9, 33] {
+        let v: Vec<f64> = (0..n).map(|_| rng.f64_in(-5.0, 5.0)).collect();
+        let table = RangeTable::build(&v);
+        assert_eq!(table.len(), n);
+        for lo in 0..n {
+            for hi in lo..n {
+                let want = v[lo..=hi]
+                    .iter()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &s| {
+                        (a.min(s), b.max(s))
+                    });
+                assert_eq!(table.min_max(lo, hi), want, "n {n} range {lo}..={hi}");
+            }
         }
     }
 }
