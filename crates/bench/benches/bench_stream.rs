@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdtw::{DtwScratch, SDtw};
 use sdtw_eval::{brute_force_matches, select_matches, subsequence_profile};
-use sdtw_stream::{MonitorBank, StreamConfig, StreamMonitor, SubseqMatcher};
+use sdtw_stream::{MonitorBank, StreamConfig, SubseqMatcher};
 use sdtw_tseries::TimeSeries;
 use std::hint::black_box;
 
@@ -118,9 +118,9 @@ fn bench_stream(c: &mut Criterion) {
     });
     group.bench_function("monitor_top1", |b| {
         b.iter(|| {
-            let mut monitor = StreamMonitor::new(matcher.clone(), 1, f64::INFINITY).unwrap();
+            let mut monitor = MonitorBank::new([matcher.clone()], 1, f64::INFINITY).unwrap();
             monitor.process(hay.values()).unwrap();
-            black_box(monitor.matches().len())
+            black_box(monitor.matches(0).len())
         })
     });
     group.bench_function("monitor_bank_top1_x4", |b| {
@@ -139,7 +139,7 @@ fn bench_stream(c: &mut Criterion) {
             })
             .collect();
         b.iter(|| {
-            let mut bank = MonitorBank::uniform(variants.clone(), 1, f64::INFINITY).unwrap();
+            let mut bank = MonitorBank::new(variants.clone(), 1, f64::INFINITY).unwrap();
             bank.process(hay.values()).unwrap();
             black_box(bank.merged_stats().cascade.candidates)
         })

@@ -809,7 +809,7 @@ fn cmd_stream_find(a: &Args) -> Result<(), String> {
     let mut traces: Vec<QueryTrace> = Vec::new();
     let t0 = std::time::Instant::now();
     let results: Vec<SubseqResult> = if a.flag("monitor") {
-        let mut bank = MonitorBank::uniform(matchers.clone(), k, tau).map_err(|e| e.to_string())?;
+        let mut bank = MonitorBank::new(matchers.clone(), k, tau).map_err(|e| e.to_string())?;
         bank.set_tracing(tracing);
         bank.process(series.values()).map_err(|e| e.to_string())?;
         let results = (0..bank.query_count())

@@ -168,6 +168,32 @@ impl DtwOptions {
         Ok(())
     }
 
+    /// Refuses samples whose DP cost could overflow. With `a` and `b` the
+    /// largest magnitudes of the two prepared sides, no local cost
+    /// exceeds `c`, the metric of `a + b`, and no path of an `n × m` DP
+    /// has more than `n + m` steps, each costing at most `w·c + ω` (`w`
+    /// the diagonal weight, `ω` the amerced penalty). When
+    /// `(n + m) · (w·c + ω)` is finite, so is every cell, lower bound and
+    /// distance over such samples.
+    ///
+    /// # Errors
+    ///
+    /// [`TsError::InvalidParameter`] saying the samples are too large for
+    /// the metric when that product is not finite.
+    #[inline]
+    pub fn check_magnitudes(&self, n: usize, m: usize, a: f64, b: f64) -> Result<(), TsError> {
+        let (w, omega) = match self.kernel {
+            KernelChoice::Standard => (self.step_pattern.diagonal_weight(), 0.0),
+            KernelChoice::Amerced { penalty } => (1.0, penalty),
+        };
+        let c = self.metric.eval(a, -b);
+        if ((n + m) as f64 * (w * c + omega)).is_finite() {
+            Ok(())
+        } else {
+            Err(magnitude_error(self.metric, n, m, a, b))
+        }
+    }
+
     /// Whether `LB_Kim`/`LB_Keogh` remain admissible under the configured
     /// kernel (retrieval cascades consult this before enabling
     /// lower-bound pruning).
@@ -178,6 +204,23 @@ impl DtwOptions {
     /// Short label of the configured kernel (experiment output, CLI).
     pub fn kernel_label(&self) -> String {
         self.kernel.label(self.step_pattern)
+    }
+}
+
+/// The refusal [`DtwOptions::check_magnitudes`] returns, built off its
+/// hot path.
+#[cold]
+fn magnitude_error(metric: ElementMetric, n: usize, m: usize, a: f64, b: f64) -> TsError {
+    let metric = match metric {
+        ElementMetric::Squared => "squared",
+        ElementMetric::Absolute => "absolute",
+    };
+    TsError::InvalidParameter {
+        name: "values",
+        reason: format!(
+            "samples too large for the {metric} metric: the DP cost of {n} × {m} samples of \
+             magnitude up to {a:.4e} and {b:.4e} overflows f64"
+        ),
     }
 }
 

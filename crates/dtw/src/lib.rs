@@ -97,6 +97,6 @@ pub use lower_bound::{
     lb_keogh, lb_keogh_band, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim,
     lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
 };
-pub use multires::{dtw_multires, dtw_multires_with_scratch, MultiresScratch};
+pub use multires::dtw_multires;
 pub use path::WarpPath;
 pub use simd::{F64Lanes, LaneMask, LANE_WIDTH};

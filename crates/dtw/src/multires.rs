@@ -21,76 +21,34 @@ use sdtw_tseries::TimeSeries;
 /// Minimum problem size solved exactly (full grid) at the recursion base.
 const BASE_SIZE: usize = 16;
 
-/// Reusable buffers for the coarse-to-fine computation: the DP scratch
-/// shared by every resolution level plus a pool of sample buffers the
-/// shrink pyramid is built from (and recycled into after each call).
-///
-/// Historically each recursion level allocated its own [`DtwScratch`] and
-/// shrink vectors; threading one `MultiresScratch` through the whole
-/// pyramid turns the per-level allocations into buffer reuse while
-/// producing bit-identical results (asserted by the tests below).
-#[derive(Debug, Default)]
-pub struct MultiresScratch {
-    /// The DP buffers, shared across every level and the final run.
-    pub dtw: DtwScratch,
-    /// Recycled sample buffers for the shrink pyramid.
-    pool: Vec<Vec<f64>>,
-}
-
-impl MultiresScratch {
-    /// Creates an empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Computes the multi-resolution DTW distance with the given corridor
 /// `radius` (FastDTW's radius parameter; 1–2 is customary, larger is more
-/// accurate).
+/// accurate): [`multires_band`], then one banded run inside it.
 ///
 /// Always returns a warp path when `opts.compute_path` is set; the path is
 /// optimal *within the corridor*.
 pub fn dtw_multires(x: &TimeSeries, y: &TimeSeries, radius: usize, opts: &DtwOptions) -> DtwResult {
-    dtw_multires_with_scratch(x, y, radius, opts, &mut MultiresScratch::new())
-}
-
-/// [`dtw_multires`] with caller-owned buffers: one [`MultiresScratch`]
-/// serves every resolution level of the pyramid *and* the final banded
-/// run, so batch loops pay no per-level allocations. Results are
-/// bit-identical with or without reuse.
-pub fn dtw_multires_with_scratch(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    radius: usize,
-    opts: &DtwOptions,
-    scratch: &mut MultiresScratch,
-) -> DtwResult {
-    let band = multires_band_with_scratch(x, y, radius, opts, scratch);
-    dtw_run_options(x.values(), y.values(), &band, opts, None, &mut scratch.dtw)
-        .expect("a run without a cutoff never abandons")
+    let band = multires_band(x, y, radius, opts);
+    dtw_run_options(
+        x.values(),
+        y.values(),
+        &band,
+        opts,
+        None,
+        &mut DtwScratch::new(),
+    )
+    .expect("a run without a cutoff never abandons")
 }
 
 /// The coarse-to-fine corridor band for a pair (without the final DP run).
-pub fn multires_band(x: &TimeSeries, y: &TimeSeries, radius: usize, opts: &DtwOptions) -> Band {
-    multires_band_with_scratch(x, y, radius, opts, &mut MultiresScratch::new())
-}
-
-/// [`multires_band`] with caller-owned buffers (see
-/// [`dtw_multires_with_scratch`]).
 ///
-/// The historical recursion is unrolled into an explicit pyramid walk —
-/// shrink to the base size, then run the coarse DP and project one level
-/// at a time — so a single DP scratch threads through every level and the
-/// shrink buffers recycle through the scratch's pool. The sequence of
-/// arithmetic operations is unchanged, so the corridor (and any distance
-/// computed inside it) is bit-identical to the recursive formulation.
-pub fn multires_band_with_scratch(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    radius: usize,
-    opts: &DtwOptions,
-    scratch: &mut MultiresScratch,
-) -> Band {
+/// The recursion is unrolled into an explicit pyramid walk — shrink to
+/// the base size, then run the coarse DP and project one level at a
+/// time — so one DP scratch threads through every level of the call.
+/// The sequence of arithmetic operations is unchanged, so the corridor
+/// (and any distance computed inside it) is bit-identical to the
+/// recursive formulation.
+pub fn multires_band(x: &TimeSeries, y: &TimeSeries, radius: usize, opts: &DtwOptions) -> Band {
     // Shrink pyramid, finest coarse level first (`levels[0]` is the
     // half-resolution pair; level 0 — the inputs — stays borrowed).
     let mut levels: Vec<(TimeSeries, TimeSeries)> = Vec::new();
@@ -102,9 +60,8 @@ pub fn multires_band_with_scratch(
         if px.len() <= BASE_SIZE || py.len() <= BASE_SIZE {
             break;
         }
-        let nx = shrink_half_reusing(px, &mut scratch.pool);
-        let ny = shrink_half_reusing(py, &mut scratch.pool);
-        levels.push((nx, ny));
+        let halved = (shrink_half(px), shrink_half(py));
+        levels.push(halved);
     }
 
     // The recursion base: the coarsest level is solved on the full grid.
@@ -116,6 +73,7 @@ pub fn multires_band_with_scratch(
 
     // Unwind: solve each coarse level inside its corridor, project the
     // warp path one level finer, widen by `radius`.
+    let mut scratch = DtwScratch::new();
     for k in (0..levels.len()).rev() {
         let (cx, cy) = &levels[k];
         let coarse = dtw_run_options(
@@ -128,7 +86,7 @@ pub fn multires_band_with_scratch(
                 ..*opts
             },
             None,
-            &mut scratch.dtw,
+            &mut scratch,
         )
         .expect("a run without a cutoff never abandons");
         let path = coarse.path.expect("path requested");
@@ -138,23 +96,14 @@ pub fn multires_band_with_scratch(
         };
         band = project_path(&path, fine_n, fine_m, radius);
     }
-
-    // Recycle the pyramid's sample buffers for the next call.
-    for (a, b) in levels.drain(..) {
-        scratch.pool.push(a.into_values());
-        scratch.pool.push(b.into_values());
-    }
     band
 }
 
 /// Halves a series by averaging adjacent samples (odd tails keep the last
-/// sample as-is), writing into a buffer recycled from `pool` when one is
-/// available.
-fn shrink_half_reusing(ts: &TimeSeries, pool: &mut Vec<Vec<f64>>) -> TimeSeries {
+/// sample as-is).
+fn shrink_half(ts: &TimeSeries) -> TimeSeries {
     let v = ts.values();
-    let mut out = pool.pop().unwrap_or_default();
-    out.clear();
-    out.reserve(v.len() / 2 + 1);
+    let mut out = Vec::with_capacity(v.len() / 2 + 1);
     let mut i = 0;
     while i + 1 < v.len() {
         out.push(0.5 * (v[i] + v[i + 1]));
@@ -164,12 +113,6 @@ fn shrink_half_reusing(ts: &TimeSeries, pool: &mut Vec<Vec<f64>>) -> TimeSeries 
         out.push(v[i]);
     }
     TimeSeries::new(out).expect("halving preserves finiteness")
-}
-
-/// Halves a series by averaging adjacent samples (unit-test reference).
-#[cfg(test)]
-fn shrink_half(ts: &TimeSeries) -> TimeSeries {
-    shrink_half_reusing(ts, &mut Vec::new())
 }
 
 /// Projects a coarse warp path onto the `n × m` grid and widens it by
@@ -339,45 +282,31 @@ mod tests {
 
     #[test]
     fn pyramid_walk_is_bit_identical_to_the_recursive_formulation() {
-        let opts = DtwOptions::default();
-        for (n, m, radius) in [(40, 40, 1), (130, 170, 2), (257, 300, 4), (12, 300, 1)] {
-            let x = wavy(n, 0.0, 1.0);
-            let y = wavy(m, 0.7, 1.09);
-            let reference = reference_band(&x, &y, radius, &opts);
-            let walked = multires_band(&x, &y, radius, &opts);
-            assert_eq!(reference, walked, "corridor diverged at {n}x{m} r{radius}");
-            let d_ref = dtw_run_options(
-                x.values(),
-                y.values(),
-                &reference,
-                &opts,
-                None,
-                &mut DtwScratch::new(),
-            )
-            .unwrap()
-            .distance;
-            let d_new = dtw_multires(&x, &y, radius, &opts).distance;
-            assert_eq!(d_ref.to_bits(), d_new.to_bits());
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical_across_mixed_shapes() {
-        // one scratch reused across pairs of different sizes must
-        // reproduce the fresh-scratch path exactly, paths included
-        let mut scratch = MultiresScratch::new();
-        for (k, n, m) in [(0usize, 64, 80), (1, 200, 150), (2, 90, 90)] {
-            let x = wavy(n, 0.1 * k as f64, 1.0);
-            let y = wavy(m, 0.5, 1.03);
-            for opts in [DtwOptions::with_path(), DtwOptions::normalized_symmetric2()] {
-                let fresh = dtw_multires(&x, &y, 2, &opts);
-                let reused = dtw_multires_with_scratch(&x, &y, 2, &opts, &mut scratch);
-                assert_eq!(fresh.distance.to_bits(), reused.distance.to_bits());
-                assert_eq!(fresh.cells_filled, reused.cells_filled);
-                assert_eq!(fresh.path, reused.path);
+        for opts in [
+            DtwOptions::default(),
+            DtwOptions::with_path(),
+            DtwOptions::normalized_symmetric2(),
+        ] {
+            for (n, m, radius) in [(40, 40, 1), (130, 170, 2), (257, 300, 4), (12, 300, 1)] {
+                let x = wavy(n, 0.0, 1.0);
+                let y = wavy(m, 0.7, 1.09);
+                let reference = reference_band(&x, &y, radius, &opts);
+                let walked = multires_band(&x, &y, radius, &opts);
+                assert_eq!(reference, walked, "corridor diverged at {n}x{m} r{radius}");
+                let r_ref = dtw_run_options(
+                    x.values(),
+                    y.values(),
+                    &reference,
+                    &opts,
+                    None,
+                    &mut DtwScratch::new(),
+                )
+                .unwrap();
+                let r_new = dtw_multires(&x, &y, radius, &opts);
+                assert_eq!(r_ref.distance.to_bits(), r_new.distance.to_bits());
+                assert_eq!(r_ref.cells_filled, r_new.cells_filled);
+                assert_eq!(r_ref.path, r_new.path);
             }
         }
-        // the pool actually retained buffers for the next call
-        assert!(!scratch.pool.is_empty(), "shrink buffers are recycled");
     }
 }

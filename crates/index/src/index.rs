@@ -220,6 +220,10 @@ pub struct SdtwIndex {
     config: IndexConfig,
     engine: SDtw,
     entries: Vec<IndexEntry>,
+    /// The largest stored sample magnitude and the longest stored
+    /// series, which bound the DP cost of every query.
+    peak: f64,
+    max_len: usize,
 }
 
 impl SdtwIndex {
@@ -227,7 +231,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// Configuration validation errors.
+    /// Configuration validation errors, or corpus samples too large for
+    /// the metric.
     pub fn build(corpus: &[TimeSeries], config: IndexConfig) -> Result<Self, TsError> {
         let stored = corpus
             .iter()
@@ -243,14 +248,24 @@ impl SdtwIndex {
     }
 
     /// The build path after normalisation, shared with the snapshot
-    /// loader: validates the configuration, then derives every entry's
-    /// artefacts from its stored series. Never normalises — `stored` is
-    /// what the index keeps.
+    /// loader: validates the configuration and the corpus's magnitude
+    /// (checked against itself), then derives every entry's artefacts
+    /// from its stored series. Never normalises — `stored` is what the
+    /// index keeps.
     pub(crate) fn from_stored(
         config: IndexConfig,
         stored: Vec<TimeSeries>,
     ) -> Result<Self, TsError> {
         config.validate()?;
+        let peak = stored
+            .iter()
+            .flat_map(TimeSeries::values)
+            .fold(0.0, |p: f64, v| p.max(v.abs()));
+        let max_len = stored.iter().map(TimeSeries::len).max().unwrap_or(0);
+        config
+            .sdtw
+            .dtw
+            .check_magnitudes(max_len, max_len, peak, peak)?;
         let engine = SDtw::new(config.sdtw.clone())?;
         let needs_features = config.sdtw.policy.needs_alignment();
         let entries = stored
@@ -278,6 +293,8 @@ impl SdtwIndex {
             config,
             engine,
             entries,
+            peak,
+            max_len,
         })
     }
 
@@ -316,6 +333,13 @@ impl SdtwIndex {
     /// The indexed entries (inspection/tests).
     pub fn entries(&self) -> &[IndexEntry] {
         &self.entries
+    }
+
+    /// The largest sample magnitude of the stored series, derived at
+    /// build and load: what a caller checks its own samples against
+    /// (see [`DtwOptions::check_magnitudes`](sdtw_dtw::DtwOptions::check_magnitudes)).
+    pub fn max_magnitude(&self) -> f64 {
+        self.peak
     }
 
     /// Converts a raw accumulated-cost bound into the units of the
@@ -358,7 +382,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, query samples too large for the metric against the
+    /// corpus, or feature extraction failing on the query.
     pub fn query_with_scratch(
         &self,
         query: &TimeSeries,
@@ -380,7 +405,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, query samples too large for the metric against the
+    /// corpus, or feature extraction failing on the query.
     pub fn query_traced(
         &self,
         query: &TimeSeries,
@@ -465,7 +491,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, query samples too large for the metric against the
+    /// corpus, or feature extraction failing on the query.
     pub fn query_detailed(
         &self,
         query: &TimeSeries,
@@ -519,6 +546,11 @@ impl SdtwIndex {
         } else {
             query.clone()
         };
+        let q_peak = q.values().iter().fold(0.0, |p: f64, v| p.max(v.abs()));
+        self.config
+            .sdtw
+            .dtw
+            .check_magnitudes(q.len(), self.max_len, q_peak, self.peak)?;
         // the query is the fixed side of every candidate's band plan:
         // extract and prepare it once
         let fq = if self.config.sdtw.policy.needs_alignment() {
@@ -764,7 +796,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, query samples too large for the metric against the
+    /// corpus, or feature extraction failing on the query.
     pub fn query(&self, query: &TimeSeries, k: usize) -> Result<QueryResult, TsError> {
         let mut scratch = DtwScratch::new();
         self.query_with_scratch(query, k, &mut scratch)
@@ -777,7 +810,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// The first per-query error (`k == 0`, feature extraction).
+    /// The first per-query error (`k == 0`, samples too large for the
+    /// metric, feature extraction).
     pub fn batch_query(
         &self,
         queries: &[TimeSeries],

@@ -223,8 +223,9 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Request validation (`k == 0` after defaulting, NaN/negative
-    /// `tau`, invalid pattern samples, a `Shutdown` op) and engine
-    /// errors (feature extraction under adaptive policies).
+    /// `tau`, invalid pattern samples, samples too large for the metric
+    /// against the corpus, a `Shutdown` op) and engine errors (feature
+    /// extraction under adaptive policies).
     pub fn answer_detailed(
         &self,
         req: &ServeRequest,
@@ -277,6 +278,8 @@ impl ServeEngine {
         });
 
         let matcher = self.matcher_for(&req.values)?;
+        // every entry's windows at once: no sweep may overflow
+        matcher.check_haystack(self.index.max_magnitude())?;
         let query = TimeSeries::new(req.values.to_vec())?;
         // Level 1a: coarse visit order from the index's stage-1 screen
         // (whole-recording bounds — ranking only, never pruning).

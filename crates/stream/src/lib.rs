@@ -31,14 +31,13 @@
 //!   scan for every shard count; k, τ, shards, a lent DP scratch and a
 //!   trace are options of one call, which returns the counters always
 //!   and a `QueryTrace` when one was asked for;
-//! * **streaming** — a [`StreamMonitor`] accepts samples pushed one at a
-//!   time into a query-sized ring buffer, maintaining windowed
-//!   mean/variance and extrema incrementally in O(1) per step and running
-//!   the same cascade on each completed window;
-//! * **streaming, multi-query** — a [`MonitorBank`] pays that ring
-//!   buffer and those rolling statistics once per stream and fans every
-//!   completed window across N per-query runtimes, each bit-identical
-//!   to a standalone monitor.
+//! * **streaming** — a [`MonitorBank`] of one query or many accepts
+//!   samples pushed one at a time into a query-sized ring buffer,
+//!   maintaining windowed mean/variance and extrema incrementally in O(1)
+//!   per step — once per stream, however many queries watch it — and
+//!   running each query's cascade on every completed window; a query's
+//!   results are bit-identical whether it is monitored alone or beside
+//!   others.
 //!
 //! The per-window cascade (the shared `sdtw_dtw::cascade` pipeline) is:
 //! rolling **LB_Kim** (O(1), conservatively guarded under per-window
@@ -47,7 +46,7 @@
 //! envelope (on exactly-normalised samples) → **early-abandoned banded
 //! DP** through the query builder. See `DESIGN.md` §9 for the
 //! admissibility argument of the rolling bounds and §10 for the PAA
-//! stage, the halo-window sharding proof, and the bank's exactness
+//! stage, the halo-window sharding proof, and the monitor's exactness
 //! regimes.
 //!
 //! # Example
@@ -87,16 +86,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
 pub mod config;
 pub mod matcher;
 pub mod monitor;
 pub mod rolling;
 pub mod stats;
 
-pub use bank::{BankEvent, BankQuery, MonitorBank};
 pub use config::StreamConfig;
 pub use matcher::{Haystack, PreparedHaystack, Search, SubseqMatch, SubseqMatcher, SubseqResult};
-pub use monitor::StreamMonitor;
+pub use monitor::{BankEvent, MonitorBank};
 pub use rolling::RollingExtrema;
 pub use stats::StreamStats;

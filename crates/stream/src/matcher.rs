@@ -166,6 +166,9 @@ pub struct PreparedHaystack<'a> {
     /// the stage abstains).
     bounds: Vec<Option<f64>>,
     floor: f64,
+    /// The largest sample magnitude, which bounds raw windows' DP costs
+    /// (0 for z-normalising matchers, whose windows it does not bound).
+    peak: f64,
     /// Suffix maxima and minima of the last complete block of `m`
     /// samples (`[k]` covers the block from offset `k` to its end), plus
     /// an identity sentinel at `[m]`; kept between loads so their
@@ -183,6 +186,7 @@ impl<'a> PreparedHaystack<'a> {
             values: &[],
             bounds: Vec::new(),
             floor: f64::INFINITY,
+            peak: 0.0,
             tail_max: Vec::new(),
             tail_min: Vec::new(),
         }
@@ -197,6 +201,11 @@ impl<'a> PreparedHaystack<'a> {
         let m = matcher.m;
         self.values = xv;
         self.bounds.clear();
+        self.peak = if matcher.config.z_normalize {
+            0.0
+        } else {
+            xv.iter().fold(0.0, |p: f64, v| p.max(v.abs()))
+        };
         if xv.len() < m {
             self.floor = f64::INFINITY;
             return;
@@ -613,8 +622,8 @@ impl SubseqMatcher {
         Ok((selected, passes))
     }
 
-    /// Validates the `k` and `tau` every search takes.
-    fn check_search(k: usize, tau: f64) -> Result<(), TsError> {
+    /// Validates the `k` and `tau` every search and monitor takes.
+    pub(crate) fn check_search(k: usize, tau: f64) -> Result<(), TsError> {
         if k == 0 {
             return Err(TsError::InvalidParameter {
                 name: "k",
@@ -628,6 +637,58 @@ impl SubseqMatcher {
             });
         }
         Ok(())
+    }
+
+    /// Refuses haystack samples whose windows' DP cost could overflow:
+    /// [`DtwOptions::check_magnitudes`](sdtw_dtw::DtwOptions::check_magnitudes)
+    /// of the prepared query against the prepared windows, where `peak`
+    /// is the haystack's largest sample magnitude. A z-normalised
+    /// window's samples lie within `±√m` (their squares sum to `m`)
+    /// whatever the haystack holds, so only raw matchers read `peak`.
+    /// [`Search::run`] calls this once per search.
+    ///
+    /// # Errors
+    ///
+    /// The samples are too large for the metric.
+    pub fn check_haystack(&self, peak: f64) -> Result<(), TsError> {
+        let window_peak = if self.config.z_normalize {
+            (self.m as f64).sqrt()
+        } else {
+            peak
+        };
+        let q = &self.query_summary;
+        let query_peak = q.min.abs().max(q.max.abs());
+        self.config
+            .sdtw
+            .dtw
+            .check_magnitudes(self.m, self.m, query_peak, window_peak)
+    }
+
+    /// The largest sample magnitude [`SubseqMatcher::check_haystack`]
+    /// accepts (`+∞` when it accepts all), so a monitor can screen each
+    /// pushed sample with one compare.
+    ///
+    /// # Errors
+    ///
+    /// The query's own samples are too large for the metric, so no
+    /// haystack is accepted.
+    pub(crate) fn sample_limit(&self) -> Result<f64, TsError> {
+        self.check_haystack(0.0)?;
+        if self.check_haystack(f64::INFINITY).is_ok() {
+            return Ok(f64::INFINITY);
+        }
+        // non-negative doubles order like their bit patterns: bisect the
+        // bits between an accepted and a refused magnitude
+        let (mut ok, mut refused) = (0.0f64.to_bits(), f64::INFINITY.to_bits());
+        while refused - ok > 1 {
+            let mid = ok + (refused - ok) / 2;
+            if self.check_haystack(f64::from_bits(mid)).is_ok() {
+                ok = mid;
+            } else {
+                refused = mid;
+            }
+        }
+        Ok(f64::from_bits(ok))
     }
 
     /// The [`InputShape`] block of this matcher's traces: query length,
@@ -654,9 +715,10 @@ impl SubseqMatcher {
 
     /// Runs the shared cascade on one raw window against `threshold`,
     /// updating the caller's per-stage accounting. `kim` is the
-    /// precomputed rolling bound (`None` = stage abstained). Shared by
-    /// the batch sweeps, the sharded parallel scan, and the streaming
-    /// monitors.
+    /// precomputed rolling bound (`None` = stage abstained). The
+    /// streaming monitor's per-window path: the batch sweeps defer Kim
+    /// survivors to flushes instead, and share only `finish_window` with
+    /// it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate_window(
         &self,
@@ -931,7 +993,7 @@ impl<'a> Search<'a> {
 
     /// Reports only matches with distance `<= tau` (default `+∞`): the
     /// monitoring workload ("report occurrences under a threshold"), and
-    /// the form whose streaming counterpart ([`crate::StreamMonitor`]) is
+    /// the form whose streaming counterpart ([`crate::MonitorBank`]) is
     /// exact for every `k`. `run()` refuses a negative or NaN `tau`.
     pub fn tau(mut self, tau: f64) -> Self {
         self.tau = tau;
@@ -973,7 +1035,9 @@ impl<'a> Search<'a> {
     /// # Errors
     ///
     /// `k == 0`, a negative/NaN `tau`, a haystack prepared by another
-    /// matcher, or feature-extraction failures (adaptive policies).
+    /// matcher, haystack samples too large for the metric
+    /// ([`SubseqMatcher::check_haystack`]), or feature-extraction
+    /// failures (adaptive policies).
     pub fn run(self) -> Result<(SubseqResult, Option<QueryTrace>), TsError> {
         let Search {
             matcher,
@@ -987,6 +1051,7 @@ impl<'a> Search<'a> {
         let trace = trace.map(|id| (id, std::time::Instant::now()));
         SubseqMatcher::check_search(k, tau)?;
         let hay = haystack.prepared_for(matcher)?;
+        matcher.check_haystack(hay.peak)?;
         let mut scans = matcher.shard_scans(hay.values, shards, trace.is_some());
         if let (Some(lent), Some(first)) = (scratch.as_deref_mut(), scans.first_mut()) {
             first.eval.dtw = std::mem::take(lent);
@@ -1521,7 +1586,8 @@ impl ShardScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::StreamMonitor;
+    use crate::monitor::MonitorBank;
+    use sdtw_dtw::DtwOptions;
 
     fn ts(v: Vec<f64>) -> TimeSeries {
         TimeSeries::new(v).unwrap()
@@ -1850,16 +1916,56 @@ mod tests {
                 assert_eq!(m.distance.to_bits(), d.to_bits(), "k={k}");
             }
         }
-        // streaming mode sees the same shift sample by sample
+        // streaming mode sees the same shift sample by sample, alone
+        // and beside a second query
         let batch = matcher.search(&hay).k(1).run().unwrap().0;
-        let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
-        monitor.process(hay.values()).unwrap();
-        let live = monitor.matches();
-        assert_eq!(live[0].offset, batch.matches[0].offset);
-        assert_eq!(
-            live[0].distance.to_bits(),
-            batch.matches[0].distance.to_bits()
-        );
+        let other =
+            SubseqMatcher::new(&ts(hay.values()[..32].to_vec()), matcher.config().clone()).unwrap();
+        for bank in [vec![matcher.clone()], vec![other, matcher]] {
+            let q = bank.len() - 1;
+            let mut bank = MonitorBank::new(bank, 1, f64::INFINITY).unwrap();
+            bank.process(hay.values()).unwrap();
+            let live = bank.matches(q);
+            assert_eq!(live[0].offset, batch.matches[0].offset);
+            assert_eq!(
+                live[0].distance.to_bits(),
+                batch.matches[0].distance.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn the_sample_limit_is_the_largest_magnitude_the_check_accepts() {
+        let (query, _) = planted();
+        let raw = |dtw: DtwOptions| StreamConfig {
+            z_normalize: false,
+            sdtw: sdtw::SDtwConfig {
+                dtw,
+                ..StreamConfig::exact_banded(0.2).sdtw
+            },
+            ..StreamConfig::exact_banded(0.2)
+        };
+        let sq = DtwOptions::default();
+        let abs = DtwOptions {
+            metric: sdtw_tseries::ElementMetric::Absolute,
+            ..sq
+        };
+        for dtw in [sq, abs, DtwOptions::amerced(1e300)] {
+            let matcher = SubseqMatcher::new(&query, raw(dtw)).unwrap();
+            let limit = matcher.sample_limit().unwrap();
+            assert!(limit.is_finite() && limit > 1e100, "{limit:e}");
+            assert!(matcher.check_haystack(limit).is_ok());
+            let above = f64::from_bits(limit.to_bits() + 1);
+            let msg = matcher.check_haystack(above).unwrap_err().to_string();
+            assert!(msg.contains("too large for the"), "{msg}");
+        }
+        // z-normalised windows are bounded: every magnitude is accepted
+        let znorm = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
+        assert_eq!(znorm.sample_limit().unwrap(), f64::INFINITY);
+        // a query too large for the metric accepts no haystack at all
+        let huge = ts(vec![1.7e308, -1.7e308, 1.0]);
+        let matcher = SubseqMatcher::new(&huge, raw(sq)).unwrap();
+        assert!(matcher.sample_limit().is_err());
     }
 
     #[test]

@@ -70,19 +70,28 @@ fn main() {
         trace.counters.cascade.cells_filled
     );
 
-    // Streaming: the same query, but samples arrive one at a time into a
-    // query-sized ring buffer. Track the single best occurrence online.
-    let mut monitor =
-        StreamMonitor::new(matcher, 1, f64::INFINITY).expect("valid monitor parameters");
-    let mut improvements = 0u32;
+    // Streaming: samples arrive one at a time into a query-sized ring
+    // buffer. A monitor bank tracks the best occurrence of each of its
+    // queries online; here the pattern and its mirror image share one
+    // buffer and one set of rolling window statistics.
+    let mirror =
+        TimeSeries::new(query.values().iter().rev().copied().collect()).expect("finite samples");
+    let mirror =
+        SubseqMatcher::new(&mirror, StreamConfig::exact_banded(0.2)).expect("valid configuration");
+    let mut bank =
+        MonitorBank::new([matcher, mirror], 1, f64::INFINITY).expect("valid monitor parameters");
+    let mut improvements = 0usize;
     for &v in hay.values() {
-        if monitor.push(v).expect("push succeeds").is_some() {
-            improvements += 1;
-        }
+        improvements += bank.push(v).expect("push succeeds").len();
     }
-    let best = monitor.matches()[0];
-    println!(
-        "stream monitor: best match at offset {} (distance {:.4}) after {} candidate updates",
-        best.offset, best.distance, improvements
-    );
+    for (q, name) in ["pattern", "mirror"].iter().enumerate() {
+        let best = bank.matches(q)[0];
+        println!(
+            "stream monitor, {name}: best match at offset {} (distance {:.4})",
+            best.offset, best.distance
+        );
+    }
+    println!("{improvements} candidate updates across both queries");
+    // the pattern's stream answer is the batch answer
+    assert_eq!(bank.matches(0)[0], result.matches[0]);
 }

@@ -16,7 +16,7 @@
 //! * [`index`] — prebuilt corpus kNN index with the cascading
 //!   lower-bound pruning pipeline ([`index::SdtwIndex`]);
 //! * [`stream`] — z-normalised subsequence search over long series and
-//!   live streams ([`stream::SubseqMatcher`], [`stream::StreamMonitor`]);
+//!   live streams ([`stream::SubseqMatcher`], [`stream::MonitorBank`]);
 //! * [`serve`] — the resident archive-scale pattern service composing
 //!   index and stream behind an NDJSON protocol ([`serve::ServeEngine`]).
 //!
@@ -79,8 +79,7 @@ pub mod prelude {
     };
     pub use sdtw_serve::{ServeConfig, ServeEngine, ServeHit, ServeRequest, ServeResponse};
     pub use sdtw_stream::{
-        BankQuery, MonitorBank, StreamConfig, StreamMonitor, StreamStats, SubseqMatch,
-        SubseqMatcher, SubseqResult,
+        MonitorBank, StreamConfig, StreamStats, SubseqMatch, SubseqMatcher, SubseqResult,
     };
     pub use sdtw_tseries::stats::WindowedStats;
     pub use sdtw_tseries::{ElementMetric, TimeSeries, TsError, WarpMap};

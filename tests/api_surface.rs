@@ -14,7 +14,6 @@ const EXPECTED: &[&str] = &[
     "AmercedKernel",
     "Band",
     "BandSymmetry",
-    "BankQuery",
     "CascadeStats",
     "ConstraintPolicy",
     "Dataset",
@@ -58,7 +57,6 @@ const EXPECTED: &[&str] = &[
     "StandardKernel",
     "StepPattern",
     "StreamConfig",
-    "StreamMonitor",
     "StreamStats",
     "SubseqMatch",
     "SubseqMatcher",
@@ -162,9 +160,7 @@ fn snapshot_items_actually_resolve() {
     assert_type::<prelude::DistanceMatrix>();
     assert_type::<prelude::SdtwIndex>();
     assert_type::<prelude::SubseqMatcher>();
-    assert_type::<prelude::StreamMonitor>();
     assert_type::<prelude::MonitorBank>();
-    assert_type::<prelude::BankQuery>();
     assert_type::<prelude::StreamConfig>();
     assert_type::<prelude::WindowedStats>();
     assert_type::<prelude::ServeEngine>();

@@ -162,3 +162,43 @@ fn a_huge_k_returns_every_entry() {
         }
     }
 }
+
+/// Samples whose squared differences overflow `f64` never reach the DP:
+/// a query of 149 × `1.7e308` and one `−1.7e308` against a raw Gun index
+/// is refused with an error naming the overflow instead of answered at
+/// `+∞`, and so is a corpus holding such a series (build and snapshot
+/// load share the check). A z-normalised index checks the prepared,
+/// bounded query and answers it.
+#[test]
+fn samples_too_large_for_the_metric_are_refused() {
+    let ds = UcrAnalog::Gun.generate(7);
+    let corpus = &ds.series[..20];
+    let mut huge = vec![1.7e308; 149];
+    huge.push(-1.7e308);
+    let huge = TimeSeries::new(huge).unwrap();
+    let raw = SdtwIndex::build(corpus, IndexConfig::default()).unwrap();
+    for result in [
+        raw.query(&huge, 3).map(|_| ()),
+        raw.batch_query(std::slice::from_ref(&huge), 3, true)
+            .map(|_| ()),
+    ] {
+        let msg = result.unwrap_err().to_string();
+        assert!(msg.contains("too large for the squared metric"), "{msg}");
+    }
+    let mut with_huge = corpus.to_vec();
+    with_huge.push(huge.clone());
+    let msg = SdtwIndex::build(&with_huge, IndexConfig::default())
+        .unwrap_err()
+        .to_string();
+    assert!(msg.contains("too large for the squared metric"), "{msg}");
+    let znorm = IndexConfig {
+        z_normalize: true,
+        ..IndexConfig::default()
+    };
+    let found = SdtwIndex::build(corpus, znorm)
+        .unwrap()
+        .query(&huge, 3)
+        .unwrap();
+    assert_eq!(found.neighbors.len(), 3);
+    assert!(found.neighbors.iter().all(|n| n.distance.is_finite()));
+}

@@ -403,3 +403,41 @@ fn serve_results_are_shard_invariant() {
         assert_eq!(counted, &visits[0].1, "{ctx}: trace visits");
     }
 }
+
+/// A pattern of 59 × `1.7e308` and one `−1.7e308` against a raw Gun
+/// index squares past `f64::MAX` in every window: the engine refuses it
+/// once per request with an error naming the overflow, before any entry
+/// is swept, instead of answering `+∞` hits; the pipe daemon answers it
+/// `ok = false` and goes on to the next request.
+#[test]
+fn raw_patterns_too_large_for_the_metric_are_refused() {
+    let ds = UcrAnalog::Gun.generate(7);
+    let index = SdtwIndex::build(&ds.series[..10], IndexConfig::default()).unwrap();
+    let engine = ServeEngine::new(index, ServeConfig::default()).unwrap();
+    let mut near_max = vec![1.7e308; 59];
+    near_max.push(-1.7e308);
+    let huge = ServeRequest::query("near-max", near_max, 3);
+    let (resp, _) = engine.answer(&huge);
+    assert!(!resp.ok);
+    assert!(
+        resp.error.contains("too large for the squared metric"),
+        "{}",
+        resp.error
+    );
+    let valid = ServeRequest::query("after", pattern_from(&ds, 60).into_values(), 3);
+    let input = format!("{}\n{}\n", huge.to_json_line(), valid.to_json_line());
+    let mut out = Vec::new();
+    sdtw_suite::serve::run_pipe(&engine, input.as_bytes(), &mut out, 2).unwrap();
+    let resps: Vec<ServeResponse> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|l| ServeResponse::from_json_line(l).unwrap())
+        .collect();
+    assert_eq!(resps.len(), 2);
+    assert_eq!(resps[0], resp);
+    assert!(
+        resps[1].ok && resps[1].hits.len() == 3,
+        "{}",
+        resps[1].error
+    );
+}

@@ -223,38 +223,49 @@ fn tau_restricted_search_matches_the_oracle_inclusively() {
     );
 }
 
+/// The three monitoring regimes as `(label, k, tau)`: best-match
+/// tracking, threshold monitoring under `tau`, and k > 1 without a
+/// threshold, where a monitor never prunes.
+fn monitor_regimes(tau: f64) -> [(&'static str, usize, f64); 3] {
+    [
+        ("k=1, tau=inf", 1, f64::INFINITY),
+        ("k=3, finite tau", 3, tau),
+        ("k=3, tau=inf", 3, f64::INFINITY),
+    ]
+}
+
+/// Asserts a monitor's matches equal a batch search's: same offsets,
+/// same distance bits, same order.
+fn assert_same_matches(live: &[SubseqMatch], batch: &[SubseqMatch], what: &str) {
+    assert_eq!(live.len(), batch.len(), "{what}: match count");
+    for (a, b) in live.iter().zip(batch) {
+        assert_eq!(a.offset, b.offset, "{what}: offsets");
+        assert_eq!(
+            a.distance.to_bits(),
+            b.distance.to_bits(),
+            "{what}: distance bits"
+        );
+    }
+}
+
 #[test]
 fn monitor_streaming_equals_batch_on_seeded_data() {
     let ds = UcrAnalog::Gun.generate(3);
     let query = ds.series[0].clone();
     let hay = haystack(&ds.series[1..7]);
     let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-
-    // k = 1, unbounded tau: UCR best-match tracking
-    let batch1 = matcher.search(&hay).k(1).run().unwrap().0;
-    let mut monitor = StreamMonitor::new(matcher.clone(), 1, f64::INFINITY).unwrap();
-    monitor.process(hay.values()).unwrap();
-    let live = monitor.matches();
-    assert_eq!(live.len(), 1);
-    assert_eq!(live[0].offset, batch1.matches[0].offset);
-    assert_eq!(
-        live[0].distance.to_bits(),
-        batch1.matches[0].distance.to_bits()
-    );
-
-    // k = 5 under a finite tau: threshold monitoring
+    // a finite tau admitting the five best matches, of which k = 3 are
+    // selected
     let probe = matcher.search(&hay).k(5).run().unwrap().0;
     let tau = probe.matches.last().unwrap().distance;
-    let batchk = matcher.search(&hay).k(5).tau(tau).run().unwrap().0;
-    let mut monitor = StreamMonitor::new(matcher, 5, tau).unwrap();
-    monitor.process(hay.values()).unwrap();
-    let live = monitor.matches();
-    assert_eq!(live.len(), batchk.matches.len());
-    for (a, b) in live.iter().zip(&batchk.matches) {
-        assert_eq!(a.offset, b.offset);
-        assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+    for (label, k, tau) in monitor_regimes(tau) {
+        let batch = matcher.search(&hay).k(k).tau(tau).run().unwrap().0;
+        let mut monitor = MonitorBank::new([matcher.clone()], k, tau).unwrap();
+        monitor.process(hay.values()).unwrap();
+        assert_same_matches(&monitor.matches(0), &batch.matches, label);
+        assert!(monitor.stats(0).is_consistent(), "{label}");
+        assert_eq!(monitor.stats(0).windows, batch.stats.windows, "{label}");
     }
-    assert!(monitor.stats().is_consistent());
 }
 
 #[test]
@@ -417,54 +428,118 @@ fn sharded_scan_handles_degenerate_inputs() {
 
 #[test]
 fn monitor_bank_equals_independent_monitors_on_seeded_data() {
-    // the shared-ingest bank must be indistinguishable, query by query
-    // and bit by bit, from N standalone monitors fed the same stream
+    // a bank of three must report, query by query and bit for bit, what
+    // three banks of one fed the same stream report — matches, stats and
+    // candidates — and both what the batch search finds
     let ds = UcrAnalog::Gun.generate(31);
     let hay = haystack(&ds.series[4..10]);
-    let queries: Vec<TimeSeries> = ds.series[..3].to_vec();
-    let matchers: Vec<SubseqMatcher> = queries
+    let matchers: Vec<SubseqMatcher> = ds.series[..3]
         .iter()
         .map(|q| SubseqMatcher::new(q, StreamConfig::exact_banded(0.2)).unwrap())
         .collect();
-    // mixed per-query regimes: UCR best-match, and threshold monitoring
     let probe = matchers[1].search(&hay).k(2).run().unwrap().0;
-    let tau1 = probe.matches.last().unwrap().distance * 1.2;
-    let specs: Vec<(usize, f64)> = vec![(1, f64::INFINITY), (3, tau1), (1, tau1)];
-
-    let mut bank = MonitorBank::new(
-        matchers
-            .iter()
-            .zip(&specs)
-            .map(|(m, &(k, tau))| BankQuery::new(m.clone(), k, tau)),
-    )
-    .unwrap();
-    bank.process(hay.values()).unwrap();
-
-    let mut merged_expected = StreamStats::default();
-    for (qi, (m, &(k, tau))) in matchers.iter().zip(&specs).enumerate() {
-        let mut solo = StreamMonitor::new(m.clone(), k, tau).unwrap();
-        solo.process(hay.values()).unwrap();
-        let bank_matches = bank.matches(qi);
-        let solo_matches = solo.matches();
-        assert_eq!(bank_matches.len(), solo_matches.len(), "query {qi}");
-        for (a, b) in bank_matches.iter().zip(&solo_matches) {
-            assert_eq!(a.offset, b.offset, "query {qi}: offsets");
+    let tau = probe.matches.last().unwrap().distance * 1.2;
+    for (label, k, tau) in monitor_regimes(tau) {
+        let mut bank = MonitorBank::new(matchers.clone(), k, tau).unwrap();
+        bank.process(hay.values()).unwrap();
+        let mut merged_expected = StreamStats::default();
+        for (q, matcher) in matchers.iter().enumerate() {
+            let what = format!("{label}, query {q}");
+            let batch = matcher.search(&hay).k(k).tau(tau).run().unwrap().0;
+            let mut solo = MonitorBank::new([matcher.clone()], k, tau).unwrap();
+            solo.process(hay.values()).unwrap();
+            assert_same_matches(&solo.matches(0), &batch.matches, &what);
+            assert_same_matches(&bank.matches(q), &batch.matches, &what);
+            assert_eq!(bank.stats(q), solo.stats(0), "{what}: stats");
             assert_eq!(
-                a.distance.to_bits(),
-                b.distance.to_bits(),
-                "query {qi}: distance bits"
+                bank.candidate_count(q),
+                solo.candidate_count(0),
+                "{what}: candidates"
             );
+            merged_expected.merge(solo.stats(0));
         }
-        assert_eq!(bank.stats(qi), solo.stats(), "query {qi}: stats");
-        assert_eq!(
-            bank.candidate_count(qi),
-            solo.candidate_count(),
-            "query {qi}: candidates"
-        );
-        merged_expected.merge(solo.stats());
+        assert_eq!(bank.merged_stats(), merged_expected, "{label}");
+        assert_eq!(bank.position(), hay.len() as u64);
     }
-    assert_eq!(bank.merged_stats(), merged_expected);
-    assert_eq!(bank.position(), hay.len() as u64);
+}
+
+/// A pushed sample that is not finite, or too large for a raw query's
+/// metric, is refused before it touches the bank: every query keeps its
+/// matches, stats and candidates, and finishing the stream reproduces
+/// the batch search.
+#[test]
+fn refused_pushes_leave_every_query_of_a_bank_unchanged() {
+    let ds = UcrAnalog::Gun.generate(31);
+    let hay = haystack(&ds.series[4..8]);
+    let raw = StreamConfig {
+        z_normalize: false,
+        ..StreamConfig::exact_banded(0.2)
+    };
+    let matchers: Vec<SubseqMatcher> = ds.series[..3]
+        .iter()
+        .zip([StreamConfig::exact_banded(0.2), raw.clone(), raw])
+        .map(|(q, config)| SubseqMatcher::new(q, config).unwrap())
+        .collect();
+    let mut bank = MonitorBank::new(matchers.clone(), 1, f64::INFINITY).unwrap();
+    let mid = hay.len() / 2;
+    bank.process(&hay.values()[..mid]).unwrap();
+    let state = |bank: &MonitorBank| -> Vec<_> {
+        (0..bank.query_count())
+            .map(|q| (bank.matches(q), *bank.stats(q), bank.candidate_count(q)))
+            .collect()
+    };
+    let before = state(&bank);
+    for bad in [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.7e308,
+        -1.7e308,
+    ] {
+        let err = bank.push(bad).unwrap_err();
+        if bad.is_finite() {
+            let msg = err.to_string();
+            assert!(msg.contains("too large for the squared metric"), "{msg}");
+        } else {
+            assert!(matches!(err, TsError::NonFinite { .. }), "{err}");
+        }
+        assert_eq!(bank.position(), mid as u64);
+        assert_eq!(state(&bank), before);
+    }
+    bank.process(&hay.values()[mid..]).unwrap();
+    for (q, matcher) in matchers.iter().enumerate() {
+        let batch = matcher.search(&hay).run().unwrap().0;
+        assert_same_matches(&bank.matches(q), &batch.matches, &format!("query {q}"));
+    }
+}
+
+/// Raw windows inherit the haystack's magnitude, so samples whose DP
+/// cost overflows `f64` are refused, by the batch search and by the
+/// monitor alike, instead of answered at `+∞`.
+#[test]
+fn raw_searches_refuse_samples_too_large_for_the_metric() {
+    let ds = UcrAnalog::Gun.generate(31);
+    let mut values = ds.series[1].values().to_vec();
+    values.extend([1.7e308; 200]);
+    let hay = TimeSeries::new(values).unwrap();
+    let raw = StreamConfig {
+        z_normalize: false,
+        ..StreamConfig::exact_banded(0.2)
+    };
+    let matcher = SubseqMatcher::new(&ds.series[0], raw).unwrap();
+    for shards in [1, 3] {
+        let err = matcher.search(&hay).k(2).shards(shards).run().unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("too large for the squared metric"), "{msg}");
+    }
+    let mut bank = MonitorBank::new([matcher.clone()], 1, f64::INFINITY).unwrap();
+    let err = bank.process(hay.values()).unwrap_err();
+    assert!(err.to_string().contains("too large for the squared metric"));
+    assert_eq!(bank.position(), ds.series[1].len() as u64);
+    // z-normalised windows are bounded whatever the haystack holds
+    let znorm = SubseqMatcher::new(&ds.series[0], StreamConfig::exact_banded(0.2)).unwrap();
+    let found = znorm.search(&hay).k(2).run().unwrap().0;
+    assert!(found.matches.iter().all(|m| m.distance.is_finite()));
 }
 
 /// The traced entry points must be pure observers: bit-identical
@@ -585,9 +660,9 @@ fn traced_and_untraced_searches_share_one_scratch() {
     }
 }
 
-/// Monitors and banks expose the same canonical trace: counters snapshot
-/// the accumulated stats, spans appear once tracing is switched on, and
-/// the bank's merged trace folds per-query traces like `merged_stats`.
+/// Banks of one and of two expose the same canonical trace: counters
+/// snapshot the accumulated stats, spans appear once tracing is switched
+/// on, and the merged trace folds per-query traces like `merged_stats`.
 #[test]
 fn monitor_and_bank_traces_snapshot_the_stream() {
     let ds = UcrAnalog::Trace.generate(12);
@@ -595,20 +670,20 @@ fn monitor_and_bank_traces_snapshot_the_stream() {
     let hay = haystack(&ds.series[1..3]);
     let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
 
-    let mut monitor = StreamMonitor::new(matcher.clone(), 1, f64::INFINITY).unwrap();
+    let mut monitor = MonitorBank::new([matcher.clone()], 1, f64::INFINITY).unwrap();
     monitor.set_tracing(true);
     monitor.process(hay.values()).unwrap();
-    let stats = *monitor.stats();
-    let trace = monitor.trace("mon");
+    let stats = *monitor.stats(0);
+    let trace = monitor.trace(0, "mon");
     assert_eq!(trace.counters, stats);
     assert_eq!(trace.shape.y_len, hay.len() as u64);
     assert!(trace.spans.iter().any(|s| s.phase == TracePhase::DpFill));
     assert!(
-        monitor.trace("mon-again").spans.is_empty(),
+        monitor.trace(0, "mon-again").spans.is_empty(),
         "spans drain; a second snapshot starts empty"
     );
 
-    let mut bank = MonitorBank::uniform([matcher.clone(), matcher], 1, f64::INFINITY).unwrap();
+    let mut bank = MonitorBank::new([matcher.clone(), matcher], 1, f64::INFINITY).unwrap();
     bank.set_tracing(true);
     bank.process(hay.values()).unwrap();
     let merged_stats = bank.merged_stats();
@@ -649,10 +724,10 @@ fn band_plan_spans_appear_only_when_bands_are_planned() {
             .unwrap();
         let trace = trace.expect("a traced search returns its trace");
         assert_eq!(has_plan(&trace.spans), plans, "sharded: {:?}", trace.spans);
-        let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
+        let mut monitor = MonitorBank::new([matcher], 1, f64::INFINITY).unwrap();
         monitor.set_tracing(true);
         monitor.process(hay.values()).unwrap();
-        let trace = monitor.trace("monitor");
+        let trace = monitor.trace(0, "monitor");
         assert!(trace.spans.iter().any(|s| s.phase == TracePhase::DpFill));
         assert_eq!(has_plan(&trace.spans), plans, "monitor: {:?}", trace.spans);
     }
