@@ -353,6 +353,11 @@ impl SeriesSummary {
             len: v.len(),
         }
     }
+
+    /// The largest sample magnitude, `max(|min|, |max|)`.
+    pub fn magnitude(&self) -> f64 {
+        self.min.abs().max(self.max.abs())
+    }
 }
 
 /// LB_Kim: constant-time lower bound on the DTW distance between the two

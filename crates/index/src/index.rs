@@ -257,11 +257,10 @@ impl SdtwIndex {
         stored: Vec<TimeSeries>,
     ) -> Result<Self, TsError> {
         config.validate()?;
-        let peak = stored
-            .iter()
-            .flat_map(TimeSeries::values)
-            .fold(0.0, |p: f64, v| p.max(v.abs()));
-        let max_len = stored.iter().map(TimeSeries::len).max().unwrap_or(0);
+        let summaries: Vec<SeriesSummary> = stored.iter().map(SeriesSummary::of).collect();
+        let (peak, max_len) = summaries.iter().fold((0.0, 0), |(p, l): (f64, usize), s| {
+            (p.max(s.magnitude()), l.max(s.len))
+        });
         config
             .sdtw
             .dtw
@@ -270,9 +269,9 @@ impl SdtwIndex {
         let needs_features = config.sdtw.policy.needs_alignment();
         let entries = stored
             .into_iter()
-            .map(|series| {
+            .zip(summaries)
+            .map(|(series, summary)| {
                 let envelope = Envelope::build(&series, config.radius_for(series.len()));
-                let summary = SeriesSummary::of(&series);
                 let features = if needs_features {
                     engine.extractor().extract(&series)
                 } else {
@@ -440,18 +439,17 @@ impl SdtwIndex {
     /// The batched stage-1 ordering pass over a *prepared* (normalised)
     /// query: every entry's normalised LB_Kim bound, in bucketed
     /// ascending visit order.
-    fn coarse_order(&self, q: &TimeSeries) -> Vec<(f64, usize)> {
+    fn coarse_order(&self, q_summary: &SeriesSummary) -> Vec<(f64, usize)> {
         let metric = self.config.sdtw.dtw.metric;
-        let q_summary = SeriesSummary::of(q);
         let summaries: Vec<SeriesSummary> = self.entries.iter().map(|e| e.summary).collect();
         let mut kim_raw = Vec::with_capacity(summaries.len());
-        lb_kim_batch(&q_summary, &summaries, metric, &mut kim_raw);
+        lb_kim_batch(q_summary, &summaries, metric, &mut kim_raw);
         let scored: Vec<(f64, usize)> = kim_raw
             .iter()
             .enumerate()
             .map(|(i, &raw)| {
                 (
-                    self.normalize_bound(raw, q.len(), self.entries[i].series.len()),
+                    self.normalize_bound(raw, q_summary.len, self.entries[i].series.len()),
                     i,
                 )
             })
@@ -471,7 +469,7 @@ impl SdtwIndex {
             query.clone()
         };
         let order = self
-            .coarse_order(&q)
+            .coarse_order(&SeriesSummary::of(&q))
             .into_iter()
             .map(|(bound, index)| EntryBound { index, bound })
             .collect();
@@ -546,11 +544,13 @@ impl SdtwIndex {
         } else {
             query.clone()
         };
-        let q_peak = q.values().iter().fold(0.0, |p: f64, v| p.max(v.abs()));
-        self.config
-            .sdtw
-            .dtw
-            .check_magnitudes(q.len(), self.max_len, q_peak, self.peak)?;
+        let q_summary = SeriesSummary::of(&q);
+        self.config.sdtw.dtw.check_magnitudes(
+            q.len(),
+            self.max_len,
+            q_summary.magnitude(),
+            self.peak,
+        )?;
         // the query is the fixed side of every candidate's band plan:
         // extract and prepare it once
         let fq = if self.config.sdtw.policy.needs_alignment() {
@@ -584,7 +584,7 @@ impl SdtwIndex {
         // as possible without paying a full per-query sort. Without
         // admissible bounds it is still a deterministic (and usually
         // helpful) visit-order heuristic — it just never prunes.
-        let order = rec.time(TracePhase::LbKim, || self.coarse_order(&q));
+        let order = rec.time(TracePhase::LbKim, || self.coarse_order(&q_summary));
 
         let mut topk = TopK::new(k, self.entries.len());
         let mut stats = CascadeStats::default();

@@ -656,39 +656,12 @@ impl SubseqMatcher {
         } else {
             peak
         };
-        let q = &self.query_summary;
-        let query_peak = q.min.abs().max(q.max.abs());
-        self.config
-            .sdtw
-            .dtw
-            .check_magnitudes(self.m, self.m, query_peak, window_peak)
-    }
-
-    /// The largest sample magnitude [`SubseqMatcher::check_haystack`]
-    /// accepts (`+∞` when it accepts all), so a monitor can screen each
-    /// pushed sample with one compare.
-    ///
-    /// # Errors
-    ///
-    /// The query's own samples are too large for the metric, so no
-    /// haystack is accepted.
-    pub(crate) fn sample_limit(&self) -> Result<f64, TsError> {
-        self.check_haystack(0.0)?;
-        if self.check_haystack(f64::INFINITY).is_ok() {
-            return Ok(f64::INFINITY);
-        }
-        // non-negative doubles order like their bit patterns: bisect the
-        // bits between an accepted and a refused magnitude
-        let (mut ok, mut refused) = (0.0f64.to_bits(), f64::INFINITY.to_bits());
-        while refused - ok > 1 {
-            let mid = ok + (refused - ok) / 2;
-            if self.check_haystack(f64::from_bits(mid)).is_ok() {
-                ok = mid;
-            } else {
-                refused = mid;
-            }
-        }
-        Ok(f64::from_bits(ok))
+        self.config.sdtw.dtw.check_magnitudes(
+            self.m,
+            self.m,
+            self.query_summary.magnitude(),
+            window_peak,
+        )
     }
 
     /// The [`InputShape`] block of this matcher's traces: query length,
@@ -1935,7 +1908,7 @@ mod tests {
     }
 
     #[test]
-    fn the_sample_limit_is_the_largest_magnitude_the_check_accepts() {
+    fn the_haystack_check_refuses_costs_that_overflow() {
         let (query, _) = planted();
         let raw = |dtw: DtwOptions| StreamConfig {
             z_normalize: false,
@@ -1952,20 +1925,18 @@ mod tests {
         };
         for dtw in [sq, abs, DtwOptions::amerced(1e300)] {
             let matcher = SubseqMatcher::new(&query, raw(dtw)).unwrap();
-            let limit = matcher.sample_limit().unwrap();
-            assert!(limit.is_finite() && limit > 1e100, "{limit:e}");
-            assert!(matcher.check_haystack(limit).is_ok());
-            let above = f64::from_bits(limit.to_bits() + 1);
-            let msg = matcher.check_haystack(above).unwrap_err().to_string();
+            assert!(matcher.check_haystack(1e100).is_ok());
+            let msg = matcher.check_haystack(1.7e308).unwrap_err().to_string();
             assert!(msg.contains("too large for the"), "{msg}");
         }
         // z-normalised windows are bounded: every magnitude is accepted
         let znorm = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        assert_eq!(znorm.sample_limit().unwrap(), f64::INFINITY);
+        assert!(znorm.check_haystack(f64::MAX).is_ok());
         // a query too large for the metric accepts no haystack at all
         let huge = ts(vec![1.7e308, -1.7e308, 1.0]);
         let matcher = SubseqMatcher::new(&huge, raw(sq)).unwrap();
-        assert!(matcher.sample_limit().is_err());
+        assert!(matcher.check_haystack(0.0).is_err());
+        assert!(crate::MonitorBank::new([matcher], 1, f64::INFINITY).is_err());
     }
 
     #[test]

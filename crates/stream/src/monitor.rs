@@ -68,10 +68,9 @@ pub struct BankEvent {
 pub struct MonitorBank {
     k: usize,
     tau: f64,
-    /// The largest sample magnitude a push may carry: above it the DP
-    /// cost of some raw query could overflow (`+∞` when every query
-    /// z-normalises its windows).
-    limit: f64,
+    /// The largest sample magnitude pushed since the last reset: every
+    /// query's check accepted it, so a sample no larger needs no check.
+    peak: f64,
     moments: WindowedStats,
     extrema: RollingExtrema,
     /// The latest completed window, oldest sample first.
@@ -108,8 +107,8 @@ impl Slot {
         slot
     }
 
-    /// Forgets everything seen: tracing stays on or off, recorded spans
-    /// are dropped.
+    /// Forgets everything seen: tracing stays on or off, and a fresh
+    /// recorder times later spans from the reset.
     fn reset(&mut self) {
         self.candidates.clear();
         // each query is one endless pass
@@ -117,7 +116,11 @@ impl Slot {
             passes: 1,
             ..StreamStats::default()
         };
-        self.rec.take_spans();
+        self.rec = if self.rec.is_enabled() {
+            Recorder::enabled()
+        } else {
+            Recorder::disabled()
+        };
         self.areas = (0, 0);
     }
 
@@ -214,14 +217,13 @@ impl MonitorBank {
                 ),
             });
         }
-        let mut limit = f64::INFINITY;
         for slot in &slots {
-            limit = limit.min(slot.matcher.sample_limit()?);
+            slot.matcher.check_haystack(0.0)?;
         }
         Ok(Self {
             k,
             tau,
-            limit,
+            peak: 0.0,
             moments: WindowedStats::new(m),
             extrema: RollingExtrema::new(m),
             window: Vec::with_capacity(m),
@@ -258,11 +260,12 @@ impl MonitorBank {
                 value: v,
             });
         }
-        if v.abs() > self.limit {
-            // the query that cannot take the sample says why
+        if v.abs() > self.peak {
+            // the check grows with the magnitude: only a new peak needs it
             for slot in &self.slots {
                 slot.matcher.check_haystack(v.abs())?;
             }
+            self.peak = v.abs();
         }
         self.moments.push(v);
         self.extrema.push(v);
@@ -401,8 +404,9 @@ impl MonitorBank {
 
     /// Forgets all stream state for every query (query preparation is
     /// retained; tracing stays in its current on/off state, recorded
-    /// spans are dropped).
+    /// spans are dropped and later spans are timed from the reset).
     pub fn reset(&mut self) {
+        self.peak = 0.0;
         self.moments.clear();
         self.extrema.clear();
         self.window.clear();
@@ -468,7 +472,7 @@ mod tests {
         let ms = matchers();
         let probe = ms[0].search(&hay).k(2).run().unwrap().0;
         let tau = probe.matches.last().unwrap().distance * 1.5;
-        for (k, tau) in [(1, f64::INFINITY), (3, tau), (3, f64::INFINITY)] {
+        for (k, tau) in [(1, f64::INFINITY), (1, tau), (3, tau), (3, f64::INFINITY)] {
             let mut pair = MonitorBank::new(ms.clone(), k, tau).unwrap();
             pair.process(hay.values()).unwrap();
             for (q, m) in ms.iter().enumerate() {

@@ -223,12 +223,13 @@ fn tau_restricted_search_matches_the_oracle_inclusively() {
     );
 }
 
-/// The three monitoring regimes as `(label, k, tau)`: best-match
-/// tracking, threshold monitoring under `tau`, and k > 1 without a
-/// threshold, where a monitor never prunes.
-fn monitor_regimes(tau: f64) -> [(&'static str, usize, f64); 3] {
+/// The monitoring regimes as `(label, k, tau)`: best-match tracking
+/// without and under `tau`, threshold monitoring under `tau`, and k > 1
+/// without a threshold, where a monitor never prunes.
+fn monitor_regimes(tau: f64) -> [(&'static str, usize, f64); 4] {
     [
         ("k=1, tau=inf", 1, f64::INFINITY),
+        ("k=1, finite tau", 1, tau),
         ("k=3, finite tau", 3, tau),
         ("k=3, tau=inf", 3, f64::INFINITY),
     ]
@@ -254,11 +255,12 @@ fn monitor_streaming_equals_batch_on_seeded_data() {
     let query = ds.series[0].clone();
     let hay = haystack(&ds.series[1..7]);
     let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-    // a finite tau admitting the five best matches, of which k = 3 are
-    // selected
+    // a finite tau admitting the five best matches, all of which k = 5
+    // selects
     let probe = matcher.search(&hay).k(5).run().unwrap().0;
     let tau = probe.matches.last().unwrap().distance;
-    for (label, k, tau) in monitor_regimes(tau) {
+    let five = ("k=5, finite tau", 5, tau);
+    for (label, k, tau) in monitor_regimes(tau).into_iter().chain([five]) {
         let batch = matcher.search(&hay).k(k).tau(tau).run().unwrap().0;
         let mut monitor = MonitorBank::new([matcher.clone()], k, tau).unwrap();
         monitor.process(hay.values()).unwrap();
