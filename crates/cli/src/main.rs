@@ -30,9 +30,11 @@ mod args;
 use args::Args;
 use rayon::prelude::*;
 use sdtw::{
-    engine_label, ConstraintPolicy, FeatureStore, KernelChoice, SDtw, SDtwConfig, SalientConfig,
+    engine_label, ConstraintPolicy, DtwOptions, FeatureStore, KernelChoice, SDtw, SDtwConfig,
+    SalientConfig,
 };
 use sdtw_datasets::UcrAnalog;
+use sdtw_dtw::SeriesSummary;
 use sdtw_index::{
     CascadeStats, IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat, DEFAULT_PAA_WIDTH,
 };
@@ -44,6 +46,7 @@ use sdtw_serve::{
 use sdtw_stream::{MonitorBank, StreamConfig, SubseqMatcher, SubseqResult};
 use sdtw_tseries::io::{read_ucr_file, write_ucr_file};
 use sdtw_tseries::TimeSeries;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -175,6 +178,41 @@ commands:
                              options: --seed <n> (default 20120827)
 ";
 
+/// Why a command failed: a message for the user, or a failed write to
+/// stdout, whose kind decides how the program ends ([`exit_code`]).
+#[derive(Debug)]
+enum CliError {
+    Message(String),
+    Output(io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Message(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Message(msg.to_string())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Output(e)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Message(msg) => f.write_str(msg),
+            CliError::Output(e) => write!(f, "writing to stdout: {e}"),
+        }
+    }
+}
+
 fn policy_from(name: &str, width: f64) -> Result<ConstraintPolicy, String> {
     let policy = match name {
         "full" => ConstraintPolicy::FullGrid,
@@ -236,6 +274,23 @@ fn load_series(corpus: &[TimeSeries], idx: usize) -> Result<&TimeSeries, String>
         .ok_or_else(|| format!("index {idx} out of range (corpus has {})", corpus.len()))
 }
 
+/// Refuses samples whose DP costs could overflow, once per command:
+/// [`DtwOptions::check_magnitudes`] over the longest series and the
+/// largest sample magnitude of each side the DP will compare.
+fn check_magnitudes<'a>(
+    dtw: &DtwOptions,
+    xs: impl IntoIterator<Item = &'a TimeSeries>,
+    ys: impl IntoIterator<Item = &'a TimeSeries>,
+) -> Result<(), String> {
+    fn extent<'a>(side: impl IntoIterator<Item = &'a TimeSeries>) -> (usize, f64) {
+        side.into_iter().fold((0, 0.0), |(len, peak), s| {
+            (len.max(s.len()), peak.max(SeriesSummary::of(s).magnitude()))
+        })
+    }
+    let ((n, a), (m, b)) = (extent(xs), extent(ys));
+    dtw.check_magnitudes(n, m, a, b).map_err(|e| e.to_string())
+}
+
 /// Where `--trace <file>` / `--trace-stdout` sends NDJSON trace lines.
 /// Lines are buffered and written in one `flush` so a failed run never
 /// leaves a truncated trace file behind.
@@ -274,21 +329,21 @@ impl TraceSink {
         self.lines.push(trace.to_json_line());
     }
 
-    fn flush(self) -> Result<(), String> {
+    fn flush(self, out: &mut dyn Write) -> Result<(), CliError> {
         let mut doc = self.lines.join("\n");
         doc.push('\n');
         match self.path {
             Some(p) => {
                 std::fs::write(&p, doc).map_err(|e| format!("{p}: {e}"))?;
-                println!("wrote {} trace line(s) to {p}", self.lines.len());
+                writeln!(out, "wrote {} trace line(s) to {p}", self.lines.len())?;
             }
-            None => print!("{doc}"),
+            None => write!(out, "{doc}")?,
         }
         Ok(())
     }
 }
 
-fn cmd_dist(a: &Args) -> Result<(), String> {
+fn cmd_dist(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [path, i, j] = a.positional.as_slice() else {
         return Err("dist needs <corpus> <i> <j>".into());
     };
@@ -301,31 +356,33 @@ fn cmd_dist(a: &Args) -> Result<(), String> {
     let engine = SDtw::new(config).map_err(|e| e.to_string())?;
     let x = load_series(&corpus, i)?;
     let y = load_series(&corpus, j)?;
+    check_magnitudes(&engine.config().dtw, [x], [y])?;
     let mut rec = if sink.is_some() {
         Recorder::enabled()
     } else {
         Recorder::disabled()
     };
     let t0 = std::time::Instant::now();
-    let out = engine
+    let outcome = engine
         .query(x, y)
         .recorder(&mut rec)
         .run()
         .map_err(|e| e.to_string())?
         .expect("no cutoff configured");
     let wall = t0.elapsed();
-    println!(
+    writeln!(
+        out,
         "distance {:.6}  kernel {}  cells {}  coverage {:.1}%  pairs {}/{}",
-        out.distance,
+        outcome.distance,
         engine.config().dtw.kernel_label(),
-        out.cells_filled,
-        out.band_coverage * 100.0,
-        out.consistent_pairs,
-        out.raw_pairs
-    );
-    if let Some(p) = out.path {
+        outcome.cells_filled,
+        outcome.band_coverage * 100.0,
+        outcome.consistent_pairs,
+        outcome.raw_pairs
+    )?;
+    if let Some(p) = outcome.path {
         let steps: Vec<String> = p.steps().iter().map(|(a, b)| format!("{a}:{b}")).collect();
-        println!("path {}", steps.join(" "));
+        writeln!(out, "path {}", steps.join(" "))?;
     }
     if let Some(mut sink) = sink.take() {
         let mut trace = QueryTrace::new(format!("{i}x{j}"), WorkloadKind::Distance);
@@ -340,19 +397,19 @@ fn cmd_dist(a: &Args) -> Result<(), String> {
         trace.counters.passes = 1;
         trace.counters.cascade.candidates = 1;
         trace.counters.cascade.dp_completed = 1;
-        trace.counters.cascade.cells_filled = out.cells_filled as u64;
-        trace.descriptor_comparisons = out.descriptor_comparisons as u64;
-        trace.band_area = out.band_area as u64;
+        trace.counters.cascade.cells_filled = outcome.cells_filled as u64;
+        trace.descriptor_comparisons = outcome.descriptor_comparisons as u64;
+        trace.band_area = outcome.band_area as u64;
         trace.full_grid = (x.len() * y.len()) as u64;
         trace.spans = rec.finish();
         trace.wall = wall;
         sink.push(&trace);
-        sink.flush()?;
+        sink.flush(out)?;
     }
     Ok(())
 }
 
-fn cmd_features(a: &Args) -> Result<(), String> {
+fn cmd_features(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [path, i] = a.positional.as_slice() else {
         return Err("features needs <corpus> <i>".into());
     };
@@ -363,32 +420,40 @@ fn cmd_features(a: &Args) -> Result<(), String> {
     let ts = load_series(&corpus, i)?;
     let set = extract_feature_set(ts, &cfg).map_err(|e| e.to_string())?;
     if a.flag("json") {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&set).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
-        println!("{} features (series length {})", set.len(), set.series_len);
+        writeln!(
+            out,
+            "{} features (series length {})",
+            set.len(),
+            set.series_len
+        )?;
         let counts = set.count_by_scale();
-        println!(
+        writeln!(
+            out,
             "scale classes: fine {} / medium {} / rough {}",
             counts[0], counts[1], counts[2]
-        );
+        )?;
         for f in &set.features {
-            println!(
+            writeln!(
+                out,
                 "  pos {:>4}  sigma {:>6.2}  scope [{:>4},{:>4}]  {:?}",
                 f.keypoint.position,
                 f.keypoint.sigma,
                 f.scope_start,
                 f.scope_end,
                 f.keypoint.polarity
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_retrieve(a: &Args) -> Result<(), String> {
+fn cmd_retrieve(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [path, i] = a.positional.as_slice() else {
         return Err("retrieve needs <corpus> <query-index>".into());
     };
@@ -400,6 +465,8 @@ fn cmd_retrieve(a: &Args) -> Result<(), String> {
     let engine = SDtw::new(config).map_err(|e| e.to_string())?;
     let store = FeatureStore::new(engine.config().salient.clone()).map_err(|e| e.to_string())?;
     let query = load_series(&corpus, i)?;
+    let candidates = corpus[..i].iter().chain(&corpus[i + 1..]);
+    check_magnitudes(&engine.config().dtw, [query], candidates)?;
     let mut scratch = sdtw::DtwScratch::new();
     let mut scored: Vec<(usize, f64)> = Vec::new();
     for (j, candidate) in corpus.iter().enumerate() {
@@ -416,27 +483,29 @@ fn cmd_retrieve(a: &Args) -> Result<(), String> {
         scored.push((j, out.distance));
     }
     scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-    println!(
+    writeln!(
+        out,
         "top-{k} neighbours of series {i} (policy {}, kernel {}):",
         policy.label(),
         engine.config().dtw.kernel_label()
-    );
+    )?;
     for (rank, (j, d)) in scored.iter().take(k).enumerate() {
         let label = corpus[*j]
             .label()
             .map_or("-".to_string(), |l| l.to_string());
-        println!(
+        writeln!(
+            out,
             "  #{:<2} series {:>4}  label {:>3}  distance {:.6}",
             rank + 1,
             j,
             label,
             d
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_distmat(a: &Args) -> Result<(), String> {
+fn cmd_distmat(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [path] = a.positional.as_slice() else {
         return Err("distmat needs <corpus>".into());
     };
@@ -461,6 +530,11 @@ fn cmd_distmat(a: &Args) -> Result<(), String> {
     let mut sink = TraceSink::from_args(a)?;
     let engine = SDtw::new(config).map_err(|e| e.to_string())?;
     let store = FeatureStore::new(engine.config().salient.clone()).map_err(|e| e.to_string())?;
+    check_magnitudes(
+        &engine.config().dtw,
+        queries.as_deref().unwrap_or(&corpus),
+        &corpus,
+    )?;
 
     // one-time feature indexing (corpus + queries), so the wall time below
     // is pure matching + DP — the paper's cost split. Non-adaptive
@@ -501,12 +575,14 @@ fn cmd_distmat(a: &Args) -> Result<(), String> {
     };
     let wall = t1.elapsed();
 
-    println!(
+    writeln!(
+        out,
         "{summary}  policy {}  kernel {}",
         policy.label(),
         engine.config().dtw.kernel_label()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "mode {}  workers {}",
         if parallel { "parallel" } else { "serial" },
         if parallel {
@@ -514,34 +590,36 @@ fn cmd_distmat(a: &Args) -> Result<(), String> {
         } else {
             1
         }
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "pairs {}  cells {}  descriptor comparisons {}",
         stats.pairs, stats.cells_filled, stats.descriptor_comparisons
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "extraction {extraction:?}  wall {wall:?}  cpu(match+dp) {:?}",
         stats.total_time()
-    );
-    if let Some(out) = out_path {
-        std::fs::write(out, json).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
+    )?;
+    if let Some(path) = out_path {
+        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        writeln!(out, "wrote {path}")?;
     }
     if let Some(sink) = sink {
-        sink.flush()?;
+        sink.flush(out)?;
     }
     Ok(())
 }
 
-fn cmd_index(a: &Args) -> Result<(), String> {
+fn cmd_index(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     match a.positional.first().map(String::as_str) {
-        Some("build") => cmd_index_build(a),
-        Some("query") => cmd_index_query(a),
+        Some("build") => cmd_index_build(a, out),
+        Some("query") => cmd_index_query(a, out),
         _ => Err("index needs a subcommand: `index build` or `index query`".into()),
     }
 }
 
-fn cmd_index_build(a: &Args) -> Result<(), String> {
+fn cmd_index_build(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [_, corpus_path, out_path] = a.positional.as_slice() else {
         return Err("index build needs <corpus> <out>".into());
     };
@@ -563,7 +641,8 @@ fn cmd_index_build(a: &Args) -> Result<(), String> {
     let bytes =
         SnapshotCodec::encode(&index, SnapshotFormat::BinaryV2).map_err(|e| e.to_string())?;
     std::fs::write(out_path, &bytes).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "indexed {} series  policy {}  kernel {}  radius {:.0}%  paa {}  znorm {}  build {built:?}",
         index.len(),
         policy.label(),
@@ -571,12 +650,12 @@ fn cmd_index_build(a: &Args) -> Result<(), String> {
         index.config().lb_radius_frac * 100.0,
         index.config().paa_width,
         index.config().z_normalize,
-    );
-    println!("wrote {out_path} ({} bytes)", bytes.len());
+    )?;
+    writeln!(out, "wrote {out_path} ({} bytes)", bytes.len())?;
     Ok(())
 }
 
-fn cmd_index_query(a: &Args) -> Result<(), String> {
+fn cmd_index_query(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [_, index_path, queries_path] = a.positional.as_slice() else {
         return Err("index query needs <index> <queries>".into());
     };
@@ -613,12 +692,13 @@ fn cmd_index_query(a: &Args) -> Result<(), String> {
     };
     let wall = t0.elapsed();
     if a.flag("json") {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&results).map_err(|e| e.to_string())?
-        );
+        )?;
         if let Some(sink) = sink {
-            sink.flush()?;
+            sink.flush(out)?;
         }
         return Ok(());
     }
@@ -636,9 +716,10 @@ fn cmd_index_query(a: &Args) -> Result<(), String> {
                 format!("{}(l{label}, {:.4})", n.index, n.distance)
             })
             .collect();
-        println!("query {q:>3}: {}", hits.join("  "));
+        writeln!(out, "query {q:>3}: {}", hits.join("  "))?;
     }
-    println!(
+    writeln!(
+        out,
         "cascade over {} candidates: kim {}  paa {}  keogh {}  keogh-rev {}  abandoned {}  dp {}  (lb n/a {})",
         total.candidates,
         total.pruned_kim,
@@ -648,29 +729,31 @@ fn cmd_index_query(a: &Args) -> Result<(), String> {
         total.abandoned,
         total.dp_completed,
         total.lb_inapplicable,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "prune rate {:.1}%  cells filled {}  mode {}  wall {wall:?}",
         total.prune_rate() * 100.0,
         total.cells_filled,
         if parallel { "parallel" } else { "serial" },
-    );
+    )?;
     if total.bounds_disabled {
-        println!(
+        writeln!(
+            out,
             "note: lower-bound pruning disabled — the configured kernel \
              reports LB_Kim/LB_Keogh inadmissible; queries ran on early \
              abandoning alone"
-        );
+        )?;
     }
     if let Some(sink) = sink {
-        sink.flush()?;
+        sink.flush(out)?;
     }
     Ok(())
 }
 
-fn cmd_stream(a: &Args) -> Result<(), String> {
+fn cmd_stream(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     match a.positional.first().map(String::as_str) {
-        Some("find") => cmd_stream_find(a),
+        Some("find") => cmd_stream_find(a, out),
         _ => Err("stream needs a subcommand: `stream find`".into()),
     }
 }
@@ -690,27 +773,40 @@ fn stream_config_from(a: &Args) -> Result<StreamConfig, String> {
 }
 
 /// Prints one query's matches plus a cascade summary line.
-fn print_stream_result(label: &str, result: &SubseqResult, tau: f64) {
+fn print_stream_result(
+    out: &mut dyn Write,
+    label: &str,
+    result: &SubseqResult,
+    tau: f64,
+) -> io::Result<()> {
     if result.matches.is_empty() {
-        println!(
+        writeln!(
+            out,
             "{label}no matches{}",
             if tau.is_finite() { " under tau" } else { "" }
-        );
+        )?;
     }
     for (rank, m) in result.matches.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "{label}  #{:<2} offset {:>6}  distance {:.6}",
             rank + 1,
             m.offset,
             m.distance
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Prints the aggregated cascade accounting of one or more searches.
-fn print_stream_stats(stats: &sdtw_stream::StreamStats, wall: std::time::Duration) {
+fn print_stream_stats(
+    out: &mut dyn Write,
+    stats: &sdtw_stream::StreamStats,
+    wall: std::time::Duration,
+) -> io::Result<()> {
     let c = &stats.cascade;
-    println!(
+    writeln!(
+        out,
         "cascade over {} window visits: kim {}  paa {}  keogh {}  abandoned {}  dp {}  (lb n/a {})",
         c.candidates,
         c.pruned_kim,
@@ -719,25 +815,28 @@ fn print_stream_stats(stats: &sdtw_stream::StreamStats, wall: std::time::Duratio
         c.abandoned,
         c.dp_completed,
         c.lb_inapplicable,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "prune rate {:.1}%  lb-only {:.1}%  passes {}  cache hits {}  cells {}  wall {wall:?}",
         stats.prune_rate() * 100.0,
         stats.lb_prune_rate() * 100.0,
         stats.passes,
         stats.cache_hits,
         c.cells_filled,
-    );
+    )?;
     if c.bounds_disabled {
-        println!(
+        writeln!(
+            out,
             "note: lower-bound pruning disabled — the configured kernel \
              reports the bounds inadmissible; windows ran on early \
              abandoning alone"
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn cmd_stream_find(a: &Args) -> Result<(), String> {
+fn cmd_stream_find(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let multi_path = a.options.get("queries");
     let hay_path = match (a.positional.as_slice(), multi_path) {
         ([_, hay], Some(_)) | ([_, hay, _], None) => hay,
@@ -873,47 +972,50 @@ fn cmd_stream_find(a: &Args) -> Result<(), String> {
             serde_json::to_string_pretty(&results)
         }
         .map_err(|e| e.to_string())?;
-        println!("{json}");
+        writeln!(out, "{json}")?;
         if let Some(sink) = sink {
-            sink.flush()?;
+            sink.flush(out)?;
         }
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "queries {}  haystack len {}  policy {}  kernel {kernel}  znorm {}  mode {mode}",
         matchers.len(),
         series.len(),
         policy.label(),
         config.z_normalize,
-    );
+    )?;
     let mut merged = sdtw_stream::StreamStats::default();
     for (qi, result) in results.iter().enumerate() {
         merged.merge(&result.stats);
         let label = if results.len() > 1 {
-            println!(
+            writeln!(
+                out,
                 "query {qi:>3} (len {}, windows {}):",
                 matchers[qi].query_len(),
                 result.stats.windows
-            );
+            )?;
             "  "
         } else {
-            println!(
+            writeln!(
+                out,
                 "query len {}  windows {}",
                 matchers[qi].query_len(),
                 result.stats.windows
-            );
+            )?;
             ""
         };
-        print_stream_result(label, result, tau);
+        print_stream_result(out, label, result, tau)?;
     }
-    print_stream_stats(&merged, wall);
+    print_stream_stats(out, &merged, wall)?;
     if let Some(sink) = sink {
-        sink.flush()?;
+        sink.flush(out)?;
     }
     Ok(())
 }
 
-fn cmd_report(a: &Args) -> Result<(), String> {
+fn cmd_report(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if a.positional.is_empty() {
         return Err("report needs one or more <trace.ndjson> files (`-` for stdin)".into());
     }
@@ -931,11 +1033,11 @@ fn cmd_report(a: &Args) -> Result<(), String> {
         text.push('\n');
     }
     let report = TraceReport::from_ndjson(&text)?;
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     Ok(())
 }
 
-fn cmd_serve(a: &Args) -> Result<(), String> {
+fn cmd_serve(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let index_path = a
         .options
         .get("index")
@@ -957,8 +1059,15 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
             eprintln!("sdtw serve: {entries} entries resident, pipe mode (stop at EOF)");
             let batch = a.opt_parse("batch", 32usize)?.max(1);
             let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout();
-            run_pipe(&engine, stdin.lock(), &mut stdout, batch).map_err(|e| e.to_string())?
+            run_pipe(&engine, stdin.lock(), &mut &mut *out, batch).map_err(|e| {
+                // only a write breaks a pipe: a gone reader ends the run
+                // quietly, as it does every other command's
+                if e.kind() == io::ErrorKind::BrokenPipe {
+                    CliError::Output(e)
+                } else {
+                    e.to_string().into()
+                }
+            })?
         }
         (false, Some(path)) => {
             let server = SocketServer::bind(path).map_err(|e| format!("{path}: {e}"))?;
@@ -980,11 +1089,11 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_client(a: &Args) -> Result<(), String> {
+fn cmd_client(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     match a.positional.first().map(String::as_str) {
-        Some("emit") => cmd_client_emit(a),
-        Some("print") => cmd_client_print(a),
-        Some("send") => cmd_client_send(a),
+        Some("emit") => cmd_client_emit(a, out),
+        Some("print") => cmd_client_print(a, out),
+        Some("send") => cmd_client_send(a, out),
         _ => {
             Err("client needs a subcommand: `client emit`, `client print`, or `client send`".into())
         }
@@ -1015,26 +1124,27 @@ fn client_requests(a: &Args, queries_path: &str) -> Result<Vec<ServeRequest>, St
         .collect())
 }
 
-fn cmd_client_emit(a: &Args) -> Result<(), String> {
+fn cmd_client_emit(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [_, queries_path] = a.positional.as_slice() else {
         return Err("client emit needs <queries>".into());
     };
     for req in client_requests(a, queries_path)? {
-        println!("{}", req.to_json_line());
+        writeln!(out, "{}", req.to_json_line())?;
     }
     Ok(())
 }
 
 /// Human rendering of daemon responses (shared by `print` and `send`).
-fn print_responses(resps: &[ServeResponse]) {
+fn print_responses(out: &mut dyn Write, resps: &[ServeResponse]) -> io::Result<()> {
     let (mut pruned, mut swept) = (0u64, 0u64);
     for r in resps {
         if !r.ok {
-            println!(
+            writeln!(
+                out,
                 "{}: error: {}",
                 if r.id.is_empty() { "?" } else { &r.id },
                 r.error
-            );
+            )?;
             continue;
         }
         pruned += r.entries_pruned;
@@ -1044,7 +1154,8 @@ fn print_responses(resps: &[ServeResponse]) {
             .iter()
             .map(|h| format!("{}@{} ({:.4})", h.entry, h.offset, h.distance))
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}: {}  [pruned {} / swept {}]",
             r.id,
             if hits.is_empty() {
@@ -1054,16 +1165,17 @@ fn print_responses(resps: &[ServeResponse]) {
             },
             r.entries_pruned,
             r.entries_swept,
-        );
+        )?;
     }
     let answered = resps.iter().filter(|r| r.ok).count();
-    println!(
+    writeln!(
+        out,
         "{answered}/{} answered  entries pruned {pruned} / swept {swept}",
         resps.len(),
-    );
+    )
 }
 
-fn cmd_client_print(a: &Args) -> Result<(), String> {
+fn cmd_client_print(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = match a.positional.as_slice() {
         [_] => "-",
         [_, p] => p.as_str(),
@@ -1078,11 +1190,11 @@ fn cmd_client_print(a: &Args) -> Result<(), String> {
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         resps.push(ServeResponse::from_json_line(line)?);
     }
-    print_responses(&resps);
+    print_responses(out, &resps)?;
     Ok(())
 }
 
-fn cmd_client_send(a: &Args) -> Result<(), String> {
+fn cmd_client_send(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [_, socket, queries_path] = a.positional.as_slice() else {
         return Err("client send needs <socket> <queries>".into());
     };
@@ -1093,16 +1205,16 @@ fn cmd_client_send(a: &Args) -> Result<(), String> {
     let resps = client_roundtrip(socket, &reqs).map_err(|e| format!("{socket}: {e}"))?;
     if a.flag("json") {
         for r in &resps {
-            println!("{}", r.to_json_line());
+            writeln!(out, "{}", r.to_json_line())?;
         }
     } else {
-        print_responses(&resps);
+        print_responses(out, &resps)?;
     }
     Ok(())
 }
 
-fn cmd_generate(a: &Args) -> Result<(), String> {
-    let [kind, out] = a.positional.as_slice() else {
+fn cmd_generate(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let [kind, path] = a.positional.as_slice() else {
         return Err("generate needs <kind> <out.txt>".into());
     };
     let seed = a.opt_parse("seed", 20120827u64)?;
@@ -1110,47 +1222,56 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
         "gun" => UcrAnalog::Gun,
         "trace" => UcrAnalog::Trace,
         "50words" | "words" => UcrAnalog::Words50,
-        other => return Err(format!("unknown dataset kind `{other}`")),
+        other => return Err(format!("unknown dataset kind `{other}`").into()),
     };
     let ds = analog.generate(seed);
-    write_ucr_file(out, &ds.series).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {} series ({} classes) to {out}",
+    write_ucr_file(path, &ds.series).map_err(|e| e.to_string())?;
+    writeln!(
+        out,
+        "wrote {} series ({} classes) to {path}",
         ds.series.len(),
         ds.class_count()
-    );
+    )?;
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+fn run(out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(std::env::args().skip(1))?;
     match args.command.as_str() {
-        "dist" => cmd_dist(&args),
-        "features" => cmd_features(&args),
-        "retrieve" => cmd_retrieve(&args),
-        "distmat" => cmd_distmat(&args),
-        "index" => cmd_index(&args),
-        "stream" => cmd_stream(&args),
-        "serve" => cmd_serve(&args),
-        "client" => cmd_client(&args),
-        "report" => cmd_report(&args),
-        "generate" => cmd_generate(&args),
-        "help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
+        "dist" => cmd_dist(&args, out),
+        "features" => cmd_features(&args, out),
+        "retrieve" => cmd_retrieve(&args, out),
+        "distmat" => cmd_distmat(&args, out),
+        "index" => cmd_index(&args, out),
+        "stream" => cmd_stream(&args, out),
+        "serve" => cmd_serve(&args, out),
+        "client" => cmd_client(&args, out),
+        "report" => cmd_report(&args, out),
+        "generate" => cmd_generate(&args, out),
+        "help" | "-h" => Ok(write!(out, "{USAGE}")?),
+        other => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
+    }?;
+    Ok(out.flush()?)
+}
+
+/// How a run ends: success, also when stdout's reader went away (a pipe
+/// into `head` that has read enough), otherwise `error: …` on `stderr`
+/// and exit status 1.
+fn exit_code(result: Result<(), CliError>, stderr: &mut dyn Write) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            // nothing is left to report a failed report to
+            let _ = writeln!(stderr, "error: {e}");
+            ExitCode::FAILURE
         }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    let result = run(&mut io::stdout().lock());
+    exit_code(result, &mut io::stderr())
 }
 
 #[cfg(test)]
@@ -1231,18 +1352,18 @@ mod tests {
         serial.push("--serial".into());
         serial.push("--out".into());
         serial.push(out_path.to_str().unwrap().into());
-        cmd_distmat(&Args::parse(serial).unwrap()).unwrap();
+        cmd_distmat(&Args::parse(serial).unwrap(), &mut io::sink()).unwrap();
         let written = std::fs::read_to_string(&out_path).unwrap();
         assert!(written.contains("\"data\""), "matrix JSON written");
 
         let parallel: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        cmd_distmat(&Args::parse(parallel).unwrap()).unwrap();
+        cmd_distmat(&Args::parse(parallel).unwrap(), &mut io::sink()).unwrap();
 
         // query-vs-corpus mode with the corpus file reused as queries
         let mut with_queries: Vec<String> = base.iter().map(|s| s.to_string()).collect();
         with_queries.push("--queries".into());
         with_queries.push(corpus_path.to_str().unwrap().into());
-        cmd_distmat(&Args::parse(with_queries).unwrap()).unwrap();
+        cmd_distmat(&Args::parse(with_queries).unwrap(), &mut io::sink()).unwrap();
 
         std::fs::remove_file(&corpus_path).ok();
         std::fs::remove_file(&out_path).ok();
@@ -1269,7 +1390,11 @@ mod tests {
             "--radius",
             "0.2",
         ];
-        cmd_index(&Args::parse(build.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        cmd_index(
+            &Args::parse(build.iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink(),
+        )
+        .unwrap();
         assert!(index_path.exists(), "index snapshot written");
 
         for extra in [&["--serial"][..], &["--json"][..], &[][..]] {
@@ -1282,7 +1407,7 @@ mod tests {
                 "3".to_string(),
             ];
             query.extend(extra.iter().map(|s| s.to_string()));
-            cmd_index(&Args::parse(query).unwrap()).unwrap();
+            cmd_index(&Args::parse(query).unwrap(), &mut io::sink()).unwrap();
         }
 
         // amerced kernel end-to-end through build + query
@@ -1301,7 +1426,11 @@ mod tests {
             "--penalty",
             "0.5",
         ];
-        cmd_index(&Args::parse(build_am.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        cmd_index(
+            &Args::parse(build_am.iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink(),
+        )
+        .unwrap();
         let query_am = [
             "index",
             "query",
@@ -1311,7 +1440,11 @@ mod tests {
             "2",
             "--serial",
         ];
-        cmd_index(&Args::parse(query_am.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        cmd_index(
+            &Args::parse(query_am.iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink(),
+        )
+        .unwrap();
         std::fs::remove_file(&amerced_path).ok();
 
         // the PAA width travels in the snapshot; the encoding is a pure
@@ -1329,10 +1462,18 @@ mod tests {
             "--paa",
             "4",
         ];
-        cmd_index(&Args::parse(build_paa.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        cmd_index(
+            &Args::parse(build_paa.iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink(),
+        )
+        .unwrap();
         let first = std::fs::read(&paa_path).unwrap();
         assert_eq!(&first[..8], b"SDTWIDX3", "binary magic on disk");
-        cmd_index(&Args::parse(build_paa.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        cmd_index(
+            &Args::parse(build_paa.iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink(),
+        )
+        .unwrap();
         assert_eq!(
             std::fs::read(&paa_path).unwrap(),
             first,
@@ -1351,8 +1492,12 @@ mod tests {
             legacy.to_str().unwrap(),
             corpus_path.to_str().unwrap(),
         ];
-        let err = cmd_index(&Args::parse(query_legacy.iter().map(|s| s.to_string())).unwrap())
-            .unwrap_err();
+        let err = cmd_index(
+            &Args::parse(query_legacy.iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink(),
+        )
+        .unwrap_err()
+        .to_string();
         assert!(
             err.contains("JSON-tree") && err.contains("sdtw index build"),
             "{err}"
@@ -1362,17 +1507,22 @@ mod tests {
         with_format.extend(["--format".to_string(), "json".to_string()]);
         assert!(Args::parse(with_format).is_err(), "--format is gone");
         let convert = ["index", "convert", "a.idx", "b.idx"].map(String::from);
-        assert!(cmd_index(&Args::parse(convert).unwrap()).is_err());
+        assert!(cmd_index(&Args::parse(convert).unwrap(), &mut io::sink()).is_err());
 
         // bad invocations are reported, not panicked
-        assert!(cmd_index(&Args::parse(["index".to_string()]).unwrap()).is_err());
+        assert!(cmd_index(
+            &Args::parse(["index".to_string()]).unwrap(),
+            &mut io::sink()
+        )
+        .is_err());
         assert!(cmd_index(
             &Args::parse(
                 ["index", "build", "only-one-arg"]
                     .iter()
                     .map(|s| s.to_string())
             )
-            .unwrap()
+            .unwrap(),
+            &mut io::sink()
         )
         .is_err());
 
@@ -1408,8 +1558,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(flag_first, flag_last, "orderings must parse identically");
-        cmd_dist(&flag_first).unwrap();
-        cmd_dist(&flag_last).unwrap();
+        cmd_dist(&flag_first, &mut io::sink()).unwrap();
+        cmd_dist(&flag_last, &mut io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1460,7 +1610,7 @@ mod tests {
         ] {
             let mut argv: Vec<String> = base.iter().map(|s| s.to_string()).collect();
             argv.extend(extra.iter().map(|s| s.to_string()));
-            cmd_stream(&Args::parse(argv).unwrap()).unwrap();
+            cmd_stream(&Args::parse(argv).unwrap(), &mut io::sink()).unwrap();
         }
         // adaptive sDTW bands end to end
         let sdtw_band = [
@@ -1473,19 +1623,30 @@ mod tests {
             "--k",
             "1",
         ];
-        cmd_stream(&Args::parse(sdtw_band.iter().map(|s| s.to_string())).unwrap()).unwrap();
+        cmd_stream(
+            &Args::parse(sdtw_band.iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink(),
+        )
+        .unwrap();
 
         // bad invocations are reported, not panicked
-        assert!(cmd_stream(&Args::parse(["stream".to_string()]).unwrap()).is_err());
         assert!(cmd_stream(
-            &Args::parse(["stream", "find", "only-one"].iter().map(|s| s.to_string())).unwrap()
+            &Args::parse(["stream".to_string()]).unwrap(),
+            &mut io::sink()
+        )
+        .is_err());
+        assert!(cmd_stream(
+            &Args::parse(["stream", "find", "only-one"].iter().map(|s| s.to_string())).unwrap(),
+            &mut io::sink()
         )
         .is_err());
         // --shards without --parallel would be silently ignored — error
         let mut shards_serial: Vec<String> = base.iter().map(|s| s.to_string()).collect();
         shards_serial.push("--shards".into());
         shards_serial.push("2".into());
-        let err = cmd_stream(&Args::parse(shards_serial).unwrap()).unwrap_err();
+        let err = cmd_stream(&Args::parse(shards_serial).unwrap(), &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--shards applies"), "{err}");
 
         std::fs::remove_file(&hay_path).ok();
@@ -1530,20 +1691,24 @@ mod tests {
         ] {
             let mut argv: Vec<String> = base.iter().map(|s| s.to_string()).collect();
             argv.extend(extra.iter().map(|s| s.to_string()));
-            cmd_stream(&Args::parse(argv).unwrap()).unwrap();
+            cmd_stream(&Args::parse(argv).unwrap(), &mut io::sink()).unwrap();
         }
 
         // --queries together with a positional query file is ambiguous
         let mut ambiguous: Vec<String> = base.iter().map(|s| s.to_string()).collect();
         ambiguous.insert(3, queries_path.to_str().unwrap().to_string());
-        let err = cmd_stream(&Args::parse(ambiguous).unwrap()).unwrap_err();
+        let err = cmd_stream(&Args::parse(ambiguous).unwrap(), &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("replaces the positional"), "{err}");
 
         // --monitor and --parallel are mutually exclusive
         let mut both: Vec<String> = base.iter().map(|s| s.to_string()).collect();
         both.push("--monitor".into());
         both.push("--parallel".into());
-        let err = cmd_stream(&Args::parse(both).unwrap()).unwrap_err();
+        let err = cmd_stream(&Args::parse(both).unwrap(), &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--parallel applies to batch"), "{err}");
 
         // --shards outside the single-query sharded scan is an error,
@@ -1552,7 +1717,9 @@ mod tests {
         shards_multi.push("--parallel".into());
         shards_multi.push("--shards".into());
         shards_multi.push("2".into());
-        let err = cmd_stream(&Args::parse(shards_multi).unwrap()).unwrap_err();
+        let err = cmd_stream(&Args::parse(shards_multi).unwrap(), &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--shards applies"), "{err}");
 
         std::fs::remove_file(&hay_path).ok();
@@ -1574,21 +1741,31 @@ mod tests {
         let argv = |tokens: &[&str]| Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
 
         // index query --trace: one NDJSON line per query
-        cmd_index(&argv(&[
-            "index", "build", c, i, "--policy", "sakoe", "--width", "0.2",
-        ]))
+        cmd_index(
+            &argv(&[
+                "index", "build", c, i, "--policy", "sakoe", "--width", "0.2",
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
-        cmd_index(&argv(&["index", "query", i, c, "--k", "3", "--trace", t])).unwrap();
+        cmd_index(
+            &argv(&["index", "query", i, c, "--k", "3", "--trace", t]),
+            &mut io::sink(),
+        )
+        .unwrap();
         let text = std::fs::read_to_string(&trace_path).unwrap();
         let report = TraceReport::from_ndjson(&text).unwrap();
         assert_eq!(report.len(), 8, "one trace per query");
         assert!(report.render().contains("per-stage prune table"));
-        cmd_report(&argv(&["report", t])).unwrap();
+        cmd_report(&argv(&["report", t]), &mut io::sink()).unwrap();
 
         // dist --trace: a single distance-workload line
-        cmd_dist(&argv(&[
-            "dist", c, "0", "1", "--policy", "sakoe", "--width", "0.2", "--trace", t,
-        ]))
+        cmd_dist(
+            &argv(&[
+                "dist", c, "0", "1", "--policy", "sakoe", "--width", "0.2", "--trace", t,
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
         let text = std::fs::read_to_string(&trace_path).unwrap();
         let report = TraceReport::from_ndjson(&text).unwrap();
@@ -1597,9 +1774,12 @@ mod tests {
         assert_eq!(report.traces()[0].counters.cascade.dp_completed, 1);
 
         // distmat --trace: one batch-level line
-        cmd_distmat(&argv(&[
-            "distmat", c, "--policy", "sakoe", "--width", "0.2", "--trace", t,
-        ]))
+        cmd_distmat(
+            &argv(&[
+                "distmat", c, "--policy", "sakoe", "--width", "0.2", "--trace", t,
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
         let report =
             TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
@@ -1625,7 +1805,7 @@ mod tests {
         ] {
             let mut tokens: Vec<&str> = base.to_vec();
             tokens.extend_from_slice(extra);
-            cmd_stream(&argv(&tokens)).unwrap();
+            cmd_stream(&argv(&tokens), &mut io::sink()).unwrap();
             let report =
                 TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
             assert_eq!(report.len(), 1, "mode {extra:?}");
@@ -1637,15 +1817,17 @@ mod tests {
 
         // conflicting sink requests are refused up front
         let both = argv(&["dist", c, "0", "1", "--trace", t, "--trace-stdout"]);
-        let err = cmd_dist(&both).unwrap_err();
+        let err = cmd_dist(&both, &mut io::sink()).unwrap_err().to_string();
         assert!(err.contains("mutually exclusive"), "{err}");
         let json_stdout = argv(&["index", "query", i, c, "--json", "--trace-stdout"]);
-        let err = cmd_index(&json_stdout).unwrap_err();
+        let err = cmd_index(&json_stdout, &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--trace <file>"), "{err}");
 
         // report rejects garbage and missing files
-        assert!(cmd_report(&argv(&["report"])).is_err());
-        assert!(cmd_report(&argv(&["report", "/nonexistent/x.ndjson"])).is_err());
+        assert!(cmd_report(&argv(&["report"]), &mut io::sink()).is_err());
+        assert!(cmd_report(&argv(&["report", "/nonexistent/x.ndjson"]), &mut io::sink()).is_err());
 
         for p in [&corpus_path, &index_path, &trace_path, &hay_path] {
             std::fs::remove_file(p).ok();
@@ -1663,7 +1845,7 @@ mod tests {
                 .map(|s| s.to_string()),
         )
         .unwrap();
-        cmd_generate(&gen).unwrap();
+        cmd_generate(&gen, &mut io::sink()).unwrap();
         let dist = Args::parse(
             [
                 "dist",
@@ -1679,7 +1861,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        cmd_dist(&dist).unwrap();
+        cmd_dist(&dist, &mut io::sink()).unwrap();
         let amerced = Args::parse(
             [
                 "dist",
@@ -1699,7 +1881,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        cmd_dist(&amerced).unwrap();
+        cmd_dist(&amerced, &mut io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1735,14 +1917,17 @@ mod tests {
         let i = index_path.to_str().unwrap();
         let s = sock_path.to_str().unwrap();
 
-        cmd_index(&argv(&[
-            "index", "build", c, i, "--policy", "sakoe", "--width", "0.2",
-        ]))
+        cmd_index(
+            &argv(&[
+                "index", "build", c, i, "--policy", "sakoe", "--width", "0.2",
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
 
         // daemon on a background thread, scripted client in the foreground
         let serve_args = argv(&["serve", "--index", i, "--socket", s, "--k", "3"]);
-        let daemon = std::thread::spawn(move || cmd_serve(&serve_args));
+        let daemon = std::thread::spawn(move || cmd_serve(&serve_args, &mut io::sink()));
         // wait for the socket to appear
         for _ in 0..200 {
             if sock_path.exists() {
@@ -1750,7 +1935,11 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        cmd_client(&argv(&["client", "send", s, q, "--k", "2", "--shutdown"])).unwrap();
+        cmd_client(
+            &argv(&["client", "send", s, q, "--k", "2", "--shutdown"]),
+            &mut io::sink(),
+        )
+        .unwrap();
         daemon.join().unwrap().unwrap();
         assert!(!sock_path.exists(), "daemon removed its socket");
 
@@ -1763,13 +1952,120 @@ mod tests {
         assert_eq!(reqs[1].tau, Some(5.5));
 
         // bad invocations are reported, not panicked
-        assert!(cmd_serve(&argv(&["serve", "--pipe"])).is_err());
-        assert!(cmd_serve(&argv(&["serve", "--index", i])).is_err());
-        assert!(cmd_client(&argv(&["client"])).is_err());
-        assert!(cmd_client(&argv(&["client", "send", s])).is_err());
+        assert!(cmd_serve(&argv(&["serve", "--pipe"]), &mut io::sink()).is_err());
+        assert!(cmd_serve(&argv(&["serve", "--index", i]), &mut io::sink()).is_err());
+        assert!(cmd_client(&argv(&["client"]), &mut io::sink()).is_err());
+        assert!(cmd_client(&argv(&["client", "send", s]), &mut io::sink()).is_err());
 
         for p in [&corpus_path, &queries_path, &index_path] {
             std::fs::remove_file(p).ok();
         }
+    }
+
+    /// A stdout whose writes all fail with one error kind.
+    struct FailingStdout(io::ErrorKind);
+
+    impl Write for FailingStdout {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    /// `client emit` into a stdout whose reader went away (`| head -n 1`
+    /// once it has its line) ends the run quietly with status 0; any other
+    /// write error is reported and fails it, like any other error.
+    #[test]
+    fn a_closed_stdout_ends_the_run_quietly() {
+        let dir = std::env::temp_dir().join("sdtw_cli_closed_stdout_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("queries.txt");
+        write_ucr_file(&path, &UcrAnalog::Gun.generate(3).series[..2]).unwrap();
+        let emit = Args::parse(
+            ["client", "emit", path.to_str().unwrap(), "--k", "3"]
+                .iter()
+                .map(|s| s.to_string()),
+        )
+        .unwrap();
+        let ended = |kind: io::ErrorKind| {
+            let result = cmd_client(&emit, &mut FailingStdout(kind));
+            assert!(matches!(&result, Err(CliError::Output(e)) if e.kind() == kind));
+            let mut stderr = Vec::new();
+            let code = exit_code(result, &mut stderr);
+            (code, String::from_utf8(stderr).unwrap())
+        };
+        assert_eq!(
+            ended(io::ErrorKind::BrokenPipe),
+            (ExitCode::SUCCESS, String::new())
+        );
+        let (code, stderr) = ended(io::ErrorKind::StorageFull);
+        assert_eq!(code, ExitCode::FAILURE);
+        assert!(stderr.starts_with("error: writing to stdout: "), "{stderr}");
+        let mut stderr = Vec::new();
+        assert_eq!(
+            exit_code(Err("bad input".into()), &mut stderr),
+            ExitCode::FAILURE
+        );
+        assert_eq!(stderr, b"error: bad input\n");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Row 0 holds 59 × `1.7e308` and one `−1.7e308`, row 1 60 ×
+    /// `−1.7e308`: every DP over the two squares past `f64::MAX`. Returns
+    /// the file's path.
+    fn near_max_corpus(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(test);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("near_max.txt");
+        let mut first = vec![1.7e308; 59];
+        first.push(-1.7e308);
+        let rows = [first, vec![-1.7e308; 60]].map(|v| TimeSeries::new(v).unwrap());
+        write_ucr_file(&path, &rows).unwrap();
+        path
+    }
+
+    /// Runs one command over [`near_max_corpus`] and returns its error.
+    fn refusal(
+        test: &str,
+        cmd: fn(&Args, &mut dyn Write) -> Result<(), CliError>,
+        tokens: &[&str],
+    ) -> String {
+        let path = near_max_corpus(test);
+        let mut argv: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+        argv.insert(1, path.to_str().unwrap().to_string());
+        let err = cmd(&Args::parse(argv).unwrap(), &mut io::sink())
+            .unwrap_err()
+            .to_string();
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
+    #[test]
+    fn dist_refuses_samples_too_large_for_the_metric() {
+        let err = refusal("sdtw_cli_dist_overflow_test", cmd_dist, &["dist", "0", "1"]);
+        assert!(err.contains("too large for the squared metric"), "{err}");
+    }
+
+    #[test]
+    fn distmat_refuses_samples_too_large_for_the_metric() {
+        let err = refusal(
+            "sdtw_cli_distmat_overflow_test",
+            cmd_distmat,
+            &["distmat", "--serial"],
+        );
+        assert!(err.contains("too large for the squared metric"), "{err}");
+    }
+
+    #[test]
+    fn retrieve_refuses_samples_too_large_for_the_metric() {
+        let err = refusal(
+            "sdtw_cli_retrieve_overflow_test",
+            cmd_retrieve,
+            &["retrieve", "0", "--k", "1"],
+        );
+        assert!(err.contains("too large for the squared metric"), "{err}");
     }
 }

@@ -41,11 +41,12 @@ pub struct CascadeStats {
     /// only.
     pub lb_inapplicable: u64,
     /// DP runs cut short by early abandoning against the best-so-far.
-    /// Adaptive-band stream sweeps also count here the windows their
-    /// full-grid screen disposes of before extraction: lanes that
-    /// abandon, and windows whose full-grid distance (or a floor an
-    /// earlier pass recorded) exceeds the threshold by the time they
-    /// are decided.
+    /// Adaptive-band stream sweeps also count here the windows they
+    /// dispose of before extraction: full-grid screen lanes that
+    /// abandon, and screened windows left undecided because their floor
+    /// (their full-grid distance, or a floor an earlier pass recorded)
+    /// came to exceed the threshold, after a decision or at the end of
+    /// the pass.
     pub abandoned: u64,
     /// DP runs carried to completion (the only candidates that could enter
     /// the top-k).

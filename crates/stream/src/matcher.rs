@@ -351,19 +351,28 @@ impl<'a> PreparedHaystack<'a> {
 ///   band, so their forward LB_Keogh bounds compute as one
 ///   [`lb_keogh_batch_windows`] lane pass, and the survivors' DPs fill in
 ///   lock-step, one window per lane ([`dtw_run_windows`]);
-/// * **adaptive bands** — queued windows without a planned band first
-///   fill their full `m × m` grids in lock-step (the screen: every
-///   planned band lies inside the full grid, so a window whose full-grid
-///   DP exceeds the threshold is dropped unextracted). The rest are
-///   extracted, planned and decided one by one in sweep order against a
-///   fresh best-so-far threshold, their DPs running through the
-///   zero-copy [`SDtw::query_window`] builder path.
+/// * **adaptive bands** — queued windows with neither a full-grid
+///   distance nor a band on record first fill their full `m × m` grids
+///   in lock-step (the screen: every planned band lies inside the full
+///   grid, so a window whose full-grid DP exceeds the threshold is
+///   dropped unextracted). The survivors join the pass's candidates
+///   with their full-grid distance as a floor, queued windows an
+///   earlier pass screened or planned with their recorded one. Each
+///   flush then decides the candidate with the least
+///   `(floor, offset)`, and the end of the pass decides the rest in that
+///   order until a floor exceeds the threshold: a decision extracts and
+///   plans the window and runs its DP through the zero-copy
+///   [`SDtw::query_window`] builder path against a fresh best-so-far
+///   threshold, and every candidate whose floor now exceeds it is
+///   dropped.
 ///
-/// Thresholds only tighten within a pass, so no window that could win
-/// the pass is disposed of, and completed DPs carry exact distances
-/// (DESIGN.md §11): matches are bit-identical to the fully serial
-/// sweep, while per-stage counters may differ from it. The streaming
-/// monitor path never defers.
+/// Thresholds only tighten within a pass, every drop needs a floor
+/// strictly above the threshold, and every DP lets ties complete, so no
+/// window that could win or tie the pass is disposed of; completed DPs
+/// carry exact distances, and the pass winner is the least `(distance,
+/// offset)` in any visit order (DESIGN.md §11). Matches are
+/// bit-identical to the fully serial sweep, while per-stage counters
+/// may differ from it. The streaming monitor path never defers.
 ///
 /// Results are **exact**: offsets and bit-identical distances to
 /// brute-forcing the same engine over every window and greedily picking
@@ -372,9 +381,10 @@ impl<'a> PreparedHaystack<'a> {
 /// offset). Top-k selection runs as up to `k` sweeps, each pruning
 /// against a sound best-so-far. One record per window lasts for all of
 /// them: a completed window keeps its distance, any other its planned
-/// band and a floor its distance cannot lie below, so a later sweep
-/// answers what it can from the record and no window is extracted or
-/// planned twice (DESIGN.md §9).
+/// band and a floor its distance cannot lie below (its full-grid
+/// distance once a screen completed), so a later sweep answers what it
+/// can from the record and no window is screened to completion,
+/// extracted or planned twice (DESIGN.md §9).
 #[derive(Debug, Clone)]
 pub struct SubseqMatcher {
     config: StreamConfig,
@@ -1073,9 +1083,8 @@ enum WindowBands {
 /// the normalised-window staging buffers are both sized from that one
 /// const, which the `sdtw_dtw::simd` lane layer defines, so no
 /// chunk-width assumption lives in this crate). The window is normalised
-/// at enqueue time, in serial sweep order; everything else happens at the
-/// flush, where only the threshold a window is decided against may be
-/// looser than the serial sweep's (see `ShardScan::flush`).
+/// into a lane buffer at enqueue time, in serial sweep order, and is
+/// bounded or screened at the flush (see `ShardScan::flush`).
 #[derive(Debug)]
 struct PendingWindow {
     /// Global window offset.
@@ -1097,18 +1106,21 @@ impl PendingWindow {
 
 /// What one search has learned about a window, kept for all of its `k`
 /// passes. A later pass answers the window from here when it can, and
-/// otherwise resumes from what was done, so no window is extracted or
-/// planned twice in one search.
+/// otherwise resumes from what was done, so no window is screened,
+/// extracted or planned twice in one search. A window whose floor lies
+/// above a pass's threshold can neither win nor tie the pass.
 #[derive(Debug, Clone)]
 enum WindowRecord {
     /// The DP completed with this exact distance.
     Exact(f64),
+    /// The full-grid screen of adaptive sweeps completed with this
+    /// distance, a floor of the banded one (every planned band lies
+    /// inside the full grid); the window is not planned yet.
+    Screened(f64),
     /// The window's distance lies at or above `floor`: the threshold it
-    /// was pruned or abandoned at, or its full-grid distance (every
-    /// planned band lies inside the full grid); `-∞` while nothing is
-    /// known. A window whose floor is above a pass's threshold can
-    /// neither win nor tie the pass. `band` is the window's planned band
-    /// and its [`Band::reach`], once planned (adaptive policies).
+    /// was pruned or abandoned at; `-∞` while nothing is known. `band`
+    /// is the window's planned band and its [`Band::reach`], once
+    /// planned (adaptive policies).
     Bounded {
         floor: f64,
         band: Option<(Band, usize)>,
@@ -1157,6 +1169,10 @@ struct ShardScan {
     /// The deferred window queue, kept between passes so no pass
     /// allocates one.
     pending: Vec<PendingWindow>,
+    /// Adaptive sweeps: the pass's screened, undecided windows as
+    /// `(floor, offset)`, every floor at or under the pass threshold;
+    /// kept between passes like `pending`.
+    candidates: Vec<(f64, usize)>,
     stats: StreamStats,
     /// Shard-local phase spans — disabled (≈free) unless the search is
     /// traced.
@@ -1176,6 +1192,7 @@ impl ShardScan {
             records: vec![WindowRecord::default(); we - ws],
             eval: EvalScratch::default(),
             pending: Vec::with_capacity(LB_LANES),
+            candidates: Vec::new(),
             stats: StreamStats {
                 windows: (we - ws) as u64,
                 ..StreamStats::default()
@@ -1238,7 +1255,8 @@ impl ShardScan {
             // one whose floor lies above the threshold cannot win or tie
             // the pass
             match self.records[w - self.ws] {
-                WindowRecord::Bounded { floor, .. } if floor <= threshold => {}
+                WindowRecord::Screened(floor) | WindowRecord::Bounded { floor, .. }
+                    if floor <= threshold => {}
                 _ => {
                     self.stats.cache_hits += 1;
                     continue;
@@ -1265,6 +1283,12 @@ impl ShardScan {
         }
         self.flush(matcher, xv, &mut pending, tau, &mut best)?;
         self.pending = pending;
+        // adaptive passes end by deciding their candidates in ascending
+        // `(floor, offset)` order until every floor left exceeds the
+        // threshold
+        while !self.candidates.is_empty() {
+            self.decide_next(matcher, xv, tau, &mut best)?;
+        }
         if let Some(t0) = sweep_t0 {
             self.rec.add(TracePhase::WindowSweep, t0.elapsed());
         }
@@ -1281,12 +1305,11 @@ impl ShardScan {
     /// * **fixed band** — every window shares the query and the band:
     ///   the queue is screened (PAA, LB_Keogh) at `T₀` and the survivors'
     ///   DPs fill in lock-step at `T₀` ([`dtw_run_windows`]).
-    /// * **adaptive bands** — windows without a planned band first fill
-    ///   their full `m × m` grids in lock-step at `T₀`, before any
-    ///   extraction (the screen). Then, in FIFO (= serial sweep) order,
-    ///   each window is dropped if its full-grid distance exceeds the
-    ///   current threshold, and otherwise planned (once per search) and
-    ///   decided against that threshold.
+    /// * **adaptive bands** — windows with neither a full-grid distance
+    ///   nor a band on record first fill their full `m × m` grids in
+    ///   lock-step at `T₀`, before any extraction (the screen). The queued
+    ///   windows that survive join the pass's candidates, and the flush
+    ///   decides one of them: the least `(floor, offset)`.
     fn flush(
         &mut self,
         matcher: &SubseqMatcher,
@@ -1431,14 +1454,14 @@ impl ShardScan {
         }
     }
 
-    /// The adaptive flush: the full-grid screen at `T₀`, then FIFO
-    /// decisions. A lane that dies in the screen keeps `T₀` as its floor.
-    /// In FIFO order, a window whose floor (its full-grid distance, or
-    /// what an earlier pass recorded) exceeds the current threshold is
-    /// dropped; the rest are planned, once per search, and decided. Both
-    /// kinds of drop count as abandoned DPs, and every screened lane is
-    /// charged the full grid. A planned window that is pruned or
-    /// abandoned keeps its band, and the threshold, for later passes.
+    /// The adaptive flush: the full-grid screen at `T₀`, then one
+    /// decision. A lane that dies in the screen keeps `T₀` as its floor;
+    /// one that completes keeps its full-grid distance, and no later pass
+    /// screens that window again. Every surviving queued window joins the
+    /// candidates with its floor (its full-grid distance, or what an
+    /// earlier pass recorded), and [`Self::decide_next`] decides one.
+    /// Dead lanes count as abandoned DPs, and every screened lane is
+    /// charged the full grid.
     fn flush_adaptive(
         &mut self,
         matcher: &SubseqMatcher,
@@ -1455,30 +1478,31 @@ impl ShardScan {
             stats,
             rec,
             areas,
+            candidates,
             ..
         } = self;
-        let EvalScratch {
-            dtw,
-            cascade: cascade_scratch,
-            lanes,
-            ..
-        } = eval;
+        let EvalScratch { dtw, lanes, .. } = eval;
         let lanes: &[Vec<f64>] = lanes;
         let m = matcher.m;
         let mut slots = [0usize; LB_LANES];
         let mut views: [&[f64]; LB_LANES] = [&[]; LB_LANES];
         let mut filling = 0;
         for (p, cand) in pending.iter().enumerate() {
-            if let WindowRecord::Bounded { band: None, .. } = records[cand.w - *ws] {
-                slots[filling] = p;
-                views[filling] = cand.samples(lanes, xv, m);
-                filling += 1;
+            match records[cand.w - *ws] {
+                WindowRecord::Bounded { band: None, .. } => {
+                    slots[filling] = p;
+                    views[filling] = cand.samples(lanes, xv, m);
+                    filling += 1;
+                }
+                // screened or planned by an earlier pass
+                WindowRecord::Screened(floor) | WindowRecord::Bounded { floor, .. } => {
+                    candidates.push((floor, cand.w));
+                }
+                WindowRecord::Exact(_) => {
+                    unreachable!("completed windows are answered before the queue")
+                }
             }
         }
-        // per queued window: its full-grid distance from this screen, or
-        // whether the screen disposed of it
-        let mut full: [Option<f64>; LB_LANES] = [None; LB_LANES];
-        let mut dead = [false; LB_LANES];
         if filling > 0 {
             let t0 = pass_threshold(best, tau);
             let cells = (filling * m * m) as u64;
@@ -1496,62 +1520,122 @@ impl ShardScan {
                 )
             });
             for (&p, outcome) in slots[..filling].iter().zip(screened) {
-                full[p] = outcome;
-                if outcome.is_none() {
-                    dead[p] = true;
-                    stats.cascade.abandoned += 1;
-                    records[pending[p].w - *ws] = WindowRecord::Bounded {
-                        floor: t0,
-                        band: None,
-                    };
-                }
+                let w = pending[p].w;
+                records[w - *ws] = match outcome {
+                    None => {
+                        stats.cascade.abandoned += 1;
+                        WindowRecord::Bounded {
+                            floor: t0,
+                            band: None,
+                        }
+                    }
+                    // the screen's full-grid distance bounds every banded one
+                    Some(d) => {
+                        candidates.push((d, w));
+                        WindowRecord::Screened(d)
+                    }
+                };
             }
         }
-        for (p, cand) in pending.iter().enumerate() {
-            if dead[p] {
-                continue;
+        self.decide_next(matcher, xv, tau, best)
+    }
+
+    /// Decides the candidate with the least `(floor, offset)`, then drops
+    /// every candidate whose floor now lies above the threshold. A drop
+    /// counts as an abandoned DP, and the window's record keeps its
+    /// floor.
+    fn decide_next(
+        &mut self,
+        matcher: &SubseqMatcher,
+        xv: &[f64],
+        tau: f64,
+        best: &mut Option<(f64, usize)>,
+    ) -> Result<(), TsError> {
+        let Some((next, _)) = self
+            .candidates
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        else {
+            return Ok(());
+        };
+        let (_, w) = self.candidates.swap_remove(next);
+        self.decide(matcher, xv, w, tau, best)?;
+        let threshold = pass_threshold(best, tau);
+        let before = self.candidates.len();
+        self.candidates.retain(|&(floor, _)| floor <= threshold);
+        self.stats.cascade.abandoned += (before - self.candidates.len()) as u64;
+        Ok(())
+    }
+
+    /// Decides one candidate at the current threshold: plans it unless
+    /// an earlier pass did (extraction and band planning, once per
+    /// search), then runs its sample-phase bounds and banded DP. The lane
+    /// buffers hold only one flush's windows, so a z-normalised window is
+    /// normalised again into the scratch window buffer, with the same
+    /// bits. A window that is pruned or abandoned keeps its band, and the
+    /// threshold as its floor, for later passes.
+    fn decide(
+        &mut self,
+        matcher: &SubseqMatcher,
+        xv: &[f64],
+        w: usize,
+        tau: f64,
+        best: &mut Option<(f64, usize)>,
+    ) -> Result<(), TsError> {
+        let Self {
+            ws,
+            records,
+            eval,
+            stats,
+            rec,
+            areas,
+            ..
+        } = self;
+        let EvalScratch {
+            window,
+            dtw,
+            cascade: cascade_scratch,
+            ..
+        } = eval;
+        let i = w - *ws;
+        let threshold = pass_threshold(best, tau);
+        let band = match std::mem::take(&mut records[i]) {
+            WindowRecord::Screened(_) => None,
+            WindowRecord::Bounded { band, .. } => {
+                debug_assert!(band.is_some(), "unplanned candidates are screened");
+                band
             }
-            let i = cand.w - *ws;
-            let threshold = pass_threshold(best, tau);
-            let WindowRecord::Bounded { floor, band } = std::mem::take(&mut records[i]) else {
-                unreachable!("completed windows are answered before the queue")
-            };
-            // the screen's full-grid distance bounds every banded one
-            let floor = full[p].map_or(floor, |d| d.max(floor));
-            if floor > threshold {
-                stats.cascade.abandoned += 1;
-                records[i] = WindowRecord::Bounded { floor, band };
-                continue;
+            WindowRecord::Exact(_) => unreachable!("completed windows are never candidates"),
+        };
+        let wv = matcher.normalize_window(&xv[w..w + matcher.m], window);
+        let (band, reach) = match band {
+            Some(planned) => planned,
+            None => matcher.plan_window_band(wv, rec)?,
+        };
+        let verdict = matcher.finish_window(
+            wv,
+            &band,
+            reach,
+            None,
+            threshold,
+            dtw,
+            cascade_scratch,
+            &mut stats.cascade,
+            rec,
+            areas,
+        )?;
+        records[i] = match verdict {
+            WindowVerdict::Completed(d) => {
+                offer(best, d, w, tau);
+                WindowRecord::Exact(d)
             }
-            let wv = cand.samples(lanes, xv, m);
-            let (band, reach) = match band {
-                Some(planned) => planned,
-                None => matcher.plan_window_band(wv, rec)?,
-            };
-            let verdict = matcher.finish_window(
-                wv,
-                &band,
-                reach,
-                None,
-                threshold,
-                dtw,
-                cascade_scratch,
-                &mut stats.cascade,
-                rec,
-                areas,
-            )?;
-            records[i] = match verdict {
-                WindowVerdict::Completed(d) => {
-                    offer(best, d, cand.w, tau);
-                    WindowRecord::Exact(d)
-                }
-                // pruned or abandoned: the distance exceeds `threshold`
-                _ => WindowRecord::Bounded {
-                    floor: threshold,
-                    band: Some((band, reach)),
-                },
-            };
-        }
+            // pruned or abandoned: the distance exceeds `threshold`
+            _ => WindowRecord::Bounded {
+                floor: threshold,
+                band: Some((band, reach)),
+            },
+        };
         Ok(())
     }
 }

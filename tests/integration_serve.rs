@@ -404,6 +404,42 @@ fn serve_results_are_shard_invariant() {
     }
 }
 
+/// Adaptive sweeps decide screened windows best-first by their full-grid
+/// floor, so a request needs about one completed banded DP per greedy
+/// pass. Over 5 raw Gun entries under the paper's sDTW bands (the shape
+/// of the `serve_sdtw` benchmark workload) and 24 patterns of 48–96
+/// samples at k = 5, traced answers equal untraced ones, and the traced
+/// requests complete at most half the DPs that deciding in offset order
+/// did: 3,592 summed over the 24 requests, against 773 best-first.
+#[test]
+fn best_first_adaptive_sweeps_complete_few_dps() {
+    const PATTERNS: usize = 24;
+    const OFFSET_ORDER_DPS: u64 = 3_592;
+    let ds = UcrAnalog::Gun.generate(2012);
+    let index = SdtwIndex::build(&ds.series[..5], IndexConfig::sdtw_bands()).unwrap();
+    let engine = ServeEngine::new(index, ServeConfig::default()).unwrap();
+    let mut scratch = DtwScratch::new();
+    let mut completed = 0;
+    for p in 0..PATTERNS {
+        let len = 48 + p * (96 - 48 + 1) / PATTERNS;
+        let row = ds.series[5 + p].values();
+        let at = (37 * p) % (row.len() - len + 1);
+        let mut req = ServeRequest::query(format!("p{p}"), row[at..at + len].to_vec(), 5);
+        let (plain, none) = engine.answer_with_scratch(&req, &mut scratch);
+        assert!(plain.ok && none.is_none(), "{}", plain.error);
+        req.trace = true;
+        let (traced, trace) = engine.answer_with_scratch(&req, &mut scratch);
+        assert_eq!(traced, plain, "pattern {p}: tracing moved the answer");
+        let counters = trace.expect("the request asked for a trace").counters;
+        assert!(counters.is_consistent(), "pattern {p}: {counters:?}");
+        completed += counters.cascade.dp_completed;
+    }
+    assert!(
+        2 * completed <= OFFSET_ORDER_DPS,
+        "{completed} completed DPs, against {OFFSET_ORDER_DPS} in offset order"
+    );
+}
+
 /// A pattern of 59 × `1.7e308` and one `−1.7e308` against a raw Gun
 /// index squares past `f64::MAX` in every window: the engine refuses it
 /// once per request with an error naming the overflow, before any entry

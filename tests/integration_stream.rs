@@ -198,6 +198,75 @@ fn matcher_is_exact_with_sdtw_bands() {
     }
 }
 
+/// Adaptive sweeps decide screened windows best-first by their full-grid
+/// floor, not in offset order. A haystack holding the same 70-sample
+/// valley twice, far apart, gives two windows with bit-equal floors and
+/// distances, so the `(distance, offset)` tie-break decides which is
+/// the first match. For k ∈ {1, 3, 5}, τ ∈ {∞, the k-th match's
+/// distance} and shard counts {1, 3}, raw and z-normalised, `ac2aw`
+/// searches equal the brute-force oracle bit for bit.
+#[test]
+fn equal_valleys_break_ties_exactly_under_best_first_decisions() {
+    let ds = UcrAnalog::Gun.generate(5);
+    let cut = &ds.series[0].values()[30..100];
+    let query = TimeSeries::new(
+        cut.iter()
+            .enumerate()
+            .map(|(i, v)| v + 0.01 * (i as f64 / 3.0).sin())
+            .collect(),
+    )
+    .unwrap();
+    let mut samples = ds.series[1].values()[..100].to_vec();
+    let first = samples.len();
+    samples.extend_from_slice(cut);
+    samples.extend_from_slice(&ds.series[2].values()[..100]);
+    let second = samples.len();
+    samples.extend_from_slice(cut);
+    samples.extend_from_slice(&ds.series[3].values()[..100]);
+    let hay = TimeSeries::new(samples).unwrap();
+    for z_norm in [false, true] {
+        let matcher =
+            SubseqMatcher::new(&query, sdtw_band_config(DtwOptions::default(), z_norm)).unwrap();
+        let engine = SDtw::new(matcher.config().sdtw.clone()).unwrap();
+        let profile = subsequence_profile(&engine, &query, &hay, z_norm).unwrap();
+        let valleys = select_matches(&profile, 2, matcher.exclusion(), f64::INFINITY);
+        assert_eq!(
+            (valleys[0].0, valleys[1].0),
+            (first, second),
+            "znorm={z_norm}: the valleys are the two best matches"
+        );
+        assert_eq!(valleys[0].1.to_bits(), valleys[1].1.to_bits());
+        for k in [1usize, 3, 5] {
+            let kth = select_matches(&profile, k, matcher.exclusion(), f64::INFINITY)
+                .last()
+                .expect("the haystack has windows")
+                .1;
+            for tau in [f64::INFINITY, kth] {
+                let expected = select_matches(&profile, k, matcher.exclusion(), tau);
+                for shards in [1usize, 3] {
+                    let what = format!("znorm={z_norm} k={k} tau={tau} shards={shards}");
+                    let got = matcher
+                        .search(&hay)
+                        .k(k)
+                        .tau(tau)
+                        .shards(shards)
+                        .run()
+                        .unwrap()
+                        .0;
+                    let got: Vec<(usize, u64)> = got
+                        .matches
+                        .iter()
+                        .map(|m| (m.offset, m.distance.to_bits()))
+                        .collect();
+                    let want: Vec<(usize, u64)> =
+                        expected.iter().map(|(w, d)| (*w, d.to_bits())).collect();
+                    assert_eq!(got, want, "{what}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn tau_restricted_search_matches_the_oracle_inclusively() {
     let ds = UcrAnalog::Gun.generate(99);
