@@ -1,10 +1,11 @@
-//! # sdtw-bench — experiment regenerators and micro-benchmarks
+//! # sdtw-bench — experiment regenerators and performance guards
 //!
 //! One binary per evaluation artefact of the paper (Tables 1–2, Figures
-//! 13–18) plus Criterion micro-benchmarks of the hot paths. The binaries
-//! print the same rows/series the paper reports and append their output to
-//! `results/` as JSON; `run_all` executes everything and assembles the
-//! data behind the experiment index in `DESIGN.md` §6.
+//! 13–18), plus `guards`, the table of timing-ratio floors that CI runs
+//! in release. The experiment binaries print the same rows/series the
+//! paper reports and append their output to `results/` as JSON;
+//! `run_all` executes everything and assembles the data behind the
+//! experiment index in `DESIGN.md` §6.
 //!
 //! Run an individual experiment with e.g.
 //! `cargo run -p sdtw_bench --release --bin exp_fig13`.

@@ -2,7 +2,6 @@
 
 use crate::config::IndexConfig;
 use crate::knn::{Neighbor, TopK};
-use crate::stats::CascadeStats;
 use rayon::prelude::*;
 use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::band::Band;
@@ -13,7 +12,7 @@ use sdtw_dtw::engine::{engine_label, Normalization};
 use sdtw_dtw::lower_bound::{
     lb_keogh_batch, lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
 };
-use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
+use sdtw_obs::{CascadeStats, InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
 use sdtw_salient::SalientFeature;
 use sdtw_tseries::transform::z_normalize;
 use sdtw_tseries::{TimeSeries, TsError};

@@ -66,12 +66,11 @@ pub mod config;
 pub mod index;
 pub mod knn;
 pub mod snapshot;
-pub mod stats;
 
 pub use config::{IndexConfig, DEFAULT_PAA_WIDTH};
 pub use index::{
     CoarseScreen, EntryBound, EntryDisposition, EntryOutcome, IndexEntry, QueryResult, SdtwIndex,
 };
 pub use knn::Neighbor;
+pub use sdtw_obs::CascadeStats;
 pub use snapshot::{SnapshotCodec, SnapshotFormat};
-pub use stats::CascadeStats;

@@ -5,9 +5,9 @@
 use sdtw_index::{CascadeStats, IndexConfig, SdtwIndex};
 use sdtw_tseries::TimeSeries;
 
-/// The 200-series corpus shape tracked by `bench_index` (and, at 200×200,
-/// by `BENCH_baseline.json`).
-fn bench_corpus() -> Vec<TimeSeries> {
+/// 200 sinusoids of 48 samples, each shifted in phase and in its second
+/// component's frequency by its index.
+fn drifting_corpus() -> Vec<TimeSeries> {
     (0..200usize)
         .map(|k| {
             TimeSeries::new(
@@ -36,7 +36,7 @@ fn aggregate(index: &SdtwIndex, queries: &[TimeSeries], k: usize) -> CascadeStat
 
 #[test]
 fn every_cascade_stage_prunes_on_the_bench_corpus() {
-    let corpus = bench_corpus();
+    let corpus = drifting_corpus();
     let queries: Vec<TimeSeries> = corpus.iter().take(10).cloned().collect();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
     let total = aggregate(&index, &queries, 5);
@@ -63,7 +63,7 @@ fn every_cascade_stage_prunes_on_the_bench_corpus() {
 
 #[test]
 fn cascade_does_less_dp_work_than_a_linear_scan() {
-    let corpus = bench_corpus();
+    let corpus = drifting_corpus();
     let queries: Vec<TimeSeries> = corpus.iter().take(5).cloned().collect();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
     let total = aggregate(&index, &queries, 5);
@@ -81,7 +81,7 @@ fn cascade_does_less_dp_work_than_a_linear_scan() {
 #[test]
 fn traced_query_is_bit_identical_and_carries_phase_spans() {
     use sdtw_obs::TracePhase;
-    let corpus = bench_corpus();
+    let corpus = drifting_corpus();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
     let query = corpus[7].clone();
     let plain = index.query(&query, 5).unwrap();

@@ -90,10 +90,9 @@ pub mod config;
 pub mod matcher;
 pub mod monitor;
 pub mod rolling;
-pub mod stats;
 
 pub use config::StreamConfig;
 pub use matcher::{Haystack, PreparedHaystack, Search, SubseqMatch, SubseqMatcher, SubseqResult};
 pub use monitor::{BankEvent, MonitorBank};
 pub use rolling::RollingExtrema;
-pub use stats::StreamStats;
+pub use sdtw_obs::StreamStats;

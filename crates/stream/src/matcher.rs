@@ -1,7 +1,6 @@
 //! The batch subsequence matcher and the shared per-window cascade.
 
 use crate::config::StreamConfig;
-use crate::stats::StreamStats;
 use rayon::prelude::*;
 use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::cascade::{
@@ -10,7 +9,7 @@ use sdtw_dtw::cascade::{
 use sdtw_dtw::engine::{dtw_run_windows, engine_label, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
-use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
+use sdtw_obs::{InputShape, QueryTrace, Recorder, StreamStats, TracePhase, WorkloadKind};
 use sdtw_tseries::stats::SlidingMoments;
 use sdtw_tseries::transform::{z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};

@@ -4,8 +4,7 @@
 
 use crate::matcher::{EvalScratch, SubseqMatch, SubseqMatcher, WindowVerdict};
 use crate::rolling::RollingExtrema;
-use crate::stats::StreamStats;
-use sdtw_obs::{QueryTrace, Recorder, WorkloadKind};
+use sdtw_obs::{QueryTrace, Recorder, StreamStats, WorkloadKind};
 use sdtw_tseries::stats::WindowedStats;
 use sdtw_tseries::TsError;
 

@@ -341,9 +341,8 @@ fn monitor_streaming_equals_batch_on_seeded_data() {
 
 #[test]
 fn cascade_prunes_most_windows_on_seeded_data() {
-    // the pruning claim behind BENCH_stream.json, pinned as a test: on a
-    // long haystack the lower bounds dispose of most window visits
-    // before any DP runs
+    // the stream cascade's performance floor: on a long haystack the
+    // lower bounds dispose of most window visits before any DP runs
     let ds = UcrAnalog::Gun.generate(17);
     let query = ds.series[0].clone();
     let hay = haystack(&ds.series[1..13]);
