@@ -737,14 +737,6 @@ fn cmd_index_query(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         total.cells_filled,
         if parallel { "parallel" } else { "serial" },
     )?;
-    if total.bounds_disabled {
-        writeln!(
-            out,
-            "note: lower-bound pruning disabled — the configured kernel \
-             reports LB_Kim/LB_Keogh inadmissible; queries ran on early \
-             abandoning alone"
-        )?;
-    }
     if let Some(sink) = sink {
         sink.flush(out)?;
     }
@@ -825,14 +817,6 @@ fn print_stream_stats(
         stats.cache_hits,
         c.cells_filled,
     )?;
-    if c.bounds_disabled {
-        writeln!(
-            out,
-            "note: lower-bound pruning disabled — the configured kernel \
-             reports the bounds inadmissible; windows ran on early \
-             abandoning alone"
-        )?;
-    }
     Ok(())
 }
 

@@ -180,8 +180,8 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Early-abandon cutoff in reported-distance units (directly
-    /// comparable to [`SDtwOutcome::distance`]): `run()` returns
+    /// Early-abandon cutoff, in the units of
+    /// [`SDtwOutcome::distance`]: `run()` returns
     /// `Ok(None)` as soon as no path through the band can come in at or
     /// under the cutoff. Ties survive exactly — k-NN loops rely on it.
     pub fn cutoff(mut self, threshold: f64) -> Self {

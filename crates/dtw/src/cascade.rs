@@ -13,16 +13,17 @@
 //!   precondition fails for the pair is *inapplicable* and skipped
 //!   (counted once per candidate), and a stage whose inputs are
 //!   untrustworthy may *abstain* (rolling statistics; not counted).
-//! * [`Cascade`] — the configured stage list plus the shared bound
-//!   normalisation/metric, run in two phases per candidate:
+//! * [`Cascade`] — the configured stage list plus the metric, run in
+//!   two phases per candidate:
 //!   [`Cascade::screen_summary`] (O(1) stages that need no band — the
 //!   precomputed LB_Kim) and [`Cascade::screen_samples`] (the
 //!   sample-level stages, once the pair's band is known). The split
 //!   exists because band planning is itself costly and is skipped for
 //!   summary-pruned candidates.
-//! * [`CascadeStats`] — the per-stage accounting, with
-//!   [`CascadeStats::merge`] so parallel shards and monitor banks
-//!   aggregate counts instead of dropping them.
+//! * [`CascadeStats`] (defined in `sdtw_obs`, the trace's counter
+//!   block) — the per-stage accounting, with [`CascadeStats::merge`] so
+//!   parallel shards and monitor banks aggregate counts instead of
+//!   dropping them.
 //! * [`CoarseEnvelope`] — the coarse (PAA) pre-filter artefact: a
 //!   fixed-width piecewise-aggregate compression of an LB_Keogh
 //!   [`Envelope`], giving a bound that costs `O(len / width)` metric
@@ -50,8 +51,8 @@
 //! by, with the tail kept whole — is what keeps the weights exact.
 
 use crate::band::Band;
-use crate::engine::Normalization;
 use crate::lower_bound::{lb_keogh_band, lb_keogh_values, Envelope, RangeTable};
+use sdtw_obs::CascadeStats;
 use sdtw_tseries::transform::paa_fixed_values;
 use sdtw_tseries::ElementMetric;
 use serde::{Deserialize, Serialize};
@@ -156,6 +157,10 @@ impl CascadeScratch {
     }
 }
 
+/// Default segment width of the coarse PAA pre-filter, in the kNN index
+/// and the subsequence matcher alike.
+pub const DEFAULT_PAA_WIDTH: usize = 8;
+
 /// Fixed-width PAA compression of an LB_Keogh [`Envelope`]: per segment,
 /// the maximum of the upper envelope and the minimum of the lower one —
 /// the loosest tube any sample of the segment lives in, which is what
@@ -259,9 +264,11 @@ impl CoarseEnvelope {
     }
 }
 
-/// A configured pruning cascade: the ordered stage list plus everything
-/// the threshold comparisons need (metric, bound normalisation, and the
-/// kernel's admissibility switch).
+/// A configured pruning cascade: the ordered stage list plus the metric
+/// its bounds are computed under. Bounds compare with thresholds in raw
+/// accumulated cost, the units every kernel reports its distance in,
+/// and every kernel [`crate::KernelChoice`] offers dominates the
+/// symmetric1 cost they bound.
 ///
 /// The cascade is stateless per candidate — accounting lands in a
 /// caller-owned [`CascadeStats`], scratch buffers in a caller-owned
@@ -281,47 +288,17 @@ impl CoarseEnvelope {
 pub struct Cascade {
     stages: Vec<PruneStage>,
     metric: ElementMetric,
-    normalization: Normalization,
-    bounds_enabled: bool,
 }
 
 impl Cascade {
-    /// Builds a cascade over the given stage list. `bounds_enabled`
-    /// carries the kernel's `lower_bounds_admissible()` verdict: when
-    /// false every stage is disabled (the candidate goes straight to the
-    /// early-abandoned DP) and [`CascadeStats::bounds_disabled`] records
-    /// why the prune counters stay at zero.
-    pub fn new(
-        stages: Vec<PruneStage>,
-        metric: ElementMetric,
-        normalization: Normalization,
-        bounds_enabled: bool,
-    ) -> Self {
-        Self {
-            stages,
-            metric,
-            normalization,
-            bounds_enabled,
-        }
-    }
-
-    /// Whether the lower-bound stages are live for this cascade.
-    pub fn bounds_enabled(&self) -> bool {
-        self.bounds_enabled
+    /// Builds a cascade over the given stage list.
+    pub fn new(stages: Vec<PruneStage>, metric: ElementMetric) -> Self {
+        Self { stages, metric }
     }
 
     /// The configured stage list.
     pub fn stages(&self) -> &[PruneStage] {
         &self.stages
-    }
-
-    /// Converts a raw accumulated-cost bound into the units of the
-    /// configured normalisation, so it compares against final distances.
-    fn normalize_bound(&self, raw: f64, n: usize, m: usize) -> f64 {
-        match self.normalization {
-            Normalization::None => raw,
-            Normalization::LengthSum => raw / (n + m) as f64,
-        }
     }
 
     /// Whether a Kim bound prunes against `threshold` under `guard`
@@ -335,11 +312,10 @@ impl Cascade {
         }
     }
 
-    /// Phase 1 of a candidate: opens its accounting (`candidates`,
-    /// `bounds_disabled`) and runs the summary stages against the
-    /// caller-precomputed LB_Kim bound (`None` = the producer abstained
-    /// — rolling statistics in an untrustworthy regime). The bound must
-    /// already be in reported-distance units.
+    /// Phase 1 of a candidate: opens its accounting (`candidates`) and
+    /// runs the summary stages against the caller-precomputed LB_Kim
+    /// bound (`None` = the producer abstained — rolling statistics in an
+    /// untrustworthy regime).
     ///
     /// Returns the pruning stage, or `None` when the candidate survives
     /// (proceed to band planning and [`Cascade::screen_samples`]).
@@ -350,10 +326,6 @@ impl Cascade {
         threshold: f64,
     ) -> Option<StageKind> {
         stats.candidates += 1;
-        stats.bounds_disabled = !self.bounds_enabled;
-        if !self.bounds_enabled {
-            return None;
-        }
         for stage in &self.stages {
             if let PruneStage::Kim { guard } = stage {
                 if let Some(kim) = kim {
@@ -387,9 +359,6 @@ impl Cascade {
         threshold: f64,
         scratch: &mut CascadeScratch,
     ) -> Option<StageKind> {
-        if !self.bounds_enabled {
-            return None;
-        }
         let (n, m) = (input.x.len(), input.y.len());
         let mut inapplicable = false;
         for stage in &self.stages {
@@ -397,17 +366,17 @@ impl Cascade {
                 PruneStage::Kim { .. } => continue,
                 PruneStage::Paa => match input.y_coarse {
                     Some(c) if n == m && c.source_len() == m && band_reach <= c.radius() => {
-                        let raw = c.lower_bound(input.x, self.metric, &mut scratch.paa);
-                        Some((StageKind::Paa, self.normalize_bound(raw, n, m)))
+                        let bound = c.lower_bound(input.x, self.metric, &mut scratch.paa);
+                        Some((StageKind::Paa, bound))
                     }
                     _ => None,
                 },
                 PruneStage::Keogh => match input.y_envelope {
                     Some(env) if n == m && band_reach <= env.radius => {
-                        let raw = input
+                        let bound = input
                             .y_keogh_raw
                             .unwrap_or_else(|| lb_keogh_values(input.x, env, self.metric));
-                        Some((StageKind::Keogh, self.normalize_bound(raw, n, m)))
+                        Some((StageKind::Keogh, bound))
                     }
                     _ => None,
                 },
@@ -415,9 +384,9 @@ impl Cascade {
                     (Some(table), Some(band))
                         if table.len() == n && band.n() == n && band.m() == m =>
                     {
-                        let raw =
+                        let bound =
                             lb_keogh_band(input.y, table, band, self.metric, &mut scratch.counts);
-                        Some((StageKind::KeoghRev, self.normalize_bound(raw, n, m)))
+                        Some((StageKind::KeoghRev, bound))
                     }
                     _ => None,
                 },
@@ -444,12 +413,6 @@ impl Cascade {
         None
     }
 }
-
-// `CascadeStats` is defined in the telemetry spine (`sdtw_obs`) and
-// re-exported from its historical home here, so every PR 2-6 call site
-// keeps compiling unchanged while the counters stay a view of the
-// canonical `QueryTrace` counter block.
-pub use sdtw_obs::CascadeStats;
 
 #[cfg(test)]
 mod tests {
@@ -534,8 +497,6 @@ mod tests {
                 PruneStage::KeoghRev,
             ],
             metric,
-            Normalization::None,
-            true,
         );
         let input = SampleInput {
             x: &x,
@@ -587,8 +548,6 @@ mod tests {
         let cascade = Cascade::new(
             vec![PruneStage::Paa, PruneStage::Keogh, PruneStage::KeoghRev],
             ElementMetric::Squared,
-            Normalization::None,
-            true,
         );
         let input = SampleInput {
             x: &x,
@@ -627,8 +586,6 @@ mod tests {
         let cascade = Cascade::new(
             vec![PruneStage::Keogh, PruneStage::KeoghRev],
             ElementMetric::Squared,
-            Normalization::None,
-            true,
         );
         let mut input = SampleInput {
             x: &x,
@@ -662,41 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_bounds_skip_every_stage_and_log_it() {
-        let cascade = Cascade::new(
-            vec![PruneStage::Kim { guard: 0.0 }, PruneStage::Keogh],
-            ElementMetric::Squared,
-            Normalization::None,
-            false,
-        );
-        let mut stats = CascadeStats::default();
-        assert_eq!(cascade.screen_summary(&mut stats, Some(1e9), 0.0), None);
-        let x = vec![0.0; 4];
-        let env = Envelope::build_from_values(&x, 4);
-        let input = SampleInput {
-            x: &x,
-            y: &x,
-            y_envelope: Some(&env),
-            y_keogh_raw: None,
-            x_ranges: None,
-            band: None,
-            y_coarse: None,
-        };
-        let band = sakoe_chiba_band(4, 4, 1.0);
-        let verdict = cascade.screen_samples(
-            &mut stats,
-            &input,
-            band.reach(),
-            0.0,
-            &mut CascadeScratch::new(),
-        );
-        assert_eq!(verdict, None);
-        assert!(stats.bounds_disabled);
-        assert_eq!(stats.pruned_kim + stats.pruned_keogh, 0);
-        assert_eq!(stats.lb_inapplicable, 0);
-    }
-
-    #[test]
     fn guarded_kim_comparison_is_conservative() {
         // with a guard the bound must clear the threshold by the slack;
         // without one the comparison is exactly strict
@@ -707,19 +629,6 @@ mod tests {
         // infinite thresholds never prune, guarded or not
         assert!(!Cascade::kim_prunes(1e300, f64::INFINITY, 0.0));
         assert!(!Cascade::kim_prunes(1e300, f64::INFINITY, 1e-7));
-    }
-
-    #[test]
-    fn bound_normalization_matches_the_engine_units() {
-        let c = Cascade::new(
-            vec![],
-            ElementMetric::Squared,
-            Normalization::LengthSum,
-            true,
-        );
-        assert_eq!(c.normalize_bound(10.0, 3, 7), 1.0);
-        let c = Cascade::new(vec![], ElementMetric::Squared, Normalization::None, true);
-        assert_eq!(c.normalize_bound(10.0, 3, 7), 10.0);
     }
 
     #[test]

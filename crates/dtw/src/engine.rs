@@ -45,44 +45,8 @@ use crate::simd::{F64Lanes, LaneMask, LANE_WIDTH};
 use sdtw_tseries::{ElementMetric, TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 
-/// Local-transition weighting of the DTW recurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StepPattern {
-    /// `D(i,j) = min(D(i-1,j), D(i,j-1), D(i-1,j-1)) + d` — the paper's
-    /// recurrence (§2.1.3) and the default.
-    #[default]
-    Symmetric1,
-    /// Sakoe & Chiba's symmetric2: the diagonal transition pays `2d`
-    /// (compensating its double time advance), making the distance
-    /// comparable across alignments of different lengths and enabling the
-    /// conventional `/(N+M)` normalisation.
-    Symmetric2,
-}
-
-impl StepPattern {
-    /// Cost multiplier of the diagonal transition.
-    #[inline]
-    pub fn diagonal_weight(self) -> f64 {
-        match self {
-            StepPattern::Symmetric1 => 1.0,
-            StepPattern::Symmetric2 => 2.0,
-        }
-    }
-}
-
-/// Post-hoc normalisation of the accumulated distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Normalization {
-    /// Report the raw accumulated cost (the paper's convention).
-    #[default]
-    None,
-    /// Divide by `N + M` — the standard normalisation for
-    /// [`StepPattern::Symmetric2`], yielding a per-step cost that is
-    /// comparable across series lengths.
-    LengthSum,
-}
-
-/// Options for a DTW computation.
+/// Options for a DTW computation. Under every kernel the distance is the
+/// corner cell's raw accumulated cost, the paper's convention (§2.1.3).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct DtwOptions {
     /// Pointwise metric inside the recurrence.
@@ -91,30 +55,37 @@ pub struct DtwOptions {
     /// path back (costs one extra `O(N+M)` walk plus the band-sized matrix
     /// retained during the call either way).
     pub compute_path: bool,
-    /// Transition weighting (default: the paper's symmetric1). Ignored by
-    /// the amerced kernel, which defines its own weighting.
-    pub step_pattern: StepPattern,
-    /// Distance normalisation (default: none, as in the paper).
-    pub normalization: Normalization,
     /// Which cost kernel runs the recurrence (default: the standard
-    /// step-pattern kernel).
+    /// symmetric1 kernel).
     pub kernel: KernelChoice,
 }
 
 // Hand-written (the shim derive has no `#[serde(default)]`): `kernel`
 // falls back to `Standard` when absent, so JSON artifacts persisted
 // before the field existed — index snapshots in particular — keep
-// loading.
+// loading. Artifacts written while the step pattern and the `/(N+M)`
+// normalisation were options carry them: the paper's values load, and
+// any other is refused, because an index built under it answers in
+// other units.
 impl serde::Deserialize for DtwOptions {
     fn from_json(v: &serde::Value) -> Result<Self, serde::DeError> {
         if v.as_object().is_none() {
             return Err(serde::DeError::expected("object", v));
         }
+        for (field, paper) in [("step_pattern", "Symmetric1"), ("normalization", "None")] {
+            if let Some(value) = v.get(field) {
+                if value.as_str() != Some(paper) {
+                    return Err(serde::DeError::custom(format!(
+                        "`{field}` is {}, but only the paper's cost model ({paper}) is \
+                         supported; rebuild the index from its series",
+                        value.as_str().unwrap_or(value.kind())
+                    )));
+                }
+            }
+        }
         Ok(Self {
             metric: serde::Deserialize::from_json(serde::obj_get(v, "metric")?)?,
             compute_path: serde::Deserialize::from_json(serde::obj_get(v, "compute_path")?)?,
-            step_pattern: serde::Deserialize::from_json(serde::obj_get(v, "step_pattern")?)?,
-            normalization: serde::Deserialize::from_json(serde::obj_get(v, "normalization")?)?,
             kernel: match v.get("kernel") {
                 Some(k) => serde::Deserialize::from_json(k)?,
                 None => KernelChoice::default(),
@@ -128,15 +99,6 @@ impl DtwOptions {
     pub fn with_path() -> Self {
         Self {
             compute_path: true,
-            ..Self::default()
-        }
-    }
-
-    /// The conventional normalised-symmetric2 configuration.
-    pub fn normalized_symmetric2() -> Self {
-        Self {
-            step_pattern: StepPattern::Symmetric2,
-            normalization: Normalization::LengthSum,
             ..Self::default()
         }
     }
@@ -171,9 +133,9 @@ impl DtwOptions {
     /// Refuses samples whose DP cost could overflow. With `a` and `b` the
     /// largest magnitudes of the two prepared sides, no local cost
     /// exceeds `c`, the metric of `a + b`, and no path of an `n × m` DP
-    /// has more than `n + m` steps, each costing at most `w·c + ω` (`w`
-    /// the diagonal weight, `ω` the amerced penalty). When
-    /// `(n + m) · (w·c + ω)` is finite, so is every cell, lower bound and
+    /// has more than `n + m` steps, each costing at most `c + ω` (`ω` the
+    /// amerced penalty, 0 for the standard kernel). When
+    /// `(n + m) · (c + ω)` is finite, so is every cell, lower bound and
     /// distance over such samples.
     ///
     /// # Errors
@@ -182,28 +144,21 @@ impl DtwOptions {
     /// the metric when that product is not finite.
     #[inline]
     pub fn check_magnitudes(&self, n: usize, m: usize, a: f64, b: f64) -> Result<(), TsError> {
-        let (w, omega) = match self.kernel {
-            KernelChoice::Standard => (self.step_pattern.diagonal_weight(), 0.0),
-            KernelChoice::Amerced { penalty } => (1.0, penalty),
+        let omega = match self.kernel {
+            KernelChoice::Standard => 0.0,
+            KernelChoice::Amerced { penalty } => penalty,
         };
         let c = self.metric.eval(a, -b);
-        if ((n + m) as f64 * (w * c + omega)).is_finite() {
+        if ((n + m) as f64 * (c + omega)).is_finite() {
             Ok(())
         } else {
             Err(magnitude_error(self.metric, n, m, a, b))
         }
     }
 
-    /// Whether `LB_Kim`/`LB_Keogh` remain admissible under the configured
-    /// kernel (retrieval cascades consult this before enabling
-    /// lower-bound pruning).
-    pub fn lower_bounds_admissible(&self) -> bool {
-        self.kernel.lower_bounds_admissible()
-    }
-
     /// Short label of the configured kernel (experiment output, CLI).
     pub fn kernel_label(&self) -> String {
-        self.kernel.label(self.step_pattern)
+        self.kernel.label()
     }
 }
 
@@ -324,10 +279,9 @@ impl<'a> BandMatrix<'a> {
 
 /// Path-mode row fill: fills the band-sparse matrix under a kernel, so
 /// [`traceback`] can walk it afterwards. With `ABANDON`, returns
-/// `None` as soon as a completed row's minimum (converted into reported
-/// units, which is monotone) exceeds `cutoff` — kernels guarantee costs
-/// never decrease along a path, so no path through that row can come back
-/// under it. With `ABANDON = false` the cutoff comparisons compile out
+/// `None` as soon as a completed row's minimum exceeds `cutoff` —
+/// kernels guarantee costs never decrease along a path, so no path
+/// through that row can come back under it. With `ABANDON = false` the cutoff comparisons compile out
 /// and the fill always completes.
 // Index loops are deliberate here: (i, j) are band coordinates addressing
 // the matrix, the band rows and both sample buffers simultaneously.
@@ -362,7 +316,7 @@ fn fill<'a, K: DtwKernel, const ABANDON: bool>(
                 row_min = row_min.min(acc);
             }
         }
-        if ABANDON && kernel.normalize(row_min, xv.len(), yv.len()) > cutoff {
+        if ABANDON && row_min > cutoff {
             return None;
         }
     }
@@ -388,7 +342,7 @@ fn fill<'a, K: DtwKernel, const ABANDON: bool>(
                 row_min = row_min.min(best);
             }
         }
-        if ABANDON && kernel.normalize(row_min, xv.len(), yv.len()) > cutoff {
+        if ABANDON && row_min > cutoff {
             return None;
         }
     }
@@ -670,8 +624,7 @@ fn fill_wavefront<K: DtwKernel, const ABANDON: bool>(
                     );
                 }
             }
-            if ABANDON && kernel.normalize(frontier_min.min(diag_min), xv.len(), yv.len()) > cutoff
-            {
+            if ABANDON && frontier_min.min(diag_min) > cutoff {
                 break 'sweep None;
             }
             if d + 1 == total {
@@ -711,8 +664,8 @@ fn fill_wavefront<K: DtwKernel, const ABANDON: bool>(
 /// overwrite are reset. The `left` parent is carried in a register that
 /// starts every row at `+∞`.
 ///
-/// With `ABANDON`, a lane dies once its completed row's minimum,
-/// converted into reported units, exceeds `cutoff`; dead lanes keep
+/// With `ABANDON`, a lane dies once its completed row's minimum
+/// exceeds `cutoff`; dead lanes keep
 /// computing (their cells are never read back), and the fill returns
 /// as soon as every lane is dead. A lane that lives to the corner still
 /// returns `None` when its distance exceeds the cutoff. Lanes past
@@ -795,7 +748,7 @@ fn fill_windows<K: DtwKernel, const ABANDON: bool>(
         stale = i.checked_sub(1).map(|k| band.row(k));
         if ABANDON {
             for l in 0..LANE_WIDTH {
-                if kernel.normalize(row_min.lane(l), n, m) > cutoff {
+                if row_min.lane(l) > cutoff {
                     live &= !(1 << l);
                 }
             }
@@ -810,7 +763,7 @@ fn fill_windows<K: DtwKernel, const ABANDON: bool>(
     // alive still dies when its distance exceeds the cutoff
     let mut out = [None; LANE_WIDTH];
     for (l, slot) in out.iter_mut().enumerate() {
-        let distance = kernel.normalize(prev[m].lane(l), n, m);
+        let distance = prev[m].lane(l);
         if ABANDON && distance > cutoff {
             live &= !(1 << l);
         }
@@ -846,8 +799,7 @@ pub fn engine_label(compute_path: bool) -> &'static str {
 ///   runs, because the traceback walk needs the whole matrix. Both fills
 ///   return the same distance bits and abandon decisions.
 /// * **`cutoff`** — early abandoning: `Some(t)` returns `None` as soon as
-///   no path through the band can come in at or under `t` (in
-///   reported-distance units — conversion is monotone, so ties survive
+///   no path through the band can come in at or under `t` (ties survive
 ///   exactly), or when the final distance exceeds it. `None` never
 ///   abandons.
 /// * **`scratch`** — caller-owned DP buffers; keep one per worker thread
@@ -905,14 +857,13 @@ pub fn dtw_run<K: DtwKernel>(
         }
     };
     debug_assert!(raw.is_finite(), "sanitised band must reach the corner cell");
-    let distance = kernel.normalize(raw, xv.len(), yv.len());
     // a completed fill can still land over the cutoff; reject it before
     // paying for the traceback walk
-    if cutoff.is_some_and(|t| distance > t) {
+    if cutoff.is_some_and(|t| raw > t) {
         return None;
     }
     Some(DtwResult {
-        distance,
+        distance: raw,
         path: matrix.map(|d| traceback(&d, xv, yv, metric, kernel)),
         cells_filled: band.area(),
     })
@@ -944,7 +895,7 @@ pub fn dtw_run_options(
             yv,
             band,
             opts.metric,
-            &StandardKernel::new(opts.step_pattern, opts.normalization),
+            &StandardKernel,
             opts.compute_path,
             cutoff,
             scratch,
@@ -954,7 +905,7 @@ pub fn dtw_run_options(
             yv,
             band,
             opts.metric,
-            &AmercedKernel::new(penalty, opts.normalization),
+            &AmercedKernel::new(penalty),
             opts.compute_path,
             cutoff,
             scratch,
@@ -1031,7 +982,7 @@ pub fn dtw_run_windows(
             windows,
             band,
             opts.metric,
-            &StandardKernel::new(opts.step_pattern, opts.normalization),
+            &StandardKernel,
             cutoff,
             scratch,
         ),
@@ -1040,7 +991,7 @@ pub fn dtw_run_windows(
             windows,
             band,
             opts.metric,
-            &AmercedKernel::new(penalty, opts.normalization),
+            &AmercedKernel::new(penalty),
             cutoff,
             scratch,
         ),
@@ -1064,8 +1015,8 @@ pub fn dtw_full(x: &TimeSeries, y: &TimeSeries, opts: &DtwOptions) -> DtwResult 
 /// Walks the filled matrix from the top-right corner back to the origin,
 /// preferring the diagonal parent on ties (the conventional choice; it
 /// yields the shortest of the cost-equal paths). Parent selection asks
-/// the kernel for effective arrival costs, so step weighting and warp
-/// penalties are accounted for.
+/// the kernel for effective arrival costs, so warp penalties are
+/// accounted for.
 fn traceback<K: DtwKernel>(
     d: &BandMatrix<'_>,
     x: &[f64],
@@ -1294,75 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetric2_weights_the_diagonal() {
-        // X = Y = [0, 1]: the diagonal path costs 0 under both patterns,
-        // so use a pair where the optimal path takes a diagonal step with
-        // non-zero local cost.
-        let x = ts(&[0.0, 1.0]);
-        let y = ts(&[0.0, 2.0]);
-        let s1 = dtw_full(&x, &y, &DtwOptions::default()).distance;
-        let s2 = dtw_full(
-            &x,
-            &y,
-            &DtwOptions {
-                step_pattern: StepPattern::Symmetric2,
-                ..DtwOptions::default()
-            },
-        )
-        .distance;
-        // symmetric1: diagonal step pays (1-2)^2 = 1; symmetric2 pays 2
-        assert_eq!(s1, 1.0);
-        assert_eq!(s2, 2.0);
-    }
-
-    #[test]
-    fn symmetric2_distance_dominates_symmetric1() {
-        let x = ts(&[0.3, 1.8, 2.2, 0.1, -0.7, 0.4]);
-        let y = ts(&[1.0, 1.0, 0.0, 2.0, 0.3]);
-        let s1 = dtw_full(&x, &y, &DtwOptions::default()).distance;
-        let s2 = dtw_full(
-            &x,
-            &y,
-            &DtwOptions {
-                step_pattern: StepPattern::Symmetric2,
-                ..DtwOptions::default()
-            },
-        )
-        .distance;
-        assert!(s2 >= s1 - 1e-12, "s2 {s2} must dominate s1 {s1}");
-    }
-
-    #[test]
-    fn normalization_divides_by_length_sum() {
-        let x = ts(&[0.0, 1.0, 2.0]);
-        let y = ts(&[0.0, 2.0]);
-        let raw = dtw_full(&x, &y, &DtwOptions::default()).distance;
-        let norm = dtw_full(
-            &x,
-            &y,
-            &DtwOptions {
-                normalization: Normalization::LengthSum,
-                ..DtwOptions::default()
-            },
-        )
-        .distance;
-        assert!((norm - raw / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_symmetric2_path_is_still_valid() {
-        let x = ts(&[0.1, 0.9, 0.4, 1.7, 1.1, 0.2]);
-        let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
-        let opts = DtwOptions {
-            compute_path: true,
-            ..DtwOptions::normalized_symmetric2()
-        };
-        let r = dtw_full(&x, &y, &opts);
-        r.path.unwrap().validate(6, 5).unwrap();
-        assert!(r.distance.is_finite() && r.distance >= 0.0);
-    }
-
-    #[test]
     fn early_abandon_agrees_with_full_when_under_threshold() {
         let x = ts(&[0.1, 0.9, 0.4, 1.7, 1.1, 0.2]);
         let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
@@ -1385,20 +1267,6 @@ mod tests {
         // threshold exactly at the distance keeps the result
         let d = run(&x, &y, &band, &opts).distance;
         assert!(run_cutoff(&x, &y, &band, &opts, d).is_some());
-    }
-
-    #[test]
-    fn early_abandon_respects_normalized_thresholds() {
-        let x = ts(&[0.0, 1.0, 2.0, 1.0]);
-        let y = ts(&[0.0, 2.0, 2.0, 0.0]);
-        let band = Band::full(4, 4);
-        let opts = DtwOptions {
-            normalization: Normalization::LengthSum,
-            ..DtwOptions::default()
-        };
-        let d = run(&x, &y, &band, &opts).distance;
-        assert!(run_cutoff(&x, &y, &band, &opts, d + 1e-9).is_some());
-        assert!(run_cutoff(&x, &y, &band, &opts, d * 0.5).is_none());
     }
 
     #[test]
@@ -1462,11 +1330,7 @@ mod tests {
                     Band::full(a.len(), b.len()),
                     crate::sakoe::sakoe_chiba_band(a.len(), b.len(), 0.3),
                 ] {
-                    for opts in [
-                        DtwOptions::default(),
-                        DtwOptions::normalized_symmetric2(),
-                        DtwOptions::amerced(0.2),
-                    ] {
+                    for opts in [DtwOptions::default(), DtwOptions::amerced(0.2)] {
                         let fresh = run(a, b, &band, &opts);
                         let reused = dtw_run_options(
                             a.values(),
@@ -1502,11 +1366,7 @@ mod tests {
             for b in &series {
                 let band = Band::full(a.len(), b.len());
                 for threshold in [0.05, 1.0, f64::INFINITY] {
-                    for opts in [
-                        DtwOptions::default(),
-                        DtwOptions::normalized_symmetric2(),
-                        DtwOptions::amerced(0.1),
-                    ] {
+                    for opts in [DtwOptions::default(), DtwOptions::amerced(0.1)] {
                         let fresh = run_cutoff(a, b, &band, &opts, threshold);
                         let reused = dtw_run_options(
                             a.values(),
@@ -1673,6 +1533,29 @@ mod tests {
         assert_ne!(current, legacy, "the kernel field was present to strip");
         let opts: DtwOptions = serde_json::from_str(&legacy).unwrap();
         assert_eq!(opts, DtwOptions::default());
+        // options persisted while the step pattern and the normalisation
+        // were fields load when they hold the paper's values, and are
+        // refused by field name otherwise
+        let paper = current.replace(
+            "\"compute_path\":false,",
+            "\"compute_path\":false,\"step_pattern\":\"Symmetric1\",\"normalization\":\"None\",",
+        );
+        assert_ne!(current, paper);
+        let opts: DtwOptions = serde_json::from_str(&paper).unwrap();
+        assert_eq!(opts, DtwOptions::default());
+        for (field, from, to) in [
+            ("step_pattern", "Symmetric1", "Symmetric2"),
+            ("normalization", "None", "LengthSum"),
+        ] {
+            let other = paper.replace(
+                &format!("\"{field}\":\"{from}\""),
+                &format!("\"{field}\":\"{to}\""),
+            );
+            let err = serde_json::from_str::<DtwOptions>(&other)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(field) && err.contains(to), "{field}: {err}");
+        }
         // and the current shape (including amerced) round-trips
         let amerced = DtwOptions::amerced(0.5);
         let back: DtwOptions =
@@ -1695,12 +1578,9 @@ mod tests {
     }
 
     #[test]
-    fn options_report_kernel_labels_and_admissibility() {
+    fn options_report_kernel_labels() {
         assert_eq!(DtwOptions::default().kernel_label(), "sym1");
-        assert_eq!(DtwOptions::normalized_symmetric2().kernel_label(), "sym2");
         assert_eq!(DtwOptions::amerced(0.5).kernel_label(), "amerced(w=0.5)");
-        assert!(DtwOptions::default().lower_bounds_admissible());
-        assert!(DtwOptions::amerced(2.0).lower_bounds_admissible());
     }
 
     #[test]
@@ -1717,12 +1597,6 @@ mod tests {
             }
             fn diagonal(&self, parent: f64, local: f64) -> f64 {
                 parent + local
-            }
-            fn normalize(&self, raw: f64, _n: usize, _m: usize) -> f64 {
-                raw
-            }
-            fn lower_bounds_admissible(&self) -> bool {
-                false
             }
             fn label(&self) -> String {
                 "stiff".into()
@@ -1801,11 +1675,7 @@ mod tests {
                     crate::sakoe::sakoe_chiba_band(a.len(), b.len(), 0.25),
                     crate::itakura::itakura_band(a.len(), b.len(), 2.0),
                 ] {
-                    for opts in [
-                        DtwOptions::default(),
-                        DtwOptions::normalized_symmetric2(),
-                        DtwOptions::amerced(0.15),
-                    ] {
+                    for opts in [DtwOptions::default(), DtwOptions::amerced(0.15)] {
                         for cutoff in [None, Some(0.5), Some(f64::INFINITY)] {
                             assert_fills_agree(a, b, &band, &opts, cutoff, &mut scratch);
                         }
@@ -1865,11 +1735,7 @@ mod tests {
             crate::sakoe::sakoe_chiba_band(37, 29, 0.1),
             crate::itakura::itakura_band(37, 29, 2.0),
         ] {
-            for opts in [
-                DtwOptions::default(),
-                DtwOptions::normalized_symmetric2(),
-                DtwOptions::amerced(0.25),
-            ] {
+            for opts in [DtwOptions::default(), DtwOptions::amerced(0.25)] {
                 for count in [1, 3, LANE_WIDTH] {
                     for cutoff in [f64::INFINITY, 2.0, 0.1] {
                         let got = dtw_run_windows(

@@ -1,15 +1,12 @@
-//! Pluggable DTW kernels: cost accumulation, step weighting, and
-//! normalisation behind one trait.
+//! Pluggable DTW kernels: the cost of each transition behind one trait.
 //!
 //! The banded DP engine ([`crate::engine`]) is generic over a
-//! [`DtwKernel`], which decides what each local transition costs and how
-//! the accumulated corner cost is turned into the reported distance. The
-//! built-in kernels are
+//! [`DtwKernel`], which decides what each local transition costs; the
+//! accumulated corner cost is the reported distance. The built-in
+//! kernels are
 //!
-//! * [`StandardKernel`] — the classic recurrence the paper uses, covering
-//!   both Sakoe-Chiba step patterns ([`StepPattern::Symmetric1`] pays `d`
-//!   on every transition, [`StepPattern::Symmetric2`] pays `2d` on the
-//!   diagonal) and the optional `/(N+M)` length normalisation;
+//! * [`StandardKernel`] — the paper's symmetric1 recurrence (§2.1.3):
+//!   every transition pays the local cost `d`;
 //! * [`AmercedKernel`] — ADTW (Herrmann & Webb, *Amercing: An intuitive
 //!   and effective constraint for dynamic time warping*, 2021): every
 //!   off-diagonal transition pays an **additive** warp penalty `ω` on top
@@ -24,28 +21,27 @@
 //! by [`crate::engine::DtwOptions`] and dispatched once per call by
 //! [`crate::engine::dtw_run_options`].
 
-use crate::engine::{Normalization, StepPattern};
 use crate::simd::{lanes_eval, F64Lanes};
 use sdtw_tseries::ElementMetric;
 use serde::{Deserialize, Serialize};
 
 /// The cost model of one DTW recurrence: how each parent transition is
-/// charged and how the raw accumulated cost becomes the reported
-/// distance.
+/// charged. The raw accumulated cost of the corner cell is the distance.
 ///
 /// # Contract
 ///
-/// The engine relies on two properties, both documented per method:
+/// The engine relies on these properties, documented per method:
 ///
 /// * **Monotonicity** — every transition cost must be ≥ the parent value
 ///   (local costs and penalties are non-negative), so a completed row's
 ///   minimum is a lower bound on any path through it. Early abandoning
 ///   ([`crate::engine::dtw_run`] with a cutoff) is unsound otherwise.
-/// * **Bound compatibility** — [`DtwKernel::lower_bounds_admissible`]
-///   must return `true` only when the kernel's accumulated cost dominates
-///   the plain symmetric1 accumulation on the same band, which is what
-///   `LB_Kim`/`LB_Keogh` actually bound. Retrieval cascades consult this
-///   before enabling lower-bound pruning.
+/// * **Bound compatibility** — every kernel that [`KernelChoice`] offers
+///   must dominate the plain symmetric1 accumulation on the same band,
+///   which is what `LB_Kim`/`LB_Keogh` actually bound: the retrieval
+///   cascades prune with those bounds under every configurable kernel.
+///   A kernel plugged in statically through [`crate::engine::dtw_run`]
+///   is never screened by a cascade and needs only monotonicity.
 /// * **Infinity propagation** — every transition must map a `+∞` parent
 ///   to `+∞` (any finite additive cost does this for free). Both fill
 ///   orders represent unreachable/out-of-band parents as `+∞`, and the
@@ -105,42 +101,15 @@ pub trait DtwKernel {
         F64Lanes::from_fn(|l| self.diagonal(parent.lane(l), local.lane(l)))
     }
 
-    /// Converts a raw accumulated cost into reported-distance units.
-    /// Must be monotone non-decreasing in `raw` (early-abandon thresholds
-    /// are compared in these units).
-    fn normalize(&self, raw: f64, n: usize, m: usize) -> f64;
-
-    /// Whether `LB_Kim`/`LB_Keogh` (computed for the plain symmetric1
-    /// accumulation) still lower-bound this kernel's distance. True for
-    /// every built-in kernel: symmetric2 and amerced costs dominate the
-    /// symmetric1 cost of the same path cell-for-cell.
-    fn lower_bounds_admissible(&self) -> bool;
-
     /// Short human-readable label (experiment output, CLI).
     fn label(&self) -> String;
 }
 
-/// The classic DTW recurrence: `up`/`left` pay `d`, the diagonal pays
-/// `w·d` with `w` from the [`StepPattern`] (1 for symmetric1, 2 for
-/// symmetric2), and the distance is optionally `/(N+M)`-normalised.
-///
-/// Bit-identical to the pre-trait engine: the arithmetic is the same
-/// expressions in the same order.
+/// The paper's symmetric1 recurrence (§2.1.3): every transition pays
+/// the local cost `d`,
+/// `D(i,j) = d + min(D(i-1,j-1), D(i-1,j), D(i,j-1))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StandardKernel {
-    diagonal_weight: f64,
-    normalization: Normalization,
-}
-
-impl StandardKernel {
-    /// Builds the kernel for a step pattern and normalisation.
-    pub fn new(step_pattern: StepPattern, normalization: Normalization) -> Self {
-        Self {
-            diagonal_weight: step_pattern.diagonal_weight(),
-            normalization,
-        }
-    }
-}
+pub struct StandardKernel;
 
 impl DtwKernel for StandardKernel {
     #[inline(always)]
@@ -155,8 +124,7 @@ impl DtwKernel for StandardKernel {
 
     #[inline(always)]
     fn diagonal(&self, parent: f64, local: f64) -> f64 {
-        // symmetric2 charges the diagonal transition 2·d
-        parent + self.diagonal_weight * local
+        parent + local
     }
 
     #[inline(always)]
@@ -176,30 +144,11 @@ impl DtwKernel for StandardKernel {
 
     #[inline(always)]
     fn diagonal_lanes(&self, parent: F64Lanes, local: F64Lanes) -> F64Lanes {
-        // same association as the scalar: parent + (w * local)
-        parent + F64Lanes::splat(self.diagonal_weight) * local
-    }
-
-    #[inline(always)]
-    fn normalize(&self, raw: f64, n: usize, m: usize) -> f64 {
-        match self.normalization {
-            Normalization::None => raw,
-            Normalization::LengthSum => raw / (n + m) as f64,
-        }
-    }
-
-    fn lower_bounds_admissible(&self) -> bool {
-        // diagonal_weight >= 1 and up/left pay full d: the accumulated
-        // cost dominates the symmetric1 cost the bounds were derived for
-        true
+        parent + local
     }
 
     fn label(&self) -> String {
-        if self.diagonal_weight == 2.0 {
-            "sym2".to_string()
-        } else {
-            "sym1".to_string()
-        }
+        "sym1".to_string()
     }
 }
 
@@ -218,7 +167,6 @@ impl DtwKernel for StandardKernel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmercedKernel {
     penalty: f64,
-    normalization: Normalization,
 }
 
 impl AmercedKernel {
@@ -229,15 +177,12 @@ impl AmercedKernel {
     /// Panics on a negative or non-finite penalty (programmer error —
     /// config-driven paths validate via
     /// [`crate::engine::DtwOptions::validate`] first).
-    pub fn new(penalty: f64, normalization: Normalization) -> Self {
+    pub fn new(penalty: f64) -> Self {
         assert!(
             penalty.is_finite() && penalty >= 0.0,
             "amerced penalty must be finite and >= 0, got {penalty}"
         );
-        Self {
-            penalty,
-            normalization,
-        }
+        Self { penalty }
     }
 
     /// The additive warp penalty `ω`.
@@ -283,19 +228,6 @@ impl DtwKernel for AmercedKernel {
         parent + local
     }
 
-    #[inline(always)]
-    fn normalize(&self, raw: f64, n: usize, m: usize) -> f64 {
-        match self.normalization {
-            Normalization::None => raw,
-            Normalization::LengthSum => raw / (n + m) as f64,
-        }
-    }
-
-    fn lower_bounds_admissible(&self) -> bool {
-        // ω >= 0: every path's amerced cost >= its symmetric1 cost
-        true
-    }
-
     fn label(&self) -> String {
         format!("amerced(w={})", self.penalty)
     }
@@ -308,13 +240,10 @@ impl DtwKernel for AmercedKernel {
 /// monomorphic.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum KernelChoice {
-    /// [`StandardKernel`], parameterised by the options' `step_pattern`
-    /// and `normalization` fields.
+    /// [`StandardKernel`], the paper's symmetric1 recurrence.
     #[default]
     Standard,
-    /// [`AmercedKernel`] with the given warp penalty (the options'
-    /// `step_pattern` is ignored — amercing defines its own weighting —
-    /// while `normalization` still applies).
+    /// [`AmercedKernel`] with the given warp penalty.
     Amerced {
         /// Additive penalty `ω` per off-diagonal step (finite, ≥ 0).
         penalty: f64,
@@ -322,24 +251,12 @@ pub enum KernelChoice {
 }
 
 impl KernelChoice {
-    /// Short label for experiment output and the CLI.
-    pub fn label(&self, step_pattern: StepPattern) -> String {
+    /// Short label for experiment output and the CLI: `sym1` or
+    /// `amerced(w=…)`.
+    pub fn label(&self) -> String {
         match self {
-            KernelChoice::Standard => match step_pattern {
-                StepPattern::Symmetric1 => "sym1".to_string(),
-                StepPattern::Symmetric2 => "sym2".to_string(),
-            },
+            KernelChoice::Standard => "sym1".to_string(),
             KernelChoice::Amerced { penalty } => format!("amerced(w={penalty})"),
-        }
-    }
-
-    /// Whether the standard lower bounds stay admissible under this
-    /// kernel (see [`DtwKernel::lower_bounds_admissible`]).
-    pub fn lower_bounds_admissible(&self) -> bool {
-        match self {
-            KernelChoice::Standard => true,
-            // admissible precisely because validate() rejects ω < 0
-            KernelChoice::Amerced { .. } => true,
         }
     }
 }
@@ -350,38 +267,26 @@ mod tests {
 
     #[test]
     fn standard_kernel_matches_the_legacy_expressions() {
-        let k1 = StandardKernel::new(StepPattern::Symmetric1, Normalization::None);
-        assert_eq!(k1.up(3.0, 2.0), 5.0);
-        assert_eq!(k1.left(3.0, 2.0), 5.0);
-        assert_eq!(k1.diagonal(3.0, 2.0), 5.0);
-        assert_eq!(k1.start(2.0), 2.0);
-        let k2 = StandardKernel::new(StepPattern::Symmetric2, Normalization::None);
-        assert_eq!(k2.diagonal(3.0, 2.0), 7.0);
-        assert_eq!(k2.up(3.0, 2.0), 5.0);
-    }
-
-    #[test]
-    fn standard_normalization_divides_by_length_sum() {
-        let k = StandardKernel::new(StepPattern::Symmetric1, Normalization::LengthSum);
-        assert_eq!(k.normalize(10.0, 3, 2), 2.0);
-        let raw = StandardKernel::new(StepPattern::Symmetric1, Normalization::None);
-        assert_eq!(raw.normalize(10.0, 3, 2), 10.0);
+        let k = StandardKernel;
+        assert_eq!(k.up(3.0, 2.0), 5.0);
+        assert_eq!(k.left(3.0, 2.0), 5.0);
+        assert_eq!(k.diagonal(3.0, 2.0), 5.0);
+        assert_eq!(k.start(2.0), 2.0);
     }
 
     #[test]
     fn amerced_charges_off_diagonal_steps_only() {
-        let k = AmercedKernel::new(0.5, Normalization::None);
+        let k = AmercedKernel::new(0.5);
         assert_eq!(k.diagonal(3.0, 2.0), 5.0);
         assert_eq!(k.up(3.0, 2.0), 5.5);
         assert_eq!(k.left(3.0, 2.0), 5.5);
         assert_eq!(k.penalty(), 0.5);
-        assert!(k.lower_bounds_admissible());
     }
 
     #[test]
     fn amerced_zero_penalty_equals_symmetric1() {
-        let a = AmercedKernel::new(0.0, Normalization::None);
-        let s = StandardKernel::new(StepPattern::Symmetric1, Normalization::None);
+        let a = AmercedKernel::new(0.0);
+        let s = StandardKernel;
         for (p, l) in [(0.0, 1.0), (2.5, 0.25), (100.0, 7.0)] {
             assert_eq!(a.up(p, l).to_bits(), s.up(p, l).to_bits());
             assert_eq!(a.left(p, l).to_bits(), s.left(p, l).to_bits());
@@ -392,25 +297,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and >= 0")]
     fn negative_penalty_panics() {
-        let _ = AmercedKernel::new(-1.0, Normalization::None);
+        let _ = AmercedKernel::new(-1.0);
     }
 
     #[test]
     fn kernel_choice_labels_and_default() {
         assert_eq!(KernelChoice::default(), KernelChoice::Standard);
+        assert_eq!(KernelChoice::Standard.label(), "sym1");
+        assert_eq!(KernelChoice::Standard.label(), StandardKernel.label());
         assert_eq!(
-            KernelChoice::Standard.label(StepPattern::Symmetric1),
-            "sym1"
-        );
-        assert_eq!(
-            KernelChoice::Standard.label(StepPattern::Symmetric2),
-            "sym2"
-        );
-        assert_eq!(
-            KernelChoice::Amerced { penalty: 0.25 }.label(StepPattern::Symmetric1),
+            KernelChoice::Amerced { penalty: 0.25 }.label(),
             "amerced(w=0.25)"
         );
-        assert!(KernelChoice::Amerced { penalty: 0.25 }.lower_bounds_admissible());
+        assert_eq!(
+            KernelChoice::Amerced { penalty: 0.25 }.label(),
+            AmercedKernel::new(0.25).label()
+        );
     }
 
     #[test]
@@ -432,8 +334,7 @@ mod tests {
         let locals = F64Lanes::from_fn(|l| 1.13 * (LANE_WIDTH - l) as f64);
         let xs = F64Lanes::from_fn(|l| 0.7 * l as f64 - 2.0);
         let ys = F64Lanes::from_fn(|l| -0.3 * l as f64 + 1.0);
-        let std2 = StandardKernel::new(StepPattern::Symmetric2, Normalization::None);
-        let am = AmercedKernel::new(0.75, Normalization::None);
+        let am = AmercedKernel::new(0.75);
 
         fn check<K: DtwKernel>(k: &K, p: F64Lanes, d: F64Lanes, x: F64Lanes, y: F64Lanes) {
             use crate::simd::LANE_WIDTH;
@@ -456,7 +357,7 @@ mod tests {
                 );
             }
         }
-        check(&std2, parents, locals, xs, ys);
+        check(&StandardKernel, parents, locals, xs, ys);
         check(&am, parents, locals, xs, ys);
 
         // a kernel relying on the default (per-lane delegating) impls
@@ -471,12 +372,6 @@ mod tests {
             fn diagonal(&self, p: f64, d: f64) -> f64 {
                 p + d
             }
-            fn normalize(&self, raw: f64, _: usize, _: usize) -> f64 {
-                raw
-            }
-            fn lower_bounds_admissible(&self) -> bool {
-                false
-            }
             fn label(&self) -> String {
                 "plain".into()
             }
@@ -487,8 +382,8 @@ mod tests {
     #[test]
     fn infinities_propagate_through_transitions() {
         // out-of-band parents are +inf; kernels must keep them +inf
-        let s = StandardKernel::new(StepPattern::Symmetric2, Normalization::None);
-        let a = AmercedKernel::new(3.0, Normalization::None);
+        let s = StandardKernel;
+        let a = AmercedKernel::new(3.0);
         assert_eq!(s.up(f64::INFINITY, 1.0), f64::INFINITY);
         assert_eq!(s.diagonal(f64::INFINITY, 1.0), f64::INFINITY);
         assert_eq!(a.left(f64::INFINITY, 1.0), f64::INFINITY);

@@ -29,13 +29,14 @@
 //!   `sdtw-index` retrieval cascade and the pruning ablations);
 //! * [`cascade`] — the composable pruning pipeline built from those
 //!   bounds: the [`cascade::PruneStage`] abstraction, the
-//!   [`cascade::Cascade`] runner, the coarse PAA pre-filter
-//!   ([`cascade::CoarseEnvelope`]) and the shared per-stage
-//!   [`cascade::CascadeStats`] accounting that `sdtw-index` (per corpus
-//!   candidate) and `sdtw-stream` (per window) both execute;
-//! * [`kernel`] — the [`kernel::DtwKernel`] trait (cost accumulation,
-//!   step weighting, normalisation) with the standard and amerced (ADTW)
-//!   kernels, plus the serialisable [`kernel::KernelChoice`] selector;
+//!   [`cascade::Cascade`] runner and the coarse PAA pre-filter
+//!   ([`cascade::CoarseEnvelope`]) that `sdtw-index` (per corpus
+//!   candidate) and `sdtw-stream` (per window) both execute, counting
+//!   into `sdtw_obs::CascadeStats`;
+//! * [`kernel`] — the [`kernel::DtwKernel`] trait (the cost of each
+//!   transition) with the paper's symmetric1 kernel and the amerced
+//!   (ADTW) kernel, plus the serialisable [`kernel::KernelChoice`]
+//!   selector;
 //! * [`multires`] — coarse-to-fine (FastDTW-style) corridor DTW, the
 //!   reduced-representation family the paper calls orthogonal to sDTW;
 //! * [`simd`] — the portable explicit-SIMD lane layer: the aligned
@@ -86,12 +87,9 @@ pub mod simd;
 
 pub use band::Band;
 pub use cascade::{
-    Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
+    Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind, DEFAULT_PAA_WIDTH,
 };
-pub use engine::{
-    dtw_full, dtw_run, dtw_run_options, DtwOptions, DtwResult, DtwScratch, Normalization,
-    StepPattern,
-};
+pub use engine::{dtw_full, dtw_run, dtw_run_options, DtwOptions, DtwResult, DtwScratch};
 pub use kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
 pub use lower_bound::{
     lb_keogh, lb_keogh_band, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim,

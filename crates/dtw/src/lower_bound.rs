@@ -231,8 +231,7 @@ impl RangeTable {
 /// staircase bands, as a superset otherwise.
 ///
 /// Admissible for every feasible band and every pair of lengths, under
-/// every kernel whose `lower_bounds_admissible` holds, with no
-/// tolerance: a warp path meets every column, and at the cell `(i, j)`
+/// every kernel that dominates symmetric1 cost, with no tolerance: a warp path meets every column, and at the cell `(i, j)`
 /// where it enters column `j` it pays at least `d(x_i, y_j)`, which is
 /// at least column `j`'s charge. The charges are summed in ascending
 /// column order, the order the path meets them, and the path's own sum
@@ -362,8 +361,8 @@ impl SeriesSummary {
 
 /// LB_Kim: constant-time lower bound on the DTW distance between the two
 /// summarised series — full-grid *or* constrained to any feasible band,
-/// under either step pattern (transition weights are all ≥ 1), on the raw
-/// (unnormalised) accumulated cost.
+/// under every kernel that dominates symmetric1 cost, on the raw
+/// accumulated cost.
 ///
 /// The bound is the maximum of two admissible arguments:
 ///

@@ -285,7 +285,7 @@ mod tests {
         for opts in [
             DtwOptions::default(),
             DtwOptions::with_path(),
-            DtwOptions::normalized_symmetric2(),
+            DtwOptions::amerced(0.1),
         ] {
             for (n, m, radius) in [(40, 40, 1), (130, 170, 2), (257, 300, 4), (12, 300, 1)] {
                 let x = wavy(n, 0.0, 1.0);

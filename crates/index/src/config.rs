@@ -1,6 +1,7 @@
 //! Index configuration.
 
 use sdtw::{ConstraintPolicy, SDtwConfig};
+pub use sdtw_dtw::cascade::DEFAULT_PAA_WIDTH;
 use sdtw_tseries::TsError;
 use serde::{Deserialize, Serialize};
 
@@ -35,10 +36,6 @@ pub struct IndexConfig {
     /// (and the per-entry coarse artefact) entirely.
     pub paa_width: usize,
 }
-
-/// Default PAA segment width of the coarse index stage (matching
-/// `sdtw_stream`'s default).
-pub const DEFAULT_PAA_WIDTH: usize = 8;
 
 impl Default for IndexConfig {
     fn default() -> Self {

@@ -8,7 +8,7 @@ use sdtw_dtw::band::Band;
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::{engine_label, Normalization};
+use sdtw_dtw::engine::engine_label;
 use sdtw_dtw::lower_bound::{
     lb_keogh_batch, lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
 };
@@ -49,38 +49,16 @@ pub struct QueryResult {
     pub stats: CascadeStats,
 }
 
-/// One corpus entry's stage-1 screening record: its normalised LB_Kim
-/// bound against the query, carried in visit order by a
-/// [`CoarseScreen`].
+/// One corpus entry's stage-1 screening record: its LB_Kim bound
+/// against the query, in the visit order
+/// [`SdtwIndex::coarse_screen`] returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntryBound {
     /// Corpus entry index.
     pub index: usize,
-    /// Normalised LB_Kim bound of the (query, entry) pair — an
-    /// admissible lower bound on their whole-recording distance when
-    /// [`CoarseScreen::admissible`] holds, a visit-order heuristic
-    /// otherwise.
+    /// LB_Kim bound of the (query, entry) pair — an admissible lower
+    /// bound on their whole-recording distance.
     pub bound: f64,
-}
-
-/// The stage-1 coarse screen of a query against every indexed entry:
-/// the bucketed ascending visit order the kNN cascade itself uses,
-/// exposed so composing services (the serve daemon's two-level pattern
-/// search) can rank entries without running the whole cascade.
-///
-/// The bounds speak about *whole-recording* distances under the index's
-/// normalisation — a consumer localising subsequences inside entries
-/// must treat them as ranking hints only and prune with its own
-/// window-level bounds (see DESIGN.md §13).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoarseScreen {
-    /// Every entry exactly once, bucketed ascending by bound (stable by
-    /// index within a bucket).
-    pub order: Vec<EntryBound>,
-    /// Whether the configured kernel keeps the LB stages admissible
-    /// (`false` turns every bound into a pure heuristic that must not
-    /// prune).
-    pub admissible: bool,
 }
 
 /// How the kNN cascade disposed of one corpus entry
@@ -105,7 +83,7 @@ pub enum EntryOutcome {
 pub struct EntryDisposition {
     /// Corpus entry index.
     pub index: usize,
-    /// The normalised LB_Kim bound from the ordering pass.
+    /// The LB_Kim bound from the ordering pass.
     pub coarse_bound: f64,
     /// The cascade's verdict for this entry.
     pub outcome: EntryOutcome,
@@ -340,27 +318,17 @@ impl SdtwIndex {
         self.peak
     }
 
-    /// Converts a raw accumulated-cost bound into the units of the
-    /// configured normalisation, so it compares against final distances.
-    fn normalize_bound(&self, raw: f64, n: usize, m: usize) -> f64 {
-        match self.config.sdtw.dtw.normalization {
-            Normalization::None => raw,
-            Normalization::LengthSum => raw / (n + m) as f64,
-        }
-    }
-
     /// The shared pruning pipeline a query of this index runs: LB_Kim →
-    /// coarse PAA → LB_Keogh → reversed LB_Keogh, with the bound stages
-    /// disabled entirely when the configured kernel reports them
-    /// inadmissible. The PAA stage sits between Kim and Keogh because
-    /// its `O(len / width)` cost fills the gap between the O(1) summary
-    /// bound and the O(len) fine bound — and since its bound never
-    /// exceeds LB_Keogh's (with the same applicability condition), it
-    /// only shifts pruning *credit* earlier, never changing the top-k.
+    /// coarse PAA → LB_Keogh → reversed LB_Keogh. The PAA stage sits
+    /// between Kim and Keogh because its `O(len / width)` cost fills the
+    /// gap between the O(1) summary bound and the O(len) fine bound —
+    /// and since its bound never exceeds LB_Keogh's (with the same
+    /// applicability condition), it only shifts pruning *credit*
+    /// earlier, never changing the top-k.
     /// When [`IndexConfig::paa_width`] disables it, the stage is omitted
     /// from the list entirely so `lb_inapplicable` accounting matches
     /// the pre-PAA cascade exactly.
-    fn cascade(&self, bounds_enabled: bool) -> Cascade {
+    fn cascade(&self) -> Cascade {
         let mut stages = Vec::with_capacity(4);
         stages.push(PruneStage::Kim { guard: 0.0 });
         if self.config.paa_width >= 2 {
@@ -368,12 +336,7 @@ impl SdtwIndex {
         }
         stages.push(PruneStage::Keogh);
         stages.push(PruneStage::KeoghRev);
-        Cascade::new(
-            stages,
-            self.config.sdtw.dtw.metric,
-            self.config.sdtw.dtw.normalization,
-            bounds_enabled,
-        )
+        Cascade::new(stages, self.config.sdtw.dtw.metric)
     }
 
     /// kNN query with a caller-provided DP scratch (the batch hot path).
@@ -436,46 +399,36 @@ impl SdtwIndex {
     }
 
     /// The batched stage-1 ordering pass over a *prepared* (normalised)
-    /// query: every entry's normalised LB_Kim bound, in bucketed
-    /// ascending visit order.
+    /// query: every entry's LB_Kim bound, in bucketed ascending visit
+    /// order.
     fn coarse_order(&self, q_summary: &SeriesSummary) -> Vec<(f64, usize)> {
         let metric = self.config.sdtw.dtw.metric;
         let summaries: Vec<SeriesSummary> = self.entries.iter().map(|e| e.summary).collect();
-        let mut kim_raw = Vec::with_capacity(summaries.len());
-        lb_kim_batch(q_summary, &summaries, metric, &mut kim_raw);
-        let scored: Vec<(f64, usize)> = kim_raw
-            .iter()
-            .enumerate()
-            .map(|(i, &raw)| {
-                (
-                    self.normalize_bound(raw, q_summary.len, self.entries[i].series.len()),
-                    i,
-                )
-            })
-            .collect();
-        bucketed_ascending(scored)
+        let mut kim = Vec::with_capacity(summaries.len());
+        lb_kim_batch(q_summary, &summaries, metric, &mut kim);
+        bucketed_ascending(kim.into_iter().zip(0..).collect())
     }
 
-    /// Runs only the stage-1 coarse screen: every entry's normalised
-    /// LB_Kim bound against `query`, in the same bucketed ascending
-    /// visit order a kNN query would use. O(corpus) with no DP work —
-    /// the level-1 ranking seam of the serve daemon's two-level pattern
-    /// cascade.
-    pub fn coarse_screen(&self, query: &TimeSeries) -> CoarseScreen {
+    /// Runs only the stage-1 coarse screen: every entry exactly once
+    /// with its LB_Kim bound against `query`, in the same bucketed
+    /// ascending visit order a kNN query would use (stable by index
+    /// within a bucket). O(corpus) with no DP work — the level-1
+    /// ranking seam of the serve daemon's two-level pattern cascade.
+    ///
+    /// The bounds speak about *whole-recording* distances — a consumer
+    /// localising subsequences inside entries must treat them as
+    /// ranking hints only and prune with its own window-level bounds
+    /// (see DESIGN.md §13).
+    pub fn coarse_screen(&self, query: &TimeSeries) -> Vec<EntryBound> {
         let q = if self.config.z_normalize {
             z_normalize(query)
         } else {
             query.clone()
         };
-        let order = self
-            .coarse_order(&SeriesSummary::of(&q))
+        self.coarse_order(&SeriesSummary::of(&q))
             .into_iter()
             .map(|(bound, index)| EntryBound { index, bound })
-            .collect();
-        CoarseScreen {
-            order,
-            admissible: self.config.sdtw.dtw.lower_bounds_admissible(),
-        }
+            .collect()
     }
 
     /// kNN query that also reports, per corpus entry, the cascade's
@@ -559,20 +512,10 @@ impl SdtwIndex {
         } else {
             PreparedFeatures::default()
         };
-        // LB_Kim/LB_Keogh bound the *standard symmetric1* accumulation;
-        // the kernel declares whether its costs dominate that (true for
-        // the standard patterns and for amerced with ω ≥ 0). A kernel
-        // that discounts costs would make the bounds unsound, so its
-        // queries skip the LB stages entirely — logged via
-        // `CascadeStats::bounds_disabled`. Early abandoning needs only
-        // per-kernel monotonicity and stays on.
-        let bounds_ok = self.config.sdtw.dtw.lower_bounds_admissible();
-        // the query's range table only feeds the band-exact reversed
-        // LB_Keogh stage — skip the O(n log n) build when the bounds are
-        // off
-        let q_ranges = bounds_ok
-            .then(|| rec.time(TracePhase::EnvelopeBuild, || RangeTable::build(q.values())));
-        let cascade = self.cascade(bounds_ok);
+        // the query's range table feeds the band-exact reversed LB_Keogh
+        // stage
+        let q_ranges = rec.time(TracePhase::EnvelopeBuild, || RangeTable::build(q.values()));
+        let cascade = self.cascade();
         let mut cascade_scratch = CascadeScratch::new();
         let mut lb_out = Vec::with_capacity(LB_LANES);
 
@@ -580,9 +523,7 @@ impl SdtwIndex {
         // lane pass (bit-identical to the scalar `lb_kim`): O(1) per
         // entry, and the visit order it induces (bucketed ascending
         // bound, stable by index) tightens the top-k threshold as early
-        // as possible without paying a full per-query sort. Without
-        // admissible bounds it is still a deterministic (and usually
-        // helpful) visit-order heuristic — it just never prunes.
+        // as possible without paying a full per-query sort.
         let order = rec.time(TracePhase::LbKim, || self.coarse_order(&q_summary));
 
         let mut topk = TopK::new(k, self.entries.len());
@@ -641,7 +582,7 @@ impl SdtwIndex {
                     &mut pending,
                     &mut lb_out,
                     &q,
-                    q_ranges.as_ref(),
+                    &q_ranges,
                     &cascade,
                     &mut cascade_scratch,
                     &mut topk,
@@ -657,7 +598,7 @@ impl SdtwIndex {
             &mut pending,
             &mut lb_out,
             &q,
-            q_ranges.as_ref(),
+            &q_ranges,
             &cascade,
             &mut cascade_scratch,
             &mut topk,
@@ -688,7 +629,7 @@ impl SdtwIndex {
         pending: &mut Vec<PendingCandidate>,
         lb_out: &mut Vec<f64>,
         q: &TimeSeries,
-        q_ranges: Option<&RangeTable>,
+        q_ranges: &RangeTable,
         cascade: &Cascade,
         cascade_scratch: &mut CascadeScratch,
         topk: &mut TopK,
@@ -704,27 +645,25 @@ impl SdtwIndex {
         debug_assert!(pending.len() <= LB_LANES, "queue flushes at the lane width");
         let metric = self.config.sdtw.dtw.metric;
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
-        if cascade.bounds_enabled() {
-            rec.time(TracePhase::LbKeogh, || {
-                // slots past `applicable` hold a placeholder nobody reads
-                let mut lanes = [0usize; LB_LANES];
-                let mut envs: [&Envelope; LB_LANES] =
-                    [&self.entries[pending[0].idx].envelope; LB_LANES];
-                let mut applicable = 0;
-                for (p, cand) in pending.iter().enumerate() {
-                    let entry = &self.entries[cand.idx];
-                    if q.len() == entry.series.len() && cand.reach <= entry.envelope.radius {
-                        lanes[applicable] = p;
-                        envs[applicable] = &entry.envelope;
-                        applicable += 1;
-                    }
+        rec.time(TracePhase::LbKeogh, || {
+            // slots past `applicable` hold a placeholder nobody reads
+            let mut lanes = [0usize; LB_LANES];
+            let mut envs: [&Envelope; LB_LANES] =
+                [&self.entries[pending[0].idx].envelope; LB_LANES];
+            let mut applicable = 0;
+            for (p, cand) in pending.iter().enumerate() {
+                let entry = &self.entries[cand.idx];
+                if q.len() == entry.series.len() && cand.reach <= entry.envelope.radius {
+                    lanes[applicable] = p;
+                    envs[applicable] = &entry.envelope;
+                    applicable += 1;
                 }
-                lb_keogh_batch(q.values(), &envs[..applicable], metric, lb_out);
-                for (&p, &raw) in lanes.iter().zip(lb_out.iter()) {
-                    pre[p] = Some(raw);
-                }
-            });
-        }
+            }
+            lb_keogh_batch(q.values(), &envs[..applicable], metric, lb_out);
+            for (&p, &raw) in lanes.iter().zip(lb_out.iter()) {
+                pre[p] = Some(raw);
+            }
+        });
         for (p, cand) in pending.drain(..).enumerate() {
             let entry = &self.entries[cand.idx];
             let threshold = topk.threshold();
@@ -733,7 +672,7 @@ impl SdtwIndex {
                 y: entry.series.values(),
                 y_envelope: Some(&entry.envelope),
                 y_keogh_raw: pre[p],
-                x_ranges: q_ranges,
+                x_ranges: Some(q_ranges),
                 band: Some(&cand.band),
                 y_coarse: entry.coarse.as_ref(),
             };
@@ -920,14 +859,13 @@ mod tests {
         let c = corpus(17, 64);
         let index = SdtwIndex::build(&c, IndexConfig::exact_banded(0.2)).unwrap();
         let screen = index.coarse_screen(&c[4]);
-        assert!(screen.admissible);
-        let mut seen: Vec<usize> = screen.order.iter().map(|e| e.index).collect();
+        let mut seen: Vec<usize> = screen.iter().map(|e| e.index).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..17).collect::<Vec<_>>());
         // admissibility: every coarse bound is at or below the exact
         // whole-recording distance of its pair
         let all = index.query(&c[4], index.len()).unwrap();
-        for eb in &screen.order {
+        for eb in &screen {
             let d = all
                 .neighbors
                 .iter()

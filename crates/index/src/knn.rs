@@ -14,7 +14,7 @@ use std::collections::BinaryHeap;
 pub struct Neighbor {
     /// Position of the entry in the indexed corpus.
     pub index: usize,
-    /// Its (possibly normalised) constrained DTW distance to the query.
+    /// Its constrained DTW distance to the query.
     pub distance: f64,
 }
 

@@ -68,9 +68,7 @@ pub mod knn;
 pub mod snapshot;
 
 pub use config::{IndexConfig, DEFAULT_PAA_WIDTH};
-pub use index::{
-    CoarseScreen, EntryBound, EntryDisposition, EntryOutcome, IndexEntry, QueryResult, SdtwIndex,
-};
+pub use index::{EntryBound, EntryDisposition, EntryOutcome, IndexEntry, QueryResult, SdtwIndex};
 pub use knn::Neighbor;
 pub use sdtw_obs::CascadeStats;
 pub use snapshot::{SnapshotCodec, SnapshotFormat};

@@ -1,9 +1,8 @@
 //! The canonical counter families.
 //!
-//! [`CascadeStats`] and [`StreamStats`] began life in `sdtw_dtw::cascade`
-//! and `sdtw_stream::stats`; they now live here as the counter block of a
-//! [`QueryTrace`](crate::QueryTrace), and those crates re-export them so
-//! every historical call site keeps compiling unchanged.
+//! [`CascadeStats`] and [`StreamStats`] are the counter block of a
+//! [`QueryTrace`](crate::QueryTrace); the index, stream and serve crates
+//! count into them directly.
 
 use serde::{Deserialize, Serialize};
 
@@ -55,21 +54,12 @@ pub struct CascadeStats {
     /// full band conservatively), the full-grid screens of adaptive
     /// stream sweeps included.
     pub cells_filled: u64,
-    /// True when the engine's cost kernel reported that the standard
-    /// lower bounds are **not** admissible for it
-    /// (`DtwOptions::lower_bounds_admissible`), so every bound stage was
-    /// disabled for the whole query — the logged reason why the prune
-    /// counters are zero. Both built-in kernels (standard and amerced,
-    /// penalty ≥ 0) keep the bounds admissible, so this only fires for
-    /// future discounting kernels. Early abandoning stays on either way.
-    pub bounds_disabled: bool,
 }
 
 impl CascadeStats {
     /// Folds another stats record into this one. This is how parallel
     /// shards, monitor banks, and batch drivers aggregate per-worker
-    /// counts: every counter sums; `bounds_disabled` ORs (one disabled
-    /// participant taints the aggregate's interpretation).
+    /// counts: every counter sums.
     pub fn merge(&mut self, other: &CascadeStats) {
         self.candidates += other.candidates;
         self.pruned_kim += other.pruned_kim;
@@ -80,7 +70,6 @@ impl CascadeStats {
         self.abandoned += other.abandoned;
         self.dp_completed += other.dp_completed;
         self.cells_filled += other.cells_filled;
-        self.bounds_disabled |= other.bounds_disabled;
     }
 
     /// Records a DP run cut short by early abandoning; the abandoning run
@@ -227,19 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_ors_bounds_disabled() {
-        let mut a = CascadeStats::default();
-        let b = CascadeStats {
-            bounds_disabled: true,
-            ..CascadeStats::default()
-        };
-        a.merge(&b);
-        assert!(a.bounds_disabled);
-        a.merge(&CascadeStats::default());
-        assert!(a.bounds_disabled, "once tainted, stays tainted");
-    }
-
-    #[test]
     fn empty_stats_are_consistent_with_zero_rate() {
         let s = CascadeStats::default();
         assert!(s.is_consistent());
@@ -254,7 +230,6 @@ mod tests {
             abandoned: 1,
             dp_completed: 2,
             cells_filled: 77,
-            bounds_disabled: true,
             ..CascadeStats::default()
         };
         let json = serde_json::to_string(&s).unwrap();

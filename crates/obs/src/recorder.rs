@@ -51,9 +51,9 @@ impl Inner {
 ///
 /// Every instrumented seam takes a `&mut Recorder`; the default
 /// everywhere is [`Recorder::disabled()`], whose [`Recorder::time`] is a
-/// single `Option` branch around the closure — the bench suite's
-/// `trace_overhead` group asserts the disabled cost stays under 2% of
-/// the bare hot path.
+/// single `Option` branch around the closure — the "disabled-recorder
+/// seam" row of the performance guards (`crates/bench/src/bin/guards.rs`)
+/// holds the disabled cost under 2% of the bare hot path.
 ///
 /// Enabled recorders aggregate per-phase [`SpanRecord`]s relative to a
 /// monotonic epoch. Parallel shards each run their own recorder

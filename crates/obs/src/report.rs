@@ -109,9 +109,6 @@ impl TraceReport {
                 merged.cascade.lb_inapplicable
             );
         }
-        if merged.cascade.bounds_disabled {
-            let _ = writeln!(out, "  (lower bounds disabled for at least one query)");
-        }
     }
 
     fn render_span_percentiles(&self, out: &mut String) {

@@ -10,7 +10,7 @@ use std::time::Duration;
 /// [`QueryTrace::to_json_line`]. Bump deliberately — the
 /// `tests/trace_schema.rs` golden fixture and ratchet test must change in
 /// the same commit (mirroring the `api_surface.rs` discipline).
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Which kind of logical query produced a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,9 +75,9 @@ pub struct InputShape {
 /// pruning-power metrics divide by.
 ///
 /// `counters` *is* the [`StreamStats`]/[`CascadeStats`] family — those
-/// types are defined in this crate and re-exported from their historical
-/// homes, so a trace embeds the existing counters rather than shadowing
-/// them with a parallel struct. Non-stream workloads leave the
+/// types are defined in this crate and the search paths count into them
+/// directly, so a trace embeds the existing counters rather than
+/// shadowing them with a parallel struct. Non-stream workloads leave the
 /// window-level counters at zero.
 ///
 /// [`CascadeStats`]: crate::CascadeStats
@@ -397,7 +397,6 @@ mod tests {
                 abandoned: rng.gen_range(0u64..100),
                 dp_completed: rng.gen_range(0u64..100),
                 cells_filled: rng.gen_range(0u64..1_000_000),
-                bounds_disabled: rng.gen_bool(0.1),
             };
             t.descriptor_comparisons = rng.gen_range(0u64..10_000);
             t.band_area = rng.gen_range(0u64..1_000_000);

@@ -102,7 +102,8 @@ impl ServeEngine {
     /// Wraps a built (or snapshot-loaded) index as a resident engine.
     /// The level-2 stream configuration is derived from the index
     /// configuration: same engine (policy/kernel/metric), same
-    /// z-normalisation convention, same envelope radius fraction.
+    /// z-normalisation convention, same envelope radius fraction, same
+    /// PAA segment width.
     ///
     /// # Errors
     ///
@@ -114,6 +115,7 @@ impl ServeEngine {
             sdtw: icfg.sdtw.clone(),
             z_normalize: icfg.z_normalize,
             lb_radius_frac: icfg.lb_radius_frac,
+            paa_width: icfg.paa_width,
             ..StreamConfig::default()
         };
         stream_cfg.validate()?;
@@ -291,12 +293,12 @@ impl ServeEngine {
         // the running k-th best is O(log n) to maintain.
         let mut hits: Vec<ServeHit> = Vec::new();
         let mut dists: Vec<f64> = Vec::new();
-        let mut screens: Vec<EntryScreenRecord> = Vec::with_capacity(screen.order.len());
+        let mut screens: Vec<EntryScreenRecord> = Vec::with_capacity(screen.len());
         // each entry's window bounds, computed once: the floor reads
         // them, then the entry's sweep screens with them
         let mut haystack = PreparedHaystack::new(&matcher);
 
-        for eb in &screen.order {
+        for eb in &screen {
             let series = self.index.entry_series(eb.index);
             // the running threshold: the pool's k-th best distance once
             // k hits exist, capped by the request's tau. It only ever
@@ -416,6 +418,49 @@ mod tests {
 
     fn wave(n: usize, phase: f64) -> TimeSeries {
         TimeSeries::new((0..n).map(|i| (i as f64 / 6.0 + phase).sin()).collect()).unwrap()
+    }
+
+    #[test]
+    fn level_two_follows_the_index_paa_width() {
+        // a seeded random walk, rough enough for the PAA stage to prune
+        let mut state = 0x5EED_u64;
+        let mut level = 0.0;
+        let walk: Vec<f64> = (0..1200)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                level += (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                level
+            })
+            .collect();
+        let corpus: Vec<TimeSeries> = walk
+            .chunks(300)
+            .map(|c| TimeSeries::new(c.to_vec()).unwrap())
+            .collect();
+        let engine = |paa_width| {
+            let config = IndexConfig {
+                z_normalize: true,
+                paa_width,
+                ..IndexConfig::exact_banded(0.1)
+            };
+            let index = SdtwIndex::build(&corpus, config).unwrap();
+            ServeEngine::new(index, ServeConfig::default()).unwrap()
+        };
+        let (paa, off) = (engine(sdtw_index::DEFAULT_PAA_WIDTH), engine(0));
+        assert_eq!(paa.stream_config().paa_width, sdtw_index::DEFAULT_PAA_WIDTH);
+        assert_eq!(off.stream_config().paa_width, 0);
+        let mut req = ServeRequest::query("p", walk[410..470].to_vec(), 5);
+        req.trace = true;
+        let (with, with_trace) = paa.answer(&req);
+        let (without, without_trace) = off.answer(&req);
+        assert!(with.ok && with.hits.len() == 5, "{with:?}");
+        assert_eq!(with, without, "PAA only moves prune credit");
+        for (a, b) in with.hits.iter().zip(&without.hits) {
+            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+        }
+        assert!(with_trace.unwrap().counters.cascade.pruned_paa > 0);
+        assert_eq!(without_trace.unwrap().counters.cascade.pruned_paa, 0);
     }
 
     #[test]

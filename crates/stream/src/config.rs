@@ -1,6 +1,7 @@
 //! Subsequence-search configuration.
 
 use sdtw::{ConstraintPolicy, SDtwConfig};
+use sdtw_dtw::cascade::DEFAULT_PAA_WIDTH;
 use sdtw_tseries::TsError;
 use serde::{Deserialize, Serialize};
 
@@ -53,9 +54,6 @@ impl Default for StreamConfig {
         }
     }
 }
-
-/// Default segment width of the coarse PAA pre-filter.
-const DEFAULT_PAA_WIDTH: usize = 8;
 
 impl StreamConfig {
     /// Classic UCR-style search: a Sakoe-Chiba band of the given total

@@ -4,12 +4,14 @@ use crate::config::StreamConfig;
 use rayon::prelude::*;
 use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::cascade::{
-    Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
+    Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::{dtw_run_windows, engine_label, Normalization};
+use sdtw_dtw::engine::{dtw_run_windows, engine_label};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
-use sdtw_obs::{InputShape, QueryTrace, Recorder, StreamStats, TracePhase, WorkloadKind};
+use sdtw_obs::{
+    CascadeStats, InputShape, QueryTrace, Recorder, StreamStats, TracePhase, WorkloadKind,
+};
 use sdtw_tseries::stats::SlidingMoments;
 use sdtw_tseries::transform::{z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};
@@ -41,7 +43,7 @@ const SIGMA_FLOOR: f64 = 1e-9;
 pub struct SubseqMatch {
     /// Window start: the match spans `offset .. offset + query_len`.
     pub offset: usize,
-    /// Its (possibly normalised) constrained DTW distance to the query.
+    /// Its constrained DTW distance to the query.
     pub distance: f64,
 }
 
@@ -161,8 +163,7 @@ impl<'a> Haystack<'a> {
 pub struct PreparedHaystack<'a> {
     matcher: &'a SubseqMatcher,
     values: &'a [f64],
-    /// Rolling LB_Kim per window, in reported-distance units (`None`:
-    /// the stage abstains).
+    /// Rolling LB_Kim per window (`None`: the stage abstains).
     bounds: Vec<Option<f64>>,
     floor: f64,
     /// The largest sample magnitude, which bounds raw windows' DP costs
@@ -207,11 +208,6 @@ impl<'a> PreparedHaystack<'a> {
         };
         if xv.len() < m {
             self.floor = f64::INFINITY;
-            return;
-        }
-        if !matcher.bounds_ok {
-            self.bounds.resize(xv.len() - m + 1, None);
-            self.floor = 0.0;
             return;
         }
         self.bounds.reserve(xv.len() - m + 1);
@@ -286,15 +282,15 @@ impl<'a> PreparedHaystack<'a> {
         };
     }
 
-    /// The rolling LB_Kim bound of every window, by offset, in
-    /// reported-distance units; `None` where the stage abstains.
+    /// The rolling LB_Kim bound of every window, by offset; `None` where
+    /// the stage abstains.
     pub fn window_bounds(&self) -> &[Option<f64>] {
         &self.bounds
     }
 
     /// An admissible lower bound on the distance of the *best* window —
-    /// the minimum of the rolling bounds, in reported-distance units. No
-    /// DP work: it falls out of the bound pass.
+    /// the minimum of the rolling bounds. No DP work: it falls out of the
+    /// bound pass.
     ///
     /// This is the per-entry floor the serve daemon's two-level cascade
     /// prunes whole recordings with: no subsequence hit inside the
@@ -406,7 +402,6 @@ pub struct SubseqMatcher {
     m: usize,
     radius: usize,
     exclusion: usize,
-    bounds_ok: bool,
 }
 
 impl SubseqMatcher {
@@ -475,7 +470,6 @@ impl SubseqMatcher {
                 band.sanitize()
             })
         };
-        let bounds_ok = config.sdtw.dtw.lower_bounds_admissible();
         let query_coarse = (config.paa_width >= 2)
             .then(|| CoarseEnvelope::build(&query_envelope, config.paa_width));
         let mut stages = vec![PruneStage::Kim {
@@ -488,12 +482,7 @@ impl SubseqMatcher {
             stages.push(PruneStage::Paa);
         }
         stages.push(PruneStage::Keogh);
-        let cascade = Cascade::new(
-            stages,
-            config.sdtw.dtw.metric,
-            config.sdtw.dtw.normalization,
-            bounds_ok,
-        );
+        let cascade = Cascade::new(stages, config.sdtw.dtw.metric);
         Ok(Self {
             config,
             engine,
@@ -507,7 +496,6 @@ impl SubseqMatcher {
             m,
             radius,
             exclusion,
-            bounds_ok,
         })
     }
 
@@ -827,13 +815,13 @@ impl SubseqMatcher {
         }
     }
 
-    /// The rolling LB_Kim bound of a window, in reported-distance units,
-    /// from its raw first/last samples, its exact extrema and its O(1)
-    /// sliding moments — the one bound step both the batch pass
-    /// ([`PreparedHaystack`]) and the streaming monitors run. `None` when
-    /// the stage abstains: σ too close to the constant-window convention
-    /// switch, or the sliding moments numerically ill-conditioned (stale
-    /// centring offset after a level shift in the stream — see
+    /// The rolling LB_Kim bound of a window, from its raw first/last
+    /// samples, its exact extrema and its O(1) sliding moments — the
+    /// one bound step both the batch pass ([`PreparedHaystack`]) and the
+    /// streaming monitors run. `None` when the stage abstains: σ too
+    /// close to the constant-window convention switch, or the sliding
+    /// moments numerically ill-conditioned (stale centring offset after
+    /// a level shift in the stream — see
     /// [`SlidingMoments::well_conditioned`]); abstaining windows fall
     /// through to the exact LB_Keogh/DP stages, so results never depend
     /// on an untrustworthy σ. Raw (non-normalised) matchers read only
@@ -872,7 +860,7 @@ impl SubseqMatcher {
                 len: self.m,
             }
         };
-        Some(self.normalize_bound(lb_kim(&self.query_summary, &summary, metric)))
+        Some(lb_kim(&self.query_summary, &summary, metric))
     }
 
     /// Z-normalises a raw window into `buf` via the one shared
@@ -885,15 +873,6 @@ impl SubseqMatcher {
         }
         z_normalize_values(raw, buf);
         buf
-    }
-
-    /// Converts a raw accumulated-cost bound into the units of the
-    /// configured normalisation, so it compares against final distances.
-    fn normalize_bound(&self, raw: f64) -> f64 {
-        match self.config.sdtw.dtw.normalization {
-            Normalization::None => raw,
-            Normalization::LengthSum => raw / (2 * self.m) as f64,
-        }
     }
 
     /// Greedy non-overlapping selection over scored candidates: ascending
@@ -1370,7 +1349,7 @@ impl ShardScan {
         let (m, reach) = (matcher.m, band.reach());
         let threshold = pass_threshold(best, tau);
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
-        if matcher.bounds_ok && reach <= matcher.radius {
+        if reach <= matcher.radius {
             rec.time(TracePhase::LbKeogh, || {
                 let mut views: [&[f64]; LB_LANES] = [&[]; LB_LANES];
                 for (view, c) in views.iter_mut().zip(pending) {
@@ -1713,45 +1692,6 @@ mod tests {
     }
 
     #[test]
-    fn inadmissible_bounds_abstain_everywhere_and_stay_exact() {
-        // no built-in kernel disables the bounds, so switch them off
-        // here: every window abstains, the floor collapses to 0, and the
-        // serial and sharded scans still agree
-        let (query, hay) = planted();
-        for z in [true, false] {
-            let mut cfg = StreamConfig::exact_banded(0.2);
-            cfg.z_normalize = z;
-            let mut matcher = SubseqMatcher::new(&query, cfg).unwrap();
-            let reference = matcher.search(&hay).k(3).run().unwrap().0;
-            matcher.bounds_ok = false;
-            matcher.cascade = Cascade::new(
-                vec![PruneStage::Kim { guard: 0.0 }, PruneStage::Keogh],
-                matcher.config.sdtw.dtw.metric,
-                matcher.config.sdtw.dtw.normalization,
-                false,
-            );
-            let mut prepared = PreparedHaystack::new(&matcher);
-            prepared.load(&hay);
-            assert_eq!(prepared.window_bounds().len(), 400 - 48 + 1);
-            assert!(prepared.window_bounds().iter().all(Option::is_none));
-            assert_eq!(prepared.floor().to_bits(), 0f64.to_bits());
-            let serial = matcher.search(&prepared).k(3).run().unwrap().0;
-            assert_eq!(serial.matches, reference.matches, "z={z}");
-            assert!(serial.stats.cascade.bounds_disabled);
-            for shards in [1, 2, 3, 7] {
-                let sharded = matcher
-                    .search(&prepared)
-                    .k(3)
-                    .shards(shards)
-                    .run()
-                    .unwrap()
-                    .0;
-                assert_eq!(sharded.matches, serial.matches, "z={z} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
     fn finds_planted_occurrences_under_z_normalization() {
         let (query, hay) = planted();
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
@@ -1892,17 +1832,34 @@ mod tests {
 
     #[test]
     fn constant_windows_are_handled_by_the_sigma_convention() {
-        // a flat haystack: every window z-normalises to all-zeros; the
-        // search must complete without pruning anything unsoundly
+        // a flat haystack: every window z-normalises to all-zeros, so the
+        // rolling LB_Kim abstains everywhere and the floor collapses to
+        // 0; the search must complete without pruning anything
+        // unsoundly, and every shard count must agree with the serial scan
         let query = ts((0..32).map(|i| (i as f64 / 5.0).sin()).collect());
         let hay = ts(vec![3.25; 200]);
         let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
-        let result = matcher.search(&hay).k(1).run().unwrap().0;
-        assert_eq!(result.matches.len(), 1);
+        let mut prepared = PreparedHaystack::new(&matcher);
+        prepared.load(&hay);
+        assert_eq!(prepared.window_bounds().len(), 200 - 32 + 1);
+        assert!(prepared.window_bounds().iter().all(Option::is_none));
+        assert_eq!(prepared.floor().to_bits(), 0f64.to_bits());
+        let result = matcher.search(&prepared).k(3).run().unwrap().0;
+        assert_eq!(result.matches.len(), 3);
         // distance to the zero window = sum of squared query samples
         // under the banded DP; just sanity-check finiteness + stats
         assert!(result.matches[0].distance.is_finite());
         assert!(result.stats.is_consistent());
+        for shards in [2, 3, 7] {
+            let sharded = matcher
+                .search(&prepared)
+                .k(3)
+                .shards(shards)
+                .run()
+                .unwrap()
+                .0;
+            assert_eq!(sharded.matches, result.matches, "shards={shards}");
+        }
     }
 
     #[test]

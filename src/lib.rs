@@ -56,9 +56,7 @@ pub mod prelude {
         SDtw, SDtwConfig, SDtwOutcome, SalientConfig,
     };
     pub use sdtw_datasets::{Dataset, UcrAnalog};
-    pub use sdtw_dtw::engine::{
-        dtw_full, dtw_run, dtw_run_options, DtwOptions, Normalization, StepPattern,
-    };
+    pub use sdtw_dtw::engine::{dtw_full, dtw_run, dtw_run_options, DtwOptions};
     pub use sdtw_dtw::kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
     pub use sdtw_dtw::lower_bound::{
         lb_keogh, lb_keogh_batch, lb_keogh_batch_windows, lb_kim, lb_kim_batch, Envelope,

@@ -33,7 +33,6 @@ const EXPECTED: &[&str] = &[
     "MatchConfig",
     "MonitorBank",
     "Neighbor",
-    "Normalization",
     "PhaseTiming",
     "PolicyEval",
     "Query",
@@ -55,7 +54,6 @@ const EXPECTED: &[&str] = &[
     "SnapshotFormat",
     "SpanRecord",
     "StandardKernel",
-    "StepPattern",
     "StreamConfig",
     "StreamStats",
     "SubseqMatch",

@@ -82,12 +82,8 @@ pub fn structured_series(rng: &mut TestRng) -> sdtw_suite::tseries::TimeSeries {
 /// The kernel `opts` selects, built as `dtw_run_options` builds it.
 fn kernel_of(opts: &DtwOptions) -> Box<dyn DtwKernel> {
     match opts.kernel {
-        KernelChoice::Standard => {
-            Box::new(StandardKernel::new(opts.step_pattern, opts.normalization))
-        }
-        KernelChoice::Amerced { penalty } => {
-            Box::new(AmercedKernel::new(penalty, opts.normalization))
-        }
+        KernelChoice::Standard => Box::new(StandardKernel),
+        KernelChoice::Amerced { penalty } => Box::new(AmercedKernel::new(penalty)),
     }
 }
 
@@ -95,8 +91,8 @@ fn kernel_of(opts: &DtwOptions) -> Box<dyn DtwKernel> {
 /// filled row by row over the sanitised band, every cell by the kernel's
 /// three-way expression (out-of-band and out-of-grid parents read `+∞`).
 /// It shares no code with the shipped fills, which the differential tests
-/// hold to it bit for bit. Returns the distance in reported units and the
-/// number of cells filled.
+/// hold to it bit for bit. Returns the distance (the corner cell's raw
+/// cost) and the number of cells filled.
 pub fn textbook_dtw(x: &[f64], y: &[f64], band: &Band, opts: &DtwOptions) -> (f64, usize) {
     let band = if band.is_feasible() {
         band.clone()
@@ -129,12 +125,12 @@ pub fn textbook_dtw(x: &[f64], y: &[f64], band: &Band, opts: &DtwOptions) -> (f6
             cells += 1;
         }
     }
-    (kernel.normalize(d[n * m - 1], n, m), cells)
+    (d[n * m - 1], cells)
 }
 
 /// The cost a warp path pays under `opts`' kernel, replayed step by step
-/// (`start` at the origin, then the transition each step takes) and
-/// reported in distance units. A traceback follows, per cell, the parent
+/// (`start` at the origin, then the transition each step takes). A
+/// traceback follows, per cell, the parent
 /// the fill's minimum came from, so the replay reproduces the distance
 /// bit for bit.
 pub fn path_cost(x: &[f64], y: &[f64], steps: &[(usize, usize)], opts: &DtwOptions) -> f64 {
@@ -150,7 +146,7 @@ pub fn path_cost(x: &[f64], y: &[f64], steps: &[(usize, usize)], opts: &DtwOptio
             _ => kernel.left(acc, local),
         };
     }
-    kernel.normalize(acc, x.len(), y.len())
+    acc
 }
 
 /// Runs one configuration without and with a warp path and asserts that

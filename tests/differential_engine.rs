@@ -32,30 +32,22 @@ use common::{
 };
 use sdtw_suite::core::{ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::dtw::band::ColRange;
-use sdtw_suite::dtw::engine::{
-    dtw_run_windows, DtwOptions, DtwScratch, Normalization, StepPattern,
-};
+use sdtw_suite::dtw::engine::{dtw_run_windows, DtwOptions, DtwScratch};
 use sdtw_suite::dtw::itakura::itakura_band;
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
 use sdtw_suite::dtw::{Band, KernelChoice};
 use sdtw_suite::salient::extract_features;
 use sdtw_suite::tseries::{TimeSeries, TsError};
 
-/// The three kernels the grid sweeps: standard symmetric1 (the paper's
-/// recurrence), standard symmetric2 with the conventional normalisation,
-/// and the amerced (ADTW) kernel.
+/// The two kernels the grid sweeps: standard symmetric1 (the paper's
+/// recurrence) and the amerced (ADTW) kernel.
 fn kernel_grid() -> Vec<(&'static str, DtwOptions)> {
     let sym1 = DtwOptions::default();
-    let sym2 = DtwOptions {
-        step_pattern: StepPattern::Symmetric2,
-        normalization: Normalization::LengthSum,
-        ..DtwOptions::default()
-    };
     let amerced = DtwOptions {
         kernel: KernelChoice::Amerced { penalty: 0.25 },
         ..DtwOptions::default()
     };
-    vec![("sym1", sym1), ("sym2", sym2), ("amerced", amerced)]
+    vec![("sym1", sym1), ("amerced", amerced)]
 }
 
 /// The salient (sDTW) band of a pair, planned by the `fc,aw` policy from

@@ -13,11 +13,9 @@
 //! level shift, constant runs, and windows whose σ straddles the σ
 //! floor at which the bound abstains — under query lengths 1, 2, 3, 17
 //! and the whole haystack, with z-normalisation on and off, under the
-//! symmetric1, normalised symmetric2 and amerced kernels with both
-//! metrics. No public kernel disables the bounds, so the all-abstaining
-//! pass is held to the same scans by a unit test inside `sdtw-stream`.
-//! The pass's arithmetic vectorises only in optimised builds, so this
-//! file also runs under `--release`.
+//! symmetric1 and amerced kernels with both metrics. The pass's
+//! arithmetic vectorises only in optimised builds, so this file also
+//! runs under `--release`.
 
 mod common;
 
@@ -69,11 +67,10 @@ fn haystacks() -> Vec<(&'static str, TimeSeries)> {
     .collect()
 }
 
-/// The kernels and metrics the bound is normalised under.
+/// The kernels and metrics the bound is computed under.
 fn kernel_grid() -> Vec<(&'static str, DtwOptions)> {
     vec![
         ("sym1", DtwOptions::default()),
-        ("sym2", DtwOptions::normalized_symmetric2()),
         ("amerced", DtwOptions::amerced(0.25)),
         (
             "sym1-abs",

@@ -6,7 +6,8 @@
 //!
 //! The acceptance bar is *bit-identical*: same `(entry, offset)` ids,
 //! same distance bits, ties included, on three seeded corpora, for
-//! k ∈ {1, 5}, with and without z-normalisation. Entries the engine
+//! k ∈ {1, 5}, with and without z-normalisation, under the symmetric1
+//! and amerced kernels. Entries the engine
 //! pruned whole must be *provably* out: their admissible window floor
 //! strictly exceeds the k-th reported distance.
 
@@ -56,15 +57,22 @@ fn assert_hits_exact(hits: &[ServeHit], expected: &[sdtw_suite::eval::CorpusMatc
 
 /// Asserts serve == corpus oracle on one seeded corpus, under Sakoe and
 /// the paper's sDTW bands (per-window extraction and band planning),
-/// both normalisation modes, k ∈ {1, 5}, and audits every pruned entry's
-/// admissible floor against the k-th reported distance.
+/// each with the symmetric1 and the amerced kernel, both normalisation
+/// modes, k ∈ {1, 5}, and audits every pruned entry's admissible floor
+/// against the k-th reported distance.
 fn assert_serve_exact(analog: UcrAnalog, seed: u64, entries: usize, rows: usize) {
     let ds = analog.generate(seed);
     let query = pattern_from(&ds, 40);
     let corpus = corpus_from(&ds, entries, rows);
+    let amerced = |mut config: IndexConfig| {
+        config.sdtw.dtw.kernel = KernelChoice::Amerced { penalty: 0.05 };
+        config
+    };
     let modes = [
         ("sakoe", IndexConfig::exact_banded(0.2)),
         ("sdtw", IndexConfig::sdtw_bands()),
+        ("sakoe amerced", amerced(IndexConfig::exact_banded(0.2))),
+        ("sdtw amerced", amerced(IndexConfig::sdtw_bands())),
     ];
     for ((mode, base), z_norm) in modes.iter().flat_map(|m| [(m, true), (m, false)]) {
         let config = IndexConfig {

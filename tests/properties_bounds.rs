@@ -11,16 +11,14 @@
 //!
 //! The band-exact reversed LB_Keogh is held bit for bit to a per-column
 //! reference of its definition, and to the DP distance itself, with no
-//! tolerance, on random feasible bands of every shape, every kernel and
-//! both normalisations.
+//! tolerance, on random feasible bands of every shape, under every
+//! kernel and both metrics.
 
 mod common;
 
 use common::{random_series, structured_series, TestRng};
 use sdtw_suite::dtw::band::ColRange;
-use sdtw_suite::dtw::engine::{
-    dtw_run_options, DtwOptions, DtwScratch, Normalization, StepPattern,
-};
+use sdtw_suite::dtw::engine::{dtw_run_options, DtwOptions, DtwScratch};
 use sdtw_suite::dtw::lower_bound::{
     lb_keogh_band, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch,
     Envelope, RangeTable, SeriesSummary, LB_LANES,
@@ -131,10 +129,9 @@ fn batched_kim_matches_scalar_across_widths() {
 fn bounds_stay_admissible_on_seeded_pairs() {
     // LB ≤ true DTW, under the exact conditions the cascade relies on:
     // LB_Kim against any feasible band, LB_Keogh when the band sits
-    // inside the envelope window. The standard symmetric1 kernel with raw
-    // (unnormalised) accumulation is the regime the bounds are stated
-    // for — the same one the cascade enforces via
-    // `lower_bounds_admissible`.
+    // inside the envelope window. The standard symmetric1 kernel is the
+    // regime the bounds are stated for; every configurable kernel
+    // dominates its cost.
     let mut rng = TestRng::new(0xB0B5_0004);
     let mut scratch = DtwScratch::new();
     let opts = DtwOptions::default();
@@ -181,40 +178,28 @@ fn bounds_stay_admissible_on_seeded_pairs() {
     }
 }
 
-/// Every kernel and normalisation the cascade admits bounds for: sym1,
-/// sym2 and amerced, each raw and `/(N+M)`-normalised, on both metrics.
+/// Every kernel the cascade prunes under, sym1 and amerced, on both
+/// metrics.
 fn bound_grid() -> Vec<DtwOptions> {
     let mut grid = Vec::new();
     for metric in METRICS {
-        for normalization in [Normalization::None, Normalization::LengthSum] {
-            for (step_pattern, kernel) in [
-                (StepPattern::Symmetric1, KernelChoice::Standard),
-                (StepPattern::Symmetric2, KernelChoice::Standard),
-                (
-                    StepPattern::Symmetric1,
-                    KernelChoice::Amerced { penalty: 0.25 },
-                ),
-            ] {
-                grid.push(DtwOptions {
-                    metric,
-                    step_pattern,
-                    normalization,
-                    kernel,
-                    ..DtwOptions::default()
-                });
-            }
+        for kernel in [
+            KernelChoice::Standard,
+            KernelChoice::Amerced { penalty: 0.25 },
+        ] {
+            grid.push(DtwOptions {
+                metric,
+                kernel,
+                ..DtwOptions::default()
+            });
         }
     }
     grid
 }
 
-/// The band-exact bound in the units `opts` reports distances in.
+/// The band-exact bound of `(x, y)` on `band` under `opts`' metric.
 fn band_bound(x: &[f64], y: &[f64], band: &Band, opts: &DtwOptions) -> f64 {
-    let raw = lb_keogh_band(y, &RangeTable::build(x), band, opts.metric, &mut Vec::new());
-    match opts.normalization {
-        Normalization::None => raw,
-        Normalization::LengthSum => raw / (x.len() + y.len()) as f64,
-    }
+    lb_keogh_band(y, &RangeTable::build(x), band, opts.metric, &mut Vec::new())
 }
 
 /// The band-exact bound by its definition, one column at a time: the
@@ -335,9 +320,9 @@ fn band_exact_reversed_keogh_never_exceeds_the_dp_distance() {
 
 #[test]
 fn band_exact_reversed_keogh_is_the_distance_on_the_diagonal() {
-    // a one-cell-per-row band has one warp path; where the diagonal step
-    // pays the local cost alone (sym1, amerced) the bound sums exactly
-    // the path's costs in its order, and sym2 pays each twice
+    // a one-cell-per-row band has one warp path, whose diagonal steps
+    // pay the local cost alone under every kernel: the bound sums
+    // exactly the path's costs in its order
     let mut rng = TestRng::new(0xB0B5_0006);
     let mut scratch = DtwScratch::new();
     for _ in 0..20 {
@@ -350,12 +335,7 @@ fn band_exact_reversed_keogh_is_the_distance_on_the_diagonal() {
                 .expect("no cutoff")
                 .distance;
             let bound = band_bound(&x, &y, &band, &opts);
-            if opts.step_pattern == StepPattern::Symmetric2 && opts.kernel == KernelChoice::Standard
-            {
-                assert!(bound <= dtw, "{opts:?}: {bound} above {dtw}");
-            } else {
-                assert_eq!(bound.to_bits(), dtw.to_bits(), "{opts:?}");
-            }
+            assert_eq!(bound.to_bits(), dtw.to_bits(), "{opts:?}");
         }
     }
 }

@@ -236,6 +236,58 @@ fn oversized_extraction_configs_are_refused_at_load() {
     }
 }
 
+/// The golden snapshot with its configuration blob as builds that still
+/// had a step pattern and a normalisation option wrote it: those two
+/// keys, holding `step_pattern` and `normalization`, in the DP options.
+fn with_legacy_cost_model(step_pattern: &str, normalization: &str) -> Vec<u8> {
+    let index = golden_index();
+    let config_json = serde_json::to_string(index.config()).unwrap();
+    let current = "\"compute_path\":false,";
+    assert_eq!(config_json.matches(current).count(), 1, "{config_json}");
+    let legacy = config_json.replace(
+        current,
+        &format!(
+            "{current}\"step_pattern\":\"{step_pattern}\",\"normalization\":\"{normalization}\","
+        ),
+    );
+    with_section(&encode(&index), CONFIG_SECTION, legacy.as_bytes())
+}
+
+#[test]
+fn legacy_cost_model_keys_load_and_answer_like_a_fresh_build() {
+    let fresh = golden_index();
+    let loaded = SnapshotCodec::decode(&with_legacy_cost_model("Symmetric1", "None")).unwrap();
+    assert_eq!(loaded.config(), fresh.config());
+    assert_eq!(loaded.entries(), fresh.entries());
+    for (q, query) in golden_corpus().iter().enumerate() {
+        let a = fresh.query(query, 3).unwrap();
+        let b = loaded.query(query, 3).unwrap();
+        assert_eq!(a.neighbors, b.neighbors, "query {q}");
+        assert_eq!(a.stats, b.stats, "query {q}");
+    }
+    // the loaded index writes the current blob, without the two keys
+    assert_eq!(encode(&loaded), FIXTURE);
+}
+
+#[test]
+fn removed_cost_models_are_refused_by_field() {
+    for (field, bytes) in [
+        ("step_pattern", with_legacy_cost_model("Symmetric2", "None")),
+        (
+            "normalization",
+            with_legacy_cost_model("Symmetric1", "LengthSum"),
+        ),
+    ] {
+        let err = SnapshotCodec::decode_reader(bytes.as_slice())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("`{field}`")) && err.contains("rebuild"),
+            "{field}: {err}"
+        );
+    }
+}
+
 /// Regenerates the committed fixture. Run explicitly (see module docs);
 /// `golden_snapshot_encodes_byte_for_byte` then proves it is current.
 #[test]

@@ -13,7 +13,7 @@ use sdtw_suite::prelude::*;
 use std::time::Duration;
 
 /// The committed golden NDJSON line (one trace, trailing newline).
-const FIXTURE: &str = include_str!("fixtures/trace_v1.ndjson");
+const FIXTURE: &str = include_str!("fixtures/trace_v2.ndjson");
 
 /// A trace exercising every field of the wire schema with fixed values.
 fn golden_trace() -> QueryTrace {
@@ -40,7 +40,6 @@ fn golden_trace() -> QueryTrace {
         abandoned: 4,
         dp_completed: 6,
         cells_filled: 9000,
-        bounds_disabled: false,
     };
     t.descriptor_comparisons = 123;
     t.band_area = 12_000;
@@ -70,7 +69,7 @@ fn schema_version_is_ratcheted() {
     // bump TRACE_SCHEMA_VERSION only together with a regenerated fixture
     // (and a migration note in DESIGN.md §12)
     assert_eq!(
-        TRACE_SCHEMA_VERSION, 1,
+        TRACE_SCHEMA_VERSION, 2,
         "schema bumped: regenerate the fixture"
     );
 }
@@ -83,7 +82,7 @@ fn golden_trace_encodes_byte_for_byte() {
         format!("{line}\n"),
         FIXTURE,
         "wire encoding drifted; if intentional, regenerate \
-         tests/fixtures/trace_v1.ndjson and bump TRACE_SCHEMA_VERSION"
+         tests/fixtures/trace_v2.ndjson and bump TRACE_SCHEMA_VERSION"
     );
 }
 
