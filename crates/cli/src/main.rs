@@ -38,7 +38,7 @@ use sdtw_dtw::SeriesSummary;
 use sdtw_index::{
     CascadeStats, IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat, DEFAULT_PAA_WIDTH,
 };
-use sdtw_obs::{InputShape, QueryTrace, Recorder, TraceReport, WorkloadKind};
+use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, TraceReport, WorkloadKind};
 use sdtw_salient::feature::extract_feature_set;
 use sdtw_serve::{
     client_roundtrip, run_pipe, ServeConfig, ServeEngine, ServeRequest, ServeResponse, SocketServer,
@@ -367,8 +367,7 @@ fn cmd_dist(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .query(x, y)
         .recorder(&mut rec)
         .run()
-        .map_err(|e| e.to_string())?
-        .expect("no cutoff configured");
+        .map_err(|e| e.to_string())?;
     let wall = t0.elapsed();
     writeln!(
         out,
@@ -399,7 +398,7 @@ fn cmd_dist(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         trace.counters.cascade.dp_completed = 1;
         trace.counters.cascade.cells_filled = outcome.cells_filled as u64;
         trace.descriptor_comparisons = outcome.descriptor_comparisons as u64;
-        trace.band_area = outcome.band_area as u64;
+        trace.band_area = outcome.cells_filled as u64;
         trace.full_grid = (x.len() * y.len()) as u64;
         trace.spans = rec.finish();
         trace.wall = wall;
@@ -478,8 +477,7 @@ fn cmd_retrieve(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             .store(&store)
             .scratch(&mut scratch)
             .run()
-            .map_err(|e| e.to_string())?
-            .expect("no cutoff configured");
+            .map_err(|e| e.to_string())?;
         scored.push((j, out.distance));
     }
     scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
@@ -522,12 +520,22 @@ fn cmd_distmat(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             if queries.is_empty() {
                 return Err("query file is empty".into());
             }
-            Some(queries)
+            // each file numbers its series from 0 and the store caches
+            // features by id: number the queries after the corpus, or a
+            // query would be served the corpus series' features
+            let ids = corpus.len() as u64..;
+            Some(
+                queries
+                    .into_iter()
+                    .zip(ids)
+                    .map(|(ts, id)| ts.identified(id))
+                    .collect::<Vec<_>>(),
+            )
         }
         None => None,
     };
     let out_path = a.options.get("out");
-    let mut sink = TraceSink::from_args(a)?;
+    let sink = TraceSink::from_args(a)?;
     let engine = SDtw::new(config).map_err(|e| e.to_string())?;
     let store = FeatureStore::new(engine.config().salient.clone()).map_err(|e| e.to_string())?;
     check_magnitudes(
@@ -550,27 +558,20 @@ fn cmd_distmat(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let rows = queries.as_ref().map_or(corpus.len(), Vec::len);
     let t1 = std::time::Instant::now();
-    let (stats, summary, json) = match &queries {
+    let (trace, summary, json) = match &queries {
         Some(queries) => {
-            let (m, trace) =
-                sdtw_eval::compute_query_matrix_traced(queries, &corpus, &engine, &store, parallel)
-                    .map_err(|e| e.to_string())?;
-            if let Some(sink) = sink.as_mut() {
-                sink.push(&trace);
-            }
+            let m = sdtw_eval::compute_query_matrix(queries, &corpus, &engine, &store, parallel)
+                .map_err(|e| e.to_string())?;
             let summary = format!("matrix {} queries x {} corpus", m.queries(), m.corpus());
             let json = serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?;
-            (m.stats, summary, json)
+            (m.trace, summary, json)
         }
         None => {
-            let (m, trace) = sdtw_eval::compute_matrix_traced(&corpus, &engine, &store, parallel)
+            let m = sdtw_eval::compute_matrix(&corpus, &engine, &store, parallel)
                 .map_err(|e| e.to_string())?;
-            if let Some(sink) = sink.as_mut() {
-                sink.push(&trace);
-            }
             let summary = format!("matrix {} x {} (pairwise)", m.n(), m.n());
             let json = serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?;
-            (m.stats, summary, json)
+            (m.trace, summary, json)
         }
     };
     let wall = t1.elapsed();
@@ -591,21 +592,23 @@ fn cmd_distmat(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             1
         }
     )?;
+    let cascade = &trace.counters.cascade;
     writeln!(
         out,
         "pairs {}  cells {}  descriptor comparisons {}",
-        stats.pairs, stats.cells_filled, stats.descriptor_comparisons
+        cascade.dp_completed, cascade.cells_filled, trace.descriptor_comparisons
     )?;
     writeln!(
         out,
         "extraction {extraction:?}  wall {wall:?}  cpu(match+dp) {:?}",
-        stats.total_time()
+        trace.phase_duration(TracePhase::BandPlan) + trace.phase_duration(TracePhase::DpFill)
     )?;
     if let Some(path) = out_path {
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         writeln!(out, "wrote {path}")?;
     }
-    if let Some(sink) = sink {
+    if let Some(mut sink) = sink {
+        sink.push(&trace);
         sink.flush(out)?;
     }
     Ok(())
@@ -1354,6 +1357,58 @@ mod tests {
     }
 
     #[test]
+    fn distmat_queries_plan_from_their_own_features() {
+        // both files number their series from 0, and an adaptive policy
+        // reads features: each query must be planned from its own
+        let dir = std::env::temp_dir().join("sdtw_cli_distmat_queries_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus_path = dir.join("corpus.txt");
+        let queries_path = dir.join("queries.txt");
+        let out_path = dir.join("matrix.json");
+        let ds = UcrAnalog::Gun.generate(7);
+        write_ucr_file(&corpus_path, &ds.series[..6]).unwrap();
+        write_ucr_file(&queries_path, &ds.series[6..9]).unwrap();
+        let argv = |tokens: &[&str]| Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        let (c, q, o) = (
+            corpus_path.to_str().unwrap(),
+            queries_path.to_str().unwrap(),
+            out_path.to_str().unwrap(),
+        );
+        let args = argv(&[
+            "distmat",
+            c,
+            "--queries",
+            q,
+            "--policy",
+            "ac2aw",
+            "--serial",
+            "--out",
+            o,
+        ]);
+        cmd_distmat(&args, &mut io::sink()).unwrap();
+        let matrix: sdtw_eval::QueryMatrix =
+            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+
+        let engine = SDtw::new(config_from(&args).unwrap()).unwrap();
+        let corpus = read_ucr_file(&corpus_path).unwrap();
+        let queries = read_ucr_file(&queries_path).unwrap();
+        assert_eq!((matrix.queries(), matrix.corpus()), (3, 6));
+        for (qi, query) in queries.iter().enumerate() {
+            for (j, series) in corpus.iter().enumerate() {
+                let d = engine.query(query, series).run().unwrap().distance;
+                assert_eq!(
+                    matrix.get(qi, j).to_bits(),
+                    d.to_bits(),
+                    "query {qi}, corpus {j}"
+                );
+            }
+        }
+        for path in [&corpus_path, &queries_path, &out_path] {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    #[test]
     fn index_build_and_query_round_trip_via_files() {
         let dir = std::env::temp_dir().join("sdtw_cli_index_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1757,6 +1812,28 @@ mod tests {
         assert_eq!(report.traces()[0].workload.label(), "distance");
         assert_eq!(report.traces()[0].counters.cascade.dp_completed, 1);
 
+        // an adaptive pair extracts, plans and fills once each
+        cmd_dist(
+            &argv(&["dist", c, "0", "1", "--policy", "ac2aw", "--trace", t]),
+            &mut io::sink(),
+        )
+        .unwrap();
+        let report =
+            TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+        assert_eq!(report.len(), 1);
+        let trace = &report.traces()[0];
+        let phases: Vec<(TracePhase, u64)> =
+            trace.spans.iter().map(|s| (s.phase, s.count)).collect();
+        assert_eq!(
+            phases,
+            [
+                (TracePhase::Extraction, 1),
+                (TracePhase::BandPlan, 1),
+                (TracePhase::DpFill, 1)
+            ]
+        );
+        assert_eq!(trace.band_area, trace.counters.cascade.cells_filled);
+
         // distmat --trace: one batch-level line
         cmd_distmat(
             &argv(&[
@@ -1769,6 +1846,33 @@ mod tests {
             TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
         assert_eq!(report.len(), 1);
         assert_eq!(report.traces()[0].workload.label(), "distance-matrix");
+
+        // an adaptive query-vs-corpus matrix: every pair completes, and
+        // planning compares descriptors
+        let queries_path = dir.join("queries.txt");
+        write_ucr_file(&queries_path, &ds.series[8..11]).unwrap();
+        let q = queries_path.to_str().unwrap();
+        cmd_distmat(
+            &argv(&[
+                "distmat",
+                c,
+                "--queries",
+                q,
+                "--policy",
+                "ac2aw",
+                "--trace",
+                t,
+            ]),
+            &mut io::sink(),
+        )
+        .unwrap();
+        let report =
+            TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+        assert_eq!(report.len(), 1);
+        let trace = &report.traces()[0];
+        assert_eq!(trace.counters.cascade.dp_completed, 3 * 8);
+        assert!(trace.descriptor_comparisons > 0);
+        std::fs::remove_file(&queries_path).ok();
 
         // stream find --trace across the serial / sharded / monitor modes
         let hay_path = dir.join("hay.txt");

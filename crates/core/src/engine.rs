@@ -1,8 +1,9 @@
 //! The `SDtw` front-end: configuration, the [`SDtw::query`] execution
 //! path, outcome introspection.
 //!
-//! All distance computation flows through the [`crate::query::Query`]
-//! builder (`SDtw::query(&x, &y).….run()`).
+//! Pairwise distances flow through the [`crate::query::Query`] builder
+//! (`SDtw::query(&x, &y).….run()`); callers that hold a planned band run
+//! it with [`sdtw_dtw::engine::dtw_run_options`].
 
 use crate::constraint::build_band;
 use crate::policy::{BandSymmetry, ConstraintPolicy};
@@ -16,7 +17,6 @@ use sdtw_salient::{SalientConfig, SalientExtractor, SalientFeature};
 use sdtw_tseries::TsError;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Full configuration of an [`SDtw`] engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,60 +60,6 @@ impl SDtwConfig {
     }
 }
 
-/// Wall-clock decomposition of one distance computation — the quantities
-/// behind the paper's Figure 17 (matching vs dynamic programming time) and
-/// the `time*` terms of §4.2.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseTiming {
-    /// Salient feature extraction when it happened **in this call**:
-    /// `None` on the cached/supplied-features paths (the paper treats
-    /// extraction as a one-time indexable cost, so a cache hit has no
-    /// extraction phase at all — it is absent, not zero), `Some` when the
-    /// call extracted (including a `FeatureStore` miss, which attributes
-    /// the one-time cost to exactly one call).
-    pub extraction: Option<Duration>,
-    /// Matching + inconsistency pruning + band construction.
-    pub matching: Duration,
-    /// Banded dynamic programming + traceback.
-    pub dynamic_programming: Duration,
-}
-
-impl PhaseTiming {
-    /// Total per-pair cost under the paper's accounting: matching + DP
-    /// (extraction is amortised across all comparisons of a series).
-    pub fn per_pair(&self) -> Duration {
-        self.matching + self.dynamic_programming
-    }
-
-    /// Total including any extraction attributed to this call.
-    pub fn total(&self) -> Duration {
-        self.extraction.unwrap_or_default() + self.per_pair()
-    }
-
-    /// Derives the three-phase view from trace spans — the canonical
-    /// attribution now lives in [`sdtw_obs::SpanRecord`]s and this struct
-    /// is a projection of them: `Extraction` spans sum into
-    /// [`PhaseTiming::extraction`] (absent when none ran, preserving the
-    /// cache-hit semantics above), `BandPlan` into
-    /// [`PhaseTiming::matching`], `DpFill` into
-    /// [`PhaseTiming::dynamic_programming`]. Other phases (lower-bound
-    /// screens, merges) have no slot here and are ignored.
-    pub fn from_spans<'s>(spans: impl IntoIterator<Item = &'s sdtw_obs::SpanRecord>) -> Self {
-        let mut timing = PhaseTiming::default();
-        for span in spans {
-            match span.phase {
-                sdtw_obs::TracePhase::Extraction => {
-                    timing.extraction = Some(timing.extraction.unwrap_or_default() + span.duration);
-                }
-                sdtw_obs::TracePhase::BandPlan => timing.matching += span.duration,
-                sdtw_obs::TracePhase::DpFill => timing.dynamic_programming += span.duration,
-                _ => {}
-            }
-        }
-        timing
-    }
-}
-
 /// Outcome of one sDTW distance computation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SDtwOutcome {
@@ -123,11 +69,9 @@ pub struct SDtwOutcome {
     /// Optimal warp path within the band, when requested via
     /// [`DtwOptions::compute_path`] or [`crate::query::Query::path`].
     pub path: Option<WarpPath>,
-    /// DP cells filled (= sanitised band area) — deterministic work proxy.
+    /// DP cells filled (= the planned band's area) — deterministic work
+    /// proxy.
     pub cells_filled: usize,
-    /// Band area before accounting (same as `cells_filled`; kept for
-    /// symmetry with `band_coverage`).
-    pub band_area: usize,
     /// Fraction of the full `N × M` grid the band covers.
     pub band_coverage: f64,
     /// Matched pairs before inconsistency pruning.
@@ -136,16 +80,14 @@ pub struct SDtwOutcome {
     pub consistent_pairs: usize,
     /// Descriptor comparisons performed during matching.
     pub descriptor_comparisons: usize,
-    /// Per-phase wall-clock timing.
-    pub timing: PhaseTiming,
 }
 
 /// The sDTW engine (paper §3 end to end).
 ///
 /// Construct once with a validated config, then call [`SDtw::query`] per
-/// pair — features (extract vs cached), band override, warp path,
-/// early-abandon cutoff, scratch reuse and kernel choice are orthogonal
-/// builder options (see [`crate::query::Query`]).
+/// pair — features (extract vs cached), warp path, scratch reuse and a
+/// telemetry recorder are orthogonal builder options (see
+/// [`crate::query::Query`]).
 ///
 /// The engine prepares its [`SalientExtractor`] once; clones share it, so
 /// every matcher or index built on one engine extracts through the same
@@ -182,8 +124,9 @@ impl SDtw {
     /// Builds the band this engine would use for a pair (exposed for
     /// introspection, visualisation, the experiment harness and retrieval
     /// cascades that screen the band with lower bounds before paying for
-    /// the DP — pass the result back via [`crate::query::Query::band`]).
-    /// Returns the matching result when the policy required alignment.
+    /// the DP — run it with [`sdtw_dtw::engine::dtw_run_options`], under
+    /// `config().dtw` and any cutoff). Returns the matching result when
+    /// the policy required alignment.
     ///
     /// Prepares `fx` and runs [`SDtw::plan_band_prepared`]; prepare once
     /// instead when one series is planned against many.
@@ -234,10 +177,12 @@ impl SDtw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdtw_dtw::engine::{dtw_full, DtwScratch};
+    use sdtw_dtw::engine::{dtw_full, dtw_run_options, DtwScratch};
     use sdtw_dtw::KernelChoice;
+    use sdtw_obs::{Recorder, SpanRecord, TracePhase};
     use sdtw_salient::extract_features;
     use sdtw_tseries::{TimeSeries, WarpMap};
+    use std::time::Duration;
 
     /// Deterministic pair: two warped instances of a multi-feature proto.
     fn warped_pair(n: usize, m: usize) -> (TimeSeries, TimeSeries) {
@@ -265,12 +210,14 @@ mod tests {
         .unwrap()
     }
 
-    /// Builder shorthand: run to completion with on-the-fly extraction.
+    /// Builder shorthand: run with on-the-fly extraction.
     fn dist(eng: &SDtw, x: &TimeSeries, y: &TimeSeries) -> SDtwOutcome {
-        eng.query(x, y)
-            .run()
-            .unwrap()
-            .expect("no cutoff configured")
+        eng.query(x, y).run().unwrap()
+    }
+
+    /// The one span of `phase` among `spans`, if it was recorded.
+    fn span(spans: &[SpanRecord], phase: TracePhase) -> Option<&SpanRecord> {
+        spans.iter().find(|s| s.phase == phase)
     }
 
     #[test]
@@ -415,19 +362,22 @@ mod tests {
     #[test]
     fn timing_phases_are_populated() {
         let (x, y) = warped_pair(150, 150);
-        let out = dist(
-            &engine(ConstraintPolicy::adaptive_core_adaptive_width()),
-            &x,
-            &y,
-        );
-        let extraction = out.timing.extraction.expect("extracted in this call");
-        assert!(extraction > Duration::ZERO);
-        assert!(out.timing.dynamic_programming > Duration::ZERO);
-        assert_eq!(
-            out.timing.per_pair(),
-            out.timing.matching + out.timing.dynamic_programming
-        );
-        assert_eq!(out.timing.total(), extraction + out.timing.per_pair());
+        let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
+        let mut rec = Recorder::enabled();
+        eng.query(&x, &y).recorder(&mut rec).run().unwrap();
+        let spans = rec.finish();
+        for phase in [
+            TracePhase::Extraction,
+            TracePhase::BandPlan,
+            TracePhase::DpFill,
+        ] {
+            let s = span(&spans, phase).unwrap_or_else(|| panic!("{phase:?} recorded"));
+            assert_eq!(s.count, 1, "{phase:?} ran once");
+        }
+        assert_eq!(spans.len(), 3, "no other phase: {spans:?}");
+        let extraction = span(&spans, TracePhase::Extraction).unwrap();
+        assert!(extraction.duration > Duration::ZERO);
+        assert!(span(&spans, TracePhase::DpFill).unwrap().duration > Duration::ZERO);
     }
 
     #[test]
@@ -436,9 +386,20 @@ mod tests {
         let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
         let fx = extract_features(&x, &eng.config().salient).unwrap();
         let fy = extract_features(&y, &eng.config().salient).unwrap();
-        let out = eng.query(&x, &y).features(&fx, &fy).run().unwrap().unwrap();
-        assert_eq!(out.timing.extraction, None, "no extraction in this call");
-        assert_eq!(out.timing.total(), out.timing.per_pair());
+        let mut rec = Recorder::enabled();
+        let out = eng
+            .query(&x, &y)
+            .features(&fx, &fy)
+            .recorder(&mut rec)
+            .run()
+            .unwrap();
+        let spans = rec.finish();
+        assert!(
+            span(&spans, TracePhase::Extraction).is_none(),
+            "no extraction in this call"
+        );
+        assert!(span(&spans, TracePhase::BandPlan).is_some());
+        assert!(span(&spans, TracePhase::DpFill).is_some());
         // identical result to the uncached path
         let out2 = dist(&eng, &x, &y);
         assert_eq!(out.distance, out2.distance);
@@ -448,12 +409,10 @@ mod tests {
     #[test]
     fn alignment_free_policies_never_extract() {
         let (x, y) = warped_pair(120, 120);
-        let out = dist(
-            &engine(ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.1 }),
-            &x,
-            &y,
-        );
-        assert_eq!(out.timing.extraction, None);
+        let eng = engine(ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.1 });
+        let mut rec = Recorder::enabled();
+        eng.query(&x, &y).recorder(&mut rec).run().unwrap();
+        assert!(span(&rec.finish(), TracePhase::Extraction).is_none());
     }
 
     #[test]
@@ -463,13 +422,31 @@ mod tests {
         let y = y.identified(2);
         let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
         let store = crate::store::FeatureStore::new(eng.config().salient.clone()).unwrap();
-        let first = eng.query(&x, &y).store(&store).run().unwrap().unwrap();
+        let mut rec = Recorder::enabled();
+        let first = eng
+            .query(&x, &y)
+            .store(&store)
+            .recorder(&mut rec)
+            .run()
+            .unwrap();
+        let spans = rec.finish();
+        let miss = span(&spans, TracePhase::Extraction).expect("cold store extracts");
+        assert_eq!(miss.count, 1, "both misses in one span");
         assert!(
-            first.timing.extraction.expect("cold store extracts") > Duration::ZERO,
+            miss.duration > Duration::ZERO,
             "the miss pays the one-time extraction"
         );
-        let second = eng.query(&x, &y).store(&store).run().unwrap().unwrap();
-        assert_eq!(second.timing.extraction, None, "hits have no extraction");
+        let mut rec = Recorder::enabled();
+        let second = eng
+            .query(&x, &y)
+            .store(&store)
+            .recorder(&mut rec)
+            .run()
+            .unwrap();
+        assert!(
+            span(&rec.finish(), TracePhase::Extraction).is_none(),
+            "hits have no extraction"
+        );
         assert_eq!(first.distance.to_bits(), second.distance.to_bits());
     }
 
@@ -482,13 +459,12 @@ mod tests {
         let mut scratch = sdtw_dtw::DtwScratch::new();
         // reuse the same scratch across both directions and repeats
         for _ in 0..2 {
-            let plain = eng.query(&x, &y).features(&fx, &fy).run().unwrap().unwrap();
+            let plain = eng.query(&x, &y).features(&fx, &fy).run().unwrap();
             let reused = eng
                 .query(&x, &y)
                 .features(&fx, &fy)
                 .scratch(&mut scratch)
                 .run()
-                .unwrap()
                 .unwrap();
             assert_eq!(plain.distance.to_bits(), reused.distance.to_bits());
             assert_eq!(plain.cells_filled, reused.cells_filled);
@@ -497,122 +473,65 @@ mod tests {
                 .features(&fy, &fx)
                 .scratch(&mut scratch)
                 .run()
-                .unwrap()
                 .unwrap();
             assert!(back.distance.is_finite());
         }
     }
 
     #[test]
-    fn cutoff_path_is_bit_identical_when_under_threshold() {
-        let (x, y) = warped_pair(150, 170);
+    fn run_equals_plan_band_then_dtw_run_options() {
+        // the index and the stream matcher plan (or hold) a band and fill
+        // it with `dtw_run_options`; `run()` must be exactly that
+        let (x, y) = warped_pair(140, 150);
+        let mut scratch = DtwScratch::new();
         for policy in [
-            ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.2 },
+            ConstraintPolicy::FullGrid,
+            ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.1 },
+            ConstraintPolicy::Itakura { slope: 2.0 },
+            ConstraintPolicy::fixed_core_adaptive_width(),
+            ConstraintPolicy::adaptive_core_fixed_width(0.1),
+            ConstraintPolicy::adaptive_core_adaptive_width(),
             ConstraintPolicy::adaptive_core_adaptive_width_averaged(),
         ] {
-            let eng = engine(policy);
-            let fx = extract_features(&x, &eng.config().salient).unwrap();
-            let fy = extract_features(&y, &eng.config().salient).unwrap();
-            let mut scratch = DtwScratch::new();
-            let full = eng.query(&x, &y).features(&fx, &fy).run().unwrap().unwrap();
-            let ea = eng
-                .query(&x, &y)
-                .features(&fx, &fy)
-                .cutoff(f64::INFINITY)
-                .scratch(&mut scratch)
-                .run()
-                .unwrap()
-                .expect("infinite threshold never abandons");
-            assert_eq!(full.distance.to_bits(), ea.distance.to_bits());
-            assert_eq!(full.cells_filled, ea.cells_filled);
-            // threshold exactly at the distance keeps the candidate
-            let at = eng
-                .query(&x, &y)
-                .features(&fx, &fy)
-                .cutoff(full.distance)
-                .scratch(&mut scratch)
-                .run()
+            let amerced = DtwOptions {
+                kernel: KernelChoice::Amerced { penalty: 0.1 },
+                ..DtwOptions::default()
+            };
+            for (symmetry, dtw) in [
+                (BandSymmetry::Asymmetric, DtwOptions::with_path()),
+                (BandSymmetry::Union, DtwOptions::with_path()),
+                (BandSymmetry::Asymmetric, amerced),
+            ] {
+                let eng = SDtw::new(SDtwConfig {
+                    policy,
+                    symmetry,
+                    dtw,
+                    ..SDtwConfig::default()
+                })
                 .unwrap();
-            assert!(at.is_some(), "threshold == distance must not abandon");
+                let ctx = format!("{} {symmetry:?} {}", policy.label(), dtw.kernel_label());
+                let fx = extract_features(&x, &eng.config().salient).unwrap();
+                let fy = extract_features(&y, &eng.config().salient).unwrap();
+                let out = eng.query(&x, &y).run().unwrap();
+                let (band, matched) = eng.plan_band(&fx, &fy, x.len(), y.len());
+                let direct = dtw_run_options(
+                    x.values(),
+                    y.values(),
+                    &band,
+                    &eng.config().dtw,
+                    None,
+                    &mut scratch,
+                )
+                .expect("no cutoff");
+                assert_eq!(out.distance.to_bits(), direct.distance.to_bits(), "{ctx}");
+                assert_eq!(out.cells_filled, direct.cells_filled, "{ctx}");
+                assert_eq!(out.cells_filled, band.area(), "{ctx}");
+                assert_eq!(out.path, direct.path, "{ctx}");
+                assert_eq!(out.band_coverage.to_bits(), band.coverage().to_bits());
+                let pairs = matched.map_or(0, |m| m.consistent_pairs.len());
+                assert_eq!(out.consistent_pairs, pairs, "{ctx}");
+            }
         }
-    }
-
-    #[test]
-    fn cutoff_fires_below_the_distance() {
-        let (x, y) = warped_pair(150, 170);
-        let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        let fx = extract_features(&x, &eng.config().salient).unwrap();
-        let fy = extract_features(&y, &eng.config().salient).unwrap();
-        let mut scratch = DtwScratch::new();
-        let d = eng
-            .query(&x, &y)
-            .features(&fx, &fy)
-            .run()
-            .unwrap()
-            .unwrap()
-            .distance;
-        assert!(d > 0.0);
-        let out = eng
-            .query(&x, &y)
-            .features(&fx, &fy)
-            .cutoff(d * 0.5)
-            .scratch(&mut scratch)
-            .run()
-            .unwrap();
-        assert!(out.is_none(), "threshold below the distance must abandon");
-    }
-
-    #[test]
-    fn band_override_skips_planning_and_runs_that_band() {
-        let (x, y) = warped_pair(140, 140);
-        let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        let fx = extract_features(&x, &eng.config().salient).unwrap();
-        let fy = extract_features(&y, &eng.config().salient).unwrap();
-        let (band, _) = eng.plan_band(&fx, &fy, x.len(), y.len());
-        let via_override = eng.query(&x, &y).band(&band).run().unwrap().unwrap();
-        let via_planning = eng.query(&x, &y).features(&fx, &fy).run().unwrap().unwrap();
-        assert_eq!(
-            via_override.distance.to_bits(),
-            via_planning.distance.to_bits()
-        );
-        assert_eq!(via_override.cells_filled, via_planning.cells_filled);
-        // no matching happened on the override path
-        assert_eq!(via_override.raw_pairs, 0);
-        assert_eq!(via_override.timing.extraction, None);
-    }
-
-    #[test]
-    fn kernel_override_changes_the_distance_per_call() {
-        let (x, y) = warped_pair(150, 150);
-        let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        let standard = dist(&eng, &x, &y);
-        let amerced = eng
-            .query(&x, &y)
-            .kernel(KernelChoice::Amerced { penalty: 0.1 })
-            .run()
-            .unwrap()
-            .unwrap();
-        assert!(
-            amerced.distance >= standard.distance - 1e-12,
-            "amercing can only add cost: {} vs {}",
-            amerced.distance,
-            standard.distance
-        );
-        // the engine's configuration is untouched
-        assert_eq!(eng.config().dtw.kernel, KernelChoice::Standard);
-        let again = dist(&eng, &x, &y);
-        assert_eq!(standard.distance.to_bits(), again.distance.to_bits());
-    }
-
-    #[test]
-    fn invalid_kernel_override_is_an_error_not_a_panic() {
-        let (x, y) = warped_pair(120, 120);
-        let eng = engine(ConstraintPolicy::FullGrid);
-        let res = eng
-            .query(&x, &y)
-            .kernel(KernelChoice::Amerced { penalty: -1.0 })
-            .run();
-        assert!(res.is_err(), "negative penalty must be rejected");
     }
 
     #[test]
@@ -658,107 +577,14 @@ mod tests {
         let p = out.path.expect("path requested");
         p.validate(120, 140).unwrap();
         // the per-call override wins over the config in both directions
-        let no_path = eng.query(&x, &y).path(false).run().unwrap().unwrap();
+        let no_path = eng.query(&x, &y).path(false).run().unwrap();
         assert!(no_path.path.is_none());
         let plain = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        let with_path = plain.query(&x, &y).path(true).run().unwrap().unwrap();
+        let with_path = plain.query(&x, &y).path(true).run().unwrap();
         with_path
             .path
             .expect("path override")
             .validate(120, 140)
             .unwrap();
-    }
-
-    #[test]
-    fn window_queries_match_series_queries_bitwise() {
-        // the zero-copy window path must agree with the owned-series path
-        // on every option combination the subsequence engine uses
-        let (x, y) = warped_pair(150, 150);
-        let eng = engine(ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.2 });
-        let (band, _) = eng.plan_band(&[], &[], x.len(), y.len());
-        let mut scratch = DtwScratch::new();
-        let owned = eng.query(&x, &y).band(&band).run().unwrap().unwrap();
-        let windowed = eng
-            .query_window(x.values(), y.values())
-            .band(&band)
-            .scratch(&mut scratch)
-            .run()
-            .unwrap()
-            .unwrap();
-        assert_eq!(owned.distance.to_bits(), windowed.distance.to_bits());
-        assert_eq!(owned.cells_filled, windowed.cells_filled);
-        // cutoff composes: at the distance it survives, below it abandons
-        let kept = eng
-            .query_window(x.values(), y.values())
-            .band(&band)
-            .cutoff(owned.distance)
-            .scratch(&mut scratch)
-            .run()
-            .unwrap();
-        assert!(kept.is_some());
-        let abandoned = eng
-            .query_window(x.values(), y.values())
-            .band(&band)
-            .cutoff(owned.distance * 0.5)
-            .scratch(&mut scratch)
-            .run()
-            .unwrap();
-        assert!(abandoned.is_none());
-        // true subslices (not whole series) run fine too
-        let sub = eng
-            .query_window(&x.values()[10..90], &y.values()[20..100])
-            .path(false)
-            .run()
-            .unwrap()
-            .unwrap();
-        assert!(sub.distance.is_finite());
-    }
-
-    #[test]
-    fn window_queries_with_adaptive_policies_extract_via_materialisation() {
-        let (x, y) = warped_pair(150, 170);
-        let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        let owned = dist(&eng, &x, &y);
-        let windowed = eng
-            .query_window(x.values(), y.values())
-            .run()
-            .unwrap()
-            .unwrap();
-        assert_eq!(owned.distance.to_bits(), windowed.distance.to_bits());
-        assert!(windowed.timing.extraction.is_some(), "extraction happened");
-    }
-
-    #[test]
-    fn window_queries_reject_stores_and_empty_windows() {
-        let (x, y) = warped_pair(120, 120);
-        // rejected whatever the policy — even when an alignment-free
-        // policy (or a band override) would never read the store
-        for policy in [
-            ConstraintPolicy::adaptive_core_adaptive_width(),
-            ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.2 },
-        ] {
-            let eng = engine(policy);
-            let store = crate::store::FeatureStore::new(eng.config().salient.clone()).unwrap();
-            let err = eng
-                .query_window(x.values(), y.values())
-                .store(&store)
-                .run()
-                .unwrap_err();
-            assert!(
-                format!("{err}").contains("series identity"),
-                "store on windows is rejected under {}: {err}",
-                eng.config().policy.label()
-            );
-            let (band, _) = eng.plan_band(&[], &[], x.len(), y.len());
-            assert!(eng
-                .query_window(x.values(), y.values())
-                .band(&band)
-                .store(&store)
-                .run()
-                .is_err());
-        }
-        let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        assert!(eng.query_window(&[], y.values()).run().is_err());
-        assert!(eng.query_window(x.values(), &[]).run().is_err());
     }
 }

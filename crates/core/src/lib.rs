@@ -22,9 +22,10 @@
 //! 4. run the shared banded DP kernel (`sdtw-dtw`) inside that band.
 //!
 //! The front-end type is [`SDtw`]; per-call outcomes ([`SDtwOutcome`])
-//! expose distance, optional warp path, band geometry, matching statistics
-//! and per-phase timings — everything the paper's evaluation (and this
-//! repository's experiment harness) reports.
+//! expose distance, optional warp path, band geometry and matching
+//! statistics, and a recorder attached with [`Query::recorder`] times the
+//! extraction, planning and DP phases as trace spans — everything the
+//! paper's evaluation (and this repository's experiment harness) reports.
 //!
 //! # Quickstart
 //!
@@ -45,7 +46,7 @@
 //!     policy: ConstraintPolicy::adaptive_core_adaptive_width(),
 //!     ..SDtwConfig::default()
 //! }).unwrap();
-//! let out = engine.query(&x, &y).run().unwrap().expect("no cutoff configured");
+//! let out = engine.query(&x, &y).run().unwrap();
 //! assert!(out.distance.is_finite());
 //! assert!(out.band_coverage < 1.0); // pruned a real fraction of the grid
 //! ```
@@ -59,7 +60,7 @@ pub mod policy;
 pub mod query;
 pub mod store;
 
-pub use engine::{PhaseTiming, SDtw, SDtwConfig, SDtwOutcome};
+pub use engine::{SDtw, SDtwConfig, SDtwOutcome};
 pub use policy::{BandSymmetry, ConstraintPolicy};
 pub use query::Query;
 pub use store::FeatureStore;

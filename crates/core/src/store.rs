@@ -18,7 +18,11 @@ use std::time::{Duration, Instant};
 ///
 /// Series without an id are extracted on every call (no key to cache
 /// under); attach ids with [`TimeSeries::identified`] when building a
-/// corpus.
+/// corpus. Ids must be unique across every series one store sees: a
+/// series whose id another series already cached is served that
+/// series' features. Readers that number each file from 0 (such as
+/// `sdtw_tseries::io::read_ucr`) need their ids offset when two files
+/// share a store.
 #[derive(Debug)]
 pub struct FeatureStore {
     extractor: SalientExtractor,

@@ -172,47 +172,6 @@ impl Band {
         }
     }
 
-    /// Pointwise intersection with another band of the same dimensions.
-    /// Rows whose intervals are disjoint collapse to a single seed cell
-    /// (the midpoint of the gap between them, clamped into the wider
-    /// interval's end) and are left for the sanitiser to bridge. Used to
-    /// combine an sDTW band with a multi-resolution corridor — the paper's
-    /// "naturally be implemented along with reduced representation based
-    /// solutions" (§2.1.4).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn intersect(&self, other: &Band) -> Band {
-        assert_eq!(
-            (self.n, self.m),
-            (other.n, other.m),
-            "band dimensions must match"
-        );
-        let rows = self
-            .rows
-            .iter()
-            .zip(&other.rows)
-            .map(|(a, b)| {
-                let lo = a.lo.max(b.lo);
-                let hi = a.hi.min(b.hi);
-                if lo <= hi {
-                    ColRange { lo, hi }
-                } else {
-                    // disjoint: seed the midpoint of the gap
-                    let mid = (a.hi.min(b.hi) + a.lo.max(b.lo)) / 2;
-                    ColRange::new(mid.min(self.m - 1), mid.min(self.m - 1))
-                }
-            })
-            .collect();
-        Band {
-            n: self.n,
-            m: self.m,
-            rows,
-        }
-    }
-
     /// Whether every band row stays inside the symmetric `±radius`
     /// Sakoe-Chiba window (`j ∈ [i − radius, i + radius]` for every
     /// in-band cell `(i, j)`).
@@ -499,34 +458,6 @@ mod tests {
         let diag = band(4, 4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         assert!(diag.is_feasible());
         assert_eq!(diag.sanitize(), diag);
-    }
-
-    #[test]
-    fn intersect_keeps_common_cells() {
-        let a = band(3, 8, &[(0, 4), (2, 6), (4, 7)]);
-        let b = band(3, 8, &[(2, 7), (0, 3), (5, 7)]);
-        let i = a.intersect(&b);
-        assert_eq!(i.row(0), ColRange { lo: 2, hi: 4 });
-        assert_eq!(i.row(1), ColRange { lo: 2, hi: 3 });
-        assert_eq!(i.row(2), ColRange { lo: 5, hi: 7 });
-        assert!(i.is_subset_of(&a) && i.is_subset_of(&b));
-    }
-
-    #[test]
-    fn intersect_of_disjoint_rows_seeds_and_sanitises() {
-        let a = band(2, 10, &[(0, 2), (0, 2)]);
-        let b = band(2, 10, &[(7, 9), (7, 9)]);
-        let i = a.intersect(&b).sanitize();
-        assert!(i.is_feasible());
-        // seeded rows carry exactly one pre-sanitise cell each
-        let raw = a.intersect(&b);
-        assert_eq!(raw.row(0).width(), 1);
-    }
-
-    #[test]
-    fn intersect_with_full_is_identity() {
-        let a = band(3, 5, &[(0, 1), (1, 3), (2, 4)]);
-        assert_eq!(a.intersect(&Band::full(3, 5)), a);
     }
 
     #[test]

@@ -46,9 +46,8 @@
 //! So charging `w · metric(x̄, Û)` for segments whose PAA mean escapes
 //! the coarse tube (symmetrically `L̂ = min L_i` below) lower-bounds the
 //! fine bound. The integer segmentation of
-//! [`sdtw_tseries::transform::paa_fixed_values`] — the same repeated
-//! halving idea the multi-resolution pyramid (`crate::multires`) shrinks
-//! by, with the tail kept whole — is what keeps the weights exact.
+//! [`sdtw_tseries::transform::paa_fixed_values`] — fixed-width
+//! segments, with the tail kept whole — is what keeps the weights exact.
 
 use crate::band::Band;
 use crate::lower_bound::{lb_keogh_band, lb_keogh_values, Envelope, RangeTable};

@@ -871,8 +871,8 @@ pub fn dtw_run<K: DtwKernel>(
 
 /// [`dtw_run`] driven by serialisable [`DtwOptions`]: dispatches the
 /// options' [`KernelChoice`] to a concrete kernel once, then runs the
-/// monomorphic fill. The `SDtw` query builder and every batch driver
-/// resolve to this call.
+/// monomorphic fill. The `SDtw` query builder, the kNN index and the
+/// subsequence matcher's per-window DPs resolve to this call.
 ///
 /// Returns `None` only when `cutoff` is `Some` and the run abandoned.
 ///
@@ -1597,9 +1597,6 @@ mod tests {
             }
             fn diagonal(&self, parent: f64, local: f64) -> f64 {
                 parent + local
-            }
-            fn label(&self) -> String {
-                "stiff".into()
             }
         }
         let x = ts(&[0.0, 1.0, 2.0, 1.0]);

@@ -100,9 +100,6 @@ pub trait DtwKernel {
     fn diagonal_lanes(&self, parent: F64Lanes, local: F64Lanes) -> F64Lanes {
         F64Lanes::from_fn(|l| self.diagonal(parent.lane(l), local.lane(l)))
     }
-
-    /// Short human-readable label (experiment output, CLI).
-    fn label(&self) -> String;
 }
 
 /// The paper's symmetric1 recurrence (§2.1.3): every transition pays
@@ -145,10 +142,6 @@ impl DtwKernel for StandardKernel {
     #[inline(always)]
     fn diagonal_lanes(&self, parent: F64Lanes, local: F64Lanes) -> F64Lanes {
         parent + local
-    }
-
-    fn label(&self) -> String {
-        "sym1".to_string()
     }
 }
 
@@ -227,10 +220,6 @@ impl DtwKernel for AmercedKernel {
     fn diagonal_lanes(&self, parent: F64Lanes, local: F64Lanes) -> F64Lanes {
         parent + local
     }
-
-    fn label(&self) -> String {
-        format!("amerced(w={})", self.penalty)
-    }
 }
 
 /// Serialisable kernel selector carried by
@@ -304,14 +293,9 @@ mod tests {
     fn kernel_choice_labels_and_default() {
         assert_eq!(KernelChoice::default(), KernelChoice::Standard);
         assert_eq!(KernelChoice::Standard.label(), "sym1");
-        assert_eq!(KernelChoice::Standard.label(), StandardKernel.label());
         assert_eq!(
             KernelChoice::Amerced { penalty: 0.25 }.label(),
             "amerced(w=0.25)"
-        );
-        assert_eq!(
-            KernelChoice::Amerced { penalty: 0.25 }.label(),
-            AmercedKernel::new(0.25).label()
         );
     }
 
@@ -371,9 +355,6 @@ mod tests {
             }
             fn diagonal(&self, p: f64, d: f64) -> f64 {
                 p + d
-            }
-            fn label(&self) -> String {
-                "plain".into()
             }
         }
         check(&Plain, parents, locals, xs, ys);

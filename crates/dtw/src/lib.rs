@@ -37,8 +37,6 @@
 //!   transition) with the paper's symmetric1 kernel and the amerced
 //!   (ADTW) kernel, plus the serialisable [`kernel::KernelChoice`]
 //!   selector;
-//! * [`multires`] — coarse-to-fine (FastDTW-style) corridor DTW, the
-//!   reduced-representation family the paper calls orthogonal to sDTW;
 //! * [`simd`] — the portable explicit-SIMD lane layer: the aligned
 //!   [`simd::F64Lanes`] vector type the wavefront fill and the batched
 //!   bounds sweep with (bit-identical to scalar references by
@@ -67,7 +65,7 @@
 //! let mut scratch = DtwScratch::new();
 //! let opts = DtwOptions::default();
 //! let banded = dtw_run_options(x.values(), y.values(), &band, &opts, None, &mut scratch)
-//!     .expect("no cutoff configured");
+//!     .expect("a run without a cutoff never abandons");
 //! assert!(banded.distance >= full.distance); // constrained search can only do worse
 //! ```
 
@@ -80,7 +78,6 @@ pub mod engine;
 pub mod itakura;
 pub mod kernel;
 pub mod lower_bound;
-pub mod multires;
 pub mod path;
 pub mod sakoe;
 pub mod simd;
@@ -95,6 +92,5 @@ pub use lower_bound::{
     lb_keogh, lb_keogh_band, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim,
     lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
 };
-pub use multires::dtw_multires;
 pub use path::WarpPath;
 pub use simd::{F64Lanes, LaneMask, LANE_WIDTH};

@@ -75,7 +75,7 @@ pub fn knn_self_accuracy(matrix: &DistanceMatrix, labels: &[u32], k: usize) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distmat::MatrixStats;
+    use sdtw_obs::QueryTrace;
 
     fn matrix(d: &[&[f64]]) -> DistanceMatrix {
         let n = d.len();
@@ -86,7 +86,7 @@ mod tests {
         serde_json::from_value(serde_json::json!({
             "n": n,
             "data": data,
-            "stats": MatrixStats::default(),
+            "trace": QueryTrace::default(),
         }))
         .unwrap()
     }

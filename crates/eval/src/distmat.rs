@@ -11,62 +11,13 @@
 //! the worker count).
 
 use rayon::prelude::*;
-use sdtw::{engine_label, DtwScratch, FeatureStore, PhaseTiming, SDtw};
+use sdtw::{engine_label, DtwScratch, FeatureStore, SDtw};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
 use sdtw_salient::SalientFeature;
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Aggregated cost accounting over all pairs of a matrix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MatrixStats {
-    /// One-time salient-feature extraction cost actually paid while
-    /// building this matrix (cache misses only — a pre-warmed
-    /// [`FeatureStore`] makes this exactly zero). Attributed **once** per
-    /// series, never smeared across pairs, and excluded from
-    /// [`MatrixStats::total_time`] to match the paper's cost model.
-    pub extraction_time: Duration,
-    /// Total matching (+ band construction) wall time across pairs.
-    pub matching_time: Duration,
-    /// Total dynamic-programming wall time across pairs.
-    pub dp_time: Duration,
-    /// Total DP cells filled across pairs (deterministic work proxy).
-    pub cells_filled: u64,
-    /// Total descriptor comparisons across pairs.
-    pub descriptor_comparisons: u64,
-    /// Number of ordered pairs computed.
-    pub pairs: u64,
-}
-
-impl MatrixStats {
-    /// Projects the canonical [`QueryTrace`] into the historical matrix
-    /// view — `MatrixStats` no longer hand-rolls its own timing
-    /// semantics: the time split comes from the trace's spans (via
-    /// [`PhaseTiming::from_spans`], so extraction/matching/DP attribution
-    /// is defined in exactly one place) and the work counters from the
-    /// trace's counter block. Matrix pairs always run the DP to
-    /// completion, so `pairs` is the completed-DP count.
-    pub fn from_trace(trace: &QueryTrace) -> MatrixStats {
-        let timing = PhaseTiming::from_spans(&trace.spans);
-        MatrixStats {
-            extraction_time: timing.extraction.unwrap_or_default(),
-            matching_time: timing.matching,
-            dp_time: timing.dynamic_programming,
-            cells_filled: trace.counters.cascade.cells_filled,
-            descriptor_comparisons: trace.descriptor_comparisons,
-            pairs: trace.counters.cascade.dp_completed,
-        }
-    }
-
-    /// Total per-pair cost under the paper's accounting (matching + DP;
-    /// extraction is a one-time indexed cost, tracked separately in
-    /// [`MatrixStats::extraction_time`]).
-    pub fn total_time(&self) -> Duration {
-        self.matching_time + self.dp_time
-    }
-}
 
 /// A dense `n × n` distance matrix (row `i` = distances from query `i`).
 /// Self-distances are stored as 0; the matrix may be asymmetric (adaptive
@@ -75,8 +26,10 @@ impl MatrixStats {
 pub struct DistanceMatrix {
     n: usize,
     data: Vec<f64>,
-    /// Aggregated accounting for the whole matrix.
-    pub stats: MatrixStats,
+    /// The batch's trace: per-row traces merged, the one-time extraction
+    /// the batch paid as one `Extraction` span, the `BandPlan` and
+    /// `DpFill` spans of every pair, and the work counters.
+    pub trace: QueryTrace,
 }
 
 impl DistanceMatrix {
@@ -119,8 +72,8 @@ pub struct QueryMatrix {
     queries: usize,
     corpus: usize,
     data: Vec<f64>,
-    /// Aggregated accounting for the whole matrix.
-    pub stats: MatrixStats,
+    /// The batch's trace (see [`DistanceMatrix::trace`]).
+    pub trace: QueryTrace,
 }
 
 impl QueryMatrix {
@@ -241,13 +194,12 @@ fn traced_row<'c>(
             .scratch(scratch)
             .recorder(&mut rec)
             .run()
-            .expect("supplied features cannot fail extraction")
-            .expect("no cutoff configured");
+            .expect("supplied features cannot fail extraction");
         out[j] = o.distance;
         trace.counters.cascade.candidates += 1;
         trace.counters.cascade.record_completed(o.cells_filled);
         trace.descriptor_comparisons += o.descriptor_comparisons as u64;
-        trace.band_area += o.band_area as u64;
+        trace.band_area += o.cells_filled as u64;
         trace.full_grid += (x.len() * y.len()) as u64;
     }
     trace.spans = rec.finish();
@@ -257,11 +209,12 @@ fn traced_row<'c>(
 /// Computes the full pairwise distance matrix of a corpus under an engine.
 ///
 /// Features are taken from (and cached in) `store`, so extraction is a
-/// one-time cost excluded from the per-pair accounting — matching the
-/// paper's cost model. With `parallel` the rows run on the worker pool
-/// (one DP scratch per worker); the accounted times are summed across
-/// threads (CPU time, which is what the time-gain ratios compare).
-/// Distances are identical between the serial and parallel paths.
+/// one-time cost the matrix's trace keeps apart from the per-pair spans
+/// — matching the paper's cost model. With `parallel` the rows run on
+/// the worker pool (one DP scratch per worker); the recorded times are
+/// summed across threads (CPU time, which is what the time-gain ratios
+/// compare). Distances are identical between the serial and parallel
+/// paths.
 ///
 /// # Errors
 ///
@@ -272,24 +225,6 @@ pub fn compute_matrix(
     store: &FeatureStore,
     parallel: bool,
 ) -> Result<DistanceMatrix, TsError> {
-    Ok(compute_matrix_traced(corpus, engine, store, parallel)?.0)
-}
-
-/// [`compute_matrix`] plus the canonical [`QueryTrace`] of the whole
-/// batch: per-row (shard-local) traces merged under the standard
-/// discipline, the one-time extraction cost as an `Extraction` span, and
-/// the matrix's [`MatrixStats`] derived from the trace rather than
-/// accumulated separately.
-///
-/// # Errors
-///
-/// Propagates feature-extraction failures.
-pub fn compute_matrix_traced(
-    corpus: &[TimeSeries],
-    engine: &SDtw,
-    store: &FeatureStore,
-    parallel: bool,
-) -> Result<(DistanceMatrix, QueryTrace), TsError> {
     let t0 = std::time::Instant::now();
     let n = corpus.len();
     let (features, extraction_time) = features_of(corpus, engine, store)?;
@@ -323,8 +258,7 @@ pub fn compute_matrix_traced(
         trace.spans.push(extraction_span(extraction_time, n as u64));
     }
     trace.wall = t0.elapsed();
-    let stats = MatrixStats::from_trace(&trace);
-    Ok((DistanceMatrix { n, data, stats }, trace))
+    Ok(DistanceMatrix { n, data, trace })
 }
 
 /// The identity/shape half of a matrix-level trace.
@@ -366,7 +300,10 @@ fn extraction_span(duration: Duration, series: u64) -> SpanRecord {
 ///
 /// Same caching, parallelism and determinism contract as
 /// [`compute_matrix`]; queries and corpus may have different lengths and
-/// sizes.
+/// sizes. The store caches by [`TimeSeries::id`], so every id must be
+/// unique across the queries and the corpus (and anything else the store
+/// has seen): a query sharing a corpus series' id is served that
+/// series' features.
 ///
 /// # Errors
 ///
@@ -378,22 +315,6 @@ pub fn compute_query_matrix(
     store: &FeatureStore,
     parallel: bool,
 ) -> Result<QueryMatrix, TsError> {
-    Ok(compute_query_matrix_traced(queries, corpus, engine, store, parallel)?.0)
-}
-
-/// [`compute_query_matrix`] plus the batch's canonical [`QueryTrace`]
-/// (same contract as [`compute_matrix_traced`]).
-///
-/// # Errors
-///
-/// Propagates feature-extraction failures.
-pub fn compute_query_matrix_traced(
-    queries: &[TimeSeries],
-    corpus: &[TimeSeries],
-    engine: &SDtw,
-    store: &FeatureStore,
-    parallel: bool,
-) -> Result<(QueryMatrix, QueryTrace), TsError> {
     let t0 = std::time::Instant::now();
     let (q_features, q_extraction) = features_of(queries, engine, store)?;
     let (c_features, c_extraction) = features_of(corpus, engine, store)?;
@@ -437,16 +358,12 @@ pub fn compute_query_matrix_traced(
         ));
     }
     trace.wall = t0.elapsed();
-    let stats = MatrixStats::from_trace(&trace);
-    Ok((
-        QueryMatrix {
-            queries: queries.len(),
-            corpus: cols,
-            data,
-            stats,
-        },
+    Ok(QueryMatrix {
+        queries: queries.len(),
+        corpus: cols,
+        data,
         trace,
-    ))
+    })
 }
 
 #[cfg(test)]
@@ -479,8 +396,11 @@ mod tests {
                 assert!((m.get(i, j) - m.get(j, i)).abs() < 1e-9);
             }
         }
-        assert_eq!(m.stats.pairs, (corpus.len() * (corpus.len() - 1)) as u64);
-        assert!(m.stats.cells_filled > 0);
+        assert_eq!(
+            m.trace.counters.cascade.dp_completed,
+            (corpus.len() * (corpus.len() - 1)) as u64
+        );
+        assert!(m.trace.counters.cascade.cells_filled > 0);
     }
 
     #[test]
@@ -496,8 +416,20 @@ mod tests {
                 assert_eq!(a.get(i, j).to_bits(), b.get(i, j).to_bits());
             }
         }
-        assert_eq!(a.stats.cells_filled, b.stats.cells_filled);
-        assert_eq!(a.stats.pairs, b.stats.pairs);
+        assert_eq!(a.trace.counters, b.trace.counters);
+        assert_eq!(a.trace.band_area, b.trace.band_area);
+        let trace = &a.trace;
+        assert_eq!(trace.workload, WorkloadKind::DistanceMatrix);
+        assert!(trace.counters.is_consistent());
+        assert!(
+            trace.spans.iter().any(|s| s.phase == TracePhase::DpFill),
+            "row recorders contribute DP spans"
+        );
+        assert_eq!(trace.band_area, trace.counters.cascade.cells_filled);
+        assert!(trace.full_grid >= trace.band_area);
+        // the NDJSON line round-trips
+        let back = QueryTrace::from_json_line(&trace.to_json_line()).unwrap();
+        assert_eq!(&back, trace);
     }
 
     #[test]
@@ -535,7 +467,8 @@ mod tests {
                 assert!(banded.get(i, j) >= reference.get(i, j) - 1e-9);
             }
         }
-        assert!(banded.stats.cells_filled < reference.stats.cells_filled);
+        let cells = |m: &DistanceMatrix| m.trace.counters.cascade.cells_filled;
+        assert!(cells(&banded) < cells(&reference));
     }
 
     #[test]
@@ -547,7 +480,10 @@ mod tests {
         let qm = compute_query_matrix(&queries, &corpus, &eng, &store, false).unwrap();
         assert_eq!(qm.queries(), 2);
         assert_eq!(qm.corpus(), corpus.len());
-        assert_eq!(qm.stats.pairs, (2 * corpus.len()) as u64);
+        assert_eq!(
+            qm.trace.counters.cascade.dp_completed,
+            (2 * corpus.len()) as u64
+        );
         // rows must equal individually computed distances
         for (q, query) in queries.iter().enumerate() {
             let fq = store.features_for(query).unwrap();
@@ -557,7 +493,6 @@ mod tests {
                     .query(query, cand)
                     .features(&fq, &fc)
                     .run()
-                    .unwrap()
                     .unwrap()
                     .distance;
                 assert_eq!(qm.get(q, j).to_bits(), d.to_bits());
@@ -581,60 +516,53 @@ mod tests {
                 assert_eq!(a.get(q, j).to_bits(), b.get(q, j).to_bits());
             }
         }
-        assert_eq!(a.stats.cells_filled, b.stats.cells_filled);
+        assert_eq!(a.trace.counters, b.trace.counters);
     }
 
     #[test]
     fn extraction_is_attributed_once_and_absent_when_warmed() {
         let corpus = small_corpus();
         let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        // cold store: the matrix pays extraction exactly once (misses)
+        let extraction = |m: &DistanceMatrix| {
+            let spans: Vec<_> = m
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.phase == TracePhase::Extraction)
+                .collect();
+            assert!(spans.len() <= 1, "one batch-level span at most: {spans:?}");
+            spans.first().map(|s| (s.count, s.duration))
+        };
+        // cold store: the matrix pays extraction exactly once (misses),
+        // one span counting every series
         let cold_store = FeatureStore::new(eng.config().salient.clone()).unwrap();
         let cold = compute_matrix(&corpus, &eng, &cold_store, false).unwrap();
+        let (count, duration) = extraction(&cold).expect("cold store extracts");
+        assert_eq!(count, corpus.len() as u64);
         assert!(
-            cold.stats.extraction_time > Duration::ZERO,
+            duration > Duration::ZERO,
             "cold store must attribute the one-time extraction"
         );
-        // same store again: every lookup hits, extraction is exactly zero
+        // same store again: every lookup hits, no extraction span at all
         let warm = compute_matrix(&corpus, &eng, &cold_store, false).unwrap();
-        assert_eq!(warm.stats.extraction_time, Duration::ZERO);
-        // and extraction never leaks into the per-pair split
-        assert_eq!(
-            warm.stats.total_time(),
-            warm.stats.matching_time + warm.stats.dp_time
-        );
+        assert_eq!(extraction(&warm), None);
+        // per-pair spans are planning and DP, one of each per pair
+        let pairs = (corpus.len() * (corpus.len() - 1)) as u64;
+        for phase in [TracePhase::BandPlan, TracePhase::DpFill] {
+            let count: u64 = warm
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.phase == phase)
+                .map(|s| s.count)
+                .sum();
+            assert_eq!(count, pairs, "{phase:?}");
+        }
         // alignment-free policies never extract at all
         let sakoe = engine(ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.2 });
         let store = FeatureStore::new(sakoe.config().salient.clone()).unwrap();
         let m = compute_matrix(&corpus, &sakoe, &store, false).unwrap();
-        assert_eq!(m.stats.extraction_time, Duration::ZERO);
-    }
-
-    #[test]
-    fn traced_matrix_matches_plain_and_stats_derive_from_the_trace() {
-        let corpus = small_corpus();
-        let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width());
-        let store = FeatureStore::new(eng.config().salient.clone()).unwrap();
-        let plain = compute_matrix(&corpus, &eng, &store, false).unwrap();
-        let (traced, trace) = compute_matrix_traced(&corpus, &eng, &store, false).unwrap();
-        for i in 0..plain.n() {
-            for j in 0..plain.n() {
-                assert_eq!(plain.get(i, j).to_bits(), traced.get(i, j).to_bits());
-            }
-        }
-        assert_eq!(trace.workload, WorkloadKind::DistanceMatrix);
-        assert_eq!(traced.stats, MatrixStats::from_trace(&trace));
-        assert_eq!(trace.counters.cascade.dp_completed, traced.stats.pairs);
-        assert!(trace.counters.is_consistent());
-        assert!(
-            trace.spans.iter().any(|s| s.phase == TracePhase::DpFill),
-            "row recorders contribute DP spans"
-        );
-        assert!(trace.band_area > 0);
-        assert!(trace.full_grid >= trace.band_area);
-        // the NDJSON line round-trips
-        let back = QueryTrace::from_json_line(&trace.to_json_line()).unwrap();
-        assert_eq!(back, trace);
+        assert_eq!(extraction(&m), None);
     }
 
     #[test]
@@ -653,11 +581,10 @@ mod tests {
             })
             .unwrap();
             let store = FeatureStore::new(eng.config().salient.clone()).unwrap();
-            let (_, trace) = compute_matrix_traced(&corpus, &eng, &store, false).unwrap();
-            assert_eq!(trace.shape.engine, fill, "compute_path {compute_path}");
-            let (_, trace) =
-                compute_query_matrix_traced(&corpus[..1], &corpus, &eng, &store, false).unwrap();
-            assert_eq!(trace.shape.engine, fill, "compute_path {compute_path}");
+            let m = compute_matrix(&corpus, &eng, &store, false).unwrap();
+            assert_eq!(m.trace.shape.engine, fill, "compute_path {compute_path}");
+            let qm = compute_query_matrix(&corpus[..1], &corpus, &eng, &store, false).unwrap();
+            assert_eq!(qm.trace.shape.engine, fill, "compute_path {compute_path}");
         }
     }
 

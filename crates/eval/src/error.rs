@@ -82,7 +82,7 @@ pub fn intra_class_errors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distmat::MatrixStats;
+    use sdtw_obs::QueryTrace;
 
     fn matrix(d: &[&[f64]]) -> DistanceMatrix {
         let n = d.len();
@@ -93,7 +93,7 @@ mod tests {
         serde_json::from_value(serde_json::json!({
             "n": n,
             "data": data,
-            "stats": MatrixStats::default(),
+            "trace": QueryTrace::default(),
         }))
         .unwrap()
     }

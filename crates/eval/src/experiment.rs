@@ -14,6 +14,7 @@ use crate::gain::{matching_fraction, time_gain, work_gain};
 use crate::retrieval::retrieval_accuracy;
 use sdtw::{ConstraintPolicy, FeatureStore, SDtw, SDtwConfig};
 use sdtw_datasets::Dataset;
+use sdtw_obs::TracePhase;
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -175,12 +176,12 @@ pub fn summarize(
         retrieval_accuracy: retrieval,
         classification_accuracy: classification,
         intra_class_errors: intra_class_errors(reference, matrix, labels),
-        time_gain: time_gain(&reference.stats, &matrix.stats),
-        work_gain: work_gain(&reference.stats, &matrix.stats),
-        matching_fraction: matching_fraction(&matrix.stats),
-        extraction_time: matrix.stats.extraction_time,
-        cells_filled: matrix.stats.cells_filled,
-        descriptor_comparisons: matrix.stats.descriptor_comparisons,
+        time_gain: time_gain(&reference.trace, &matrix.trace),
+        work_gain: work_gain(&reference.trace, &matrix.trace),
+        matching_fraction: matching_fraction(&matrix.trace),
+        extraction_time: matrix.trace.phase_duration(TracePhase::Extraction),
+        cells_filled: matrix.trace.counters.cascade.cells_filled,
+        descriptor_comparisons: matrix.trace.descriptor_comparisons,
     }
 }
 

@@ -3,33 +3,45 @@
 //! matching + inconsistency pruning + constrained DP (extraction is a
 //! one-time indexed cost). The *work gain* analogue replaces wall time
 //! with DP cells filled + descriptor comparisons — deterministic, so CI
-//! can assert on it.
+//! can assert on it. Each reads a matrix's [`QueryTrace`]: its `BandPlan`
+//! and `DpFill` spans and its counters.
 
-use crate::distmat::MatrixStats;
+use sdtw_obs::{QueryTrace, TracePhase};
+use std::time::Duration;
+
+/// Per-pair cost under the paper's accounting: matching (band planning)
+/// plus DP, without the one-time extraction.
+fn pair_time(trace: &QueryTrace) -> Duration {
+    trace.phase_duration(TracePhase::BandPlan) + trace.phase_duration(TracePhase::DpFill)
+}
+
+/// Deterministic work: DP cells plus `weight` cells per descriptor
+/// comparison.
+fn work(trace: &QueryTrace, weight: f64) -> f64 {
+    trace.counters.cascade.cells_filled as f64 + weight * trace.descriptor_comparisons as f64
+}
 
 /// Wall-clock time gain of a constrained run against the reference run.
 /// Positive = faster than full DTW; can be negative when the constraint
 /// machinery costs more than it saves.
-pub fn time_gain(reference: &MatrixStats, constrained: &MatrixStats) -> f64 {
-    let t_ref = reference.total_time().as_secs_f64();
+pub fn time_gain(reference: &QueryTrace, constrained: &QueryTrace) -> f64 {
+    let t_ref = pair_time(reference).as_secs_f64();
     if t_ref <= 0.0 {
         return 0.0;
     }
-    (t_ref - constrained.total_time().as_secs_f64()) / t_ref
+    (t_ref - pair_time(constrained).as_secs_f64()) / t_ref
 }
 
 /// Deterministic work-proxy gain: compares DP cells + descriptor
 /// comparisons (one descriptor comparison is weighted as `weight` cell
 /// fills; descriptors are short vectors, so the default weight in
 /// [`work_gain`] is the descriptor length).
-pub fn work_gain_weighted(reference: &MatrixStats, constrained: &MatrixStats, weight: f64) -> f64 {
-    let w_ref = reference.cells_filled as f64 + weight * reference.descriptor_comparisons as f64;
+pub fn work_gain_weighted(reference: &QueryTrace, constrained: &QueryTrace, weight: f64) -> f64 {
+    let w_ref = work(reference, weight);
     if w_ref <= 0.0 {
         return 0.0;
     }
-    let w_con =
-        constrained.cells_filled as f64 + weight * constrained.descriptor_comparisons as f64;
-    (w_ref - w_con) / w_ref
+    (w_ref - work(constrained, weight)) / w_ref
 }
 
 /// Work gain with a descriptor comparison costed as 2 cell fills. A 64-bin
@@ -37,33 +49,42 @@ pub fn work_gain_weighted(reference: &MatrixStats, constrained: &MatrixStats, we
 /// is a branchy 3-way min with band bookkeeping; wall-time calibration on
 /// this engine puts one comparison at roughly two cells. Use
 /// [`work_gain_weighted`] to ablate the weight.
-pub fn work_gain(reference: &MatrixStats, constrained: &MatrixStats) -> f64 {
+pub fn work_gain(reference: &QueryTrace, constrained: &QueryTrace) -> f64 {
     work_gain_weighted(reference, constrained, 2.0)
 }
 
 /// Fraction of a run's cost spent in matching (Figure 17's split).
-pub fn matching_fraction(stats: &MatrixStats) -> f64 {
-    let total = stats.total_time().as_secs_f64();
+pub fn matching_fraction(trace: &QueryTrace) -> f64 {
+    let total = pair_time(trace).as_secs_f64();
     if total <= 0.0 {
         return 0.0;
     }
-    stats.matching_time.as_secs_f64() / total
+    trace.phase_duration(TracePhase::BandPlan).as_secs_f64() / total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use sdtw_obs::SpanRecord;
 
-    fn stats(matching_ms: u64, dp_ms: u64, cells: u64, descs: u64) -> MatrixStats {
-        MatrixStats {
-            extraction_time: Duration::ZERO,
-            matching_time: Duration::from_millis(matching_ms),
-            dp_time: Duration::from_millis(dp_ms),
-            cells_filled: cells,
+    fn stats(matching_ms: u64, dp_ms: u64, cells: u64, descs: u64) -> QueryTrace {
+        let span = |phase, ms| SpanRecord {
+            phase,
+            start: Duration::ZERO,
+            duration: Duration::from_millis(ms),
+            count: 1,
+            thread: 0,
+        };
+        let mut trace = QueryTrace {
+            spans: vec![
+                span(TracePhase::BandPlan, matching_ms),
+                span(TracePhase::DpFill, dp_ms),
+            ],
             descriptor_comparisons: descs,
-            pairs: 1,
-        }
+            ..QueryTrace::default()
+        };
+        trace.counters.cascade.cells_filled = cells;
+        trace
     }
 
     #[test]

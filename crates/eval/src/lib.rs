@@ -57,10 +57,7 @@ pub mod gain;
 pub mod retrieval;
 pub mod subsequence;
 
-pub use distmat::{
-    compute_matrix, compute_matrix_traced, compute_query_matrix, compute_query_matrix_traced,
-    DistanceMatrix, MatrixStats, QueryMatrix,
-};
+pub use distmat::{compute_matrix, compute_query_matrix, DistanceMatrix, QueryMatrix};
 pub use experiment::{evaluate_policies, EvalOptions, PolicyEval};
 pub use subsequence::{
     brute_force_matches, corpus_brute_force, select_matches, subsequence_profile, CorpusMatch,

@@ -32,7 +32,7 @@ pub fn retrieval_accuracy(reference: &DistanceMatrix, approx: &DistanceMatrix, k
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distmat::MatrixStats;
+    use sdtw_obs::QueryTrace;
 
     /// Builds a matrix directly from explicit distances (test helper).
     fn matrix(d: &[&[f64]]) -> DistanceMatrix {
@@ -46,7 +46,7 @@ mod tests {
         let json = serde_json::json!({
             "n": n,
             "data": data,
-            "stats": MatrixStats::default(),
+            "trace": QueryTrace::default(),
         });
         serde_json::from_value(json).unwrap()
     }

@@ -43,11 +43,7 @@ pub fn subsequence_profile(
     for w in 0..=(xv.len() - m) {
         let window = TimeSeries::new(xv[w..w + m].to_vec())?;
         let window = if z_norm { z_normalize(&window) } else { window };
-        let out = engine
-            .query(&q, &window)
-            .path(false)
-            .run()?
-            .expect("no cutoff configured");
+        let out = engine.query(&q, &window).path(false).run()?;
         profile.push((w, out.distance));
     }
     Ok(profile)

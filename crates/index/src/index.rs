@@ -8,7 +8,7 @@ use sdtw_dtw::band::Band;
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::engine_label;
+use sdtw_dtw::engine::{dtw_run_options, engine_label, DtwOptions};
 use sdtw_dtw::lower_bound::{
     lb_keogh_batch, lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
 };
@@ -644,6 +644,10 @@ impl SdtwIndex {
         }
         debug_assert!(pending.len() <= LB_LANES, "queue flushes at the lane width");
         let metric = self.config.sdtw.dtw.metric;
+        let opts = DtwOptions {
+            compute_path: false,
+            ..self.config.sdtw.dtw
+        };
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
         rec.time(TracePhase::LbKeogh, || {
             // slots past `applicable` hold a placeholder nobody reads
@@ -692,18 +696,16 @@ impl SdtwIndex {
             }
             areas.0 += cand.band.area() as u64;
             areas.1 += (q.len() * entry.series.len()) as u64;
-            match rec
-                .time(TracePhase::DpFill, || {
-                    self.engine
-                        .query(q, &entry.series)
-                        .band(&cand.band)
-                        .cutoff(threshold)
-                        .path(false)
-                        .scratch(scratch)
-                        .run()
-                })
-                .expect("band override cannot fail extraction")
-            {
+            match rec.time(TracePhase::DpFill, || {
+                dtw_run_options(
+                    q.values(),
+                    entry.series.values(),
+                    &cand.band,
+                    &opts,
+                    Some(threshold),
+                    scratch,
+                )
+            }) {
                 None => {
                     stats.record_abandoned(cand.band.area());
                     if let Some(d) = dispositions.as_deref_mut() {

@@ -64,7 +64,7 @@ fn coarse_bound_is_admissible_under_lb_keogh_and_banded_dtw() {
                 let radius = config.radius_for(y.len());
                 let env = Envelope::build(y, radius);
                 let fine = lb_keogh(q, &env, metric);
-                let dtw = engine.query(q, y).run().unwrap().unwrap().distance;
+                let dtw = engine.query(q, y).run().unwrap().distance;
                 assert!(
                     fine <= dtw + 1e-9,
                     "{name}/{j}: LB_Keogh {fine} exceeded banded DTW {dtw}"

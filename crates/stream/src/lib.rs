@@ -6,9 +6,10 @@
 //! is the UCR-suite-style engine for that workload, built from the
 //! ingredients the rest of the workspace already provides — envelopes and
 //! LB_Kim summaries (`sdtw_dtw::lower_bound`), the shared pruning
-//! pipeline and its accounting (`sdtw_dtw::cascade`), the zero-copy
-//! `SDtw::query_window` builder path, and the O(1) incremental window
-//! statistics (`sdtw_tseries::stats::WindowedStats`).
+//! pipeline and its accounting (`sdtw_dtw::cascade`), the banded DP run
+//! on borrowed windows (`sdtw_dtw::engine::dtw_run_options`), and the
+//! O(1) incremental window statistics
+//! (`sdtw_tseries::stats::WindowedStats`).
 //!
 //! A [`SubseqMatcher`] prepares a query once (z-normalisation, envelope,
 //! LB_Kim summary, cached salient descriptors, shared band) and then
@@ -44,10 +45,10 @@
 //! z-normalisation) → **coarse PAA pre-filter** (segment means against
 //! the PAA-compressed query envelope) → **LB_Keogh** against the query
 //! envelope (on exactly-normalised samples) → **early-abandoned banded
-//! DP** through the query builder. See `DESIGN.md` §9 for the
-//! admissibility argument of the rolling bounds and §10 for the PAA
-//! stage, the halo-window sharding proof, and the monitor's exactness
-//! regimes.
+//! DP** (`dtw_run_options` on the borrowed window). See `DESIGN.md` §9
+//! for the admissibility argument of the rolling bounds and §10 for the
+//! PAA stage, the halo-window sharding proof, and the monitor's
+//! exactness regimes.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@ use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::{dtw_run_windows, engine_label};
+use sdtw_dtw::engine::{dtw_run_options, dtw_run_windows, engine_label, DtwOptions};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{
@@ -356,10 +356,9 @@ impl<'a> PreparedHaystack<'a> {
 ///   flush then decides the candidate with the least
 ///   `(floor, offset)`, and the end of the pass decides the rest in that
 ///   order until a floor exceeds the threshold: a decision extracts and
-///   plans the window and runs its DP through the zero-copy
-///   [`SDtw::query_window`] builder path against a fresh best-so-far
-///   threshold, and every candidate whose floor now exceeds it is
-///   dropped.
+///   plans the window and runs [`dtw_run_options`] on the borrowed
+///   window against a fresh best-so-far threshold, and every candidate
+///   whose floor now exceeds it is dropped.
 ///
 /// Thresholds only tighten within a pass, every drop needs a floor
 /// strictly above the threshold, and every DP lets ties complete, so no
@@ -724,9 +723,9 @@ impl SubseqMatcher {
                 (&planned.0, planned.1)
             }
         };
-        self.finish_window(
+        Ok(self.finish_window(
             wv, band, reach, None, threshold, dtw, cascade, stats, rec, areas,
-        )
+        ))
     }
 
     /// Plans the adaptive band for one prepared (normalised) window —
@@ -781,7 +780,7 @@ impl SubseqMatcher {
         stats: &mut CascadeStats,
         rec: &mut Recorder,
         areas: &mut (u64, u64),
-    ) -> Result<WindowVerdict, TsError> {
+    ) -> WindowVerdict {
         let input = self.sample_input(wv, y_keogh_raw);
         // the sample-phase screen covers the coarse PAA pre-filter and
         // both LB_Keogh directions; all attributed to the LbKeogh span
@@ -789,28 +788,26 @@ impl SubseqMatcher {
             self.cascade
                 .screen_samples(stats, &input, band_reach, threshold, cascade_scratch)
         }) {
-            return Ok(WindowVerdict::Pruned(kind));
+            return WindowVerdict::Pruned(kind);
         }
         areas.0 += band.area() as u64;
         areas.1 += (self.m * self.m) as u64;
+        let opts = DtwOptions {
+            compute_path: false,
+            ..self.config.sdtw.dtw
+        };
         match rec.time(TracePhase::DpFill, || {
-            self.engine
-                .query_window(&self.query, wv)
-                .band(band)
-                .cutoff(threshold)
-                .path(false)
-                .scratch(dtw)
-                .run()
-        })? {
+            dtw_run_options(&self.query, wv, band, &opts, Some(threshold), dtw)
+        }) {
             None => {
                 // the abandoning run still paid for part of the grid;
                 // charge the full band conservatively (as the index does)
                 stats.record_abandoned(band.area());
-                Ok(WindowVerdict::Abandoned)
+                WindowVerdict::Abandoned
             }
             Some(r) => {
                 stats.record_completed(r.cells_filled);
-                Ok(WindowVerdict::Completed(r.distance))
+                WindowVerdict::Completed(r.distance)
             }
         }
     }
@@ -1602,7 +1599,7 @@ impl ShardScan {
             &mut stats.cascade,
             rec,
             areas,
-        )?;
+        );
         records[i] = match verdict {
             WindowVerdict::Completed(d) => {
                 offer(best, d, w, tau);
@@ -1896,7 +1893,7 @@ mod tests {
         let mut profile: Vec<(usize, f64)> = Vec::new();
         for w in 0..=(hay.len() - 32) {
             let window = z_normalize(&ts(hay.values()[w..w + 32].to_vec()));
-            let d = engine.query(&qts, &window).run().unwrap().unwrap().distance;
+            let d = engine.query(&qts, &window).run().unwrap().distance;
             profile.push((w, d));
         }
         for k in [1usize, 3] {

@@ -70,7 +70,9 @@ fn main() {
             classification_accuracy(&reference, &matrix, &labels, 5),
             classification_accuracy(&reference, &matrix, &labels, 10),
             knn_self_accuracy(&matrix, &labels, 1),
-            matrix.stats.cells_filled as f64 / reference.stats.cells_filled as f64 * 100.0,
+            matrix.trace.counters.cascade.cells_filled as f64
+                / reference.trace.counters.cascade.cells_filled as f64
+                * 100.0,
         );
     }
     println!("\n(agree@k = Jaccard overlap with the full-DTW label sets; truth@1 =");

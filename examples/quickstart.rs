@@ -38,11 +38,7 @@ fn main() {
         ..SDtwConfig::default()
     })
     .expect("valid config");
-    let out = engine
-        .query(&x, &y)
-        .run()
-        .expect("extraction succeeds")
-        .expect("no cutoff configured");
+    let out = engine.query(&x, &y).run().expect("extraction succeeds");
     println!(
         "sDTW (ac2,aw)   distance = {:10.4}   cells = {}   band coverage = {:.1}%",
         out.distance,
@@ -60,11 +56,7 @@ fn main() {
         ..SDtwConfig::default()
     })
     .expect("valid config");
-    let sc = sakoe
-        .query(&x, &y)
-        .run()
-        .expect("no extraction needed")
-        .expect("no cutoff configured");
+    let sc = sakoe.query(&x, &y).run().expect("no extraction needed");
     println!(
         "Sakoe 10%       distance = {:10.4}   cells = {}",
         sc.distance, sc.cells_filled

@@ -9,6 +9,11 @@ use sdtw_suite::datasets::econ;
 use sdtw_suite::eval::{compute_matrix, retrieval::retrieval_accuracy};
 use sdtw_suite::prelude::*;
 
+/// DP cells a matrix filled, summed over its pairs.
+fn cells(matrix: &DistanceMatrix) -> u64 {
+    matrix.trace.counters.cascade.cells_filled
+}
+
 fn main() {
     // 6 groups x 4 series, like Figure 1's A/B vs C/D pairs but larger.
     let corpus = econ::generate(2024, 6, 4).series;
@@ -61,8 +66,8 @@ fn main() {
             policy.label(),
             a3,
             a5,
-            matrix.stats.cells_filled,
-            matrix.stats.cells_filled as f64 / reference.stats.cells_filled as f64 * 100.0
+            cells(&matrix),
+            cells(&matrix) as f64 / cells(&reference) as f64 * 100.0
         );
     }
 

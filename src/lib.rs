@@ -52,8 +52,8 @@ pub use sdtw as core;
 /// consciously.
 pub mod prelude {
     pub use sdtw::{
-        BandSymmetry, ConstraintPolicy, DtwScratch, FeatureStore, MatchConfig, PhaseTiming, Query,
-        SDtw, SDtwConfig, SDtwOutcome, SalientConfig,
+        BandSymmetry, ConstraintPolicy, DtwScratch, FeatureStore, MatchConfig, Query, SDtw,
+        SDtwConfig, SDtwOutcome, SalientConfig,
     };
     pub use sdtw_datasets::{Dataset, UcrAnalog};
     pub use sdtw_dtw::engine::{dtw_full, dtw_run, dtw_run_options, DtwOptions};
@@ -65,8 +65,8 @@ pub mod prelude {
     pub use sdtw_dtw::simd::{F64Lanes, LANE_WIDTH};
     pub use sdtw_dtw::{Band, WarpPath};
     pub use sdtw_eval::{
-        compute_matrix, compute_matrix_traced, compute_query_matrix, compute_query_matrix_traced,
-        evaluate_policies, DistanceMatrix, EvalOptions, PolicyEval, QueryMatrix,
+        compute_matrix, compute_query_matrix, evaluate_policies, DistanceMatrix, EvalOptions,
+        PolicyEval, QueryMatrix,
     };
     pub use sdtw_index::{
         CascadeStats, IndexConfig, Neighbor, SdtwIndex, SnapshotCodec, SnapshotFormat,

@@ -33,7 +33,6 @@ const EXPECTED: &[&str] = &[
     "MatchConfig",
     "MonitorBank",
     "Neighbor",
-    "PhaseTiming",
     "PolicyEval",
     "Query",
     "QueryMatrix",
@@ -70,9 +69,7 @@ const EXPECTED: &[&str] = &[
     "WindowedStats",
     "WorkloadKind",
     "compute_matrix",
-    "compute_matrix_traced",
     "compute_query_matrix",
-    "compute_query_matrix_traced",
     "dtw_full",
     "dtw_run",
     "dtw_run_options",
@@ -153,7 +150,6 @@ fn snapshot_items_actually_resolve() {
     assert_type::<prelude::KernelChoice>();
     assert_type::<prelude::AmercedKernel>();
     assert_type::<prelude::StandardKernel>();
-    assert_type::<prelude::PhaseTiming>();
     assert_type::<prelude::CascadeStats>();
     assert_type::<prelude::DistanceMatrix>();
     assert_type::<prelude::SdtwIndex>();
@@ -172,9 +168,8 @@ fn snapshot_items_actually_resolve() {
         &prelude::DtwOptions,
     ) -> sdtw_suite::dtw::DtwResult = prelude::dtw_full;
     let _ = prelude::dtw_run_options;
+    let _ = prelude::compute_matrix;
     let _ = prelude::compute_query_matrix;
-    let _ = prelude::compute_matrix_traced;
-    let _ = prelude::compute_query_matrix_traced;
     assert_type::<prelude::QueryTrace>();
     assert_type::<prelude::Recorder>();
     assert_type::<prelude::SpanRecord>();

@@ -94,7 +94,6 @@ fn sdtw_distance_close_to_optimal_despite_pruning() {
         .unwrap()
         .query(&x, &y)
         .run()
-        .map(|o| o.expect("no cutoff"))
         .unwrap()
     };
     let adaptive = run(ConstraintPolicy::adaptive_core_adaptive_width_averaged());
@@ -119,17 +118,17 @@ fn pipeline_handles_degenerate_inputs_end_to_end() {
     // single-sample vs long series
     let x = TimeSeries::new(vec![1.0]).unwrap();
     let y = TimeSeries::new((0..64).map(|i| (i as f64 / 5.0).sin()).collect()).unwrap();
-    let out = engine.query(&x, &y).run().unwrap().expect("no cutoff");
+    let out = engine.query(&x, &y).run().unwrap();
     assert!(out.distance.is_finite());
     // two constant series
     let c1 = TimeSeries::new(vec![2.0; 50]).unwrap();
     let c2 = TimeSeries::new(vec![3.0; 70]).unwrap();
-    let out = engine.query(&c1, &c2).run().unwrap().expect("no cutoff");
+    let out = engine.query(&c1, &c2).run().unwrap();
     assert!(out.distance.is_finite());
     assert_eq!(out.consistent_pairs, 0);
     // identical short series
     let s = TimeSeries::new(vec![0.0, 1.0, 0.0]).unwrap();
-    let out = engine.query(&s, &s).run().unwrap().expect("no cutoff");
+    let out = engine.query(&s, &s).run().unwrap();
     assert_eq!(out.distance, 0.0);
 }
 
@@ -142,13 +141,8 @@ fn feature_store_integrates_with_engine() {
     let store = FeatureStore::new(engine.config().salient.clone()).unwrap();
     let fx = store.features_for(&x).unwrap();
     let fy = store.features_for(&y).unwrap();
-    let cached = engine
-        .query(&x, &y)
-        .features(&fx, &fy)
-        .run()
-        .unwrap()
-        .expect("no cutoff");
-    let uncached = engine.query(&x, &y).run().unwrap().expect("no cutoff");
+    let cached = engine.query(&x, &y).features(&fx, &fy).run().unwrap();
+    let uncached = engine.query(&x, &y).run().unwrap();
     assert_eq!(cached.distance, uncached.distance);
     assert_eq!(store.cached_count(), 2);
 }

@@ -19,11 +19,7 @@ fn sdtw_config_round_trips() {
 fn outcome_round_trips() {
     let proto = TimeSeries::new((0..100).map(|i| (i as f64 / 9.0).sin()).collect()).unwrap();
     let engine = SDtw::new(SDtwConfig::default()).unwrap();
-    let out = engine
-        .query(&proto, &proto)
-        .run()
-        .unwrap()
-        .expect("no cutoff");
+    let out = engine.query(&proto, &proto).run().unwrap();
     let json = serde_json::to_string(&out).unwrap();
     let back: SDtwOutcome = serde_json::from_str(&json).unwrap();
     assert_eq!(out.cells_filled, back.cells_filled);
