@@ -237,7 +237,7 @@ impl Sides for Seam {
 
 /// One pattern request answered cold on top, as a one-shot CLI call pays
 /// it (decode the snapshot, which rebuilds the index, build the engine,
-/// answer), and below by a warm engine whose matcher cache already holds
+/// answer on a fresh scratch), and below by a warm engine whose matcher cache already holds
 /// the pattern, on a lent scratch, as a long-lived daemon answers it.
 struct Serve {
     snapshot: Vec<u8>,
@@ -280,7 +280,11 @@ impl Sides for Serve {
     fn top(&mut self) -> Self::Answer {
         let index = SnapshotCodec::decode(&self.snapshot).expect("the snapshot was encoded here");
         let engine = ServeEngine::new(index, ServeConfig::default()).expect("valid engine");
-        hits(engine.answer(&self.request).0)
+        hits(
+            engine
+                .answer_with_scratch(&self.request, &mut DtwScratch::new())
+                .0,
+        )
     }
 
     fn bottom(&mut self) -> Self::Answer {

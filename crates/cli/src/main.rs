@@ -30,8 +30,8 @@ mod args;
 use args::Args;
 use rayon::prelude::*;
 use sdtw::{
-    engine_label, ConstraintPolicy, DtwOptions, FeatureStore, KernelChoice, SDtw, SDtwConfig,
-    SalientConfig,
+    engine_label, ConstraintPolicy, DtwOptions, DtwScratch, FeatureStore, KernelChoice, SDtw,
+    SDtwConfig, SalientConfig,
 };
 use sdtw_datasets::UcrAnalog;
 use sdtw_dtw::SeriesSummary;
@@ -45,7 +45,7 @@ use sdtw_serve::{
 };
 use sdtw_stream::{MonitorBank, StreamConfig, SubseqMatcher, SubseqResult};
 use sdtw_tseries::io::{read_ucr_file, write_ucr_file};
-use sdtw_tseries::TimeSeries;
+use sdtw_tseries::{TimeSeries, TsError};
 use std::io::{self, Write};
 use std::process::ExitCode;
 
@@ -544,18 +544,10 @@ fn cmd_distmat(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         &corpus,
     )?;
 
-    // one-time feature indexing (corpus + queries), so the wall time below
-    // is pure matching + DP — the paper's cost split. Non-adaptive
-    // policies never read features; skip extraction entirely for them.
-    let t0 = std::time::Instant::now();
-    if policy.needs_alignment() {
-        store.warm(&corpus).map_err(|e| e.to_string())?;
-        if let Some(q) = &queries {
-            store.warm(q).map_err(|e| e.to_string())?;
-        }
-    }
-    let extraction = t0.elapsed();
-
+    // the store starts cold: the matrix call extracts each series once
+    // (adaptive policies only) and records it as the trace's one
+    // `Extraction` span, apart from the per-pair matching and DP — the
+    // paper's cost split
     let rows = queries.as_ref().map_or(corpus.len(), Vec::len);
     let t1 = std::time::Instant::now();
     let (trace, summary, json) = match &queries {
@@ -600,7 +592,8 @@ fn cmd_distmat(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     writeln!(
         out,
-        "extraction {extraction:?}  wall {wall:?}  cpu(match+dp) {:?}",
+        "extraction {:?}  wall {wall:?}  cpu(match+dp) {:?}",
+        trace.phase_duration(TracePhase::Extraction),
         trace.phase_duration(TracePhase::BandPlan) + trace.phase_duration(TracePhase::DpFill)
     )?;
     if let Some(path) = out_path {
@@ -670,29 +663,37 @@ fn cmd_index_query(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let k = a.opt_parse("k", 5usize)?;
     let parallel = !a.flag("serial");
     let mut sink = TraceSink::from_args(a)?;
+    let traced = sink.is_some();
     let t0 = std::time::Instant::now();
-    let results = match sink.as_mut() {
-        None => index
-            .batch_query(&queries, k, parallel)
-            .map_err(|e| e.to_string())?,
-        Some(sink) => {
-            // the traced path answers each query through `query_traced`
-            // (bit-identical results) and emits one NDJSON line per query
-            let run = |i: usize| index.query_traced(&queries[i], k, &format!("q{i}"));
-            let traced: Vec<_> = if parallel {
-                (0..queries.len()).into_par_iter().map(run).collect()
-            } else {
-                (0..queries.len()).map(run).collect()
-            };
-            let mut results = Vec::with_capacity(traced.len());
-            for item in traced {
-                let (result, trace) = item.map_err(|e| e.to_string())?;
-                sink.push(&trace);
-                results.push(result);
-            }
-            results
+    // query `i` on the worker's scratch; with a sink open it also records
+    // its trace (one NDJSON line per query, bit-identical results)
+    let answer = |scratch: &mut DtwScratch, i: usize| {
+        if traced {
+            let (result, trace) = index.query_traced(&queries[i], k, &format!("q{i}"))?;
+            Ok((result, Some(trace)))
+        } else {
+            Ok((index.query_with_scratch(&queries[i], k, scratch)?, None))
         }
     };
+    let answered: Vec<Result<_, TsError>> = if parallel {
+        (0..queries.len())
+            .into_par_iter()
+            .map_init(DtwScratch::new, answer)
+            .collect()
+    } else {
+        let mut scratch = DtwScratch::new();
+        (0..queries.len())
+            .map(|i| answer(&mut scratch, i))
+            .collect()
+    };
+    let mut results = Vec::with_capacity(answered.len());
+    for item in answered {
+        let (result, trace) = item.map_err(|e| e.to_string())?;
+        if let (Some(sink), Some(trace)) = (sink.as_mut(), trace) {
+            sink.push(&trace);
+        }
+        results.push(result);
+    }
     let wall = t0.elapsed();
     if a.flag("json") {
         writeln!(
@@ -1569,6 +1570,85 @@ mod tests {
         std::fs::remove_file(&index_path).ok();
     }
 
+    /// `index query` answers every query through one closure, on a
+    /// worker scratch in parallel or on one scratch with `--serial`, and
+    /// through `query_traced` when a sink is open: all three print the
+    /// same neighbour lines, and `--json` lists the same neighbours.
+    #[test]
+    fn index_query_paths_agree() {
+        let dir = std::env::temp_dir().join("sdtw_cli_index_paths_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus_path = dir.join("corpus.txt");
+        let index_path = dir.join("index.idx");
+        let trace_path = dir.join("trace.ndjson");
+        let ds = UcrAnalog::Gun.generate(7);
+        write_ucr_file(&corpus_path, &ds.series[..12]).unwrap();
+        let (c, i, t) = (
+            corpus_path.to_str().unwrap(),
+            index_path.to_str().unwrap(),
+            trace_path.to_str().unwrap(),
+        );
+        let run = |tokens: &[&str]| {
+            let mut out = Vec::new();
+            cmd_index(
+                &Args::parse(tokens.iter().map(|s| s.to_string())).unwrap(),
+                &mut out,
+            )
+            .unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        run(&["index", "build", c, i, "--policy", "ac2aw", "--znorm"]);
+        let query = ["index", "query", i, c, "--k", "3"];
+        let neighbour_lines = |extra: &[&str]| {
+            let mut tokens = query.to_vec();
+            tokens.extend_from_slice(extra);
+            run(&tokens)
+                .lines()
+                .filter(|l| l.starts_with("query"))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        let default = neighbour_lines(&[]);
+        assert_eq!(default.len(), 12, "one line per query");
+        assert_eq!(neighbour_lines(&["--serial"]), default, "--serial");
+        assert_eq!(neighbour_lines(&["--trace", t]), default, "--trace");
+        assert_eq!(
+            TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap())
+                .unwrap()
+                .len(),
+            12
+        );
+
+        // the JSON results hold the same neighbours, in the same order
+        let mut tokens = query.to_vec();
+        tokens.push("--json");
+        let results: Vec<sdtw_index::QueryResult> = serde_json::from_str(&run(&tokens)).unwrap();
+        let listed: Vec<Vec<(usize, String)>> = results
+            .iter()
+            .map(|r| {
+                r.neighbors
+                    .iter()
+                    .map(|n| (n.index, format!("{:.4}", n.distance)))
+                    .collect()
+            })
+            .collect();
+        let printed: Vec<Vec<(usize, String)>> = default
+            .iter()
+            .map(|line| {
+                let (_, hits) = line.split_once(": ").unwrap();
+                hits.split("  ")
+                    .map(|hit| {
+                        let (index, rest) = hit.split_once('(').unwrap();
+                        let distance = rest.trim_end_matches(')').rsplit(", ").next().unwrap();
+                        (index.parse().unwrap(), distance.to_string())
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(listed, printed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn dist_parses_flag_before_positionals_identically() {
         // the parser regression behind this PR: `--path` (a boolean flag)
@@ -1796,7 +1876,33 @@ mod tests {
         let report = TraceReport::from_ndjson(&text).unwrap();
         assert_eq!(report.len(), 8, "one trace per query");
         assert!(report.render().contains("per-stage prune table"));
+        // a fixed band is never planned from descriptors
+        assert!(report
+            .traces()
+            .iter()
+            .all(|t| t.descriptor_comparisons == 0));
         cmd_report(&argv(&["report", t]), &mut io::sink()).unwrap();
+
+        // under an adaptive policy every query's band plans compare
+        // descriptors, and its trace counts them
+        let sdtw_index_path = dir.join("index_ac2aw.idx");
+        let si = sdtw_index_path.to_str().unwrap();
+        cmd_index(
+            &argv(&["index", "build", c, si, "--policy", "ac2aw", "--znorm"]),
+            &mut io::sink(),
+        )
+        .unwrap();
+        cmd_index(
+            &argv(&["index", "query", si, c, "--k", "3", "--trace", t]),
+            &mut io::sink(),
+        )
+        .unwrap();
+        let report =
+            TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+        assert_eq!(report.len(), 8, "one trace per query");
+        for trace in report.traces() {
+            assert!(trace.descriptor_comparisons > 0, "{}", trace.query_id);
+        }
 
         // dist --trace: a single distance-workload line
         cmd_dist(
@@ -1834,44 +1940,38 @@ mod tests {
         );
         assert_eq!(trace.band_area, trace.counters.cascade.cells_filled);
 
-        // distmat --trace: one batch-level line
-        cmd_distmat(
-            &argv(&[
-                "distmat", c, "--policy", "sakoe", "--width", "0.2", "--trace", t,
-            ]),
-            &mut io::sink(),
-        )
-        .unwrap();
-        let report =
-            TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
-        assert_eq!(report.len(), 1);
-        assert_eq!(report.traces()[0].workload.label(), "distance-matrix");
-
-        // an adaptive query-vs-corpus matrix: every pair completes, and
-        // planning compares descriptors
+        // distmat --trace: one batch-level line, which under an adaptive
+        // policy holds the one extraction the matrix pays, with or
+        // without a query file
         let queries_path = dir.join("queries.txt");
         write_ucr_file(&queries_path, &ds.series[8..11]).unwrap();
         let q = queries_path.to_str().unwrap();
-        cmd_distmat(
-            &argv(&[
-                "distmat",
-                c,
-                "--queries",
-                q,
-                "--policy",
-                "ac2aw",
-                "--trace",
-                t,
-            ]),
-            &mut io::sink(),
-        )
-        .unwrap();
-        let report =
-            TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
-        assert_eq!(report.len(), 1);
-        let trace = &report.traces()[0];
-        assert_eq!(trace.counters.cascade.dp_completed, 3 * 8);
-        assert!(trace.descriptor_comparisons > 0);
+        for policy in ["sakoe", "ac2aw"] {
+            for queries in [&[][..], &["--queries", q][..]] {
+                let mut tokens = vec!["distmat", c, "--policy", policy, "--trace", t];
+                tokens.extend_from_slice(queries);
+                cmd_distmat(&argv(&tokens), &mut io::sink()).unwrap();
+                let report =
+                    TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap())
+                        .unwrap();
+                assert_eq!(report.len(), 1);
+                let trace = &report.traces()[0];
+                assert_eq!(trace.workload.label(), "distance-matrix");
+                let extractions = trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.phase == TracePhase::Extraction)
+                    .count();
+                let adaptive = policy == "ac2aw";
+                let ctx = format!("{policy} {queries:?}");
+                assert_eq!(extractions, usize::from(adaptive), "{ctx}");
+                assert_eq!(trace.descriptor_comparisons > 0, adaptive, "{ctx}");
+                if !queries.is_empty() {
+                    // every pair of the query-vs-corpus matrix completes
+                    assert_eq!(trace.counters.cascade.dp_completed, 3 * 8, "{ctx}");
+                }
+            }
+        }
         std::fs::remove_file(&queries_path).ok();
 
         // stream find --trace across the serial / sharded / monitor modes
@@ -1901,7 +2001,21 @@ mod tests {
                 report.merged_counters().cascade.candidates > 0,
                 "mode {extra:?} recorded window visits"
             );
+            assert_eq!(report.traces()[0].descriptor_comparisons, 0, "{extra:?}");
         }
+        // an adaptive search counts its windows' descriptor comparisons
+        cmd_stream(
+            &argv(&[
+                "stream", "find", h, c, "--query", "1", "--policy", "ac2aw", "--k", "2", "--trace",
+                t,
+            ]),
+            &mut io::sink(),
+        )
+        .unwrap();
+        let report =
+            TraceReport::from_ndjson(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+        assert_eq!(report.len(), 1);
+        assert!(report.traces()[0].descriptor_comparisons > 0);
 
         // conflicting sink requests are refused up front
         let both = argv(&["dist", c, "0", "1", "--trace", t, "--trace-stdout"]);
@@ -1917,7 +2031,13 @@ mod tests {
         assert!(cmd_report(&argv(&["report"]), &mut io::sink()).is_err());
         assert!(cmd_report(&argv(&["report", "/nonexistent/x.ndjson"]), &mut io::sink()).is_err());
 
-        for p in [&corpus_path, &index_path, &trace_path, &hay_path] {
+        for p in [
+            &corpus_path,
+            &index_path,
+            &sdtw_index_path,
+            &trace_path,
+            &hay_path,
+        ] {
             std::fs::remove_file(p).ok();
         }
     }

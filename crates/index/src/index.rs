@@ -1,13 +1,10 @@
-//! The corpus index: build, cascade query, batch queries.
+//! The corpus index: build and cascade query.
 
 use crate::config::IndexConfig;
 use crate::knn::{Neighbor, TopK};
-use rayon::prelude::*;
 use sdtw::{DtwScratch, PreparedFeatures, SDtw};
 use sdtw_dtw::band::Band;
-use sdtw_dtw::cascade::{
-    Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
-};
+use sdtw_dtw::cascade::{Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput};
 use sdtw_dtw::engine::{dtw_run_options, engine_label, DtwOptions};
 use sdtw_dtw::lower_bound::{
     lb_keogh_batch, lb_kim_batch, Envelope, RangeTable, SeriesSummary, LB_LANES,
@@ -61,34 +58,6 @@ pub struct EntryBound {
     pub bound: f64,
 }
 
-/// How the kNN cascade disposed of one corpus entry
-/// (see [`SdtwIndex::query_detailed`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EntryOutcome {
-    /// A lower-bound stage proved the entry cannot enter the top-k.
-    Pruned(StageKind),
-    /// The banded DP abandoned early: the partial cost already exceeded
-    /// the running k-th distance.
-    Abandoned,
-    /// The DP completed with this exact distance (the entry is a
-    /// *survivor*; it is in the top-k iff the distance made the cut).
-    Completed(f64),
-}
-
-/// Per-entry record of a detailed kNN query: the coarse stage-1 bound
-/// that ordered the visit plus the cascade's final verdict. The pruned /
-/// abandoned / completed split is the survivor set the serve subsystem's
-/// admissibility tests audit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EntryDisposition {
-    /// Corpus entry index.
-    pub index: usize,
-    /// The LB_Kim bound from the ordering pass.
-    pub coarse_bound: f64,
-    /// The cascade's verdict for this entry.
-    pub outcome: EntryOutcome,
-}
-
 /// A Kim-surviving candidate parked in the deferred queue until enough
 /// accumulate to batch their forward LB_Keogh bounds ([`LB_LANES`] at a
 /// time — the queue capacity is never assumed to be a literal `8`; the
@@ -104,8 +73,6 @@ struct PendingCandidate {
     /// The band's [`Band::reach`], walked once for both the batch
     /// predicate and the cascade's applicability checks.
     reach: usize,
-    /// The stage-1 bound that ordered the visit (kept for dispositions).
-    kim: f64,
 }
 
 /// Orders scored candidates ascending by bound *approximately*, via one
@@ -178,8 +145,8 @@ fn bucketed_ascending(scored: Vec<(f64, usize)>) -> Vec<(f64, usize)> {
 ///    read from a [`RangeTable`] built once per query (admissible for
 ///    every feasible band and every pair of lengths);
 /// 4. **early-abandoned banded DP** — seeded with the current k-th best
-///    distance, reusing one [`DtwScratch`] per query (or per worker in
-///    batch mode).
+///    distance, on the caller's [`DtwScratch`] (a worker answering many
+///    queries lends one to each [`SdtwIndex::query_with_scratch`] call).
 ///
 /// The LB_Kim ordering pass runs through the batched [`lb_kim_batch`]
 /// lanes, and Kim survivors are parked in a deferred queue of up to
@@ -351,8 +318,13 @@ impl SdtwIndex {
         k: usize,
         scratch: &mut DtwScratch,
     ) -> Result<QueryResult, TsError> {
-        let (result, _, _) = self.query_recorded(query, k, scratch, &mut Recorder::disabled())?;
-        Ok(result)
+        self.query_recorded(
+            query,
+            k,
+            scratch,
+            &mut Recorder::disabled(),
+            &mut QueryTrace::default(),
+        )
     }
 
     /// kNN query with full telemetry: the result plus a canonical
@@ -361,8 +333,8 @@ impl SdtwIndex {
     /// cascade counters embedded as the trace's counter block, and the
     /// band/grid denominators for pruning-power metrics.
     ///
-    /// Results are bit-identical to [`SdtwIndex::query`] — recording
-    /// never changes what the cascade sees.
+    /// Results are bit-identical to [`SdtwIndex::query_with_scratch`] —
+    /// recording never changes what the cascade sees.
     ///
     /// # Errors
     ///
@@ -377,9 +349,8 @@ impl SdtwIndex {
         let t0 = std::time::Instant::now();
         let mut scratch = DtwScratch::new();
         let mut rec = Recorder::enabled();
-        let (result, band_area, full_grid) =
-            self.query_recorded(query, k, &mut scratch, &mut rec)?;
         let mut trace = QueryTrace::new(query_id, WorkloadKind::IndexKnn);
+        let result = self.query_recorded(query, k, &mut scratch, &mut rec, &mut trace)?;
         trace.shape = InputShape {
             x_len: query.len() as u64,
             y_len: self.entries.first().map_or(0, |e| e.series.len() as u64),
@@ -391,8 +362,6 @@ impl SdtwIndex {
         };
         trace.counters.cascade = result.stats;
         trace.counters.passes = 1;
-        trace.band_area = band_area;
-        trace.full_grid = full_grid;
         trace.spans = rec.finish();
         trace.wall = t0.elapsed();
         Ok((result, trace))
@@ -431,60 +400,18 @@ impl SdtwIndex {
             .collect()
     }
 
-    /// kNN query that also reports, per corpus entry, the cascade's
-    /// verdict and the stage-1 bound that ordered its visit — the
-    /// survivor set (entries whose DP completed, distances included) and
-    /// the per-entry lower bounds that justify every prune.
-    /// Dispositions are returned in entry-index order, one per entry.
-    ///
-    /// The [`QueryResult`] is bit-identical to [`SdtwIndex::query`].
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, query samples too large for the metric against the
-    /// corpus, or feature extraction failing on the query.
-    pub fn query_detailed(
-        &self,
-        query: &TimeSeries,
-        k: usize,
-    ) -> Result<(QueryResult, Vec<EntryDisposition>), TsError> {
-        let mut scratch = DtwScratch::new();
-        let mut dispositions = Vec::with_capacity(self.entries.len());
-        let (result, _, _) = self.query_recorded_into(
-            query,
-            k,
-            &mut scratch,
-            &mut Recorder::disabled(),
-            Some(&mut dispositions),
-        )?;
-        dispositions.sort_by_key(|d| d.index);
-        Ok((result, dispositions))
-    }
-
-    /// The instrumented query body: every public entry point funnels
-    /// here, with a disabled recorder on the untraced paths. Returns the
-    /// result plus the summed band area and unconstrained grid area of
-    /// the candidates that reached the DP stage.
+    /// The query body both entry points run, with a disabled recorder
+    /// on the untraced one. Sums into `trace` the band area, the
+    /// unconstrained grid area and the descriptor comparisons of the
+    /// candidates it plans and fills; the caller fills in the rest.
     fn query_recorded(
         &self,
         query: &TimeSeries,
         k: usize,
         scratch: &mut DtwScratch,
         rec: &mut Recorder,
-    ) -> Result<(QueryResult, u64, u64), TsError> {
-        self.query_recorded_into(query, k, scratch, rec, None)
-    }
-
-    /// [`SdtwIndex::query_recorded`] with an optional per-entry
-    /// disposition sink (pushed in visit order; filled for every entry).
-    fn query_recorded_into(
-        &self,
-        query: &TimeSeries,
-        k: usize,
-        scratch: &mut DtwScratch,
-        rec: &mut Recorder,
-        mut dispositions: Option<&mut Vec<EntryDisposition>>,
-    ) -> Result<(QueryResult, u64, u64), TsError> {
+        trace: &mut QueryTrace,
+    ) -> Result<QueryResult, TsError> {
         if k == 0 {
             return Err(TsError::InvalidParameter {
                 name: "k",
@@ -528,9 +455,6 @@ impl SdtwIndex {
 
         let mut topk = TopK::new(k, self.entries.len());
         let mut stats = CascadeStats::default();
-        // (band area, unconstrained grid area) summed over DP candidates —
-        // the pruning-power denominators of a trace
-        let mut areas = (0u64, 0u64);
         let mut pending: Vec<PendingCandidate> = Vec::with_capacity(LB_LANES);
 
         for &(kim, idx) in &order {
@@ -552,31 +476,23 @@ impl SdtwIndex {
             // pruning *credit* between stages, never counts in or out of
             // the top-k).
             let threshold = topk.threshold();
-            if let Some(kind) = cascade.screen_summary(&mut stats, Some(kim), threshold) {
-                if let Some(d) = dispositions.as_deref_mut() {
-                    d.push(EntryDisposition {
-                        index: idx,
-                        coarse_bound: kim,
-                        outcome: EntryOutcome::Pruned(kind),
-                    });
-                }
+            if cascade
+                .screen_summary(&mut stats, Some(kim), threshold)
+                .is_some()
+            {
                 continue;
             }
             let (n, m) = (q.len(), entry.series.len());
-            let (band, _) = rec.time(TracePhase::BandPlan, || {
+            let (band, matched) = rec.time(TracePhase::BandPlan, || {
                 self.engine.plan_band_prepared(&fq, &entry.features, n, m)
             });
+            trace.descriptor_comparisons += matched.map_or(0, |r| r.descriptor_comparisons as u64);
             // LB admissibility is judged on the cells the DP fills; the
             // DP would sanitise an infeasible band into a wider one, but
             // every policy's builder already returns it sanitised
             debug_assert!(band.is_feasible(), "planned bands are sanitised");
             let reach = band.reach();
-            pending.push(PendingCandidate {
-                idx,
-                band,
-                reach,
-                kim,
-            });
+            pending.push(PendingCandidate { idx, band, reach });
             if pending.len() == LB_LANES {
                 self.flush_pending(
                     &mut pending,
@@ -589,8 +505,7 @@ impl SdtwIndex {
                     &mut stats,
                     scratch,
                     rec,
-                    &mut areas,
-                    dispositions.as_deref_mut(),
+                    trace,
                 );
             }
         }
@@ -605,12 +520,11 @@ impl SdtwIndex {
             &mut stats,
             scratch,
             rec,
-            &mut areas,
-            dispositions,
+            trace,
         );
         debug_assert!(stats.is_consistent(), "every candidate accounted once");
         let neighbors = rec.time(TracePhase::TopKMerge, || topk.into_sorted());
-        Ok((QueryResult { neighbors, stats }, areas.0, areas.1))
+        Ok(QueryResult { neighbors, stats })
     }
 
     /// Drains the deferred candidate queue: one batched forward LB_Keogh
@@ -622,7 +536,8 @@ impl SdtwIndex {
     /// bound when no precomputed value is present, so the predicate here
     /// is a performance filter, not a correctness gate. `lb_out` receives
     /// the batched bounds; kept across flushes, it allocates once a
-    /// query.
+    /// query. The band and grid areas of the candidates that reach the
+    /// DP are summed into `trace`: the pruning-power denominators.
     #[allow(clippy::too_many_arguments)]
     fn flush_pending(
         &self,
@@ -636,8 +551,7 @@ impl SdtwIndex {
         stats: &mut CascadeStats,
         scratch: &mut DtwScratch,
         rec: &mut Recorder,
-        areas: &mut (u64, u64),
-        mut dispositions: Option<&mut Vec<EntryDisposition>>,
+        trace: &mut QueryTrace,
     ) {
         if pending.is_empty() {
             return;
@@ -682,20 +596,16 @@ impl SdtwIndex {
             };
             // the sample-phase screen covers LB_Keogh and its reversed
             // second chance; both are attributed to the LbKeogh span
-            if let Some(kind) = rec.time(TracePhase::LbKeogh, || {
-                cascade.screen_samples(stats, &input, cand.reach, threshold, cascade_scratch)
-            }) {
-                if let Some(d) = dispositions.as_deref_mut() {
-                    d.push(EntryDisposition {
-                        index: cand.idx,
-                        coarse_bound: cand.kim,
-                        outcome: EntryOutcome::Pruned(kind),
-                    });
-                }
+            if rec
+                .time(TracePhase::LbKeogh, || {
+                    cascade.screen_samples(stats, &input, cand.reach, threshold, cascade_scratch)
+                })
+                .is_some()
+            {
                 continue;
             }
-            areas.0 += cand.band.area() as u64;
-            areas.1 += (q.len() * entry.series.len()) as u64;
+            trace.band_area += cand.band.area() as u64;
+            trace.full_grid += (q.len() * entry.series.len()) as u64;
             match rec.time(TracePhase::DpFill, || {
                 dtw_run_options(
                     q.values(),
@@ -706,73 +616,13 @@ impl SdtwIndex {
                     scratch,
                 )
             }) {
-                None => {
-                    stats.record_abandoned(cand.band.area());
-                    if let Some(d) = dispositions.as_deref_mut() {
-                        d.push(EntryDisposition {
-                            index: cand.idx,
-                            coarse_bound: cand.kim,
-                            outcome: EntryOutcome::Abandoned,
-                        });
-                    }
-                }
+                None => stats.record_abandoned(cand.band.area()),
                 Some(r) => {
                     stats.record_completed(r.cells_filled);
                     topk.offer(cand.idx, r.distance);
-                    if let Some(d) = dispositions.as_deref_mut() {
-                        d.push(EntryDisposition {
-                            index: cand.idx,
-                            coarse_bound: cand.kim,
-                            outcome: EntryOutcome::Completed(r.distance),
-                        });
-                    }
                 }
             }
         }
-    }
-
-    /// kNN query (allocates a fresh DP scratch; see
-    /// [`SdtwIndex::query_with_scratch`] for the reusing variant).
-    ///
-    /// # Errors
-    ///
-    /// `k == 0`, query samples too large for the metric against the
-    /// corpus, or feature extraction failing on the query.
-    pub fn query(&self, query: &TimeSeries, k: usize) -> Result<QueryResult, TsError> {
-        let mut scratch = DtwScratch::new();
-        self.query_with_scratch(query, k, &mut scratch)
-    }
-
-    /// Answers a batch of queries, optionally on the rayon worker pool
-    /// (one DP scratch per worker). Queries are independent, so parallel
-    /// results are bit-identical to serial ones and arrive in input
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// The first per-query error (`k == 0`, samples too large for the
-    /// metric, feature extraction).
-    pub fn batch_query(
-        &self,
-        queries: &[TimeSeries],
-        k: usize,
-        parallel: bool,
-    ) -> Result<Vec<QueryResult>, TsError> {
-        let results: Vec<Result<QueryResult, TsError>> = if parallel {
-            (0..queries.len())
-                .into_par_iter()
-                .map_init(DtwScratch::new, |scratch, i| {
-                    self.query_with_scratch(&queries[i], k, scratch)
-                })
-                .collect()
-        } else {
-            let mut scratch = DtwScratch::new();
-            queries
-                .iter()
-                .map(|q| self.query_with_scratch(q, k, &mut scratch))
-                .collect()
-        };
-        results.into_iter().collect()
     }
 }
 
@@ -866,7 +716,9 @@ mod tests {
         assert_eq!(seen, (0..17).collect::<Vec<_>>());
         // admissibility: every coarse bound is at or below the exact
         // whole-recording distance of its pair
-        let all = index.query(&c[4], index.len()).unwrap();
+        let all = index
+            .query_with_scratch(&c[4], index.len(), &mut DtwScratch::new())
+            .unwrap();
         for eb in &screen {
             let d = all
                 .neighbors
@@ -880,44 +732,6 @@ mod tests {
                 eb.index,
                 eb.bound
             );
-        }
-    }
-
-    #[test]
-    fn query_detailed_matches_query_and_accounts_every_entry() {
-        let c = corpus(23, 48);
-        let index = SdtwIndex::build(&c, IndexConfig::exact_banded(0.15)).unwrap();
-        let (detailed, dispositions) = index.query_detailed(&c[7], 3).unwrap();
-        let plain = index.query(&c[7], 3).unwrap();
-        assert_eq!(detailed, plain, "detailed query is bit-identical");
-        assert_eq!(dispositions.len(), index.len(), "one verdict per entry");
-        for (i, d) in dispositions.iter().enumerate() {
-            assert_eq!(d.index, i, "sorted by entry index");
-        }
-        // the survivor set contains every reported neighbour, with the
-        // same (bit-identical) distance
-        for n in &plain.neighbors {
-            match dispositions[n.index].outcome {
-                EntryOutcome::Completed(d) => {
-                    assert_eq!(d.to_bits(), n.distance.to_bits());
-                }
-                other => panic!("neighbour {} not a survivor: {other:?}", n.index),
-            }
-        }
-        // every pruned entry's lower bound justifies its exclusion from
-        // the top-k: coarse bound (Kim prunes) strictly above the k-th
-        // distance at the moment of pruning, hence above no reported
-        // neighbour is lost
-        let kth = plain.neighbors.last().unwrap().distance;
-        for d in &dispositions {
-            if let EntryOutcome::Pruned(StageKind::Kim) = d.outcome {
-                assert!(
-                    d.coarse_bound >= kth,
-                    "entry {}: Kim prune bound {} below final k-th {kth}",
-                    d.index,
-                    d.coarse_bound
-                );
-            }
         }
     }
 }

@@ -26,8 +26,10 @@
 //! [`Envelope`](sdtw_dtw::Envelope), and cached salient descriptors so
 //! the sDTW band planner never re-extracts (paper §3.4). Each query
 //! builds one [`RangeTable`](sdtw_dtw::RangeTable) over itself for the
-//! reversed stage. Queries reuse one DP scratch each, and batch queries
-//! run rayon-parallel.
+//! reversed stage. A query runs on a DP scratch its caller lends
+//! ([`SdtwIndex::query_with_scratch`]), so a worker answering many
+//! queries reuses one; [`SdtwIndex::query_traced`] also records the
+//! query's trace.
 //!
 //! The whole index round-trips through [`SnapshotCodec`]. A snapshot
 //! (binary, format version 3) stores the configuration and the stored
@@ -39,6 +41,7 @@
 //! # Example
 //!
 //! ```
+//! use sdtw::DtwScratch;
 //! use sdtw_index::{IndexConfig, SdtwIndex};
 //! use sdtw_tseries::TimeSeries;
 //!
@@ -53,7 +56,8 @@
 //!     })
 //!     .collect();
 //! let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-//! let result = index.query(&corpus[3], 2).unwrap();
+//! let mut scratch = DtwScratch::new();
+//! let result = index.query_with_scratch(&corpus[3], 2, &mut scratch).unwrap();
 //! assert_eq!(result.neighbors[0].index, 3); // a member is its own 1-NN
 //! assert_eq!(result.neighbors[0].distance, 0.0);
 //! assert!(result.stats.is_consistent());
@@ -68,7 +72,7 @@ pub mod knn;
 pub mod snapshot;
 
 pub use config::{IndexConfig, DEFAULT_PAA_WIDTH};
-pub use index::{EntryBound, EntryDisposition, EntryOutcome, IndexEntry, QueryResult, SdtwIndex};
+pub use index::{EntryBound, IndexEntry, QueryResult, SdtwIndex};
 pub use knn::Neighbor;
 pub use sdtw_obs::CascadeStats;
 pub use snapshot::{SnapshotCodec, SnapshotFormat};

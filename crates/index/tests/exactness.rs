@@ -5,7 +5,7 @@
 //! modes, on equal-length corpora and on a corpus whose entries and
 //! queries all differ in length.
 
-use sdtw::{FeatureStore, KernelChoice, SDtw};
+use sdtw::{DtwScratch, FeatureStore, KernelChoice, SDtw};
 use sdtw_datasets::{econ, UcrAnalog};
 use sdtw_eval::compute_query_matrix;
 use sdtw_index::{IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat};
@@ -60,10 +60,11 @@ fn oracle_top_k(
 fn assert_matches_oracle(config: IndexConfig, label: &str) {
     for (name, corpus, queries) in seeded_datasets() {
         let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
+        let mut scratch = DtwScratch::new();
         for k in [1usize, 5] {
             let oracle = oracle_top_k(&queries, &corpus, &config, k);
             for (q, query) in queries.iter().enumerate() {
-                let got = index.query(query, k).unwrap();
+                let got = index.query_with_scratch(query, k, &mut scratch).unwrap();
                 let got_pairs: Vec<(usize, u64)> = got
                     .neighbors
                     .iter()
@@ -113,11 +114,12 @@ fn mixed_length_corpora_match_the_oracle() {
         ("ac2aw", IndexConfig::sdtw_bands()),
     ] {
         let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
+        let mut scratch = DtwScratch::new();
         let mut pruned_keogh_rev = 0;
         for k in [1usize, 5] {
             let oracle = oracle_top_k(&queries, &corpus, &config, k);
             for (q, query) in queries.iter().enumerate() {
-                let got = index.query(query, k).unwrap();
+                let got = index.query_with_scratch(query, k, &mut scratch).unwrap();
                 let got_pairs: Vec<(usize, u64)> = got
                     .neighbors
                     .iter()
@@ -155,8 +157,9 @@ fn z_normalized_index_matches_the_oracle_on_normalized_data() {
     let queries_n: Vec<TimeSeries> = queries.iter().map(z_normalize).collect();
     let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
     let oracle = oracle_top_k(&queries_n, &corpus_n, &config, 3);
+    let mut scratch = DtwScratch::new();
     for (q, query) in queries.iter().enumerate() {
-        let got = index.query(query, 3).unwrap();
+        let got = index.query_with_scratch(query, 3, &mut scratch).unwrap();
         let got_pairs: Vec<(usize, u64)> = got
             .neighbors
             .iter()
@@ -182,7 +185,9 @@ fn distance_ties_break_toward_the_lower_index_like_the_oracle() {
     let query = TimeSeries::new(base).unwrap();
     let config = IndexConfig::exact_banded(0.2);
     let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
-    let got = index.query(&query, 3).unwrap();
+    let got = index
+        .query_with_scratch(&query, 3, &mut DtwScratch::new())
+        .unwrap();
     let idx: Vec<usize> = got.neighbors.iter().map(|n| n.index).collect();
     assert_eq!(
         idx,
@@ -207,7 +212,9 @@ fn one_nn_agrees_with_the_query_matrix_oracle() {
     let query = corpus[7].clone();
     let config = IndexConfig::exact_banded(0.2);
     let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
-    let got = index.query(&query, 1).unwrap();
+    let got = index
+        .query_with_scratch(&query, 1, &mut DtwScratch::new())
+        .unwrap();
     let oracle = oracle_top_k(&[query], &corpus, &config, 1);
     assert_eq!(got.neighbors[0].index, oracle[0][0].0);
     assert_eq!(got.neighbors[0].distance.to_bits(), oracle[0][0].1);
@@ -249,14 +256,21 @@ fn amerced_kernel_changes_the_nearest_neighbour() {
     ];
     let query = sdtw_tseries::TimeSeries::new(q).unwrap();
 
+    let mut scratch = DtwScratch::new();
     let standard = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.3)).unwrap();
-    let nn_std = standard.query(&query, 1).unwrap().neighbors[0];
+    let nn_std = standard
+        .query_with_scratch(&query, 1, &mut scratch)
+        .unwrap()
+        .neighbors[0];
     assert_eq!(nn_std.index, 0, "plain DTW warps the shift away: A wins");
 
     let mut amerced_cfg = IndexConfig::exact_banded(0.3);
     amerced_cfg.sdtw.dtw.kernel = KernelChoice::Amerced { penalty: 1.0 };
     let amerced = SdtwIndex::build(&corpus, amerced_cfg.clone()).unwrap();
-    let nn_am = amerced.query(&query, 1).unwrap().neighbors[0];
+    let nn_am = amerced
+        .query_with_scratch(&query, 1, &mut scratch)
+        .unwrap()
+        .neighbors[0];
     assert_eq!(nn_am.index, 1, "amercing prices the warp: B wins");
 
     // both answers are exact against their own oracle
@@ -269,23 +283,6 @@ fn amerced_kernel_changes_the_nearest_neighbour() {
     assert_eq!((nn_std.index, nn_std.distance.to_bits()), oracle[0][0]);
     let oracle_am = oracle_top_k(&[query], &corpus, &amerced_cfg, 1);
     assert_eq!((nn_am.index, nn_am.distance.to_bits()), oracle_am[0][0]);
-}
-
-#[test]
-fn batch_queries_are_bit_identical_serial_and_parallel() {
-    let (_, corpus, queries) = seeded_datasets().remove(2);
-    let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
-    let serial = index.batch_query(&queries, 3, false).unwrap();
-    let parallel = index.batch_query(&queries, 3, true).unwrap();
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.neighbors.len(), p.neighbors.len());
-        for (a, b) in s.neighbors.iter().zip(&p.neighbors) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-        }
-        assert_eq!(s.stats, p.stats);
-    }
 }
 
 /// Every index configuration the loaded-equals-built check covers: the
@@ -335,6 +332,7 @@ fn loaded_snapshots_equal_the_build_bit_for_bit() {
     // derives every artefact through the build path, so a loaded index
     // has the build's entries and answers every query with the same ids,
     // distance bits and cascade accounting
+    let mut scratch = DtwScratch::new();
     for (label, config) in snapshot_configs() {
         for (name, corpus, queries) in seeded_datasets() {
             let index = SdtwIndex::build(&corpus, config.clone()).unwrap();
@@ -350,8 +348,8 @@ fn loaded_snapshots_equal_the_build_bit_for_bit() {
                 assert_eq!(loaded.config(), index.config(), "{label}/{name}/{how}");
                 assert_eq!(loaded.entries(), index.entries(), "{label}/{name}/{how}");
                 for (qi, query) in queries.iter().enumerate() {
-                    let a = index.query(query, 4).unwrap();
-                    let b = loaded.query(query, 4).unwrap();
+                    let a = index.query_with_scratch(query, 4, &mut scratch).unwrap();
+                    let b = loaded.query_with_scratch(query, 4, &mut scratch).unwrap();
                     let bits = |r: &sdtw_index::QueryResult| -> Vec<(usize, u64)> {
                         r.neighbors
                             .iter()
@@ -395,7 +393,9 @@ fn corrupted_binary_snapshot_is_rejected() {
 fn k_larger_than_corpus_returns_everything_ranked() {
     let corpus = econ::generate(5, 2, 2).series;
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.3)).unwrap();
-    let got = index.query(&corpus[0], 50).unwrap();
+    let got = index
+        .query_with_scratch(&corpus[0], 50, &mut DtwScratch::new())
+        .unwrap();
     assert_eq!(got.neighbors.len(), corpus.len());
     for w in got.neighbors.windows(2) {
         assert!(w[0].distance <= w[1].distance);
@@ -406,10 +406,15 @@ fn k_larger_than_corpus_returns_everything_ranked() {
 fn k_zero_is_rejected_and_empty_index_answers_empty() {
     let corpus = econ::generate(5, 2, 2).series;
     let index = SdtwIndex::build(&corpus, IndexConfig::default()).unwrap();
-    assert!(index.query(&corpus[0], 0).is_err());
+    let mut scratch = DtwScratch::new();
+    assert!(index
+        .query_with_scratch(&corpus[0], 0, &mut scratch)
+        .is_err());
     let empty = SdtwIndex::build(&[], IndexConfig::default()).unwrap();
     assert!(empty.is_empty());
-    let got = empty.query(&corpus[0], 3).unwrap();
+    let got = empty
+        .query_with_scratch(&corpus[0], 3, &mut scratch)
+        .unwrap();
     assert!(got.neighbors.is_empty());
     assert_eq!(got.stats.candidates, 0);
 }

@@ -6,18 +6,21 @@
 //!    across segment widths that do and don't divide the series length
 //!    (ragged tail segments) on seeded corpora.
 //! 2. **Bit-identity of the toggle** — enabling the stage changes *no
-//!    observable result*: [`SdtwIndex::query_detailed`] returns the same
-//!    neighbors (ids and distance bits), and the same per-entry
-//!    dispositions up to prune *attribution* (an entry the coarse stage
-//!    prunes would have been pruned by LB_Keogh anyway, since the coarse
-//!    bound never exceeds the fine one — the stage only shifts credit
-//!    between stages, it never changes the survivor set).
+//!    observable result*: [`SdtwIndex::query_with_scratch`] returns the
+//!    same neighbors (ids and distance bits) and the same cascade
+//!    counters up to prune *attribution*: every prune the coarse stage
+//!    makes is one LB_Keogh would have made, since the coarse bound never
+//!    exceeds the fine one, so `pruned_paa + pruned_keogh` with the stage
+//!    on equals `pruned_keogh` with it off, and every other stage, the
+//!    abandons, the completed DPs and the cells filled are unchanged (the
+//!    stage only shifts credit between stages, it never changes the
+//!    survivor set).
 
-use sdtw::SDtw;
+use sdtw::{DtwScratch, SDtw};
 use sdtw_datasets::{econ, UcrAnalog};
-use sdtw_dtw::cascade::{CoarseEnvelope, StageKind};
+use sdtw_dtw::cascade::CoarseEnvelope;
 use sdtw_dtw::lower_bound::{lb_keogh, Envelope};
-use sdtw_index::{EntryOutcome, IndexConfig, SdtwIndex};
+use sdtw_index::{IndexConfig, SdtwIndex};
 use sdtw_tseries::TimeSeries;
 
 /// Segment widths the satellite properties sweep: 1 disables the stage,
@@ -86,18 +89,9 @@ fn coarse_bound_is_admissible_under_lb_keogh_and_banded_dtw() {
     }
 }
 
-/// Maps a disposition's outcome to its off-stage equivalent: a coarse
-/// prune becomes a Keogh prune (the justification the fine stage would
-/// have produced), everything else is unchanged.
-fn without_paa_attribution(outcome: EntryOutcome) -> EntryOutcome {
-    match outcome {
-        EntryOutcome::Pruned(StageKind::Paa) => EntryOutcome::Pruned(StageKind::Keogh),
-        other => other,
-    }
-}
-
 #[test]
-fn query_detailed_is_bit_identical_with_the_stage_on_or_off() {
+fn queries_are_bit_identical_with_the_stage_on_or_off() {
+    let mut scratch = DtwScratch::new();
     for (name, corpus, queries) in seeded_datasets() {
         let off = SdtwIndex::build(
             &corpus,
@@ -118,8 +112,8 @@ fn query_detailed_is_bit_identical_with_the_stage_on_or_off() {
             .unwrap();
             for (qi, q) in queries.iter().enumerate() {
                 for k in [1usize, 3] {
-                    let (r_on, d_on) = on.query_detailed(q, k).unwrap();
-                    let (r_off, d_off) = off.query_detailed(q, k).unwrap();
+                    let r_on = on.query_with_scratch(q, k, &mut scratch).unwrap();
+                    let r_off = off.query_with_scratch(q, k, &mut scratch).unwrap();
                     let ctx = format!("{name}/q{qi}/k{k}/w{width}");
                     // identical neighbors, to the distance bit
                     assert_eq!(r_on.neighbors.len(), r_off.neighbors.len(), "{ctx}");
@@ -127,31 +121,24 @@ fn query_detailed_is_bit_identical_with_the_stage_on_or_off() {
                         assert_eq!(a.index, b.index, "{ctx}");
                         assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{ctx}");
                     }
-                    assert!(r_on.stats.is_consistent(), "{ctx}");
-                    assert!(r_off.stats.is_consistent(), "{ctx}");
-                    // identical DP effort: prunes only moved between stages
-                    assert_eq!(r_on.stats.dp_completed, r_off.stats.dp_completed, "{ctx}");
-                    assert_eq!(r_on.stats.abandoned, r_off.stats.abandoned, "{ctx}");
-                    assert_eq!(r_on.stats.cells_filled, r_off.stats.cells_filled, "{ctx}");
+                    let (s_on, s_off) = (&r_on.stats, &r_off.stats);
+                    assert!(s_on.is_consistent(), "{ctx}");
+                    assert!(s_off.is_consistent(), "{ctx}");
+                    // identical DP effort and every other stage's prunes
+                    assert_eq!(s_on.pruned_kim, s_off.pruned_kim, "{ctx}");
+                    assert_eq!(s_on.pruned_keogh_rev, s_off.pruned_keogh_rev, "{ctx}");
+                    assert_eq!(s_on.abandoned, s_off.abandoned, "{ctx}");
+                    assert_eq!(s_on.dp_completed, s_off.dp_completed, "{ctx}");
+                    assert_eq!(s_on.cells_filled, s_off.cells_filled, "{ctx}");
+                    // the coarse stage's prunes are LB_Keogh's with it off
+                    assert_eq!(
+                        s_on.pruned_paa + s_on.pruned_keogh,
+                        s_off.pruned_keogh,
+                        "{ctx}"
+                    );
+                    assert_eq!(s_off.pruned_paa, 0, "{ctx}: the off index has no stage");
                     if width < 2 {
-                        assert_eq!(r_on.stats.pruned_paa, 0, "{ctx}: stage disabled");
-                    }
-                    // identical dispositions modulo prune attribution
-                    assert_eq!(d_on.len(), d_off.len(), "{ctx}");
-                    for (a, b) in d_on.iter().zip(&d_off) {
-                        assert_eq!(a.index, b.index, "{ctx}");
-                        assert_eq!(a.coarse_bound.to_bits(), b.coarse_bound.to_bits(), "{ctx}");
-                        assert_eq!(
-                            without_paa_attribution(a.outcome),
-                            without_paa_attribution(b.outcome),
-                            "{ctx} entry {}",
-                            a.index
-                        );
-                        // the off index never attributes a prune to PAA
-                        assert!(
-                            !matches!(b.outcome, EntryOutcome::Pruned(StageKind::Paa)),
-                            "{ctx}"
-                        );
+                        assert_eq!(s_on.pruned_paa, 0, "{ctx}: stage disabled");
                     }
                 }
             }

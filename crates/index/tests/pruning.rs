@@ -2,6 +2,7 @@
 //! every stage must dispose of candidates, and the cascade must do
 //! strictly less DP work than a linear scan.
 
+use sdtw::DtwScratch;
 use sdtw_index::{CascadeStats, IndexConfig, SdtwIndex};
 use sdtw_tseries::TimeSeries;
 
@@ -26,10 +27,10 @@ fn drifting_corpus() -> Vec<TimeSeries> {
 }
 
 fn aggregate(index: &SdtwIndex, queries: &[TimeSeries], k: usize) -> CascadeStats {
-    let results = index.batch_query(queries, k, false).unwrap();
+    let mut scratch = DtwScratch::new();
     let mut total = CascadeStats::default();
-    for r in &results {
-        total.merge(&r.stats);
+    for q in queries {
+        total.merge(&index.query_with_scratch(q, k, &mut scratch).unwrap().stats);
     }
     total
 }
@@ -84,7 +85,9 @@ fn traced_query_is_bit_identical_and_carries_phase_spans() {
     let corpus = drifting_corpus();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
     let query = corpus[7].clone();
-    let plain = index.query(&query, 5).unwrap();
+    let plain = index
+        .query_with_scratch(&query, 5, &mut DtwScratch::new())
+        .unwrap();
     let (traced, trace) = index.query_traced(&query, 5, "q7").unwrap();
     // recording must never change what the cascade sees
     assert_eq!(plain.neighbors.len(), traced.neighbors.len());

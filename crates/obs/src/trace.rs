@@ -92,7 +92,11 @@ pub struct QueryTrace {
     pub workload: WorkloadKind,
     /// Input shape metadata.
     pub shape: InputShape,
-    /// Aggregated phase spans (one per phase per recording thread).
+    /// Phase spans. A [`Recorder`](crate::Recorder) emits one aggregated
+    /// span per phase it timed; a trace merged from several participants
+    /// (sweeps, shards, matrix rows) holds all of their spans,
+    /// concatenated by [`QueryTrace::merge`], so a phase can appear many
+    /// times ([`QueryTrace::phase_duration`] sums them).
     pub spans: Vec<SpanRecord>,
     /// The canonical counter block (cascade + window-level counters).
     pub counters: StreamStats,

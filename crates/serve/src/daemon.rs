@@ -4,14 +4,16 @@
 //!
 //! The engine snapshot is immutable, so every transport shares one
 //! [`ServeEngine`] behind an `Arc`. Pipe mode drains requests in batches
-//! through [`ServeEngine::answer_batch`] (the rayon job queue); socket
-//! mode dedicates an OS thread per connection, each with its own reused
-//! DP scratch, so interleaved clients never contend on anything but the
-//! matcher cache lock.
+//! across the rayon pool, one reused DP scratch per worker; socket mode
+//! dedicates an OS thread per connection, each with its own reused DP
+//! scratch, so interleaved clients never contend on anything but the
+//! matcher cache lock. Both answer through
+//! [`ServeEngine::answer_with_scratch`].
 
 use crate::engine::ServeEngine;
 use crate::protocol::{RequestOp, ServeRequest, ServeResponse};
 use parking_lot::Mutex;
+use rayon::prelude::*;
 use sdtw_dtw::engine::DtwScratch;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -133,8 +135,9 @@ fn write_response<W: Write>(writer: &mut W, resp: &ServeResponse) -> io::Result<
 
 /// Runs the daemon over an in-process reader/writer pair (the `--pipe`
 /// mode CI drives): reads NDJSON requests until EOF or a `Shutdown`
-/// request, answers them in batches of `batch` across the rayon pool,
-/// and writes one NDJSON response per request **in input order**.
+/// request, answers them in batches of `batch` across the rayon pool
+/// (one reused DP scratch per worker), and writes one NDJSON response
+/// per request **in input order**.
 /// Returns the NDJSON trace lines of every traced request, in the same
 /// order.
 ///
@@ -175,7 +178,13 @@ pub fn run_pipe<R: BufRead, W: Write>(
                 }
             }
         }
-        let mut answers = engine.answer_batch(&queries).into_iter();
+        let mut answers = (0..queries.len())
+            .into_par_iter()
+            .map_init(DtwScratch::new, |scratch, i| {
+                engine.answer_with_scratch(&queries[i], scratch)
+            })
+            .collect::<Vec<_>>()
+            .into_iter();
         for item in items {
             let resp = match item {
                 Item::Req => {

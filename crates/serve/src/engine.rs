@@ -3,7 +3,6 @@
 
 use crate::protocol::{RequestOp, ServeHit, ServeRequest, ServeResponse};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use sdtw_dtw::engine::{engine_label, DtwScratch};
 use sdtw_index::{SdtwIndex, SnapshotCodec};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
@@ -42,39 +41,6 @@ impl Default for ServeConfig {
             trace: false,
         }
     }
-}
-
-/// One corpus entry's level-1 screening record, in visit order (the
-/// audit trail [`ServeEngine::answer_detailed`] exposes for the
-/// admissibility tests).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EntryScreenRecord {
-    /// Corpus entry index.
-    pub entry: usize,
-    /// The index's whole-recording coarse bound (visit order only —
-    /// *not* admissible for subsequence hits).
-    pub coarse_bound: f64,
-    /// The admissible window floor ([`PreparedHaystack::floor`]): no hit
-    /// inside the entry can score below this.
-    pub floor: f64,
-    /// The threshold the floor was compared against when this entry was
-    /// visited (`f64::INFINITY` until k hits have accumulated).
-    pub threshold: f64,
-    /// Whether the entry was swept (`false` = pruned whole, justified
-    /// by `floor > threshold`).
-    pub swept: bool,
-}
-
-/// A fully detailed answer: the response payload plus the per-entry
-/// screening audit trail and the optional trace.
-#[derive(Debug, Clone)]
-pub struct ServeAnswer {
-    /// The k best hits, ascending `(distance, entry, offset)`.
-    pub hits: Vec<ServeHit>,
-    /// Level-1 verdict for every corpus entry, in visit order.
-    pub screens: Vec<EntryScreenRecord>,
-    /// The request's trace when tracing was on.
-    pub trace: Option<QueryTrace>,
 }
 
 /// The resident two-level pattern engine.
@@ -180,47 +146,20 @@ impl ServeEngine {
         Ok(matcher)
     }
 
-    /// Answers one request (allocates a fresh scratch; long-lived
-    /// workers should hold one and call
-    /// [`ServeEngine::answer_with_scratch`]).
-    pub fn answer(&self, req: &ServeRequest) -> (ServeResponse, Option<QueryTrace>) {
-        self.answer_with_scratch(req, &mut DtwScratch::new())
-    }
-
     /// Answers one request with a caller-owned DP scratch (the worker
-    /// hot path). Never panics on bad input — validation errors come
-    /// back as an `ok = false` response.
+    /// hot path; a long-lived worker lends the same scratch to every
+    /// request). Never panics on bad input — validation errors come back
+    /// as an `ok = false` response.
     pub fn answer_with_scratch(
         &self,
         req: &ServeRequest,
         scratch: &mut DtwScratch,
     ) -> (ServeResponse, Option<QueryTrace>) {
-        match self.answer_detailed(req, scratch) {
-            Ok(answer) => {
-                let (pruned, swept) = answer.screens.iter().fold((0u64, 0u64), |(p, s), r| match r
-                    .swept
-                {
-                    true => (p, s + 1),
-                    false => (p + 1, s),
-                });
-                (
-                    ServeResponse {
-                        id: req.id.clone(),
-                        ok: true,
-                        error: String::new(),
-                        hits: answer.hits,
-                        entries_pruned: pruned,
-                        entries_swept: swept,
-                    },
-                    answer.trace,
-                )
-            }
-            Err(e) => (ServeResponse::error(&req.id, e.to_string()), None),
-        }
+        self.search(req, scratch)
+            .unwrap_or_else(|e| (ServeResponse::error(&req.id, e.to_string()), None))
     }
 
-    /// The full two-level cascade with its audit trail (what the
-    /// exactness/admissibility tests drive).
+    /// The two-level cascade behind [`ServeEngine::answer_with_scratch`].
     ///
     /// # Errors
     ///
@@ -228,11 +167,11 @@ impl ServeEngine {
     /// `tau`, invalid pattern samples, samples too large for the metric
     /// against the corpus, a `Shutdown` op) and engine errors (feature
     /// extraction under adaptive policies).
-    pub fn answer_detailed(
+    fn search(
         &self,
         req: &ServeRequest,
         scratch: &mut DtwScratch,
-    ) -> Result<ServeAnswer, TsError> {
+    ) -> Result<(ServeResponse, Option<QueryTrace>), TsError> {
         if req.op != RequestOp::Query {
             return Err(TsError::InvalidParameter {
                 name: "op",
@@ -293,7 +232,7 @@ impl ServeEngine {
         // the running k-th best is O(log n) to maintain.
         let mut hits: Vec<ServeHit> = Vec::new();
         let mut dists: Vec<f64> = Vec::new();
-        let mut screens: Vec<EntryScreenRecord> = Vec::with_capacity(screen.len());
+        let (mut entries_pruned, mut entries_swept) = (0u64, 0u64);
         // each entry's window bounds, computed once: the floor reads
         // them, then the entry's sweep screens with them
         let mut haystack = PreparedHaystack::new(&matcher);
@@ -319,13 +258,7 @@ impl ServeEngine {
                 haystack.floor()
             });
             if floor > threshold {
-                screens.push(EntryScreenRecord {
-                    entry: eb.index,
-                    coarse_bound: eb.bound,
-                    floor,
-                    threshold,
-                    swept: false,
-                });
+                entries_pruned += 1;
                 if let Some(t) = trace.as_mut() {
                     // fold the level-1 prune into the canonical cascade
                     // counters: one candidate disposed by the Kim-family
@@ -361,13 +294,7 @@ impl ServeEngine {
                     distance: m.distance,
                 });
             }
-            screens.push(EntryScreenRecord {
-                entry: eb.index,
-                coarse_bound: eb.bound,
-                floor,
-                threshold,
-                swept: true,
-            });
+            entries_swept += 1;
         }
 
         // Global merge: the pool's per-entry lists are each internally
@@ -389,25 +316,15 @@ impl ServeEngine {
             t.spans.extend(rec.finish());
             t.wall = t0.elapsed();
         }
-        Ok(ServeAnswer {
+        let resp = ServeResponse {
+            id: req.id.clone(),
+            ok: true,
+            error: String::new(),
             hits,
-            screens,
-            trace,
-        })
-    }
-
-    /// Answers a batch of requests across the rayon pool — the daemon's
-    /// job queue. One worker processes many requests with one reused
-    /// scratch ([`rayon`'s `map_init`]); responses come back in request
-    /// order, bit-identical to answering serially (requests are
-    /// independent).
-    pub fn answer_batch(&self, reqs: &[ServeRequest]) -> Vec<(ServeResponse, Option<QueryTrace>)> {
-        (0..reqs.len())
-            .into_par_iter()
-            .map_init(DtwScratch::new, |scratch, i| {
-                self.answer_with_scratch(&reqs[i], scratch)
-            })
-            .collect()
+            entries_pruned,
+            entries_swept,
+        };
+        Ok((resp, trace))
     }
 }
 
@@ -452,8 +369,9 @@ mod tests {
         assert_eq!(off.stream_config().paa_width, 0);
         let mut req = ServeRequest::query("p", walk[410..470].to_vec(), 5);
         req.trace = true;
-        let (with, with_trace) = paa.answer(&req);
-        let (without, without_trace) = off.answer(&req);
+        let mut scratch = DtwScratch::new();
+        let (with, with_trace) = paa.answer_with_scratch(&req, &mut scratch);
+        let (without, without_trace) = off.answer_with_scratch(&req, &mut scratch);
         assert!(with.ok && with.hits.len() == 5, "{with:?}");
         assert_eq!(with, without, "PAA only moves prune credit");
         for (a, b) in with.hits.iter().zip(&without.hits) {

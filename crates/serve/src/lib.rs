@@ -44,5 +44,5 @@ pub mod engine;
 pub mod protocol;
 
 pub use daemon::{client_roundtrip, run_pipe, SocketServer, MAX_REQUEST_LINE_BYTES};
-pub use engine::{EntryScreenRecord, ServeAnswer, ServeConfig, ServeEngine};
+pub use engine::{ServeConfig, ServeEngine};
 pub use protocol::{RequestOp, ServeHit, ServeRequest, ServeResponse};

@@ -698,6 +698,7 @@ impl SubseqMatcher {
         stats: &mut CascadeStats,
         rec: &mut Recorder,
         areas: &mut (u64, u64),
+        comparisons: &mut u64,
     ) -> Result<WindowVerdict, TsError> {
         debug_assert_eq!(raw.len(), self.m, "window must match the query length");
         // one compare per window: timing it would cost more than it does
@@ -719,7 +720,7 @@ impl SubseqMatcher {
         let (band, reach) = match &self.bands {
             WindowBands::Fixed(band) => (band, band.reach()),
             WindowBands::Planned { .. } => {
-                planned = self.plan_window_band(wv, rec)?;
+                planned = self.plan_window_band(wv, rec, comparisons)?;
                 (&planned.0, planned.1)
             }
         };
@@ -732,16 +733,23 @@ impl SubseqMatcher {
     /// extract its descriptors and plan against the cached query
     /// descriptors (the planner returns the band sanitised) — and walks
     /// its [`Band::reach`] once for every later applicability check, all
-    /// inside one `BandPlan` span.
+    /// inside one `BandPlan` span. The plan's descriptor comparisons are
+    /// added to `comparisons`.
     /// Only adaptive policies plan; alignment-free ones share the
     /// matcher's [`WindowBands::Fixed`] band.
-    fn plan_window_band(&self, wv: &[f64], rec: &mut Recorder) -> Result<(Band, usize), TsError> {
+    fn plan_window_band(
+        &self,
+        wv: &[f64],
+        rec: &mut Recorder,
+        comparisons: &mut u64,
+    ) -> Result<(Band, usize), TsError> {
         rec.time(TracePhase::BandPlan, || {
             let wts = TimeSeries::new(wv.to_vec())?;
             let wf = self.engine.extractor().extract(&wts);
-            let (band, _) =
+            let (band, matched) =
                 self.engine
                     .plan_band_prepared(&self.query_features, &wf, self.m, self.m);
+            *comparisons += matched.map_or(0, |r| r.descriptor_comparisons as u64);
             debug_assert!(band.is_feasible(), "planned bands are sanitised");
             let reach = band.reach();
             Ok((band, reach))
@@ -1032,6 +1040,7 @@ impl<'a> Search<'a> {
             for scan in scans {
                 trace.band_area += scan.areas.0;
                 trace.full_grid += scan.areas.1;
+                trace.descriptor_comparisons += scan.comparisons;
                 trace.spans.extend(scan.rec.finish());
             }
             trace.wall = t0.elapsed();
@@ -1155,6 +1164,8 @@ struct ShardScan {
     /// (band area, full grid area) summed over DP runs — the
     /// pruning-power denominators of a trace.
     areas: (u64, u64),
+    /// Descriptor comparisons summed over the shard's band plans.
+    comparisons: u64,
 }
 
 impl ShardScan {
@@ -1178,6 +1189,7 @@ impl ShardScan {
                 Recorder::disabled()
             },
             areas: (0, 0),
+            comparisons: 0,
         }
     }
 
@@ -1565,6 +1577,7 @@ impl ShardScan {
             stats,
             rec,
             areas,
+            comparisons,
             ..
         } = self;
         let EvalScratch {
@@ -1586,7 +1599,7 @@ impl ShardScan {
         let wv = matcher.normalize_window(&xv[w..w + matcher.m], window);
         let (band, reach) = match band {
             Some(planned) => planned,
-            None => matcher.plan_window_band(wv, rec)?,
+            None => matcher.plan_window_band(wv, rec, comparisons)?,
         };
         let verdict = matcher.finish_window(
             wv,

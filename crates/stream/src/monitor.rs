@@ -90,6 +90,8 @@ struct Slot {
     rec: Recorder,
     /// (band area, full grid area) summed over DP-entering windows.
     areas: (u64, u64),
+    /// Descriptor comparisons summed over the windows' band plans.
+    comparisons: u64,
 }
 
 impl Slot {
@@ -101,6 +103,7 @@ impl Slot {
             stats: StreamStats::default(),
             rec: Recorder::disabled(),
             areas: (0, 0),
+            comparisons: 0,
         };
         slot.reset();
         slot
@@ -121,6 +124,7 @@ impl Slot {
             Recorder::disabled()
         };
         self.areas = (0, 0);
+        self.comparisons = 0;
     }
 
     /// Runs this query's cascade on the window the bank just completed.
@@ -159,6 +163,7 @@ impl Slot {
             &mut self.stats.cascade,
             &mut self.rec,
             &mut self.areas,
+            &mut self.comparisons,
         )?;
         let WindowVerdict::Completed(distance) = verdict else {
             return Ok(None);
@@ -381,6 +386,7 @@ impl MonitorBank {
         trace.counters = slot.stats;
         trace.band_area = slot.areas.0;
         trace.full_grid = slot.areas.1;
+        trace.descriptor_comparisons = slot.comparisons;
         trace.spans = slot.rec.take_spans();
         trace
     }

@@ -17,9 +17,10 @@ fn index_reproduces_the_retrieval_pipeline_exactly() {
         let store = FeatureStore::new(config.sdtw.salient.clone()).unwrap();
         let qm = compute_query_matrix(&queries, &corpus, &engine, &store, true).unwrap();
         let index = SdtwIndex::build(&corpus, config).unwrap();
-        let results = index.batch_query(&queries, 5, true).unwrap();
+        let mut scratch = DtwScratch::new();
         let mut total = CascadeStats::default();
-        for (q, r) in results.iter().enumerate() {
+        for (q, query) in queries.iter().enumerate() {
+            let r = index.query_with_scratch(query, 5, &mut scratch).unwrap();
             let got: Vec<(usize, u64)> = r
                 .neighbors
                 .iter()
@@ -49,9 +50,10 @@ fn index_retrieval_has_perfect_accuracy_against_its_own_engine() {
     let store = FeatureStore::new(config.sdtw.salient.clone()).unwrap();
     let reference = compute_matrix(&corpus, &engine, &store, true).unwrap();
     let index = SdtwIndex::build(&corpus, config).unwrap();
+    let mut scratch = DtwScratch::new();
     for (i, query) in corpus.iter().enumerate() {
         // k+1 because the matrix ranking excludes self, the index doesn't
-        let r = index.query(query, 4).unwrap();
+        let r = index.query_with_scratch(query, 4, &mut scratch).unwrap();
         let got: Vec<usize> = r
             .neighbors
             .iter()
@@ -71,9 +73,10 @@ fn index_prunes_while_staying_exact_on_labelled_data() {
     let corpus = ds.series[..24].to_vec();
     let queries: Vec<TimeSeries> = corpus[..6].to_vec();
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let results = index.batch_query(&queries, 1, true).unwrap();
+    let mut scratch = DtwScratch::new();
     let mut total = CascadeStats::default();
-    for (q, r) in results.iter().enumerate() {
+    for (q, query) in queries.iter().enumerate() {
+        let r = index.query_with_scratch(query, 1, &mut scratch).unwrap();
         assert_eq!(r.neighbors[0].index, q, "a member is its own 1-NN");
         assert_eq!(r.neighbors[0].distance, 0.0);
         total.merge(&r.stats);
@@ -107,8 +110,9 @@ fn policies() -> Vec<ConstraintPolicy> {
 #[test]
 fn cascade_stats_are_reproducible_across_execution_modes() {
     // CascadeStats must be a pure function of (index, query, k): identical
-    // between fresh-scratch and reused-scratch queries and between serial
-    // and parallel batches, for every policy family and both symmetries.
+    // between fresh-scratch and reused-scratch queries and between
+    // untraced and traced ones, for every policy family and both
+    // symmetries.
     for (name, series) in seeded_series() {
         for policy in policies() {
             for symmetry in [BandSymmetry::Asymmetric, BandSymmetry::Union] {
@@ -128,14 +132,15 @@ fn cascade_stats_are_reproducible_across_execution_modes() {
 
                 let mut scratch = DtwScratch::new();
                 for q in &queries {
-                    let fresh = index.query(q, 3).unwrap();
+                    let fresh = index
+                        .query_with_scratch(q, 3, &mut DtwScratch::new())
+                        .unwrap();
                     let reused = index.query_with_scratch(q, 3, &mut scratch).unwrap();
                     assert_eq!(fresh, reused, "{ctx}: scratch reuse changed the answer");
                     assert!(fresh.stats.is_consistent(), "{ctx}: stats leak");
+                    let (traced, _) = index.query_traced(q, 3, "q").unwrap();
+                    assert_eq!(fresh, traced, "{ctx}: tracing changed the answer");
                 }
-                let serial = index.batch_query(&queries, 3, false).unwrap();
-                let parallel = index.batch_query(&queries, 3, true).unwrap();
-                assert_eq!(serial, parallel, "{ctx}: parallelism changed the answer");
             }
         }
     }
@@ -152,10 +157,13 @@ fn a_huge_k_returns_every_entry() {
     let query = &ds.series[20];
     for config in [IndexConfig::exact_banded(0.2), IndexConfig::sdtw_bands()] {
         let index = SdtwIndex::build(&corpus, config).unwrap();
-        let all = index.query(query, corpus.len()).unwrap();
+        let mut scratch = DtwScratch::new();
+        let all = index
+            .query_with_scratch(query, corpus.len(), &mut scratch)
+            .unwrap();
         assert_eq!(all.neighbors.len(), corpus.len());
         for k in [1_000_000_000_000usize, usize::MAX] {
-            let got = index.query(query, k).unwrap();
+            let got = index.query_with_scratch(query, k, &mut scratch).unwrap();
             assert_eq!(got.neighbors, all.neighbors, "k = {k}");
             assert_eq!(got.stats, all.stats, "k = {k}");
         }
@@ -177,9 +185,9 @@ fn samples_too_large_for_the_metric_are_refused() {
     let huge = TimeSeries::new(huge).unwrap();
     let raw = SdtwIndex::build(corpus, IndexConfig::default()).unwrap();
     for result in [
-        raw.query(&huge, 3).map(|_| ()),
-        raw.batch_query(std::slice::from_ref(&huge), 3, true)
+        raw.query_with_scratch(&huge, 3, &mut DtwScratch::new())
             .map(|_| ()),
+        raw.query_traced(&huge, 3, "huge").map(|_| ()),
     ] {
         let msg = result.unwrap_err().to_string();
         assert!(msg.contains("too large for the squared metric"), "{msg}");
@@ -196,7 +204,7 @@ fn samples_too_large_for_the_metric_are_refused() {
     };
     let found = SdtwIndex::build(corpus, znorm)
         .unwrap()
-        .query(&huge, 3)
+        .query_with_scratch(&huge, 3, &mut DtwScratch::new())
         .unwrap();
     assert_eq!(found.neighbors.len(), 3);
     assert!(found.neighbors.iter().all(|n| n.distance.is_finite()));

@@ -7,12 +7,13 @@
 //! The acceptance bar is *bit-identical*: same `(entry, offset)` ids,
 //! same distance bits, ties included, on three seeded corpora, for
 //! k ∈ {1, 5}, with and without z-normalisation, under the symmetric1
-//! and amerced kernels. Entries the engine
-//! pruned whole must be *provably* out: their admissible window floor
-//! strictly exceeds the k-th reported distance.
+//! and amerced kernels. Every entry is either pruned whole or swept, and
+//! the floor an entry is pruned on is admissible: no window of the entry
+//! scores below it.
 
-use sdtw_suite::eval::corpus_brute_force;
+use sdtw_suite::eval::{corpus_brute_force, subsequence_profile};
 use sdtw_suite::prelude::*;
+use sdtw_suite::stream::PreparedHaystack;
 use std::sync::Arc;
 
 /// Builds a corpus of `entries` series, each the concatenation of `rows`
@@ -58,8 +59,9 @@ fn assert_hits_exact(hits: &[ServeHit], expected: &[sdtw_suite::eval::CorpusMatc
 /// Asserts serve == corpus oracle on one seeded corpus, under Sakoe and
 /// the paper's sDTW bands (per-window extraction and band planning),
 /// each with the symmetric1 and the amerced kernel, both normalisation
-/// modes, k ∈ {1, 5}, and audits every pruned entry's admissible floor
-/// against the k-th reported distance.
+/// modes, k ∈ {1, 5}; checks that every answer accounts for each entry
+/// once (pruned or swept) and that each entry's window floor is at most
+/// every window distance of that entry.
 fn assert_serve_exact(analog: UcrAnalog, seed: u64, entries: usize, rows: usize) {
     let ds = analog.generate(seed);
     let query = pattern_from(&ds, 40);
@@ -100,28 +102,33 @@ fn assert_serve_exact(analog: UcrAnalog, seed: u64, entries: usize, rows: usize)
             f64::INFINITY,
         )
         .unwrap();
+        let mut scratch = DtwScratch::new();
         for k in [1usize, 5] {
             let what = format!("{analog:?} {mode} znorm={z_norm} k={k}");
             let req = ServeRequest::query(format!("{analog:?}-k{k}"), query.values().to_vec(), k);
-            let answer = engine
-                .answer_detailed(&req, &mut DtwScratch::new())
-                .unwrap();
-            assert_hits_exact(&answer.hits, &top5[..k.min(top5.len())], &what);
-            // every corpus entry was screened exactly once, and every
-            // pruned entry is provably above the k-th hit: its floor is
-            // an admissible lower bound on all its window distances and
-            // strictly exceeds the final k-th distance
-            assert_eq!(answer.screens.len(), engine.index().len());
-            let kth = answer.hits.last().map_or(f64::INFINITY, |h| h.distance);
-            for s in &answer.screens {
-                if !s.swept {
-                    assert!(
-                        s.floor > kth,
-                        "{what}: entry {} pruned with floor {} <= kth distance {kth}",
-                        s.entry,
-                        s.floor,
-                    );
-                }
+            let (resp, _) = engine.answer_with_scratch(&req, &mut scratch);
+            assert!(resp.ok, "{what}: {}", resp.error);
+            assert_hits_exact(&resp.hits, &top5[..k.min(top5.len())], &what);
+            // every corpus entry was screened exactly once
+            assert_eq!(
+                resp.entries_pruned + resp.entries_swept,
+                engine.index().len() as u64,
+                "{what}"
+            );
+        }
+        // the floor an entry is pruned on is admissible: at or below
+        // every window distance of the entry, so an entry whose floor
+        // exceeds the running k-th distance holds no reportable window
+        let matcher = SubseqMatcher::new(&query, engine.stream_config().clone()).unwrap();
+        let mut haystack = PreparedHaystack::new(&matcher);
+        for (e, series) in oracle_corpus.iter().enumerate() {
+            haystack.load(series);
+            let floor = haystack.floor();
+            for (w, d) in subsequence_profile(&oracle_engine, &query, series, z_norm).unwrap() {
+                assert!(
+                    floor <= d,
+                    "{analog:?} {mode} znorm={z_norm}: entry {e} floor {floor} above window {w} at {d}"
+                );
             }
         }
     }
@@ -181,7 +188,7 @@ fn serve_stays_exact_while_the_matcher_cache_churns() {
     // the first patterns come back after the clear dropped their matchers
     for (i, p) in patterns.iter().chain(&patterns[..4]).enumerate() {
         let req = ServeRequest::query(format!("p{i}"), p.clone(), 2);
-        let answer = engine.answer_detailed(&req, &mut scratch).unwrap();
+        let (resp, _) = engine.answer_with_scratch(&req, &mut scratch);
         let query = TimeSeries::new(p.clone()).unwrap();
         let expected = corpus_brute_force(
             &oracle_engine,
@@ -193,7 +200,8 @@ fn serve_stays_exact_while_the_matcher_cache_churns() {
             f64::INFINITY,
         )
         .unwrap();
-        assert_hits_exact(&answer.hits, &expected, &format!("request {i}"));
+        assert!(resp.ok, "request {i}: {}", resp.error);
+        assert_hits_exact(&resp.hits, &expected, &format!("request {i}"));
     }
 }
 
@@ -212,14 +220,15 @@ fn serve_respects_a_finite_tau_exactly() {
 
     // pick a tau that cuts the unbounded top-5 roughly in half, then
     // re-ask with it — inclusive semantics, bit-identical survivors
+    let mut scratch = DtwScratch::new();
     let mut req = ServeRequest::query("tau-probe", query.values().to_vec(), 5);
-    let (unbounded, _) = engine.answer(&req);
+    let (unbounded, _) = engine.answer_with_scratch(&req, &mut scratch);
     assert!(unbounded.ok, "{}", unbounded.error);
     assert!(unbounded.hits.len() >= 2, "need hits to threshold against");
     let tau = unbounded.hits[unbounded.hits.len() / 2].distance;
     req.tau = Some(tau);
     req.id = "tau-cut".into();
-    let (cut, _) = engine.answer(&req);
+    let (cut, _) = engine.answer_with_scratch(&req, &mut scratch);
     assert!(cut.ok, "{}", cut.error);
     let expected = corpus_brute_force(
         &oracle_engine,
@@ -370,6 +379,7 @@ fn serve_results_are_shard_invariant() {
     let query = pattern_from(&ds, 36);
     let mut answers = Vec::new();
     let mut visits = Vec::new();
+    let mut scratch = DtwScratch::new();
     for shards in [1usize, 0, 3] {
         let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
         let engine = ServeEngine::new(
@@ -384,10 +394,12 @@ fn serve_results_are_shard_invariant() {
             let ctx = format!("shards={shards} traced={traced}");
             let mut req = ServeRequest::query("shards", query.values().to_vec(), 5);
             req.trace = traced;
-            let (resp, trace) = engine.answer(&req);
+            let (resp, trace) = engine.answer_with_scratch(&req, &mut scratch);
             assert!(resp.ok, "{ctx}: {}", resp.error);
             assert_eq!(trace.is_some(), traced, "{ctx}");
             if let Some(t) = trace {
+                // a fixed band is never planned from descriptors
+                assert_eq!(t.descriptor_comparisons, 0, "{ctx}");
                 let c = t.counters;
                 let visited = c.cascade.candidates + c.cache_hits;
                 visits.push((
@@ -416,9 +428,10 @@ fn serve_results_are_shard_invariant() {
 /// floor, so a request needs about one completed banded DP per greedy
 /// pass. Over 5 raw Gun entries under the paper's sDTW bands (the shape
 /// of the `serve_sdtw` benchmark workload) and 24 patterns of 48–96
-/// samples at k = 5, traced answers equal untraced ones, and the traced
-/// requests complete at most half the DPs that deciding in offset order
-/// did: 3,592 summed over the 24 requests, against 773 best-first.
+/// samples at k = 5, traced answers equal untraced ones, the traces
+/// count the descriptor comparisons of the windows' band plans, and the
+/// traced requests complete at most half the DPs that deciding in offset
+/// order did: 3,592 summed over the 24 requests, against 773 best-first.
 #[test]
 fn best_first_adaptive_sweeps_complete_few_dps() {
     const PATTERNS: usize = 24;
@@ -427,7 +440,7 @@ fn best_first_adaptive_sweeps_complete_few_dps() {
     let index = SdtwIndex::build(&ds.series[..5], IndexConfig::sdtw_bands()).unwrap();
     let engine = ServeEngine::new(index, ServeConfig::default()).unwrap();
     let mut scratch = DtwScratch::new();
-    let mut completed = 0;
+    let (mut completed, mut comparisons) = (0, 0);
     for p in 0..PATTERNS {
         let len = 48 + p * (96 - 48 + 1) / PATTERNS;
         let row = ds.series[5 + p].values();
@@ -438,10 +451,13 @@ fn best_first_adaptive_sweeps_complete_few_dps() {
         req.trace = true;
         let (traced, trace) = engine.answer_with_scratch(&req, &mut scratch);
         assert_eq!(traced, plain, "pattern {p}: tracing moved the answer");
-        let counters = trace.expect("the request asked for a trace").counters;
+        let trace = trace.expect("the request asked for a trace");
+        let counters = trace.counters;
         assert!(counters.is_consistent(), "pattern {p}: {counters:?}");
         completed += counters.cascade.dp_completed;
+        comparisons += trace.descriptor_comparisons;
     }
+    assert!(comparisons > 0, "adaptive band plans compare descriptors");
     assert!(
         2 * completed <= OFFSET_ORDER_DPS,
         "{completed} completed DPs, against {OFFSET_ORDER_DPS} in offset order"
@@ -461,7 +477,7 @@ fn raw_patterns_too_large_for_the_metric_are_refused() {
     let mut near_max = vec![1.7e308; 59];
     near_max.push(-1.7e308);
     let huge = ServeRequest::query("near-max", near_max, 3);
-    let (resp, _) = engine.answer(&huge);
+    let (resp, _) = engine.answer_with_scratch(&huge, &mut DtwScratch::new());
     assert!(!resp.ok);
     assert!(
         resp.error.contains("too large for the squared metric"),

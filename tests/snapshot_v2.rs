@@ -89,9 +89,10 @@ fn golden_fixture_decodes_back_identically() {
 fn golden_fixture_answers_queries_identically_to_a_fresh_build() {
     let fresh = golden_index();
     let loaded = SnapshotCodec::decode(FIXTURE).unwrap();
+    let mut scratch = DtwScratch::new();
     for (q, query) in golden_corpus().iter().enumerate() {
-        let a = fresh.query(query, 3).unwrap();
-        let b = loaded.query(query, 3).unwrap();
+        let a = fresh.query_with_scratch(query, 3, &mut scratch).unwrap();
+        let b = loaded.query_with_scratch(query, 3, &mut scratch).unwrap();
         assert_eq!(a.neighbors, b.neighbors, "query {q}");
         assert_eq!(a.stats, b.stats, "query {q}");
     }
@@ -139,6 +140,7 @@ fn every_single_byte_flip_is_refused_or_answers() {
     // ("capacity overflow") when it hit the entry count or the top byte
     // of an entry length
     let query = &golden_corpus()[1];
+    let mut scratch = DtwScratch::new();
     let mut refused = 0;
     for at in 0..FIXTURE.len() {
         for mask in [0x01, 0x80] {
@@ -147,7 +149,7 @@ fn every_single_byte_flip_is_refused_or_answers() {
             match SnapshotCodec::decode(&bytes) {
                 Err(_) => refused += 1,
                 Ok(index) => {
-                    let got = index.query(query, 2);
+                    let got = index.query_with_scratch(query, 2, &mut scratch);
                     assert!(got.is_ok(), "byte {at} ^ {mask:#04x}: {got:?}");
                 }
             }
@@ -259,9 +261,10 @@ fn legacy_cost_model_keys_load_and_answer_like_a_fresh_build() {
     let loaded = SnapshotCodec::decode(&with_legacy_cost_model("Symmetric1", "None")).unwrap();
     assert_eq!(loaded.config(), fresh.config());
     assert_eq!(loaded.entries(), fresh.entries());
+    let mut scratch = DtwScratch::new();
     for (q, query) in golden_corpus().iter().enumerate() {
-        let a = fresh.query(query, 3).unwrap();
-        let b = loaded.query(query, 3).unwrap();
+        let a = fresh.query_with_scratch(query, 3, &mut scratch).unwrap();
+        let b = loaded.query_with_scratch(query, 3, &mut scratch).unwrap();
         assert_eq!(a.neighbors, b.neighbors, "query {q}");
         assert_eq!(a.stats, b.stats, "query {q}");
     }
